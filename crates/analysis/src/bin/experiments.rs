@@ -48,8 +48,6 @@ struct Args {
     seed: Option<u64>,
     threads: Option<usize>,
     step_workers: Option<usize>,
-    soa: bool,
-    guard_kernels: bool,
     format: Format,
     trace_out: Option<PathBuf>,
     replay: Option<PathBuf>,
@@ -72,13 +70,6 @@ options:
   --step-workers N     intra-step worker threads of the sharded executor,
                        N >= 1 (default 1; orthogonal to --threads, and
                        tables are byte-identical for every worker count)
-  --soa                store per-node state as struct-of-arrays columns
-                       (lower footprint at large n; tables are
-                       byte-identical with or without the flag)
-  --guard-kernels      route large dirty batches through the protocols'
-                       word-parallel bulk guard kernels (columnar layouts
-                       only — pair with --soa; tables are byte-identical
-                       with or without the flag)
   --format table|json  output format (default: table)
   --list               list the experiment identifiers and exit
   -h, --help           print this help
@@ -114,8 +105,6 @@ fn parse_args() -> Result<Parsed, String> {
         seed: None,
         threads: None,
         step_workers: None,
-        soa: false,
-        guard_kernels: false,
         format: Format::Table,
         trace_out: None,
         replay: None,
@@ -177,8 +166,6 @@ fn parse_args() -> Result<Parsed, String> {
                 }
                 args.step_workers = Some(workers);
             }
-            "--soa" => args.soa = true,
-            "--guard-kernels" => args.guard_kernels = true,
             "--format" => {
                 let value = iter
                     .next()
@@ -255,14 +242,8 @@ fn render_json(config: &ExperimentConfig, tables: &[ExperimentTable]) -> String 
     let mut out = String::from("{\n  \"config\": {");
     out.push_str(&format!(
         "\"runs\": {}, \"max_steps\": {}, \"base_seed\": {}, \"threads\": {}, \
-         \"step_workers\": {}, \"soa_layout\": {}, \"guard_kernels\": {}",
-        config.runs,
-        config.max_steps,
-        config.base_seed,
-        config.threads,
-        config.step_workers,
-        config.soa_layout,
-        config.guard_kernels
+         \"step_workers\": {}",
+        config.runs, config.max_steps, config.base_seed, config.threads, config.step_workers
     ));
     out.push_str("},\n  \"tables\": [\n");
     for (i, table) in tables.iter().enumerate() {
@@ -390,12 +371,6 @@ fn main() -> ExitCode {
     }
     if let Some(workers) = args.step_workers {
         config.step_workers = workers;
-    }
-    if args.soa {
-        config.soa_layout = true;
-    }
-    if args.guard_kernels {
-        config.guard_kernels = true;
     }
     if args.format == Format::Table {
         println!(

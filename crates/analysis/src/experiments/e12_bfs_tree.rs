@@ -82,9 +82,9 @@ pub fn cell(
             if !report.silent {
                 return CellOutcome::Timeout;
             }
-            let config = sim.config_vec();
-            let dist = BfsTree::distances(&config);
-            let parents = sim.protocol().parent_ports(&config);
+            let config = sim.config();
+            let dist = BfsTree::distances(config);
+            let parents = sim.protocol().parent_ports(config);
             let oracle_ok = is_bfs_spanning_tree(sim.graph(), root, &dist, &parents);
             // Post-stabilization cost: drive the silent system for a while
             // and measure what the protocol keeps reading.

@@ -83,10 +83,10 @@ pub fn cell(
             if !report.silent {
                 return CellOutcome::Timeout;
             }
-            let config = sim.config_vec();
-            let unique_leader = sim.protocol().self_declared_leaders(&config) == vec![expected];
-            let dist = LeaderElection::distances(&config);
-            let parents = sim.protocol().parent_ports(&config);
+            let config = sim.config();
+            let unique_leader = sim.protocol().self_declared_leaders(config) == vec![expected];
+            let dist = LeaderElection::distances(config);
+            let parents = sim.protocol().parent_ports(config);
             let verified =
                 unique_leader && is_bfs_spanning_tree(sim.graph(), expected, &dist, &parents);
             sim.mark_suffix();

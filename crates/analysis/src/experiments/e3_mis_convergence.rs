@@ -64,7 +64,7 @@ pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOu
                 rounds: report.total_rounds,
                 legitimate: verify::is_maximal_independent_set(
                     sim.graph(),
-                    &Mis::output(&sim.config_vec()),
+                    &Mis::output(sim.config()),
                 ),
             })
         },

@@ -61,7 +61,7 @@ pub fn cell(
                 return CellOutcome::Timeout;
             }
             let dominated = sim
-                .config_vec()
+                .config()
                 .iter()
                 .filter(|s| s.status == Membership::Dominated)
                 .count();

@@ -53,7 +53,7 @@ pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOu
             if !report.silent {
                 return CellOutcome::Timeout;
             }
-            let edges = sim.protocol().output(sim.graph(), &sim.config_vec());
+            let edges = sim.protocol().output(sim.graph(), sim.config());
             CellOutcome::Stabilized(MatchingRun {
                 rounds: report.total_rounds,
                 legitimate: verify::is_maximal_matching(sim.graph(), &edges),

@@ -58,7 +58,7 @@ pub fn cell(
             if !report.silent {
                 return CellOutcome::Timeout;
             }
-            let matched = 2 * sim.protocol().output(sim.graph(), &sim.config_vec()).len();
+            let matched = 2 * sim.protocol().output(sim.graph(), sim.config()).len();
             sim.mark_suffix();
             sim.run_steps((sim.graph().node_count() as u64) * 20);
             CellOutcome::Stabilized(MatchingStabilityRun {

@@ -55,19 +55,6 @@ pub struct ExperimentConfig {
     /// tests set it to `0` so that even the small quick-suite graphs run
     /// the threaded path; outcomes are identical either way.
     pub parallel_work_threshold: usize,
-    /// Store per-node state in the struct-of-arrays layout
-    /// ([`SimOptions::with_soa_layout`](selfstab_runtime::SimOptions::with_soa_layout)).
-    /// Observably identical to the default rows — like `step_workers`, this
-    /// only changes footprint and wall-clock time, so tables stay
-    /// byte-identical with the flag on or off.
-    pub soa_layout: bool,
-    /// Route large dirty batches through the protocols' word-parallel bulk
-    /// guard kernels
-    /// ([`SimOptions::with_guard_kernels`](selfstab_runtime::SimOptions::with_guard_kernels)).
-    /// Only effective together with `soa_layout` (the kernels read the
-    /// columnar store); observably identical to the scalar guard walk, so
-    /// tables stay byte-identical with the flag on or off.
-    pub guard_kernels: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -80,8 +67,6 @@ impl Default for ExperimentConfig {
             step_workers: 1,
             parallel_work_threshold: selfstab_runtime::SimOptions::default()
                 .parallel_work_threshold,
-            soa_layout: false,
-            guard_kernels: false,
         }
     }
 }
@@ -123,36 +108,14 @@ impl ExperimentConfig {
         self
     }
 
-    /// Switches every simulation to the struct-of-arrays state store.
-    #[must_use]
-    pub fn with_soa_layout(mut self) -> Self {
-        self.soa_layout = true;
-        self
-    }
-
-    /// Enables the word-parallel bulk guard kernels (columnar layouts
-    /// only; a no-op for protocols without a kernel).
-    #[must_use]
-    pub fn with_guard_kernels(mut self) -> Self {
-        self.guard_kernels = true;
-        self
-    }
-
     /// The [`SimOptions`](selfstab_runtime::SimOptions) every experiment
     /// cell starts from: defaults plus this configuration's intra-step
     /// parallelism knobs. Experiments layer their own settings (check
     /// interval, read restrictions) on top with the usual builder methods.
     pub fn sim_options(&self) -> selfstab_runtime::SimOptions {
-        let mut options = selfstab_runtime::SimOptions::default()
+        selfstab_runtime::SimOptions::default()
             .with_step_workers(self.step_workers)
-            .with_parallel_work_threshold(self.parallel_work_threshold);
-        if self.soa_layout {
-            options = options.with_soa_layout();
-        }
-        if self.guard_kernels {
-            options = options.with_guard_kernels();
-        }
-        options
+            .with_parallel_work_threshold(self.parallel_work_threshold)
     }
 }
 

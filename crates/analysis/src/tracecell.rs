@@ -222,7 +222,7 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
     let steps = sim.steps();
     let rounds = sim.stats().rounds;
     let stats_digest = sim.stats().digest();
-    let config_digest = coloring_config_digest(&sim.config_vec());
+    let config_digest = coloring_config_digest(sim.config());
     let mut sink = sim.detach_trace_sink().expect("sink attached above");
     sink.finish(&TraceFooter {
         steps,

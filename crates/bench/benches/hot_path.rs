@@ -22,8 +22,8 @@
 //! binaries with the package directory as cwd; see the vendored criterion
 //! stub docs). CI runs it with `--quick` and uploads the summary as an
 //! artifact. Set `HOT_PATH_GROUPS` (comma-separated subset of
-//! `base,sharded,soa,kernels`) to measure one group family without
-//! paying for the others' multi-minute large-tier stabilizations.
+//! `base,sharded`) to measure one group family without paying for the
+//! other's million-node stabilization.
 
 use std::time::Duration;
 
@@ -352,286 +352,14 @@ fn bench_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-/// Size tiers of the struct-of-arrays comparison: the scales the columnar
-/// layout exists for. `--quick` drops to 10⁵ so the CI smoke run still
-/// walks both layouts without stabilizing ten-million-process systems.
-fn soa_sizes() -> &'static [usize] {
-    if criterion::quick_mode() {
-        &[100_000]
-    } else {
-        &[1_000_000, 10_000_000]
-    }
-}
-
-/// Builds the large-tier workloads shared by the layout and guard-kernel
-/// comparisons: ring (constant degree) and Barabási–Albert (heavy-tailed
-/// degrees) at the [`soa_sizes`] tiers, each stabilized **once** — the
-/// up-to-10⁷-process stabilization dominates setup and must not be paid
-/// per scenario group.
-fn soa_workloads() -> Vec<Workload> {
-    let mut workloads = Vec::new();
-    for topo in ["ring", "barabasi-albert"] {
-        for &n in soa_sizes() {
-            let graph = topology(topo, n);
-            let mut sim = Simulation::new(
-                &graph,
-                Mis::with_greedy_coloring(&graph),
-                Synchronous,
-                0xC0FFEE,
-                SimOptions::default(),
-            );
-            let report = sim.run_until_silent(10_000 + 200 * graph.node_count() as u64);
-            assert!(report.silent, "MIS must stabilize before the benchmark");
-            let (config, _, _) = sim.into_parts();
-            workloads.push(Workload {
-                label: format!("{topo}-{n}"),
-                graph,
-                config,
-            });
-        }
-    }
-    workloads
-}
-
-/// Array-of-structs vs struct-of-arrays at n ∈ {10⁶, 10⁷} on ring
-/// (constant degree) and Barabási–Albert (heavy-tailed degrees).
-///
-/// Each workload is stabilized once; both layouts then step the identical
-/// pre-silent configuration, so the `layout=aos` and `layout=soa` rows
-/// time the same observable work (`soa_step_equivalence` pins the
-/// executions byte-identical). The measured per-node heap footprint of
-/// each layout is printed to stderr — `MisState`/`MisComm` decompose into
-/// one `u32` column plus one bit per node, an 8× reduction over the
-/// padded 16-byte structs.
-fn bench_soa(c: &mut Criterion, workloads: &[Workload]) {
-    let layouts = [
-        ("aos", SimOptions::default()),
-        ("soa", SimOptions::default().with_soa_layout()),
-    ];
-
-    let mut group = c.benchmark_group("hot_path/soa_stepping");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    for workload in workloads {
-        for (layout, options) in &layouts {
-            let mut sim = Simulation::with_config(
-                &workload.graph,
-                Mis::with_greedy_coloring(&workload.graph),
-                Synchronous,
-                workload.config.clone(),
-                0xFEED,
-                options.clone(),
-            );
-            let n = workload.graph.node_count() as f64;
-            let (state_bytes, comm_bytes) = sim.store_heap_bytes();
-            eprintln!(
-                "soa-footprint {}/layout={layout}: state {:.2} B/node, comm {:.2} B/node",
-                workload.label,
-                state_bytes as f64 / n,
-                comm_bytes as f64 / n,
-            );
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!(
-                    "{}/synchronous/layout={layout}",
-                    workload.label
-                )),
-                &workload.graph,
-                |b, _| b.iter(|| sim.step().comm_changed),
-            );
-        }
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("hot_path/soa_repair_wave");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    for workload in workloads {
-        for (layout, options) in &layouts {
-            let mut sim = Simulation::with_config(
-                &workload.graph,
-                Mis::with_greedy_coloring(&workload.graph),
-                CentralRandom::enabled_only(),
-                workload.config.clone(),
-                0xFEED,
-                options.clone(),
-            );
-            let victim = NodeId::new(workload.graph.node_count() / 2);
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}/layout={layout}", workload.label)),
-                &workload.graph,
-                |b, _| {
-                    b.iter(|| {
-                        sim.set_state(
-                            victim,
-                            MisState {
-                                status: Membership::Dominator,
-                                cur: Port::new(0),
-                            },
-                        );
-                        for _ in 0..8 {
-                            sim.step();
-                        }
-                        sim.steps()
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-/// The guard-kernel comparison: scalar guard walk (`aos`, `soa`) against
-/// the word-parallel bulk kernels (`soa+kernels`) on the shared
-/// large-tier workloads. Both scenarios hand the executor large dirty
-/// batches every iteration — the regime the kernels exist for (the
-/// threshold gate keeps sparse regimes on the scalar path, and the
-/// zero-cost of that gate in the silent steady state is pinned by the
-/// `soa_stepping` rows, whose phase A is identical with kernels on).
-///
-/// * `kernel_stepping` — mass-invalidation stepping: every 4th node is
-///   corrupted to a conflicting membership claim, then one step runs
-///   under the synchronous or central-random daemon. The corruption
-///   dirties ~3n/4 guards, so each step's phase A is a full-width bulk
-///   refresh; under central-random the iteration is refresh-dominated,
-///   under synchronous it adds the full activation sweep on top.
-/// * `kernel_repair_wave` — a stripe of ~1024 victims spread across the
-///   stabilized system is corrupted each iteration and a bounded repair
-///   burst follows under the enabled-only central daemon. Every refresh
-///   hands the executor dirty batches of thousands of nodes, far past
-///   the production threshold.
-///
-/// All three layouts run identical trajectories (`kernel_step_equivalence`
-/// pins them byte-identical), so each row times the same observable work.
-fn bench_kernels(c: &mut Criterion, workloads: &[Workload]) {
-    let layouts = [
-        ("aos", SimOptions::default()),
-        ("soa", SimOptions::default().with_soa_layout()),
-        (
-            "soa+kernels",
-            SimOptions::default().with_soa_layout().with_guard_kernels(),
-        ),
-    ];
-    let corrupted = MisState {
-        status: Membership::Dominator,
-        cur: Port::new(0),
-    };
-
-    let mut group = c.benchmark_group("hot_path/kernel_stepping");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    for workload in workloads {
-        let n = workload.graph.node_count();
-        for (layout, options) in &layouts {
-            let mut sim = Simulation::with_config(
-                &workload.graph,
-                Mis::with_greedy_coloring(&workload.graph),
-                Synchronous,
-                workload.config.clone(),
-                0xFEED,
-                options.clone(),
-            );
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!(
-                    "{}/synchronous/layout={layout}",
-                    workload.label
-                )),
-                &workload.graph,
-                |b, _| {
-                    b.iter(|| {
-                        for victim in (0..n).step_by(4) {
-                            sim.set_state(NodeId::new(victim), corrupted);
-                        }
-                        sim.step().comm_changed
-                    })
-                },
-            );
-
-            let mut sim = Simulation::with_config(
-                &workload.graph,
-                Mis::with_greedy_coloring(&workload.graph),
-                CentralRandom::new(),
-                workload.config.clone(),
-                0xFEED,
-                options.clone(),
-            );
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!(
-                    "{}/central-random/layout={layout}",
-                    workload.label
-                )),
-                &workload.graph,
-                |b, _| {
-                    b.iter(|| {
-                        for victim in (0..n).step_by(4) {
-                            sim.set_state(NodeId::new(victim), corrupted);
-                        }
-                        sim.step().comm_changed
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("hot_path/kernel_repair_wave");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    for workload in workloads {
-        let n = workload.graph.node_count();
-        // ~1024 victims spread across the system: each corrupted
-        // neighborhood re-enters the dirty queue, so one refresh sees a
-        // batch of several thousand nodes.
-        let stride = (n / 1024).max(1);
-        for (layout, options) in &layouts {
-            let mut sim = Simulation::with_config(
-                &workload.graph,
-                Mis::with_greedy_coloring(&workload.graph),
-                CentralRandom::enabled_only(),
-                workload.config.clone(),
-                0xFEED,
-                options.clone(),
-            );
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}/layout={layout}", workload.label)),
-                &workload.graph,
-                |b, _| {
-                    b.iter(|| {
-                        for victim in (0..n).step_by(stride) {
-                            sim.set_state(
-                                NodeId::new(victim),
-                                MisState {
-                                    status: Membership::Dominator,
-                                    cur: Port::new(0),
-                                },
-                            );
-                        }
-                        for _ in 0..8 {
-                            sim.step();
-                        }
-                        sim.steps()
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Entry point: stabilize every workload once, then run both scenarios
-/// over the shared configurations, then the million-node sharded tier,
-/// then the layout and guard-kernel comparisons at the 10⁶/10⁷ tiers
-/// (sharing their stabilized workloads).
+/// over the shared configurations, then the million-node sharded tier.
 ///
-/// The vendored criterion stub has no `--filter` support, and the full
-/// run stabilizes up-to-10⁷-process systems before a single sample is
-/// taken, so `HOT_PATH_GROUPS` (comma-separated subset of
-/// `base,sharded,soa,kernels`) selects which group families run —
-/// workloads are only stabilized for the families actually selected.
-/// Unset means everything, which is what CI's `--quick` smoke measures.
+/// The vendored criterion stub has no `--filter` support, so
+/// `HOT_PATH_GROUPS` (comma-separated subset of `base,sharded`) selects
+/// which group families run — workloads are only stabilized for the
+/// families actually selected. Unset means everything, which is what CI's
+/// `--quick` smoke measures.
 fn bench_hot_path(c: &mut Criterion) {
     let only = std::env::var("HOT_PATH_GROUPS").ok();
     let run = |name: &str| {
@@ -647,15 +375,6 @@ fn bench_hot_path(c: &mut Criterion) {
     }
     if run("sharded") {
         bench_sharded(c);
-    }
-    if run("soa") || run("kernels") {
-        let large = soa_workloads();
-        if run("soa") {
-            bench_soa(c, &large);
-        }
-        if run("kernels") {
-            bench_kernels(c, &large);
-        }
     }
 }
 

@@ -24,7 +24,6 @@ use rand::RngCore;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{EnabledWriter, StateStore};
 use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`Coloring`].
@@ -156,47 +155,6 @@ impl Protocol for Coloring {
     // closed, and once it holds action 1 is never enabled again, so the
     // communication variables are fixed). The default implementation of
     // `is_silent_config` is therefore exact.
-
-    fn is_legitimate_store(&self, graph: &Graph, config: &StateStore<ColoringState>) -> bool {
-        match config.columns() {
-            // Streaming mirror of `verify::is_proper_coloring`: a raw
-            // conflict scan over the u32 color column via `neighbor_slice`,
-            // with no 10⁷-row materialization (or even row decoding) per
-            // check.
-            Some(cols) => {
-                config.len() == graph.node_count()
-                    && crate::columns::coloring_conflict_free(graph, cols)
-            }
-            None => self.is_legitimate(graph, config.as_slice().expect("row layout")),
-        }
-    }
-
-    fn is_silent_store(&self, graph: &Graph, config: &StateStore<ColoringState>) -> bool {
-        // Silent ⇔ legitimate (Lemma 1), in either layout.
-        self.is_legitimate_store(graph, config)
-    }
-
-    fn has_bulk_guard_kernel(&self) -> bool {
-        true
-    }
-
-    fn refresh_guards_bulk(
-        &self,
-        graph: &Graph,
-        _config: &StateStore<ColoringState>,
-        _comm: &StateStore<usize>,
-        dirty: &[NodeId],
-        out: &mut EnabledWriter<'_>,
-    ) -> bool {
-        // The COLORING guard reads no state at all — one of the two actions
-        // always holds, so enabledness is purely `degree > 0`. The kernel
-        // is a degree scan that skips the per-node view construction, and
-        // it is layout-oblivious, so it never declines.
-        for &p in dirty {
-            out.write(p, graph.degree(p) > 0);
-        }
-        true
-    }
 }
 
 /// The paper's communication-complexity figure for `COLORING`

@@ -48,7 +48,6 @@
 
 pub mod baselines;
 pub mod coloring;
-pub mod columns;
 pub mod impossibility;
 pub mod matching;
 pub mod measures;

@@ -29,7 +29,6 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{EnabledWriter, StateStore};
 use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`Matching`].
@@ -306,70 +305,6 @@ impl Protocol for Matching {
         verify::is_maximal_matching(graph, &edges)
     }
 
-    fn is_silent_config(&self, graph: &Graph, config: &[MatchingState]) -> bool {
-        self.silent_by(graph, |i| config[i])
-    }
-
-    fn is_legitimate_store(&self, graph: &Graph, config: &StateStore<MatchingState>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_legitimate(graph, rows),
-            // Streaming mirror of `output` + `verify::is_maximal_matching`
-            // over the columns. An output edge requires *mutual* PR pointing
-            // (`in_mm` checks both directions), so the output is always a
-            // matching — each process owns a single pointer — and only
-            // maximality needs checking: every edge must have an endpoint
-            // incident to a matched edge.
-            None => {
-                let matched = |p: NodeId| {
-                    let state = config.get(p.index());
-                    let Some(port) = state.pr else { return false };
-                    if port.index() >= graph.degree(p) {
-                        return false; // out-of-domain pointer never matches a port
-                    }
-                    let q = graph.neighbor(p, port);
-                    let q_state = config.get(q.index());
-                    q_state.pr == graph.port_to(q, p)
-                        && (state.cur == port || q_state.pr.is_some_and(|back| q_state.cur == back))
-                };
-                config.len() == graph.node_count()
-                    && graph.edges().all(|(p, q)| matched(p) || matched(q))
-            }
-        }
-    }
-
-    fn is_silent_store(&self, graph: &Graph, config: &StateStore<MatchingState>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_silent_config(graph, rows),
-            None => self.silent_by(graph, |i| config.get(i)),
-        }
-    }
-
-    fn has_bulk_guard_kernel(&self) -> bool {
-        true
-    }
-
-    fn refresh_guards_bulk(
-        &self,
-        graph: &Graph,
-        config: &StateStore<MatchingState>,
-        comm: &StateStore<MatchingComm>,
-        dirty: &[NodeId],
-        out: &mut EnabledWriter<'_>,
-    ) -> bool {
-        // Columnar stores only; the executor falls back to the scalar
-        // guard for row layouts.
-        let (Some(state), Some(comm)) = (config.columns(), comm.columns()) else {
-            return false;
-        };
-        crate::columns::matching_guard_kernel(graph, state, comm, dirty, out);
-        true
-    }
-}
-
-impl Matching {
-    /// The silence predicate, reading rows through `get` so slices and
-    /// columnar stores share one implementation.
-    ///
     /// A configuration is silent iff no continuation can ever change M or
     /// PR. Because free processes cycle their cur pointer over every
     /// neighbor, the conditions below quantify over all neighbors for
@@ -384,9 +319,9 @@ impl Matching {
     ///  (d) if p is free: no neighbor q points at p (action 3 would fire
     ///      once cur.p reaches q) and no free unmarried neighbor q has
     ///      C.p ≺ C.q (action 5 would fire).
-    fn silent_by(&self, graph: &Graph, get: impl Fn(usize) -> MatchingState) -> bool {
+    fn is_silent_config(&self, graph: &Graph, config: &[MatchingState]) -> bool {
         for p in graph.nodes() {
-            let state = get(p.index());
+            let state = &config[p.index()];
             let degree = graph.degree(p);
             if degree == 0 {
                 if state.married || state.pr.is_some() {
@@ -409,7 +344,7 @@ impl Matching {
             let pr_married = match pr {
                 Some(port) => {
                     let q = graph.neighbor(p, port);
-                    get(q.index()).pr == graph.port_to(q, p)
+                    config[q.index()].pr == graph.port_to(q, p)
                 }
                 None => false,
             };
@@ -419,7 +354,7 @@ impl Matching {
             match pr {
                 Some(port) => {
                     let q = graph.neighbor(p, port);
-                    let q_state = get(q.index());
+                    let q_state = &config[q.index()];
                     let q_points_back = q_state.pr == graph.port_to(q, p);
                     if !q_points_back {
                         // (c) p is waiting on q.
@@ -431,7 +366,7 @@ impl Matching {
                 None => {
                     // (d) p is free.
                     for q in graph.neighbors(p) {
-                        let q_state = get(q.index());
+                        let q_state = &config[q.index()];
                         if q_state.pr == graph.port_to(q, p) {
                             return false;
                         }

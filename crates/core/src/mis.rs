@@ -31,7 +31,6 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{longest_path, verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{EnabledWriter, StateStore};
 use serde::{Deserialize, Serialize};
 
 /// The membership communication variable `S.p`.
@@ -238,100 +237,29 @@ impl Protocol for Mis {
         verify::is_maximal_independent_set(graph, &Mis::output(config))
     }
 
-    fn is_silent_config(&self, graph: &Graph, config: &[MisState]) -> bool {
-        self.silent_by(graph, |i| config[i])
-    }
-
-    fn is_legitimate_store(&self, graph: &Graph, config: &StateStore<MisState>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_legitimate(graph, rows),
-            // Streaming mirror of `verify::is_maximal_independent_set` over
-            // the columns: no edge joins two Dominators, and every Dominated
-            // process has a Dominator neighbor.
-            None => {
-                let status = |i: usize| config.with_row(i, |s| s.status);
-                config.len() == graph.node_count()
-                    && graph.edges().all(|(p, q)| {
-                        !(status(p.index()) == Membership::Dominator
-                            && status(q.index()) == Membership::Dominator)
-                    })
-                    && graph.nodes().all(|p| {
-                        status(p.index()) == Membership::Dominator
-                            || graph
-                                .neighbors(p)
-                                .any(|q| status(q.index()) == Membership::Dominator)
-                    })
-            }
-        }
-    }
-
-    fn is_silent_store(&self, graph: &Graph, config: &StateStore<MisState>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_silent_config(graph, rows),
-            None => self.silent_by(graph, |i| config.get(i)),
-        }
-    }
-
-    fn has_bulk_guard_kernel(&self) -> bool {
-        true
-    }
-
-    fn refresh_guards_bulk(
-        &self,
-        graph: &Graph,
-        config: &StateStore<MisState>,
-        comm: &StateStore<MisComm>,
-        dirty: &[NodeId],
-        out: &mut EnabledWriter<'_>,
-    ) -> bool {
-        // Columnar stores only; the executor falls back to the scalar
-        // guard for row layouts.
-        let (Some(state), Some(comm)) = (config.columns(), comm.columns()) else {
-            return false;
-        };
-        crate::columns::mis_guard_kernel(graph, state, comm, dirty, out);
-        true
-    }
-}
-
-impl Mis {
-    /// The silence predicate, reading rows through `get` so slices and
-    /// columnar stores share one implementation.
-    ///
     /// A configuration is silent iff no continuation can ever change an
     /// S variable:
     /// * a Dominator must have no Dominator neighbor (its round-robin scan
     ///   would otherwise eventually trigger action 1 on one of the two),
     /// * a dominated process must currently point at a Dominator of smaller
     ///   color (otherwise action 2 is enabled right now).
-    fn silent_by(&self, graph: &Graph, get: impl Fn(usize) -> MisState) -> bool {
-        for p in graph.nodes() {
-            let state = get(p.index());
+    fn is_silent_config(&self, graph: &Graph, config: &[MisState]) -> bool {
+        let is_dominator = |q: NodeId| config[q.index()].status == Membership::Dominator;
+        graph.nodes().all(|p| {
+            let state = &config[p.index()];
             match state.status {
-                Membership::Dominator => {
-                    if graph
-                        .neighbors(p)
-                        .any(|q| get(q.index()).status == Membership::Dominator)
-                    {
-                        return false;
-                    }
-                }
+                Membership::Dominator => !graph.neighbors(p).any(is_dominator),
                 Membership::Dominated => {
                     let degree = graph.degree(p);
+                    // An isolated dominated process promotes itself.
                     if degree == 0 {
-                        return false; // action: isolated process promotes itself
-                    }
-                    let cur = state.cur.clamp_to_degree(degree);
-                    let q = graph.neighbor(p, cur);
-                    let justified = get(q.index()).status == Membership::Dominator
-                        && self.color(q) < self.color(p);
-                    if !justified {
                         return false;
                     }
+                    let q = graph.neighbor(p, state.cur.clamp_to_degree(degree));
+                    is_dominator(q) && self.color(q) < self.color(p)
                 }
             }
-        }
-        true
+        })
     }
 }
 

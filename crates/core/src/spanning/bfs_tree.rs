@@ -34,7 +34,6 @@ use rand::RngCore;
 use selfstab_graph::{Graph, NodeId, Port, RootedGraph};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::StateStore;
 use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`BfsTree`].
@@ -222,31 +221,6 @@ impl Protocol for BfsTree {
     // disconnected graph an unreachable component can quiesce at the cap —
     // such runs report silent without legitimate, which is what the
     // oracle-based predicate should say about a rootless component.
-
-    fn is_legitimate_store(&self, graph: &Graph, config: &StateStore<BfsState>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_legitimate(graph, rows),
-            // The oracle check needs the dist and parent vectors; build them
-            // straight from the columns without materializing full rows.
-            None => {
-                let n = config.len();
-                let mut dist = Vec::with_capacity(n);
-                let mut parents = Vec::with_capacity(n);
-                for i in 0..n {
-                    config.with_row(i, |s| {
-                        dist.push(s.dist);
-                        parents.push((NodeId::new(i) != self.root).then_some(s.parent));
-                    });
-                }
-                crate::spanning::is_bfs_spanning_tree(graph, self.root, &dist, &parents)
-            }
-        }
-    }
-
-    fn is_silent_store(&self, graph: &Graph, config: &StateStore<BfsState>) -> bool {
-        // Silent ⇔ legitimate (see the note above), in either layout.
-        self.is_legitimate_store(graph, config)
-    }
 }
 
 #[cfg(test)]

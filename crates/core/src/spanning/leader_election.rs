@@ -50,7 +50,6 @@ use rand::RngCore;
 use selfstab_graph::{Graph, Identifiers, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::StateStore;
 use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`LeaderElection`].
@@ -344,39 +343,6 @@ impl Protocol for LeaderElection {
     /// COLORING protocol's notion of silence.
     fn is_silent_config(&self, graph: &Graph, config: &[LeaderElectionState]) -> bool {
         self.is_legitimate(graph, config)
-    }
-
-    fn is_legitimate_store(&self, graph: &Graph, config: &StateStore<LeaderElectionState>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_legitimate(graph, rows),
-            None => {
-                let Some(expected) = self.expected_leader() else {
-                    return config.is_empty();
-                };
-                let min_id = self.ids.id(expected);
-                let n = config.len();
-                // Pass 1 (streaming): every process must advertise the true
-                // minimum identifier — the cheap early exit.
-                if (0..n).any(|i| config.with_row(i, |s| s.leader != min_id)) {
-                    return false;
-                }
-                // Pass 2: the oracle BFS check on the dist/parent columns.
-                let mut dist = Vec::with_capacity(n);
-                let mut parents = Vec::with_capacity(n);
-                for i in 0..n {
-                    config.with_row(i, |s| {
-                        dist.push(s.dist);
-                        parents.push((s.leader != self.ids.id(NodeId::new(i))).then_some(s.parent));
-                    });
-                }
-                crate::spanning::is_bfs_spanning_tree(graph, expected, &dist, &parents)
-            }
-        }
-    }
-
-    fn is_silent_store(&self, graph: &Graph, config: &StateStore<LeaderElectionState>) -> bool {
-        // Silent ⇔ legitimate up to internal churn (see `is_silent_config`).
-        self.is_legitimate_store(graph, config)
     }
 }
 

@@ -33,7 +33,7 @@ use std::fmt;
 pub trait EdgeCheckable {
     /// The per-process output value (becomes the only communication
     /// variable of the transformed protocol).
-    type Output: Clone + fmt::Debug + PartialEq + Send + Sync + selfstab_runtime::SoaState;
+    type Output: Clone + fmt::Debug + PartialEq + Send + Sync;
 
     /// Short human-readable name of the transformed protocol.
     fn name(&self) -> &'static str;
@@ -169,31 +169,6 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
                 .spec
                 .conflict(&config[p.index()].output, &config[q.index()].output)
         })
-    }
-
-    fn is_legitimate_store(
-        &self,
-        graph: &Graph,
-        config: &selfstab_runtime::StateStore<Self::State>,
-    ) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_legitimate(graph, rows),
-            // Streaming per-edge conflict check over the columns.
-            None => graph.edges().all(|(p, q)| {
-                let mine = config.with_row(p.index(), |s| s.output.clone());
-                config.with_row(q.index(), |other| !self.spec.conflict(&mine, &other.output))
-            }),
-        }
-    }
-
-    fn is_silent_store(
-        &self,
-        graph: &Graph,
-        config: &selfstab_runtime::StateStore<Self::State>,
-    ) -> bool {
-        // Silent ⇔ legitimate, as for COLORING (the correction only fires on
-        // a conflict, and conflict-freedom is closed).
-        self.is_legitimate_store(graph, config)
     }
 }
 

@@ -1,28 +1,27 @@
-//! Differential acceptance test for the columnar bulk guard kernels.
+//! Differential test of the executor's modes on the real protocols.
 //!
-//! Every protocol in this crate that declares a columnar layout also ships
-//! a word-parallel `refresh_guards_bulk` kernel. This test pins the
-//! acceptance criterion of the kernel path: for each real protocol, an
-//! execution with guard kernels enabled — sequential, 4-worker sharded,
-//! and threshold-mixed (small dirty batches fall back to the scalar walk
-//! mid-run) — is **byte-identical** to the array-of-structs scalar
-//! baseline at every observation point: step outcomes, executed lists,
-//! decoded configurations, maintained enabled sets, silence/legitimacy
-//! verdicts, statistics and final reports.
+//! For each protocol of this crate, a sequential executor with the default
+//! options is the baseline. Two lanes run the same execution beside it: the
+//! 4-worker sharded executor (threaded dispatch forced on these small
+//! graphs) and the full-recompute reference executor. Both must be
+//! **byte-identical** to the baseline at every observation point: step
+//! outcomes, executed lists, configurations, maintained enabled sets,
+//! silence/legitimacy verdicts, statistics and final reports.
 //!
-//! The drive alternates structured fault injections with short step
-//! bursts, so the kernels are exercised on corrupted configurations,
-//! repair waves and the silent regime, not just clean convergence. A
-//! final case records a kernel-mode run into a trace file and replays it
-//! with deep per-step record comparison, proving the kernel path also
-//! survives the capture → replay round trip.
+//! The drive alternates structured fault injections with short step bursts,
+//! so the comparison covers corrupted configurations, repair waves and the
+//! silent regime, not just clean convergence. A final case records an MIS
+//! fault-recovery run into a trace file and replays it with deep per-step
+//! record comparison.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_core::coloring::Coloring;
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis, MisState};
-use selfstab_graph::{generators, Graph};
+use selfstab_core::spanning::LeaderElection;
+use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker};
+use selfstab_graph::{generators, Graph, Identifiers};
 use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultEvent, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
@@ -30,8 +29,8 @@ use selfstab_runtime::scheduler::DistributedRandom;
 use selfstab_runtime::telemetry::{replay_with, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
 use selfstab_runtime::{FileSink, Protocol, RunStats, SimOptions, Simulation};
 
-/// One executor lane: a simulation in some kernel/worker configuration plus
-/// its own (identically seeded) fault stream.
+/// One executor lane: a simulation in some executor configuration plus its
+/// own (identically seeded) fault stream.
 struct Lane<'g, P: Protocol> {
     label: &'static str,
     sim: Simulation<'g, P, DistributedRandom>,
@@ -50,67 +49,36 @@ fn models() -> [FaultModel; 3] {
     ]
 }
 
-/// The kernel lanes under test, all columnar with `guard_kernels` on:
-/// sequential with the threshold forced to zero (every refresh takes the
-/// bulk path), 4-worker sharded, and sequential with a mid-range
-/// threshold so small repair tails drop back to the scalar walk while
-/// fault bursts go through the kernel.
-fn kernel_options() -> [(&'static str, SimOptions); 3] {
-    [
-        (
-            "kernel",
-            SimOptions::default()
-                .with_soa_layout()
-                .with_guard_kernels()
-                .with_guard_kernel_threshold(0),
-        ),
-        (
-            "kernel-w4",
-            SimOptions::default()
-                .with_soa_layout()
-                .with_guard_kernels()
-                .with_guard_kernel_threshold(0)
-                .with_step_workers(4)
-                .with_parallel_work_threshold(0),
-        ),
-        (
-            "kernel-mixed",
-            SimOptions::default()
-                .with_soa_layout()
-                .with_guard_kernels()
-                .with_guard_kernel_threshold(16),
-        ),
-    ]
+/// The 4-worker sharded executor, dispatching to threads on every phase.
+fn sharded_options() -> SimOptions {
+    SimOptions::default()
+        .with_step_workers(4)
+        .with_parallel_work_threshold(0)
 }
 
-/// Runs the AoS scalar baseline against the kernel lanes in lockstep
-/// through fault/repair cycles and asserts that no observable ever
-/// diverges.
-fn assert_kernel_equivalence<P: Protocol>(
+/// Runs the sequential baseline against the sharded and full-recompute
+/// lanes in lockstep through fault/repair cycles and asserts that no
+/// observable ever diverges.
+fn assert_mode_equivalence<P: Protocol>(
     graph: &Graph,
     make: impl Fn() -> P,
     seed: u64,
     name: &str,
 ) {
-    assert!(
-        make().has_bulk_guard_kernel(),
-        "{name}: protocol must advertise a bulk guard kernel"
-    );
     let lane = |label: &'static str, options: SimOptions| Lane {
         label,
         sim: Simulation::new(graph, make(), DistributedRandom::new(0.5), seed, options),
         injector: FaultInjector::new(graph),
         fault_rng: StdRng::seed_from_u64(seed ^ 0xFA17),
     };
-    let mut baseline = lane("aos", SimOptions::default());
-    let mut kernel_lanes = kernel_options().map(|(label, options)| lane(label, options));
-    assert!(!baseline.sim.state_store().is_soa());
-    for lane in &kernel_lanes {
-        assert!(
-            lane.sim.state_store().is_soa(),
-            "{name}: kernel lanes must run on the columnar store"
-        );
-    }
+    let mut baseline = lane("sequential", SimOptions::default());
+    let mut lanes = [
+        lane("workers-4", sharded_options()),
+        lane(
+            "full-recompute",
+            SimOptions::default().with_full_recompute(),
+        ),
+    ];
 
     let models = models();
     for cycle in 0..8 {
@@ -119,7 +87,7 @@ fn assert_kernel_equivalence<P: Protocol>(
             .injector
             .inject(&mut baseline.sim, model, &mut baseline.fault_rng)
             .to_vec();
-        for lane in &mut kernel_lanes {
+        for lane in &mut lanes {
             let victims = lane
                 .injector
                 .inject(&mut lane.sim, model, &mut lane.fault_rng)
@@ -132,11 +100,10 @@ fn assert_kernel_equivalence<P: Protocol>(
         }
         for step in 0..9 {
             let expected_outcome = baseline.sim.step();
-            let expected_config = baseline.sim.config_vec();
             let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
             let expected_silent = baseline.sim.is_silent();
             let expected_legit = baseline.sim.is_legitimate();
-            for lane in &mut kernel_lanes {
+            for lane in &mut lanes {
                 let outcome = lane.sim.step();
                 assert_eq!(
                     outcome, expected_outcome,
@@ -150,8 +117,8 @@ fn assert_kernel_equivalence<P: Protocol>(
                     lane.label
                 );
                 assert_eq!(
-                    lane.sim.config_vec(),
-                    expected_config,
+                    lane.sim.config(),
+                    baseline.sim.config(),
                     "{name}/{}: configuration diverged at cycle {cycle} step {step}",
                     lane.label
                 );
@@ -181,7 +148,7 @@ fn assert_kernel_equivalence<P: Protocol>(
     let expected_report = baseline.sim.run_until_silent(1_000_000);
     assert!(expected_report.silent, "{name}: baseline must settle");
     assert!(baseline.sim.is_legitimate());
-    for lane in &mut kernel_lanes {
+    for lane in &mut lanes {
         let report = lane.sim.run_until_silent(1_000_000);
         assert_eq!(
             report, expected_report,
@@ -194,8 +161,8 @@ fn assert_kernel_equivalence<P: Protocol>(
             lane.label
         );
         assert_eq!(
-            lane.sim.config_vec(),
-            baseline.sim.config_vec(),
+            lane.sim.config(),
+            baseline.sim.config(),
             "{name}/{}: final configurations diverged",
             lane.label
         );
@@ -209,26 +176,48 @@ fn assert_kernel_equivalence<P: Protocol>(
 }
 
 #[test]
-fn coloring_kernel_matches_scalar() {
+fn coloring_modes_match_sequential() {
     let graph = generators::ring(24);
-    assert_kernel_equivalence(&graph, || Coloring::new(&graph), 61, "coloring");
+    assert_mode_equivalence(&graph, || Coloring::new(&graph), 11, "coloring");
 }
 
 #[test]
-fn mis_kernel_matches_scalar() {
+fn mis_modes_match_sequential() {
     let graph = generators::grid(5, 6);
-    assert_kernel_equivalence(&graph, || Mis::with_greedy_coloring(&graph), 62, "mis");
+    assert_mode_equivalence(&graph, || Mis::with_greedy_coloring(&graph), 22, "mis");
 }
 
 #[test]
-fn matching_kernel_matches_scalar() {
+fn matching_modes_match_sequential() {
     let mut rng = StdRng::seed_from_u64(7);
     let graph = generators::gnp_connected(20, 0.25, &mut rng).expect("valid parameters");
-    assert_kernel_equivalence(
+    assert_mode_equivalence(
         &graph,
         || Matching::with_greedy_coloring(&graph),
-        63,
+        33,
         "matching",
+    );
+}
+
+#[test]
+fn leader_election_modes_match_sequential() {
+    let graph = generators::grid(4, 5);
+    assert_mode_equivalence(
+        &graph,
+        || LeaderElection::new(&graph, Identifiers::sequential(graph.node_count())),
+        44,
+        "leader-election",
+    );
+}
+
+#[test]
+fn checker_transformer_modes_match_sequential() {
+    let graph = generators::ring(18);
+    assert_mode_equivalence(
+        &graph,
+        || RoundRobinChecker::new(ColoringSpec::new(&graph)),
+        55,
+        "rr-checker(coloring)",
     );
 }
 
@@ -242,20 +231,13 @@ fn mis_config_digest(config: &[MisState]) -> u64 {
     hasher.finish()
 }
 
-/// Records a kernel-mode MIS fault-recovery run into a trace file, then
-/// replays it under the same kernel options with deep per-step record
-/// comparison, and cross-checks the whole run against a scalar AoS
-/// execution of the same scenario.
+/// Records an MIS fault-recovery run into a trace file, replays it with
+/// deep per-step record comparison, and cross-checks the whole run against
+/// the 4-worker sharded execution of the same scenario.
 #[test]
-fn record_replay_verifies_against_kernel_capture() {
+fn record_replay_verifies_against_capture() {
     let graph = generators::grid(6, 6);
     let seed = 64;
-    let kernel_opts = || {
-        SimOptions::default()
-            .with_soa_layout()
-            .with_guard_kernels()
-            .with_guard_kernel_threshold(0)
-    };
     let plan = || {
         FaultPlan::new(vec![
             FaultEvent {
@@ -275,24 +257,24 @@ fn record_replay_verifies_against_kernel_capture() {
     const FAULT_RNG_SALT: u64 = 0xFA17;
     const MAX_STEPS: u64 = 3_000;
     let path = std::env::temp_dir().join(format!(
-        "sstb_kernel_replay_{seed}_{}.trace",
+        "sstb_step_replay_{seed}_{}.trace",
         std::process::id()
     ));
 
-    // Record under the kernel options.
+    // Record under the default options.
     let mut sim = Simulation::new(
         &graph,
         Mis::with_greedy_coloring(&graph),
         DistributedRandom::new(0.5),
         seed,
-        kernel_opts(),
+        SimOptions::default(),
     );
     let sink = FileSink::create(
         &path,
         &TraceHeader {
             node_count: graph.node_count() as u64,
             seed,
-            meta: format!("protocol=mis-1-efficient;layout=soa+kernels;seed={seed}"),
+            meta: format!("protocol=mis-1-efficient;seed={seed}"),
         },
     )
     .expect("creates trace file");
@@ -303,7 +285,7 @@ fn record_replay_verifies_against_kernel_capture() {
     let steps = sim.steps();
     assert!(steps > 0, "the scenario must execute steps");
     let recorded_stats: RunStats = sim.stats().clone();
-    let recorded_config = sim.config_vec();
+    let recorded_config = sim.config().to_vec();
     let mut sink = sim.detach_trace_sink().expect("sink attached");
     sink.finish(&TraceFooter {
         steps,
@@ -312,24 +294,26 @@ fn record_replay_verifies_against_kernel_capture() {
     })
     .expect("seals trace file");
 
-    // The same scenario in scalar AoS mode must produce the same run —
-    // the capture is a kernel-path artifact, the trajectory is not.
-    let mut scalar = Simulation::new(
+    // The same scenario on the sharded executor must produce the same run.
+    let mut sharded = Simulation::new(
         &graph,
         Mis::with_greedy_coloring(&graph),
         DistributedRandom::new(0.5),
         seed,
-        SimOptions::default(),
+        sharded_options(),
     );
     let mut injector = FaultInjector::new(&graph);
     let mut rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
-    run_fault_plan(&mut scalar, &plan(), &mut injector, &mut rng, MAX_STEPS);
-    assert_eq!(scalar.steps(), steps, "scalar run: step count");
-    assert_eq!(scalar.stats(), &recorded_stats, "scalar run: stats");
-    assert_eq!(scalar.config_vec(), recorded_config, "scalar run: config");
+    run_fault_plan(&mut sharded, &plan(), &mut injector, &mut rng, MAX_STEPS);
+    assert_eq!(sharded.steps(), steps, "sharded run: step count");
+    assert_eq!(sharded.stats(), &recorded_stats, "sharded run: stats");
+    assert_eq!(
+        sharded.config(),
+        &recorded_config[..],
+        "sharded run: config"
+    );
 
-    // Replay under the kernel options with the deep per-step record
-    // comparison enabled.
+    // Replay with the deep per-step record comparison enabled.
     let mut reader = TraceFileReader::open(&path).expect("opens trace file");
     let records = reader.read_to_end().expect("decodes step stream");
     let footer = *reader.footer().expect("footer after the stream");
@@ -343,7 +327,7 @@ fn record_replay_verifies_against_kernel_capture() {
         &graph,
         Mis::with_greedy_coloring(&graph),
         seed,
-        kernel_opts().with_trace(),
+        SimOptions::default().with_trace(),
         records,
         |sim| {
             while next_event < scenario.events().len()

@@ -33,9 +33,24 @@ pub type Color = usize;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LocalColoring {
     colors: Vec<Color>,
+    /// The distinct colors in use, sorted: `#C` is its length and `R(c)` a
+    /// binary search into it.
+    palette: Vec<Color>,
 }
 
 impl LocalColoring {
+    /// The one constructor every public one goes through: computes the
+    /// palette once, so [`LocalColoring::color_count`] and
+    /// [`LocalColoring::rank`] never rescan the colors.
+    fn from_colors(colors: Vec<Color>) -> Self {
+        let mut palette = colors.clone();
+        palette.sort_unstable();
+        palette.dedup();
+        // A few distinct colors survive out of n entries: release the rest.
+        palette.shrink_to_fit();
+        LocalColoring { colors, palette }
+    }
+
     /// Wraps an explicit color assignment, checking that it is a proper
     /// coloring of `graph`.
     ///
@@ -60,7 +75,7 @@ impl LocalColoring {
                 });
             }
         }
-        Ok(LocalColoring { colors })
+        Ok(Self::from_colors(colors))
     }
 
     /// Wraps a color assignment without checking it against a graph.
@@ -68,7 +83,7 @@ impl LocalColoring {
     /// Intended for tests that need an improper coloring on purpose (e.g. to
     /// model a corrupted constant); prefer [`LocalColoring::new`] elsewhere.
     pub fn new_unchecked(colors: Vec<Color>) -> Self {
-        LocalColoring { colors }
+        Self::from_colors(colors)
     }
 
     /// Color `C.p` of process `p`.
@@ -97,19 +112,13 @@ impl LocalColoring {
 
     /// Number of distinct colors used (`#C` in the paper's Lemma 4 bound).
     pub fn color_count(&self) -> usize {
-        let mut distinct: Vec<Color> = self.colors.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct.len()
+        self.palette.len()
     }
 
     /// Rank `R(c)` of a color: the number of distinct used colors strictly
     /// smaller than `c` (Notation 1 of the paper).
     pub fn rank(&self, c: Color) -> usize {
-        let mut distinct: Vec<Color> = self.colors.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct.iter().filter(|&&d| d < c).count()
+        self.palette.partition_point(|&d| d < c)
     }
 
     /// Returns `true` when no two neighbors of `graph` share a color.
@@ -160,9 +169,7 @@ pub fn greedy_with_order<I: IntoIterator<Item = NodeId>>(graph: &Graph, order: I
         }
         colors[p.index()] = Some(c);
     }
-    LocalColoring {
-        colors: colors.into_iter().map(|c| c.unwrap_or(0)).collect(),
-    }
+    LocalColoring::from_colors(colors.into_iter().map(|c| c.unwrap_or(0)).collect())
 }
 
 /// DSATUR coloring: always colors next the process with the highest number
@@ -201,9 +208,7 @@ pub fn dsatur(graph: &Graph) -> LocalColoring {
         }
         colors[p.index()] = Some(c);
     }
-    LocalColoring {
-        colors: colors.into_iter().map(|c| c.unwrap_or(0)).collect(),
-    }
+    LocalColoring::from_colors(colors.into_iter().map(|c| c.unwrap_or(0)).collect())
 }
 
 #[cfg(test)]
@@ -265,6 +270,27 @@ mod tests {
         assert_eq!(c.rank(2), 1);
         assert_eq!(c.rank(5), 2);
         assert_eq!(c.rank(7), 3);
+
+        // Every constructor agrees with a from-scratch count of the colors.
+        let g = generators::grid(4, 5);
+        let order: Vec<NodeId> = (0..g.node_count()).rev().map(NodeId::new).collect();
+        let checked = LocalColoring::new(&g, greedy(&g).colors().to_vec()).unwrap();
+        for c in [
+            checked,
+            LocalColoring::new_unchecked(vec![7, 3, 7, 1]),
+            greedy(&g),
+            greedy_with_order(&g, order),
+            dsatur(&g),
+        ] {
+            let mut distinct = c.colors().to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(c.color_count(), distinct.len());
+            for probe in 0..=distinct.last().copied().unwrap_or(0) + 1 {
+                let smaller = distinct.iter().filter(|&&d| d < probe).count();
+                assert_eq!(c.rank(probe), smaller, "rank({probe}) of {:?}", c.colors());
+            }
+        }
     }
 
     #[test]

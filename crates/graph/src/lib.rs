@@ -39,7 +39,6 @@
 
 pub mod builder;
 pub mod coloring;
-pub mod columns;
 mod csr;
 pub mod dot;
 pub mod error;
@@ -55,7 +54,6 @@ pub mod verify;
 
 pub use builder::GraphBuilder;
 pub use coloring::LocalColoring;
-pub use columns::BitColumn;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use node::{NodeId, Port};

@@ -94,13 +94,10 @@ impl Family {
 /// design and is deliberately absent.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/executor.rs",
-    "crates/runtime/src/kernel.rs",
-    "crates/runtime/src/soa.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/telemetry/wire.rs",
     "crates/graph/src/csr.rs",
     "crates/graph/src/partition.rs",
-    "crates/graph/src/columns.rs",
 ];
 
 /// Crate roots whose library/binary sources produce results (tables,

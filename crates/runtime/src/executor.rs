@@ -73,15 +73,13 @@ use selfstab_graph::{Graph, NodeId, NodePartition, Port};
 use serde::{Deserialize, Serialize};
 
 use crate::enabled::EnabledSet;
-use crate::kernel::EnabledWriter;
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
-use crate::soa::StateStore;
 use crate::stats::{RunStats, StatsShard};
 use crate::telemetry::metrics::{self, StepPhase};
 use crate::telemetry::sink::TraceSink;
 use crate::trace::{ActivationRecord, StepRecord, Trace};
-use crate::view::{GatherBuffer, NeighborView};
+use crate::view::NeighborView;
 
 /// Options controlling a [`Simulation`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,35 +114,6 @@ pub struct SimOptions {
     /// exercise the parallel path). Outcomes are identical either way; the
     /// threshold only moves work between threads.
     pub parallel_work_threshold: usize,
-    /// Store per-node state and communication state in the struct-of-arrays
-    /// layout ([`StateStore::Soa`]): one dense typed column per field
-    /// instead of a `Vec` of heterogeneous structs. Shrinks the footprint
-    /// and improves locality at n = 10⁶–10⁷; honored only for types with a
-    /// columnar [`SoaState`](crate::SoaState) decomposition. The observable
-    /// execution is byte-identical in either layout (pinned by the
-    /// `soa_step_equivalence` differential test), but the borrowed
-    /// slice accessors [`Simulation::config`] / [`Simulation::comm_config`]
-    /// are unavailable — use the by-value and store accessors instead.
-    pub soa_layout: bool,
-    /// Route the guard-refresh phase through the protocol's bulk guard
-    /// kernel ([`Protocol::refresh_guards_bulk`]) when one exists: instead
-    /// of decoding one row per dirty node and calling the scalar guard,
-    /// the whole dirty batch is evaluated with word-parallel bit
-    /// operations over the raw state columns. Only engages when the
-    /// protocol reports a kernel, no read restriction is installed, and a
-    /// shard's batch reaches [`guard_kernel_threshold`](Self::guard_kernel_threshold);
-    /// the scalar path remains the fallback in every other case. The
-    /// observable execution — enabled sets, [`RunStats`], traces, replay —
-    /// is byte-identical either way, at every worker count (pinned by the
-    /// `kernel_step_equivalence` differential tests).
-    pub guard_kernels: bool,
-    /// Minimum per-shard dirty-batch size before the bulk kernel path is
-    /// taken; smaller batches keep the scalar path, whose per-node cost
-    /// wins in sparse single-activation regimes where a 64-lane gather
-    /// would run mostly empty. Set to `0` to force the kernel on every
-    /// non-empty batch (the equivalence tests do). Ignored unless
-    /// [`guard_kernels`](Self::guard_kernels) is set.
-    pub guard_kernel_threshold: usize,
 }
 
 impl Default for SimOptions {
@@ -156,9 +125,6 @@ impl Default for SimOptions {
             full_recompute: false,
             step_workers: 1,
             parallel_work_threshold: 256,
-            soa_layout: false,
-            guard_kernels: false,
-            guard_kernel_threshold: 64,
         }
     }
 }
@@ -205,33 +171,6 @@ impl SimOptions {
     #[must_use]
     pub fn with_parallel_work_threshold(mut self, threshold: usize) -> Self {
         self.parallel_work_threshold = threshold;
-        self
-    }
-
-    /// Selects the struct-of-arrays state layout (see
-    /// [`SimOptions::soa_layout`]).
-    #[must_use]
-    pub fn with_soa_layout(mut self) -> Self {
-        self.soa_layout = true;
-        self
-    }
-
-    /// Enables the bulk guard-kernel path for the guard-refresh phase (see
-    /// [`SimOptions::guard_kernels`]). Typically combined with
-    /// [`SimOptions::with_soa_layout`]: kernels evaluate over raw columns
-    /// and decline row stores, so without SoA this is a no-op.
-    #[must_use]
-    pub fn with_guard_kernels(mut self) -> Self {
-        self.guard_kernels = true;
-        self
-    }
-
-    /// Sets the minimum per-shard dirty-batch size for the kernel path
-    /// (see [`SimOptions::guard_kernel_threshold`]; `0` forces the kernel
-    /// on every non-empty batch).
-    #[must_use]
-    pub fn with_guard_kernel_threshold(mut self, threshold: usize) -> Self {
-        self.guard_kernel_threshold = threshold;
         self
     }
 }
@@ -289,9 +228,8 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     protocol: P,
     scheduler: S,
     rng: StdRng,
-    /// Per-process full states, in the layout selected by
-    /// [`SimOptions::soa_layout`] (array-of-structs rows by default).
-    config: StateStore<P::State>,
+    /// One full state per process, indexed by [`NodeId`].
+    config: Vec<P::State>,
     stats: RunStats,
     trace: Option<Trace>,
     /// Attached telemetry sink, if any: the executor hands it every
@@ -309,9 +247,8 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// per-step scan; the equivalence is `debug_assert`ed).
     unselected_remaining: usize,
     /// Cached `comm(p, config[p])` for every process, kept current across
-    /// steps (the seed executor recomputed this clone every step), stored
-    /// in the same layout as `config`.
-    comm_cache: StateStore<P::Comm>,
+    /// steps (the seed executor recomputed this clone every step).
+    comm_cache: Vec<P::Comm>,
     /// Maintained enabled set; valid for the current configuration once
     /// `refresh_enabled` has drained `dirty`.
     enabled: EnabledSet,
@@ -347,12 +284,6 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// integration test runs in debug mode).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     debug_enabled_scratch: Vec<bool>,
-    /// Scratch for the debug invariant check under the SoA layout: the
-    /// reference recomputation needs a contiguous communication snapshot,
-    /// materialized into this persistent buffer (capacity survives, so the
-    /// sampled check stays allocation-free in steady state).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    debug_comm_scratch: Vec<P::Comm>,
 }
 
 impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
@@ -434,12 +365,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         let degrees: Vec<usize> = graph.nodes().map(|p| graph.degree(p)).collect();
         let trace = options.record_trace.then(Trace::new);
         let n = graph.node_count();
-        let comm_rows: Vec<P::Comm> = graph
+        let comm_cache: Vec<P::Comm> = graph
             .nodes()
             .map(|p| protocol.comm(p, &config[p.index()]))
             .collect(); // lint: allow(hot-alloc) — constructor-only comm-cache build
-        let comm_cache = StateStore::from_vec(comm_rows, options.soa_layout);
-        let config = StateStore::from_vec(config, options.soa_layout);
         let step_workers = options.step_workers.max(1);
         let partition = NodePartition::new(graph, step_workers);
         let max_degree = graph.max_degree();
@@ -461,7 +390,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 read_log: Vec::new(), // lint: allow(hot-alloc) — constructor scratch; reused every step
                 distinct_reads: Vec::with_capacity(max_degree),
                 records: Vec::new(), // lint: allow(hot-alloc) — constructor scratch; reused every step
-                gather: GatherBuffer::new(max_degree),
             })
             .collect(); // lint: allow(hot-alloc) — per-shard scratch built once
         Simulation {
@@ -493,7 +421,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             selected_scratch: Vec::with_capacity(n),
             executed_scratch: Vec::with_capacity(n),
             debug_enabled_scratch: Vec::new(), // lint: allow(hot-alloc) — debug-assert scratch, grown once
-            debug_comm_scratch: Vec::new(), // lint: allow(hot-alloc) — debug-assert scratch, grown once
         }
     }
 
@@ -518,73 +445,24 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     }
 
     /// The current configuration (one state per process).
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`SimOptions::with_soa_layout`]: a columnar store has no
-    /// contiguous row slice to borrow. Use [`Simulation::state_of`],
-    /// [`Simulation::config_vec`] or [`Simulation::state_store`] there.
     pub fn config(&self) -> &[P::State] {
-        self.config.as_slice().expect(
-            "Simulation::config() needs the array-of-structs layout: a columnar store has no \
-             contiguous row slice to borrow. Under SimOptions::with_soa_layout read single \
-             states with state_of(p), visit a row in place with state_store().with_row(i, f), \
-             or materialize everything with config_vec(). See docs/ARCHITECTURE.md, \
-             \"Memory layout & hot path\".",
-        )
+        &self.config
     }
 
     /// The current communication configuration (one communication state per
     /// process), served **by reference** from the maintained cache (the
     /// seed executor cloned the whole cache on every call).
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`SimOptions::with_soa_layout`] (see
-    /// [`Simulation::config`]); use [`Simulation::comm_of`] or
-    /// [`Simulation::comm_store`] there.
     pub fn comm_config(&self) -> &[P::Comm] {
-        self.comm_cache.as_slice().expect(
-            "Simulation::comm_config() needs the array-of-structs layout: a columnar store has \
-             no contiguous row slice to borrow. Under SimOptions::with_soa_layout read single \
-             communication states with comm_of(p) or visit rows in place with \
-             comm_store().with_row(i, f). See docs/ARCHITECTURE.md, \
-             \"Memory layout & hot path\".",
-        )
-    }
-
-    /// The state of process `p`, by value — works in either layout.
-    pub fn state_of(&self, p: NodeId) -> P::State {
-        self.config.get(p.index())
-    }
-
-    /// The cached communication state of process `p`, by value — works in
-    /// either layout.
-    pub fn comm_of(&self, p: NodeId) -> P::Comm {
-        self.comm_cache.get(p.index())
-    }
-
-    /// The full configuration materialized into a fresh `Vec` (decodes the
-    /// columns under the SoA layout; use [`Simulation::config`] when rows
-    /// are known to exist).
-    pub fn config_vec(&self) -> Vec<P::State> {
-        self.config.to_vec() // lint: allow(hot-alloc) — documented materializing accessor
-    }
-
-    /// The layout-aware state store.
-    pub fn state_store(&self) -> &StateStore<P::State> {
-        &self.config
-    }
-
-    /// The layout-aware communication store.
-    pub fn comm_store(&self) -> &StateStore<P::Comm> {
         &self.comm_cache
     }
 
-    /// Heap bytes owned by the (state, communication) stores — the
-    /// bytes-per-node accounting the SoA benchmarks report.
+    /// Heap bytes owned by the (state, communication) rows — the
+    /// bytes-per-node figure the end-to-end benchmark reports.
     pub fn store_heap_bytes(&self) -> (usize, usize) {
-        (self.config.heap_bytes(), self.comm_cache.heap_bytes())
+        (
+            self.config.capacity() * std::mem::size_of::<P::State>(),
+            self.comm_cache.capacity() * std::mem::size_of::<P::Comm>(),
+        )
     }
 
     /// The processes selected in the most recent step, in increasing id
@@ -668,13 +546,13 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// Evaluates the protocol's legitimacy predicate on the current
     /// configuration.
     pub fn is_legitimate(&self) -> bool {
-        self.protocol.is_legitimate_store(self.graph, &self.config)
+        self.protocol.is_legitimate(self.graph, &self.config)
     }
 
     /// Evaluates the protocol's silence predicate on the current
     /// configuration.
     pub fn is_silent(&self) -> bool {
-        self.protocol.is_silent_store(self.graph, &self.config)
+        self.protocol.is_silent_config(self.graph, &self.config)
     }
 
     /// Places the suffix marker for ♦-stability measurements at the current
@@ -693,9 +571,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     ///
     /// Panics if `p` is out of range.
     pub fn set_state(&mut self, p: NodeId, state: P::State) {
-        let comm = self.protocol.comm(p, &state);
-        self.config.set(p.index(), &state);
-        self.comm_cache.set(p.index(), &comm);
+        self.comm_cache[p.index()] = self.protocol.comm(p, &state);
+        self.config[p.index()] = state;
         // Conservatively dirty the neighborhood even when the communication
         // state happens to be unchanged: fault injection is rare and cold,
         // and the unconditional form keeps the invariant obviously safe.
@@ -749,28 +626,21 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             protocol: &self.protocol,
             config: &self.config,
             comm_cache: &self.comm_cache,
-            comm_slice: self.comm_cache.as_slice(),
             read_restriction: self.options.read_restriction.as_deref(),
             step: self.step,
             salt: self.activation_salt,
             tracing: false,
-            use_kernel: self.options.guard_kernels
-                && self.options.read_restriction.is_none()
-                && self.protocol.has_bulk_guard_kernel(),
-            kernel_threshold: self.options.guard_kernel_threshold,
         };
         let mut evaluations = 0u64;
         let mut delta = 0isize;
         if self.shards.len() == 1 {
             // Sequential fast path: one stack-allocated task over the full
             // arrays, no task list to build.
-            let shard = &mut self.shards[0];
             let mut task = GuardTask {
                 node_base: 0,
-                queue: &mut shard.dirty_queue,
+                queue: &mut self.shards[0].dirty_queue,
                 dirty: &mut self.dirty,
                 enabled: self.enabled.flags_mut(),
-                gather: &mut shard.gather,
                 guard_evaluations: 0,
                 enabled_delta: 0,
             };
@@ -792,7 +662,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                     queue: &mut scratch.dirty_queue,
                     dirty,
                     enabled,
-                    gather: &mut scratch.gather,
                     guard_evaluations: 0,
                     enabled_delta: 0,
                 });
@@ -825,21 +694,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// allocating form is kept for tests.
     #[cfg_attr(not(test), allow(dead_code))]
     fn recompute_enabled_reference(&self) -> Vec<bool> {
-        let materialized;
-        let comm_slice: &[P::Comm] = match self.comm_cache.as_slice() {
-            Some(rows) => rows,
-            None => {
-                materialized = self.comm_cache.to_vec(); // lint: allow(hot-alloc) — reference/debug path, not the incremental loop
-                &materialized
-            }
-        };
         self.graph
             .nodes()
             .map(|p| {
-                let view = self.untracked_view(p, comm_slice);
-                self.config.with_row(p.index(), |state| {
-                    self.protocol.is_enabled(self.graph, p, state, &view)
-                })
+                let view = self.untracked_view(p);
+                self.protocol
+                    .is_enabled(self.graph, p, &self.config[p.index()], &view)
             })
             .collect() // lint: allow(hot-alloc) — reference/debug path, not the incremental loop
     }
@@ -850,29 +710,18 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // so debug test runs stay fast while still covering long executions.
         let sampled = self.graph.node_count() <= 64 || self.step.is_multiple_of(101);
         if sampled {
-            // Recompute into persistent scratch buffers: even the debug
-            // invariant machinery must not allocate in steady state. Under
-            // the SoA layout the reference views need a contiguous
-            // communication snapshot, decoded into `debug_comm_scratch`
-            // (whose capacity also survives across checks).
+            // Recompute into a persistent scratch: even the debug invariant
+            // machinery must not allocate in steady state.
             let mut reference = std::mem::take(&mut self.debug_enabled_scratch);
-            let mut comm_rows = std::mem::take(&mut self.debug_comm_scratch);
             reference.clear();
-            let comm_slice: &[P::Comm] = match self.comm_cache.as_slice() {
-                Some(rows) => rows,
-                None => {
-                    comm_rows.clear();
-                    for i in 0..self.comm_cache.len() {
-                        comm_rows.push(self.comm_cache.get(i));
-                    }
-                    &comm_rows
-                }
-            };
             for p in self.graph.nodes() {
-                let view = self.untracked_view(p, comm_slice);
-                reference.push(self.config.with_row(p.index(), |state| {
-                    self.protocol.is_enabled(self.graph, p, state, &view)
-                }));
+                let view = self.untracked_view(p);
+                reference.push(self.protocol.is_enabled(
+                    self.graph,
+                    p,
+                    &self.config[p.index()],
+                    &view,
+                ));
             }
             debug_assert_eq!(
                 self.enabled.as_flags(),
@@ -881,7 +730,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 self.step
             );
             self.debug_enabled_scratch = reference;
-            self.debug_comm_scratch = comm_rows;
         }
     }
 
@@ -947,13 +795,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             protocol: &self.protocol,
             config: &self.config,
             comm_cache: &self.comm_cache,
-            comm_slice: self.comm_cache.as_slice(),
             read_restriction: self.options.read_restriction.as_deref(),
             step,
             salt: self.activation_salt,
             tracing,
-            use_kernel: false,
-            kernel_threshold: 0,
         };
         let mut newly_selected = 0usize;
         let mut read_operations_delta = 0u64;
@@ -962,13 +807,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // Sequential fast path: one stack-allocated task over the full
             // arrays and the whole selection.
             let mut splitter = self.stats.sharded();
-            let len = self.config.len();
             let mut task = ActivationTask {
                 node_base: 0,
                 selected: &self.selected_scratch,
                 selected_this_round: &mut self.selected_this_round,
                 scratch: &mut self.shards[0],
-                stats: splitter.take(0..len),
+                stats: splitter.take(0..self.config.len()),
                 newly_selected: 0,
             };
             run_activation_task(&mut task, &ctx);
@@ -1048,10 +892,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // persists across steps (mark_dirty below needs `&mut self`).
             let mut staged = std::mem::take(&mut self.shards[s].staged);
             for (p, state, comm, comm_changed) in staged.drain(..) {
-                self.config.set(p.index(), &state);
+                self.config[p.index()] = state;
                 self.mark_dirty(p);
                 if comm_changed {
-                    self.comm_cache.set(p.index(), &comm);
+                    self.comm_cache[p.index()] = comm;
                     for q in graph.neighbors(p) {
                         self.mark_dirty(q);
                     }
@@ -1215,11 +1059,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             .map(|restriction| restriction[p.index()].as_slice())
     }
 
-    fn untracked_view<'c>(&self, p: NodeId, comm: &'c [P::Comm]) -> NeighborView<'c, P::Comm>
-    where
-        'g: 'c,
-    {
-        let view = NeighborView::from_snapshot(self.graph, p, comm, false);
+    fn untracked_view(&self, p: NodeId) -> NeighborView<'_, P::Comm> {
+        let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache, false);
         match self.allowed_ports(p) {
             Some(allowed) => view.restricted_to(allowed),
             None => view,
@@ -1227,10 +1068,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     }
 
     /// Consumes the simulation and returns its final configuration, stats
-    /// and optional trace (the configuration is decoded out of the columns
-    /// under the SoA layout).
+    /// and optional trace.
     pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Trace>) {
-        (self.config.into_vec(), self.stats, self.trace)
+        (self.config, self.stats, self.trace)
     }
 
     /// Mutable access to the RNG, for fault injection helpers that want to
@@ -1259,39 +1099,18 @@ struct ShardScratch<P: Protocol> {
     /// Trace records staged by this shard (tracing only — the deliberate
     /// per-activation allocation documented on [`Simulation::step`]).
     records: Vec<ActivationRecord>,
-    /// Lazy neighbor-decode scratch for views over a columnar communication
-    /// store (unused — and empty — in the array-of-structs layout).
-    gather: GatherBuffer<P::Comm>,
 }
 
 /// The shared read-only snapshot every shard task evaluates against.
-///
-/// Both stores are **read-only for the whole parallel span of a step**:
-/// activations stage their writes in shard-private buffers and the
-/// sequential merge phase applies them afterwards. Columnar stores
-/// therefore need no mutable splitting — workers read disjoint contiguous
-/// column windows (their [`NodePartition`] shard, plus neighbor cells
-/// through the views), which is what makes the SoA layout and the sharded
-/// executor compose without any new synchronization.
 struct StepContext<'a, P: Protocol> {
     graph: &'a Graph,
     protocol: &'a P,
-    config: &'a StateStore<P::State>,
-    comm_cache: &'a StateStore<P::Comm>,
-    /// Cached `comm_cache.as_slice()`: `Some` selects the borrowed-slice
-    /// views (AoS), `None` the lazily gathered views (SoA).
-    comm_slice: Option<&'a [P::Comm]>,
+    config: &'a [P::State],
+    comm_cache: &'a [P::Comm],
     read_restriction: Option<&'a [Vec<Port>]>,
     step: u64,
     salt: u64,
     tracing: bool,
-    /// Whether the guard-refresh phase may dispatch to the protocol's bulk
-    /// kernel (options enable it, the protocol has one, and no read
-    /// restriction is installed). Always `false` for the activation phase.
-    use_kernel: bool,
-    /// Minimum per-shard batch size for the kernel path
-    /// ([`SimOptions::guard_kernel_threshold`]).
-    kernel_threshold: usize,
 }
 
 impl<'a, P: Protocol> StepContext<'a, P> {
@@ -1314,67 +1133,27 @@ impl<'a, P: Protocol> StepContext<'a, P> {
 
 /// One shard's guard-refresh work item: drain the shard's dirty queue
 /// against its disjoint windows of the dirty and enabled-flag arrays.
-struct GuardTask<'a, C> {
+struct GuardTask<'a> {
     node_base: usize,
     queue: &'a mut Vec<NodeId>,
     dirty: &'a mut [bool],
     enabled: &'a mut [bool],
-    /// Neighbor-decode scratch for the columnar layout (the owning shard's).
-    gather: &'a mut GatherBuffer<C>,
     guard_evaluations: u64,
     enabled_delta: isize,
 }
 
-fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_, P::Comm>, ctx: &StepContext<'_, P>) {
-    // Bulk path: hand the whole batch to the protocol's columnar kernel.
-    // The writer replicates the scalar flag-flip/delta bookkeeping below
-    // and the executor charges one evaluation per dequeued node either
-    // way, so the two paths are observably identical. A declined batch
-    // (row-layout store, or no kernel for this store shape) falls through
-    // to the scalar loop, which re-clears the dirty flags harmlessly.
-    if ctx.use_kernel && !task.queue.is_empty() && task.queue.len() >= ctx.kernel_threshold {
-        for &p in task.queue.iter() {
-            task.dirty[p.index() - task.node_base] = false;
-        }
-        let mut writer = EnabledWriter::new(task.node_base, task.enabled);
-        if ctx.protocol.refresh_guards_bulk(
-            ctx.graph,
-            ctx.config,
-            ctx.comm_cache,
-            task.queue,
-            &mut writer,
-        ) {
-            task.guard_evaluations += task.queue.len() as u64;
-            task.enabled_delta += writer.delta();
-            task.queue.clear();
-            return;
-        }
-    }
+fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_>, ctx: &StepContext<'_, P>) {
     for i in 0..task.queue.len() {
         let p = task.queue[i];
         let local = p.index() - task.node_base;
         task.dirty[local] = false;
-        let now_enabled = match ctx.comm_slice {
-            Some(comm) => {
-                let view = ctx.restrict(p, NeighborView::from_snapshot(ctx.graph, p, comm, false));
-                ctx.config.with_row(p.index(), |state| {
-                    ctx.protocol.is_enabled(ctx.graph, p, state, &view)
-                })
-            }
-            None => {
-                let fetch = |q: NodeId| ctx.comm_cache.get(q.index());
-                let view = ctx.restrict(
-                    p,
-                    NeighborView::gathered(ctx.graph, p, task.gather, &fetch, false),
-                );
-                let enabled = ctx.config.with_row(p.index(), |state| {
-                    ctx.protocol.is_enabled(ctx.graph, p, state, &view)
-                });
-                drop(view);
-                task.gather.reset();
-                enabled
-            }
-        };
+        let view = ctx.restrict(
+            p,
+            NeighborView::from_snapshot(ctx.graph, p, ctx.comm_cache, false),
+        );
+        let now_enabled = ctx
+            .protocol
+            .is_enabled(ctx.graph, p, &ctx.config[p.index()], &view);
         task.guard_evaluations += 1;
         let flag = &mut task.enabled[local];
         if *flag != now_enabled {
@@ -1411,26 +1190,17 @@ fn run_activation_task<P: Protocol>(task: &mut ActivationTask<'_, P>, ctx: &Step
             task.newly_selected += 1;
         }
         let log_buffer = std::mem::take(&mut task.scratch.read_log);
-        let fetch = |q: NodeId| ctx.comm_cache.get(q.index());
-        let view = match ctx.comm_slice {
-            Some(comm) => NeighborView::with_log_buffer(ctx.graph, p, comm, true, log_buffer),
-            None => NeighborView::gathered_with_log_buffer(
-                ctx.graph,
-                p,
-                &task.scratch.gather,
-                &fetch,
-                true,
-                log_buffer,
-            ),
-        };
-        let view = ctx.restrict(p, view);
+        let view = ctx.restrict(
+            p,
+            NeighborView::with_log_buffer(ctx.graph, p, ctx.comm_cache, true, log_buffer),
+        );
         // A private, deterministically derived RNG per activation: the
         // stream depends only on (seed, step, process), never on which
         // worker runs the activation or in what order.
         let mut rng = activation_rng(ctx.salt, ctx.step, p);
-        let new_state = ctx.config.with_row(p.index(), |state| {
-            ctx.protocol.activate(ctx.graph, p, state, &view, &mut rng)
-        });
+        let new_state =
+            ctx.protocol
+                .activate(ctx.graph, p, &ctx.config[p.index()], &view, &mut rng);
         let read_operations = view.read_operations();
         // The distinct-read set: collected into the shard's persistent
         // scratch normally, or — when tracing — straight into the
@@ -1446,12 +1216,11 @@ fn run_activation_task<P: Protocol>(task: &mut ActivationTask<'_, P>, ctx: &Step
         };
         view.collect_distinct_reads(reads_buf);
         task.scratch.read_log = view.into_log_buffer();
-        task.scratch.gather.reset();
         let did_execute = new_state.is_some();
         let mut comm_changed = false;
         if let Some(new_state) = new_state {
             let new_comm = ctx.protocol.comm(p, &new_state);
-            comm_changed = ctx.comm_cache.with_row(p.index(), |old| new_comm != *old);
+            comm_changed = new_comm != ctx.comm_cache[p.index()];
             task.scratch.executed.push(p);
             task.stats.record_activation(p, reads_buf, read_operations);
             if comm_changed {
@@ -1461,9 +1230,10 @@ fn run_activation_task<P: Protocol>(task: &mut ActivationTask<'_, P>, ctx: &Step
                 .staged
                 .push((p, new_state, new_comm, comm_changed));
         } else {
-            // A disabled selected process does nothing, but its guard
-            // evaluation is still an activation for accounting purposes
-            // when it read something.
+            // A disabled selected process does nothing, but it still
+            // evaluated its guards, so it is recorded as an activation
+            // (with whatever it read, possibly nothing) like every other
+            // selected process.
             task.stats.record_activation(p, reads_buf, read_operations);
         }
         if ctx.tracing {
@@ -1797,6 +1567,31 @@ mod tests {
     }
 
     #[test]
+    fn selected_disabled_processes_count_as_activations() {
+        // Everyone already holds the minimum: the synchronous daemon
+        // selects all three processes and none of them executes.
+        let graph = generators::path(3);
+        let mut sim = Simulation::with_config(
+            &graph,
+            MinValue,
+            Synchronous,
+            vec![4, 4, 4],
+            0,
+            SimOptions::default(),
+        );
+        let outcome = sim.step();
+        assert_eq!((outcome.selected, outcome.executed), (3, 0));
+        for p in graph.nodes() {
+            let stats = sim.stats().process(p);
+            assert_eq!(stats.selections, 1);
+            assert_eq!(
+                stats.activations, 1,
+                "a selected disabled process is an activation"
+            );
+        }
+    }
+
+    #[test]
     fn round_robin_counts_rounds_correctly() {
         let graph = generators::ring(4);
         let mut sim = Simulation::new(
@@ -1848,6 +1643,9 @@ mod tests {
         let report = sim.run_until_legitimate(50);
         assert!(report.legitimate);
         assert_eq!(sim.config(), &[1, 1, 1]);
+        // Three u32 rows in each store.
+        let (state_bytes, comm_bytes) = sim.store_heap_bytes();
+        assert!(state_bytes >= 12 && comm_bytes >= 12);
     }
 
     #[test]

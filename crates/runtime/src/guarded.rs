@@ -233,8 +233,8 @@ impl<S, C> fmt::Debug for GuardedProtocol<S, C> {
 
 impl<S, C> Protocol for GuardedProtocol<S, C>
 where
-    S: Clone + fmt::Debug + PartialEq + Send + Sync + crate::soa::SoaState,
-    C: Clone + fmt::Debug + PartialEq + Send + Sync + crate::soa::SoaState,
+    S: Clone + fmt::Debug + PartialEq + Send + Sync,
+    C: Clone + fmt::Debug + PartialEq + Send + Sync,
 {
     type State = S;
     type Comm = C;

@@ -99,11 +99,9 @@ pub mod enabled;
 pub mod executor;
 pub mod faults;
 pub mod guarded;
-pub mod kernel;
 pub mod probes;
 pub mod protocol;
 pub mod scheduler;
-pub mod soa;
 pub mod stats;
 pub mod telemetry;
 pub mod trace;
@@ -114,14 +112,12 @@ pub use executor::{run_cell, RunReport, SimOptions, Simulation};
 pub use faults::{
     run_fault_plan, BallCenter, FaultInjector, FaultLoad, FaultModel, FaultPlan, RecoveryTelemetry,
 };
-pub use kernel::EnabledWriter;
 pub use protocol::Protocol;
 pub use scheduler::Scheduler;
-pub use soa::{SoaState, StateColumns, StateStore};
 pub use stats::RunStats;
 pub use telemetry::{
     FileSink, MemorySink, NullSink, ReplayScheduler, TraceFileReader, TraceFooter, TraceHeader,
     TraceSink,
 };
 pub use trace::{StepRecord, Trace};
-pub use view::{GatherBuffer, NeighborView};
+pub use view::NeighborView;

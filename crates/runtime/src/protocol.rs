@@ -5,8 +5,6 @@ use std::fmt;
 use rand::RngCore;
 use selfstab_graph::{Graph, NodeId};
 
-use crate::kernel::EnabledWriter;
-use crate::soa::{SoaState, StateStore};
 use crate::view::NeighborView;
 
 /// A distributed protocol in the paper's locally shared memory model.
@@ -47,16 +45,9 @@ use crate::view::NeighborView;
 /// exclude interior mutability, which the contract above already forbids.
 pub trait Protocol: Sync {
     /// Full per-process state: communication plus internal variables.
-    ///
-    /// The [`SoaState`] bound names the type's struct-of-arrays column
-    /// layout, used when the simulation opts into the columnar state store
-    /// ([`SimOptions::with_soa_layout`](crate::SimOptions::with_soa_layout)).
-    /// Scalar types are covered by blanket impls; compound types without a
-    /// hand-written decomposition can use [`aos_state!`](crate::aos_state).
-    type State: Clone + fmt::Debug + PartialEq + Send + Sync + SoaState;
+    type State: Clone + fmt::Debug + PartialEq + Send + Sync;
     /// Communication state: the projection of the state neighbors can read.
-    /// Same [`SoaState`] requirement as [`Protocol::State`].
-    type Comm: Clone + fmt::Debug + PartialEq + Send + Sync + SoaState;
+    type Comm: Clone + fmt::Debug + PartialEq + Send + Sync;
 
     /// Short human-readable protocol name (used in reports and traces).
     fn name(&self) -> &'static str;
@@ -121,79 +112,6 @@ pub trait Protocol: Sync {
     /// notions differ.
     fn is_silent_config(&self, graph: &Graph, config: &[Self::State]) -> bool {
         self.is_legitimate(graph, config)
-    }
-
-    /// Legitimacy predicate over a [`StateStore`] in either layout.
-    ///
-    /// The default delegates to [`Protocol::is_legitimate`]: zero-cost when
-    /// the store has contiguous rows, but a full materialization when it is
-    /// columnar. Protocols intended for million-node SoA runs should override
-    /// this with a streaming check that reads rows through
-    /// [`StateStore::with_row`] / [`StateStore::get`] (the core protocols do).
-    fn is_legitimate_store(&self, graph: &Graph, config: &StateStore<Self::State>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_legitimate(graph, rows),
-            None => self.is_legitimate(graph, &config.to_vec()),
-        }
-    }
-
-    /// Silence predicate over a [`StateStore`] in either layout; same
-    /// default-vs-override structure as [`Protocol::is_legitimate_store`].
-    fn is_silent_store(&self, graph: &Graph, config: &StateStore<Self::State>) -> bool {
-        match config.as_slice() {
-            Some(rows) => self.is_silent_config(graph, rows),
-            None => self.is_silent_config(graph, &config.to_vec()),
-        }
-    }
-
-    /// Whether this protocol ships a bulk guard kernel
-    /// ([`Protocol::refresh_guards_bulk`]).
-    ///
-    /// The executor consults this once per simulation (together with
-    /// [`SimOptions::with_guard_kernels`](crate::SimOptions::with_guard_kernels))
-    /// before routing phase A through the bulk path, so protocols without a
-    /// kernel never pay a per-batch dispatch check.
-    fn has_bulk_guard_kernel(&self) -> bool {
-        false
-    }
-
-    /// Refreshes the guards of every node in `dirty` in one call, writing
-    /// one verdict per node through `out`.
-    ///
-    /// This is the columnar fast path of the executor's phase A: instead of
-    /// decoding a row per dirty node and calling [`Protocol::is_enabled`],
-    /// a kernel reaches the raw columns via [`StateStore::columns`] and
-    /// evaluates the whole batch with word-parallel bit operations
-    /// (`BitColumn::gather_word`) and branch-light slice scans.
-    ///
-    /// Returns `true` when the batch was handled. Returning `false` —
-    /// the default, and what kernels do when a store is not columnar
-    /// (`columns()` is `None`) — makes the executor fall back to the
-    /// scalar path for the same batch, so a kernel is always an
-    /// optimization and never a functionality cliff.
-    ///
-    /// # Contract
-    ///
-    /// A kernel that returns `true` must have written **exactly one**
-    /// verdict per node of `dirty`, and each verdict must equal what
-    /// [`Protocol::is_enabled`] would return for that node on the same
-    /// configuration — the equivalence suites diff the two paths
-    /// byte-for-byte. Kernels must not allocate (phase A runs inside the
-    /// zero-allocation steady-state envelope) and must not read anything
-    /// beyond `graph`, the two stores and the protocol's own constants.
-    /// Guard reads are never charged to the communication measures, so no
-    /// read-tracking applies. Kernels are only consulted when the
-    /// simulation has no read restriction installed.
-    fn refresh_guards_bulk(
-        &self,
-        graph: &Graph,
-        config: &StateStore<Self::State>,
-        comm: &StateStore<Self::Comm>,
-        dirty: &[NodeId],
-        out: &mut EnabledWriter<'_>,
-    ) -> bool {
-        let _ = (graph, config, comm, dirty, out);
-        false
     }
 
     /// Number of bits `log2(ceil)` helper for describing variable domains.

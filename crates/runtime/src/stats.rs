@@ -49,7 +49,9 @@ use serde::{Deserialize, Serialize};
 pub struct ProcessStats {
     /// Number of times the scheduler selected this process.
     pub selections: u64,
-    /// Number of selections in which some action was enabled and executed.
+    /// Number of activations: every selection counts, whether or not an
+    /// action was enabled and executed (a disabled process still evaluates
+    /// its guards, reading through its view), so this equals `selections`.
     pub activations: u64,
     /// Largest number of *distinct* neighbors read during a single
     /// activation.

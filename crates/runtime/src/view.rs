@@ -1,70 +1,8 @@
 //! Read-tracked views of a process's neighborhood.
 
-use std::cell::{OnceCell, RefCell};
-use std::fmt;
+use std::cell::RefCell;
 
 use selfstab_graph::{Graph, NodeId, Port};
-
-/// Per-activation scratch for views over a columnar communication store.
-///
-/// When the simulation keeps its communication configuration in a
-/// struct-of-arrays [`StateStore`](crate::StateStore), there is no contiguous
-/// `&[C]` snapshot for a [`NeighborView`] to borrow. A gathered view instead
-/// decodes each neighbor's communication state **lazily, on first read**,
-/// into one of these cells (indexed by port) — so a 1-efficient protocol
-/// still pays for one decode, not Δ. The buffer records which cells were
-/// filled and [`GatherBuffer::reset`] clears exactly those, keeping the
-/// per-activation cost `O(reads)` and allocation-free (cells store values
-/// inline; the buffer is sized to the maximum degree once).
-#[derive(Debug)]
-pub struct GatherBuffer<C> {
-    /// Lazily decoded neighbor communication states, indexed by port.
-    cells: Vec<OnceCell<C>>,
-    /// Ports whose cells were filled during the current activation.
-    filled: RefCell<Vec<Port>>,
-}
-
-impl<C> GatherBuffer<C> {
-    /// Creates a buffer able to serve views of processes with up to
-    /// `max_degree` ports.
-    #[must_use]
-    pub fn new(max_degree: usize) -> Self {
-        GatherBuffer {
-            cells: (0..max_degree).map(|_| OnceCell::new()).collect(),
-            filled: RefCell::new(Vec::with_capacity(max_degree)),
-        }
-    }
-
-    /// Maximum degree this buffer can serve.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Clears every cell filled since the last reset (`O(filled)`, not
-    /// `O(max_degree)`). Must be called between activations that reuse the
-    /// buffer; the views themselves only borrow it.
-    pub fn reset(&mut self) {
-        let filled = self.filled.get_mut();
-        for port in filled.drain(..) {
-            self.cells[port.index()].take();
-        }
-    }
-}
-
-/// Where a view reads neighbor communication states from.
-enum Snapshot<'a, C> {
-    /// A contiguous snapshot of every process's communication state,
-    /// indexed by [`NodeId`] (the array-of-structs layout).
-    Slice(&'a [C]),
-    /// Lazy per-port decode out of a columnar store: `fetch(q)` produces
-    /// the communication state of process `q`, cached in `buffer` for the
-    /// duration of the activation.
-    Gathered {
-        buffer: &'a GatherBuffer<C>,
-        fetch: &'a dyn Fn(NodeId) -> C,
-    },
-}
 
 /// The window through which a process observes its neighbors' communication
 /// states during one activation.
@@ -84,19 +22,18 @@ enum Snapshot<'a, C> {
 /// Views are built on the executor's hot path — once per guard evaluation
 /// and once per activation — so constructing one performs **no allocation**
 /// in the common (unrestricted) case: the view borrows the graph's CSR
-/// neighbor slice and either a contiguous communication snapshot
-/// ([`NeighborView::from_snapshot`]) or a lazily-gathered one over a
-/// columnar store ([`NeighborView::gathered`] + [`GatherBuffer`]), and the
-/// executor threads one persistent read-log buffer through every tracked
-/// view ([`NeighborView::with_log_buffer`] /
+/// neighbor slice and the communication snapshot instead of copying
+/// per-neighbor references, and the executor threads one persistent read-log
+/// buffer through every tracked view ([`NeighborView::with_log_buffer`] /
 /// [`NeighborView::into_log_buffer`]) so recording reads never grows a
 /// fresh `Vec` in steady state.
+#[derive(Debug)]
 pub struct NeighborView<'a, C> {
     /// The observed process's neighbors, indexed by port (borrowed from the
     /// graph's flat CSR neighbor array).
     neighbors: &'a [NodeId],
-    /// The communication source: a borrowed snapshot or a lazy gather.
-    snapshot: Snapshot<'a, C>,
+    /// Communication snapshot of every process, indexed by [`NodeId`].
+    comm_snapshot: &'a [C],
     /// `Some(allowed)` with `allowed[i] == false` marks a restricted port;
     /// `None` means every port is readable (no allocation).
     allowed: Option<Vec<bool>>,
@@ -105,24 +42,6 @@ pub struct NeighborView<'a, C> {
     reads: RefCell<Vec<Port>>,
     /// Whether reads are recorded (enabledness checks are not charged).
     tracking: bool,
-}
-
-impl<C: fmt::Debug> fmt::Debug for NeighborView<'_, C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NeighborView")
-            .field("neighbors", &self.neighbors)
-            .field(
-                "snapshot",
-                &match self.snapshot {
-                    Snapshot::Slice(_) => "slice",
-                    Snapshot::Gathered { .. } => "gathered",
-                },
-            )
-            .field("allowed", &self.allowed)
-            .field("reads", &self.reads)
-            .field("tracking", &self.tracking)
-            .finish()
-    }
 }
 
 impl<'a, C> NeighborView<'a, C> {
@@ -151,76 +70,16 @@ impl<'a, C> NeighborView<'a, C> {
         p: NodeId,
         comm_snapshot: &'a [C],
         tracking: bool,
-        log_buffer: Vec<Port>,
+        mut log_buffer: Vec<Port>,
     ) -> Self {
         assert!(
             comm_snapshot.len() >= graph.node_count(),
             "communication snapshot must cover the graph"
         );
-        Self::build(
-            graph,
-            p,
-            Snapshot::Slice(comm_snapshot),
-            tracking,
-            log_buffer,
-        )
-    }
-
-    /// Builds the view of process `p` over a **columnar** communication
-    /// store: `fetch(q)` decodes the communication state of process `q`,
-    /// lazily on first read of the corresponding port, cached in `buffer`.
-    ///
-    /// The caller must [`GatherBuffer::reset`] the buffer between
-    /// activations that reuse it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range or `buffer` is smaller than `p`'s
-    /// degree.
-    pub fn gathered(
-        graph: &'a Graph,
-        p: NodeId,
-        buffer: &'a GatherBuffer<C>,
-        fetch: &'a dyn Fn(NodeId) -> C,
-        tracking: bool,
-    ) -> Self {
-        Self::gathered_with_log_buffer(graph, p, buffer, fetch, tracking, Vec::new())
-    }
-
-    /// Like [`NeighborView::gathered`], with a reused read-log buffer
-    /// (the gathered counterpart of [`NeighborView::with_log_buffer`]).
-    pub fn gathered_with_log_buffer(
-        graph: &'a Graph,
-        p: NodeId,
-        buffer: &'a GatherBuffer<C>,
-        fetch: &'a dyn Fn(NodeId) -> C,
-        tracking: bool,
-        log_buffer: Vec<Port>,
-    ) -> Self {
-        assert!(
-            buffer.capacity() >= graph.degree(p),
-            "gather buffer must cover the degree of the observed process"
-        );
-        Self::build(
-            graph,
-            p,
-            Snapshot::Gathered { buffer, fetch },
-            tracking,
-            log_buffer,
-        )
-    }
-
-    fn build(
-        graph: &'a Graph,
-        p: NodeId,
-        snapshot: Snapshot<'a, C>,
-        tracking: bool,
-        mut log_buffer: Vec<Port>,
-    ) -> Self {
         log_buffer.clear();
         NeighborView {
             neighbors: graph.neighbor_slice(p),
-            snapshot,
+            comm_snapshot,
             allowed: None,
             reads: RefCell::new(log_buffer),
             tracking,
@@ -288,15 +147,7 @@ impl<'a, C> NeighborView<'a, C> {
         if self.tracking {
             self.reads.borrow_mut().push(port);
         }
-        match &self.snapshot {
-            Snapshot::Slice(comm) => Some(&comm[q.index()]),
-            Snapshot::Gathered { buffer, fetch } => {
-                Some(buffer.cells[port.index()].get_or_init(|| {
-                    buffer.filled.borrow_mut().push(port);
-                    fetch(q)
-                }))
-            }
-        }
+        Some(&self.comm_snapshot[q.index()])
     }
 
     /// The distinct ports read so far during this activation, in first-read
@@ -428,58 +279,5 @@ mod tests {
         for (port, q) in graph.ports(p) {
             assert_eq!(*view.read(port), comms[q.index()]);
         }
-    }
-
-    #[test]
-    fn gathered_view_fetches_lazily_and_caches() {
-        use std::cell::Cell;
-        let graph = generators::star(4);
-        let comms: Vec<u32> = vec![10, 11, 12, 13];
-        let buffer = GatherBuffer::new(graph.max_degree());
-        let fetches = Cell::new(0usize);
-        let fetch = |q: NodeId| {
-            fetches.set(fetches.get() + 1);
-            comms[q.index()]
-        };
-        let view = NeighborView::gathered(&graph, NodeId::new(0), &buffer, &fetch, true);
-        assert_eq!(fetches.get(), 0, "construction decodes nothing");
-        assert_eq!(*view.read(Port::new(2)), 13);
-        assert_eq!(*view.read(Port::new(2)), 13);
-        assert_eq!(fetches.get(), 1, "repeat reads hit the cached cell");
-        assert_eq!(*view.read(Port::new(0)), 11);
-        assert_eq!(fetches.get(), 2);
-        assert_eq!(view.reads(), vec![Port::new(2), Port::new(0)]);
-        assert_eq!(view.read_operations(), 3);
-    }
-
-    #[test]
-    fn gather_buffer_reset_clears_only_filled_cells() {
-        let graph = generators::ring(6);
-        let comms: Vec<u32> = (0..6).collect();
-        let mut buffer = GatherBuffer::new(graph.max_degree());
-        let fetch = |q: NodeId| comms[q.index()];
-        {
-            let view = NeighborView::gathered(&graph, NodeId::new(2), &buffer, &fetch, false);
-            assert_eq!(
-                *view.read(Port::new(0)),
-                comms[graph.neighbor_slice(NodeId::new(2))[0].index()]
-            );
-        }
-        buffer.reset();
-        // After reset the next view must re-fetch, observing new values.
-        let doubled: Vec<u32> = comms.iter().map(|v| v * 2).collect();
-        let fetch2 = |q: NodeId| doubled[q.index()];
-        let view = NeighborView::gathered(&graph, NodeId::new(2), &buffer, &fetch2, false);
-        let q0 = graph.neighbor_slice(NodeId::new(2))[0];
-        assert_eq!(*view.read(Port::new(0)), doubled[q0.index()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "gather buffer must cover")]
-    fn undersized_gather_buffer_is_rejected() {
-        let graph = generators::star(5);
-        let buffer: GatherBuffer<u32> = GatherBuffer::new(1);
-        let fetch = |_q: NodeId| 0u32;
-        let _ = NeighborView::gathered(&graph, NodeId::new(0), &buffer, &fetch, false);
     }
 }

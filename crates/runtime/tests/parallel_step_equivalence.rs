@@ -17,7 +17,12 @@
 //! the worker-count-invariant per-activation RNG derivation: if worker
 //! count ever leaked into the random streams, configurations would split
 //! at the first randomized activation.
+//!
+//! A property test adds random interleavings of steps and structured fault
+//! injections as inputs: the 4-worker executor must match the sequential
+//! one after every operation, under all seven daemons.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use selfstab_graph::{generators, Graph, NodeId, Port};
@@ -125,11 +130,50 @@ struct Lane<'g, S: Scheduler> {
     fault_rng: StdRng,
 }
 
-/// Drives the sequential baseline and the sharded executors at 2, 4 and 8
-/// workers in lockstep under one daemon, injecting identical faults
-/// mid-round, and asserts that no observable ever diverges.
-fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S, daemon: &str) {
-    let seed = 0x5AA27;
+/// One element of a drive: execute a step, or inject a structured fault
+/// (index into [`models`]).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Step,
+    Inject(usize),
+}
+
+/// The fixed drive: 12 cycles of 7 steps, each followed by an injection.
+/// 7 steps between injections is coprime with every round length in play,
+/// so injections keep landing mid-round.
+fn cycle_ops() -> Vec<Op> {
+    (0..12)
+        .flat_map(|cycle| std::iter::repeat_n(Op::Step, 7).chain([Op::Inject(cycle)]))
+        .collect()
+}
+
+/// Derives a random step/inject interleaving from one seed (the vendored
+/// proptest exposes scalar range strategies; sequences are derived).
+fn ops_from_seed(seed: u64) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = rand::Rng::gen_range(&mut rng, 5..30usize);
+    (0..len)
+        .map(|_| {
+            if rand::Rng::gen_range(&mut rng, 0..5u32) == 0 {
+                Op::Inject(rand::Rng::gen_range(&mut rng, 0..4usize))
+            } else {
+                Op::Step
+            }
+        })
+        .collect()
+}
+
+/// Drives the sequential baseline and sharded executors at each of
+/// `workers` in lockstep under one daemon through `ops`, and asserts that
+/// no observable ever diverges.
+fn assert_ops_equivalence<S: Scheduler>(
+    graph: &Graph,
+    make: impl Fn() -> S,
+    daemon: &str,
+    seed: u64,
+    ops: &[Op],
+    workers: &[usize],
+) {
     let lane = |workers: usize| {
         let options = SimOptions::default()
             .with_step_workers(workers)
@@ -140,81 +184,76 @@ fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S
             workers,
             sim: Simulation::new(graph, NoisyMin, make(), seed, options),
             injector: FaultInjector::new(graph),
-            fault_rng: StdRng::seed_from_u64(99),
+            fault_rng: StdRng::seed_from_u64(seed ^ 0x5EED),
         }
     };
     let mut baseline = lane(1);
-    let mut sharded: Vec<Lane<'_, S>> = [2, 4, 8].map(lane).into_iter().collect();
+    let mut sharded: Vec<Lane<'_, S>> = workers.iter().map(|&w| lane(w)).collect();
 
     let models = models();
-    for cycle in 0..12usize {
-        // 7 steps between injections: coprime with every round length in
-        // play, so injections keep landing mid-round.
-        for step in 0..7 {
-            let expected_outcome = baseline.sim.step();
-            for lane in &mut sharded {
-                let outcome = lane.sim.step();
-                let workers = lane.workers;
-                assert_eq!(
-                    outcome, expected_outcome,
-                    "{daemon}/workers={workers}: step outcome diverged (cycle {cycle}, step {step})"
-                );
-                assert_eq!(
-                    lane.sim.last_selected(),
-                    baseline.sim.last_selected(),
-                    "{daemon}/workers={workers}: selected list diverged (cycle {cycle}, step {step})"
-                );
-                assert_eq!(
-                    lane.sim.last_executed(),
-                    baseline.sim.last_executed(),
-                    "{daemon}/workers={workers}: executed list diverged (cycle {cycle}, step {step})"
-                );
-                assert_eq!(
-                    lane.sim.config(),
-                    baseline.sim.config(),
-                    "{daemon}/workers={workers}: configuration diverged (cycle {cycle}, step {step})"
-                );
-                let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
-                assert_eq!(
-                    lane.sim.enabled_set().as_flags(),
-                    expected_flags,
-                    "{daemon}/workers={workers}: enabled flags diverged (cycle {cycle}, step {step})"
-                );
+    for (i, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Step => {
+                let expected_outcome = baseline.sim.step();
+                for lane in &mut sharded {
+                    let outcome = lane.sim.step();
+                    let workers = lane.workers;
+                    assert_eq!(
+                        outcome, expected_outcome,
+                        "{daemon}/workers={workers}: step outcome diverged (op {i})"
+                    );
+                    assert_eq!(
+                        lane.sim.last_selected(),
+                        baseline.sim.last_selected(),
+                        "{daemon}/workers={workers}: selected list diverged (op {i})"
+                    );
+                    assert_eq!(
+                        lane.sim.last_executed(),
+                        baseline.sim.last_executed(),
+                        "{daemon}/workers={workers}: executed list diverged (op {i})"
+                    );
+                }
+            }
+            Op::Inject(m) => {
+                let model = models[m % models.len()];
+                let expected_victims = baseline
+                    .injector
+                    .inject(&mut baseline.sim, model, &mut baseline.fault_rng)
+                    .to_vec();
+                for lane in &mut sharded {
+                    let victims = lane
+                        .injector
+                        .inject(&mut lane.sim, model, &mut lane.fault_rng);
+                    let workers = lane.workers;
+                    assert_eq!(
+                        victims,
+                        &expected_victims[..],
+                        "{daemon}/workers={workers}: victim selection must be worker-count-independent"
+                    );
+                    assert_eq!(
+                        lane.sim.stats(),
+                        baseline.sim.stats(),
+                        "{daemon}/workers={workers}: stats diverged after injection (op {i}, {model})"
+                    );
+                }
             }
         }
-        let model = models[cycle % models.len()];
-        let expected_victims = baseline
-            .injector
-            .inject(&mut baseline.sim, model, &mut baseline.fault_rng)
-            .to_vec();
+        // The heart of the regression: updates and mid-round injections
+        // mark dirty nodes straight into per-shard queues; the
+        // configuration and the maintained enabled set must still match
+        // the sequential executor's after every operation.
+        let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
         for lane in &mut sharded {
-            let victims = lane
-                .injector
-                .inject(&mut lane.sim, model, &mut lane.fault_rng)
-                .to_vec();
             let workers = lane.workers;
-            assert_eq!(
-                victims, expected_victims,
-                "{daemon}/workers={workers}: victim selection must be worker-count-independent"
-            );
             assert_eq!(
                 lane.sim.config(),
                 baseline.sim.config(),
-                "{daemon}/workers={workers}: configurations diverged after injection (cycle {cycle}, {model})"
+                "{daemon}/workers={workers}: configuration diverged (op {i})"
             );
-            // The heart of the regression: mid-round injections mark dirty
-            // nodes straight into per-shard queues; the maintained enabled
-            // set must still match the sequential executor's.
-            let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
             assert_eq!(
                 lane.sim.enabled_set().as_flags(),
                 expected_flags,
-                "{daemon}/workers={workers}: post-injection enabled set diverged (cycle {cycle}, {model})"
-            );
-            assert_eq!(
-                lane.sim.stats(),
-                baseline.sim.stats(),
-                "{daemon}/workers={workers}: stats diverged after injection (cycle {cycle}, {model})"
+                "{daemon}/workers={workers}: enabled flags diverged (op {i})"
             );
         }
     }
@@ -239,6 +278,11 @@ fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S
             "{daemon}/workers={workers}: final stats diverged"
         );
     }
+}
+
+/// The fixed drive at 2, 4 and 8 workers.
+fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S, daemon: &str) {
+    assert_ops_equivalence(graph, make, daemon, 0x5AA27, &cycle_ops(), &[2, 4, 8]);
 }
 
 #[test]
@@ -291,4 +335,53 @@ fn more_workers_than_nodes_degrades_gracefully() {
         CentralRoundRobin::new,
         "tiny-ring/central-round-robin",
     );
+}
+
+/// Runs one random interleaving at 4 workers under the daemon with index
+/// `daemon_idx` (all seven are covered).
+fn run_with_daemon(graph: &Graph, daemon_idx: usize, seed: u64, ops: &[Op]) {
+    let check = |make: &dyn Fn() -> Box<dyn Scheduler + Send>, daemon: &str| {
+        assert_ops_equivalence(graph, make, daemon, seed, ops, &[4]);
+    };
+    match daemon_idx {
+        0 => check(&|| Box::new(Synchronous), "synchronous"),
+        1 => check(&|| Box::new(CentralRoundRobin::new()), "round-robin"),
+        2 => check(
+            &|| Box::new(CentralRandom::enabled_only()),
+            "central-random",
+        ),
+        3 => check(
+            &|| Box::new(DistributedRandom::new(0.4)),
+            "distributed-random",
+        ),
+        4 => check(
+            &|| Box::new(LocallyCentral::new(graph, 0.5)),
+            "locally-central",
+        ),
+        5 => check(
+            &|| Box::new(Fair::new(DistributedRandom::new(0.05), 4)),
+            "fair(distributed-random)",
+        ),
+        _ => check(
+            &|| Box::new(Fair::new(StarvingAdversary::new(), 3)),
+            "fair(starving-adversary)",
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The sharded executor is observably identical to the sequential one
+    /// under random step/fault interleavings, for every daemon.
+    #[test]
+    fn random_step_fault_interleavings_match_sequential_under_every_daemon(
+        daemon_idx in 0usize..7,
+        seed in 0u64..1_000_000,
+        ops_seed in 0u64..1_000_000,
+    ) {
+        let graph = generators::grid(4, 5);
+        let ops = ops_from_seed(ops_seed);
+        run_with_daemon(&graph, daemon_idx, seed, &ops);
+    }
 }

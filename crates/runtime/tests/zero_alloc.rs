@@ -28,7 +28,7 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, LocallyCentral, Scheduler, Synchronous,
 };
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{EnabledWriter, SimOptions, Simulation, StateStore};
+use selfstab_runtime::{SimOptions, Simulation};
 
 /// Global allocation-event counter (alloc + realloc; frees are irrelevant
 /// to the "no allocation" claim).
@@ -144,35 +144,6 @@ impl Protocol for MinValue {
     fn is_legitimate(&self, _graph: &Graph, config: &[u32]) -> bool {
         let min = config.iter().min().copied().unwrap_or(0);
         config.iter().all(|&v| v == min)
-    }
-
-    fn has_bulk_guard_kernel(&self) -> bool {
-        true
-    }
-
-    /// Bulk form of the guard: a direct scan over the `u32` columns using
-    /// only borrowed slices — the kernel regime below asserts this path is
-    /// as allocation-free as the scalar walk.
-    fn refresh_guards_bulk(
-        &self,
-        graph: &Graph,
-        config: &StateStore<u32>,
-        comm: &StateStore<u32>,
-        dirty: &[NodeId],
-        out: &mut EnabledWriter<'_>,
-    ) -> bool {
-        let (Some(state), Some(comm)) = (config.columns(), comm.columns()) else {
-            return false;
-        };
-        for &p in dirty {
-            let own = state[p.index()];
-            let enabled = graph
-                .neighbor_slice(p)
-                .iter()
-                .any(|q| comm[q.index()] < own);
-            out.write(p, enabled);
-        }
-        true
     }
 }
 
@@ -388,90 +359,6 @@ fn assert_zero_worker_alloc_steady_state<S: Scheduler>(
     );
 }
 
-/// The struct-of-arrays regime: a columnar state store
-/// (`SimOptions::with_soa_layout`; `u32` state is columnar) must preserve
-/// the zero-allocation steady state. With `workers == 1` the process-global
-/// counter must stay flat — row decode/encode works on stack locals, and
-/// the debug invariant's communication materialization reuses a persistent
-/// scratch. With `workers > 1` the coordinator may allocate its per-step
-/// task list but worker threads must not (gather buffers are per-shard
-/// scratch).
-///
-/// With `kernels` set, the same regimes run with the bulk guard-kernel
-/// path forced on (`with_guard_kernels`, threshold zero): every dirty
-/// batch routes through `refresh_guards_bulk`, which must be as
-/// allocation-free as the scalar walk it replaces.
-fn assert_zero_alloc_soa_steady_state(graph: &Graph, workers: usize, kernels: bool, daemon: &str) {
-    let mut options = SimOptions::default().with_soa_layout();
-    if kernels {
-        options = options.with_guard_kernels().with_guard_kernel_threshold(0);
-    }
-    if workers > 1 {
-        options = options
-            .with_step_workers(workers)
-            .with_parallel_work_threshold(0);
-    }
-    let mut sim = Simulation::new(graph, MinValue, DistributedRandom::new(0.3), 42, options);
-    assert!(
-        sim.state_store().is_soa(),
-        "{daemon}: store must be columnar"
-    );
-
-    // Warm up: converge (silence checks may allocate here — they are not
-    // part of the steady state), then fault/repair cycles to grow every
-    // scratch buffer, including the SoA gather buffers and debug scratch.
-    let report = sim.run_until_silent(500_000);
-    assert!(report.silent, "{daemon}: MinValue must stabilize");
-    sim.run_steps(300);
-    for round in 0..5u32 {
-        sim.set_state(
-            NodeId::new((7 * round as usize + 1) % graph.node_count()),
-            0,
-        );
-        sim.run_steps(100);
-    }
-
-    let counter: fn() -> u64 = if workers == 1 {
-        allocation_count
-    } else {
-        worker_allocation_count
-    };
-    let scope = if workers == 1 {
-        ""
-    } else {
-        " on worker threads"
-    };
-
-    // Regime 1: silent stepping through the columnar store.
-    let before = counter();
-    sim.run_steps(1_000);
-    let after = counter();
-    assert_eq!(
-        after - before,
-        0,
-        "{daemon}/workers={workers}: SoA silent stepping allocated {} times{scope}",
-        after - before
-    );
-
-    // Regime 2: fault injection + repair stepping (column encode on merge,
-    // lazy gather on guard re-evaluation).
-    let before = counter();
-    for round in 0..10u32 {
-        sim.set_state(
-            NodeId::new((3 * round as usize + 2) % graph.node_count()),
-            0,
-        );
-        sim.run_steps(50);
-    }
-    let after = counter();
-    assert_eq!(
-        after - before,
-        0,
-        "{daemon}/workers={workers}: SoA fault/repair stepping allocated {} times{scope}",
-        after - before
-    );
-}
-
 #[test]
 fn steady_state_step_performs_zero_heap_allocations() {
     // One test function only: the counter is process-global, and a second
@@ -507,18 +394,6 @@ fn steady_state_step_performs_zero_heap_allocations() {
         "distributed-random/ring512",
     );
     assert_zero_worker_alloc_steady_state(&grid, CentralRoundRobin::new(), 2, "round-robin/grid");
-
-    // Struct-of-arrays regimes: the columnar store preserves the
-    // zero-allocation steady state, sequentially and under the sharded
-    // executor.
-    assert_zero_alloc_soa_steady_state(&ring, 1, false, "soa/ring");
-    assert_zero_alloc_soa_steady_state(&big_ring, 4, false, "soa/ring512");
-
-    // Guard-kernel regimes: routing every dirty batch through the bulk
-    // guard kernel must not reintroduce allocation, sequentially or on
-    // worker threads.
-    assert_zero_alloc_soa_steady_state(&ring, 1, true, "soa+kernels/ring");
-    assert_zero_alloc_soa_steady_state(&big_ring, 4, true, "soa+kernels/ring512");
 
     // Sanity check that the counter actually works: an explicit allocation
     // must register.
