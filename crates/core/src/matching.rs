@@ -389,6 +389,13 @@ mod tests {
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
+    #[test]
+    fn matching_state_rows_are_16_bytes() {
+        // The executor writes one state row per activation: a flag, an
+        // optional 32-bit `PR` port and a 32-bit `cur` port.
+        assert_eq!(std::mem::size_of::<MatchingState>(), 16);
+    }
+
     fn protocol_for(graph: &Graph) -> Matching {
         Matching::with_greedy_coloring(graph)
     }

@@ -282,6 +282,13 @@ mod tests {
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
+    #[test]
+    fn mis_state_rows_are_8_bytes() {
+        // The executor writes one state row per activation: a one-byte
+        // status and a 32-bit `cur` port.
+        assert_eq!(std::mem::size_of::<MisState>(), 8);
+    }
+
     fn protocol_for(graph: &Graph) -> Mis {
         Mis::with_greedy_coloring(graph)
     }

@@ -80,6 +80,12 @@ impl From<NodeId> for usize {
 /// `0..δ.p`. Two neighboring processes may (and usually do) refer to their
 /// shared edge through different port numbers.
 ///
+/// Like [`NodeId`], a port is stored as a `u32`, so protocol rows that
+/// hold port pointers (`cur`, `PR`) stay compact: an `Option<Port>` takes
+/// 8 bytes. Degrees never exceed that range (the graph's CSR offsets are
+/// `u32` too); the public API keeps speaking `usize`, capped at
+/// [`Port::MAX_INDEX`].
+///
 /// # Example
 ///
 /// ```
@@ -90,17 +96,30 @@ impl From<NodeId> for usize {
 /// assert_eq!(Port::new(2).next_round_robin(3).index(), 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Port(usize);
+pub struct Port(u32);
 
 impl Port {
+    /// Largest representable port index (`u32::MAX`).
+    pub const MAX_INDEX: usize = u32::MAX as usize;
+
     /// Creates a port from its 0-based index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds [`Port::MAX_INDEX`]. Decoders of
+    /// untrusted input (the trace wire format) check the range first and
+    /// report a typed error instead.
     pub const fn new(index: usize) -> Self {
-        Port(index)
+        assert!(
+            index <= Port::MAX_INDEX,
+            "port index exceeds the u32 port range"
+        );
+        Port(index as u32)
     }
 
     /// Returns the 0-based index of this port.
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 
     /// Returns the next port in round-robin order among `degree` ports.
@@ -113,7 +132,7 @@ impl Port {
     /// Panics if `degree == 0`.
     pub fn next_round_robin(self, degree: usize) -> Port {
         assert!(degree > 0, "a process with no neighbor has no port");
-        Port((self.0 + 1) % degree)
+        Port::new((self.index() + 1) % degree)
     }
 
     /// Clamps this port into the valid range `0..degree`.
@@ -125,7 +144,7 @@ impl Port {
         if degree == 0 {
             Port(0)
         } else {
-            Port(self.0 % degree)
+            Port::new(self.index() % degree)
         }
     }
 }
@@ -138,13 +157,13 @@ impl fmt::Display for Port {
 
 impl From<usize> for Port {
     fn from(index: usize) -> Self {
-        Port(index)
+        Port::new(index)
     }
 }
 
 impl From<Port> for usize {
     fn from(port: Port) -> Self {
-        port.0
+        port.index()
     }
 }
 
@@ -183,6 +202,24 @@ mod tests {
     fn node_id_is_four_bytes() {
         // The compaction that makes 10^6–10^7-node index arrays affordable.
         assert_eq!(std::mem::size_of::<NodeId>(), 4);
+    }
+
+    #[test]
+    fn port_is_four_bytes() {
+        // Protocol rows hold ports; a wider port pads every state row.
+        assert_eq!(std::mem::size_of::<Port>(), 4);
+        assert_eq!(std::mem::size_of::<Option<Port>>(), 8);
+    }
+
+    #[test]
+    fn port_accepts_the_largest_u32_index() {
+        assert_eq!(Port::new(Port::MAX_INDEX).index(), u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 port range")]
+    fn port_rejects_indices_beyond_u32() {
+        let _ = Port::new(Port::MAX_INDEX + 1);
     }
 
     #[test]

@@ -75,7 +75,7 @@ use serde::{Deserialize, Serialize};
 use crate::enabled::EnabledSet;
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
-use crate::stats::{RunStats, StatsShard};
+use crate::stats::{RunStats, StatsShard, StepDeltas};
 use crate::telemetry::metrics::{self, StepPhase};
 use crate::telemetry::sink::TraceSink;
 use crate::trace::{ActivationRecord, StepRecord, Trace};
@@ -801,8 +801,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             tracing,
         };
         let mut newly_selected = 0usize;
-        let mut read_operations_delta = 0u64;
-        let mut comm_changes_delta = 0u64;
+        let mut deltas = StepDeltas::default();
         if self.shards.len() == 1 {
             // Sequential fast path: one stack-allocated task over the full
             // arrays and the whole selection.
@@ -817,8 +816,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             };
             run_activation_task(&mut task, &ctx);
             newly_selected = task.newly_selected;
-            read_operations_delta = task.stats.read_operations;
-            comm_changes_delta = task.stats.comm_changes;
+            deltas = task.stats.deltas;
         } else {
             let mut tasks = Vec::with_capacity(self.shards.len());
             let mut splitter = self.stats.sharded();
@@ -857,8 +855,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             }
             for task in &tasks {
                 newly_selected += task.newly_selected;
-                read_operations_delta += task.stats.read_operations;
-                comm_changes_delta += task.stats.comm_changes;
+                deltas += task.stats.deltas;
             }
         }
         if let (Some(m), Some(started)) = (metrics, phase_started) {
@@ -876,13 +873,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // back into the owning shard's queue). Shard-order concatenation of
         // the per-shard executed lists reproduces the global increasing-id
         // order, because shards tile the id space contiguously.
-        self.stats.apply_step_deltas(
-            read_operations_delta,
-            comm_changes_delta,
-            (comm_changes_delta > 0).then_some(step),
-        );
+        self.stats.apply_step_deltas(deltas, step);
         self.unselected_remaining -= newly_selected;
-        let comm_changed_any = comm_changes_delta > 0;
+        let comm_changed_any = deltas.comm_changes > 0;
         let graph = self.graph;
         self.executed_scratch.clear();
         for s in 0..self.shards.len() {
@@ -1224,7 +1217,7 @@ fn run_activation_task<P: Protocol>(task: &mut ActivationTask<'_, P>, ctx: &Step
             task.scratch.executed.push(p);
             task.stats.record_activation(p, reads_buf, read_operations);
             if comm_changed {
-                task.stats.record_comm_change(p, ctx.step);
+                task.stats.record_comm_change();
             }
             task.scratch
                 .staged
@@ -1584,11 +1577,16 @@ mod tests {
         for p in graph.nodes() {
             let stats = sim.stats().process(p);
             assert_eq!(stats.selections, 1);
+            // The disabled process still evaluated its guard, reading
+            // every neighbor: its activation is recorded like any other.
             assert_eq!(
-                stats.activations, 1,
+                stats.max_reads_per_activation as usize,
+                graph.degree(p),
                 "a selected disabled process is an activation"
             );
         }
+        assert_eq!(sim.stats().suffix_selections(), 3);
+        assert_eq!(sim.stats().suffix_read_operations(), 4);
     }
 
     #[test]

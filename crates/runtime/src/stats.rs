@@ -9,11 +9,12 @@
 //!   memory read from neighbors in a step — derived by multiplying the read
 //!   counts with the protocol's `comm_bits`,
 //! * **♦-(x, k)-stability** (Definition 9): the number of processes whose
-//!   *suffix* read set (`distinct_ports_since_marker`) has size ≤ k after the
-//!   suffix marker has been placed (typically at stabilization).
+//!   *suffix* read set ([`RunStats::distinct_neighbors_since_marker`]) has
+//!   size ≤ k after the suffix marker has been placed (typically at
+//!   stabilization).
 //!
 //! These counters only record what the *protocol* observably does —
-//! selections, activations, tracked reads, communication changes. They are
+//! selections, tracked reads, communication changes. They are
 //! deliberately independent of how the executor computes enabledness, so an
 //! incremental run and a full-recompute run of the same seed produce
 //! byte-identical [`RunStats`] (the executor's own guard-evaluation cost is
@@ -23,87 +24,68 @@
 //! # Layout
 //!
 //! The statistics are stored struct-of-arrays: per-process *scalar*
-//! counters live in one dense `Vec<ProcessStats>`, while the per-port read
-//! flags of all processes share two flat `Vec<bool>` arrays in CSR layout
-//! (`port_offsets[p] .. port_offsets[p + 1]` is process `p`'s slice). This
-//! keeps the memory footprint at `n · sizeof(ProcessStats) + 2·2m` bytes
-//! with no per-process heap indirection — at n = 10⁶/10⁷ the two
-//! allocations replace 2n tiny vectors — and it is what lets the sharded
-//! executor split the whole statistics store into disjoint per-shard
-//! `&mut` windows (`RunStats::sharded`): a contiguous node range owns a
-//! contiguous scalar range *and* a contiguous port-flag range.
+//! counters live in one dense `Vec<ProcessStats>` of 24-byte rows, while
+//! the per-port read flags of all processes share one flat `Vec<u8>` in
+//! CSR layout (`port_offsets[p] .. port_offsets[p + 1]` is process `p`'s
+//! slice; bit 0 of a flag byte means "read at least once", bit 1 "read
+//! since the suffix marker"). Every activation writes exactly one scalar
+//! row and the flag bytes of the ports it read. The footprint is
+//! `24·n + 4·(n + 1) + 2m` bytes (rows, `u32` offsets, one flag byte per
+//! port) with no per-process heap indirection, and it is what lets the
+//! sharded executor split the whole statistics store into disjoint
+//! per-shard `&mut` windows (`RunStats::sharded`): a contiguous node range
+//! owns a contiguous scalar range *and* a contiguous port-flag range.
+//!
+//! Store-wide quantities are running aggregates instead of per-process
+//! counters: the suffix totals ([`RunStats::suffix_selections`],
+//! [`RunStats::suffix_read_operations`]) are the running totals minus a
+//! snapshot taken by [`RunStats::mark_suffix`].
 
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 
 use selfstab_graph::{NodeId, Port};
 use serde::{Deserialize, Serialize};
 
+/// Port-flag bit: the port was read at least once since the beginning.
+const READ_EVER: u8 = 1;
+/// Port-flag bit: the port was read at least once since the last suffix
+/// marker.
+const READ_SINCE_MARKER: u8 = 2;
+
 /// Scalar statistics of a single process across a (partial) execution.
 ///
-/// The per-port read flags are *not* stored here — they live in flat
-/// CSR-layout arrays owned by [`RunStats`] (see the
+/// The per-port read flags are *not* stored here — they live in a flat
+/// CSR-layout array owned by [`RunStats`] (see the
 /// [module documentation](self)); query them through
 /// [`RunStats::distinct_neighbors_ever`] and
 /// [`RunStats::distinct_neighbors_since_marker`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcessStats {
-    /// Number of times the scheduler selected this process.
+    /// Number of times the scheduler selected this process. Every
+    /// selection is an activation: a disabled process still evaluates its
+    /// guards, reading through its view.
     pub selections: u64,
-    /// Number of activations: every selection counts, whether or not an
-    /// action was enabled and executed (a disabled process still evaluates
-    /// its guards, reading through its view), so this equals `selections`.
-    pub activations: u64,
-    /// Largest number of *distinct* neighbors read during a single
-    /// activation.
-    pub max_reads_per_activation: usize,
     /// Total number of read operations (repeats included).
     pub total_read_operations: u64,
-    /// Read operations performed since the last suffix marker
-    /// ([`RunStats::mark_suffix`]) — the raw material of the
-    /// post-stabilization communication-efficiency measures.
-    pub read_operations_since_marker: u64,
-    /// Selections since the last suffix marker.
-    pub selections_since_marker: u64,
+    /// Largest number of *distinct* neighbors read during a single
+    /// activation.
+    pub max_reads_per_activation: u32,
     /// Largest number of distinct neighbors read during a single activation
     /// since the last suffix marker — the per-process ♦-k-efficiency
     /// (eventually reading at most `k` neighbors *per step*).
-    pub max_reads_per_activation_since_marker: usize,
-    /// Number of steps in which this process changed its communication
-    /// state.
-    pub comm_changes: u64,
-    /// Step index of the last communication-state change, if any.
-    pub last_comm_change_step: Option<u64>,
-}
-
-impl ProcessStats {
-    fn new() -> Self {
-        ProcessStats {
-            selections: 0,
-            activations: 0,
-            max_reads_per_activation: 0,
-            total_read_operations: 0,
-            read_operations_since_marker: 0,
-            selections_since_marker: 0,
-            max_reads_per_activation_since_marker: 0,
-            comm_changes: 0,
-            last_comm_change_step: None,
-        }
-    }
+    pub max_reads_per_activation_since_marker: u32,
 }
 
 /// Statistics of a whole execution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunStats {
     per_process: Vec<ProcessStats>,
-    /// CSR offsets into the flat port-flag arrays: process `p` owns
+    /// CSR offsets into the flat port-flag array: process `p` owns
     /// `port_offsets[p] .. port_offsets[p + 1]`. `u32` suffices — the graph
     /// builder caps the edge count so that `2m` fits.
     port_offsets: Vec<u32>,
-    /// Flat per-port flags: port read at least once since the beginning.
-    ports_read_ever: Vec<bool>,
-    /// Flat per-port flags: port read at least once since the last suffix
-    /// marker ([`RunStats::mark_suffix`]).
-    ports_read_since_marker: Vec<bool>,
+    /// Flat per-port flags: [`READ_EVER`] | [`READ_SINCE_MARKER`] bits.
+    port_flags: Vec<u8>,
     /// Total number of steps executed.
     pub steps: u64,
     /// Number of completed rounds (paper definition: a round ends when every
@@ -112,11 +94,17 @@ pub struct RunStats {
     pub rounds: u64,
     /// Step at which the last suffix marker was placed, if any.
     pub suffix_marker_step: Option<u64>,
+    /// Running aggregate of [`ProcessStats::selections`].
+    total_selections: u64,
     /// Running aggregate of [`ProcessStats::total_read_operations`], kept so
     /// [`RunStats::total_read_operations`] is `O(1)` — per-round recovery
     /// telemetry reads it at every round boundary.
     total_reads: u64,
-    /// Running aggregate of [`ProcessStats::comm_changes`].
+    /// `total_selections` when the last suffix marker was placed.
+    selections_at_marker: u64,
+    /// `total_reads` when the last suffix marker was placed.
+    reads_at_marker: u64,
+    /// Running number of communication-state changes.
     total_comm_change_count: u64,
     /// Latest step at which any communication variable changed.
     latest_comm_change_step: Option<u64>,
@@ -133,14 +121,16 @@ impl RunStats {
             port_offsets.push(total);
         }
         RunStats {
-            per_process: degrees.iter().map(|_| ProcessStats::new()).collect(),
+            per_process: vec![ProcessStats::default(); degrees.len()],
             port_offsets,
-            ports_read_ever: vec![false; total as usize],
-            ports_read_since_marker: vec![false; total as usize],
+            port_flags: vec![0; total as usize],
             steps: 0,
             rounds: 0,
             suffix_marker_step: None,
+            total_selections: 0,
             total_reads: 0,
+            selections_at_marker: 0,
+            reads_at_marker: 0,
             total_comm_change_count: 0,
             latest_comm_change_step: None,
         }
@@ -160,74 +150,70 @@ impl RunStats {
         &self.per_process
     }
 
-    /// The flat port-flag range of process `p`.
-    fn port_range(&self, p: NodeId) -> Range<usize> {
-        self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize
+    /// Number of ports of `p` whose flag byte has `bit` set.
+    fn ports_with(&self, p: NodeId, bit: u8) -> usize {
+        let range =
+            self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize;
+        self.port_flags[range]
+            .iter()
+            .filter(|&&flags| flags & bit != 0)
+            .count()
     }
 
     /// Number of distinct neighbors `p` read since the start of the
     /// execution (`R_p(C)` of Definition 7 for the whole computation
     /// observed so far).
     pub fn distinct_neighbors_ever(&self, p: NodeId) -> usize {
-        self.ports_read_ever[self.port_range(p)]
-            .iter()
-            .filter(|&&b| b)
-            .count()
+        self.ports_with(p, READ_EVER)
     }
 
     /// Number of distinct neighbors `p` read since the last suffix marker
     /// (`R_p(C')` of Definitions 8–9 for the suffix starting at the marker).
     pub fn distinct_neighbors_since_marker(&self, p: NodeId) -> usize {
-        self.ports_read_since_marker[self.port_range(p)]
-            .iter()
-            .filter(|&&b| b)
-            .count()
+        self.ports_with(p, READ_SINCE_MARKER)
     }
 
     /// Splits the mutable recording surface into an ordered sequence of
     /// disjoint per-shard windows (see [`ShardedStats::take`]).
     ///
-    /// The running aggregates (`total_reads`, comm-change totals) are *not*
-    /// part of a window: every [`StatsShard`] accumulates its own deltas and
-    /// the executor folds them back through
-    /// [`RunStats::apply_step_deltas`] in its deterministic merge phase.
+    /// The running aggregates are *not* part of a window: every
+    /// [`StatsShard`] accumulates its own [`StepDeltas`] and the executor
+    /// folds them back through [`RunStats::apply_step_deltas`] in its
+    /// deterministic merge phase.
     pub(crate) fn sharded(&mut self) -> ShardedStats<'_> {
         ShardedStats {
             port_offsets: &self.port_offsets,
             per_process: &mut self.per_process,
-            ports_read_ever: &mut self.ports_read_ever,
-            ports_read_since_marker: &mut self.ports_read_since_marker,
+            port_flags: &mut self.port_flags,
             node_cursor: 0,
             port_cursor: 0,
         }
     }
 
-    /// Folds the per-shard aggregate deltas of one step back into the
-    /// running totals. `comm_change_step` is the step index when any shard
-    /// recorded a communication change, `None` otherwise.
-    pub(crate) fn apply_step_deltas(
-        &mut self,
-        read_operations: u64,
-        comm_changes: u64,
-        comm_change_step: Option<u64>,
-    ) {
-        self.total_reads += read_operations;
-        self.total_comm_change_count += comm_changes;
-        if comm_change_step.is_some() {
-            self.latest_comm_change_step = comm_change_step;
+    /// Folds the summed per-shard aggregate deltas of step `step` back into
+    /// the running totals.
+    pub(crate) fn apply_step_deltas(&mut self, deltas: StepDeltas, step: u64) {
+        self.total_selections += deltas.selections;
+        self.total_reads += deltas.read_operations;
+        self.total_comm_change_count += deltas.comm_changes;
+        if deltas.comm_changes > 0 {
+            self.latest_comm_change_step = Some(step);
         }
     }
 
     /// Places the suffix marker at `step`: the per-process suffix read sets
-    /// are cleared so that subsequent reads measure `R_p` over the suffix
-    /// only. Typically called right after stabilization is detected so the
-    /// ♦-(x, k)-stability of Definition 9 can be evaluated.
+    /// are cleared and the suffix totals restart from zero, so subsequent
+    /// reads measure `R_p` over the suffix only. Typically called right
+    /// after stabilization is detected so the ♦-(x, k)-stability of
+    /// Definition 9 can be evaluated.
     pub fn mark_suffix(&mut self, step: u64) {
         self.suffix_marker_step = Some(step);
-        self.ports_read_since_marker.fill(false);
+        self.selections_at_marker = self.total_selections;
+        self.reads_at_marker = self.total_reads;
+        for flags in &mut self.port_flags {
+            *flags &= !READ_SINCE_MARKER;
+        }
         for stats in &mut self.per_process {
-            stats.read_operations_since_marker = 0;
-            stats.selections_since_marker = 0;
             stats.max_reads_per_activation_since_marker = 0;
         }
     }
@@ -241,25 +227,24 @@ impl RunStats {
             .iter()
             .map(|s| s.max_reads_per_activation_since_marker)
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0) as usize
     }
 
     /// Total read operations across all processes since the last suffix
-    /// marker (the whole execution if no marker was placed).
+    /// marker (the whole execution if no marker was placed). `O(1)`.
     pub fn suffix_read_operations(&self) -> u64 {
-        self.per_process
-            .iter()
-            .map(|s| s.read_operations_since_marker)
-            .sum()
+        self.total_read_operations() - self.reads_at_marker
     }
 
     /// Total selections across all processes since the last suffix marker
-    /// (the whole execution if no marker was placed).
+    /// (the whole execution if no marker was placed). `O(1)`.
     pub fn suffix_selections(&self) -> u64 {
-        self.per_process
-            .iter()
-            .map(|s| s.selections_since_marker)
-            .sum()
+        debug_assert_eq!(
+            self.total_selections,
+            self.per_process.iter().map(|s| s.selections).sum::<u64>(),
+            "aggregate selection counter diverged from the per-process counters"
+        );
+        self.total_selections - self.selections_at_marker
     }
 
     /// The measured efficiency of the execution: the smallest `k` such that
@@ -270,7 +255,7 @@ impl RunStats {
             .iter()
             .map(|s| s.max_reads_per_activation)
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0) as usize
     }
 
     /// Number of processes whose suffix read set has size at most `k` —
@@ -325,8 +310,8 @@ impl RunStats {
     ///
     /// Two stats stores compare equal iff they digest equal (modulo FNV
     /// collisions): the digest folds every scalar, every CSR offset and
-    /// every port flag in a canonical order, with `Option`s encoded as a
-    /// presence bit before the value.
+    /// every port-flag byte in a canonical order, with `Option`s encoded
+    /// as a presence bit before the value.
     pub fn digest(&self) -> u64 {
         let mut fnv = crate::telemetry::Fnv64::new();
         let write_opt = |fnv: &mut crate::telemetry::Fnv64, value: Option<u64>| {
@@ -336,31 +321,44 @@ impl RunStats {
         fnv.write_u64(self.steps);
         fnv.write_u64(self.rounds);
         write_opt(&mut fnv, self.suffix_marker_step);
+        fnv.write_u64(self.total_selections);
         fnv.write_u64(self.total_reads);
+        fnv.write_u64(self.selections_at_marker);
+        fnv.write_u64(self.reads_at_marker);
         fnv.write_u64(self.total_comm_change_count);
         write_opt(&mut fnv, self.latest_comm_change_step);
         fnv.write_usize(self.per_process.len());
         for stats in &self.per_process {
             fnv.write_u64(stats.selections);
-            fnv.write_u64(stats.activations);
-            fnv.write_usize(stats.max_reads_per_activation);
             fnv.write_u64(stats.total_read_operations);
-            fnv.write_u64(stats.read_operations_since_marker);
-            fnv.write_u64(stats.selections_since_marker);
-            fnv.write_usize(stats.max_reads_per_activation_since_marker);
-            fnv.write_u64(stats.comm_changes);
-            write_opt(&mut fnv, stats.last_comm_change_step);
+            fnv.write_u64(u64::from(stats.max_reads_per_activation));
+            fnv.write_u64(u64::from(stats.max_reads_per_activation_since_marker));
         }
         for &offset in &self.port_offsets {
             fnv.write_u64(u64::from(offset));
         }
-        for &flag in &self.ports_read_ever {
-            fnv.write_bool(flag);
-        }
-        for &flag in &self.ports_read_since_marker {
-            fnv.write_bool(flag);
+        for &flags in &self.port_flags {
+            fnv.write_u64(u64::from(flags));
         }
         fnv.finish()
+    }
+}
+
+/// Store-wide aggregate deltas recorded through one [`StatsShard`] during
+/// a step; the executor sums them over its shards and folds the sum back
+/// with [`RunStats::apply_step_deltas`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepDeltas {
+    pub(crate) selections: u64,
+    pub(crate) read_operations: u64,
+    pub(crate) comm_changes: u64,
+}
+
+impl AddAssign for StepDeltas {
+    fn add_assign(&mut self, other: StepDeltas) {
+        self.selections += other.selections;
+        self.read_operations += other.read_operations;
+        self.comm_changes += other.comm_changes;
     }
 }
 
@@ -369,15 +367,14 @@ impl RunStats {
 ///
 /// The struct-of-arrays layout makes this a pair of `split_at_mut` walks:
 /// shard `s`'s contiguous node range owns a contiguous window of the scalar
-/// array and (via the CSR `port_offsets`) a contiguous window of both flat
-/// port-flag arrays. No `unsafe`, no locks — the borrow checker sees the
+/// array and (via the CSR `port_offsets`) a contiguous window of the flat
+/// port-flag array. No `unsafe`, no locks — the borrow checker sees the
 /// windows are disjoint, which is exactly the property that lets worker
 /// threads record concurrently.
 pub(crate) struct ShardedStats<'a> {
     port_offsets: &'a [u32],
     per_process: &'a mut [ProcessStats],
-    ports_read_ever: &'a mut [bool],
-    ports_read_since_marker: &'a mut [bool],
+    port_flags: &'a mut [u8],
     node_cursor: usize,
     port_cursor: usize,
 }
@@ -397,29 +394,22 @@ impl<'a> ShardedStats<'a> {
             node_range.start, self.node_cursor,
             "shard stats windows must be taken in partition order"
         );
-        let node_len = node_range.len();
         let port_end = self.port_offsets[node_range.end] as usize;
-        let port_len = port_end - self.port_cursor;
 
         let per_process = std::mem::take(&mut self.per_process);
-        let (scalars, rest) = per_process.split_at_mut(node_len);
+        let (scalars, rest) = per_process.split_at_mut(node_range.len());
         self.per_process = rest;
-        let ever = std::mem::take(&mut self.ports_read_ever);
-        let (ports_read_ever, rest) = ever.split_at_mut(port_len);
-        self.ports_read_ever = rest;
-        let marker = std::mem::take(&mut self.ports_read_since_marker);
-        let (ports_read_since_marker, rest) = marker.split_at_mut(port_len);
-        self.ports_read_since_marker = rest;
+        let port_flags = std::mem::take(&mut self.port_flags);
+        let (flags, rest) = port_flags.split_at_mut(port_end - self.port_cursor);
+        self.port_flags = rest;
 
         let shard = StatsShard {
             node_base: node_range.start,
             port_base: self.port_cursor,
             port_offsets: self.port_offsets,
             per_process: scalars,
-            ports_read_ever,
-            ports_read_since_marker,
-            read_operations: 0,
-            comm_changes: 0,
+            port_flags: flags,
+            deltas: StepDeltas::default(),
         };
         self.node_cursor = node_range.end;
         self.port_cursor = port_end;
@@ -432,63 +422,50 @@ impl<'a> ShardedStats<'a> {
 /// Recording methods mirror what the pre-sharding executor recorded
 /// inline; per-process scalars and port flags are written directly (the
 /// window is exclusive), while store-wide aggregates are accumulated in
-/// [`StatsShard::read_operations`] / [`StatsShard::comm_changes`] and folded
-/// back by the executor's merge phase via [`RunStats::apply_step_deltas`].
+/// [`StatsShard::deltas`] and folded back by the executor's merge phase
+/// via [`RunStats::apply_step_deltas`].
 pub(crate) struct StatsShard<'a> {
     node_base: usize,
     port_base: usize,
     /// The *global* CSR offsets (shared, read-only).
     port_offsets: &'a [u32],
     per_process: &'a mut [ProcessStats],
-    ports_read_ever: &'a mut [bool],
-    ports_read_since_marker: &'a mut [bool],
-    /// Read operations recorded through this window (store-wide aggregate
-    /// delta, folded back in the merge phase).
-    pub(crate) read_operations: u64,
-    /// Communication changes recorded through this window (store-wide
-    /// aggregate delta, folded back in the merge phase).
-    pub(crate) comm_changes: u64,
+    port_flags: &'a mut [u8],
+    /// Store-wide aggregate deltas recorded through this window.
+    pub(crate) deltas: StepDeltas,
 }
 
 impl StatsShard<'_> {
-    fn scalars(&mut self, p: NodeId) -> &mut ProcessStats {
-        &mut self.per_process[p.index() - self.node_base]
-    }
-
     /// Records that `p` was selected by the scheduler.
     pub(crate) fn record_selection(&mut self, p: NodeId) {
-        let stats = self.scalars(p);
-        stats.selections += 1;
-        stats.selections_since_marker += 1;
+        self.deltas.selections += 1;
+        self.per_process[p.index() - self.node_base].selections += 1;
     }
 
     /// Records an activation of `p` that read the given distinct ports.
     pub(crate) fn record_activation(&mut self, p: NodeId, reads: &[Port], read_operations: usize) {
-        self.read_operations += read_operations as u64;
+        self.deltas.read_operations += read_operations as u64;
         let port_lo = self.port_offsets[p.index()] as usize - self.port_base;
         let port_hi = self.port_offsets[p.index() + 1] as usize - self.port_base;
-        let degree = port_hi - port_lo;
+        // A distinct read set never exceeds the degree, which `RunStats::new`
+        // checked fits in `u32`.
+        let distinct = u32::try_from(reads.len()).unwrap_or(u32::MAX);
         let stats = &mut self.per_process[p.index() - self.node_base];
-        stats.activations += 1;
         stats.total_read_operations += read_operations as u64;
-        stats.read_operations_since_marker += read_operations as u64;
-        stats.max_reads_per_activation = stats.max_reads_per_activation.max(reads.len());
+        stats.max_reads_per_activation = stats.max_reads_per_activation.max(distinct);
         stats.max_reads_per_activation_since_marker =
-            stats.max_reads_per_activation_since_marker.max(reads.len());
+            stats.max_reads_per_activation_since_marker.max(distinct);
+        let flags = &mut self.port_flags[port_lo..port_hi];
         for &port in reads {
-            if port.index() < degree {
-                self.ports_read_ever[port_lo + port.index()] = true;
-                self.ports_read_since_marker[port_lo + port.index()] = true;
+            if let Some(port_flags) = flags.get_mut(port.index()) {
+                *port_flags |= READ_EVER | READ_SINCE_MARKER;
             }
         }
     }
 
-    /// Records that `p` changed its communication state at `step`.
-    pub(crate) fn record_comm_change(&mut self, p: NodeId, step: u64) {
-        self.comm_changes += 1;
-        let stats = self.scalars(p);
-        stats.comm_changes += 1;
-        stats.last_comm_change_step = Some(step);
+    /// Records that a process changed its communication state this step.
+    pub(crate) fn record_comm_change(&mut self) {
+        self.deltas.comm_changes += 1;
     }
 }
 
@@ -502,10 +479,16 @@ mod tests {
         let n = stats.processes().len();
         let mut shard = stats.sharded().take(0..n);
         let out = f(&mut shard);
-        let reads = shard.read_operations;
-        let changes = shard.comm_changes;
-        stats.apply_step_deltas(reads, changes, (changes > 0).then_some(step));
+        let deltas = shard.deltas;
+        stats.apply_step_deltas(deltas, step);
         out
+    }
+
+    #[test]
+    fn process_rows_are_24_bytes() {
+        // Every activation writes one of these rows; a wider row costs
+        // memory bandwidth on every step.
+        assert_eq!(std::mem::size_of::<ProcessStats>(), 24);
     }
 
     #[test]
@@ -518,18 +501,20 @@ mod tests {
             shard.record_activation(p0, &[Port::new(0), Port::new(2)], 5);
             shard.record_selection(p1);
             shard.record_activation(p1, &[Port::new(1)], 1);
-            shard.record_comm_change(p1, 0);
+            shard.record_comm_change();
         });
 
         assert_eq!(stats.process(p0).selections, 1);
-        assert_eq!(stats.process(p0).activations, 1);
         assert_eq!(stats.process(p0).max_reads_per_activation, 2);
         assert_eq!(stats.process(p0).total_read_operations, 5);
         assert_eq!(stats.distinct_neighbors_ever(p0), 2);
-        assert_eq!(stats.process(p1).comm_changes, 1);
-        assert_eq!(stats.process(p1).last_comm_change_step, Some(0));
+        assert_eq!(stats.process(p1).selections, 1);
+        assert_eq!(stats.process(p1).total_read_operations, 1);
         assert_eq!(stats.measured_efficiency(), 2);
         assert_eq!(stats.total_read_operations(), 6);
+        // No marker yet: the suffix is the whole execution.
+        assert_eq!(stats.suffix_selections(), 2);
+        assert_eq!(stats.suffix_read_operations(), 6);
         assert_eq!(stats.total_comm_changes(), 1);
         assert_eq!(stats.last_comm_change_step(), Some(0));
     }
@@ -547,7 +532,7 @@ mod tests {
                 shard.record_selection(p);
                 shard.record_activation(p, &[Port::new(0), Port::new(d - 1)], d);
             }
-            shard.record_comm_change(NodeId::new(3), 4);
+            shard.record_comm_change();
         });
 
         let mut split = RunStats::new(&degrees);
@@ -561,12 +546,13 @@ mod tests {
                 shard.record_selection(p);
                 shard.record_activation(p, &[Port::new(0), Port::new(d - 1)], d);
             }
-            high.record_comm_change(NodeId::new(3), 4);
-            let reads = low.read_operations + high.read_operations;
-            let changes = low.comm_changes + high.comm_changes;
-            split.apply_step_deltas(reads, changes, Some(4));
+            high.record_comm_change();
+            let mut deltas = low.deltas;
+            deltas += high.deltas;
+            split.apply_step_deltas(deltas, 4);
         }
         assert_eq!(whole, split);
+        assert_eq!(whole.digest(), split.digest());
     }
 
     #[test]
@@ -593,6 +579,7 @@ mod tests {
             shard.record_activation(p, &[Port::new(1)], 1);
         });
         assert_eq!(stats.distinct_neighbors_since_marker(p), 1);
+        assert_eq!(stats.distinct_neighbors_ever(p), 2);
         assert_eq!(stats.stable_process_count(1), 1);
         assert_eq!(stats.stable_process_count(0), 0);
     }
@@ -617,8 +604,68 @@ mod tests {
         });
         assert_eq!(stats.suffix_read_operations(), 2);
         assert_eq!(stats.suffix_selections(), 1);
-        assert_eq!(stats.process(p0).read_operations_since_marker, 2);
-        assert_eq!(stats.process(p0).selections_since_marker, 1);
+        // The per-process rows keep whole-execution totals.
+        assert_eq!(stats.process(p0).total_read_operations, 5);
+        assert_eq!(stats.process(p0).selections, 2);
+        assert_eq!(stats.total_read_operations(), 5);
+    }
+
+    #[test]
+    fn suffix_totals_follow_the_latest_marker_across_shard_windows() {
+        // Three processes of degree 3, 1 and 2, recorded through a
+        // two-window split ({0}, {1, 2}) as the sharded executor does.
+        let degrees = [3usize, 1, 2];
+        let mut stats = RunStats::new(&degrees);
+        let step = |stats: &mut RunStats, t: u64, acts: &[(usize, &[usize], usize)]| {
+            let mut splitter = stats.sharded();
+            let mut low = splitter.take(0..1);
+            let mut high = splitter.take(1..3);
+            for &(i, reads, ops) in acts {
+                let shard = if i < 1 { &mut low } else { &mut high };
+                let reads: Vec<Port> = reads.iter().map(|&r| Port::new(r)).collect();
+                shard.record_selection(NodeId::new(i));
+                shard.record_activation(NodeId::new(i), &reads, ops);
+            }
+            let mut deltas = low.deltas;
+            deltas += high.deltas;
+            stats.apply_step_deltas(deltas, t);
+        };
+
+        // Before any marker: 3 selections, 3 + 1 + 4 = 8 reads, k = 3.
+        step(
+            &mut stats,
+            0,
+            &[(0, &[0, 1, 2], 3), (1, &[0], 1), (2, &[0, 1], 4)],
+        );
+        assert_eq!(stats.suffix_selections(), 3);
+        assert_eq!(stats.suffix_read_operations(), 8);
+        assert_eq!(stats.suffix_measured_efficiency(), 3);
+
+        // First marker, then 2 selections with 2 + 1 = 3 reads, k = 2.
+        stats.mark_suffix(1);
+        step(&mut stats, 1, &[(0, &[1, 2], 2), (2, &[1], 1)]);
+        assert_eq!(stats.suffix_selections(), 2);
+        assert_eq!(stats.suffix_read_operations(), 3);
+        assert_eq!(stats.suffix_measured_efficiency(), 2);
+
+        // Second marker, then two steps: 3 selections, 1 + 1 + 2 = 4
+        // reads, and no activation read more than one neighbor.
+        stats.mark_suffix(2);
+        assert_eq!(stats.suffix_selections(), 0);
+        assert_eq!(stats.suffix_read_operations(), 0);
+        assert_eq!(stats.suffix_measured_efficiency(), 0);
+        step(&mut stats, 2, &[(1, &[0], 1), (2, &[0], 1)]);
+        step(&mut stats, 3, &[(0, &[2], 2)]);
+        assert_eq!(stats.suffix_marker_step, Some(2));
+        assert_eq!(stats.suffix_selections(), 3);
+        assert_eq!(stats.suffix_read_operations(), 4);
+        assert_eq!(stats.suffix_measured_efficiency(), 1);
+
+        // Whole-run figures are untouched by either marker.
+        assert_eq!(stats.total_read_operations(), 8 + 3 + 4);
+        assert_eq!(stats.measured_efficiency(), 3);
+        let selections: Vec<u64> = stats.processes().iter().map(|s| s.selections).collect();
+        assert_eq!(selections, vec![3, 2, 3]);
     }
 
     #[test]

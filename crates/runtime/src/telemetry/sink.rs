@@ -33,7 +33,11 @@ use super::wire::{self, WireError};
 pub const TRACE_MAGIC: [u8; 4] = *b"SSTB";
 
 /// Current trace container version.
-pub const TRACE_VERSION: u8 = 1;
+///
+/// Version 2 changed the field set that
+/// [`RunStats::digest`](crate::stats::RunStats::digest) folds into the
+/// footer, so a version-1 footer cannot verify against a current replay.
+pub const TRACE_VERSION: u8 = 2;
 
 /// Tag byte preceding each encoded step in a trace file.
 const TAG_STEP: u8 = 0x01;
@@ -314,15 +318,21 @@ impl TraceFileReader {
         let mut pos = 5;
         let node_count = wire::read_varint(&bytes, &mut pos)?;
         let seed = wire::read_varint(&bytes, &mut pos)?;
-        let meta_len = wire::read_varint(&bytes, &mut pos)? as usize;
-        let meta_bytes = bytes
-            .get(pos..pos + meta_len)
-            .ok_or(WireError::UnexpectedEof {
-                offset: bytes.len(),
+        let meta_offset = pos;
+        let meta_len = wire::read_varint(&bytes, &mut pos)?;
+        // The length is untrusted: bound it by the bytes actually left
+        // before using it as an offset.
+        let meta_end = usize::try_from(meta_len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .filter(|&end| end <= bytes.len())
+            .ok_or(WireError::Malformed {
+                offset: meta_offset,
+                what: "header metadata length (exceeds the file)",
             })?;
-        let meta = String::from_utf8(meta_bytes.to_vec())
+        let meta = String::from_utf8(bytes[pos..meta_end].to_vec())
             .map_err(|_| TraceReadError::Container("header metadata is not UTF-8".to_string()))?;
-        pos += meta_len;
+        pos = meta_end;
         Ok(TraceFileReader {
             bytes,
             pos,
@@ -491,15 +501,50 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Writes `bytes` to a fresh temporary file and opens it as a trace.
+    fn open_bytes(name: &str, bytes: &[u8]) -> Result<TraceFileReader, TraceReadError> {
+        let path =
+            std::env::temp_dir().join(format!("sstb_sink_{name}_{}.trace", std::process::id()));
+        std::fs::write(&path, bytes).expect("writes");
+        let opened = TraceFileReader::open(&path);
+        std::fs::remove_file(&path).ok();
+        opened
+    }
+
+    #[test]
+    fn reader_rejects_a_metadata_length_past_the_end_of_the_file() {
+        // Magic, version, node count 1, seed 0, then the 10-byte varint
+        // `u64::MAX` as the metadata length: 17 bytes in all.
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.push(TRACE_VERSION);
+        bytes.push(1);
+        bytes.push(0);
+        wire::put_varint(&mut bytes, u64::MAX);
+        assert_eq!(bytes.len(), 17);
+        assert!(matches!(
+            open_bytes("metalen", &bytes),
+            Err(TraceReadError::Wire(WireError::Malformed { .. }))
+        ));
+    }
+
+    #[test]
+    fn reader_rejects_version_1_files() {
+        // A version-1 footer digests a different stats field set.
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.extend_from_slice(&[1, 1, 0, 0, TAG_END]);
+        match open_bytes("v1", &bytes) {
+            Err(TraceReadError::Container(reason)) => {
+                assert!(reason.contains("unsupported trace version"), "{reason}");
+            }
+            other => panic!("expected an unsupported-version error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn reader_rejects_non_trace_files() {
-        let path =
-            std::env::temp_dir().join(format!("sstb_sink_badmagic_{}.trace", std::process::id()));
-        std::fs::write(&path, b"not a trace").expect("writes");
         assert!(matches!(
-            TraceFileReader::open(&path),
+            open_bytes("badmagic", b"not a trace"),
             Err(TraceReadError::Container(_))
         ));
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -112,6 +112,10 @@ pub fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, WireError> {
     }
 }
 
+/// Widest bitmap read set a record may carry: one bit per port of the
+/// `u32` port space.
+const MAX_BITMAP_BYTES: u64 = (Port::MAX_INDEX as u64 + 1) / 8;
+
 /// Maps a signed delta onto an unsigned varint-friendly value
 /// (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...).
 fn zigzag(v: i64) -> u64 {
@@ -328,7 +332,15 @@ fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
         return Ok(Vec::new()); // lint: allow(hot-alloc) — decode path; empty read set
     }
     if tag % 2 == 0 {
-        // Bitmap form: `tag / 2` bytes, set bits are the port indices.
+        // Bitmap form: `tag / 2` bytes, set bits are the port indices. A
+        // bitmap wider than the port space would name ports `Port::new`
+        // rejects.
+        if tag / 2 > MAX_BITMAP_BYTES {
+            return Err(WireError::Malformed {
+                offset: tag_offset,
+                what: "reads bitmap (wider than the u32 port space)",
+            });
+        }
         let bytes = (tag / 2) as usize;
         let slice = input
             .get(*pos..*pos + bytes)
@@ -362,10 +374,10 @@ fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
             let offset = *pos;
             let port = read_delta(input, pos, prev)?;
             prev = port;
-            if port > usize::MAX as u64 {
+            if port > Port::MAX_INDEX as u64 {
                 return Err(WireError::Malformed {
                     offset,
-                    what: "port index (exceeds usize)",
+                    what: "port index (exceeds Port::MAX_INDEX)",
                 });
             }
             reads.push(Port::new(port as usize));
@@ -510,6 +522,68 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, 0); // step
         put_varint(&mut buf, u32::MAX as u64); // absurd count, no payload
+        let mut pos = 0;
+        assert!(matches!(
+            decode_step(&buf, &mut pos, None),
+            Err(WireError::Malformed { .. })
+        ));
+    }
+
+    /// A one-activation step (process 0, not executed) whose read set is
+    /// the raw `reads` bytes (tag included).
+    fn step_with_raw_reads(reads: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 0); // step
+        put_varint(&mut buf, 1); // count
+        put_varint(&mut buf, 0); // process 0
+        buf.push(0); // executed bitset
+        buf.push(0); // comm bitset
+        buf.extend_from_slice(reads);
+        buf
+    }
+
+    #[test]
+    fn decode_rejects_list_ports_beyond_the_port_range() {
+        let mut reads = Vec::new();
+        put_varint(&mut reads, 3); // list form (tag 2r + 1), one port
+        put_varint(&mut reads, zigzag(Port::MAX_INDEX as i64 + 1));
+        let buf = step_with_raw_reads(&reads);
+        let mut pos = 0;
+        assert!(matches!(
+            decode_step(&buf, &mut pos, None),
+            Err(WireError::Malformed { what, .. }) if what.contains("port index")
+        ));
+        // The largest valid port still decodes.
+        let mut reads = Vec::new();
+        put_varint(&mut reads, 3);
+        put_varint(&mut reads, zigzag(Port::MAX_INDEX as i64));
+        let buf = step_with_raw_reads(&reads);
+        let mut pos = 0;
+        let decoded = decode_step(&buf, &mut pos, None).expect("decodes");
+        assert_eq!(
+            decoded.activations[0].reads,
+            vec![Port::new(Port::MAX_INDEX)]
+        );
+    }
+
+    #[test]
+    fn decode_rejects_bitmaps_wider_than_the_port_space() {
+        // One byte past the widest bitmap; the payload is absent, so only
+        // the width check can reject it as malformed (rather than as
+        // truncated).
+        let mut reads = Vec::new();
+        put_varint(&mut reads, 2 * (MAX_BITMAP_BYTES + 1));
+        let buf = step_with_raw_reads(&reads);
+        let mut pos = 0;
+        assert!(matches!(
+            decode_step(&buf, &mut pos, None),
+            Err(WireError::Malformed { what, .. }) if what.contains("bitmap")
+        ));
+        // The widest tag that varint decoding accepts is rejected the same
+        // way, without overflowing the cursor arithmetic.
+        let mut reads = Vec::new();
+        put_varint(&mut reads, u64::MAX - 1);
+        let buf = step_with_raw_reads(&reads);
         let mut pos = 0;
         assert!(matches!(
             decode_step(&buf, &mut pos, None),
