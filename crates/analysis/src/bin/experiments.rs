@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use selfstab_analysis::experiments::{self, ExperimentConfig};
-use selfstab_analysis::table::ExperimentTable;
+use selfstab_analysis::table::{json_string, ExperimentTable};
 use selfstab_analysis::tracecell::{self, TraceCellSpec, TraceRunSummary};
 use selfstab_analysis::workloads::Workload;
 use selfstab_analysis::{campaign, metrics_report};
@@ -257,20 +257,15 @@ fn render_json(config: &ExperimentConfig, tables: &[ExperimentTable]) -> String 
     out
 }
 
-/// Minimal JSON string escaping for paths and metadata.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders a record/replay summary; the `stats` object is the part CI
 /// diffs between a recording and its replay, so its key set and
 /// formatting must not depend on the mode.
 fn trace_summary_json(mode: &str, path: &std::path::Path, summary: &TraceRunSummary) -> String {
     format!(
-        "{{\n  \"mode\": \"{mode}\",\n  \"{mode}\": {{\"path\": \"{}\", \"bytes\": {}, \
+        "{{\n  \"mode\": \"{mode}\",\n  \"{mode}\": {{\"path\": {}, \"bytes\": {}, \
          \"verified\": true}},\n  \"stats\": {{\"steps\": {}, \"rounds\": {}, \
          \"stats_digest\": \"{:016x}\", \"config_digest\": \"{:016x}\"}}\n}}",
-        json_escape(&path.display().to_string()),
+        json_string(&path.display().to_string()),
         summary.trace_bytes,
         summary.steps,
         summary.rounds,

@@ -23,12 +23,10 @@ pub mod e6_matching_stability;
 pub mod e7_impossibility;
 pub mod e9_fault_recovery;
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::ExperimentTable;
 
 /// Shared knobs for the experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Number of independent runs (seeds) per data point.
     pub runs: u64,
@@ -110,8 +108,8 @@ impl ExperimentConfig {
 
     /// The [`SimOptions`](selfstab_runtime::SimOptions) every experiment
     /// cell starts from: defaults plus this configuration's intra-step
-    /// parallelism knobs. Experiments layer their own settings (check
-    /// interval, read restrictions) on top with the usual builder methods.
+    /// parallelism knobs. Experiments layer their own settings (the check
+    /// interval) on top with the usual builder methods.
     pub fn sim_options(&self) -> selfstab_runtime::SimOptions {
         selfstab_runtime::SimOptions::default()
             .with_step_workers(self.step_workers)

@@ -1,11 +1,9 @@
 //! Summary statistics over repeated measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a sample of measurements (e.g. rounds-to-silence over many
 /// seeds): mean, spread, extremes and quartile/tail quantiles — the shared
 /// aggregation vocabulary of every campaign-based experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

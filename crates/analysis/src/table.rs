@@ -1,10 +1,29 @@
-//! Plain-text and CSV rendering of experiment results.
+//! Plain-text, CSV and JSON rendering of experiment results.
 
-use serde::{Deserialize, Serialize};
+/// Renders `s` as a JSON string literal: quoted, with `"`, `\` and every
+/// control character below U+0020 escaped, so any table cell, note or
+/// file path embeds into a document that strict JSON parsers accept.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A rendered experiment: a title, column headers, data rows and free-form
 /// notes (the comparison against the paper's claim).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentTable {
     /// Experiment identifier, e.g. `"E3"`.
     pub id: String,
@@ -82,30 +101,13 @@ impl ExperimentTable {
     }
 
     /// Renders the table as a self-contained JSON object
-    /// (`{"id", "title", "headers", "rows", "notes"}`), with full string
-    /// escaping. Written by hand because the workspace's offline `serde`
-    /// is a non-serializing stub.
+    /// (`{"id", "title", "headers", "rows", "notes"}`), every string
+    /// escaped by [`json_string`]. The workspace has no serialization
+    /// dependency, so the document is written by hand.
     pub fn to_json(&self) -> String {
-        let string = |s: &str| -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        };
         let array = |items: Vec<String>| format!("[{}]", items.join(", "));
         let string_array =
-            |items: &[String]| array(items.iter().map(|s| string(s)).collect::<Vec<_>>());
+            |items: &[String]| array(items.iter().map(|s| json_string(s)).collect::<Vec<_>>());
         let rows = array(
             self.rows
                 .iter()
@@ -114,8 +116,8 @@ impl ExperimentTable {
         );
         format!(
             "{{\"id\": {}, \"title\": {}, \"headers\": {}, \"rows\": {}, \"notes\": {}}}",
-            string(&self.id),
-            string(&self.title),
+            json_string(&self.id),
+            json_string(&self.title),
             string_array(&self.headers),
             rows,
             string_array(&self.notes),
@@ -206,6 +208,14 @@ mod tests {
         let mut t = ExperimentTable::new("EΔ", "♦-stability", vec!["k"]);
         t.push_row(vec!["1".into()]);
         assert!(t.to_json().contains("♦-stability"));
+    }
+
+    #[test]
+    fn json_strings_escape_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            json_string("say \"hi\" \\ a\nb\tc\u{1}d"),
+            "\"say \\\"hi\\\" \\\\ a\\nb\\tc\\u0001d\""
+        );
     }
 
     #[test]

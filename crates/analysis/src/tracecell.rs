@@ -398,15 +398,31 @@ mod tests {
         };
         let path = temp_trace("tamper");
         record(&spec, &path).expect("records");
-        let mut bytes = std::fs::read(&path).expect("reads back");
+        let recorded = std::fs::read(&path).expect("reads back");
         // Corrupt the footer's stats digest (last 16 bytes are the two
         // digests); the step stream still decodes, so the divergence must
         // come from the digest check.
+        let mut bytes = recorded.clone();
         let len = bytes.len();
         bytes[len - 16] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("writes tampered file");
         let err = replay(&path).unwrap_err();
         assert!(err.contains("digest"), "{err}");
+        // Rename the workload to one its generator rejects: `ring(02)` has
+        // the length of `ring(16)`, so the header still decodes, but no
+        // ring has two processes — an error, not a generator panic.
+        let mut bytes = recorded;
+        let at = bytes
+            .windows(8)
+            .position(|w| w == b"ring(16)")
+            .expect("the metadata names the workload");
+        bytes[at + 5..at + 7].copy_from_slice(b"02");
+        std::fs::write(&path, &bytes).expect("writes tampered file");
+        let err = replay(&path).unwrap_err();
+        assert!(
+            err.contains("ring(02)") && err.contains("at least three processes"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

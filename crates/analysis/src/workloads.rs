@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_graph::{generators, Graph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reproducible graph workload: a family plus its size parameter.
@@ -11,7 +10,7 @@ use std::fmt;
 /// Every workload is deterministic given `(family, n, seed)` so that
 /// experiment tables and criterion benchmarks measure exactly the same
 /// topologies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// Path of `n` processes (the Figure 9 family).
     Path(usize),
@@ -66,6 +65,39 @@ impl Workload {
             Workload::Barabasi(n, attach) => generators::barabasi_albert(n, attach, &mut rng)
                 .expect("valid Barabási–Albert parameters"),
         }
+    }
+
+    /// Why the family's generator would reject these parameters, or `None`
+    /// when [`Workload::build`] succeeds. Mirrors the generators' own
+    /// preconditions.
+    fn invalid_reason(&self) -> Option<String> {
+        let reason: String = match *self {
+            Workload::Path(0) => "a path needs at least one process".into(),
+            Workload::Ring(n) if n < 3 => "a ring needs at least three processes".into(),
+            Workload::Grid(r, c) if r == 0 || c == 0 => {
+                "a grid needs at least one row and one column".into()
+            }
+            Workload::Star(n) if n < 2 => "a star needs at least two processes".into(),
+            Workload::Complete(0) => "a complete graph needs at least one process".into(),
+            Workload::Gnp(0, _) => "a G(n,p) graph needs at least one process".into(),
+            Workload::Gnp(_, p) if !(0.0..=1.0).contains(&p) => {
+                format!("edge probability {p} is not in [0, 1]")
+            }
+            Workload::Tree(0) => "a tree needs at least one process".into(),
+            Workload::Caterpillar(0, _) => "a caterpillar needs a non-empty spine".into(),
+            Workload::Torus(r, c) if r < 3 || c < 3 => {
+                "a torus needs at least 3 rows and 3 columns".into()
+            }
+            Workload::Hypercube(d) if !(1..=20).contains(&d) => {
+                "a hypercube needs between 1 and 20 dimensions".into()
+            }
+            Workload::BalancedTree(0, _) => "tree arity must be positive".into(),
+            Workload::Barabasi(n, m) if m == 0 || m >= n => {
+                format!("need 0 < attach < n, got n = {n}, attach = {m}")
+            }
+            _ => return None,
+        };
+        Some(reason)
     }
 
     /// Short label used in table rows and bench identifiers.
@@ -124,6 +156,12 @@ impl std::str::FromStr for Workload {
     /// Parses the exact label format produced by [`Workload`]'s `Display`
     /// (`ring(32)`, `grid(6x6)`, `gnp(48,0.12)`, `figure11`, …), so that
     /// campaign JSON output is parseable back into specs.
+    ///
+    /// A label parses only if [`Workload::build`] can materialize it: every
+    /// parameter the family's generator would reject (a two-process ring,
+    /// an edge probability above 1, …) is an error naming the reason, so
+    /// untrusted labels from the command line or a trace file never reach
+    /// a generator's assertion.
     fn from_str(s: &str) -> Result<Workload, String> {
         let s = s.trim();
         if s == "figure11" {
@@ -143,12 +181,12 @@ impl std::str::FromStr for Workload {
                 .ok_or_else(|| format!("workload {s:?}: expected two {sep:?}-separated sizes"))?;
             Ok((usize_arg(a)?, usize_arg(b)?))
         };
-        match family {
-            "path" => Ok(Workload::Path(usize_arg(args)?)),
-            "ring" => Ok(Workload::Ring(usize_arg(args)?)),
-            "grid" => pair('x').map(|(r, c)| Workload::Grid(r, c)),
-            "star" => Ok(Workload::Star(usize_arg(args)?)),
-            "complete" => Ok(Workload::Complete(usize_arg(args)?)),
+        let workload = match family {
+            "path" => Workload::Path(usize_arg(args)?),
+            "ring" => Workload::Ring(usize_arg(args)?),
+            "grid" => pair('x').map(|(r, c)| Workload::Grid(r, c))?,
+            "star" => Workload::Star(usize_arg(args)?),
+            "complete" => Workload::Complete(usize_arg(args)?),
             "gnp" => {
                 let (n, p) = args
                     .split_once(',')
@@ -156,15 +194,19 @@ impl std::str::FromStr for Workload {
                 let p = p
                     .parse::<f64>()
                     .map_err(|err| format!("workload {s:?}: {err}"))?;
-                Ok(Workload::Gnp(usize_arg(n)?, p))
+                Workload::Gnp(usize_arg(n)?, p)
             }
-            "tree" => Ok(Workload::Tree(usize_arg(args)?)),
-            "caterpillar" => pair(',').map(|(s, l)| Workload::Caterpillar(s, l)),
-            "torus" => pair('x').map(|(r, c)| Workload::Torus(r, c)),
-            "hypercube" => Ok(Workload::Hypercube(usize_arg(args)?)),
-            "btree" => pair(',').map(|(a, d)| Workload::BalancedTree(a, d)),
-            "ba" => pair(',').map(|(n, m)| Workload::Barabasi(n, m)),
-            other => Err(format!("unknown workload family {other:?} in {s:?}")),
+            "tree" => Workload::Tree(usize_arg(args)?),
+            "caterpillar" => pair(',').map(|(s, l)| Workload::Caterpillar(s, l))?,
+            "torus" => pair('x').map(|(r, c)| Workload::Torus(r, c))?,
+            "hypercube" => Workload::Hypercube(usize_arg(args)?),
+            "btree" => pair(',').map(|(a, d)| Workload::BalancedTree(a, d))?,
+            "ba" => pair(',').map(|(n, m)| Workload::Barabasi(n, m))?,
+            other => return Err(format!("unknown workload family {other:?} in {s:?}")),
+        };
+        match workload.invalid_reason() {
+            Some(reason) => Err(format!("workload {s:?}: {reason}")),
+            None => Ok(workload),
         }
     }
 }
@@ -252,6 +294,55 @@ mod tests {
         for bad in ["", "ring", "ring()", "grid(3,4)", "mobius(8)", "gnp(10)"] {
             let err = bad.parse::<Workload>().unwrap_err();
             assert!(err.contains("workload") || err.contains("family"), "{err}");
+        }
+    }
+
+    #[test]
+    fn labels_the_generators_reject_do_not_parse() {
+        for (bad, reason) in [
+            ("ring(2)", "at least three processes"),
+            ("path(0)", "at least one process"),
+            ("complete(0)", "at least one process"),
+            ("tree(0)", "at least one process"),
+            ("star(1)", "at least two processes"),
+            ("grid(0x4)", "at least one row and one column"),
+            ("grid(4x0)", "at least one row and one column"),
+            ("torus(2x5)", "at least 3 rows and 3 columns"),
+            ("torus(5x2)", "at least 3 rows and 3 columns"),
+            ("hypercube(0)", "between 1 and 20 dimensions"),
+            ("hypercube(21)", "between 1 and 20 dimensions"),
+            ("btree(0,3)", "arity must be positive"),
+            ("caterpillar(0,2)", "non-empty spine"),
+            ("gnp(10,1.5)", "not in [0, 1]"),
+            ("gnp(10,-0.1)", "not in [0, 1]"),
+            ("gnp(10,NaN)", "not in [0, 1]"),
+            ("gnp(0,0.5)", "at least one process"),
+            ("ba(5,0)", "0 < attach < n"),
+            ("ba(5,5)", "0 < attach < n"),
+        ] {
+            let err = bad.parse::<Workload>().unwrap_err();
+            assert!(err.contains(bad) && err.contains(reason), "{bad}: {err}");
+        }
+        // The smallest accepted parameters build.
+        for good in [
+            "ring(3)",
+            "path(1)",
+            "complete(1)",
+            "tree(1)",
+            "star(2)",
+            "grid(1x1)",
+            "torus(3x3)",
+            "hypercube(1)",
+            "btree(1,0)",
+            "caterpillar(1,0)",
+            "gnp(1,0)",
+            "gnp(2,1)",
+            "ba(2,1)",
+        ] {
+            let workload = good
+                .parse::<Workload>()
+                .unwrap_or_else(|err| panic!("{err}"));
+            assert!(workload.build(1).node_count() > 0, "{good}");
         }
     }
 

@@ -1,0 +1,116 @@
+//! The `experiments` binary's untrusted inputs: a workload label the
+//! generators reject, whether given on the command line or read from a
+//! trace file's metadata, is an error on stderr with exit code 1 — never a
+//! panic (exit code 101) — and the record/replay summary stays valid JSON
+//! for any output path.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use selfstab_analysis::tracecell::{self, TraceCellSpec};
+use selfstab_analysis::Workload;
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("runs the experiments binary")
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("selfstab_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creates a scratch directory");
+    dir
+}
+
+fn assert_rejected(output: &Output, label: &str, reason: &str) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{label}: {stderr}");
+    assert!(
+        stderr.contains(label) && stderr.contains(reason),
+        "{label}: stderr lacks the reason: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{label}: {stderr}");
+}
+
+const REJECTED: [(&str, &str); 6] = [
+    ("ring(2)", "at least three processes"),
+    ("path(0)", "at least one process"),
+    ("grid(0x4)", "at least one row and one column"),
+    ("hypercube(0)", "between 1 and 20 dimensions"),
+    ("ba(5,0)", "0 < attach < n"),
+    ("gnp(10,1.5)", "not in [0, 1]"),
+];
+
+#[test]
+fn rejected_trace_workloads_exit_with_the_reason() {
+    let dir = scratch_dir("trace_workload");
+    let out = dir.join("t.bin");
+    let out = out.to_str().expect("UTF-8 temp path");
+    for (label, reason) in REJECTED {
+        let output = experiments(&["--trace-out", out, "--trace-workload", label]);
+        assert_rejected(&output, label, reason);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records a cell on `recorded` and rewrites the workload label in its
+/// metadata to `label`, a label of the same length (so the header still
+/// decodes).
+fn patched_trace(dir: &Path, recorded: Workload, label: &str) -> PathBuf {
+    let original = recorded.label();
+    assert_eq!(original.len(), label.len(), "{original} vs {label}");
+    let path = dir.join(format!("{original}.bin"));
+    let spec = TraceCellSpec {
+        workload: recorded,
+        seed: 9,
+        max_steps: 2_000,
+    };
+    tracecell::record(&spec, &path).expect("records");
+    let mut bytes = std::fs::read(&path).expect("reads back");
+    let at = bytes
+        .windows(original.len())
+        .position(|w| w == original.as_bytes())
+        .expect("the metadata names the workload");
+    bytes[at..at + label.len()].copy_from_slice(label.as_bytes());
+    std::fs::write(&path, &bytes).expect("writes the patched trace");
+    path
+}
+
+#[test]
+fn rejected_replay_workloads_exit_with_the_reason() {
+    let dir = scratch_dir("replay");
+    // One recordable workload per rejected label, with a label of the
+    // same length.
+    let recorded = [
+        Workload::Ring(3),
+        Workload::Ring(4),
+        Workload::Grid(3, 4),
+        Workload::Hypercube(3),
+        Workload::Ring(5),
+        Workload::Gnp(10, 0.5),
+    ];
+    for (workload, (label, reason)) in recorded.into_iter().zip(REJECTED) {
+        let path = patched_trace(&dir, workload, label);
+        let output = experiments(&["--replay", path.to_str().expect("UTF-8 temp path")]);
+        assert_rejected(&output, label, reason);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_summaries_escape_control_characters_in_paths() {
+    let dir = scratch_dir("tab");
+    let path = dir.join("a\tb.bin");
+    let output = experiments(&[
+        "--trace-out",
+        path.to_str().expect("UTF-8 temp path"),
+        "--trace-workload",
+        "ring(8)",
+    ]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 summary");
+    assert!(stdout.contains("a\\tb.bin"), "{stdout}");
+    assert!(!stdout.contains('\t'), "raw tab in the summary: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}

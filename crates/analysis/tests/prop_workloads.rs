@@ -1,12 +1,14 @@
 //! Property-based tests for the workload vocabulary: the `Display` label of
-//! every constructible workload must parse back into the identical value
+//! every workload that builds must parse back into the identical value
 //! (`FromStr`), so campaign JSON output is machine-readable back into
-//! specs.
+//! specs, and the label of every workload whose generator would panic must
+//! be rejected with an error that names it.
 
 use proptest::prelude::*;
 use selfstab_analysis::Workload;
 
-/// Strategy producing an arbitrary workload across every family.
+/// Strategy producing an arbitrary workload across every family (some
+/// tori and Barabási–Albert graphs get parameters their generators reject).
 fn workload() -> impl Strategy<Value = Workload> {
     (0usize..13, 1usize..50, 1usize..8, 1u32..95).prop_map(|(family, n, m, pct)| {
         let n = n + 2;
@@ -34,10 +36,19 @@ proptest! {
     #[test]
     fn display_and_fromstr_round_trip(w in workload()) {
         let label = w.label();
-        let parsed: Workload = label.parse().expect("every label parses");
-        prop_assert_eq!(parsed, w, "label {} did not round-trip", label);
-        // The round-trip is idempotent: re-displaying gives the same label.
-        prop_assert_eq!(parsed.label(), label);
+        let builds = std::panic::catch_unwind(|| w.build(1)).is_ok();
+        match label.parse::<Workload>() {
+            Ok(parsed) => {
+                prop_assert!(builds, "label {} parsed but its generator panics", label);
+                prop_assert_eq!(parsed, w, "label {} did not round-trip", label);
+                // The round-trip is idempotent: re-displaying gives the same label.
+                prop_assert_eq!(parsed.label(), label);
+            }
+            Err(err) => {
+                prop_assert!(!builds, "label {} builds but was rejected: {}", label, err);
+                prop_assert!(err.contains(&label), "{}", err);
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! E12/E13 — spanning subsystem: time to silence of the BFS spanning tree
 //! and the communication-efficient leader election across topology
-//! families, plus the incremental-versus-full-recompute contrast on the
-//! tree workload (whose global repair waves are the hardest dirty-set
-//! stress shipped so far).
+//! families.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -33,19 +31,10 @@ fn bench_bfs_tree(c: &mut Criterion) {
         let graph = workload.build(cfg.base_seed);
         let network = RootedGraph::new(graph.clone(), NodeId::new(graph.node_count() / 2))
             .expect("root in range");
-        for full_recompute in [false, true] {
-            let mode = if full_recompute {
-                "full-recompute"
-            } else {
-                "incremental"
-            };
-            let options = if full_recompute {
-                SimOptions::default().with_full_recompute()
-            } else {
-                SimOptions::default()
-            };
-            let id = BenchmarkId::from_parameter(format!("{}/{mode}", workload.label()));
-            group.bench_with_input(id, &network, |b, net| {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(workload.label()),
+            &network,
+            |b, net| {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed = seed.wrapping_add(1);
@@ -54,14 +43,14 @@ fn bench_bfs_tree(c: &mut Criterion) {
                         BfsTree::new(net),
                         DistributedRandom::new(0.5),
                         seed,
-                        options.clone(),
+                        SimOptions::default(),
                     );
                     let report = sim.run_until_silent(cfg.max_steps);
                     assert!(report.silent, "BFS tree must stabilize");
                     report.total_steps
                 })
-            });
-        }
+            },
+        );
     }
     group.finish();
 }

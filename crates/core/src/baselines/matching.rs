@@ -22,13 +22,12 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 use crate::matching::MatchingComm;
 
 /// State of a process running [`BaselineMatching`]: both variables are
 /// communication variables; there is no internal variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineMatchingState {
     /// `M.p`.
     pub married: bool,
@@ -37,7 +36,7 @@ pub struct BaselineMatchingState {
 }
 
 /// The Δ-efficient baseline maximal matching protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineMatching {
     coloring: LocalColoring,
 }

@@ -19,12 +19,11 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 use crate::mis::{Membership, MisComm};
 
 /// The Δ-efficient baseline MIS protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineMis {
     coloring: LocalColoring,
 }

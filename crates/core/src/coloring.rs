@@ -24,10 +24,9 @@ use rand::RngCore;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`Coloring`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColoringState {
     /// Communication variable `C.p`: the current color, in `0..palette`.
     pub color: usize,
@@ -40,7 +39,7 @@ pub struct ColoringState {
 /// The palette size is fixed at construction to `∆ + 1`, the minimum that
 /// works on every graph of maximum degree `∆` (the network may contain a
 /// `(∆+1)`-clique).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
     palette: usize,
 }

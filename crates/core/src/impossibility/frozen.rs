@@ -14,7 +14,6 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 use crate::mis::{Membership, MisComm, MisState};
 
@@ -26,7 +25,7 @@ use crate::mis::{Membership, MisComm, MisState};
 /// self-stabilizing for the coloring predicate on topologies of degree
 /// ∆ ≥ 2, and [`crate::impossibility::theorem1`] exhibits the silent,
 /// illegitimate configurations that prove it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenReadColoring {
     palette: usize,
     frozen: Vec<Port>,
@@ -142,7 +141,7 @@ impl Protocol for FrozenReadColoring {
 /// hence the dag orientation of Theorem 4) exactly as the hypotheses of
 /// Theorem 2 allow; [`crate::impossibility::theorem2`] builds the silent,
 /// illegitimate configuration showing it is not self-stabilizing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenReadMis {
     coloring: LocalColoring,
     frozen: Vec<Port>,

@@ -16,13 +16,12 @@
 
 use selfstab_graph::generators;
 use selfstab_graph::{Graph, GraphError, NodeId, Port};
-use serde::{Deserialize, Serialize};
 
 use super::frozen::FrozenReadColoring;
 
 /// A ready-to-check counterexample: a topology, a frozen-read protocol and
 /// the spliced configuration of the proof.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Theorem1Counterexample {
     /// The anonymous topology (Figure 1(c) or its Figure 2 generalization).
     pub graph: Graph,

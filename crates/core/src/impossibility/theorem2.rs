@@ -17,13 +17,12 @@
 use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::generators::{self, RootedDagNetwork};
 use selfstab_graph::{Graph, GraphError, NodeId, Port};
-use serde::{Deserialize, Serialize};
 
 use super::frozen::FrozenReadMis;
 use crate::mis::{Membership, MisState};
 
 /// A ready-to-check counterexample for Theorem 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Theorem2Counterexample {
     /// The rooted, dag-oriented topology (Figure 3 or its generalization).
     pub network: RootedDagNetwork,

@@ -29,10 +29,9 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`Matching`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchingState {
     /// Communication variable `M.p`: whether `p` believes it is married.
     pub married: bool,
@@ -45,7 +44,7 @@ pub struct MatchingState {
 
 /// Communication state of a process running [`Matching`]: everything a
 /// neighbor reads when checking this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchingComm {
     /// `M.p`.
     pub married: bool,
@@ -56,7 +55,7 @@ pub struct MatchingComm {
 }
 
 /// The `MATCHING` protocol of Figure 10.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
     coloring: LocalColoring,
 }

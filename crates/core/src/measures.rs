@@ -16,11 +16,10 @@
 use selfstab_graph::{Graph, NodeId};
 use selfstab_runtime::protocol::Protocol;
 use selfstab_runtime::stats::RunStats;
-use serde::{Deserialize, Serialize};
 
 /// The complexity figures of one protocol on one graph, measured on one
 /// execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComplexityReport {
     /// Protocol name.
     pub protocol: &'static str,
@@ -121,7 +120,7 @@ pub fn complexity_report<P: Protocol>(
 /// spanning subsystem's leader election) shows `suffix_efficiency = 1` and
 /// roughly one read per selection, while a Δ-efficient structure (like the
 /// classical BFS spanning tree) keeps reading whole neighborhoods forever.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuffixCommReport {
     /// Protocol name.
     pub protocol: &'static str,
@@ -196,7 +195,7 @@ pub fn suffix_comm_report<P: Protocol>(
 /// while it ran (availability = fraction of post-fault rounds whose
 /// configuration was legitimate), and how hard the read rate spiked over
 /// the pre-fault steady state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// Number of injections the plan fired.
     pub injections: usize,
@@ -270,7 +269,7 @@ pub fn recovery_report(
 /// processes read at most `k` distinct neighbors since the suffix marker was
 /// placed (Definition 9), together with the theoretical lower bound the
 /// caller wants to compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StabilityMeasurement {
     /// The `k` of ♦-(x, k)-stability.
     pub k: usize,

@@ -31,10 +31,9 @@ use selfstab_graph::coloring::LocalColoring;
 use selfstab_graph::{longest_path, verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 /// The membership communication variable `S.p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Membership {
     /// The process believes it belongs to the independent set.
     Dominator,
@@ -43,7 +42,7 @@ pub enum Membership {
 }
 
 /// Full state of a process running [`Mis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MisState {
     /// Communication variable `S.p`.
     pub status: Membership,
@@ -54,7 +53,7 @@ pub struct MisState {
 /// Communication state of a process running [`Mis`]: the membership variable
 /// plus the color constant (both are read together when a neighbor checks
 /// this process).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MisComm {
     /// `S.p`.
     pub status: Membership,
@@ -63,7 +62,7 @@ pub struct MisComm {
 }
 
 /// The `MIS` protocol of Figure 8.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mis {
     coloring: LocalColoring,
 }

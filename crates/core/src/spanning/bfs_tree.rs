@@ -34,10 +34,9 @@ use rand::RngCore;
 use selfstab_graph::{Graph, NodeId, Port, RootedGraph};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`BfsTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfsState {
     /// Communication variable `dist.p`: claimed distance to the root.
     pub dist: usize,
@@ -47,7 +46,7 @@ pub struct BfsState {
 }
 
 /// The silent BFS spanning-tree protocol for rooted networks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BfsTree {
     root: NodeId,
     /// Distance domain bound: `dist ∈ {0..cap}`, with `cap = n`.

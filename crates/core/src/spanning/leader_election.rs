@@ -50,10 +50,9 @@ use rand::RngCore;
 use selfstab_graph::{Graph, Identifiers, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 
 /// Full state of a process running [`LeaderElection`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaderElectionState {
     /// Communication variable `leader.p`: the smallest identifier known.
     pub leader: u64,
@@ -69,7 +68,7 @@ pub struct LeaderElectionState {
 
 /// Communication state readable by neighbors: the constant identifier plus
 /// the current claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaderComm {
     /// The process's constant unique identifier.
     pub id: u64,
@@ -81,7 +80,7 @@ pub struct LeaderComm {
 
 /// The communication-efficient leader-election protocol for identified
 /// networks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaderElection {
     ids: Identifiers,
     /// Distance domain bound: `dist ∈ {0..cap}`, with `cap = n`.

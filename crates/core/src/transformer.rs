@@ -25,7 +25,6 @@ use rand::RngCore;
 use selfstab_graph::{Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An edge-checkable specification: a pairwise predicate over neighboring
@@ -62,7 +61,7 @@ pub trait EdgeCheckable {
 }
 
 /// State of a process running a [`RoundRobinChecker`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckerState<O> {
     /// The output communication variable.
     pub output: O,
@@ -71,7 +70,7 @@ pub struct CheckerState<O> {
 }
 
 /// The 1-efficient transformed protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinChecker<E> {
     spec: E,
 }
@@ -179,7 +178,7 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
 /// `RoundRobinChecker<ColoringSpec>` behaves exactly like
 /// [`crate::coloring::Coloring`]; the equivalence is checked in the tests
 /// and in the `transformer` benchmark (experiment E10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColoringSpec {
     /// Number of colors available.
     pub palette: usize,
@@ -231,7 +230,7 @@ impl EdgeCheckable for ColoringSpec {
 /// neighboring processes must hold values that differ by at least `gap`
 /// modulo `modulus` (a toy frequency-assignment constraint). Corrections
 /// redraw uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeparationSpec {
     /// Size of the value domain.
     pub modulus: usize,

@@ -1,12 +1,15 @@
-//! Differential test of the executor's modes on the real protocols.
+//! Differential test of the executor on the real protocols.
 //!
 //! For each protocol of this crate, a sequential executor with the default
-//! options is the baseline. Two lanes run the same execution beside it: the
-//! 4-worker sharded executor (threaded dispatch forced on these small
-//! graphs) and the full-recompute reference executor. Both must be
-//! **byte-identical** to the baseline at every observation point: step
-//! outcomes, executed lists, configurations, maintained enabled sets,
-//! silence/legitimacy verdicts, statistics and final reports.
+//! options is the baseline. Its maintained enabled set must equal the
+//! from-scratch reference (`Simulation::recompute_enabled_into`) after
+//! every injection and every step, which makes its run the one a
+//! full-recompute executor would produce. A second lane runs the same
+//! execution beside it on the 4-worker sharded executor (threaded dispatch
+//! forced on these small graphs) and must be **byte-identical** to the
+//! baseline at every observation point: step outcomes, executed lists,
+//! configurations, maintained enabled sets, silence/legitimacy verdicts,
+//! statistics and final reports.
 //!
 //! The drive alternates structured fault injections with short step bursts,
 //! so the comparison covers corrupted configurations, repair waves and the
@@ -32,7 +35,6 @@ use selfstab_runtime::{FileSink, Protocol, RunStats, SimOptions, Simulation};
 /// One executor lane: a simulation in some executor configuration plus its
 /// own (identically seeded) fault stream.
 struct Lane<'g, P: Protocol> {
-    label: &'static str,
     sim: Simulation<'g, P, DistributedRandom>,
     injector: FaultInjector,
     fault_rng: StdRng,
@@ -56,29 +58,40 @@ fn sharded_options() -> SimOptions {
         .with_parallel_work_threshold(0)
 }
 
-/// Runs the sequential baseline against the sharded and full-recompute
-/// lanes in lockstep through fault/repair cycles and asserts that no
-/// observable ever diverges.
+/// Asserts that `sim`'s maintained enabled set equals the from-scratch
+/// reference (`at` says where in the drive the check ran).
+fn assert_matches_reference<P: Protocol>(
+    sim: &mut Simulation<'_, P, DistributedRandom>,
+    reference: &mut Vec<bool>,
+    name: &str,
+    at: std::fmt::Arguments<'_>,
+) {
+    sim.recompute_enabled_into(reference);
+    assert_eq!(
+        sim.enabled_set().as_flags(),
+        &reference[..],
+        "{name}: maintained enabled set diverged from the reference {at}"
+    );
+}
+
+/// Runs the sequential baseline against the sharded lane in lockstep
+/// through fault/repair cycles, checks the baseline against the reference
+/// after every injection and step, and asserts that no observable ever
+/// diverges between the two lanes.
 fn assert_mode_equivalence<P: Protocol>(
     graph: &Graph,
     make: impl Fn() -> P,
     seed: u64,
     name: &str,
 ) {
-    let lane = |label: &'static str, options: SimOptions| Lane {
-        label,
+    let lane = |options: SimOptions| Lane {
         sim: Simulation::new(graph, make(), DistributedRandom::new(0.5), seed, options),
         injector: FaultInjector::new(graph),
         fault_rng: StdRng::seed_from_u64(seed ^ 0xFA17),
     };
-    let mut baseline = lane("sequential", SimOptions::default());
-    let mut lanes = [
-        lane("workers-4", sharded_options()),
-        lane(
-            "full-recompute",
-            SimOptions::default().with_full_recompute(),
-        ),
-    ];
+    let mut baseline = lane(SimOptions::default());
+    let mut sharded = lane(sharded_options());
+    let mut reference = Vec::new();
 
     let models = models();
     for cycle in 0..8 {
@@ -87,60 +100,58 @@ fn assert_mode_equivalence<P: Protocol>(
             .injector
             .inject(&mut baseline.sim, model, &mut baseline.fault_rng)
             .to_vec();
-        for lane in &mut lanes {
-            let victims = lane
-                .injector
-                .inject(&mut lane.sim, model, &mut lane.fault_rng)
-                .to_vec();
-            assert_eq!(
-                victims, expected_victims,
-                "{name}/{}: victims diverged at cycle {cycle}",
-                lane.label
-            );
-        }
+        assert_matches_reference(
+            &mut baseline.sim,
+            &mut reference,
+            name,
+            format_args!("after the injection of cycle {cycle}"),
+        );
+        let victims = sharded
+            .injector
+            .inject(&mut sharded.sim, model, &mut sharded.fault_rng);
+        assert_eq!(
+            victims,
+            &expected_victims[..],
+            "{name}/workers-4: victims diverged at cycle {cycle}"
+        );
         for step in 0..9 {
             let expected_outcome = baseline.sim.step();
-            let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
-            let expected_silent = baseline.sim.is_silent();
-            let expected_legit = baseline.sim.is_legitimate();
-            for lane in &mut lanes {
-                let outcome = lane.sim.step();
-                assert_eq!(
-                    outcome, expected_outcome,
-                    "{name}/{}: step outcome diverged at cycle {cycle} step {step}",
-                    lane.label
-                );
-                assert_eq!(
-                    lane.sim.last_executed(),
-                    baseline.sim.last_executed(),
-                    "{name}/{}: executed list diverged at cycle {cycle} step {step}",
-                    lane.label
-                );
-                assert_eq!(
-                    lane.sim.config(),
-                    baseline.sim.config(),
-                    "{name}/{}: configuration diverged at cycle {cycle} step {step}",
-                    lane.label
-                );
-                assert_eq!(
-                    lane.sim.enabled_set().as_flags(),
-                    &expected_flags[..],
-                    "{name}/{}: enabled flags diverged at cycle {cycle} step {step}",
-                    lane.label
-                );
-                assert_eq!(
-                    lane.sim.is_silent(),
-                    expected_silent,
-                    "{name}/{}: silence verdict diverged at cycle {cycle} step {step}",
-                    lane.label
-                );
-                assert_eq!(
-                    lane.sim.is_legitimate(),
-                    expected_legit,
-                    "{name}/{}: legitimacy verdict diverged at cycle {cycle} step {step}",
-                    lane.label
-                );
-            }
+            assert_matches_reference(
+                &mut baseline.sim,
+                &mut reference,
+                name,
+                format_args!("at cycle {cycle} step {step}"),
+            );
+            let outcome = sharded.sim.step();
+            assert_eq!(
+                outcome, expected_outcome,
+                "{name}/workers-4: step outcome diverged at cycle {cycle} step {step}"
+            );
+            assert_eq!(
+                sharded.sim.last_executed(),
+                baseline.sim.last_executed(),
+                "{name}/workers-4: executed list diverged at cycle {cycle} step {step}"
+            );
+            assert_eq!(
+                sharded.sim.config(),
+                baseline.sim.config(),
+                "{name}/workers-4: configuration diverged at cycle {cycle} step {step}"
+            );
+            assert_eq!(
+                sharded.sim.enabled_set().as_flags(),
+                baseline.sim.enabled_set().as_flags(),
+                "{name}/workers-4: enabled flags diverged at cycle {cycle} step {step}"
+            );
+            assert_eq!(
+                sharded.sim.is_silent(),
+                baseline.sim.is_silent(),
+                "{name}/workers-4: silence verdict diverged at cycle {cycle} step {step}"
+            );
+            assert_eq!(
+                sharded.sim.is_legitimate(),
+                baseline.sim.is_legitimate(),
+                "{name}/workers-4: legitimacy verdict diverged at cycle {cycle} step {step}"
+            );
         }
     }
 
@@ -148,31 +159,25 @@ fn assert_mode_equivalence<P: Protocol>(
     let expected_report = baseline.sim.run_until_silent(1_000_000);
     assert!(expected_report.silent, "{name}: baseline must settle");
     assert!(baseline.sim.is_legitimate());
-    for lane in &mut lanes {
-        let report = lane.sim.run_until_silent(1_000_000);
-        assert_eq!(
-            report, expected_report,
-            "{name}/{}: final reports diverged",
-            lane.label
-        );
-        assert!(
-            lane.sim.is_legitimate(),
-            "{name}/{}: silent but not legitimate",
-            lane.label
-        );
-        assert_eq!(
-            lane.sim.config(),
-            baseline.sim.config(),
-            "{name}/{}: final configurations diverged",
-            lane.label
-        );
-        assert_eq!(
-            lane.sim.stats(),
-            baseline.sim.stats(),
-            "{name}/{}: stats diverged",
-            lane.label
-        );
-    }
+    let report = sharded.sim.run_until_silent(1_000_000);
+    assert_eq!(
+        report, expected_report,
+        "{name}/workers-4: final reports diverged"
+    );
+    assert!(
+        sharded.sim.is_legitimate(),
+        "{name}/workers-4: silent but not legitimate"
+    );
+    assert_eq!(
+        sharded.sim.config(),
+        baseline.sim.config(),
+        "{name}/workers-4: final configurations diverged"
+    );
+    assert_eq!(
+        sharded.sim.stats(),
+        baseline.sim.stats(),
+        "{name}/workers-4: stats diverged"
+    );
 }
 
 #[test]

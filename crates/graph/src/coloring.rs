@@ -7,8 +7,6 @@
 //! container type ([`LocalColoring`]), and helpers for the `#C` and `R(c)`
 //! quantities appearing in the MIS convergence bound (Lemma 4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::NodeId;
@@ -30,7 +28,7 @@ pub type Color = usize;
 /// assert!(c.is_proper(&g));
 /// assert!(c.color_count() <= g.max_degree() + 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalColoring {
     colors: Vec<Color>,
     /// The distinct colors in use, sorted: `#C` is its length and `R(c)` a

@@ -10,8 +10,6 @@
 //!   ♦-(2⌈m/(2∆−1)⌉, 1) stability bound of the MATCHING protocol
 //!   (Figure 11).
 
-use serde::{Deserialize, Serialize};
-
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -66,7 +64,7 @@ pub fn theorem1_general(delta: usize) -> Result<Graph, GraphError> {
 
 /// A rooted, dag-oriented network: the underlying undirected graph plus the
 /// root process and the orientation (directed edges) the proof fixes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootedDagNetwork {
     /// The underlying undirected communication graph.
     pub graph: Graph,

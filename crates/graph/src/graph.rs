@@ -5,7 +5,6 @@ use std::fmt;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
@@ -57,7 +56,7 @@ use crate::node::{NodeId, Port};
 /// let q = g.neighbor(p1, Port::new(0));
 /// assert_eq!(g.port_to(p1, q), Some(Port::new(0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// Flat CSR neighbor array: the neighbor behind port `i` of process `p`
     /// is `neighbors[offsets[p] as usize + i]`.

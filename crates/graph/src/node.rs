@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a process (vertex) in a [`Graph`](crate::Graph).
 ///
 /// Process indices are dense: a graph with `n` processes uses the identifiers
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(format!("{p}"), "p3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -95,7 +93,7 @@ impl From<NodeId> for usize {
 /// assert_eq!(port.next_round_robin(3).index(), 1);
 /// assert_eq!(Port::new(2).next_round_robin(3).index(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(u32);
 
 impl Port {

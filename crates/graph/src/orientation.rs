@@ -8,8 +8,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coloring::LocalColoring;
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -22,7 +20,7 @@ use crate::node::NodeId;
 /// directions, so [`DagOrientation::successors`] *and*
 /// [`DagOrientation::predecessors`] are `O(1)` contiguous-slice lookups
 /// (the row-of-`Vec`s predecessor scan of the seed was `O(n·Δ)` per call).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagOrientation {
     /// Flat CSR successor array: the heads of the edges oriented away from
     /// `p` are `succ[succ_offsets[p] .. succ_offsets[p + 1]]`.

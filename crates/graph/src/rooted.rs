@@ -20,7 +20,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -45,7 +44,7 @@ use crate::properties;
 /// assert_eq!(net.bfs_layers()[2], Some(0));
 /// assert_eq!(net.height(), Some(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootedGraph {
     graph: Graph,
     root: NodeId,
@@ -114,7 +113,7 @@ impl RootedGraph {
 /// assert_eq!(ids.id(selfstab_graph::NodeId::new(3)), 3);
 /// assert_eq!(ids.min_id_node(), Some(selfstab_graph::NodeId::new(0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Identifiers {
     ids: Vec<u64>,
 }

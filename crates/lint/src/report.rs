@@ -1,9 +1,10 @@
 //! Rendering: findings and the atomic inventory as aligned text tables
 //! or JSON.
 //!
-//! JSON is hand-rolled (the vendored `serde` is a stub, and the linter
-//! is deliberately dependency-free); the escaping follows the same
-//! minimal-but-correct approach as `selfstab_analysis::table`.
+//! JSON is hand-rolled (the workspace has no serialization dependency,
+//! and the linter is deliberately dependency-free); the escaping follows
+//! the same minimal-but-correct approach as
+//! `selfstab_analysis::table::json_string`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

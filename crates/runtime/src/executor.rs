@@ -20,12 +20,13 @@
 //!
 //! Fault injection ([`Simulation::set_state`]) refreshes the caches the
 //! same way, marking the victim and its whole neighborhood dirty. The
-//! invariant — the maintained set equals a from-scratch recomputation — is
-//! checked by sampled `debug_assert`s, and
-//! [`SimOptions::with_full_recompute`] forces the executor to dirty every
-//! process on every step, which restores the historical full-recompute
-//! behavior bit for bit (used by the equivalence property tests and as the
-//! benchmark baseline).
+//! invariant — the maintained set equals a from-scratch recomputation — has
+//! one reference, [`Simulation::recompute_enabled_into`], which re-evaluates
+//! every guard against the current configuration. Sampled `debug_assert`s
+//! call it, and so does every differential test. Checking it after every
+//! step and injection is enough: selection reads only the enabled set and
+//! the daemon RNG, so a run whose maintained set matches the reference
+//! throughout *is* the run that re-evaluates every guard on every step.
 //!
 //! # Zero-allocation steady state
 //!
@@ -43,11 +44,9 @@
 //!   of scanning an `O(n)` flag vector every step,
 //! * [`Simulation::comm_config`] returns the maintained cache by reference.
 //!
-//! The two deliberate exceptions, both off by default: recording a
-//! [`Trace`] allocates one `ActivationRecord` (plus its read list) per
-//! activation because the trace retains them forever, and a
-//! [`SimOptions::with_read_restriction`] view allocates its restriction
-//! mask (cold impossibility-experiment path).
+//! The one deliberate exception, off by default: recording a [`Trace`]
+//! allocates one `ActivationRecord` (plus its read list) per activation
+//! because the trace retains them forever.
 //!
 //! # Intra-step parallelism
 //!
@@ -70,7 +69,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_graph::{Graph, NodeId, NodePartition, Port};
-use serde::{Deserialize, Serialize};
 
 use crate::enabled::EnabledSet;
 use crate::protocol::Protocol;
@@ -82,7 +80,7 @@ use crate::trace::{ActivationRecord, StepRecord, Trace};
 use crate::view::NeighborView;
 
 /// Options controlling a [`Simulation`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOptions {
     /// Record a full [`Trace`] (per-step records). Costs memory linear in
     /// the number of steps; the aggregated [`RunStats`] are always kept.
@@ -90,15 +88,6 @@ pub struct SimOptions {
     /// How many steps apart the silence/legitimacy predicates are evaluated
     /// while running to completion (1 = every step).
     pub check_interval: u64,
-    /// Optional per-process read restriction: process `p` may only read the
-    /// listed ports. Used by the impossibility experiments to model
-    /// protocols that have committed to never read some neighbors again.
-    pub read_restriction: Option<Vec<Vec<Port>>>,
-    /// Disable the incremental enabled-set cache: re-evaluate every guard
-    /// on every step. The observable execution (selections, activations,
-    /// stats, trace, RNG stream) is identical either way; this exists as
-    /// the reference behavior for equivalence tests and benchmarks.
-    pub full_recompute: bool,
     /// Number of worker threads for the intra-step parallel phases (guard
     /// refresh and activation staging). `1` (the default) keeps every
     /// phase on the calling thread; any value is clamped to at least 1 and
@@ -121,8 +110,6 @@ impl Default for SimOptions {
         SimOptions {
             record_trace: false,
             check_interval: 1,
-            read_restriction: None,
-            full_recompute: false,
             step_workers: 1,
             parallel_work_threshold: 256,
         }
@@ -144,21 +131,6 @@ impl SimOptions {
         self
     }
 
-    /// Restricts the ports each process may read (indexed by process).
-    #[must_use]
-    pub fn with_read_restriction(mut self, restriction: Vec<Vec<Port>>) -> Self {
-        self.read_restriction = Some(restriction);
-        self
-    }
-
-    /// Forces a full guard recomputation on every step (the reference
-    /// executor used by equivalence tests and benchmark baselines).
-    #[must_use]
-    pub fn with_full_recompute(mut self) -> Self {
-        self.full_recompute = true;
-        self
-    }
-
     /// Sets the number of intra-step worker threads (clamped to at least 1).
     #[must_use]
     pub fn with_step_workers(mut self, workers: usize) -> Self {
@@ -176,7 +148,7 @@ impl SimOptions {
 }
 
 /// Summary of a [`Simulation::run_until_silent`] call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// Whether the run reached a silent configuration before the step limit.
     pub silent: bool,
@@ -488,11 +460,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
 
     /// Total number of `is_enabled` evaluations performed so far.
     ///
-    /// With the incremental executor this grows with the amount of actual
-    /// change per step (`O(Δ)` per activation) rather than with `n` per
-    /// step; under [`SimOptions::with_full_recompute`] it grows by `n`
-    /// every step. Deliberately kept out of [`RunStats`] so that the two
-    /// modes produce identical stats.
+    /// This grows with the amount of actual change per step (`O(Δ)` per
+    /// activation) rather than with `n` per step, and it stays flat while
+    /// the system is silent. Calls to
+    /// [`Simulation::recompute_enabled_into`] are not counted. Kept out of
+    /// [`RunStats`], which describes the execution, not the executor's
+    /// work.
     pub fn guard_evaluations(&self) -> u64 {
         self.guard_evaluations
     }
@@ -601,16 +574,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// across shards is unobservable — the resulting enabled *set* and the
     /// evaluation *count* are identical at every worker count.
     fn refresh_enabled(&mut self) {
-        if self.options.full_recompute {
-            for (s, scratch) in self.shards.iter_mut().enumerate() {
-                for i in self.partition.range(s) {
-                    if !self.dirty[i] {
-                        self.dirty[i] = true;
-                        scratch.dirty_queue.push(NodeId::new(i));
-                    }
-                }
-            }
-        }
         let total_dirty: usize = self.shards.iter().map(|s| s.dirty_queue.len()).sum();
         if total_dirty == 0 {
             return;
@@ -626,55 +589,45 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             protocol: &self.protocol,
             config: &self.config,
             comm_cache: &self.comm_cache,
-            read_restriction: self.options.read_restriction.as_deref(),
             step: self.step,
             salt: self.activation_salt,
             tracing: false,
         };
+        // Inline dispatch runs each shard's task as it is carved out;
+        // only threaded dispatch collects them (the sequential path builds
+        // no task list at all).
+        let threaded = self.step_workers > 1 && total_dirty >= self.options.parallel_work_threshold;
+        let mut tasks = Vec::with_capacity(if threaded { self.shards.len() } else { 0 });
         let mut evaluations = 0u64;
         let mut delta = 0isize;
-        if self.shards.len() == 1 {
-            // Sequential fast path: one stack-allocated task over the full
-            // arrays, no task list to build.
+        let mut dirty_rest: &mut [bool] = &mut self.dirty;
+        let mut enabled_rest: &mut [bool] = self.enabled.flags_mut();
+        for (s, scratch) in self.shards.iter_mut().enumerate() {
+            let range = self.partition.range(s);
+            let (dirty, rest) = dirty_rest.split_at_mut(range.len());
+            dirty_rest = rest;
+            let (enabled, rest) = enabled_rest.split_at_mut(range.len());
+            enabled_rest = rest;
             let mut task = GuardTask {
-                node_base: 0,
-                queue: &mut self.shards[0].dirty_queue,
-                dirty: &mut self.dirty,
-                enabled: self.enabled.flags_mut(),
+                node_base: range.start,
+                queue: &mut scratch.dirty_queue,
+                dirty,
+                enabled,
                 guard_evaluations: 0,
                 enabled_delta: 0,
             };
-            run_guard_task(&mut task, &ctx);
-            evaluations = task.guard_evaluations;
-            delta = task.enabled_delta;
-        } else {
-            let mut tasks = Vec::with_capacity(self.shards.len());
-            let mut dirty_rest: &mut [bool] = &mut self.dirty;
-            let mut enabled_rest: &mut [bool] = self.enabled.flags_mut();
-            for (s, scratch) in self.shards.iter_mut().enumerate() {
-                let range = self.partition.range(s);
-                let (dirty, rest) = dirty_rest.split_at_mut(range.len());
-                dirty_rest = rest;
-                let (enabled, rest) = enabled_rest.split_at_mut(range.len());
-                enabled_rest = rest;
-                tasks.push(GuardTask {
-                    node_base: range.start,
-                    queue: &mut scratch.dirty_queue,
-                    dirty,
-                    enabled,
-                    guard_evaluations: 0,
-                    enabled_delta: 0,
-                });
-            }
-            if self.step_workers > 1 && total_dirty >= self.options.parallel_work_threshold {
-                run_shard_tasks(self.step_workers, &mut tasks, |task| {
-                    run_guard_task(task, &ctx);
-                });
+            if threaded {
+                tasks.push(task);
             } else {
-                for task in &mut tasks {
-                    run_guard_task(task, &ctx);
-                }
+                run_guard_task(&mut task, &ctx);
+                evaluations += task.guard_evaluations;
+                delta += task.enabled_delta;
             }
+        }
+        if threaded {
+            run_shard_tasks(self.step_workers, &mut tasks, |task| {
+                run_guard_task(task, &ctx);
+            });
             for task in &tasks {
                 evaluations += task.guard_evaluations;
                 delta += task.enabled_delta;
@@ -688,20 +641,26 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         }
     }
 
-    /// Recomputes the enabled flags of every process from scratch
-    /// (the reference the incremental maintenance must agree with). The
-    /// sampled debug-assert recomputes into its own scratch buffer; this
-    /// allocating form is kept for tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn recompute_enabled_reference(&self) -> Vec<bool> {
-        self.graph
-            .nodes()
-            .map(|p| {
-                let view = self.untracked_view(p);
+    /// Writes the enabled flag of every process, re-evaluated from scratch
+    /// against the current configuration, into `out` (cleared first;
+    /// allocation-free once `out` has capacity `n`).
+    ///
+    /// This is the reference the incremental maintenance must agree with:
+    /// after any step or fault injection, `out` equals
+    /// [`Simulation::enabled_set`]'s flags. The sampled debug invariant
+    /// and the differential tests call it. It reads the communication
+    /// cache, which [`Simulation::step`] and [`Simulation::set_state`]
+    /// keep current, and it does not count towards
+    /// [`Simulation::guard_evaluations`].
+    pub fn recompute_enabled_into(&self, out: &mut Vec<bool>) {
+        out.clear();
+        for p in self.graph.nodes() {
+            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache, false);
+            out.push(
                 self.protocol
-                    .is_enabled(self.graph, p, &self.config[p.index()], &view)
-            })
-            .collect() // lint: allow(hot-alloc) — reference/debug path, not the incremental loop
+                    .is_enabled(self.graph, p, &self.config[p.index()], &view),
+            );
+        }
     }
 
     #[cfg(debug_assertions)]
@@ -713,16 +672,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // Recompute into a persistent scratch: even the debug invariant
             // machinery must not allocate in steady state.
             let mut reference = std::mem::take(&mut self.debug_enabled_scratch);
-            reference.clear();
-            for p in self.graph.nodes() {
-                let view = self.untracked_view(p);
-                reference.push(self.protocol.is_enabled(
-                    self.graph,
-                    p,
-                    &self.config[p.index()],
-                    &view,
-                ));
-            }
+            self.recompute_enabled_into(&mut reference);
             debug_assert_eq!(
                 self.enabled.as_flags(),
                 &reference[..],
@@ -795,64 +745,51 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             protocol: &self.protocol,
             config: &self.config,
             comm_cache: &self.comm_cache,
-            read_restriction: self.options.read_restriction.as_deref(),
             step,
             salt: self.activation_salt,
             tracing,
         };
+        // As in the guard phase: inline tasks run as they are carved out,
+        // threaded ones are collected first.
+        let threaded = self.step_workers > 1
+            && self.selected_scratch.len() >= self.options.parallel_work_threshold;
+        let mut tasks = Vec::with_capacity(if threaded { self.shards.len() } else { 0 });
         let mut newly_selected = 0usize;
         let mut deltas = StepDeltas::default();
-        if self.shards.len() == 1 {
-            // Sequential fast path: one stack-allocated task over the full
-            // arrays and the whole selection.
-            let mut splitter = self.stats.sharded();
+        let mut splitter = self.stats.sharded();
+        let mut round_rest: &mut [bool] = &mut self.selected_this_round;
+        let selected: &[NodeId] = &self.selected_scratch;
+        let mut selected_cursor = 0usize;
+        for (s, scratch) in self.shards.iter_mut().enumerate() {
+            let range = self.partition.range(s);
+            let (round_flags, rest) = round_rest.split_at_mut(range.len());
+            round_rest = rest;
+            // The selection is sorted, so each shard's share is the
+            // contiguous run of ids below its range end.
+            let selected_end = selected_cursor
+                + selected[selected_cursor..].partition_point(|p| p.index() < range.end);
+            let shard_selected = &selected[selected_cursor..selected_end];
+            selected_cursor = selected_end;
             let mut task = ActivationTask {
-                node_base: 0,
-                selected: &self.selected_scratch,
-                selected_this_round: &mut self.selected_this_round,
-                scratch: &mut self.shards[0],
-                stats: splitter.take(0..self.config.len()),
+                node_base: range.start,
+                selected: shard_selected,
+                selected_this_round: round_flags,
+                scratch,
+                stats: splitter.take(range),
                 newly_selected: 0,
             };
-            run_activation_task(&mut task, &ctx);
-            newly_selected = task.newly_selected;
-            deltas = task.stats.deltas;
-        } else {
-            let mut tasks = Vec::with_capacity(self.shards.len());
-            let mut splitter = self.stats.sharded();
-            let mut round_rest: &mut [bool] = &mut self.selected_this_round;
-            let selected: &[NodeId] = &self.selected_scratch;
-            let mut selected_cursor = 0usize;
-            for (s, scratch) in self.shards.iter_mut().enumerate() {
-                let range = self.partition.range(s);
-                let (round_flags, rest) = round_rest.split_at_mut(range.len());
-                round_rest = rest;
-                // The selection is sorted, so each shard's share is the
-                // contiguous run of ids below its range end.
-                let selected_end = selected_cursor
-                    + selected[selected_cursor..].partition_point(|p| p.index() < range.end);
-                let shard_selected = &selected[selected_cursor..selected_end];
-                selected_cursor = selected_end;
-                tasks.push(ActivationTask {
-                    node_base: range.start,
-                    selected: shard_selected,
-                    selected_this_round: round_flags,
-                    scratch,
-                    stats: splitter.take(range),
-                    newly_selected: 0,
-                });
-            }
-            if self.step_workers > 1
-                && self.selected_scratch.len() >= self.options.parallel_work_threshold
-            {
-                run_shard_tasks(self.step_workers, &mut tasks, |task| {
-                    run_activation_task(task, &ctx);
-                });
+            if threaded {
+                tasks.push(task);
             } else {
-                for task in &mut tasks {
-                    run_activation_task(task, &ctx);
-                }
+                run_activation_task(&mut task, &ctx);
+                newly_selected += task.newly_selected;
+                deltas += task.stats.deltas;
             }
+        }
+        if threaded {
+            run_shard_tasks(self.step_workers, &mut tasks, |task| {
+                run_activation_task(task, &ctx);
+            });
             for task in &tasks {
                 newly_selected += task.newly_selected;
                 deltas += task.stats.deltas;
@@ -1045,21 +982,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         }
     }
 
-    fn allowed_ports(&self, p: NodeId) -> Option<&[Port]> {
-        self.options
-            .read_restriction
-            .as_ref()
-            .map(|restriction| restriction[p.index()].as_slice())
-    }
-
-    fn untracked_view(&self, p: NodeId) -> NeighborView<'_, P::Comm> {
-        let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache, false);
-        match self.allowed_ports(p) {
-            Some(allowed) => view.restricted_to(allowed),
-            None => view,
-        }
-    }
-
     /// Consumes the simulation and returns its final configuration, stats
     /// and optional trace.
     pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Trace>) {
@@ -1100,28 +1022,9 @@ struct StepContext<'a, P: Protocol> {
     protocol: &'a P,
     config: &'a [P::State],
     comm_cache: &'a [P::Comm],
-    read_restriction: Option<&'a [Vec<Port>]>,
     step: u64,
     salt: u64,
     tracing: bool,
-}
-
-impl<'a, P: Protocol> StepContext<'a, P> {
-    fn allowed_ports(&self, p: NodeId) -> Option<&'a [Port]> {
-        self.read_restriction
-            .map(|restriction| restriction[p.index()].as_slice())
-    }
-
-    fn restrict<'v>(
-        &self,
-        p: NodeId,
-        view: NeighborView<'v, P::Comm>,
-    ) -> NeighborView<'v, P::Comm> {
-        match self.allowed_ports(p) {
-            Some(allowed) => view.restricted_to(allowed),
-            None => view,
-        }
-    }
 }
 
 /// One shard's guard-refresh work item: drain the shard's dirty queue
@@ -1140,10 +1043,7 @@ fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_>, ctx: &StepContext<'_, P
         let p = task.queue[i];
         let local = p.index() - task.node_base;
         task.dirty[local] = false;
-        let view = ctx.restrict(
-            p,
-            NeighborView::from_snapshot(ctx.graph, p, ctx.comm_cache, false),
-        );
+        let view = NeighborView::from_snapshot(ctx.graph, p, ctx.comm_cache, false);
         let now_enabled = ctx
             .protocol
             .is_enabled(ctx.graph, p, &ctx.config[p.index()], &view);
@@ -1183,10 +1083,7 @@ fn run_activation_task<P: Protocol>(task: &mut ActivationTask<'_, P>, ctx: &Step
             task.newly_selected += 1;
         }
         let log_buffer = std::mem::take(&mut task.scratch.read_log);
-        let view = ctx.restrict(
-            p,
-            NeighborView::with_log_buffer(ctx.graph, p, ctx.comm_cache, true, log_buffer),
-        );
+        let view = NeighborView::with_log_buffer(ctx.graph, p, ctx.comm_cache, true, log_buffer);
         // A private, deterministically derived RNG per activation: the
         // stream depends only on (seed, step, process), never on which
         // worker runs the activation or in what order.
@@ -1647,96 +1544,6 @@ mod tests {
     }
 
     #[test]
-    fn read_restriction_is_honored() {
-        let graph = generators::path(3);
-        // The middle process may only read its port 0; ends read nothing.
-        let restriction = vec![vec![], vec![Port::new(0)], vec![]];
-        let config = vec![5, 9, 1];
-        let mut sim = Simulation::with_config(
-            &graph,
-            RestrictedMin,
-            Synchronous,
-            config,
-            7,
-            SimOptions::default().with_read_restriction(restriction),
-        );
-        sim.run_steps(10);
-        // The middle process can only see process 0 (value 5): it converges
-        // to 5, never to 1.
-        assert_eq!(sim.config()[1], 5);
-        assert_eq!(
-            sim.stats().process(NodeId::new(1)).max_reads_per_activation,
-            1
-        );
-        assert_eq!(
-            sim.stats().process(NodeId::new(0)).max_reads_per_activation,
-            0
-        );
-    }
-
-    /// Variant of [`MinValue`] that tolerates read restrictions by using
-    /// `try_read`.
-    struct RestrictedMin;
-
-    impl Protocol for RestrictedMin {
-        type State = u32;
-        type Comm = u32;
-
-        fn name(&self) -> &'static str {
-            "restricted-min"
-        }
-
-        fn arbitrary_state(&self, _graph: &Graph, p: NodeId, _rng: &mut dyn RngCore) -> u32 {
-            p.index() as u32
-        }
-
-        fn comm(&self, _p: NodeId, state: &u32) -> u32 {
-            *state
-        }
-
-        fn is_enabled(
-            &self,
-            graph: &Graph,
-            p: NodeId,
-            state: &u32,
-            view: &NeighborView<'_, u32>,
-        ) -> bool {
-            (0..graph.degree(p))
-                .filter_map(|i| view.try_read(Port::new(i)))
-                .any(|v| v < state)
-        }
-
-        fn activate(
-            &self,
-            graph: &Graph,
-            p: NodeId,
-            state: &u32,
-            view: &NeighborView<'_, u32>,
-            _rng: &mut dyn RngCore,
-        ) -> Option<u32> {
-            let min = (0..graph.degree(p))
-                .filter_map(|i| view.try_read(Port::new(i)))
-                .min()
-                .copied()
-                .unwrap_or(*state);
-            (min < *state).then_some(min)
-        }
-
-        fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
-            32
-        }
-
-        fn state_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
-            32
-        }
-
-        fn is_legitimate(&self, _graph: &Graph, config: &[u32]) -> bool {
-            let min = config.iter().min().copied().unwrap_or(0);
-            config.iter().all(|&v| v == min)
-        }
-    }
-
-    #[test]
     fn suffix_marker_supports_stability_measurement() {
         let graph = generators::ring(5);
         let mut sim = Simulation::new(&graph, MinValue, Synchronous, 11, SimOptions::default());
@@ -1775,45 +1582,15 @@ mod tests {
             19,
             SimOptions::default(),
         );
+        let mut reference = Vec::new();
         for _ in 0..200 {
-            let reference = sim.recompute_enabled_reference();
+            sim.recompute_enabled_into(&mut reference);
             assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
             sim.step();
         }
         // Once silent, nothing is enabled and nothing is dirty.
         sim.run_until_silent(10_000);
         assert_eq!(sim.enabled_set().count(), 0);
-    }
-
-    #[test]
-    fn incremental_and_full_recompute_produce_identical_runs() {
-        let graph = generators::gnp_connected(24, 0.2, &mut StdRng::seed_from_u64(77))
-            .expect("valid parameters");
-        for seed in 0..5u64 {
-            let mut fast = Simulation::new(
-                &graph,
-                MinValue,
-                DistributedRandom::new(0.4),
-                seed,
-                SimOptions::default().with_trace(),
-            );
-            let mut reference = Simulation::new(
-                &graph,
-                MinValue,
-                DistributedRandom::new(0.4),
-                seed,
-                SimOptions::default().with_trace().with_full_recompute(),
-            );
-            let fast_report = fast.run_until_silent(50_000);
-            let reference_report = reference.run_until_silent(50_000);
-            assert_eq!(fast_report, reference_report);
-            assert_eq!(fast.config(), reference.config());
-            assert_eq!(fast.stats(), reference.stats());
-            assert_eq!(fast.trace(), reference.trace());
-            // The whole point: the incremental executor evaluates far fewer
-            // guards (the run must be long enough for the saving to show).
-            assert!(fast.guard_evaluations() <= reference.guard_evaluations());
-        }
     }
 
     #[test]
@@ -1863,7 +1640,8 @@ mod tests {
         assert_eq!(sim.enabled_set().count(), 0, "silent: nothing enabled");
         // Drop a smaller value into process 4: its neighbors become enabled.
         sim.set_state(NodeId::new(4), 0);
-        let reference = sim.recompute_enabled_reference();
+        let mut reference = Vec::new();
+        sim.recompute_enabled_into(&mut reference);
         assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
         assert!(
             sim.enabled_set().count() > 0,
@@ -1885,22 +1663,14 @@ mod tests {
         // Flush the guards left dirty by the final step, then count.
         let _ = sim.enabled_set();
         let after_convergence = sim.guard_evaluations();
-        // Post-silence stepping must not evaluate any guard at all.
+        // Post-silence stepping must not evaluate any guard at all (a
+        // full recomputation would pay n = 64 evaluations per step), and
+        // the reference itself is not counted.
         sim.run_steps(1_000);
+        let mut reference = Vec::new();
+        sim.recompute_enabled_into(&mut reference);
         assert_eq!(sim.guard_evaluations(), after_convergence);
-
-        let mut reference = Simulation::new(
-            &graph,
-            MinValue,
-            CentralRoundRobin::new(),
-            3,
-            SimOptions::default().with_full_recompute(),
-        );
-        reference.run_until_silent(10_000);
-        let reference_after = reference.guard_evaluations();
-        reference.run_steps(1_000);
-        // The reference pays n guard evaluations for every silent step.
-        assert_eq!(reference.guard_evaluations(), reference_after + 1_000 * 64);
+        assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
     }
 
     #[test]

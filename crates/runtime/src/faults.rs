@@ -29,7 +29,9 @@
 //! the executor's cached communication configuration and marks the victim
 //! and its whole neighborhood dirty — so the incremental enabled set stays
 //! sound even though a fault changes state outside the normal activation
-//! path (see the regression tests in `tests/fault_daemon_equivalence.rs`).
+//! path (`tests/parallel_step_equivalence.rs` checks it against
+//! [`Simulation::recompute_enabled_into`] after every injection, under
+//! every daemon).
 //!
 //! Victim selection runs on a reusable [`FaultInjector`] scratch: uniform
 //! sampling is a **partial Fisher–Yates** over a persistent permutation

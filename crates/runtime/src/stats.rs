@@ -15,10 +15,9 @@
 //!
 //! These counters only record what the *protocol* observably does —
 //! selections, tracked reads, communication changes. They are
-//! deliberately independent of how the executor computes enabledness, so an
-//! incremental run and a full-recompute run of the same seed produce
-//! byte-identical [`RunStats`] (the executor's own guard-evaluation cost is
-//! reported separately by
+//! deliberately independent of how the executor computes enabledness, so
+//! they are byte-identical at every worker count (the executor's own
+//! guard-evaluation cost is reported separately by
 //! [`Simulation::guard_evaluations`](crate::executor::Simulation::guard_evaluations)).
 //!
 //! # Layout
@@ -44,7 +43,6 @@
 use std::ops::{AddAssign, Range};
 
 use selfstab_graph::{NodeId, Port};
-use serde::{Deserialize, Serialize};
 
 /// Port-flag bit: the port was read at least once since the beginning.
 const READ_EVER: u8 = 1;
@@ -59,7 +57,7 @@ const READ_SINCE_MARKER: u8 = 2;
 /// [module documentation](self)); query them through
 /// [`RunStats::distinct_neighbors_ever`] and
 /// [`RunStats::distinct_neighbors_since_marker`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessStats {
     /// Number of times the scheduler selected this process. Every
     /// selection is an activation: a disabled process still evaluates its
@@ -77,7 +75,7 @@ pub struct ProcessStats {
 }
 
 /// Statistics of a whole execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     per_process: Vec<ProcessStats>,
     /// CSR offsets into the flat port-flag array: process `p` owns

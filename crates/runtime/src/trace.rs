@@ -9,10 +9,9 @@
 //! maintains.
 
 use selfstab_graph::{NodeId, Port};
-use serde::{Deserialize, Serialize};
 
 /// What one process did during one step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivationRecord {
     /// The selected process.
     pub process: NodeId,
@@ -26,7 +25,7 @@ pub struct ActivationRecord {
 
 /// One step of an execution: the scheduler's selection and the resulting
 /// activations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepRecord {
     /// 0-based step index.
     pub step: u64,
@@ -57,7 +56,7 @@ impl StepRecord {
 }
 
 /// A recorded execution prefix.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     steps: Vec<StepRecord>,
 }
@@ -177,8 +176,8 @@ impl Trace {
         seen.iter().filter(|ports| ports.len() <= k).count()
     }
 
-    /// Serializes the trace as JSON (the vendored `serde` is a
-    /// non-serializing stub, so the encoding is hand-rolled). Used to
+    /// Serializes the trace as JSON (hand-rolled: the workspace has no
+    /// serialization dependency). Used to
     /// compare on-disk footprints against the compact binary wire format of
     /// [`telemetry::wire`](crate::telemetry::wire); not intended as an
     /// interchange format.

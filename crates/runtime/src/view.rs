@@ -7,24 +7,20 @@ use selfstab_graph::{Graph, NodeId, Port};
 /// The window through which a process observes its neighbors' communication
 /// states during one activation.
 ///
-/// Every call to [`NeighborView::read`] (or [`NeighborView::try_read`]) is
-/// recorded; the executor collects the recorded port set after the
-/// activation, which is how the paper's communication measures
-/// (k-efficiency, Definition 4; ♦-(x,k)-stability, Definition 9) are
-/// evaluated on actual executions.
-///
-/// A view can optionally *restrict* the readable ports. Restrictions are used
-/// by the impossibility experiments (Theorems 1 and 2) to model protocols
-/// that have committed to never read some neighbor again: a restricted port
-/// behaves as if the neighbor did not exist ([`NeighborView::try_read`]
-/// returns `None`).
+/// Every call to [`NeighborView::read`] in a tracking view is recorded; the
+/// executor collects the recorded port set after the activation, which is
+/// how the paper's communication measures (k-efficiency, Definition 4;
+/// ♦-(x,k)-stability, Definition 9) are evaluated on actual executions.
+/// Protocols that stop reading some neighbors (the frozen-read protocols of
+/// the Theorem 1 and 2 impossibility experiments) simply never call `read`
+/// on those ports.
 ///
 /// Views are built on the executor's hot path — once per guard evaluation
-/// and once per activation — so constructing one performs **no allocation**
-/// in the common (unrestricted) case: the view borrows the graph's CSR
-/// neighbor slice and the communication snapshot instead of copying
-/// per-neighbor references, and the executor threads one persistent read-log
-/// buffer through every tracked view ([`NeighborView::with_log_buffer`] /
+/// and once per activation — so constructing one performs **no
+/// allocation**: the view borrows the graph's CSR neighbor slice and the
+/// communication snapshot instead of copying per-neighbor references, and
+/// the executor threads one persistent read-log buffer through every
+/// tracked view ([`NeighborView::with_log_buffer`] /
 /// [`NeighborView::into_log_buffer`]) so recording reads never grows a
 /// fresh `Vec` in steady state.
 #[derive(Debug)]
@@ -34,9 +30,6 @@ pub struct NeighborView<'a, C> {
     neighbors: &'a [NodeId],
     /// Communication snapshot of every process, indexed by [`NodeId`].
     comm_snapshot: &'a [C],
-    /// `Some(allowed)` with `allowed[i] == false` marks a restricted port;
-    /// `None` means every port is readable (no allocation).
-    allowed: Option<Vec<bool>>,
     /// Log of every read operation performed during the current activation,
     /// in order, repeats included.
     reads: RefCell<Vec<Port>>,
@@ -80,7 +73,6 @@ impl<'a, C> NeighborView<'a, C> {
         NeighborView {
             neighbors: graph.neighbor_slice(p),
             comm_snapshot,
-            allowed: None,
             reads: RefCell::new(log_buffer),
             tracking,
         }
@@ -92,36 +84,9 @@ impl<'a, C> NeighborView<'a, C> {
         self.reads.into_inner()
     }
 
-    /// Restricts this view so that only the listed ports are readable.
-    ///
-    /// Ports not mentioned behave as if the corresponding neighbor did not
-    /// exist: [`NeighborView::try_read`] returns `None`. This allocates the
-    /// restriction mask; it is only used on the (cold) impossibility
-    /// experiment paths, never by the default executor configuration.
-    #[must_use]
-    pub fn restricted_to(mut self, allowed_ports: &[Port]) -> Self {
-        let mut allowed = vec![false; self.neighbors.len()];
-        for port in allowed_ports {
-            if port.index() < allowed.len() {
-                allowed[port.index()] = true;
-            }
-        }
-        self.allowed = Some(allowed);
-        self
-    }
-
     /// Degree of the observed process (number of ports).
     pub fn degree(&self) -> usize {
         self.neighbors.len()
-    }
-
-    /// Returns `true` when `port` may be read under the current restriction.
-    pub fn is_readable(&self, port: Port) -> bool {
-        port.index() < self.neighbors.len()
-            && self
-                .allowed
-                .as_ref()
-                .is_none_or(|allowed| allowed[port.index()])
     }
 
     /// Reads the communication state of the neighbor behind `port`,
@@ -129,25 +94,14 @@ impl<'a, C> NeighborView<'a, C> {
     ///
     /// # Panics
     ///
-    /// Panics if the port is out of range or restricted; protocols that may
-    /// run under read restrictions must use [`NeighborView::try_read`].
+    /// Panics if `port` is out of range (not below
+    /// [`NeighborView::degree`]).
     pub fn read(&self, port: Port) -> &C {
-        self.try_read(port)
-            .unwrap_or_else(|| panic!("read of restricted or out-of-range port {port}"))
-    }
-
-    /// Reads the communication state of the neighbor behind `port`, or
-    /// returns `None` when the port is restricted or out of range. Successful
-    /// reads are recorded.
-    pub fn try_read(&self, port: Port) -> Option<&C> {
-        if !self.is_readable(port) {
-            return None;
-        }
         let q = self.neighbors[port.index()];
         if self.tracking {
             self.reads.borrow_mut().push(port);
         }
-        Some(&self.comm_snapshot[q.index()])
+        &self.comm_snapshot[q.index()]
     }
 
     /// The distinct ports read so far during this activation, in first-read
@@ -176,12 +130,6 @@ impl<'a, C> NeighborView<'a, C> {
     pub fn read_operations(&self) -> usize {
         self.reads.borrow().len()
     }
-
-    /// Clears the recorded reads (used when a view is reused across the
-    /// enabledness check and the activation).
-    pub fn reset_reads(&self) {
-        self.reads.borrow_mut().clear();
-    }
 }
 
 #[cfg(test)]
@@ -200,8 +148,6 @@ mod tests {
         assert_eq!(*view.read(Port::new(2)), 13);
         assert_eq!(view.reads(), vec![Port::new(2), Port::new(0)]);
         assert_eq!(view.read_operations(), 3);
-        view.reset_reads();
-        assert!(view.reads().is_empty());
     }
 
     #[test]
@@ -239,35 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn restriction_hides_ports() {
-        let graph = generators::star(5);
-        let comms: Vec<u32> = vec![0, 1, 2, 3, 4];
-        let view = NeighborView::from_snapshot(&graph, NodeId::new(0), &comms, true)
-            .restricted_to(&[Port::new(1), Port::new(3)]);
-        assert!(view.is_readable(Port::new(1)));
-        assert!(!view.is_readable(Port::new(0)));
-        assert_eq!(view.try_read(Port::new(0)), None);
-        assert_eq!(view.try_read(Port::new(1)), Some(&2));
-        assert_eq!(view.reads(), vec![Port::new(1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "restricted or out-of-range")]
-    fn read_panics_on_restricted_port() {
-        let graph = generators::path(2);
-        let comms: Vec<u32> = vec![0, 1];
-        let view =
-            NeighborView::from_snapshot(&graph, NodeId::new(0), &comms, true).restricted_to(&[]);
-        let _ = view.read(Port::new(0));
-    }
-
-    #[test]
-    fn out_of_range_port_is_not_readable() {
+    #[should_panic(expected = "out of bounds")]
+    fn read_panics_on_an_out_of_range_port() {
         let graph = generators::path(2);
         let comms: Vec<u32> = vec![0, 1];
         let view = NeighborView::from_snapshot(&graph, NodeId::new(0), &comms, true);
-        assert!(!view.is_readable(Port::new(5)));
-        assert_eq!(view.try_read(Port::new(5)), None);
+        let _ = view.read(Port::new(5));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The sharded intra-step executor is observably identical to the
-//! sequential one, at every worker count, under every daemon.
+//! The incremental executor matches its from-scratch reference, and the
+//! sharded executor is observably identical to the sequential one, at
+//! every worker count, under every daemon and every fault model.
 //!
 //! The executor shards the graph into contiguous node partitions and runs
 //! guard evaluation and activation staging per shard (on worker threads
@@ -13,6 +14,18 @@
 //! configuration, and the full [`RunStats`] (including the per-port read
 //! footprints behind the paper's k-efficiency measures) never diverge.
 //!
+//! After every operation the sequential lane's maintained enabled set is
+//! also checked against [`Simulation::recompute_enabled_into`], which
+//! re-evaluates every guard from scratch. Fault injection
+//! ([`Simulation::set_state`]) mutates the configuration outside the
+//! activation path, and two daemons carry cross-step state an injection
+//! does not pass through ([`LocallyCentral`] keeps its shuffle scratch,
+//! [`Fair`]'s window never sees an injected process as selected), so the
+//! fixed drive injects **mid-round** (asserted under round-robin) and the
+//! check runs right after each injection. Selection reads only the enabled
+//! set and the daemon RNG, so a run that passes this check after every
+//! operation is the run a full-recompute executor would produce.
+//!
 //! The protocol draws from its activation RNG, so the test also locks down
 //! the worker-count-invariant per-activation RNG derivation: if worker
 //! count ever leaked into the random streams, configurations would split
@@ -20,7 +33,8 @@
 //!
 //! A property test adds random interleavings of steps and structured fault
 //! injections as inputs: the 4-worker executor must match the sequential
-//! one after every operation, under all seven daemons.
+//! one, and the sequential one the reference, after every operation,
+//! under all seven daemons.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -107,8 +121,7 @@ impl Protocol for NoisyMin {
     }
 }
 
-/// The structured fault models an injection cycle rotates through
-/// (mirrors `fault_daemon_equivalence.rs`).
+/// The structured fault models an injection cycle rotates through.
 fn models() -> [FaultModel; 4] {
     [
         FaultModel::Uniform(FaultLoad::Count(2)),
@@ -165,7 +178,9 @@ fn ops_from_seed(seed: u64) -> Vec<Op> {
 
 /// Drives the sequential baseline and sharded executors at each of
 /// `workers` in lockstep under one daemon through `ops`, and asserts that
-/// no observable ever diverges.
+/// no observable ever diverges and that the baseline's enabled set equals
+/// the from-scratch reference after every operation. Returns how many
+/// injections landed strictly inside a round.
 fn assert_ops_equivalence<S: Scheduler>(
     graph: &Graph,
     make: impl Fn() -> S,
@@ -173,7 +188,7 @@ fn assert_ops_equivalence<S: Scheduler>(
     seed: u64,
     ops: &[Op],
     workers: &[usize],
-) {
+) -> usize {
     let lane = |workers: usize| {
         let options = SimOptions::default()
             .with_step_workers(workers)
@@ -191,10 +206,19 @@ fn assert_ops_equivalence<S: Scheduler>(
     let mut sharded: Vec<Lane<'_, S>> = workers.iter().map(|&w| lane(w)).collect();
 
     let models = models();
+    let mut reference = Vec::new();
+    // Step count at the most recent round boundary: an injection lands
+    // mid-round exactly when steps have run since then.
+    let mut round_boundary = 0u64;
+    let mut mid_round_injections = 0usize;
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Step => {
+                let rounds_before = baseline.sim.rounds();
                 let expected_outcome = baseline.sim.step();
+                if baseline.sim.rounds() > rounds_before {
+                    round_boundary = baseline.sim.steps();
+                }
                 for lane in &mut sharded {
                     let outcome = lane.sim.step();
                     let workers = lane.workers;
@@ -215,6 +239,9 @@ fn assert_ops_equivalence<S: Scheduler>(
                 }
             }
             Op::Inject(m) => {
+                if baseline.sim.steps() > round_boundary {
+                    mid_round_injections += 1;
+                }
                 let model = models[m % models.len()];
                 let expected_victims = baseline
                     .injector
@@ -239,10 +266,16 @@ fn assert_ops_equivalence<S: Scheduler>(
             }
         }
         // The heart of the regression: updates and mid-round injections
-        // mark dirty nodes straight into per-shard queues; the
-        // configuration and the maintained enabled set must still match
-        // the sequential executor's after every operation.
+        // mark dirty nodes straight into per-shard queues; the baseline's
+        // maintained enabled set must equal the from-scratch reference,
+        // and every sharded lane's configuration and enabled set must
+        // match the baseline's, after every operation.
+        baseline.sim.recompute_enabled_into(&mut reference);
         let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
+        assert_eq!(
+            expected_flags, reference,
+            "{daemon}: maintained enabled set diverged from the reference (op {i})"
+        );
         for lane in &mut sharded {
             let workers = lane.workers;
             assert_eq!(
@@ -264,6 +297,12 @@ fn assert_ops_equivalence<S: Scheduler>(
         expected_report.silent,
         "{daemon}: baseline must re-stabilize"
     );
+    baseline.sim.recompute_enabled_into(&mut reference);
+    assert_eq!(
+        baseline.sim.enabled_set().as_flags(),
+        &reference[..],
+        "{daemon}: maintained enabled set diverged from the reference at silence"
+    );
     for lane in &mut sharded {
         let report = lane.sim.run_until_silent(100_000);
         let workers = lane.workers;
@@ -278,18 +317,32 @@ fn assert_ops_equivalence<S: Scheduler>(
             "{daemon}/workers={workers}: final stats diverged"
         );
     }
+    mid_round_injections
 }
 
-/// The fixed drive at 2, 4 and 8 workers.
-fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S, daemon: &str) {
-    assert_ops_equivalence(graph, make, daemon, 0x5AA27, &cycle_ops(), &[2, 4, 8]);
+/// The fixed drive at 2, 4 and 8 workers; returns how many of its 12
+/// injections landed mid-round.
+fn assert_parallel_equivalence<S: Scheduler>(
+    graph: &Graph,
+    make: impl Fn() -> S,
+    daemon: &str,
+) -> usize {
+    assert_ops_equivalence(graph, make, daemon, 0x5AA27, &cycle_ops(), &[2, 4, 8])
 }
 
 #[test]
 fn sharded_executor_matches_sequential_under_every_daemon() {
     let grid = generators::grid(4, 5);
     assert_parallel_equivalence(&grid, || Synchronous, "synchronous");
-    assert_parallel_equivalence(&grid, CentralRoundRobin::new, "central-round-robin");
+    // One process per step on 20 processes, 7 steps between injections:
+    // the injections land strictly inside rounds, the timing the
+    // dirty-marking of `set_state` has to survive.
+    let mid_round =
+        assert_parallel_equivalence(&grid, CentralRoundRobin::new, "central-round-robin");
+    assert!(
+        mid_round >= 10,
+        "injections overwhelmingly land mid-round ({mid_round} of 12)"
+    );
     assert_parallel_equivalence(&grid, CentralRandom::enabled_only, "central-random-enabled");
     assert_parallel_equivalence(&grid, || DistributedRandom::new(0.4), "distributed-random");
     assert_parallel_equivalence(&grid, || LocallyCentral::new(&grid, 0.5), "locally-central");
