@@ -81,8 +81,8 @@ observability:
   --trace-workload W   workload of the recorded cell (default ring(64))
   --trace-seed N       seed of the recorded cell (default 118213)
   --replay PATH        instead of the experiments, replay a recorded
-                       trace with step-by-step verification and print
-                       the (byte-identical) summary JSON to stdout
+                       trace, checking every activation against it, and
+                       print the (byte-identical) summary JSON to stdout
   --metrics table|json enable runtime metrics and print the phase/fault/
                        campaign report to stderr at exit (json is one
                        line starting with {\"metrics\")

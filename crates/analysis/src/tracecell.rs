@@ -240,8 +240,9 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
 }
 
 /// Replays the trace container at `path` and verifies it end to end:
-/// every step's executed set and comm-changed flag against the recording
-/// (see [`replay_with`]), then the step count and both footer digests.
+/// every activation's executed flag, comm flag and read ports against the
+/// recording (see [`replay_with`]), then the step count and both footer
+/// digests.
 /// Returns the replayed run's summary — identical to the recording's —
 /// or a description of the first divergence.
 pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
@@ -329,9 +330,37 @@ pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfstab_graph::{NodeId, Port};
+    use selfstab_runtime::telemetry::TraceSink;
+    use selfstab_runtime::StepRecord;
 
     fn temp_trace(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sstb_tracecell_{tag}_{}.trace", std::process::id()))
+    }
+
+    /// Decodes the trace at `path`, applies `edit` to the first step
+    /// record it accepts, and re-seals the file with the original header
+    /// and footer. `edit` either leaves a record untouched and returns
+    /// `None`, or edits it and returns the process whose activation it
+    /// edited first.
+    fn edit_first_record(
+        path: &Path,
+        edit: impl FnMut(&mut StepRecord) -> Option<NodeId>,
+    ) -> NodeId {
+        let mut reader = TraceFileReader::open(path).expect("opens");
+        let header = reader.header().clone();
+        let mut records = reader.read_to_end().expect("decodes");
+        let footer = *reader.footer().expect("sealed");
+        let process = records
+            .iter_mut()
+            .find_map(edit)
+            .expect("some record admits the edit");
+        let mut sink = FileSink::create(path, &header).expect("creates");
+        for record in &records {
+            sink.record_step(record);
+        }
+        sink.finish(&footer).expect("seals");
+        process
     }
 
     #[test]
@@ -411,7 +440,7 @@ mod tests {
         // Rename the workload to one its generator rejects: `ring(02)` has
         // the length of `ring(16)`, so the header still decodes, but no
         // ring has two processes — an error, not a generator panic.
-        let mut bytes = recorded;
+        let mut bytes = recorded.clone();
         let at = bytes
             .windows(8)
             .position(|w| w == b"ring(16)")
@@ -423,6 +452,46 @@ mod tests {
             err.contains("ring(02)") && err.contains("at least three processes"),
             "{err}"
         );
+
+        // Edits that keep every step's executed set and comm flag, and
+        // every digest, intact: only the per-activation comparison sees
+        // them.
+        let expect_divergence = |field: &str, edit: fn(&mut StepRecord) -> Option<NodeId>| {
+            std::fs::write(&path, &recorded).expect("restores the recording");
+            let process = edit_first_record(&path, edit);
+            let err = replay(&path).unwrap_err();
+            assert!(
+                err.contains(&format!("({field}): process {process}:")),
+                "{field}: {err}"
+            );
+        };
+        // A changed read port: ring ports are 0 and 1, so flipping the
+        // low bit names the other neighbour.
+        expect_divergence("reads", |record| {
+            let activation = record
+                .activations
+                .iter_mut()
+                .find(|a| !a.reads.is_empty())?;
+            activation.reads[0] = Port::new(activation.reads[0].index() ^ 1);
+            Some(activation.process)
+        });
+        // A dropped read.
+        expect_divergence("reads", |record| {
+            let activation = record
+                .activations
+                .iter_mut()
+                .find(|a| !a.reads.is_empty())?;
+            activation.reads.pop();
+            Some(activation.process)
+        });
+        // A comm flag moved to another process of the same step.
+        expect_divergence("comm_changed", |record| {
+            let from = record.activations.iter().position(|a| a.comm_changed)?;
+            let to = record.activations.iter().position(|a| !a.comm_changed)?;
+            record.activations[from].comm_changed = false;
+            record.activations[to].comm_changed = true;
+            Some(record.activations[from.min(to)].process)
+        });
         std::fs::remove_file(&path).ok();
     }
 }

@@ -3,16 +3,47 @@
 //! (1) records into the binary trace container, (2) replays to a
 //! byte-identical [`RunStats`](selfstab_runtime::RunStats) and final
 //! configuration, and (3) the binary container is at least 10× smaller
-//! than the same execution serialized as trace JSON.
+//! than the same step records serialized as JSON.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use selfstab_analysis::tracecell::{self, TraceCellSpec, DAEMON_PROBABILITY};
+use selfstab_analysis::tracecell::{self, TraceCellSpec};
 use selfstab_analysis::Workload;
-use selfstab_core::coloring::Coloring;
-use selfstab_runtime::faults::{run_fault_plan, FaultInjector};
-use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{SimOptions, Simulation};
+use selfstab_runtime::{StepRecord, TraceFileReader};
+
+/// Serializes step records as one JSON document,
+/// `{"steps":[{"step":0,"activations":[{"process":2,"executed":true,
+/// "reads":[0,3],"comm_changed":true}]}]}`: the footprint baseline the
+/// binary container is measured against.
+fn records_json(records: &[StepRecord]) -> String {
+    let steps: Vec<String> = records
+        .iter()
+        .map(|record| {
+            let activations: Vec<String> = record
+                .activations
+                .iter()
+                .map(|a| {
+                    let reads: Vec<String> = a
+                        .reads
+                        .iter()
+                        .map(|port| port.index().to_string())
+                        .collect();
+                    format!(
+                        "{{\"process\":{},\"executed\":{},\"reads\":[{}],\"comm_changed\":{}}}",
+                        a.process.index(),
+                        a.executed,
+                        reads.join(","),
+                        a.comm_changed
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"step\":{},\"activations\":[{}]}}",
+                record.step,
+                activations.join(",")
+            )
+        })
+        .collect();
+    format!("{{\"steps\":[{}]}}", steps.join(","))
+}
 
 #[test]
 fn ten_thousand_node_trace_replays_byte_identically_and_beats_json_tenfold() {
@@ -44,33 +75,13 @@ fn ten_thousand_node_trace_replays_byte_identically_and_beats_json_tenfold() {
         "the final configuration must replay byte-identically"
     );
 
-    // Rerun the identical scenario with the in-memory trace retained
-    // (recording does not perturb execution, so this is the same run) and
-    // compare the container against its JSON serialization.
-    let graph = spec.workload.build(spec.seed);
-    let mut sim = Simulation::new(
-        &graph,
-        Coloring::new(&graph),
-        DistributedRandom::new(DAEMON_PROBABILITY),
-        spec.seed,
-        SimOptions::default().with_trace(),
-    );
-    let mut injector = FaultInjector::new(&graph);
-    // The cell's fault RNG: the spec seed XOR the salt `tracecell` uses.
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xFA17);
-    run_fault_plan(
-        &mut sim,
-        &spec.plan(),
-        &mut injector,
-        &mut rng,
-        spec.max_steps,
-    );
-    assert_eq!(
-        sim.steps(),
-        recorded.steps,
-        "the JSON-comparison run must be the same execution"
-    );
-    let json = sim.trace().expect("trace retained").to_json();
+    // Compare the container against the same step records serialized as
+    // JSON, decoded from the recorded file itself.
+    let records = TraceFileReader::open(&path)
+        .and_then(|mut reader| reader.read_to_end())
+        .expect("decodes the recorded file");
+    assert_eq!(records.len() as u64, recorded.steps, "one record per step");
+    let json = records_json(&records);
     assert!(
         recorded.trace_bytes.saturating_mul(10) <= json.len() as u64,
         "binary trace must be >= 10x smaller than JSON: {} * 10 > {}",

@@ -140,13 +140,7 @@ mod tests {
     fn reads_every_neighbor_each_step() {
         let graph = generators::star(6);
         let protocol = BaselineColoring::new(&graph);
-        let mut sim = Simulation::new(
-            &graph,
-            protocol,
-            Synchronous,
-            3,
-            SimOptions::default().with_trace(),
-        );
+        let mut sim = Simulation::new(&graph, protocol, Synchronous, 3, SimOptions::default());
         sim.run_steps(5);
         // The center reads all 5 leaves whenever it is in conflict: the
         // measured efficiency equals Δ unless it happened to start properly
@@ -160,13 +154,10 @@ mod tests {
             Synchronous,
             conflict_config,
             4,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         sim.run_until_silent(10_000);
-        assert_eq!(
-            sim.trace().unwrap().measured_efficiency(),
-            graph.max_degree()
-        );
+        assert_eq!(sim.stats().measured_efficiency(), graph.max_degree());
     }
 
     #[test]

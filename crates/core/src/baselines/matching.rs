@@ -321,13 +321,10 @@ mod tests {
             Synchronous,
             config,
             5,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         sim.run_until_silent(10_000);
-        assert_eq!(
-            sim.trace().unwrap().measured_efficiency(),
-            graph.max_degree()
-        );
+        assert_eq!(sim.stats().measured_efficiency(), graph.max_degree());
     }
 
     #[test]

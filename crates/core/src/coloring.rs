@@ -232,17 +232,10 @@ mod tests {
     fn is_one_efficient_in_every_step() {
         let graph = sample_random_graph();
         let protocol = Coloring::new(&graph);
-        let mut sim = Simulation::new(
-            &graph,
-            protocol,
-            Synchronous,
-            5,
-            SimOptions::default().with_trace(),
-        );
+        let mut sim = Simulation::new(&graph, protocol, Synchronous, 5, SimOptions::default());
         sim.run_until_silent(50_000);
-        // Definition 4 checked on the full trace: every process reads at
+        // Definition 4 checked on every activation: every process reads at
         // most one neighbor in every step.
-        assert_eq!(sim.trace().unwrap().measured_efficiency(), 1);
         assert_eq!(sim.stats().measured_efficiency(), 1);
     }
 

@@ -323,15 +323,9 @@ mod tests {
     fn is_one_efficient_in_every_step() {
         let graph = generators::grid(4, 4);
         let protocol = protocol_for(&graph);
-        let mut sim = Simulation::new(
-            &graph,
-            protocol,
-            Synchronous,
-            3,
-            SimOptions::default().with_trace(),
-        );
+        let mut sim = Simulation::new(&graph, protocol, Synchronous, 3, SimOptions::default());
         sim.run_until_silent(100_000);
-        assert_eq!(sim.trace().unwrap().measured_efficiency(), 1);
+        assert_eq!(sim.stats().measured_efficiency(), 1);
     }
 
     #[test]

@@ -303,13 +303,13 @@ mod tests {
             protocol,
             DistributedRandom::new(0.5),
             3,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         let report = sim.run_until_silent(300_000);
         assert!(report.silent);
         let colors = RoundRobinChecker::<ColoringSpec>::output(sim.config());
         assert!(verify::is_proper_coloring(&graph, &colors));
-        assert_eq!(sim.trace().unwrap().measured_efficiency(), 1);
+        assert_eq!(sim.stats().measured_efficiency(), 1);
     }
 
     #[test]

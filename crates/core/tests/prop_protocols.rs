@@ -11,7 +11,12 @@
 //! * equivalence of the incremental enabled-set executor with the
 //!   from-scratch reference: the maintained enabled set equals
 //!   `Simulation::recompute_enabled_into` after every step, which makes the
-//!   run the one a full-recompute executor would produce.
+//!   run the one a full-recompute executor would produce,
+//! * the measures `RunStats` reports (k-efficiency, its suffix form, and
+//!   the k-stable and ♦-k-stable process counts) equal the same measures
+//!   recomputed from the run's step records.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,9 +24,9 @@ use rand::SeedableRng;
 use selfstab_core::coloring::Coloring;
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis};
-use selfstab_graph::{generators, longest_path, verify, Graph};
+use selfstab_graph::{generators, longest_path, verify, Graph, Port};
 use selfstab_runtime::scheduler::{DistributedRandom, Scheduler, Synchronous};
-use selfstab_runtime::{Protocol, SimOptions, Simulation};
+use selfstab_runtime::{MemorySink, Protocol, SimOptions, Simulation, StepRecord};
 
 fn random_connected_graph(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -53,8 +58,113 @@ fn run_to_silence_checking_reference<P: Protocol, S: Scheduler>(sim: &mut Simula
     assert!(sim.guard_evaluations() <= (sim.steps() + 1) * n);
 }
 
+/// What each of the `n` processes read over `records`: the most distinct
+/// ports one of its activations read (Definition 4's `k` for it), and the
+/// size of its read set, rebuilt by its own scan with a linear `contains`
+/// probe.
+fn reads_per_process(records: &[StepRecord], n: usize) -> Vec<(usize, usize)> {
+    (0..n)
+        .map(|p| {
+            let mut most = 0;
+            let mut ports: Vec<Port> = Vec::new();
+            for activation in records.iter().flat_map(|r| &r.activations) {
+                if activation.process.index() != p {
+                    continue;
+                }
+                most = most.max(activation.reads.len());
+                for &port in &activation.reads {
+                    if !ports.contains(&port) {
+                        ports.push(port);
+                    }
+                }
+            }
+            (most, ports.len())
+        })
+        .collect()
+}
+
+/// Runs `protocol` under `DistributedRandom(0.5)` with a shared
+/// [`MemorySink`] attached: to silence, then the suffix marker, then 300
+/// more steps. Every measure `RunStats` reports, per process and in
+/// aggregate, must equal the same measure recomputed from the decoded
+/// step records.
+fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, seed: u64) {
+    let name = protocol.name();
+    let mut sim = Simulation::new(
+        graph,
+        protocol,
+        DistributedRandom::new(0.5),
+        seed,
+        SimOptions::default(),
+    );
+    let sink = Arc::new(Mutex::new(MemorySink::new()));
+    sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+    let report = sim.run_until_silent(1_000_000);
+    assert!(report.silent, "{name} did not stabilize on {graph}");
+    let marker = sim.steps();
+    sim.mark_suffix();
+    sim.run_steps(300);
+
+    let records = sink.lock().unwrap().decode_all().expect("decodes");
+    assert_eq!(records.len() as u64, sim.steps(), "{name}");
+    let suffix = &records[records.partition_point(|r| r.step < marker)..];
+    let ever = reads_per_process(&records, graph.node_count());
+    let since_marker = reads_per_process(suffix, graph.node_count());
+    let stats = sim.stats();
+    for p in graph.nodes() {
+        let row = stats.process(p);
+        let reported = [
+            (
+                row.max_reads_per_activation as usize,
+                stats.distinct_neighbors_ever(p),
+            ),
+            (
+                row.max_reads_per_activation_since_marker as usize,
+                stats.distinct_neighbors_since_marker(p),
+            ),
+        ];
+        let from_records = [ever[p.index()], since_marker[p.index()]];
+        assert_eq!(reported, from_records, "{name}, {p}");
+    }
+    let most = |reads: &[(usize, usize)]| reads.iter().map(|&(most, _)| most).max().unwrap_or(0);
+    assert_eq!(stats.measured_efficiency(), most(&ever), "{name}");
+    assert_eq!(
+        stats.suffix_measured_efficiency(),
+        most(&since_marker),
+        "{name}"
+    );
+    for k in 0..=graph.max_degree() + 1 {
+        let at_most_k = |reads: &[(usize, usize)]| reads.iter().filter(|r| r.1 <= k).count();
+        let counts = (
+            stats.k_stable_process_count(k),
+            stats.stable_process_count(k),
+        );
+        assert_eq!(
+            counts,
+            (at_most_k(&ever), at_most_k(&since_marker)),
+            "{name}, k = {k}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn run_stats_measures_match_the_decoded_records(
+        n in 4usize..24,
+        graph_seed in 0u64..1_000,
+        run_seed in 0u64..1_000,
+    ) {
+        let graph = random_connected_graph(n, graph_seed);
+        assert_run_stats_match_the_records(&graph, Coloring::new(&graph), run_seed);
+        assert_run_stats_match_the_records(&graph, Mis::with_greedy_coloring(&graph), run_seed);
+        assert_run_stats_match_the_records(
+            &graph,
+            Matching::with_greedy_coloring(&graph),
+            run_seed,
+        );
+    }
 
     #[test]
     fn coloring_stabilizes_and_is_one_efficient(
@@ -69,12 +179,12 @@ proptest! {
             protocol,
             DistributedRandom::new(0.5),
             run_seed,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         let report = sim.run_until_silent(1_000_000);
         prop_assert!(report.silent, "COLORING did not stabilize on {graph}");
         prop_assert!(verify::is_proper_coloring(&graph, &Coloring::output(sim.config())));
-        prop_assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+        prop_assert!(sim.stats().measured_efficiency() <= 1);
     }
 
     #[test]
@@ -93,13 +203,13 @@ proptest! {
             protocol,
             Synchronous,
             run_seed,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         let report = sim.run_until_silent(bound + 10);
         prop_assert!(report.silent, "MIS exceeded the ∆·#C round bound on {graph}");
         prop_assert!(report.total_rounds <= bound + 1);
         prop_assert!(verify::is_maximal_independent_set(&graph, &Mis::output(sim.config())));
-        prop_assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+        prop_assert!(sim.stats().measured_efficiency() <= 1);
     }
 
     #[test]
@@ -150,13 +260,13 @@ proptest! {
             protocol,
             Synchronous,
             run_seed,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         let report = sim.run_until_silent(bound + 10);
         prop_assert!(report.silent, "MATCHING exceeded the (∆+1)n+2 round bound on {graph}");
         let edges = sim.protocol().output(&graph, sim.config());
         prop_assert!(verify::is_maximal_matching(&graph, &edges));
-        prop_assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+        prop_assert!(sim.stats().measured_efficiency() <= 1);
         // Theorem 8: at least 2⌈m/(2∆−1)⌉ processes are matched.
         prop_assert!(2 * edges.len() >= Matching::stability_bound(&graph));
     }

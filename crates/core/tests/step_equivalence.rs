@@ -318,7 +318,7 @@ fn record_replay_verifies_against_capture() {
         "sharded run: config"
     );
 
-    // Replay with the deep per-step record comparison enabled.
+    // Replay, comparing every step record activation by activation.
     let mut reader = TraceFileReader::open(&path).expect("opens trace file");
     let records = reader.read_to_end().expect("decodes step stream");
     let footer = *reader.footer().expect("footer after the stream");
@@ -332,7 +332,7 @@ fn record_replay_verifies_against_capture() {
         &graph,
         Mis::with_greedy_coloring(&graph),
         seed,
-        SimOptions::default().with_trace(),
+        SimOptions::default(),
         records,
         |sim| {
             while next_event < scenario.events().len()

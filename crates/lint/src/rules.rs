@@ -90,8 +90,8 @@ impl Family {
 /// The designated hot-path modules: the files whose steady-state code the
 /// zero-allocation regime covers. `telemetry/wire.rs` is the trace
 /// *encode* path (record construction is allocation-free by contract;
-/// only the sink write may buffer); `trace.rs` itself retains records by
-/// design and is deliberately absent.
+/// only the sink write may buffer); `trace.rs` only defines the record
+/// types and is deliberately absent.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/executor.rs",
     "crates/runtime/src/faults.rs",

@@ -44,9 +44,10 @@
 //!   of scanning an `O(n)` flag vector every step,
 //! * [`Simulation::comm_config`] returns the maintained cache by reference.
 //!
-//! The one deliberate exception, off by default: recording a [`Trace`]
-//! allocates one `ActivationRecord` (plus its read list) per activation
-//! because the trace retains them forever.
+//! The one deliberate exception, off by default: while an attached
+//! [`TraceSink`] is recording, every step builds a [`StepRecord`] with one
+//! `ActivationRecord` (plus its read list) per activation and hands it to
+//! the sink.
 //!
 //! # Intra-step parallelism
 //!
@@ -62,9 +63,9 @@
 //! order. Selection itself and all cross-shard mutation stay on the
 //! coordinating thread, and every activation draws from a private RNG
 //! derived from `(seed, step, process)`, so the observable execution —
-//! selected/executed lists, configuration, [`RunStats`], trace, enabled
-//! sets — is **byte-identical at every worker count** (locked down by the
-//! `parallel_step_equivalence` differential test).
+//! selected/executed lists, configuration, [`RunStats`], step records,
+//! enabled sets — is **byte-identical at every worker count** (locked
+//! down by the `parallel_step_equivalence` differential test).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,15 +77,12 @@ use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::{RunStats, StatsShard, StepDeltas};
 use crate::telemetry::metrics::{self, StepPhase};
 use crate::telemetry::sink::TraceSink;
-use crate::trace::{ActivationRecord, StepRecord, Trace};
+use crate::trace::{ActivationRecord, StepRecord};
 use crate::view::NeighborView;
 
 /// Options controlling a [`Simulation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Record a full [`Trace`] (per-step records). Costs memory linear in
-    /// the number of steps; the aggregated [`RunStats`] are always kept.
-    pub record_trace: bool,
     /// How many steps apart the silence/legitimacy predicates are evaluated
     /// while running to completion (1 = every step).
     pub check_interval: u64,
@@ -108,7 +106,6 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            record_trace: false,
             check_interval: 1,
             step_workers: 1,
             parallel_work_threshold: 256,
@@ -117,13 +114,6 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Enables full trace recording.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// Sets the silence-check interval (clamped to at least 1).
     #[must_use]
     pub fn with_check_interval(mut self, interval: u64) -> Self {
@@ -203,9 +193,9 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// One full state per process, indexed by [`NodeId`].
     config: Vec<P::State>,
     stats: RunStats,
-    trace: Option<Trace>,
-    /// Attached telemetry sink, if any: the executor hands it every
-    /// step's record unless it reports
+    /// Attached telemetry sink, if any, and the executor's only consumer
+    /// of step records: it hands the sink every step's record unless it
+    /// reports
     /// [`is_recording`](TraceSink::is_recording)` == false` (the
     /// [`NullSink`](crate::telemetry::NullSink)), in which case the hot
     /// path is byte-identical to running with no sink at all.
@@ -335,7 +325,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         );
         // lint: allow(hot-alloc) — constructor-only degree table
         let degrees: Vec<usize> = graph.nodes().map(|p| graph.degree(p)).collect();
-        let trace = options.record_trace.then(Trace::new);
         let n = graph.node_count();
         let comm_cache: Vec<P::Comm> = graph
             .nodes()
@@ -371,7 +360,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             rng: StdRng::seed_from_u64(seed),
             config,
             stats: RunStats::new(&degrees),
-            trace,
             sink: None,
             options,
             step: 0,
@@ -475,13 +463,14 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         &self.stats
     }
 
-    /// The recorded trace, if trace recording was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
     /// Attaches a telemetry sink; every subsequent step's record is
     /// streamed into it (replacing any previously attached sink).
+    ///
+    /// To read the records while the simulation owns the sink, attach a
+    /// shared one: `Arc<Mutex<T>>` is a sink whenever `T` is, so a
+    /// caller can keep one handle to a
+    /// [`MemorySink`](crate::telemetry::MemorySink) and decode it between
+    /// steps.
     ///
     /// Attaching a [`NullSink`](crate::telemetry::NullSink) — or any
     /// sink whose [`TraceSink::is_recording`] returns `false` — leaves
@@ -728,11 +717,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // slice of the selection against the shared pre-step snapshot and
         // stages the resulting updates in its own scratch; nothing global
         // is mutated until the merge below.
-        let tracing =
-            self.options.record_trace || self.sink.as_ref().is_some_and(|sink| sink.is_recording());
-        // Trace records are the one intentional per-step allocation: the
-        // trace (or an attached sink) consumes them, so there is no
-        // buffer to reuse. Off by default.
+        let tracing = self.sink.as_ref().is_some_and(|sink| sink.is_recording());
+        // Step records are the one intentional per-step allocation: a
+        // recording sink consumes them, so there is no buffer to reuse.
+        // Off by default.
         let mut records: Vec<ActivationRecord> = Vec::new(); // lint: allow(hot-alloc) — the documented trace allocation (see above)
         if tracing {
             records.reserve(self.selected_scratch.len());
@@ -844,17 +832,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 .record(self.executed_scratch.len() as u64, started.elapsed());
         }
         if tracing {
-            let record = StepRecord {
-                step: self.step,
-                activations: records,
-            };
             if let Some(sink) = &mut self.sink {
-                if sink.is_recording() {
-                    sink.record_step(&record);
-                }
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(record);
+                sink.record_step(&StepRecord {
+                    step: self.step,
+                    activations: records,
+                });
             }
         }
 
@@ -983,9 +965,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     }
 
     /// Consumes the simulation and returns its final configuration, stats
-    /// and optional trace.
-    pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Trace>) {
-        (self.config, self.stats, self.trace)
+    /// and attached telemetry sink, if any.
+    pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Box<dyn TraceSink>>) {
+        (self.config, self.stats, self.sink)
     }
 
     /// Mutable access to the RNG, for fault injection helpers that want to
@@ -1011,8 +993,9 @@ struct ShardScratch<P: Protocol> {
     read_log: Vec<Port>,
     /// Distinct ports of the current activation, first-read order.
     distinct_reads: Vec<Port>,
-    /// Trace records staged by this shard (tracing only — the deliberate
-    /// per-activation allocation documented on [`Simulation::step`]).
+    /// Activation records staged by this shard (only while a sink
+    /// records — the deliberate per-activation allocation documented in
+    /// the [module documentation](self)).
     records: Vec<ActivationRecord>,
 }
 
@@ -1314,8 +1297,10 @@ where
 mod tests {
     use super::*;
     use crate::scheduler::{CentralRoundRobin, DistributedRandom, Synchronous};
+    use crate::telemetry::MemorySink;
     use rand::RngCore;
     use selfstab_graph::generators;
+    use std::sync::{Arc, Mutex};
 
     /// Toy silent protocol used to exercise the executor: each process
     /// exposes a value and copies the minimum of its own value and its
@@ -1510,16 +1495,23 @@ mod tests {
             MinValue,
             DistributedRandom::new(0.4),
             3,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
+        let sink = Arc::new(Mutex::new(MemorySink::new()));
+        sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
         let report = sim.run_until_silent(10_000);
         assert!(report.silent);
         // MinValue reads both neighbors each activation: it is 2-efficient
         // (Δ-efficient), not 1-efficient.
         assert_eq!(sim.stats().measured_efficiency(), 2);
-        let trace = sim.trace().expect("trace enabled");
-        assert_eq!(trace.measured_efficiency(), 2);
-        assert!(trace.len() as u64 == report.total_steps);
+        let records = sink.lock().unwrap().decode_all().expect("decodes");
+        assert_eq!(records.len() as u64, report.total_steps);
+        let most_reads = records
+            .iter()
+            .flat_map(|r| &r.activations)
+            .map(|a| a.reads.len())
+            .max();
+        assert_eq!(most_reads, Some(sim.stats().measured_efficiency()));
     }
 
     #[test]
@@ -1604,8 +1596,10 @@ mod tests {
             MinValue,
             DistributedRandom::new(0.5),
             13,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
+        let sink = Arc::new(Mutex::new(MemorySink::new()));
+        sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
         let mut changes_before = sim.stats().total_comm_changes();
         for _ in 0..300 {
             let step_index = sim.steps();
@@ -1619,8 +1613,9 @@ mod tests {
             if outcome.comm_changed {
                 assert_eq!(sim.stats().last_comm_change_step(), Some(step_index));
             }
-            // The trace's per-activation records must agree as well.
-            let record = sim.trace().expect("trace enabled").steps().last().unwrap();
+            // The step's per-activation record must agree as well.
+            let record = sink.lock().unwrap().decode_all().unwrap().pop().unwrap();
+            assert_eq!(record.step, step_index);
             assert_eq!(record.any_comm_changed(), outcome.comm_changed);
             assert_eq!(
                 record.activations.iter().filter(|a| a.comm_changed).count() as u64,

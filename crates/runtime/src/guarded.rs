@@ -375,12 +375,12 @@ mod tests {
             protocol,
             DistributedRandom::new(0.5),
             3,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         let report = sim.run_until_silent(500_000);
         assert!(report.silent);
         assert!(report.legitimate);
-        assert_eq!(sim.trace().unwrap().measured_efficiency(), 1);
+        assert_eq!(sim.stats().measured_efficiency(), 1);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   neighbor changed — `O(changes·Δ)` per step instead of `O(n·Δ)` (see
 //!   the [`executor`] module documentation),
 //! * [`telemetry`] streams per-step records to disk in a compact binary
-//!   format, replays recorded runs with step-by-step verification, and
-//!   exposes per-phase runtime metrics — all strictly
-//!   pay-for-what-you-use.
+//!   format, replays recorded runs checking every activation's executed
+//!   flag, comm flag and read ports, and exposes per-phase runtime
+//!   metrics — all strictly pay-for-what-you-use.
 //!
 //! # Example
 //!
@@ -119,5 +119,5 @@ pub use telemetry::{
     FileSink, MemorySink, NullSink, ReplayScheduler, TraceFileReader, TraceFooter, TraceHeader,
     TraceSink,
 };
-pub use trace::{StepRecord, Trace};
+pub use trace::StepRecord;
 pub use view::NeighborView;

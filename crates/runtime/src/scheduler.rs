@@ -302,8 +302,13 @@ impl Scheduler for StarvingAdversary {
     }
 }
 
-/// Locally-central daemon: selects a random *independent* set of enabled
+/// Locally-central daemon: selects a random *independent* set of
 /// processes — no two neighbors are ever activated in the same step.
+///
+/// Selection ignores the enabled set. Each step visits all `n` processes
+/// in a random order and keeps each one with the activation probability
+/// unless a neighbor was already kept. If it keeps no process, it selects
+/// one uniformly at random.
 ///
 /// Many self-stabilizing algorithms in the literature are proved under this
 /// daemon because it removes simultaneous moves of neighbors; it is a

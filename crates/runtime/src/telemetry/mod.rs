@@ -1,19 +1,23 @@
 //! Observability: compact binary trace capture/replay and runtime
 //! metrics.
 //!
-//! The in-memory [`Trace`](crate::trace::Trace) retains every record it
-//! sees, which caps it at runs that fit in RAM; this module scales the
-//! same per-step observability to million-node, million-step runs:
+//! Per-step observability, from unit tests up to million-node,
+//! million-step runs, goes through one path: the executor hands each
+//! step's [`StepRecord`](crate::trace::StepRecord) to the attached
+//! [`TraceSink`], and nothing else.
 //!
 //! * [`wire`] — the delta-encoded, varint-packed binary format for
 //!   [`StepRecord`](crate::trace::StepRecord)s (a few bytes per
 //!   activation instead of tens of JSON bytes).
 //! * [`sink`] — the [`TraceSink`] trait the executor streams records
 //!   into, with [`NullSink`] (zero-cost default), [`MemorySink`],
-//!   [`FileSink`] and the matching [`TraceFileReader`].
+//!   [`FileSink`], the matching [`TraceFileReader`], and shared
+//!   `Arc<Mutex<_>>` sinks for reading records while a simulation owns
+//!   the sink.
 //! * [`replay()`] — drives a fresh [`Simulation`](crate::Simulation) by a
-//!   recorded step stream and verifies every step against the
-//!   recording; divergence is a reportable artifact, byte-identical
+//!   recorded step stream and compares every activation's executed flag,
+//!   comm flag and read ports with the recording; divergence is a
+//!   reportable artifact, byte-identical
 //!   [`RunStats`](crate::stats::RunStats) and configuration are the
 //!   acceptance check.
 //! * [`metrics`] — process-global lock-free counters and log-bucketed

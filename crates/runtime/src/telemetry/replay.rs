@@ -12,10 +12,15 @@
 //! keyed on the step counter. Everything else — activation RNG streams
 //! (derived from `(seed, step, process)`), guard evaluation, the merge
 //! order — is deterministic, so the replayed run must match the
-//! recording in every observable: executed sets, comm-change flags,
-//! [`RunStats`], final configuration. Any mismatch is reported as a
-//! [`ReplayDivergence`] naming the first step that differed — a
-//! shareable anomaly artifact rather than a silent wrong answer.
+//! recording in every observable: each activation's executed flag, comm
+//! flag and read ports, [`RunStats`], final configuration. The replay
+//! records its own steps into a shared [`MemorySink`] and compares every
+//! decoded record with the recorded one. Any mismatch is reported as a
+//! [`ReplayDivergence`] naming the first step, process and field that
+//! differed — a shareable anomaly artifact rather than a silent wrong
+//! answer.
+
+use std::sync::{Arc, Mutex};
 
 use selfstab_graph::{Graph, NodeId};
 
@@ -23,7 +28,9 @@ use crate::executor::{SimOptions, Simulation};
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::RunStats;
-use crate::trace::StepRecord;
+use crate::telemetry::sink::{lock_shared, MemorySink};
+use crate::telemetry::wire;
+use crate::trace::{ActivationRecord, StepRecord};
 
 /// Scheduler that replays recorded selections staged one step at a time.
 ///
@@ -76,13 +83,12 @@ pub enum DivergenceKind {
     /// The recorded selection violates the scheduler contract (empty,
     /// unsorted, duplicated, or out of range) — a corrupt trace.
     Selection,
-    /// The set of processes that executed differs.
+    /// A selected process's executed flag differs.
     Executed,
-    /// The step's comm-changed flag differs.
+    /// A selected process's comm-changed flag differs.
     CommChanged,
-    /// The full step record differs (deep comparison, only performed
-    /// when the replay simulation records its own trace).
-    TraceRecord,
+    /// A selected process read different ports, or in a different order.
+    Reads,
 }
 
 impl DivergenceKind {
@@ -93,7 +99,7 @@ impl DivergenceKind {
             DivergenceKind::Selection => "selection",
             DivergenceKind::Executed => "executed",
             DivergenceKind::CommChanged => "comm_changed",
-            DivergenceKind::TraceRecord => "trace_record",
+            DivergenceKind::Reads => "reads",
         }
     }
 }
@@ -141,13 +147,19 @@ pub struct ReplayOutcome<State> {
 ///
 /// `graph`, `protocol`, `seed` and `options` must match the recorded
 /// run's construction, and the trace must have been recorded from the
-/// run's first step (the first record must carry step index 0). Each
-/// step is verified against its record (executed set and comm-changed
-/// flag; additionally the full record when `options.record_trace` is
-/// set); the first mismatch aborts the replay with a
-/// [`ReplayDivergence`]. The final-state checks ([`RunStats`] equality
-/// or digest, configuration equality or digest) are the caller's: this
-/// driver returns both in the [`ReplayOutcome`].
+/// run's first step (the first record must carry step index 0). The
+/// replay attaches a shared [`MemorySink`] and compares every replayed
+/// record with its recording, activation by activation: the executed
+/// flag, the comm-changed flag and the read ports, in that order. The
+/// first mismatch aborts the replay with a [`ReplayDivergence`]. The
+/// final-state checks ([`RunStats`] equality or digest, configuration
+/// equality or digest) are the caller's: this driver returns both in the
+/// [`ReplayOutcome`].
+///
+/// # Panics
+///
+/// Panics if `hook` attaches another trace sink or detaches the replay's
+/// own: the replay reads each step's record from the sink it attached.
 pub fn replay_with<'g, P, I, F>(
     graph: &'g Graph,
     protocol: P,
@@ -162,6 +174,10 @@ where
     F: FnMut(&mut Simulation<'g, P, ReplayScheduler>),
 {
     let mut sim = Simulation::new(graph, protocol, ReplayScheduler::new(), seed, options);
+    let sink = Arc::new(Mutex::new(MemorySink::new()));
+    sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+    // Read position in, and last step of, the replay's own step stream.
+    let (mut pos, mut prev) = (0, None);
     let n = graph.node_count();
     for record in records {
         if record.step != sim.steps() {
@@ -185,51 +201,26 @@ where
 
         hook(&mut sim);
 
-        let selection: Vec<NodeId> = record.activations.iter().map(|a| a.process).collect();
-        sim.scheduler_mut().stage(&selection);
-        let outcome = sim.step();
+        sim.scheduler_mut().stage(&record.selected());
+        sim.step();
 
-        let recorded_executed = record
-            .activations
-            .iter()
-            .filter(|a| a.executed)
-            .map(|a| a.process);
-        if !recorded_executed
-            .clone()
-            .eq(sim.last_executed().iter().copied())
-        {
+        let replayed = {
+            let memory = lock_shared(&sink);
+            assert!(
+                pos < memory.bytes().len(),
+                "the replay's trace sink missed step {}: the hook must not replace it",
+                record.step
+            );
+            wire::decode_step(memory.bytes(), &mut pos, prev)
+                .expect("the replay's own step stream decodes")
+        };
+        prev = Some(replayed.step);
+        if let Some((kind, detail)) = first_activation_mismatch(&record, &replayed) {
             return Err(Box::new(ReplayDivergence {
                 step: record.step,
-                kind: DivergenceKind::Executed,
-                detail: format!(
-                    "recorded executed set {:?} but the replay executed {:?}",
-                    recorded_executed.collect::<Vec<_>>(),
-                    sim.last_executed()
-                ),
+                kind,
+                detail,
             }));
-        }
-        if outcome.comm_changed != record.any_comm_changed() {
-            return Err(Box::new(ReplayDivergence {
-                step: record.step,
-                kind: DivergenceKind::CommChanged,
-                detail: format!(
-                    "recorded comm_changed={} but the replay observed {}",
-                    record.any_comm_changed(),
-                    outcome.comm_changed
-                ),
-            }));
-        }
-        if let Some(trace) = sim.trace() {
-            let replayed = trace.steps().last().expect("trace holds the step just run");
-            if *replayed != record {
-                return Err(Box::new(ReplayDivergence {
-                    step: record.step,
-                    kind: DivergenceKind::TraceRecord,
-                    detail: format!(
-                        "recorded step record {record:?} but the replay produced {replayed:?}"
-                    ),
-                }));
-            }
         }
     }
     // One trailing hook call: a recording may end with an external write
@@ -259,6 +250,46 @@ where
     I: IntoIterator<Item = StepRecord>,
 {
     replay_with(graph, protocol, seed, options, records, |_| {})
+}
+
+/// Compares a recorded step with its replay, activation by activation,
+/// and describes the first field that differs. Both records select the
+/// same processes, because the replay staged the recorded selection.
+fn first_activation_mismatch(
+    recorded: &StepRecord,
+    replayed: &StepRecord,
+) -> Option<(DivergenceKind, String)> {
+    debug_assert_eq!(recorded.selected(), replayed.selected());
+    let ports = |a: &ActivationRecord| a.reads.iter().map(|p| p.index()).collect::<Vec<_>>();
+    recorded
+        .activations
+        .iter()
+        .zip(&replayed.activations)
+        .find_map(|(rec, rep)| {
+            let (kind, detail) = if rec.executed != rep.executed {
+                let detail = format!(
+                    "recorded executed={} but the replay executed={}",
+                    rec.executed, rep.executed
+                );
+                (DivergenceKind::Executed, detail)
+            } else if rec.comm_changed != rep.comm_changed {
+                let detail = format!(
+                    "recorded comm_changed={} but the replay observed {}",
+                    rec.comm_changed, rep.comm_changed
+                );
+                (DivergenceKind::CommChanged, detail)
+            } else if rec.reads != rep.reads {
+                let detail = format!(
+                    "recorded reads {:?} but the replay read {:?}",
+                    ports(rec),
+                    ports(rep)
+                );
+                (DivergenceKind::Reads, detail)
+            } else {
+                return None;
+            };
+            Some((kind, format!("process {}: {detail}", rec.process)))
+        })
 }
 
 /// Checks a record's selection against the scheduler contract; returns a

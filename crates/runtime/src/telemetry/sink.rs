@@ -1,7 +1,8 @@
 //! Trace sinks: where captured step records go.
 //!
-//! The executor hands every step's [`StepRecord`] to an attached
-//! [`TraceSink`]. Sinks own the wire-format encoder state (the previous
+//! An attached [`TraceSink`] is the executor's only consumer of
+//! [`StepRecord`]s: while it is recording, the executor hands it every
+//! step's record. Sinks own the wire-format encoder state (the previous
 //! step index for delta coding), so the executor stays oblivious to the
 //! encoding. Three implementations cover the spectrum:
 //!
@@ -10,11 +11,14 @@
 //!   byte-for-byte equivalent to attaching nothing (the zero-allocation
 //!   and sharded hot paths are untouched).
 //! * [`MemorySink`] — encodes into an in-memory buffer; the unit-test
-//!   and proptest workhorse.
+//!   and proptest workhorse, and the sink every replay records into.
 //! * [`FileSink`] — encodes through a buffered writer into the trace
 //!   file container (header, tagged step stream, digest footer), built
-//!   for multi-million-step runs that an in-memory
-//!   [`Trace`](crate::trace::Trace) cannot survive.
+//!   for multi-million-step runs.
+//!
+//! A simulation owns its sink, so a caller that must read the records
+//! during or after the run attaches a shared one: `Arc<Mutex<T>>` is a
+//! sink whenever `T` is, and the caller keeps the other handle.
 //!
 //! [`TraceFileReader`] reads the container back, decoding records
 //! lazily so replay memory stays proportional to the (compact) file,
@@ -23,6 +27,7 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::trace::StepRecord;
 
@@ -116,6 +121,36 @@ impl TraceSink for NullSink {
     }
 
     fn record_step(&mut self, _record: &StepRecord) {}
+}
+
+/// A shared sink records into the `T` behind the lock, so the caller can
+/// keep one handle and read the records (for a [`MemorySink`],
+/// [`MemorySink::decode_all`]) while a simulation owns the other. Every
+/// call panics if a thread panicked while holding the lock.
+impl<T: TraceSink> TraceSink for Arc<Mutex<T>> {
+    fn is_recording(&self) -> bool {
+        lock_shared(self).is_recording()
+    }
+
+    fn record_step(&mut self, record: &StepRecord) {
+        lock_shared(self).record_step(record);
+    }
+
+    fn finish(&mut self, footer: &TraceFooter) -> io::Result<()> {
+        lock_shared(self).finish(footer)
+    }
+}
+
+/// Locks a shared sink.
+///
+/// # Panics
+///
+/// Panics if a thread panicked while holding the lock: it may have left
+/// a record half encoded.
+pub(crate) fn lock_shared<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared
+        .lock()
+        .expect("a thread panicked while recording into this shared sink")
 }
 
 /// Sink encoding the step stream into an in-memory buffer.
@@ -468,6 +503,20 @@ mod tests {
         }
         assert_eq!(sink.steps(), records.len() as u64);
         assert_eq!(sink.decode_all().expect("decodes"), records);
+    }
+
+    #[test]
+    fn shared_sink_records_into_the_sink_behind_the_lock() {
+        let records = sample_records();
+        let shared = Arc::new(Mutex::new(MemorySink::new()));
+        let mut owned: Box<dyn TraceSink> = Box::new(Arc::clone(&shared));
+        assert!(owned.is_recording());
+        for r in &records {
+            owned.record_step(r);
+        }
+        assert_eq!(lock_shared(&shared).decode_all().expect("decodes"), records);
+        let null: Arc<Mutex<NullSink>> = Arc::default();
+        assert!(!null.is_recording(), "the inner sink decides");
     }
 
     #[test]

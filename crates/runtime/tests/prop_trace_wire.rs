@@ -1,19 +1,14 @@
-//! Property tests over the telemetry wire format and the trace
-//! accumulators.
-//!
-//! * Arbitrary [`StepRecord`] sequences — empty steps, backwards step
-//!   jumps, duplicate and unsorted process ids, maximum-degree read
-//!   lists, `u32`-boundary node ids — must round-trip byte-exactly
-//!   through [`MemorySink`]'s delta/varint encoding.
-//! * [`Trace::stable_process_count`]'s single-pass accumulation must
-//!   agree with the original per-process re-scan (reimplemented naively
-//!   here) on arbitrary traces.
+//! Property tests over the telemetry wire format: arbitrary
+//! [`StepRecord`] sequences — empty steps, backwards step jumps,
+//! duplicate and unsorted process ids, maximum-degree read lists,
+//! `u32`-boundary node ids — must round-trip byte-exactly through
+//! [`MemorySink`]'s delta/varint encoding.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfstab_graph::{NodeId, Port};
-use selfstab_runtime::trace::{ActivationRecord, StepRecord, Trace};
+use selfstab_runtime::trace::{ActivationRecord, StepRecord};
 use selfstab_runtime::MemorySink;
 use selfstab_runtime::TraceSink;
 
@@ -93,59 +88,6 @@ fn arbitrary_records(seed: u64, steps: usize) -> Vec<StepRecord> {
     records
 }
 
-/// The historical `stable_process_count`: rebuild each process's suffix
-/// read set independently with a linear `contains` probe, then count.
-fn naive_stable_process_count(trace: &Trace, n: usize, k: usize, from_step: u64) -> usize {
-    (0..n)
-        .filter(|&p| {
-            let mut ports: Vec<Port> = Vec::new();
-            for record in trace.steps() {
-                if record.step < from_step {
-                    continue;
-                }
-                for activation in &record.activations {
-                    if activation.process.index() != p {
-                        continue;
-                    }
-                    for &port in &activation.reads {
-                        if !ports.contains(&port) {
-                            ports.push(port);
-                        }
-                    }
-                }
-            }
-            ports.len() <= k
-        })
-        .count()
-}
-
-/// Builds a trace whose activations stay within `n` processes *except*
-/// for a few out-of-range ids, which `stable_process_count` must skip.
-fn arbitrary_trace(seed: u64, steps: usize, n: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = Trace::new();
-    for step in 0..steps as u64 {
-        let activation_count = rng.gen_range(0..4usize);
-        let activations = (0..activation_count)
-            .map(|_| {
-                let reads_len = rng.gen_range(0..5usize);
-                ActivationRecord {
-                    // n + 3 occasionally lands out of range — those
-                    // activations must not contribute to any count.
-                    process: NodeId::new(rng.gen_range(0..n + 3)),
-                    executed: rng.gen_bool(0.7),
-                    reads: (0..reads_len)
-                        .map(|_| Port::new(rng.gen_range(0..6usize)))
-                        .collect(),
-                    comm_changed: rng.gen_bool(0.2),
-                }
-            })
-            .collect();
-        trace.push(StepRecord { step, activations });
-    }
-    trace
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -162,20 +104,5 @@ proptest! {
         prop_assert_eq!(sink.steps(), records.len() as u64);
         let decoded = sink.decode_all().expect("generated streams are well-formed");
         prop_assert_eq!(decoded, records);
-    }
-
-    #[test]
-    fn stable_process_count_matches_naive_rescan(
-        seed in 0u64..1_000_000,
-        steps in 0usize..30,
-        n in 1usize..12,
-        k in 0usize..8,
-        from_step in 0u64..20,
-    ) {
-        let trace = arbitrary_trace(seed, steps, n);
-        prop_assert_eq!(
-            trace.stable_process_count(n, k, from_step),
-            naive_stable_process_count(&trace, n, k, from_step)
-        );
     }
 }

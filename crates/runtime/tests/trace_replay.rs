@@ -173,9 +173,8 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
     })
     .expect("seals trace file");
 
-    // Replay, with the deep per-step record comparison enabled
-    // (`record_trace` makes the replay simulation rebuild each record and
-    // diff it against the recording).
+    // Replay: every replayed step record is compared with the recorded
+    // one, activation by activation (executed flag, comm flag, reads).
     let mut reader = TraceFileReader::open(&path).expect("opens trace file");
     let records = reader.read_to_end().expect("decodes step stream");
     let footer = *reader.footer().expect("footer after the stream");
@@ -189,7 +188,7 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
         graph,
         RandomRecolor { palette },
         seed,
-        SimOptions::default().with_trace(),
+        SimOptions::default(),
         records,
         |sim| {
             while next_event < scenario.events().len()

@@ -8,13 +8,14 @@
 //! `Box`, clone or format sneaking into `step()` (or into the schedulers'
 //! `select`) trips it immediately.
 //!
-//! The one deliberate exception is trace recording (`record_trace`), which
-//! retains per-step records and therefore allocates by design; it stays off
-//! here, as it is in every large-scale experiment. The telemetry layer's
-//! default configuration — a [`NullSink`] attached, metrics disabled — is
-//! part of the enforced regime: the sink's `is_recording() == false` makes
-//! the executor skip record construction entirely, so attaching it must be
-//! indistinguishable from attaching nothing.
+//! The one deliberate exception is a recording trace sink: while one is
+//! attached, every step builds a record for it and therefore allocates by
+//! design; none is attached here, as in every large-scale experiment. The
+//! telemetry layer's default configuration — a [`NullSink`] attached,
+//! metrics disabled — is part of the enforced regime: the sink's
+//! `is_recording() == false` makes the executor skip record construction
+//! entirely, so attaching it must be indistinguishable from attaching
+//! nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

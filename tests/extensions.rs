@@ -19,7 +19,7 @@ fn mis_under_the_locally_central_daemon() {
         protocol,
         LocallyCentral::new(&graph, 0.6),
         3,
-        SimOptions::default().with_trace(),
+        SimOptions::default(),
     );
     let report = sim.run_until_silent(2_000_000);
     assert!(report.silent);
@@ -27,7 +27,7 @@ fn mis_under_the_locally_central_daemon() {
         &graph,
         &Mis::output(sim.config())
     ));
-    assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+    assert!(sim.stats().measured_efficiency() <= 1);
 }
 
 /// The transformer applied to a non-coloring edge-checkable specification
@@ -42,7 +42,7 @@ fn transformer_on_a_separation_constraint() {
         protocol,
         DistributedRandom::new(0.5),
         9,
-        SimOptions::default().with_trace(),
+        SimOptions::default(),
     );
     let report = sim.run_until_silent(2_000_000);
     assert!(report.silent);
@@ -51,7 +51,7 @@ fn transformer_on_a_separation_constraint() {
     for (p, q) in graph.edges() {
         assert!(!spec.conflict(&values[p.index()], &values[q.index()]));
     }
-    assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+    assert!(sim.stats().measured_efficiency() <= 1);
 }
 
 /// A protocol authored with the guarded-action DSL composes with the
@@ -114,13 +114,13 @@ fn guarded_dsl_protocol_on_a_hypercube() {
         dsl_protocol,
         DistributedRandom::new(0.5),
         5,
-        SimOptions::default().with_trace(),
+        SimOptions::default(),
     );
     let report = sim.run_until_silent(2_000_000);
     assert!(report.silent);
     let colors: Vec<usize> = sim.config().iter().map(|s| s.0).collect();
     assert!(verify::is_proper_coloring(&graph, &colors));
-    assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+    assert!(sim.stats().measured_efficiency() <= 1);
 
     // Cross-check with the hand-written protocol on the same topology.
     let handwritten = RoundRobinChecker::new(ColoringSpec::new(&graph));

@@ -25,7 +25,7 @@ fn theorem_3_coloring_is_one_efficient_and_stabilizes() {
             protocol,
             DistributedRandom::new(0.5),
             seed,
-            SimOptions::default().with_trace(),
+            SimOptions::default(),
         );
         let report = sim.run_until_silent(2_000_000);
         assert!(report.silent, "no stabilization on {graph}");
@@ -34,7 +34,7 @@ fn theorem_3_coloring_is_one_efficient_and_stabilizes() {
             &selfstab_core::coloring::Coloring::output(sim.config())
         ));
         assert!(
-            sim.trace().unwrap().measured_efficiency() <= 1,
+            sim.stats().measured_efficiency() <= 1,
             "not 1-efficient on {graph}"
         );
     }
@@ -51,13 +51,7 @@ fn theorem_5_mis_is_one_efficient_and_bounded() {
     ] {
         let protocol = Mis::with_greedy_coloring(&graph);
         let bound = protocol.round_bound(&graph);
-        let mut sim = Simulation::new(
-            &graph,
-            protocol,
-            Synchronous,
-            seed,
-            SimOptions::default().with_trace(),
-        );
+        let mut sim = Simulation::new(&graph, protocol, Synchronous, seed, SimOptions::default());
         let report = sim.run_until_silent(bound + 16);
         assert!(report.silent, "MIS exceeded its round bound on {graph}");
         assert!(report.total_rounds <= bound + 1);
@@ -65,7 +59,7 @@ fn theorem_5_mis_is_one_efficient_and_bounded() {
             &graph,
             &Mis::output(sim.config())
         ));
-        assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+        assert!(sim.stats().measured_efficiency() <= 1);
     }
 }
 
@@ -114,13 +108,7 @@ fn theorem_7_matching_is_one_efficient_and_bounded() {
     ] {
         let protocol = Matching::with_greedy_coloring(&graph);
         let bound = Matching::round_bound(&graph);
-        let mut sim = Simulation::new(
-            &graph,
-            protocol,
-            Synchronous,
-            seed,
-            SimOptions::default().with_trace(),
-        );
+        let mut sim = Simulation::new(&graph, protocol, Synchronous, seed, SimOptions::default());
         let report = sim.run_until_silent(bound + 16);
         assert!(
             report.silent,
@@ -129,7 +117,7 @@ fn theorem_7_matching_is_one_efficient_and_bounded() {
         assert!(report.total_rounds <= bound);
         let edges = sim.protocol().output(&graph, sim.config());
         assert!(verify::is_maximal_matching(&graph, &edges));
-        assert!(sim.trace().unwrap().measured_efficiency() <= 1);
+        assert!(sim.stats().measured_efficiency() <= 1);
     }
 }
 
