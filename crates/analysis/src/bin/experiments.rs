@@ -7,7 +7,6 @@
 //! cargo run --release -p selfstab-analysis --bin experiments -- --only E3,E12
 //! cargo run --release -p selfstab-analysis --bin experiments -- --seed 42
 //! cargo run --release -p selfstab-analysis --bin experiments -- --threads 4
-//! cargo run --release -p selfstab-analysis --bin experiments -- --step-workers 4
 //! cargo run --release -p selfstab-analysis --bin experiments -- --format json
 //! cargo run --release -p selfstab-analysis --bin experiments -- --list
 //! ```
@@ -15,9 +14,8 @@
 //! `--only` runs (not merely prints) just the selected experiments;
 //! `--seed` replaces the default base seed so independent reproductions can
 //! check that the tables' shapes are seed-independent; `--threads` sets the
-//! campaign engine's worker count and `--step-workers` the sharded
-//! executor's intra-step worker count (the tables are byte-identical for
-//! every value of either); `--format json` emits one machine-readable JSON
+//! campaign engine's worker count (the tables are byte-identical for every
+//! value); `--format json` emits one machine-readable JSON
 //! document instead of the aligned text tables; `--list` prints the
 //! experiment identifiers and exits.
 
@@ -47,7 +45,6 @@ struct Args {
     only: Option<Vec<String>>,
     seed: Option<u64>,
     threads: Option<usize>,
-    step_workers: Option<usize>,
     format: Format,
     trace_out: Option<PathBuf>,
     replay: Option<PathBuf>,
@@ -67,9 +64,6 @@ options:
   --threads N          campaign worker threads, N >= 1
                        (default: the machine's available parallelism;
                        tables are byte-identical for every thread count)
-  --step-workers N     intra-step worker threads of the sharded executor,
-                       N >= 1 (default 1; orthogonal to --threads, and
-                       tables are byte-identical for every worker count)
   --format table|json  output format (default: table)
   --list               list the experiment identifiers and exit
   -h, --help           print this help
@@ -104,7 +98,6 @@ fn parse_args() -> Result<Parsed, String> {
         only: None,
         seed: None,
         threads: None,
-        step_workers: None,
         format: Format::Table,
         trace_out: None,
         replay: None,
@@ -149,22 +142,6 @@ fn parse_args() -> Result<Parsed, String> {
                     );
                 }
                 args.threads = Some(threads);
-            }
-            "--step-workers" => {
-                let value = iter
-                    .next()
-                    .ok_or("--step-workers requires an integer argument")?;
-                let workers = value
-                    .parse::<usize>()
-                    .map_err(|err| format!("--step-workers {value}: {err}"))?;
-                if workers == 0 {
-                    return Err(
-                        "--step-workers 0 is invalid: the sharded executor needs at least \
-                         one worker (omit the flag for the sequential executor)"
-                            .to_string(),
-                    );
-                }
-                args.step_workers = Some(workers);
             }
             "--format" => {
                 let value = iter
@@ -241,9 +218,8 @@ fn parse_args() -> Result<Parsed, String> {
 fn render_json(config: &ExperimentConfig, tables: &[ExperimentTable]) -> String {
     let mut out = String::from("{\n  \"config\": {");
     out.push_str(&format!(
-        "\"runs\": {}, \"max_steps\": {}, \"base_seed\": {}, \"threads\": {}, \
-         \"step_workers\": {}",
-        config.runs, config.max_steps, config.base_seed, config.threads, config.step_workers
+        "\"runs\": {}, \"max_steps\": {}, \"base_seed\": {}, \"threads\": {}",
+        config.runs, config.max_steps, config.base_seed, config.threads
     ));
     out.push_str("},\n  \"tables\": [\n");
     for (i, table) in tables.iter().enumerate() {
@@ -364,9 +340,6 @@ fn main() -> ExitCode {
     if let Some(threads) = args.threads {
         config.threads = threads;
     }
-    if let Some(workers) = args.step_workers {
-        config.step_workers = workers;
-    }
     if args.format == Format::Table {
         println!(
             "reproduction of: Devismes, Masuzawa, Tixeuil — Communication Efficiency in \
@@ -374,8 +347,8 @@ fn main() -> ExitCode {
         );
         println!(
             "configuration: {} runs per point, {} max steps, base seed {:#x}, {} campaign \
-             threads, {} step workers\n",
-            config.runs, config.max_steps, config.base_seed, config.threads, config.step_workers
+             threads\n",
+            config.runs, config.max_steps, config.base_seed, config.threads
         );
     }
 

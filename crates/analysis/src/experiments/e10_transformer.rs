@@ -107,7 +107,7 @@ pub fn cell(
         )
     }
     let graph = workload.build(config.base_seed);
-    let options = config.sim_options();
+    let options = SimOptions::default();
     match variant {
         Variant::HandWritten => drive(
             &graph,

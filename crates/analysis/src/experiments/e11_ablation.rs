@@ -16,8 +16,8 @@
 use selfstab_core::coloring::Coloring;
 use selfstab_core::mis::Mis;
 use selfstab_graph::coloring as graph_coloring;
-use selfstab_runtime::run_cell;
 use selfstab_runtime::scheduler::Synchronous;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid2, CampaignSpec, DaemonSpec};
@@ -83,7 +83,7 @@ pub fn identifier_cell(
         protocol,
         Synchronous,
         seed,
-        config.sim_options(),
+        SimOptions::default(),
         bound + 16,
         |report, _sim| {
             assert!(report.silent, "MIS must stabilize within its bound");
@@ -105,7 +105,7 @@ pub fn daemon_cell(
         Coloring::new(&graph),
         daemon.build(&graph),
         seed,
-        config.sim_options(),
+        SimOptions::default(),
         config.max_steps,
         |report, _sim| {
             assert!(report.silent, "COLORING must stabilize under a fair daemon");

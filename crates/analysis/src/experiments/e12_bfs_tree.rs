@@ -11,7 +11,7 @@
 use selfstab_core::measures::suffix_comm_report;
 use selfstab_core::spanning::{is_bfs_spanning_tree, BfsTree};
 use selfstab_graph::{properties, NodeId, RootedGraph};
-use selfstab_runtime::run_cell;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid2, CampaignSpec, CellOutcome, DaemonSpec, PointResult};
@@ -76,7 +76,7 @@ pub fn cell(
         BfsTree::new(&network),
         daemon.build(&graph),
         seed,
-        config.sim_options().with_check_interval(8),
+        SimOptions::default().with_check_interval(8),
         config.max_steps,
         |report, sim| {
             if !report.silent {

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use selfstab_core::measures::suffix_comm_report;
 use selfstab_core::spanning::{is_bfs_spanning_tree, LeaderElection};
 use selfstab_graph::Identifiers;
-use selfstab_runtime::run_cell;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::e12_bfs_tree;
 use super::ExperimentConfig;
@@ -77,7 +77,7 @@ pub fn cell(
         protocol,
         daemon.build(&graph),
         seed,
-        config.sim_options().with_check_interval(8),
+        SimOptions::default().with_check_interval(8),
         config.max_steps,
         |report, sim| {
             if !report.silent {

@@ -20,7 +20,7 @@ use selfstab_core::baselines::BaselineMis;
 use selfstab_core::measures::recovery_report;
 use selfstab_core::mis::Mis;
 use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad};
-use selfstab_runtime::run_cell;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::e9_fault_recovery::{fault_rng, steady_window_reads_per_round, MisKind};
 use super::ExperimentConfig;
@@ -90,7 +90,7 @@ pub fn cell(
             protocol,
             daemon.build(graph),
             seed,
-            config.sim_options().with_check_interval(4),
+            SimOptions::default().with_check_interval(4),
             config.max_steps,
             |report, sim| {
                 if !report.silent {

@@ -78,7 +78,7 @@ pub fn cell(
         )
     }
     let graph = workload.build(config.base_seed);
-    let options = config.sim_options();
+    let options = SimOptions::default();
     match kind {
         ProtocolKind::Coloring => complexity(
             &graph,

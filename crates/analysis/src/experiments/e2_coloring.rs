@@ -7,8 +7,8 @@
 //! step.
 
 use selfstab_core::coloring::Coloring;
-use selfstab_runtime::run_cell;
 use selfstab_runtime::scheduler::DistributedRandom;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -50,7 +50,7 @@ pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOu
         Coloring::new(&graph),
         DistributedRandom::new(0.5),
         seed,
-        config.sim_options(),
+        SimOptions::default(),
         config.max_steps,
         |report, sim| {
             if !report.silent {

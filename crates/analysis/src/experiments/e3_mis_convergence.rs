@@ -6,8 +6,8 @@
 
 use selfstab_core::mis::Mis;
 use selfstab_graph::verify;
-use selfstab_runtime::run_cell;
 use selfstab_runtime::scheduler::Synchronous;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -54,7 +54,7 @@ pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOu
         protocol,
         Synchronous,
         seed,
-        config.sim_options(),
+        SimOptions::default(),
         config.max_steps.min(bound + 16),
         |report, sim| {
             if !report.silent {

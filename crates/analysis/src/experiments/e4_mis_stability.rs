@@ -7,8 +7,8 @@
 
 use selfstab_core::mis::{Membership, Mis};
 use selfstab_graph::longest_path;
-use selfstab_runtime::run_cell;
 use selfstab_runtime::scheduler::DistributedRandom;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -54,7 +54,7 @@ pub fn cell(
         Mis::with_greedy_coloring(&graph),
         DistributedRandom::new(0.5),
         seed,
-        config.sim_options(),
+        SimOptions::default(),
         config.max_steps,
         |report, sim| {
             if !report.silent {

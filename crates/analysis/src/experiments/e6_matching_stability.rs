@@ -5,8 +5,8 @@
 //! processes against the theoretical lower bound `2⌈m/(2∆−1)⌉`.
 
 use selfstab_core::matching::Matching;
-use selfstab_runtime::run_cell;
 use selfstab_runtime::scheduler::DistributedRandom;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -52,7 +52,7 @@ pub fn cell(
         Matching::with_greedy_coloring(&graph),
         DistributedRandom::new(0.5),
         seed,
-        config.sim_options(),
+        SimOptions::default(),
         config.max_steps,
         |report, sim| {
             if !report.silent {

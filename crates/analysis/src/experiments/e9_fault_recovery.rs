@@ -22,8 +22,8 @@ use rand::SeedableRng;
 use selfstab_core::baselines::BaselineMis;
 use selfstab_core::mis::Mis;
 use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad, FaultModel, FaultPlan};
-use selfstab_runtime::run_cell;
 use selfstab_runtime::scheduler::Synchronous;
+use selfstab_runtime::{run_cell, SimOptions};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid3, CampaignSpec, CellOutcome, PointResult};
@@ -120,7 +120,7 @@ pub fn cell(
             protocol,
             Synchronous,
             seed,
-            config.sim_options(),
+            SimOptions::default(),
             config.max_steps,
             |report, sim| {
                 if !report.silent {

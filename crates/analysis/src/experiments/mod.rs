@@ -40,19 +40,6 @@ pub struct ExperimentConfig {
     /// thread count affects wall-clock time only — tables are byte-identical
     /// for every value (see `tests/determinism.rs`).
     pub threads: usize,
-    /// Intra-step worker threads used by every simulation's sharded
-    /// executor (at least 1). Orthogonal to `threads`: campaign threads
-    /// parallelize *across* cells, step workers parallelize *inside* one
-    /// step. The sharded executor is observably identical at every worker
-    /// count, so this too affects wall-clock time only — tables stay
-    /// byte-identical across the full (threads × step_workers) matrix.
-    pub step_workers: usize,
-    /// Minimum per-phase work-item count before the sharded executor
-    /// dispatches a step phase to worker threads (passed through to
-    /// [`SimOptions`](selfstab_runtime::SimOptions)). The determinism
-    /// tests set it to `0` so that even the small quick-suite graphs run
-    /// the threaded path; outcomes are identical either way.
-    pub parallel_work_threshold: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -62,9 +49,6 @@ impl Default for ExperimentConfig {
             max_steps: 2_000_000,
             base_seed: 0xC0FFEE,
             threads: crate::campaign::default_threads(),
-            step_workers: 1,
-            parallel_work_threshold: selfstab_runtime::SimOptions::default()
-                .parallel_work_threshold,
         }
     }
 }
@@ -89,31 +73,6 @@ impl ExperimentConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Replaces the intra-step worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_step_workers(mut self, workers: usize) -> Self {
-        self.step_workers = workers.max(1);
-        self
-    }
-
-    /// Replaces the sharded executor's threaded-dispatch threshold (`0`
-    /// forces the parallel path whenever `step_workers > 1`).
-    #[must_use]
-    pub fn with_parallel_work_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_work_threshold = threshold;
-        self
-    }
-
-    /// The [`SimOptions`](selfstab_runtime::SimOptions) every experiment
-    /// cell starts from: defaults plus this configuration's intra-step
-    /// parallelism knobs. Experiments layer their own settings (the check
-    /// interval) on top with the usual builder methods.
-    pub fn sim_options(&self) -> selfstab_runtime::SimOptions {
-        selfstab_runtime::SimOptions::default()
-            .with_step_workers(self.step_workers)
-            .with_parallel_work_threshold(self.parallel_work_threshold)
     }
 }
 

@@ -21,9 +21,7 @@
 //! to write `BENCH_hot_path.json` (in `crates/bench/` — cargo runs bench
 //! binaries with the package directory as cwd; see the vendored criterion
 //! stub docs). CI runs it with `--quick` and uploads the summary as an
-//! artifact. Set `HOT_PATH_GROUPS` (comma-separated subset of
-//! `base,sharded`) to measure one group family without paying for the
-//! other's million-node stabilization.
+//! artifact.
 
 use std::time::Duration;
 
@@ -252,130 +250,13 @@ fn bench_tracing(c: &mut Criterion, workloads: &[Workload]) {
     std::fs::remove_file(&trace_path).ok();
 }
 
-/// Size of the sharded-executor tier: one million processes (the scale
-/// the intra-step parallelism exists for); `--quick` drops to 10⁵ so the
-/// CI smoke run still exercises the threaded dispatch path without paying
-/// the million-node stabilization.
-fn sharded_size() -> usize {
-    if criterion::quick_mode() {
-        100_000
-    } else {
-        1_000_000
-    }
-}
-
-/// Per-step cost of the sharded executor at 10⁶ processes, sequential
-/// baseline (`workers=1`) against threaded dispatch (`workers=4`), on the
-/// same pre-stabilized ring. The executions are byte-identical at every
-/// worker count (see `parallel_step_equivalence`), so the two labels time
-/// the same observable work.
-fn bench_sharded(c: &mut Criterion) {
-    let n = sharded_size();
-    let graph = generators::ring(n);
-    let mut sim = Simulation::new(
-        &graph,
-        Mis::with_greedy_coloring(&graph),
-        Synchronous,
-        0xC0FFEE,
-        SimOptions::default(),
-    );
-    let report = sim.run_until_silent(10_000 + 200 * graph.node_count() as u64);
-    assert!(report.silent, "MIS must stabilize before the benchmark");
-    let (config, _, _) = sim.into_parts();
-    let workload = Workload {
-        label: format!("ring-{n}"),
-        graph,
-        config,
-    };
-
-    let mut group = c.benchmark_group("hot_path/sharded_stepping");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    for workers in [1usize, 4] {
-        let mut sim = Simulation::with_config(
-            &workload.graph,
-            Mis::with_greedy_coloring(&workload.graph),
-            Synchronous,
-            workload.config.clone(),
-            0xFEED,
-            SimOptions::default().with_step_workers(workers),
-        );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!(
-                "{}/synchronous/workers={workers}",
-                workload.label
-            )),
-            &workload.graph,
-            |b, _| b.iter(|| sim.step().comm_changed),
-        );
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("hot_path/sharded_repair_wave");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    for workers in [1usize, 4] {
-        let mut sim = Simulation::with_config(
-            &workload.graph,
-            Mis::with_greedy_coloring(&workload.graph),
-            Synchronous,
-            workload.config.clone(),
-            0xFEED,
-            SimOptions::default().with_step_workers(workers),
-        );
-        let victim = NodeId::new(workload.graph.node_count() / 2);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!(
-                "{}/synchronous/workers={workers}",
-                workload.label
-            )),
-            &workload.graph,
-            |b, _| {
-                b.iter(|| {
-                    sim.set_state(
-                        victim,
-                        MisState {
-                            status: Membership::Dominator,
-                            cur: Port::new(0),
-                        },
-                    );
-                    for _ in 0..8 {
-                        sim.step();
-                    }
-                    sim.steps()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Entry point: stabilize every workload once, then run both scenarios
-/// over the shared configurations, then the million-node sharded tier.
-///
-/// The vendored criterion stub has no `--filter` support, so
-/// `HOT_PATH_GROUPS` (comma-separated subset of `base,sharded`) selects
-/// which group families run — workloads are only stabilized for the
-/// families actually selected. Unset means everything, which is what CI's
-/// `--quick` smoke measures.
+/// Entry point: stabilize every workload once, then run every scenario
+/// over the shared configurations.
 fn bench_hot_path(c: &mut Criterion) {
-    let only = std::env::var("HOT_PATH_GROUPS").ok();
-    let run = |name: &str| {
-        only.as_deref()
-            .is_none_or(|list| list.split(',').any(|g| g.trim() == name))
-    };
-
-    if run("base") {
-        let workloads = workloads();
-        bench_silent_stepping(c, &workloads);
-        bench_repair_wave(c, &workloads);
-        bench_tracing(c, &workloads);
-    }
-    if run("sharded") {
-        bench_sharded(c);
-    }
+    let workloads = workloads();
+    bench_silent_stepping(c, &workloads);
+    bench_repair_wave(c, &workloads);
+    bench_tracing(c, &workloads);
 }
 
 criterion_group!(benches, bench_hot_path);

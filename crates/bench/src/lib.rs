@@ -19,7 +19,6 @@ pub fn bench_config() -> ExperimentConfig {
         max_steps: 2_000_000,
         base_seed: 0xBEEF,
         threads: 1,
-        ..ExperimentConfig::default()
     }
 }
 

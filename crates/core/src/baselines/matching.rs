@@ -18,7 +18,7 @@
 
 use rand::Rng;
 use rand::RngCore;
-use selfstab_graph::coloring::LocalColoring;
+use selfstab_graph::coloring::{Color, LocalColoring};
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
@@ -59,7 +59,7 @@ impl BaselineMatching {
         &self.coloring
     }
 
-    fn color(&self, p: NodeId) -> usize {
+    fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
 

@@ -10,7 +10,7 @@
 
 use rand::Rng;
 use rand::RngCore;
-use selfstab_graph::coloring::LocalColoring;
+use selfstab_graph::coloring::{Color, LocalColoring};
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
@@ -166,7 +166,7 @@ impl FrozenReadMis {
             .collect()
     }
 
-    fn color(&self, p: NodeId) -> usize {
+    fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
 

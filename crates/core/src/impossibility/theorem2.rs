@@ -14,7 +14,7 @@
 //! Figure 4(c) — two adjacent Dominators whose designated reads point away
 //! from each other — and show it is silent yet violates the MIS predicate.
 
-use selfstab_graph::coloring::LocalColoring;
+use selfstab_graph::coloring::{Color, LocalColoring};
 use selfstab_graph::generators::{self, RootedDagNetwork};
 use selfstab_graph::{Graph, GraphError, NodeId, Port};
 
@@ -60,7 +60,7 @@ impl Theorem2Counterexample {
 /// Colors used on the six core processes (0-based `p1..p6`), chosen to be a
 /// proper coloring of the Figure 3 cycle that satisfies all the ordering
 /// constraints of the construction (see the module tests).
-const CORE_COLORS: [usize; 6] = [1, 0, 0, 2, 1, 1];
+const CORE_COLORS: [Color; 6] = [1, 0, 0, 2, 1, 1];
 
 /// Designated reads of the six core processes: `p2` and `p5` (the two
 /// Dominators of the spliced configuration) read away from each other, and

@@ -25,7 +25,7 @@
 
 use rand::Rng;
 use rand::RngCore;
-use selfstab_graph::coloring::LocalColoring;
+use selfstab_graph::coloring::{Color, LocalColoring};
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
@@ -51,7 +51,7 @@ pub struct MatchingComm {
     /// `PR.p`, expressed in the owner's local port numbering.
     pub pr: Option<Port>,
     /// The communication constant `C.p`.
-    pub color: usize,
+    pub color: Color,
 }
 
 /// The `MATCHING` protocol of Figure 10.
@@ -80,7 +80,7 @@ impl Matching {
         &self.coloring
     }
 
-    fn color(&self, p: NodeId) -> usize {
+    fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
 
@@ -393,6 +393,13 @@ mod tests {
         // The executor writes one state row per activation: a flag, an
         // optional 32-bit `PR` port and a 32-bit `cur` port.
         assert_eq!(std::mem::size_of::<MatchingState>(), 16);
+    }
+
+    #[test]
+    fn matching_comm_rows_are_16_bytes() {
+        // Every activation reads one neighbor's comm row: a flag, an
+        // optional 32-bit `PR` port and a 32-bit color constant.
+        assert_eq!(std::mem::size_of::<MatchingComm>(), 16);
     }
 
     fn protocol_for(graph: &Graph) -> Matching {

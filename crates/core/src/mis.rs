@@ -27,7 +27,7 @@
 
 use rand::Rng;
 use rand::RngCore;
-use selfstab_graph::coloring::LocalColoring;
+use selfstab_graph::coloring::{Color, LocalColoring};
 use selfstab_graph::{longest_path, verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
@@ -58,7 +58,7 @@ pub struct MisComm {
     /// `S.p`.
     pub status: Membership,
     /// The communication constant `C.p`.
-    pub color: usize,
+    pub color: Color,
 }
 
 /// The `MIS` protocol of Figure 8.
@@ -110,7 +110,7 @@ impl Mis {
         longest_path::mis_stability_bound(lmax)
     }
 
-    fn color(&self, p: NodeId) -> usize {
+    fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
 
@@ -286,6 +286,13 @@ mod tests {
         // The executor writes one state row per activation: a one-byte
         // status and a 32-bit `cur` port.
         assert_eq!(std::mem::size_of::<MisState>(), 8);
+    }
+
+    #[test]
+    fn mis_comm_rows_are_8_bytes() {
+        // Every activation reads one neighbor's comm row: a one-byte
+        // status and a 32-bit color constant.
+        assert_eq!(std::mem::size_of::<MisComm>(), 8);
     }
 
     fn protocol_for(graph: &Graph) -> Mis {

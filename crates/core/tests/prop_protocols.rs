@@ -49,8 +49,8 @@ fn run_to_silence_checking_reference<P: Protocol, S: Scheduler>(sim: &mut Simula
         sim.recompute_enabled_into(&mut reference);
         let steps = sim.steps();
         assert_eq!(
-            sim.enabled_set().as_flags(),
-            &reference[..],
+            sim.enabled_set().flags().collect::<Vec<_>>(),
+            reference,
             "{name}: enabled set diverged from the reference after {steps} steps"
         );
     }
@@ -285,7 +285,7 @@ proptest! {
         let config: Vec<_> = graph
             .nodes()
             .map(|p| selfstab_core::coloring::ColoringState {
-                color: greedy.color(p),
+                color: greedy.color(p) as usize,
                 cur: selfstab_graph::Port::new(0),
             })
             .collect();

@@ -214,8 +214,8 @@ proptest! {
             sim.recompute_enabled_into(&mut reference);
             let steps = sim.steps();
             prop_assert_eq!(
-                sim.enabled_set().as_flags(),
-                &reference[..],
+                sim.enabled_set().flags().collect::<Vec<_>>(),
+                reference,
                 "enabled set diverged from the reference after {} steps on {}",
                 steps,
                 graph

@@ -13,7 +13,13 @@ use crate::node::NodeId;
 
 /// A color, represented as a small non-negative integer ordered by the usual
 /// integer order (the paper's `≺` relation).
-pub type Color = usize;
+///
+/// Colors are local identifiers: a proper coloring never needs more than
+/// `Δ + 1` of them, and `Δ` is bounded by the `u32` node range, so a `u32`
+/// holds every color a constructor here produces. The MIS and MATCHING
+/// communication rows carry `C.p`, and the narrower type halves the MIS
+/// row (16 → 8 bytes) that every activation reads from a neighbor.
+pub type Color = u32;
 
 /// A proper (distance-1) vertex coloring of a graph, used as the local
 /// identifiers `C.p` of the MIS and MATCHING protocols.
@@ -130,10 +136,10 @@ impl LocalColoring {
     /// Groups processes by color; entry `c` lists the processes of color `c`
     /// (possibly empty for unused smaller colors).
     pub fn color_classes(&self) -> Vec<Vec<NodeId>> {
-        let max = self.colors.iter().copied().max().unwrap_or(0);
+        let max = self.colors.iter().copied().max().unwrap_or(0) as usize;
         let mut classes = vec![Vec::new(); if self.colors.is_empty() { 0 } else { max + 1 }];
         for (i, &c) in self.colors.iter().enumerate() {
-            classes[c].push(NodeId::new(i));
+            classes[c as usize].push(NodeId::new(i));
         }
         classes
     }
@@ -213,6 +219,13 @@ pub fn dsatur(graph: &Graph) -> LocalColoring {
 mod tests {
     use super::*;
     use crate::generators;
+
+    #[test]
+    fn colors_are_4_bytes() {
+        // MIS and MATCHING communication rows carry a color; a wider
+        // color pads the row every activation reads from a neighbor.
+        assert_eq!(std::mem::size_of::<Color>(), 4);
+    }
 
     #[test]
     fn greedy_is_proper_and_within_palette() {

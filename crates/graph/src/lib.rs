@@ -47,7 +47,6 @@ pub mod graph;
 pub mod longest_path;
 pub mod node;
 pub mod orientation;
-pub mod partition;
 pub mod properties;
 pub mod rooted;
 pub mod verify;
@@ -58,5 +57,4 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use node::{NodeId, Port};
 pub use orientation::DagOrientation;
-pub use partition::NodePartition;
 pub use rooted::{Identifiers, RootedGraph};

@@ -130,7 +130,15 @@ impl Port {
     /// Panics if `degree == 0`.
     pub fn next_round_robin(self, degree: usize) -> Port {
         assert!(degree > 0, "a process with no neighbor has no port");
-        Port::new((self.index() + 1) % degree)
+        // Protocols call this on every activation, and a port in range
+        // needs no division: only the last port and out-of-range ones
+        // take the `%`.
+        let next = self.index() + 1;
+        if next < degree {
+            Port(next as u32)
+        } else {
+            Port::new(next % degree)
+        }
     }
 
     /// Clamps this port into the valid range `0..degree`.
@@ -139,7 +147,10 @@ impl Port {
     /// the runtime re-interprets it as a valid port, which matches the
     /// "arbitrary initial value over the variable domain" assumption.
     pub fn clamp_to_degree(self, degree: usize) -> Port {
-        if degree == 0 {
+        if self.index() < degree {
+            // The common case, on every guard evaluation: already in range.
+            self
+        } else if degree == 0 {
             Port(0)
         } else {
             Port::new(self.index() % degree)
@@ -243,6 +254,25 @@ mod tests {
         assert_eq!(Port::new(7).clamp_to_degree(3), Port::new(1));
         assert_eq!(Port::new(2).clamp_to_degree(3), Port::new(2));
         assert_eq!(Port::new(5).clamp_to_degree(0), Port::new(0));
+    }
+
+    #[test]
+    fn port_fast_paths_agree_with_the_modulo_formula() {
+        for degree in 1..=64usize {
+            for index in 0..2 * degree {
+                let port = Port::new(index);
+                assert_eq!(
+                    port.clamp_to_degree(degree).index(),
+                    index % degree,
+                    "clamp_to_degree({index}, {degree})"
+                );
+                assert_eq!(
+                    port.next_round_robin(degree).index(),
+                    (index + 1) % degree,
+                    "next_round_robin({index}, {degree})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::node::NodeId;
 ///
 /// `colors` is indexed by process; a vector of the wrong length is never a
 /// proper coloring.
-pub fn is_proper_coloring(graph: &Graph, colors: &[usize]) -> bool {
+pub fn is_proper_coloring<C: PartialEq>(graph: &Graph, colors: &[C]) -> bool {
     colors.len() == graph.node_count()
         && graph
             .edges()

@@ -2,9 +2,9 @@
 //!
 //! The executor's correctness story rests on invariants that the test
 //! suite checks *dynamically*: the zero-allocation hot path (counting
-//! global allocator), byte-identical determinism at every thread and
-//! step-worker count (differential harnesses), and carefully justified
-//! atomic orderings in the sharded claim loop and the wait-free metrics
+//! global allocator), byte-identical determinism at every campaign thread
+//! count (differential harnesses), and carefully justified atomic
+//! orderings in the campaign claim loop and the wait-free metrics
 //! registry. Those tests prove the regimes they drive; this crate makes
 //! the *source* unable to express a violation unflagged, so review-time
 //! coverage extends to paths no test regime exercises.

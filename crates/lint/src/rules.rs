@@ -17,8 +17,8 @@
 //!   or cold paths carry `// lint: allow(hot-alloc) — <reason>`.
 //! * **determinism** — wall-clock reads, hash-order iteration and
 //!   unseeded randomness in result-producing crates. The differential
-//!   harnesses (`determinism.rs`, `parallel_step_equivalence.rs`) prove
-//!   byte-identical tables at every thread count; this rule bans the
+//!   harness (`determinism.rs`) proves byte-identical tables at every
+//!   thread count; this rule bans the
 //!   constructs that would make such a failure data-dependent and flaky
 //!   instead of deterministic.
 //! * **atomic-audit** — every `Ordering::*` site must justify itself
@@ -97,7 +97,6 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/telemetry/wire.rs",
     "crates/graph/src/csr.rs",
-    "crates/graph/src/partition.rs",
 ];
 
 /// Crate roots whose library/binary sources produce results (tables,

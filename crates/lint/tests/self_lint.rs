@@ -44,7 +44,7 @@ fn every_atomic_site_is_justified() {
     let report = lint_workspace(&workspace_root()).expect("workspace walk succeeds");
     assert!(
         !report.atomic_sites.is_empty(),
-        "the workspace is known to use atomics (metrics registry, shard claim loop)"
+        "the workspace is known to use atomics (metrics registry, campaign claim loop)"
     );
     let unjustified: Vec<String> = report
         .atomic_sites
@@ -69,7 +69,7 @@ fn inventory_covers_the_known_atomic_hotspots() {
     let report = lint_workspace(&workspace_root()).expect("workspace walk succeeds");
     for expected in [
         "crates/runtime/src/telemetry/metrics.rs",
-        "crates/runtime/src/executor.rs",
+        "crates/analysis/src/campaign.rs",
         "crates/runtime/tests/zero_alloc.rs",
     ] {
         assert!(

@@ -12,17 +12,40 @@
 //! debug-asserts): after the executor refreshes the set at the start of a
 //! step, `set.is_enabled(p)` equals `protocol.is_enabled(graph, p, state_p,
 //! view_p)` evaluated against the current configuration, for every `p`.
+//!
+//! # Layout
+//!
+//! The set stores **one flag byte per process**, shared with the two other
+//! per-process flags the executor keeps: whether the process's guard is
+//! *dirty* (must be re-evaluated before the next selection) and whether it
+//! was *selected this round*. One activation reads or writes all three for
+//! the same process, so packing them into one byte costs one memory access
+//! where three `Vec<bool>` arrays cost three. Only the enabled bit is
+//! public: [`EnabledSet::is_enabled`], [`EnabledSet::flags`] and equality
+//! see nothing else.
+
+use std::fmt;
 
 use selfstab_graph::NodeId;
+
+/// Flag bit: the process has an enabled action.
+const ENABLED: u8 = 1;
+/// Flag bit: the process's guard must be re-evaluated.
+const DIRTY: u8 = 2;
+/// Flag bit: the process was selected since the last round boundary.
+const SELECTED: u8 = 4;
 
 /// A dense set of enabled processes with a cached cardinality.
 ///
 /// Indexable by [`NodeId`]; kept current by the executor between steps, so
 /// reads are `O(1)` and iterating the enabled processes is `O(n)` with no
-/// guard re-evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// guard re-evaluation. Two sets are equal when they enable the same
+/// processes.
+#[derive(Clone)]
 pub struct EnabledSet {
-    flags: Vec<bool>,
+    /// One byte per process: [`ENABLED`] | [`DIRTY`] | [`SELECTED`].
+    flags: Vec<u8>,
+    /// Number of processes with the [`ENABLED`] bit set.
     count: usize,
 }
 
@@ -30,7 +53,7 @@ impl EnabledSet {
     /// Creates the set for `n` processes, all initially disabled.
     pub fn new(n: usize) -> Self {
         EnabledSet {
-            flags: vec![false; n],
+            flags: vec![0; n],
             count: 0,
         }
     }
@@ -38,7 +61,13 @@ impl EnabledSet {
     /// Builds a set from per-process flags (mainly for scheduler tests).
     pub fn from_flags(flags: Vec<bool>) -> Self {
         let count = flags.iter().filter(|&&b| b).count();
-        EnabledSet { flags, count }
+        EnabledSet {
+            flags: flags
+                .into_iter()
+                .map(|enabled| if enabled { ENABLED } else { 0 })
+                .collect(),
+            count,
+        }
     }
 
     /// Number of processes in the system (enabled or not).
@@ -61,13 +90,18 @@ impl EnabledSet {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn is_enabled(&self, p: NodeId) -> bool {
-        self.flags[p.index()]
+        self.flags[p.index()] & ENABLED != 0
     }
 
-    /// The per-process flags, indexed by [`NodeId`].
-    pub fn as_flags(&self) -> &[bool] {
-        &self.flags
+    /// The per-process enabled flags, in [`NodeId`] order.
+    ///
+    /// Allocation-free: compare with a reference through
+    /// `set.flags().eq(reference.iter().copied())`, or `collect()` when an
+    /// owned vector is needed.
+    pub fn flags(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.flags.iter().map(|&f| f & ENABLED != 0)
     }
 
     /// Iterates over the enabled processes in increasing id order.
@@ -75,7 +109,7 @@ impl EnabledSet {
         self.flags
             .iter()
             .enumerate()
-            .filter(|(_, &e)| e)
+            .filter(|(_, &f)| f & ENABLED != 0)
             .map(|(i, _)| NodeId::new(i))
     }
 
@@ -84,12 +118,32 @@ impl EnabledSet {
         self.iter().collect()
     }
 
-    /// Updates one flag, keeping the cardinality in sync.
-    #[cfg(test)]
-    pub(crate) fn set(&mut self, p: NodeId, enabled: bool) {
+    /// A set for `n` processes whose guards are all dirty (none evaluated
+    /// yet): the executor's starting point.
+    pub(crate) fn all_dirty(n: usize) -> Self {
+        EnabledSet {
+            flags: vec![DIRTY; n],
+            count: 0,
+        }
+    }
+
+    /// Marks `p`'s guard dirty; returns `true` if it was clean, in which
+    /// case the caller queues `p` for re-evaluation.
+    #[inline]
+    pub(crate) fn mark_dirty(&mut self, p: NodeId) -> bool {
         let flag = &mut self.flags[p.index()];
-        if *flag != enabled {
-            *flag = enabled;
+        let was_clean = *flag & DIRTY == 0;
+        *flag |= DIRTY;
+        was_clean
+    }
+
+    /// Stores the freshly evaluated guard of `p` and clears its dirty bit.
+    #[inline]
+    pub(crate) fn settle(&mut self, p: NodeId, enabled: bool) {
+        let flag = &mut self.flags[p.index()];
+        let was_enabled = *flag & ENABLED != 0;
+        *flag = (*flag & SELECTED) | if enabled { ENABLED } else { 0 };
+        if was_enabled != enabled {
             if enabled {
                 self.count += 1;
             } else {
@@ -98,26 +152,43 @@ impl EnabledSet {
         }
     }
 
-    /// The raw flags, for the sharded executor: disjoint per-shard slices
-    /// are handed to worker threads, which flip flags directly and report a
-    /// cardinality delta to apply afterwards through
-    /// [`EnabledSet::apply_count_delta`].
-    pub(crate) fn flags_mut(&mut self) -> &mut [bool] {
-        &mut self.flags
+    /// Marks `p` as selected this round; returns `true` on its first
+    /// selection of the round.
+    #[inline]
+    pub(crate) fn mark_selected(&mut self, p: NodeId) -> bool {
+        let flag = &mut self.flags[p.index()];
+        let first = *flag & SELECTED == 0;
+        *flag |= SELECTED;
+        first
     }
 
-    /// Applies the net cardinality change accumulated by shard workers that
-    /// mutated the flags through [`EnabledSet::flags_mut`].
-    pub(crate) fn apply_count_delta(&mut self, delta: isize) {
-        self.count = self
-            .count
-            .checked_add_signed(delta)
-            .expect("enabled-set cardinality delta underflowed");
-        debug_assert_eq!(
-            self.count,
-            self.flags.iter().filter(|&&b| b).count(),
-            "enabled-set cardinality diverged from the flags after a sharded update"
-        );
+    /// Clears every selected-this-round bit (a round just completed).
+    pub(crate) fn start_round(&mut self) {
+        for flag in &mut self.flags {
+            *flag &= !SELECTED;
+        }
+    }
+
+    /// Whether every process was selected this round (the `O(n)` scan the
+    /// executor's round counter replaces; debug checks only).
+    #[cfg(debug_assertions)]
+    pub(crate) fn all_selected(&self) -> bool {
+        self.flags.iter().all(|&f| f & SELECTED != 0)
+    }
+}
+
+impl PartialEq for EnabledSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count && self.flags().eq(other.flags())
+    }
+}
+
+impl Eq for EnabledSet {}
+
+impl fmt::Debug for EnabledSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "EnabledSet({} of {}) ", self.count, self.node_count())?;
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -131,17 +202,17 @@ mod tests {
         assert_eq!(set.node_count(), 4);
         assert_eq!(set.count(), 0);
         assert!(!set.any());
-        set.set(NodeId::new(1), true);
-        set.set(NodeId::new(3), true);
-        set.set(NodeId::new(1), true); // idempotent
+        set.settle(NodeId::new(1), true);
+        set.settle(NodeId::new(3), true);
+        set.settle(NodeId::new(1), true); // idempotent
         assert_eq!(set.count(), 2);
         assert!(set.any());
         assert!(set.is_enabled(NodeId::new(1)));
         assert!(!set.is_enabled(NodeId::new(0)));
         assert_eq!(set.to_nodes(), vec![NodeId::new(1), NodeId::new(3)]);
-        set.set(NodeId::new(1), false);
+        set.settle(NodeId::new(1), false);
         assert_eq!(set.count(), 1);
-        assert_eq!(set.as_flags(), &[false, false, false, true]);
+        assert!(set.flags().eq([false, false, false, true]));
     }
 
     #[test]
@@ -149,5 +220,42 @@ mod tests {
         let set = EnabledSet::from_flags(vec![true, false, true]);
         assert_eq!(set.count(), 2);
         assert_eq!(set.node_count(), 3);
+        assert_eq!(set.flags().collect::<Vec<_>>(), vec![true, false, true]);
+    }
+
+    #[test]
+    fn flag_store_is_one_byte_per_process() {
+        // Enabled, dirty and selected-this-round share one byte, so an
+        // activation touches one flag array instead of three.
+        let set = EnabledSet::all_dirty(1_000);
+        assert_eq!(std::mem::size_of_val(set.flags.as_slice()), 1_000);
+    }
+
+    #[test]
+    fn dirty_and_round_bits_stay_out_of_the_enabled_view() {
+        let p = NodeId::new(1);
+        let mut set = EnabledSet::all_dirty(3);
+        assert_eq!(
+            set,
+            EnabledSet::new(3),
+            "equality sees only the enabled bit"
+        );
+        assert!(!set.mark_dirty(p), "already dirty");
+        assert!(set.mark_selected(p));
+        assert!(!set.mark_selected(p), "second selection of the round");
+        set.settle(p, true);
+        assert!(set.mark_dirty(p), "settling clears the dirty bit");
+        assert!(set.is_enabled(p));
+        assert_eq!(set.count(), 1);
+        assert_eq!(set, EnabledSet::from_flags(vec![false, true, false]));
+        assert_eq!(set.to_nodes(), vec![p]);
+        // The round bit survives settling until the round boundary.
+        assert!(!set.mark_selected(p));
+        set.start_round();
+        assert!(set.mark_selected(p));
+        assert!(set.is_enabled(p), "a round boundary keeps the enabled bit");
+        set.settle(p, false);
+        assert_eq!(set.count(), 0);
+        assert_eq!(set, EnabledSet::new(3));
     }
 }

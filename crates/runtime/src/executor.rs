@@ -28,6 +28,29 @@
 //! the daemon RNG, so a run whose maintained set matches the reference
 //! throughout *is* the run that re-evaluates every guard on every step.
 //!
+//! # One loop per step
+//!
+//! [`Simulation::step`] runs four phases on the calling thread, each timed
+//! by the [metrics registry](crate::telemetry::metrics) when it is enabled:
+//!
+//! * **A. guard refresh** — drain the dirty queue, re-evaluating exactly
+//!   the guards that may have flipped;
+//! * **B. selection** — the scheduler picks a non-empty subset from the
+//!   enabled set, drawing from the simulation's RNG;
+//! * **C. activation** — one loop over the selection in increasing id
+//!   order: each selected process reads the pre-step configuration
+//!   through a tracked view, its reads go straight into [`RunStats`], and
+//!   its new state is staged;
+//! * **D. merge** — the staged updates are applied simultaneously, keeping
+//!   the communication cache current and dirtying the guards they may
+//!   flip.
+//!
+//! The three per-process flags this needs — enabled, dirty, selected this
+//! round — share one byte per process inside the [`EnabledSet`], so one
+//! activation touches one flag byte instead of three arrays. Campaign
+//! threads, not intra-step workers, are how a run uses more cores: every
+//! experiment cell is an independent simulation.
+//!
 //! # Zero-allocation steady state
 //!
 //! [`Simulation::step`] performs **no heap allocation** once its scratch
@@ -38,44 +61,27 @@
 //! * the scheduler writes its selection into a reused `Vec<NodeId>`
 //!   (sorted and duplicate-free by the [`Scheduler`] contract — the
 //!   executor `debug_assert`s instead of re-sorting),
-//! * staged updates, the executed list, the neighbor-view read log and the
-//!   distinct-read set are all reused buffers drained in place,
+//! * the dirty queue, staged updates, the executed list, the neighbor-view
+//!   read log and the distinct-read set are all reused buffers drained in
+//!   place,
 //! * round detection decrements an `unselected_remaining` counter instead
-//!   of scanning an `O(n)` flag vector every step,
+//!   of scanning the selected-this-round flags every step,
 //! * [`Simulation::comm_config`] returns the maintained cache by reference.
 //!
 //! The one deliberate exception, off by default: while an attached
 //! [`TraceSink`] is recording, every step builds a [`StepRecord`] with one
 //! `ActivationRecord` (plus its read list) per activation and hands it to
 //! the sink.
-//!
-//! # Intra-step parallelism
-//!
-//! With [`SimOptions::with_step_workers`]` > 1` the node range is split
-//! into contiguous, degree-balanced shards ([`NodePartition`]) and the two
-//! data-parallel phases of a step — guard re-evaluation over the dirty
-//! queues and activation staging over the scheduler's selection — run on
-//! scoped worker threads. Every per-node array (dirty flags, enabled
-//! flags, round flags, statistics) is handed out as disjoint `&mut`
-//! slices, each worker owns a private `ShardScratch` (the per-worker
-//! extension of the zero-allocation discipline above), and a sequential
-//! merge phase applies staged updates and dirty propagation in shard
-//! order. Selection itself and all cross-shard mutation stay on the
-//! coordinating thread, and every activation draws from a private RNG
-//! derived from `(seed, step, process)`, so the observable execution —
-//! selected/executed lists, configuration, [`RunStats`], step records,
-//! enabled sets — is **byte-identical at every worker count** (locked
-//! down by the `parallel_step_equivalence` differential test).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfstab_graph::{Graph, NodeId, NodePartition, Port};
+use selfstab_graph::{Graph, NodeId, Port};
 
 use crate::enabled::EnabledSet;
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
-use crate::stats::{RunStats, StatsShard, StepDeltas};
-use crate::telemetry::metrics::{self, StepPhase};
+use crate::stats::RunStats;
+use crate::telemetry::metrics::{self, MetricsRegistry, StepPhase};
 use crate::telemetry::sink::TraceSink;
 use crate::trace::{ActivationRecord, StepRecord};
 use crate::view::NeighborView;
@@ -86,30 +92,11 @@ pub struct SimOptions {
     /// How many steps apart the silence/legitimacy predicates are evaluated
     /// while running to completion (1 = every step).
     pub check_interval: u64,
-    /// Number of worker threads for the intra-step parallel phases (guard
-    /// refresh and activation staging). `1` (the default) keeps every
-    /// phase on the calling thread; any value is clamped to at least 1 and
-    /// to the process count. The observable execution is byte-identical at
-    /// every worker count (see the [module documentation](self)).
-    pub step_workers: usize,
-    /// Minimum number of work items (dirty processes for the guard phase,
-    /// selected processes for the activation phase) before a phase is
-    /// dispatched to worker threads instead of running inline — spawning
-    /// across shards is not worth it for a handful of activations. Set to
-    /// `0` to force threaded dispatch whenever `step_workers > 1` (the
-    /// equivalence and allocation tests do, so that small graphs still
-    /// exercise the parallel path). Outcomes are identical either way; the
-    /// threshold only moves work between threads.
-    pub parallel_work_threshold: usize,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions {
-            check_interval: 1,
-            step_workers: 1,
-            parallel_work_threshold: 256,
-        }
+        SimOptions { check_interval: 1 }
     }
 }
 
@@ -118,21 +105,6 @@ impl SimOptions {
     #[must_use]
     pub fn with_check_interval(mut self, interval: u64) -> Self {
         self.check_interval = interval.max(1);
-        self
-    }
-
-    /// Sets the number of intra-step worker threads (clamped to at least 1).
-    #[must_use]
-    pub fn with_step_workers(mut self, workers: usize) -> Self {
-        self.step_workers = workers.max(1);
-        self
-    }
-
-    /// Sets the minimum per-phase work-item count for threaded dispatch
-    /// (`0` forces the parallel path whenever `step_workers > 1`).
-    #[must_use]
-    pub fn with_parallel_work_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_work_threshold = threshold;
         self
     }
 }
@@ -203,43 +175,39 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     options: SimOptions,
     step: u64,
     rounds: u64,
-    selected_this_round: Vec<bool>,
-    /// Number of `false` entries in `selected_this_round`: the round is
-    /// complete exactly when this reaches 0 (replaces the historical `O(n)`
-    /// per-step scan; the equivalence is `debug_assert`ed).
+    /// Number of processes not yet selected this round: the round is
+    /// complete exactly when this reaches 0 (replaces an `O(n)` per-step
+    /// scan of the selected-this-round flags; the equivalence is
+    /// `debug_assert`ed).
     unselected_remaining: usize,
     /// Cached `comm(p, config[p])` for every process, kept current across
     /// steps (the seed executor recomputed this clone every step).
     comm_cache: Vec<P::Comm>,
-    /// Maintained enabled set; valid for the current configuration once
-    /// `refresh_enabled` has drained `dirty`.
+    /// Maintained enabled set, valid for the current configuration once
+    /// `refresh_enabled` has drained `dirty_queue`. Its flag bytes also
+    /// hold each process's dirty and selected-this-round bits.
     enabled: EnabledSet,
-    /// `dirty[p]`: `p`'s guard must be re-evaluated before the next
-    /// selection (its state changed, or a neighbor's comm state changed).
-    dirty: Vec<bool>,
-    /// Contiguous degree-balanced shard layout; one shard per step worker
-    /// (clamped to the process count), a single shard when sequential.
-    partition: NodePartition,
-    /// Per-shard scratch: dirty queue, staged updates, executed list, read
-    /// buffers, trace records. Each worker thread owns exactly one during
-    /// the parallel phases.
-    shards: Vec<ShardScratch<P>>,
-    /// Effective intra-step worker count (`options.step_workers`, ≥ 1).
-    step_workers: usize,
+    /// The processes whose dirty bit is set, each listed once; sized to
+    /// `n` at construction, so it never grows.
+    dirty_queue: Vec<NodeId>,
+    /// Staged updates `(process, state, comm, comm_changed)` of the
+    /// current step, applied simultaneously in the merge phase.
+    staged: Vec<(NodeId, P::State, P::Comm, bool)>,
+    /// Read-log buffer threaded through the tracked neighbor views (one
+    /// activation at a time), so recording reads never allocates.
+    read_log: Vec<Port>,
+    /// Distinct ports of the current activation, first-read order.
+    distinct_reads: Vec<Port>,
     /// Salt for the per-activation RNG streams, derived from the
-    /// construction seed: each activation of process `p` at step `t` draws
-    /// from `StdRng::seed_from_u64(mix(salt, t, p))`, which makes protocol
-    /// randomness independent of both the activation order within a step
-    /// and the worker count.
+    /// construction seed (see [`ActivationRng`]).
     activation_salt: u64,
     /// Total number of `is_enabled` evaluations performed — the cost the
     /// incremental maintenance is designed to shrink.
     guard_evaluations: u64,
     /// Scratch: the scheduler's selection for the current step.
     selected_scratch: Vec<NodeId>,
-    /// Scratch: the processes that executed in the current step, merged
-    /// from the per-shard lists in shard order (which is increasing id
-    /// order, since shards tile the id space contiguously).
+    /// Scratch: the processes that executed in the current step, in
+    /// increasing id order (the selection's order).
     executed_scratch: Vec<NodeId>,
     /// Scratch for the sampled debug invariant check, so even debug builds
     /// keep the steady-state step allocation-free (the `zero_alloc`
@@ -330,29 +298,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             .nodes()
             .map(|p| protocol.comm(p, &config[p.index()]))
             .collect(); // lint: allow(hot-alloc) — constructor-only comm-cache build
-        let step_workers = options.step_workers.max(1);
-        let partition = NodePartition::new(graph, step_workers);
-        let max_degree = graph.max_degree();
-        // Per-shard scratch is sized for the worst case up front (a shard
-        // never stages or executes more than its own nodes, and a read set
-        // never exceeds the maximum degree), so the per-step loop is
-        // allocation-free from the very first step, not just after warm-up.
+
         // Nothing has been evaluated yet: every guard starts dirty.
-        let shards: Vec<ShardScratch<P>> = partition
-            .ranges()
-            .map(|range| ShardScratch {
-                dirty_queue: {
-                    let mut queue = Vec::with_capacity(range.len());
-                    queue.extend(range.clone().map(NodeId::new)); // lint: allow(hot-alloc) — Range<usize> clone is a stack copy
-                    queue
-                },
-                staged: Vec::with_capacity(range.len()),
-                executed: Vec::with_capacity(range.len()),
-                read_log: Vec::new(), // lint: allow(hot-alloc) — constructor scratch; reused every step
-                distinct_reads: Vec::with_capacity(max_degree),
-                records: Vec::new(), // lint: allow(hot-alloc) — constructor scratch; reused every step
-            })
-            .collect(); // lint: allow(hot-alloc) — per-shard scratch built once
+        let mut dirty_queue = Vec::with_capacity(n);
+        dirty_queue.extend(graph.nodes());
         Simulation {
             graph,
             protocol,
@@ -364,20 +313,22 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             options,
             step: 0,
             rounds: 0,
-            selected_this_round: vec![false; n], // lint: allow(hot-alloc) — constructor-sized flag array
             unselected_remaining: n,
             comm_cache,
-            enabled: EnabledSet::new(n),
-            dirty: vec![true; n], // lint: allow(hot-alloc) — constructor-sized dirty flags
-            partition,
-            shards,
-            step_workers,
+            enabled: EnabledSet::all_dirty(n),
+            dirty_queue,
+            // Scratch is sized for the worst case up front (a step stages
+            // or executes at most n processes — selections are
+            // duplicate-free by the scheduler contract — and a distinct
+            // read set never exceeds the maximum degree), so the step loop
+            // is allocation-free from the very first step.
+            staged: Vec::with_capacity(n),
+            read_log: Vec::with_capacity(graph.max_degree()),
+            distinct_reads: Vec::with_capacity(graph.max_degree()),
             // Any injective-ish mixing of the seed works here; the constant
             // only separates the salt from the main RNG stream's seed.
             activation_salt: seed ^ 0xA076_1D64_78BD_642F,
             guard_evaluations: 0,
-            // Selections and executions are bounded by n (selections are
-            // duplicate-free by the scheduler contract).
             selected_scratch: Vec::with_capacity(n),
             executed_scratch: Vec::with_capacity(n),
             debug_enabled_scratch: Vec::new(), // lint: allow(hot-alloc) — debug-assert scratch, grown once
@@ -538,96 +489,32 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // Conservatively dirty the neighborhood even when the communication
         // state happens to be unchanged: fault injection is rare and cold,
         // and the unconditional form keeps the invariant obviously safe.
-        self.mark_dirty(p);
-        let graph = self.graph;
-        for q in graph.neighbors(p) {
-            self.mark_dirty(q);
+        mark_dirty(&mut self.enabled, &mut self.dirty_queue, p);
+        for q in self.graph.neighbors(p) {
+            mark_dirty(&mut self.enabled, &mut self.dirty_queue, q);
         }
     }
 
-    fn mark_dirty(&mut self, p: NodeId) {
-        if !self.dirty[p.index()] {
-            self.dirty[p.index()] = true;
-            let s = self.partition.shard_of(p);
-            self.shards[s].dirty_queue.push(p);
-        }
-    }
-
-    /// Re-evaluates the guards of every dirty process, bringing the
-    /// maintained enabled set in sync with the current configuration.
-    ///
-    /// This is the first data-parallel phase: each shard drains its own
-    /// dirty queue against disjoint windows of the dirty and enabled-flag
-    /// arrays. Guard evaluation is pure (it reads the shared pre-step
-    /// snapshot and writes only shard-local flags), so the drain order
-    /// across shards is unobservable — the resulting enabled *set* and the
-    /// evaluation *count* are identical at every worker count.
+    /// Phase A: re-evaluates the guards of every dirty process, bringing
+    /// the maintained enabled set in sync with the current configuration.
     fn refresh_enabled(&mut self) {
-        let total_dirty: usize = self.shards.iter().map(|s| s.dirty_queue.len()).sum();
-        if total_dirty == 0 {
+        if self.dirty_queue.is_empty() {
             return;
         }
-        // Phase-A metrics: recorded only when the refresh drained work,
-        // so the silent steady state pays one relaxed load and nothing
-        // else.
-        let metrics = metrics::active();
-        // lint: allow(determinism) — phase timing feeds the metrics histograms only
-        let phase_started = metrics.map(|_| std::time::Instant::now());
-        let ctx = StepContext {
-            graph: self.graph,
-            protocol: &self.protocol,
-            config: &self.config,
-            comm_cache: &self.comm_cache,
-            step: self.step,
-            salt: self.activation_salt,
-            tracing: false,
-        };
-        // Inline dispatch runs each shard's task as it is carved out;
-        // only threaded dispatch collects them (the sequential path builds
-        // no task list at all).
-        let threaded = self.step_workers > 1 && total_dirty >= self.options.parallel_work_threshold;
-        let mut tasks = Vec::with_capacity(if threaded { self.shards.len() } else { 0 });
-        let mut evaluations = 0u64;
-        let mut delta = 0isize;
-        let mut dirty_rest: &mut [bool] = &mut self.dirty;
-        let mut enabled_rest: &mut [bool] = self.enabled.flags_mut();
-        for (s, scratch) in self.shards.iter_mut().enumerate() {
-            let range = self.partition.range(s);
-            let (dirty, rest) = dirty_rest.split_at_mut(range.len());
-            dirty_rest = rest;
-            let (enabled, rest) = enabled_rest.split_at_mut(range.len());
-            enabled_rest = rest;
-            let mut task = GuardTask {
-                node_base: range.start,
-                queue: &mut scratch.dirty_queue,
-                dirty,
-                enabled,
-                guard_evaluations: 0,
-                enabled_delta: 0,
-            };
-            if threaded {
-                tasks.push(task);
-            } else {
-                run_guard_task(&mut task, &ctx);
-                evaluations += task.guard_evaluations;
-                delta += task.enabled_delta;
-            }
+        // Timed only when the refresh drains work, so the silent steady
+        // state pays one relaxed load and nothing else.
+        let clock = PhaseClock::start(metrics::active());
+        for &p in &self.dirty_queue {
+            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache, false);
+            let enabled = self
+                .protocol
+                .is_enabled(self.graph, p, &self.config[p.index()], &view);
+            self.enabled.settle(p, enabled);
         }
-        if threaded {
-            run_shard_tasks(self.step_workers, &mut tasks, |task| {
-                run_guard_task(task, &ctx);
-            });
-            for task in &tasks {
-                evaluations += task.guard_evaluations;
-                delta += task.enabled_delta;
-            }
-        }
-        self.guard_evaluations += evaluations;
-        self.enabled.apply_count_delta(delta);
-        if let (Some(m), Some(started)) = (metrics, phase_started) {
-            m.phase(StepPhase::GuardRefresh)
-                .record(total_dirty as u64, started.elapsed());
-        }
+        let evaluated = self.dirty_queue.len();
+        self.guard_evaluations += evaluated as u64;
+        self.dirty_queue.clear();
+        clock.stop(StepPhase::GuardRefresh, evaluated);
     }
 
     /// Writes the enabled flag of every process, re-evaluated from scratch
@@ -636,11 +523,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     ///
     /// This is the reference the incremental maintenance must agree with:
     /// after any step or fault injection, `out` equals
-    /// [`Simulation::enabled_set`]'s flags. The sampled debug invariant
-    /// and the differential tests call it. It reads the communication
-    /// cache, which [`Simulation::step`] and [`Simulation::set_state`]
-    /// keep current, and it does not count towards
-    /// [`Simulation::guard_evaluations`].
+    /// [`Simulation::enabled_set`]'s [flags](EnabledSet::flags). The sampled
+    /// debug invariant and the differential tests call it. It reads the
+    /// communication cache, which [`Simulation::step`] and
+    /// [`Simulation::set_state`] keep current, and it does not count
+    /// towards [`Simulation::guard_evaluations`].
     pub fn recompute_enabled_into(&self, out: &mut Vec<bool>) {
         out.clear();
         for p in self.graph.nodes() {
@@ -662,9 +549,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // machinery must not allocate in steady state.
             let mut reference = std::mem::take(&mut self.debug_enabled_scratch);
             self.recompute_enabled_into(&mut reference);
-            debug_assert_eq!(
-                self.enabled.as_flags(),
-                &reference[..],
+            debug_assert!(
+                self.enabled.flags().eq(reference.iter().copied()),
                 "incremental enabled set diverged from full recomputation at step {}",
                 self.step
             );
@@ -690,9 +576,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // phase free of clock reads and metric writes.
         let metrics = metrics::active();
 
+        // Phase B: selection.
+        let clock = PhaseClock::start(metrics);
         self.selected_scratch.clear();
-        // lint: allow(determinism) — phase timing feeds the metrics histograms only
-        let phase_started = metrics.map(|_| std::time::Instant::now());
         let ctx = SchedulerContext {
             step: self.step,
             enabled: &self.enabled,
@@ -708,15 +594,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             "scheduler {} violated the sorted/duplicate-free selection contract",
             self.scheduler.name()
         );
-        if let (Some(m), Some(started)) = (metrics, phase_started) {
-            m.phase(StepPhase::Selection)
-                .record(self.selected_scratch.len() as u64, started.elapsed());
-        }
+        clock.stop(StepPhase::Selection, self.selected_scratch.len());
 
-        // Phase: activation staging, per shard. Every worker evaluates its
-        // slice of the selection against the shared pre-step snapshot and
-        // stages the resulting updates in its own scratch; nothing global
-        // is mutated until the merge below.
+        // Phase C: activation. Every selected process evaluates against the
+        // pre-step snapshot and stages its update; nothing it reads is
+        // mutated until the merge below.
         let tracing = self.sink.as_ref().is_some_and(|sink| sink.is_recording());
         // Step records are the one intentional per-step allocation: a
         // recording sink consumes them, so there is no buffer to reuse.
@@ -725,116 +607,84 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         if tracing {
             records.reserve(self.selected_scratch.len());
         }
-        let step = self.step;
-        // lint: allow(determinism) — phase timing feeds the metrics histograms only
-        let phase_started = metrics.map(|_| std::time::Instant::now());
-        let ctx = StepContext {
-            graph: self.graph,
-            protocol: &self.protocol,
-            config: &self.config,
-            comm_cache: &self.comm_cache,
-            step,
-            salt: self.activation_salt,
-            tracing,
-        };
-        // As in the guard phase: inline tasks run as they are carved out,
-        // threaded ones are collected first.
-        let threaded = self.step_workers > 1
-            && self.selected_scratch.len() >= self.options.parallel_work_threshold;
-        let mut tasks = Vec::with_capacity(if threaded { self.shards.len() } else { 0 });
-        let mut newly_selected = 0usize;
-        let mut deltas = StepDeltas::default();
-        let mut splitter = self.stats.sharded();
-        let mut round_rest: &mut [bool] = &mut self.selected_this_round;
-        let selected: &[NodeId] = &self.selected_scratch;
-        let mut selected_cursor = 0usize;
-        for (s, scratch) in self.shards.iter_mut().enumerate() {
-            let range = self.partition.range(s);
-            let (round_flags, rest) = round_rest.split_at_mut(range.len());
-            round_rest = rest;
-            // The selection is sorted, so each shard's share is the
-            // contiguous run of ids below its range end.
-            let selected_end = selected_cursor
-                + selected[selected_cursor..].partition_point(|p| p.index() < range.end);
-            let shard_selected = &selected[selected_cursor..selected_end];
-            selected_cursor = selected_end;
-            let mut task = ActivationTask {
-                node_base: range.start,
-                selected: shard_selected,
-                selected_this_round: round_flags,
-                scratch,
-                stats: splitter.take(range),
-                newly_selected: 0,
-            };
-            if threaded {
-                tasks.push(task);
-            } else {
-                run_activation_task(&mut task, &ctx);
-                newly_selected += task.newly_selected;
-                deltas += task.stats.deltas;
-            }
-        }
-        if threaded {
-            run_shard_tasks(self.step_workers, &mut tasks, |task| {
-                run_activation_task(task, &ctx);
-            });
-            for task in &tasks {
-                newly_selected += task.newly_selected;
-                deltas += task.stats.deltas;
-            }
-        }
-        if let (Some(m), Some(started)) = (metrics, phase_started) {
-            m.phase(StepPhase::Activation)
-                .record(self.selected_scratch.len() as u64, started.elapsed());
-        }
-        // lint: allow(determinism) — phase timing feeds the metrics histograms only
-        let phase_started = metrics.map(|_| std::time::Instant::now());
-        // Merge phase, sequential and in shard order — deterministic
-        // regardless of which worker ran which shard when. Apply all staged
-        // updates simultaneously, maintaining the communication cache and
-        // dirtying exactly the guards the updates may flip: the updated
-        // process itself (guards read the own full state) and, when its
-        // communication state changed, its neighbors (dirty marks route
-        // back into the owning shard's queue). Shard-order concatenation of
-        // the per-shard executed lists reproduces the global increasing-id
-        // order, because shards tile the id space contiguously.
-        self.stats.apply_step_deltas(deltas, step);
-        self.unselected_remaining -= newly_selected;
-        let comm_changed_any = deltas.comm_changes > 0;
         let graph = self.graph;
+        let step = self.step;
+        let clock = PhaseClock::start(metrics);
+        let mut comm_changed_any = false;
         self.executed_scratch.clear();
-        for s in 0..self.shards.len() {
-            self.executed_scratch
-                .extend_from_slice(&self.shards[s].executed);
-            // The staged buffer is swapped out and back so its capacity
-            // persists across steps (mark_dirty below needs `&mut self`).
-            let mut staged = std::mem::take(&mut self.shards[s].staged);
-            for (p, state, comm, comm_changed) in staged.drain(..) {
-                self.config[p.index()] = state;
-                self.mark_dirty(p);
+        for &p in &self.selected_scratch {
+            if self.enabled.mark_selected(p) {
+                self.unselected_remaining -= 1;
+            }
+            let log_buffer = std::mem::take(&mut self.read_log);
+            let view = NeighborView::with_log_buffer(graph, p, &self.comm_cache, true, log_buffer);
+            let mut rng = activation_rng(self.activation_salt, step, p);
+            let new_state =
+                self.protocol
+                    .activate(graph, p, &self.config[p.index()], &view, &mut rng);
+            let read_operations = view.read_operations();
+            // The distinct-read set: collected into the persistent scratch
+            // normally, or — when tracing — straight into the exactly-sized
+            // `Vec` the `ActivationRecord` will own, so the one documented
+            // trace allocation is also the only scan.
+            let mut traced_reads = Vec::new(); // lint: allow(hot-alloc) — the documented trace allocation (see above)
+            let reads: &mut Vec<Port> = if tracing {
+                traced_reads.reserve_exact(read_operations.min(graph.degree(p)));
+                &mut traced_reads
+            } else {
+                &mut self.distinct_reads
+            };
+            view.collect_distinct_reads(reads);
+            self.read_log = view.into_log_buffer();
+            // A disabled selected process does nothing, but it still
+            // evaluated its guards, so it is recorded as an activation
+            // (with whatever it read, possibly nothing) like every other
+            // selected process.
+            self.stats.record_activation(p, reads, read_operations);
+            let executed = new_state.is_some();
+            let mut comm_changed = false;
+            if let Some(new_state) = new_state {
+                let new_comm = self.protocol.comm(p, &new_state);
+                comm_changed = new_comm != self.comm_cache[p.index()];
                 if comm_changed {
-                    self.comm_cache[p.index()] = comm;
-                    for q in graph.neighbors(p) {
-                        self.mark_dirty(q);
-                    }
+                    self.stats.record_comm_change(step);
+                    comm_changed_any = true;
+                }
+                self.executed_scratch.push(p);
+                self.staged.push((p, new_state, new_comm, comm_changed));
+            }
+            if tracing {
+                records.push(ActivationRecord {
+                    process: p,
+                    executed,
+                    reads: traced_reads,
+                    comm_changed,
+                });
+            }
+        }
+        clock.stop(StepPhase::Activation, self.selected_scratch.len());
+
+        // Phase D: merge. Apply all staged updates simultaneously,
+        // maintaining the communication cache and dirtying exactly the
+        // guards the updates may flip: the updated process itself (guards
+        // read the own full state) and, when its communication state
+        // changed, its neighbors.
+        let clock = PhaseClock::start(metrics);
+        for (p, state, comm, comm_changed) in self.staged.drain(..) {
+            self.config[p.index()] = state;
+            mark_dirty(&mut self.enabled, &mut self.dirty_queue, p);
+            if comm_changed {
+                self.comm_cache[p.index()] = comm;
+                for q in graph.neighbors(p) {
+                    mark_dirty(&mut self.enabled, &mut self.dirty_queue, q);
                 }
             }
-            self.shards[s].staged = staged;
-            if tracing {
-                records.append(&mut self.shards[s].records);
-            }
         }
-        // Phase-D metrics fold here, at the same barrier where the
-        // per-shard stats deltas were merged above: the phase counters
-        // observe the same deterministic merge point as `RunStats`.
-        if let (Some(m), Some(started)) = (metrics, phase_started) {
-            m.phase(StepPhase::Merge)
-                .record(self.executed_scratch.len() as u64, started.elapsed());
-        }
+        clock.stop(StepPhase::Merge, self.executed_scratch.len());
         if tracing {
             if let Some(sink) = &mut self.sink {
                 sink.record_step(&StepRecord {
-                    step: self.step,
+                    step,
                     activations: records,
                 });
             }
@@ -845,17 +695,15 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             self.unselected_remaining == 0,
-            self.selected_this_round.iter().all(|&b| b),
+            self.enabled.all_selected(),
             "round counter diverged from the selected-this-round flags at step {}",
             self.step
         );
         if self.unselected_remaining == 0 {
             self.rounds += 1;
             self.stats.rounds = self.rounds;
-            for flag in &mut self.selected_this_round {
-                *flag = false;
-            }
-            self.unselected_remaining = self.selected_this_round.len();
+            self.enabled.start_round();
+            self.unselected_remaining = graph.node_count();
         }
 
         StepOutcome {
@@ -977,153 +825,41 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     }
 }
 
-/// Per-shard scratch buffers: everything one worker thread writes during
-/// the parallel phases of a step, sized once at construction so the steady
-/// state stays allocation-free *per worker*.
-struct ShardScratch<P: Protocol> {
-    /// The shard's slice of the dirty set (each process listed once).
-    dirty_queue: Vec<NodeId>,
-    /// Staged updates `(process, state, comm, comm_changed)` awaiting the
-    /// merge phase.
-    staged: Vec<(NodeId, P::State, P::Comm, bool)>,
-    /// Processes of this shard that executed in the current step.
-    executed: Vec<NodeId>,
-    /// Read-log buffer threaded through the tracked neighbor views (one
-    /// activation at a time), so recording reads never allocates.
-    read_log: Vec<Port>,
-    /// Distinct ports of the current activation, first-read order.
-    distinct_reads: Vec<Port>,
-    /// Activation records staged by this shard (only while a sink
-    /// records — the deliberate per-activation allocation documented in
-    /// the [module documentation](self)).
-    records: Vec<ActivationRecord>,
-}
-
-/// The shared read-only snapshot every shard task evaluates against.
-struct StepContext<'a, P: Protocol> {
-    graph: &'a Graph,
-    protocol: &'a P,
-    config: &'a [P::State],
-    comm_cache: &'a [P::Comm],
-    step: u64,
-    salt: u64,
-    tracing: bool,
-}
-
-/// One shard's guard-refresh work item: drain the shard's dirty queue
-/// against its disjoint windows of the dirty and enabled-flag arrays.
-struct GuardTask<'a> {
-    node_base: usize,
-    queue: &'a mut Vec<NodeId>,
-    dirty: &'a mut [bool],
-    enabled: &'a mut [bool],
-    guard_evaluations: u64,
-    enabled_delta: isize,
-}
-
-fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_>, ctx: &StepContext<'_, P>) {
-    for i in 0..task.queue.len() {
-        let p = task.queue[i];
-        let local = p.index() - task.node_base;
-        task.dirty[local] = false;
-        let view = NeighborView::from_snapshot(ctx.graph, p, ctx.comm_cache, false);
-        let now_enabled = ctx
-            .protocol
-            .is_enabled(ctx.graph, p, &ctx.config[p.index()], &view);
-        task.guard_evaluations += 1;
-        let flag = &mut task.enabled[local];
-        if *flag != now_enabled {
-            task.enabled_delta += if now_enabled { 1 } else { -1 };
-            *flag = now_enabled;
-        }
+/// Marks `p`'s guard dirty, queueing `p` on its first mark since the last
+/// refresh (so the queue lists each process at most once).
+#[inline]
+fn mark_dirty(enabled: &mut EnabledSet, dirty_queue: &mut Vec<NodeId>, p: NodeId) {
+    if enabled.mark_dirty(p) {
+        dirty_queue.push(p);
     }
-    task.queue.clear();
 }
 
-/// One shard's activation-staging work item: evaluate the shard's slice of
-/// the (sorted) selection against the pre-step snapshot, staging updates
-/// and statistics in shard-private buffers.
-struct ActivationTask<'a, P: Protocol> {
-    node_base: usize,
-    selected: &'a [NodeId],
-    selected_this_round: &'a mut [bool],
-    scratch: &'a mut ShardScratch<P>,
-    stats: StatsShard<'a>,
-    newly_selected: usize,
-}
+/// A step-phase timer: it reads the clock only while metrics are enabled,
+/// so the default path costs nothing beyond the `Option` check.
+struct PhaseClock(Option<(&'static MetricsRegistry, std::time::Instant)>);
 
-fn run_activation_task<P: Protocol>(task: &mut ActivationTask<'_, P>, ctx: &StepContext<'_, P>) {
-    debug_assert!(task.scratch.staged.is_empty());
-    task.scratch.executed.clear();
-    if ctx.tracing {
-        task.scratch.records.reserve(task.selected.len());
+impl PhaseClock {
+    #[inline]
+    fn start(metrics: Option<&'static MetricsRegistry>) -> Self {
+        // lint: allow(determinism) — phase timing feeds the metrics histograms only
+        PhaseClock(metrics.map(|m| (m, std::time::Instant::now())))
     }
-    for &p in task.selected {
-        task.stats.record_selection(p);
-        let local = p.index() - task.node_base;
-        if !task.selected_this_round[local] {
-            task.selected_this_round[local] = true;
-            task.newly_selected += 1;
-        }
-        let log_buffer = std::mem::take(&mut task.scratch.read_log);
-        let view = NeighborView::with_log_buffer(ctx.graph, p, ctx.comm_cache, true, log_buffer);
-        // A private, deterministically derived RNG per activation: the
-        // stream depends only on (seed, step, process), never on which
-        // worker runs the activation or in what order.
-        let mut rng = activation_rng(ctx.salt, ctx.step, p);
-        let new_state =
-            ctx.protocol
-                .activate(ctx.graph, p, &ctx.config[p.index()], &view, &mut rng);
-        let read_operations = view.read_operations();
-        // The distinct-read set: collected into the shard's persistent
-        // scratch normally, or — when tracing — straight into the
-        // exactly-sized `Vec` the `ActivationRecord` will own, so the one
-        // documented trace allocation is also the only scan (the seed
-        // executor deduplicated into the scratch and then cloned it).
-        let mut traced_reads = Vec::new(); // lint: allow(hot-alloc) — the documented trace allocation (see above)
-        let reads_buf: &mut Vec<Port> = if ctx.tracing {
-            traced_reads.reserve_exact(read_operations.min(ctx.graph.degree(p)));
-            &mut traced_reads
-        } else {
-            &mut task.scratch.distinct_reads
-        };
-        view.collect_distinct_reads(reads_buf);
-        task.scratch.read_log = view.into_log_buffer();
-        let did_execute = new_state.is_some();
-        let mut comm_changed = false;
-        if let Some(new_state) = new_state {
-            let new_comm = ctx.protocol.comm(p, &new_state);
-            comm_changed = new_comm != ctx.comm_cache[p.index()];
-            task.scratch.executed.push(p);
-            task.stats.record_activation(p, reads_buf, read_operations);
-            if comm_changed {
-                task.stats.record_comm_change();
-            }
-            task.scratch
-                .staged
-                .push((p, new_state, new_comm, comm_changed));
-        } else {
-            // A disabled selected process does nothing, but it still
-            // evaluated its guards, so it is recorded as an activation
-            // (with whatever it read, possibly nothing) like every other
-            // selected process.
-            task.stats.record_activation(p, reads_buf, read_operations);
-        }
-        if ctx.tracing {
-            task.scratch.records.push(ActivationRecord {
-                process: p,
-                executed: did_execute,
-                reads: traced_reads,
-                comm_changed,
-            });
+
+    /// Records the phase's duration and work-item count.
+    #[inline]
+    fn stop(self, phase: StepPhase, items: usize) {
+        if let Some((m, started)) = self.0 {
+            m.phase(phase).record(items as u64, started.elapsed());
         }
     }
 }
 
-/// The private RNG of one activation, seeded from the simulation salt,
-/// the step index and the process id — so the random stream a protocol
-/// sees depends only on `(seed, step, process)`, never on which worker
-/// ran the activation or how many workers there are.
+/// The private RNG of one activation, keyed by `(seed, step, process)`:
+/// the random stream a protocol sees depends on which process is
+/// activated at which step of which run, and on nothing else — not on the
+/// order of activations within a step, nor on how many processes the step
+/// selected. A replay of the same selections therefore hands every
+/// activation the same randomness.
 ///
 /// Expansion of the seed into generator state is **lazy**: protocols that
 /// never draw during `activate` (MIS, matching, the min-value test
@@ -1133,7 +869,6 @@ struct ActivationRng {
     seed: u64,
     inner: Option<StdRng>,
 }
-
 impl ActivationRng {
     #[inline]
     fn rng(&mut self) -> &mut StdRng {
@@ -1172,50 +907,6 @@ fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
         seed: z,
         inner: None,
     }
-}
-
-/// Dispatches shard tasks to `workers` scoped threads with the same
-/// atomic-cursor claiming the campaign engine uses: workers `fetch_add` an
-/// index and run the claimed task. Each slot's mutex is locked exactly once
-/// (the cursor hands every index to exactly one worker); the mutexes exist
-/// to hand `&mut` task borrows across the thread boundary without `unsafe`.
-///
-/// Worker threads mark themselves via [`crate::probes`] so the
-/// zero-allocation test can count worker-side allocations (the hot path
-/// forbids them) separately from this function's own coordinator-side
-/// bookkeeping (task list, thread spawning), which is deliberate and
-/// per-step `O(workers)`.
-fn run_shard_tasks<T: Send>(workers: usize, tasks: &mut [T], run: impl Fn(&mut T) + Sync) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let cursor = AtomicUsize::new(0);
-    // lint: allow(hot-alloc) — coordinator-side slot list, O(shards) per step
-    let slots: Vec<Mutex<&mut T>> = tasks.iter_mut().map(Mutex::new).collect();
-    std::thread::scope(|scope| {
-        let spawned = workers.min(slots.len());
-        let handles: Vec<_> = (0..spawned)
-            .map(|_| {
-                scope.spawn(|| {
-                    crate::probes::enter_step_worker();
-                    loop {
-                        let claimed = cursor.fetch_add(1, Ordering::Relaxed); // ordering: unique-index handout; slot data is mutex-guarded
-                        if claimed >= slots.len() {
-                            break;
-                        }
-                        let mut slot = slots[claimed].lock().expect("shard task mutex poisoned");
-                        run(&mut slot);
-                    }
-                    crate::probes::exit_step_worker();
-                })
-            })
-            .collect(); // lint: allow(hot-alloc) — coordinator-side handle list
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
 }
 
 /// Runs one self-contained experiment **cell**: builds a [`Simulation`] from
@@ -1577,7 +1268,7 @@ mod tests {
         let mut reference = Vec::new();
         for _ in 0..200 {
             sim.recompute_enabled_into(&mut reference);
-            assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
+            assert_eq!(sim.enabled_set().flags().collect::<Vec<_>>(), reference);
             sim.step();
         }
         // Once silent, nothing is enabled and nothing is dirty.
@@ -1637,7 +1328,7 @@ mod tests {
         sim.set_state(NodeId::new(4), 0);
         let mut reference = Vec::new();
         sim.recompute_enabled_into(&mut reference);
-        assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
+        assert_eq!(sim.enabled_set().flags().collect::<Vec<_>>(), reference);
         assert!(
             sim.enabled_set().count() > 0,
             "the fault re-enabled the neighborhood"
@@ -1665,7 +1356,7 @@ mod tests {
         let mut reference = Vec::new();
         sim.recompute_enabled_into(&mut reference);
         assert_eq!(sim.guard_evaluations(), after_convergence);
-        assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
+        assert_eq!(sim.enabled_set().flags().collect::<Vec<_>>(), reference);
     }
 
     #[test]

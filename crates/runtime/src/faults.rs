@@ -29,9 +29,9 @@
 //! the executor's cached communication configuration and marks the victim
 //! and its whole neighborhood dirty — so the incremental enabled set stays
 //! sound even though a fault changes state outside the normal activation
-//! path (`tests/parallel_step_equivalence.rs` checks it against
+//! path (the `reference_matrix` test of `selfstab-core` checks it against
 //! [`Simulation::recompute_enabled_into`] after every injection, under
-//! every daemon).
+//! every daemon and every fault model).
 //!
 //! Victim selection runs on a reusable [`FaultInjector`] scratch: uniform
 //! sampling is a **partial Fisher–Yates** over a persistent permutation

@@ -99,7 +99,6 @@ pub mod enabled;
 pub mod executor;
 pub mod faults;
 pub mod guarded;
-pub mod probes;
 pub mod protocol;
 pub mod scheduler;
 pub mod stats;

@@ -36,13 +36,13 @@ use crate::view::NeighborView;
 ///
 /// # Threading
 ///
-/// The sharded executor evaluates guards and activations from worker
-/// threads that share the protocol value and read the pre-step
-/// configuration concurrently, so a protocol must be [`Sync`] and its
-/// state/communication types must be [`Send`]` + `[`Sync`]. Protocols are
-/// plain data plus pure functions in this model (all mutation goes through
-/// the returned states), so these bounds are vacuous in practice — they
-/// exclude interior mutability, which the contract above already forbids.
+/// Simulations run on the campaign engine's worker threads, and the trait
+/// keeps protocols and configurations shareable between threads by
+/// reference: a protocol must be [`Sync`] and its state/communication
+/// types must be [`Send`]` + `[`Sync`]. Protocols are plain data plus pure
+/// functions in this model (all mutation goes through the returned
+/// states), so these bounds are vacuous in practice — they exclude
+/// interior mutability, which the contract above already forbids.
 pub trait Protocol: Sync {
     /// Full per-process state: communication plus internal variables.
     type State: Clone + fmt::Debug + PartialEq + Send + Sync;

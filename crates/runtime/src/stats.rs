@@ -15,10 +15,11 @@
 //!
 //! These counters only record what the *protocol* observably does —
 //! selections, tracked reads, communication changes. They are
-//! deliberately independent of how the executor computes enabledness, so
-//! they are byte-identical at every worker count (the executor's own
-//! guard-evaluation cost is reported separately by
+//! deliberately independent of how the executor computes enabledness
+//! (the executor's own guard-evaluation cost is reported separately by
 //! [`Simulation::guard_evaluations`](crate::executor::Simulation::guard_evaluations)).
+//! The executor records every activation straight into the store, in
+//! selection order, during the activation phase of its step.
 //!
 //! # Layout
 //!
@@ -30,17 +31,12 @@
 //! since the suffix marker"). Every activation writes exactly one scalar
 //! row and the flag bytes of the ports it read. The footprint is
 //! `24·n + 4·(n + 1) + 2m` bytes (rows, `u32` offsets, one flag byte per
-//! port) with no per-process heap indirection, and it is what lets the
-//! sharded executor split the whole statistics store into disjoint
-//! per-shard `&mut` windows (`RunStats::sharded`): a contiguous node range
-//! owns a contiguous scalar range *and* a contiguous port-flag range.
+//! port) with no per-process heap indirection.
 //!
 //! Store-wide quantities are running aggregates instead of per-process
 //! counters: the suffix totals ([`RunStats::suffix_selections`],
 //! [`RunStats::suffix_read_operations`]) are the running totals minus a
 //! snapshot taken by [`RunStats::mark_suffix`].
-
-use std::ops::{AddAssign, Range};
 
 use selfstab_graph::{NodeId, Port};
 
@@ -171,32 +167,37 @@ impl RunStats {
         self.ports_with(p, READ_SINCE_MARKER)
     }
 
-    /// Splits the mutable recording surface into an ordered sequence of
-    /// disjoint per-shard windows (see [`ShardedStats::take`]).
-    ///
-    /// The running aggregates are *not* part of a window: every
-    /// [`StatsShard`] accumulates its own [`StepDeltas`] and the executor
-    /// folds them back through [`RunStats::apply_step_deltas`] in its
-    /// deterministic merge phase.
-    pub(crate) fn sharded(&mut self) -> ShardedStats<'_> {
-        ShardedStats {
-            port_offsets: &self.port_offsets,
-            per_process: &mut self.per_process,
-            port_flags: &mut self.port_flags,
-            node_cursor: 0,
-            port_cursor: 0,
+    /// Records one activation of `p`: a selection that read the given
+    /// distinct ports with `read_operations` reads in total (repeats
+    /// included). Every selection is an activation — a disabled process
+    /// still evaluates its guards — so this is the one per-activation
+    /// write: one scalar row, plus the flag bytes of the ports read.
+    pub(crate) fn record_activation(&mut self, p: NodeId, reads: &[Port], read_operations: usize) {
+        self.total_selections += 1;
+        self.total_reads += read_operations as u64;
+        // A distinct read set never exceeds the degree, which `RunStats::new`
+        // checked fits in `u32`.
+        let distinct = u32::try_from(reads.len()).unwrap_or(u32::MAX);
+        let stats = &mut self.per_process[p.index()];
+        stats.selections += 1;
+        stats.total_read_operations += read_operations as u64;
+        stats.max_reads_per_activation = stats.max_reads_per_activation.max(distinct);
+        stats.max_reads_per_activation_since_marker =
+            stats.max_reads_per_activation_since_marker.max(distinct);
+        let ports =
+            self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize;
+        let flags = &mut self.port_flags[ports];
+        for &port in reads {
+            if let Some(port_flags) = flags.get_mut(port.index()) {
+                *port_flags |= READ_EVER | READ_SINCE_MARKER;
+            }
         }
     }
 
-    /// Folds the summed per-shard aggregate deltas of step `step` back into
-    /// the running totals.
-    pub(crate) fn apply_step_deltas(&mut self, deltas: StepDeltas, step: u64) {
-        self.total_selections += deltas.selections;
-        self.total_reads += deltas.read_operations;
-        self.total_comm_change_count += deltas.comm_changes;
-        if deltas.comm_changes > 0 {
-            self.latest_comm_change_step = Some(step);
-        }
+    /// Records that a process changed its communication state at `step`.
+    pub(crate) fn record_comm_change(&mut self, step: u64) {
+        self.total_comm_change_count += 1;
+        self.latest_comm_change_step = Some(step);
     }
 
     /// Places the suffix marker at `step`: the per-process suffix read sets
@@ -342,144 +343,12 @@ impl RunStats {
     }
 }
 
-/// Store-wide aggregate deltas recorded through one [`StatsShard`] during
-/// a step; the executor sums them over its shards and folds the sum back
-/// with [`RunStats::apply_step_deltas`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StepDeltas {
-    pub(crate) selections: u64,
-    pub(crate) read_operations: u64,
-    pub(crate) comm_changes: u64,
-}
-
-impl AddAssign for StepDeltas {
-    fn add_assign(&mut self, other: StepDeltas) {
-        self.selections += other.selections;
-        self.read_operations += other.read_operations;
-        self.comm_changes += other.comm_changes;
-    }
-}
-
-/// A splitter handing out disjoint per-shard recording windows over a
-/// [`RunStats`] store, in ascending node order.
-///
-/// The struct-of-arrays layout makes this a pair of `split_at_mut` walks:
-/// shard `s`'s contiguous node range owns a contiguous window of the scalar
-/// array and (via the CSR `port_offsets`) a contiguous window of the flat
-/// port-flag array. No `unsafe`, no locks — the borrow checker sees the
-/// windows are disjoint, which is exactly the property that lets worker
-/// threads record concurrently.
-pub(crate) struct ShardedStats<'a> {
-    port_offsets: &'a [u32],
-    per_process: &'a mut [ProcessStats],
-    port_flags: &'a mut [u8],
-    node_cursor: usize,
-    port_cursor: usize,
-}
-
-impl<'a> ShardedStats<'a> {
-    /// Takes the recording window for the shard owning `node_range`.
-    ///
-    /// Ranges must be requested in ascending order and tile the node space
-    /// without overlap (the executor walks its partition in shard order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_range` does not start at the cursor left by the
-    /// previous call.
-    pub(crate) fn take(&mut self, node_range: Range<usize>) -> StatsShard<'a> {
-        assert_eq!(
-            node_range.start, self.node_cursor,
-            "shard stats windows must be taken in partition order"
-        );
-        let port_end = self.port_offsets[node_range.end] as usize;
-
-        let per_process = std::mem::take(&mut self.per_process);
-        let (scalars, rest) = per_process.split_at_mut(node_range.len());
-        self.per_process = rest;
-        let port_flags = std::mem::take(&mut self.port_flags);
-        let (flags, rest) = port_flags.split_at_mut(port_end - self.port_cursor);
-        self.port_flags = rest;
-
-        let shard = StatsShard {
-            node_base: node_range.start,
-            port_base: self.port_cursor,
-            port_offsets: self.port_offsets,
-            per_process: scalars,
-            port_flags: flags,
-            deltas: StepDeltas::default(),
-        };
-        self.node_cursor = node_range.end;
-        self.port_cursor = port_end;
-        shard
-    }
-}
-
-/// One shard's private window into the statistics store.
-///
-/// Recording methods mirror what the pre-sharding executor recorded
-/// inline; per-process scalars and port flags are written directly (the
-/// window is exclusive), while store-wide aggregates are accumulated in
-/// [`StatsShard::deltas`] and folded back by the executor's merge phase
-/// via [`RunStats::apply_step_deltas`].
-pub(crate) struct StatsShard<'a> {
-    node_base: usize,
-    port_base: usize,
-    /// The *global* CSR offsets (shared, read-only).
-    port_offsets: &'a [u32],
-    per_process: &'a mut [ProcessStats],
-    port_flags: &'a mut [u8],
-    /// Store-wide aggregate deltas recorded through this window.
-    pub(crate) deltas: StepDeltas,
-}
-
-impl StatsShard<'_> {
-    /// Records that `p` was selected by the scheduler.
-    pub(crate) fn record_selection(&mut self, p: NodeId) {
-        self.deltas.selections += 1;
-        self.per_process[p.index() - self.node_base].selections += 1;
-    }
-
-    /// Records an activation of `p` that read the given distinct ports.
-    pub(crate) fn record_activation(&mut self, p: NodeId, reads: &[Port], read_operations: usize) {
-        self.deltas.read_operations += read_operations as u64;
-        let port_lo = self.port_offsets[p.index()] as usize - self.port_base;
-        let port_hi = self.port_offsets[p.index() + 1] as usize - self.port_base;
-        // A distinct read set never exceeds the degree, which `RunStats::new`
-        // checked fits in `u32`.
-        let distinct = u32::try_from(reads.len()).unwrap_or(u32::MAX);
-        let stats = &mut self.per_process[p.index() - self.node_base];
-        stats.total_read_operations += read_operations as u64;
-        stats.max_reads_per_activation = stats.max_reads_per_activation.max(distinct);
-        stats.max_reads_per_activation_since_marker =
-            stats.max_reads_per_activation_since_marker.max(distinct);
-        let flags = &mut self.port_flags[port_lo..port_hi];
-        for &port in reads {
-            if let Some(port_flags) = flags.get_mut(port.index()) {
-                *port_flags |= READ_EVER | READ_SINCE_MARKER;
-            }
-        }
-    }
-
-    /// Records that a process changed its communication state this step.
-    pub(crate) fn record_comm_change(&mut self) {
-        self.deltas.comm_changes += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Test harness mirroring the executor: record through a single shard
-    /// window covering everything, then fold the deltas back.
-    fn record<R>(stats: &mut RunStats, step: u64, f: impl FnOnce(&mut StatsShard<'_>) -> R) -> R {
-        let n = stats.processes().len();
-        let mut shard = stats.sharded().take(0..n);
-        let out = f(&mut shard);
-        let deltas = shard.deltas;
-        stats.apply_step_deltas(deltas, step);
-        out
+    fn ports(reads: &[usize]) -> Vec<Port> {
+        reads.iter().map(|&r| Port::new(r)).collect()
     }
 
     #[test]
@@ -494,13 +363,9 @@ mod tests {
         let mut stats = RunStats::new(&[3, 2]);
         let p0 = NodeId::new(0);
         let p1 = NodeId::new(1);
-        record(&mut stats, 0, |shard| {
-            shard.record_selection(p0);
-            shard.record_activation(p0, &[Port::new(0), Port::new(2)], 5);
-            shard.record_selection(p1);
-            shard.record_activation(p1, &[Port::new(1)], 1);
-            shard.record_comm_change();
-        });
+        stats.record_activation(p0, &ports(&[0, 2]), 5);
+        stats.record_activation(p1, &ports(&[1]), 1);
+        stats.record_comm_change(0);
 
         assert_eq!(stats.process(p0).selections, 1);
         assert_eq!(stats.process(p0).max_reads_per_activation, 2);
@@ -515,67 +380,22 @@ mod tests {
         assert_eq!(stats.suffix_read_operations(), 6);
         assert_eq!(stats.total_comm_changes(), 1);
         assert_eq!(stats.last_comm_change_step(), Some(0));
-    }
-
-    #[test]
-    fn sharded_windows_agree_with_a_single_window() {
-        // The same recording pushed through two disjoint shard windows must
-        // produce byte-identical stats — the unit-level version of the
-        // executor's differential equivalence guarantee.
-        let degrees = [2usize, 3, 1, 2];
-        let mut whole = RunStats::new(&degrees);
-        record(&mut whole, 4, |shard| {
-            for (i, &d) in degrees.iter().enumerate() {
-                let p = NodeId::new(i);
-                shard.record_selection(p);
-                shard.record_activation(p, &[Port::new(0), Port::new(d - 1)], d);
-            }
-            shard.record_comm_change();
-        });
-
-        let mut split = RunStats::new(&degrees);
-        {
-            let mut splitter = split.sharded();
-            let mut low = splitter.take(0..2);
-            let mut high = splitter.take(2..4);
-            for (i, &d) in degrees.iter().enumerate() {
-                let p = NodeId::new(i);
-                let shard = if i < 2 { &mut low } else { &mut high };
-                shard.record_selection(p);
-                shard.record_activation(p, &[Port::new(0), Port::new(d - 1)], d);
-            }
-            high.record_comm_change();
-            let mut deltas = low.deltas;
-            deltas += high.deltas;
-            split.apply_step_deltas(deltas, 4);
-        }
-        assert_eq!(whole, split);
-        assert_eq!(whole.digest(), split.digest());
-    }
-
-    #[test]
-    #[should_panic(expected = "partition order")]
-    fn shard_windows_must_be_taken_in_order() {
-        let mut stats = RunStats::new(&[1, 1]);
-        let mut splitter = stats.sharded();
-        let _ = splitter.take(1..2);
+        stats.record_comm_change(7);
+        assert_eq!(stats.total_comm_changes(), 2);
+        assert_eq!(stats.last_comm_change_step(), Some(7));
     }
 
     #[test]
     fn suffix_marker_resets_suffix_read_sets_only() {
         let mut stats = RunStats::new(&[2]);
         let p = NodeId::new(0);
-        record(&mut stats, 0, |shard| {
-            shard.record_activation(p, &[Port::new(0), Port::new(1)], 2);
-        });
+        stats.record_activation(p, &ports(&[0, 1]), 2);
         assert_eq!(stats.distinct_neighbors_since_marker(p), 2);
         stats.mark_suffix(10);
         assert_eq!(stats.suffix_marker_step, Some(10));
         assert_eq!(stats.distinct_neighbors_since_marker(p), 0);
         assert_eq!(stats.distinct_neighbors_ever(p), 2);
-        record(&mut stats, 11, |shard| {
-            shard.record_activation(p, &[Port::new(1)], 1);
-        });
+        stats.record_activation(p, &ports(&[1]), 1);
         assert_eq!(stats.distinct_neighbors_since_marker(p), 1);
         assert_eq!(stats.distinct_neighbors_ever(p), 2);
         assert_eq!(stats.stable_process_count(1), 1);
@@ -586,20 +406,14 @@ mod tests {
     fn suffix_marker_resets_read_and_selection_counters() {
         let mut stats = RunStats::new(&[2, 2]);
         let p0 = NodeId::new(0);
-        record(&mut stats, 0, |shard| {
-            shard.record_selection(p0);
-            shard.record_activation(p0, &[Port::new(0)], 3);
-        });
+        stats.record_activation(p0, &ports(&[0]), 3);
         assert_eq!(stats.suffix_read_operations(), 3);
         assert_eq!(stats.suffix_selections(), 1);
         stats.mark_suffix(5);
         assert_eq!(stats.suffix_read_operations(), 0);
         assert_eq!(stats.suffix_selections(), 0);
         assert_eq!(stats.process(p0).total_read_operations, 3);
-        record(&mut stats, 6, |shard| {
-            shard.record_selection(p0);
-            shard.record_activation(p0, &[Port::new(1)], 2);
-        });
+        stats.record_activation(p0, &ports(&[1]), 2);
         assert_eq!(stats.suffix_read_operations(), 2);
         assert_eq!(stats.suffix_selections(), 1);
         // The per-process rows keep whole-execution totals.
@@ -609,30 +423,19 @@ mod tests {
     }
 
     #[test]
-    fn suffix_totals_follow_the_latest_marker_across_shard_windows() {
-        // Three processes of degree 3, 1 and 2, recorded through a
-        // two-window split ({0}, {1, 2}) as the sharded executor does.
+    fn suffix_totals_follow_the_latest_marker() {
+        // Three processes of degree 3, 1 and 2.
         let degrees = [3usize, 1, 2];
         let mut stats = RunStats::new(&degrees);
-        let step = |stats: &mut RunStats, t: u64, acts: &[(usize, &[usize], usize)]| {
-            let mut splitter = stats.sharded();
-            let mut low = splitter.take(0..1);
-            let mut high = splitter.take(1..3);
+        let step = |stats: &mut RunStats, acts: &[(usize, &[usize], usize)]| {
             for &(i, reads, ops) in acts {
-                let shard = if i < 1 { &mut low } else { &mut high };
-                let reads: Vec<Port> = reads.iter().map(|&r| Port::new(r)).collect();
-                shard.record_selection(NodeId::new(i));
-                shard.record_activation(NodeId::new(i), &reads, ops);
+                stats.record_activation(NodeId::new(i), &ports(reads), ops);
             }
-            let mut deltas = low.deltas;
-            deltas += high.deltas;
-            stats.apply_step_deltas(deltas, t);
         };
 
         // Before any marker: 3 selections, 3 + 1 + 4 = 8 reads, k = 3.
         step(
             &mut stats,
-            0,
             &[(0, &[0, 1, 2], 3), (1, &[0], 1), (2, &[0, 1], 4)],
         );
         assert_eq!(stats.suffix_selections(), 3);
@@ -641,7 +444,7 @@ mod tests {
 
         // First marker, then 2 selections with 2 + 1 = 3 reads, k = 2.
         stats.mark_suffix(1);
-        step(&mut stats, 1, &[(0, &[1, 2], 2), (2, &[1], 1)]);
+        step(&mut stats, &[(0, &[1, 2], 2), (2, &[1], 1)]);
         assert_eq!(stats.suffix_selections(), 2);
         assert_eq!(stats.suffix_read_operations(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 2);
@@ -652,8 +455,8 @@ mod tests {
         assert_eq!(stats.suffix_selections(), 0);
         assert_eq!(stats.suffix_read_operations(), 0);
         assert_eq!(stats.suffix_measured_efficiency(), 0);
-        step(&mut stats, 2, &[(1, &[0], 1), (2, &[0], 1)]);
-        step(&mut stats, 3, &[(0, &[2], 2)]);
+        step(&mut stats, &[(1, &[0], 1), (2, &[0], 1)]);
+        step(&mut stats, &[(0, &[2], 2)]);
         assert_eq!(stats.suffix_marker_step, Some(2));
         assert_eq!(stats.suffix_selections(), 3);
         assert_eq!(stats.suffix_read_operations(), 4);
@@ -670,16 +473,12 @@ mod tests {
     fn suffix_efficiency_only_sees_post_marker_activations() {
         let mut stats = RunStats::new(&[3]);
         let p = NodeId::new(0);
-        record(&mut stats, 0, |shard| {
-            shard.record_activation(p, &[Port::new(0), Port::new(1), Port::new(2)], 3);
-        });
+        stats.record_activation(p, &ports(&[0, 1, 2]), 3);
         assert_eq!(stats.measured_efficiency(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 3);
         stats.mark_suffix(1);
         assert_eq!(stats.suffix_measured_efficiency(), 0);
-        record(&mut stats, 2, |shard| {
-            shard.record_activation(p, &[Port::new(1)], 1);
-        });
+        stats.record_activation(p, &ports(&[1]), 1);
         // Whole-run efficiency remembers the repair; the suffix shows the
         // protocol is eventually 1-efficient.
         assert_eq!(stats.measured_efficiency(), 3);
@@ -689,10 +488,8 @@ mod tests {
     #[test]
     fn stability_counts() {
         let mut stats = RunStats::new(&[2, 2, 2]);
-        record(&mut stats, 0, |shard| {
-            shard.record_activation(NodeId::new(0), &[Port::new(0)], 1);
-            shard.record_activation(NodeId::new(1), &[Port::new(0), Port::new(1)], 2);
-        });
+        stats.record_activation(NodeId::new(0), &ports(&[0]), 1);
+        stats.record_activation(NodeId::new(1), &ports(&[0, 1]), 2);
         // Process 2 never reads anyone.
         assert_eq!(stats.k_stable_process_count(0), 1);
         assert_eq!(stats.k_stable_process_count(1), 2);

@@ -4,13 +4,12 @@
 //! The registry is a process-global singleton behind an enable flag.
 //! When disabled (the default) the executor's only cost is one relaxed
 //! atomic load per step, so the zero-allocation hot path is untouched;
-//! when enabled, the executor times its four phases and folds the
-//! per-shard work-item counts into the registry at the phase-D merge
-//! barrier — the same point where [`StatsShard`](crate::stats) deltas
-//! are folded into [`RunStats`](crate::stats::RunStats), so metrics
-//! inherit the executor's determinism barrier instead of adding a new
-//! synchronization point. All cells are atomics with relaxed ordering:
-//! metrics are monotonic observational counters, not synchronization.
+//! when enabled, the executor times each of its four phases and records
+//! the phase's work-item count (dirty guards, selected processes,
+//! activations, executed processes) as the phase ends. Metrics observe
+//! the step; they never feed back into it. All cells are atomics with
+//! relaxed ordering: metrics are monotonic observational counters, not
+//! synchronization (campaign threads share the registry).
 //!
 //! Histograms bucket durations by `floor(log2(ns)) + 1` (bucket 0 holds
 //! exact zeros), which keeps recording branch-free and wait-free;
@@ -25,13 +24,13 @@ use std::time::Duration;
 /// The four phases of one executor step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPhase {
-    /// Phase A: re-evaluating guards over the dirty queues.
+    /// Phase A: re-evaluating guards over the dirty queue.
     GuardRefresh = 0,
     /// Phase B: the scheduler's (sequential) selection.
     Selection = 1,
-    /// Phase C: activating the selected processes (possibly sharded).
+    /// Phase C: activating the selected processes.
     Activation = 2,
-    /// Phase D: merging staged writes and deltas in shard order.
+    /// Phase D: applying the staged writes simultaneously.
     Merge = 3,
 }
 

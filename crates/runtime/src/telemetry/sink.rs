@@ -9,7 +9,7 @@
 //! * [`NullSink`] — reports [`TraceSink::is_recording`]` == false`, so
 //!   the executor skips record construction entirely; attaching it is
 //!   byte-for-byte equivalent to attaching nothing (the zero-allocation
-//!   and sharded hot paths are untouched).
+//!   hot path is untouched).
 //! * [`MemorySink`] — encodes into an in-memory buffer; the unit-test
 //!   and proptest workhorse, and the sink every replay records into.
 //! * [`FileSink`] — encodes through a buffered writer into the trace

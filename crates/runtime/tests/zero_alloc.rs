@@ -35,27 +35,16 @@ use selfstab_runtime::{SimOptions, Simulation};
 /// to the "no allocation" claim).
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Allocation events observed on sharded-executor **worker threads** only
-/// (threads inside their `enter_step_worker`/`exit_step_worker` window).
-/// The sequential hot path forbids all allocation; the threaded dispatch
-/// path additionally forbids allocation *on workers* — the coordinator may
-/// build its per-step task list, workers may not touch the allocator.
-static WORKER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 struct CountingAllocator;
 
 impl CountingAllocator {
     fn count(&self) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed); // ordering: count-only; asserted after quiescence
-        if selfstab_runtime::probes::is_step_worker() {
-            WORKER_ALLOCATIONS.fetch_add(1, Ordering::Relaxed); // ordering: count-only; asserted after workers exit
-        }
     }
 }
 
 // SAFETY: delegates every operation unchanged to the `System` allocator;
-// the only addition is a relaxed counter increment (`is_step_worker` is a
-// const-initialized thread-local `Cell` read — no allocation, no panic).
+// the only addition is a relaxed counter increment.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count();
@@ -82,10 +71,6 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) // ordering: read on the asserting thread between steps
-}
-
-fn worker_allocation_count() -> u64 {
-    WORKER_ALLOCATIONS.load(Ordering::Relaxed) // ordering: read after scoped workers joined
 }
 
 /// Minimum-propagation toy protocol with `Copy` state: the same executor
@@ -293,73 +278,6 @@ fn assert_zero_alloc_with_null_sink(graph: &Graph) {
     );
 }
 
-/// Drives the sharded executor with `workers > 1` through the steady-state
-/// regimes and asserts that **worker threads** never allocate.
-///
-/// The coordinator legitimately allocates per threaded step (the task list
-/// handed to the claim loop, plus `thread::scope` bookkeeping), so the
-/// process-global counter is not required to stay flat here — only the
-/// worker-attributed counter is, and it must stay at zero: every per-shard
-/// collection a worker touches (dirty queue, staged updates, executed
-/// list, read log, distinct-read scratch) is a pre-sized scratch buffer
-/// owned by its shard.
-fn assert_zero_worker_alloc_steady_state<S: Scheduler>(
-    graph: &Graph,
-    scheduler: S,
-    workers: usize,
-    daemon: &str,
-) {
-    let options = SimOptions::default()
-        .with_step_workers(workers)
-        // These graphs are far below the production work threshold; force
-        // the threaded dispatch path so workers actually run.
-        .with_parallel_work_threshold(0);
-    let mut sim = Simulation::new(graph, MinValue, scheduler, 42, options);
-
-    // Warm up exactly like the sequential regimes: converge, then a few
-    // fault/repair cycles so every per-shard scratch buffer has seen its
-    // peak load.
-    let report = sim.run_until_silent(500_000);
-    assert!(report.silent, "{daemon}: MinValue must stabilize");
-    for round in 0..5u32 {
-        sim.set_state(
-            NodeId::new((7 * round as usize + 1) % graph.node_count()),
-            0,
-        );
-        sim.run_steps(100);
-    }
-
-    // Regime 1: silent threaded stepping.
-    let before = worker_allocation_count();
-    sim.run_steps(1_000);
-    let after = worker_allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "{daemon}/workers={workers}: silent stepping allocated {} times on worker threads",
-        after - before
-    );
-
-    // Regime 2: fault injection + threaded repair stepping (repair waves
-    // cross shard boundaries, so staged updates and dirty routing get
-    // exercised on every shard).
-    let before = worker_allocation_count();
-    for round in 0..10u32 {
-        sim.set_state(
-            NodeId::new((3 * round as usize + 2) % graph.node_count()),
-            0,
-        );
-        sim.run_steps(50);
-    }
-    let after = worker_allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "{daemon}/workers={workers}: fault/repair stepping allocated {} times on worker threads",
-        after - before
-    );
-}
-
 #[test]
 fn steady_state_step_performs_zero_heap_allocations() {
     // One test function only: the counter is process-global, and a second
@@ -383,19 +301,6 @@ fn steady_state_step_performs_zero_heap_allocations() {
     // Telemetry default configuration: NullSink attached, metrics off.
     assert_zero_alloc_with_null_sink(&ring);
 
-    // Parallel steady-state regime: the sharded executor with k > 1
-    // workers must keep its worker threads allocation-free. A bigger ring
-    // gives every one of the 4 shards a real chunk of work.
-    let big_ring = generators::ring(512);
-    assert_zero_worker_alloc_steady_state(&big_ring, Synchronous, 4, "synchronous/ring512");
-    assert_zero_worker_alloc_steady_state(
-        &big_ring,
-        DistributedRandom::new(0.3),
-        4,
-        "distributed-random/ring512",
-    );
-    assert_zero_worker_alloc_steady_state(&grid, CentralRoundRobin::new(), 2, "round-robin/grid");
-
     // Sanity check that the counter actually works: an explicit allocation
     // must register.
     let before = allocation_count();
@@ -405,7 +310,4 @@ fn steady_state_step_performs_zero_heap_allocations() {
         allocation_count() > before,
         "counting allocator must observe explicit allocations"
     );
-    // And the main thread is never attributed as a step worker, so the
-    // allocation above landed only in the process-global counter.
-    assert!(!selfstab_runtime::probes::is_step_worker());
 }

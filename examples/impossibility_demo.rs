@@ -16,7 +16,7 @@ use selfstab::prelude::*;
 use selfstab_core::coloring::{Coloring, ColoringState};
 use selfstab_core::impossibility::{theorem1, theorem2};
 use selfstab_core::mis::Mis;
-use selfstab_graph::coloring::LocalColoring;
+use selfstab_graph::coloring::{Color, LocalColoring};
 
 fn main() {
     theorem1_demo();
@@ -118,7 +118,7 @@ fn theorem2_demo() {
     );
 
     // Contrast with the real MIS protocol on the same colors.
-    let colors: Vec<usize> = ce
+    let colors: Vec<Color> = ce
         .graph()
         .nodes()
         .map(|p| ce.protocol.comm(p, &ce.config[p.index()]).color)
