@@ -47,7 +47,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, LocallyCentral, Scheduler, Synchronous,
 };
@@ -370,14 +369,14 @@ impl DaemonSpec {
         }
     }
 
-    /// Builds the described scheduler for `graph`.
-    pub fn build(&self, graph: &Graph) -> Box<dyn Scheduler + Send> {
+    /// Builds the described scheduler.
+    pub fn build(&self) -> Box<dyn Scheduler + Send> {
         match *self {
             DaemonSpec::Synchronous => Box::new(Synchronous),
             DaemonSpec::DistributedRandom(p) => Box::new(DistributedRandom::new(p)),
             DaemonSpec::CentralRandomEnabled => Box::new(CentralRandom::enabled_only()),
             DaemonSpec::CentralRoundRobin => Box::new(CentralRoundRobin::new()),
-            DaemonSpec::LocallyCentral(p) => Box::new(LocallyCentral::new(graph, p)),
+            DaemonSpec::LocallyCentral(p) => Box::new(LocallyCentral::new(p)),
         }
     }
 
@@ -583,7 +582,6 @@ mod tests {
 
     #[test]
     fn daemon_specs_build_matching_schedulers() {
-        let graph = selfstab_graph::generators::ring(6);
         for spec in [
             DaemonSpec::Synchronous,
             DaemonSpec::DistributedRandom(0.5),
@@ -591,7 +589,7 @@ mod tests {
             DaemonSpec::CentralRoundRobin,
             DaemonSpec::LocallyCentral(0.5),
         ] {
-            let daemon = spec.build(&graph);
+            let daemon = spec.build();
             assert_eq!(daemon.name(), spec.name());
         }
         assert_eq!(DaemonSpec::spanning_set().len(), 3);

@@ -103,7 +103,7 @@ pub fn daemon_cell(
     run_cell(
         &graph,
         Coloring::new(&graph),
-        daemon.build(&graph),
+        daemon.build(),
         seed,
         SimOptions::default(),
         config.max_steps,

@@ -74,7 +74,7 @@ pub fn cell(
     run_cell(
         &graph,
         BfsTree::new(&network),
-        daemon.build(&graph),
+        daemon.build(),
         seed,
         SimOptions::default().with_check_interval(8),
         config.max_steps,

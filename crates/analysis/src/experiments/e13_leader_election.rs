@@ -75,7 +75,7 @@ pub fn cell(
     run_cell(
         &graph,
         protocol,
-        daemon.build(&graph),
+        daemon.build(),
         seed,
         SimOptions::default().with_check_interval(8),
         config.max_steps,

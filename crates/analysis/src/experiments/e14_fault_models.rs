@@ -88,7 +88,7 @@ pub fn cell(
         run_cell(
             graph,
             protocol,
-            daemon.build(graph),
+            daemon.build(),
             seed,
             SimOptions::default().with_check_interval(4),
             config.max_steps,
@@ -274,6 +274,17 @@ mod tests {
         assert_eq!(m.recovery_rounds.len() as u64, cfg.runs);
         assert!(m.availability.iter().all(|a| (0.0..=1.0).contains(a)));
         assert!(m.victims.iter().all(|&v| v == 4), "20% of 16 processes");
+        // Every plan of the recovery set is repaired, in every run.
+        for plan in FaultPlanSpec::recovery_set(FAULT_LOAD) {
+            let m = measure(
+                &Workload::Grid(4, 4),
+                DaemonSpec::Synchronous,
+                plan,
+                MisKind::Efficient,
+                &cfg,
+            );
+            assert_eq!(m.timeouts, 0, "{}", plan.label());
+        }
     }
 
     #[test]

@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn counterexamples_never_escape() {
-        for delta in 2..=3 {
+        for delta in 2..=4 {
             let c1 = check_theorem1(delta, 2_000, 7);
             assert!(
                 c1.violates_predicate && c1.silent && !c1.escaped,

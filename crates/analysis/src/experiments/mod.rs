@@ -6,8 +6,8 @@
 //! protocol parameters × seeds — whose cells the campaign engine executes
 //! on `config.threads` worker threads. The `experiments` binary prints the
 //! tables, the integration tests check their invariants (including
-//! byte-identical output across thread counts), and the criterion benches
-//! time their workloads.
+//! byte-identical output across thread counts), and the end-to-end
+//! benchmark (`perfbench/`) times the `--quick` suite.
 
 pub mod e10_transformer;
 pub mod e11_ablation;

@@ -30,8 +30,8 @@
 //! -p selfstab-analysis --bin experiments`) prints every table (`--only
 //! E12,E13` runs a subset, `--seed N` changes the base seed, `--threads N`
 //! sets the worker count, `--format json` emits one machine-readable
-//! document, `--list` shows the identifiers); the criterion benches in
-//! `selfstab-bench` time the same workloads.
+//! document, `--list` shows the identifiers); the end-to-end benchmark
+//! (`perfbench/`) times the `--quick` suite as its `paper-suite` workload.
 //!
 //! The binary is also the observability entry point: `--trace-out` /
 //! `--replay` record and verify the canonical [`tracecell`] through the

@@ -1,4 +1,4 @@
-//! Named graph workloads shared by the experiments and the benchmarks.
+//! Named graph workloads shared by the experiments and the trace cell.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -7,9 +7,9 @@ use std::fmt;
 
 /// A reproducible graph workload: a family plus its size parameter.
 ///
-/// Every workload is deterministic given `(family, n, seed)` so that
-/// experiment tables and criterion benchmarks measure exactly the same
-/// topologies.
+/// Every workload is deterministic given `(family, n, seed)`, so every
+/// run of an experiment table, and a trace replay, measures exactly the
+/// same topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// Path of `n` processes (the Figure 9 family).

@@ -186,43 +186,4 @@ proptest! {
         prop_assert!(sim.stats().suffix_measured_efficiency() <= 1);
     }
 
-    #[test]
-    fn bfs_tree_incremental_executor_matches_the_reference_after_every_step(
-        kind in 0u8..4,
-        n in 6usize..16,
-        graph_seed in 0u64..500,
-        root_pick in 0usize..500,
-        run_seed in 0u64..500,
-    ) {
-        // The tree protocols' repair waves are the hardest dirty-set
-        // workload shipped so far; the maintained enabled set must still
-        // equal the from-scratch reference after every step, which makes
-        // the run the one a full-recompute executor would produce.
-        let graph = topology(kind, n, graph_seed);
-        let root = NodeId::new(root_pick % graph.node_count());
-        let network = RootedGraph::new(graph.clone(), root).unwrap();
-        let mut sim = Simulation::new(
-            &graph,
-            BfsTree::new(&network),
-            DistributedRandom::new(0.4),
-            run_seed,
-            SimOptions::default(),
-        );
-        let mut reference = Vec::new();
-        while !sim.is_silent() && sim.steps() < 2_000_000 {
-            sim.step();
-            sim.recompute_enabled_into(&mut reference);
-            let steps = sim.steps();
-            prop_assert_eq!(
-                sim.enabled_set().flags().collect::<Vec<_>>(),
-                reference,
-                "enabled set diverged from the reference after {} steps on {}",
-                steps,
-                graph
-            );
-        }
-        prop_assert!(sim.is_silent(), "BFS tree did not stabilize on {graph}");
-        let evaluation_bound = (sim.steps() + 1) * graph.node_count() as u64;
-        prop_assert!(sim.guard_evaluations() <= evaluation_bound);
-    }
 }

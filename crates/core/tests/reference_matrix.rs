@@ -8,9 +8,9 @@
 //! every operation is the run an executor that re-evaluated every guard on
 //! every step would produce. The matrix crosses:
 //!
-//! * the shipped protocols — COLORING, MIS, MATCHING, the leader election
-//!   and the round-robin checker transformer over the coloring spec, each
-//!   on a topology of its own;
+//! * the shipped protocols — COLORING, MIS, MATCHING, the leader election,
+//!   the round-robin checker transformer over the coloring spec and the
+//!   rooted BFS spanning tree, each on a topology of its own;
 //! * the seven daemons — synchronous, central round-robin, central random
 //!   over the enabled processes, distributed random, locally central, and
 //!   the fairness wrapper over distributed random and over the starving
@@ -26,12 +26,13 @@
 //! process as selected), so the injections land **mid-round** — asserted
 //! under round-robin — and the check runs right after each one. The cell
 //! then runs to silence, checking after every step, and must end silent
-//! and legitimate.
+//! and legitimate. It must also have evaluated no more guards than an
+//! executor that re-evaluated every guard at each of its refreshes.
 //!
 //! A property test adds random step/injection interleavings for random
-//! (protocol, daemon) pairs, and a final case records an MIS
-//! fault-recovery run into a trace file and replays it, comparing every
-//! step record activation by activation.
+//! (protocol, daemon) pairs on random topologies, and a final case records
+//! an MIS fault-recovery run into a trace file and replays it, comparing
+//! every step record activation by activation.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,9 +40,9 @@ use rand::SeedableRng;
 use selfstab_core::coloring::Coloring;
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis, MisState};
-use selfstab_core::spanning::LeaderElection;
+use selfstab_core::spanning::{BfsTree, LeaderElection};
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker};
-use selfstab_graph::{generators, Graph, Identifiers};
+use selfstab_graph::{generators, Graph, Identifiers, NodeId, RootedGraph};
 use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultEvent, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
@@ -63,14 +64,14 @@ const DAEMONS: [&str; 7] = [
     "fair(starving-adversary)",
 ];
 
-/// Builds the daemon called `name` for `graph`.
-fn daemon(name: &str, graph: &Graph) -> Box<dyn Scheduler + Send> {
+/// Builds the daemon called `name`.
+fn daemon(name: &str) -> Box<dyn Scheduler + Send> {
     match name {
         "synchronous" => Box::new(Synchronous),
         "central-round-robin" => Box::new(CentralRoundRobin::new()),
         "central-random-enabled" => Box::new(CentralRandom::enabled_only()),
         "distributed-random" => Box::new(DistributedRandom::new(0.4)),
-        "locally-central" => Box::new(LocallyCentral::new(graph, 0.5)),
+        "locally-central" => Box::new(LocallyCentral::new(0.5)),
         "fair(distributed-random)" => Box::new(Fair::new(DistributedRandom::new(0.05), 4)),
         "fair(starving-adversary)" => Box::new(Fair::new(StarvingAdversary::new(), 3)),
         other => panic!("unknown daemon {other}"),
@@ -91,13 +92,17 @@ fn models() -> [FaultModel; 4] {
 }
 
 /// The shipped protocols, in the order [`with_protocol`] builds them.
-const PROTOCOLS: [&str; 5] = [
+const PROTOCOLS: [&str; 6] = [
     "coloring",
     "mis",
     "matching",
     "leader-election",
     "rr-checker(coloring)",
+    "bfs-tree",
 ];
+
+/// The index of the one rooted protocol in [`PROTOCOLS`].
+const BFS_TREE: usize = 5;
 
 /// A run over one protocol. The method is generic, so one protocol table
 /// ([`with_protocol`]) serves the fixed drives and the property test.
@@ -105,32 +110,55 @@ trait OnProtocol {
     fn run<P: Protocol>(&mut self, graph: &Graph, protocol: P);
 }
 
-/// Runs `on` over shipped protocol `index` (see [`PROTOCOLS`]), built on
-/// its own topology.
-fn with_protocol(index: usize, on: &mut impl OnProtocol) {
+/// Runs `on` over shipped protocol `index` (see [`PROTOCOLS`]) on
+/// `graph`; the BFS tree is rooted at `root`.
+fn with_protocol(index: usize, graph: &Graph, root: NodeId, on: &mut impl OnProtocol) {
     match index {
-        0 => {
-            let graph = generators::ring(24);
-            on.run(&graph, Coloring::new(&graph));
+        0 => on.run(graph, Coloring::new(graph)),
+        1 => on.run(graph, Mis::with_greedy_coloring(graph)),
+        2 => on.run(graph, Matching::with_greedy_coloring(graph)),
+        3 => {
+            let ids = Identifiers::sequential(graph.node_count());
+            on.run(graph, LeaderElection::new(graph, ids));
         }
+        4 => on.run(graph, RoundRobinChecker::new(ColoringSpec::new(graph))),
+        _ => {
+            let network = RootedGraph::new(graph.clone(), root).expect("root in range");
+            on.run(graph, BfsTree::new(&network));
+        }
+    }
+}
+
+/// The fixed drives' topology for shipped protocol `index`; the BFS tree
+/// is rooted at process 0.
+fn fixed_topology(index: usize) -> Graph {
+    match index {
+        0 => generators::ring(24),
+        1 => generators::grid(5, 6),
+        2 => generators::gnp_connected(20, 0.25, &mut StdRng::seed_from_u64(7))
+            .expect("valid parameters"),
+        4 => generators::ring(18),
+        _ => generators::grid(4, 5),
+    }
+}
+
+/// A random topology of about `n` processes for shipped protocol `index`:
+/// a ring, grid, connected G(n, p) or random tree by `family` for the BFS
+/// tree, and the G(n, p) for every other protocol.
+fn random_topology(index: usize, family: u8, n: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let family = if index == BFS_TREE { family } else { 2 };
+    match family {
+        0 => generators::ring(n),
         1 => {
-            let graph = generators::grid(5, 6);
-            on.run(&graph, Mis::with_greedy_coloring(&graph));
+            let rows = 2 + n % 4;
+            generators::grid(rows, n.div_ceil(rows).max(2))
         }
         2 => {
-            let graph = generators::gnp_connected(20, 0.25, &mut StdRng::seed_from_u64(7))
-                .expect("valid parameters");
-            on.run(&graph, Matching::with_greedy_coloring(&graph));
+            let p = (0.15 + 3.0 / n as f64).min(1.0);
+            generators::gnp_connected(n, p, &mut rng).expect("valid parameters")
         }
-        3 => {
-            let graph = generators::grid(4, 5);
-            let ids = Identifiers::sequential(graph.node_count());
-            on.run(&graph, LeaderElection::new(&graph, ids));
-        }
-        _ => {
-            let graph = generators::ring(18);
-            on.run(&graph, RoundRobinChecker::new(ColoringSpec::new(&graph)));
-        }
+        _ => generators::random_tree(n, &mut rng),
     }
 }
 
@@ -144,7 +172,7 @@ enum Op {
 
 /// The fixed drive: 12 cycles of 7 steps, each followed by an injection of
 /// fault model `model`. 7 steps between injections is coprime with every
-/// process count in [`with_protocol`], so under round-robin the
+/// process count in [`fixed_topology`], so under round-robin the
 /// injections land mid-round.
 fn cycle_ops(model: usize) -> Vec<Op> {
     (0..12)
@@ -200,11 +228,11 @@ impl OnProtocol for Drive<'_> {
     /// every operation, then runs it to silence, checking after every
     /// step.
     fn run<P: Protocol>(&mut self, graph: &Graph, protocol: P) {
-        let lane = format!("{}/{}", protocol.name(), self.daemon);
+        let lane = format!("{}/{}/{graph}", protocol.name(), self.daemon);
         let mut sim = Simulation::new(
             graph,
             protocol,
-            daemon(self.daemon, graph),
+            daemon(self.daemon),
             self.seed,
             SimOptions::default(),
         );
@@ -215,6 +243,10 @@ impl OnProtocol for Drive<'_> {
         // Step count at the most recent round boundary: an injection lands
         // mid-round exactly when steps have run since then.
         let mut round_boundary = 0u64;
+        let mut injections = 0u64;
+        // Guards the injector evaluates itself: the stuck-at model scores
+        // each candidate state through the enabled set.
+        let mut search_evaluations = 0u64;
         for (i, &op) in self.ops.iter().enumerate() {
             match op {
                 Op::Step => {
@@ -228,7 +260,10 @@ impl OnProtocol for Drive<'_> {
                     if sim.steps() > round_boundary {
                         self.mid_round_injections += 1;
                     }
+                    let before = sim.guard_evaluations();
                     injector.inject(&mut sim, models[m], &mut fault_rng);
+                    search_evaluations += sim.guard_evaluations() - before;
+                    injections += 1;
                 }
             }
             assert_matches_reference(
@@ -251,12 +286,22 @@ impl OnProtocol for Drive<'_> {
         }
         assert!(sim.is_silent(), "{lane}: must re-stabilize");
         assert!(sim.is_legitimate(), "{lane}: silent but not legitimate");
+        // Every operation is followed by a check, so the guards refresh
+        // once initially, once per step and once per injection, each
+        // evaluating a guard at most once.
+        let refreshes = sim.steps() + 1 + injections;
+        let evaluations = sim.guard_evaluations() - search_evaluations;
+        assert!(
+            evaluations <= refreshes * graph.node_count() as u64,
+            "{lane}: {evaluations} guard evaluations in {refreshes} refreshes"
+        );
     }
 }
 
 /// The fixed drive for every daemon × fault model on shipped protocol
 /// `index`.
 fn assert_matrix(index: usize) {
+    let graph = fixed_topology(index);
     for daemon in DAEMONS {
         for (m, model) in models().iter().enumerate() {
             let ops = cycle_ops(m);
@@ -266,7 +311,7 @@ fn assert_matrix(index: usize) {
                 ops: &ops,
                 mid_round_injections: 0,
             };
-            with_protocol(index, &mut drive);
+            with_protocol(index, &graph, NodeId::new(0), &mut drive);
             if daemon == "central-round-robin" {
                 let mid_round = drive.mid_round_injections;
                 assert!(
@@ -305,17 +350,26 @@ fn checker_transformer_matches_the_reference_under_every_daemon_and_fault_model(
     assert_matrix(4);
 }
 
+#[test]
+fn bfs_tree_matches_the_reference_under_every_daemon_and_fault_model() {
+    assert_matrix(BFS_TREE);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random step/fault interleavings keep the maintained enabled set
-    /// equal to the reference, for every protocol under every daemon.
+    /// equal to the reference, for every protocol under every daemon on
+    /// random topologies.
     #[test]
     fn random_step_fault_interleavings_match_the_reference(
-        protocol in 0usize..5,
+        protocol in 0usize..6,
         daemon_idx in 0usize..7,
         seed in 0u64..1_000_000,
         ops_seed in 0u64..1_000_000,
+        n in 4usize..20,
+        family in 0u8..4,
+        root_pick in 0usize..1_000,
     ) {
         let ops = ops_from_seed(ops_seed);
         let mut drive = Drive {
@@ -324,7 +378,9 @@ proptest! {
             ops: &ops,
             mid_round_injections: 0,
         };
-        with_protocol(protocol, &mut drive);
+        let graph = random_topology(protocol, family, n, seed);
+        let root = NodeId::new(root_pick % graph.node_count());
+        with_protocol(protocol, &graph, root, &mut drive);
     }
 }
 

@@ -68,8 +68,8 @@
 //!   of scanning the selected-this-round flags every step,
 //! * [`Simulation::comm_config`] returns the maintained cache by reference.
 //!
-//! The one deliberate exception, off by default: while an attached
-//! [`TraceSink`] is recording, every step builds a [`StepRecord`] with one
+//! The one deliberate exception, off by default: while a [`TraceSink`] is
+//! attached, every step builds a [`StepRecord`] with one
 //! `ActivationRecord` (plus its read list) per activation and hands it to
 //! the sink.
 
@@ -166,11 +166,8 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     config: Vec<P::State>,
     stats: RunStats,
     /// Attached telemetry sink, if any, and the executor's only consumer
-    /// of step records: it hands the sink every step's record unless it
-    /// reports
-    /// [`is_recording`](TraceSink::is_recording)` == false` (the
-    /// [`NullSink`](crate::telemetry::NullSink)), in which case the hot
-    /// path is byte-identical to running with no sink at all.
+    /// of step records: it hands the sink every step's record. With no
+    /// sink attached the executor builds no records at all.
     sink: Option<Box<dyn TraceSink>>,
     options: SimOptions,
     step: u64,
@@ -423,9 +420,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// [`MemorySink`](crate::telemetry::MemorySink) and decode it between
     /// steps.
     ///
-    /// Attaching a [`NullSink`](crate::telemetry::NullSink) — or any
-    /// sink whose [`TraceSink::is_recording`] returns `false` — leaves
-    /// the hot path byte-identical to running with no sink: the executor
+    /// Running with no sink attached is the zero-cost path: the executor
     /// checks once per step and skips record construction entirely.
     pub fn attach_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
@@ -581,6 +576,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         self.selected_scratch.clear();
         let ctx = SchedulerContext {
             step: self.step,
+            graph: self.graph,
             enabled: &self.enabled,
         };
         self.scheduler
@@ -599,9 +595,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // Phase C: activation. Every selected process evaluates against the
         // pre-step snapshot and stages its update; nothing it reads is
         // mutated until the merge below.
-        let tracing = self.sink.as_ref().is_some_and(|sink| sink.is_recording());
-        // Step records are the one intentional per-step allocation: a
-        // recording sink consumes them, so there is no buffer to reuse.
+        let tracing = self.sink.is_some();
+        // Step records are the one intentional per-step allocation: the
+        // attached sink consumes them, so there is no buffer to reuse.
         // Off by default.
         let mut records: Vec<ActivationRecord> = Vec::new(); // lint: allow(hot-alloc) — the documented trace allocation (see above)
         if tracing {
@@ -681,13 +677,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             }
         }
         clock.stop(StepPhase::Merge, self.executed_scratch.len());
-        if tracing {
-            if let Some(sink) = &mut self.sink {
-                sink.record_step(&StepRecord {
-                    step,
-                    activations: records,
-                });
-            }
+        if let Some(sink) = &mut self.sink {
+            sink.record_step(&StepRecord {
+                step,
+                activations: records,
+            });
         }
 
         self.step += 1;

@@ -115,8 +115,7 @@ pub use protocol::Protocol;
 pub use scheduler::Scheduler;
 pub use stats::RunStats;
 pub use telemetry::{
-    FileSink, MemorySink, NullSink, ReplayScheduler, TraceFileReader, TraceFooter, TraceHeader,
-    TraceSink,
+    FileSink, MemorySink, ReplayScheduler, TraceFileReader, TraceFooter, TraceHeader, TraceSink,
 };
 pub use trace::StepRecord;
 pub use view::NeighborView;

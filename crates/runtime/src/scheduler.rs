@@ -11,7 +11,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::RngCore;
-use selfstab_graph::NodeId;
+use selfstab_graph::{Graph, NodeId};
 
 use crate::enabled::EnabledSet;
 
@@ -20,6 +20,10 @@ use crate::enabled::EnabledSet;
 pub struct SchedulerContext<'a> {
     /// 0-based index of the step being scheduled.
     pub step: u64,
+    /// The simulated graph, for daemons whose selection depends on the
+    /// topology ([`LocallyCentral`]). It has as many processes as
+    /// `enabled`.
+    pub graph: &'a Graph,
     /// The enabled set maintained incrementally by the executor: which
     /// processes have an enabled action in the current configuration, with
     /// an `O(1)` cardinality. Schedulers consume this instead of a freshly
@@ -317,8 +321,6 @@ impl Scheduler for StarvingAdversary {
 /// effect of neighbor concurrency.
 #[derive(Debug, Clone)]
 pub struct LocallyCentral {
-    /// `neighbors[p]` lists the neighbor indices of process `p`.
-    neighbors: Vec<Vec<usize>>,
     activation_prob: f64,
     /// Scratch: visit order of the greedy independent-set pass (reused
     /// across steps so selection stays allocation-free in steady state).
@@ -328,16 +330,12 @@ pub struct LocallyCentral {
 }
 
 impl LocallyCentral {
-    /// Creates the daemon for `graph` with the given per-process activation
-    /// probability (clamped to `(0, 1]`).
-    pub fn new(graph: &selfstab_graph::Graph, activation_prob: f64) -> Self {
+    /// Creates the daemon with the given per-process activation
+    /// probability (clamped to `(0, 1]`). It reads the neighborhoods from
+    /// the simulated graph ([`SchedulerContext::graph`]) at every step.
+    pub fn new(activation_prob: f64) -> Self {
         assert!(!activation_prob.is_nan(), "activation probability is NaN");
-        let neighbors = graph
-            .nodes()
-            .map(|p| graph.neighbors(p).map(|q| q.index()).collect())
-            .collect();
         LocallyCentral {
-            neighbors,
             activation_prob: activation_prob.clamp(f64::MIN_POSITIVE, 1.0),
             order: Vec::new(),
             kept: Vec::new(),
@@ -364,11 +362,10 @@ impl Scheduler for LocallyCentral {
             if !rng.gen_bool(self.activation_prob) {
                 continue;
             }
-            let conflicts = self
-                .neighbors
-                .get(p)
-                .map(|ns| ns.iter().any(|&q| self.kept[q]))
-                .unwrap_or(false);
+            let conflicts = ctx
+                .graph
+                .neighbors(NodeId::new(p))
+                .any(|q| self.kept[q.index()]);
             if !conflicts {
                 self.kept[p] = true;
                 out.push(NodeId::new(p));
@@ -449,12 +446,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn set(flags: &[bool]) -> EnabledSet {
-        EnabledSet::from_flags(flags.to_vec())
+    /// A system to schedule: a graph and its processes' enabled flags.
+    struct System {
+        graph: Graph,
+        enabled: EnabledSet,
     }
 
-    fn ctx<'a>(enabled: &'a EnabledSet, step: u64) -> SchedulerContext<'a> {
-        SchedulerContext { step, enabled }
+    impl System {
+        fn ctx(&self, step: u64) -> SchedulerContext<'_> {
+            SchedulerContext {
+                step,
+                graph: &self.graph,
+                enabled: &self.enabled,
+            }
+        }
+    }
+
+    /// `flags.len()` processes with no edges between them.
+    fn system(flags: &[bool]) -> System {
+        System {
+            graph: Graph::from_edges(flags.len(), &[]).expect("edgeless graph"),
+            enabled: EnabledSet::from_flags(flags.to_vec()),
+        }
     }
 
     /// Test adapter for the buffer-based contract: returns the selection as
@@ -493,23 +506,23 @@ mod tests {
 
     #[test]
     fn synchronous_selects_everyone() {
-        let enabled = set(&[true, false, true]);
+        let sys = system(&[true, false, true]);
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = Synchronous;
-        assert_eq!(select_vec(&mut s, &ctx(&enabled, 0), &mut rng).len(), 3);
+        assert_eq!(select_vec(&mut s, &sys.ctx(0), &mut rng).len(), 3);
     }
 
     #[test]
     fn selection_buffer_is_reused_not_grown() {
-        let enabled = set(&[true; 16]);
+        let sys = system(&[true; 16]);
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = Synchronous;
         let mut out = Vec::new();
-        s.select(&ctx(&enabled, 0), &mut rng, &mut out);
+        s.select(&sys.ctx(0), &mut rng, &mut out);
         let capacity = out.capacity();
         for step in 1..50 {
             out.clear();
-            s.select(&ctx(&enabled, step), &mut rng, &mut out);
+            s.select(&sys.ctx(step), &mut rng, &mut out);
         }
         assert_eq!(out.len(), 16);
         assert_eq!(out.capacity(), capacity, "steady-state capacity is stable");
@@ -517,11 +530,11 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_over_processes() {
-        let enabled = set(&[true; 3]);
+        let sys = system(&[true; 3]);
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = CentralRoundRobin::new();
         let picks: Vec<usize> = (0..6)
-            .map(|i| select_vec(&mut s, &ctx(&enabled, i), &mut rng)[0].index())
+            .map(|i| select_vec(&mut s, &sys.ctx(i), &mut rng)[0].index())
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -529,45 +542,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty system")]
     fn round_robin_rejects_empty_systems() {
-        let enabled = set(&[]);
+        let sys = system(&[]);
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = CentralRoundRobin::new();
-        let _ = select_vec(&mut s, &ctx(&enabled, 0), &mut rng);
+        let _ = select_vec(&mut s, &sys.ctx(0), &mut rng);
     }
 
     #[test]
     fn central_random_prefers_enabled_when_asked() {
-        let enabled = set(&[false, false, true, false]);
+        let sys = system(&[false, false, true, false]);
         let mut rng = StdRng::seed_from_u64(1);
         let mut s = CentralRandom::enabled_only();
         for step in 0..20 {
-            let picked = select_vec(&mut s, &ctx(&enabled, step), &mut rng);
+            let picked = select_vec(&mut s, &sys.ctx(step), &mut rng);
             assert_eq!(picked, vec![NodeId::new(2)]);
         }
         // Falls back to any process when nothing is enabled.
-        let none = set(&[false; 4]);
-        let picked = select_vec(&mut s, &ctx(&none, 0), &mut rng);
+        let none = system(&[false; 4]);
+        let picked = select_vec(&mut s, &none.ctx(0), &mut rng);
         assert_eq!(picked.len(), 1);
     }
 
     #[test]
     fn distributed_random_never_returns_empty() {
-        let enabled = set(&[true; 5]);
+        let sys = system(&[true; 5]);
         let mut rng = StdRng::seed_from_u64(2);
         let mut s = DistributedRandom::new(0.01);
         for step in 0..200 {
-            assert!(!select_vec(&mut s, &ctx(&enabled, step), &mut rng).is_empty());
+            assert!(!select_vec(&mut s, &sys.ctx(step), &mut rng).is_empty());
         }
     }
 
     #[test]
     fn distributed_random_eventually_selects_everyone() {
-        let enabled = set(&[true; 6]);
+        let sys = system(&[true; 6]);
         let mut rng = StdRng::seed_from_u64(3);
         let mut s = DistributedRandom::new(0.3);
         let mut seen = [false; 6];
         for step in 0..500 {
-            for p in select_vec(&mut s, &ctx(&enabled, step), &mut rng) {
+            for p in select_vec(&mut s, &sys.ctx(step), &mut rng) {
                 seen[p.index()] = true;
             }
         }
@@ -576,33 +589,34 @@ mod tests {
 
     #[test]
     fn starving_adversary_keeps_activating_the_same_process() {
-        let enabled = set(&[true; 4]);
+        let sys = system(&[true; 4]);
         let mut rng = StdRng::seed_from_u64(4);
         let mut s = StarvingAdversary::new();
-        let first = select_vec(&mut s, &ctx(&enabled, 0), &mut rng)[0];
+        let first = select_vec(&mut s, &sys.ctx(0), &mut rng)[0];
         for step in 1..10 {
-            assert_eq!(
-                select_vec(&mut s, &ctx(&enabled, step), &mut rng),
-                vec![first]
-            );
+            assert_eq!(select_vec(&mut s, &sys.ctx(step), &mut rng), vec![first]);
         }
     }
 
     #[test]
     fn locally_central_never_activates_two_neighbors() {
-        let graph = selfstab_graph::generators::ring(8);
-        let enabled = set(&[true; 8]);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut s = LocallyCentral::new(&graph, 0.8);
-        for step in 0..200 {
-            let chosen = select_vec(&mut s, &ctx(&enabled, step), &mut rng);
-            assert!(!chosen.is_empty());
-            for &a in &chosen {
-                for &b in &chosen {
-                    if a != b {
+        let mut s = LocallyCentral::new(0.8);
+        // One daemon on systems of different sizes: it reads each step's
+        // neighborhoods from the context, so none is stale.
+        for n in [8, 4, 10] {
+            let sys = System {
+                graph: selfstab_graph::generators::ring(n),
+                enabled: EnabledSet::from_flags(vec![true; n]),
+            };
+            for step in 0..200 {
+                let chosen = select_vec(&mut s, &sys.ctx(step), &mut rng);
+                assert!(!chosen.is_empty());
+                for &a in &chosen {
+                    for &b in &chosen {
                         assert!(
-                            !graph.has_edge(a, b),
-                            "neighbors {a} and {b} both activated"
+                            a == b || !sys.graph.has_edge(a, b),
+                            "ring({n}): neighbors {a} and {b} both activated"
                         );
                     }
                 }
@@ -612,13 +626,13 @@ mod tests {
 
     #[test]
     fn fair_wrapper_bounds_starvation() {
-        let enabled = set(&[true; 4]);
+        let sys = system(&[true; 4]);
         let mut rng = StdRng::seed_from_u64(5);
         let window = 6;
         let mut s = Fair::new(StarvingAdversary::new(), window);
         let mut last = [0u64; 4];
         for step in 0..100 {
-            for p in select_vec(&mut s, &ctx(&enabled, step), &mut rng) {
+            for p in select_vec(&mut s, &sys.ctx(step), &mut rng) {
                 last[p.index()] = step;
             }
             for (i, &l) in last.iter().enumerate() {

@@ -483,6 +483,9 @@ mod tests {
         // protocol is eventually 1-efficient.
         assert_eq!(stats.measured_efficiency(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 1);
+        // A later activation with fewer reads keeps the suffix maximum.
+        stats.record_activation(p, &[], 0);
+        assert_eq!(stats.suffix_measured_efficiency(), 1);
     }
 
     #[test]

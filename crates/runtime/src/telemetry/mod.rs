@@ -10,10 +10,9 @@
 //!   [`StepRecord`](crate::trace::StepRecord)s (a few bytes per
 //!   activation instead of tens of JSON bytes).
 //! * [`sink`] — the [`TraceSink`] trait the executor streams records
-//!   into, with [`NullSink`] (zero-cost default), [`MemorySink`],
-//!   [`FileSink`], the matching [`TraceFileReader`], and shared
-//!   `Arc<Mutex<_>>` sinks for reading records while a simulation owns
-//!   the sink.
+//!   into, with [`MemorySink`], [`FileSink`], the matching
+//!   [`TraceFileReader`], and shared `Arc<Mutex<_>>` sinks for reading
+//!   records while a simulation owns the sink.
 //! * [`replay()`] — drives a fresh [`Simulation`](crate::Simulation) by a
 //!   recorded step stream and compares every activation's executed flag,
 //!   comm flag and read ports with the recording; divergence is a
@@ -27,11 +26,10 @@
 //!   replay in another process can verify without the original run's
 //!   memory.
 //!
-//! Capture is strictly pay-for-what-you-use: with no sink attached (or
-//! the [`NullSink`]) and metrics disabled, the executor's hot path is
-//! unchanged — zero steady-state allocations, no record construction,
-//! one relaxed atomic load per step (enforced by the `zero_alloc`
-//! integration test and the `hot_path` bench group).
+//! Capture is strictly pay-for-what-you-use: with no sink attached and
+//! metrics disabled, the executor's hot path is unchanged — zero
+//! steady-state allocations, no record construction, one relaxed atomic
+//! load per step (enforced by the `zero_alloc` integration test).
 
 pub mod digest;
 pub mod metrics;
@@ -45,7 +43,6 @@ pub use replay::{
     replay, replay_with, DivergenceKind, ReplayDivergence, ReplayOutcome, ReplayScheduler,
 };
 pub use sink::{
-    FileSink, MemorySink, NullSink, TraceFileReader, TraceFooter, TraceHeader, TraceReadError,
-    TraceSink,
+    FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceReadError, TraceSink,
 };
 pub use wire::WireError;

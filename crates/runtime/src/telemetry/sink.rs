@@ -1,15 +1,13 @@
 //! Trace sinks: where captured step records go.
 //!
 //! An attached [`TraceSink`] is the executor's only consumer of
-//! [`StepRecord`]s: while it is recording, the executor hands it every
-//! step's record. Sinks own the wire-format encoder state (the previous
-//! step index for delta coding), so the executor stays oblivious to the
-//! encoding. Three implementations cover the spectrum:
+//! [`StepRecord`]s: while one is attached, the executor hands it every
+//! step's record. With no sink attached the executor builds no records
+//! at all, which keeps the zero-allocation hot path untouched. Sinks own
+//! the wire-format encoder state (the previous step index for delta
+//! coding), so the executor stays oblivious to the encoding. Two
+//! implementations cover the spectrum:
 //!
-//! * [`NullSink`] — reports [`TraceSink::is_recording`]` == false`, so
-//!   the executor skips record construction entirely; attaching it is
-//!   byte-for-byte equivalent to attaching nothing (the zero-allocation
-//!   hot path is untouched).
 //! * [`MemorySink`] — encodes into an in-memory buffer; the unit-test
 //!   and proptest workhorse, and the sink every replay records into.
 //! * [`FileSink`] — encodes through a buffered writer into the trace
@@ -84,22 +82,13 @@ pub struct TraceFooter {
 /// # Contract
 ///
 /// * The executor calls [`record_step`](TraceSink::record_step) once
-///   per step, in step order, only when
-///   [`is_recording`](TraceSink::is_recording) returned `true` at the
-///   start of that step.
-/// * `is_recording` must be cheap and stable for the duration of a
-///   step; the executor checks it once per step to decide whether to
-///   build the record at all.
+///   per step, in step order, for every step run while the sink is
+///   attached.
 /// * [`finish`](TraceSink::finish) is called at most once, by the owner
 ///   that detached the sink, with the run's verification digests. I/O
 ///   errors encountered while recording may be deferred and reported
 ///   here.
 pub trait TraceSink: Send {
-    /// Whether the executor should build and deliver step records.
-    fn is_recording(&self) -> bool {
-        true
-    }
-
     /// Consumes one step record.
     fn record_step(&mut self, record: &StepRecord);
 
@@ -110,28 +99,11 @@ pub trait TraceSink: Send {
     }
 }
 
-/// The zero-cost default sink: records nothing and tells the executor
-/// so, keeping the hot path identical to running with no sink at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn is_recording(&self) -> bool {
-        false
-    }
-
-    fn record_step(&mut self, _record: &StepRecord) {}
-}
-
 /// A shared sink records into the `T` behind the lock, so the caller can
 /// keep one handle and read the records (for a [`MemorySink`],
 /// [`MemorySink::decode_all`]) while a simulation owns the other. Every
 /// call panics if a thread panicked while holding the lock.
 impl<T: TraceSink> TraceSink for Arc<Mutex<T>> {
-    fn is_recording(&self) -> bool {
-        lock_shared(self).is_recording()
-    }
-
     fn record_step(&mut self, record: &StepRecord) {
         lock_shared(self).record_step(record);
     }
@@ -489,12 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_reports_not_recording() {
-        let sink = NullSink;
-        assert!(!sink.is_recording());
-    }
-
-    #[test]
     fn memory_sink_round_trips() {
         let records = sample_records();
         let mut sink = MemorySink::new();
@@ -510,13 +476,10 @@ mod tests {
         let records = sample_records();
         let shared = Arc::new(Mutex::new(MemorySink::new()));
         let mut owned: Box<dyn TraceSink> = Box::new(Arc::clone(&shared));
-        assert!(owned.is_recording());
         for r in &records {
             owned.record_step(r);
         }
         assert_eq!(lock_shared(&shared).decode_all().expect("decodes"), records);
-        let null: Arc<Mutex<NullSink>> = Arc::default();
-        assert!(!null.is_recording(), "the inner sink decides");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use selfstab_graph::Graph;
 use selfstab_runtime::enabled::EnabledSet;
 use selfstab_runtime::scheduler::{
     CentralRoundRobin, DistributedRandom, Fair, Scheduler, SchedulerContext, StarvingAdversary,
@@ -35,6 +36,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let graph = Graph::from_edges(n, &[]).expect("edgeless graph");
         let mut scheduler = Fair::new(make_inner(inner_kind), window);
         // `continuously[i]`: process i is enabled at every step; the others
         // flicker randomly (the fairness bound only concerns processes whose
@@ -49,6 +51,7 @@ proptest! {
             let enabled = EnabledSet::from_flags(flags);
             let ctx = SchedulerContext {
                 step,
+                graph: &graph,
                 enabled: &enabled,
             };
             let mut chosen = Vec::new();

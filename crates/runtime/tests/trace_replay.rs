@@ -238,8 +238,7 @@ fn record_replay_round_trips_under_every_daemon() {
     );
     record_and_replay(&grid, DistributedRandom::new(0.4), 15, "distributed-random");
     record_and_replay(&grid, StarvingAdversary::new(), 16, "starving-adversary");
-    let locally_central = LocallyCentral::new(&grid, 0.5);
-    record_and_replay(&grid, locally_central, 17, "locally-central");
+    record_and_replay(&grid, LocallyCentral::new(0.5), 17, "locally-central");
     record_and_replay(
         &ring,
         Fair::new(StarvingAdversary::new(), 8),

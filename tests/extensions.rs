@@ -17,7 +17,7 @@ fn mis_under_the_locally_central_daemon() {
     let mut sim = Simulation::new(
         &graph,
         protocol,
-        LocallyCentral::new(&graph, 0.6),
+        LocallyCentral::new(0.6),
         3,
         SimOptions::default(),
     );
