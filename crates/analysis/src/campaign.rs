@@ -31,7 +31,7 @@
 //! cell builds its graph, protocol, scheduler, and per-cell
 //! [`StdRng`](rand::rngs::StdRng) locally from the seed), the campaign's
 //! output is byte-identical for every thread count. The integration test
-//! `tests/determinism.rs` checks this for all twelve experiment tables.
+//! `tests/determinism.rs` checks this for all thirteen experiment tables.
 //!
 //! # Scheduling
 //!
@@ -248,8 +248,7 @@ impl<P> CampaignSpec<P> {
             let started = Instant::now();
             let value = cell_fn(self.cell(index));
             let elapsed = started.elapsed();
-            if let Some(registry) = metrics::active() {
-                registry.record_campaign_cell(elapsed);
+            if metrics::enabled() {
                 CELL_SAMPLES
                     .lock()
                     .expect("cell samples lock poisoned")

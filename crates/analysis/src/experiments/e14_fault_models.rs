@@ -104,7 +104,7 @@ pub fn cell(
                 let steady_total = steady_window_reads_per_round(sim, 10);
 
                 let mut fault_rng = fault_rng(seed);
-                let mut injector = FaultInjector::new(sim.topology());
+                let mut injector = FaultInjector::new(sim.graph());
                 let telemetry = run_fault_plan(
                     sim,
                     &plan.build(),

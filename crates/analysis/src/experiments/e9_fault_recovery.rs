@@ -136,7 +136,7 @@ pub fn cell(
                 // FaultPlan).
                 let mut fault_rng = fault_rng(seed);
                 let plan = FaultPlan::single(FaultModel::Uniform(FaultLoad::Count(fault_count)));
-                let mut injector = FaultInjector::new(sim.topology());
+                let mut injector = FaultInjector::new(sim.graph());
                 let telemetry =
                     run_fault_plan(sim, &plan, &mut injector, &mut fault_rng, config.max_steps);
                 CellOutcome::Stabilized(FaultRecoveryRun {

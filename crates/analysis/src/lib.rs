@@ -3,8 +3,9 @@
 //! The paper is a theory paper: its "evaluation" is a set of theorems,
 //! bounds and figure constructions. Each experiment in
 //! [`experiments`] regenerates one of them as a table whose *shape* can be
-//! compared against the paper's claim (see `EXPERIMENTS.md` at the
-//! repository root for the recorded outputs):
+//! compared against the paper's claim (the `experiments` binary prints
+//! them; `crates/analysis/golden/quick_tables.json` records the `--quick`
+//! tables):
 //!
 //! | Experiment | Paper artifact | Claim checked |
 //! |---|---|---|

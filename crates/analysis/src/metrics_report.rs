@@ -1,14 +1,14 @@
 //! Reports over the global telemetry metrics registry.
 //!
 //! The runtime's [`metrics`] registry collects wait-free counters and
-//! log-bucketed duration histograms (executor phases, fault injections,
-//! campaign cells); this module renders them for humans
-//! ([`render_table`]) and machines ([`render_json`], one line, stable
-//! key set). Campaign cells are additionally summarized from the *raw*
-//! duration samples the [`campaign`] engine keeps while
-//! metrics are enabled, using [`crate::stats`]'s exact quantiles — the
-//! histograms' power-of-two upper bounds are good enough for nanosecond
-//! phase timings, but cell latencies deserve full resolution.
+//! log-bucketed duration histograms (executor phases, fault injections);
+//! this module renders them for humans ([`render_table`]) and machines
+//! ([`render_json`], one line, stable key set). Campaign cells are
+//! summarized from the *raw* duration samples the [`campaign`] engine
+//! keeps while metrics are enabled, using [`crate::stats`]'s exact
+//! quantiles — the histograms' power-of-two upper bounds are good enough
+//! for nanosecond phase timings, but cell latencies deserve full
+//! resolution.
 
 use selfstab_runtime::telemetry::metrics::{self, Histogram, StepPhase};
 

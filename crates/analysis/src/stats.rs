@@ -17,14 +17,12 @@ pub struct Summary {
     pub max: f64,
     /// Median (0 for an empty sample).
     pub median: f64,
-    /// First quartile — nearest-rank 25th percentile (0 for an empty
-    /// sample).
+    /// First quartile — [`percentile`] 25 (0 for an empty sample).
     pub p25: f64,
-    /// Third quartile — nearest-rank 75th percentile (0 for an empty
-    /// sample).
+    /// Third quartile — [`percentile`] 75 (0 for an empty sample).
     pub p75: f64,
-    /// Nearest-rank 95th percentile, the tail campaigns watch for
-    /// stragglers (0 for an empty sample).
+    /// [`percentile`] 95, the tail campaigns watch for stragglers (0 for
+    /// an empty sample).
     pub p95: f64,
 }
 
@@ -81,7 +79,9 @@ impl Summary {
     }
 }
 
-/// Percentile (nearest-rank) of a sample; `q` in `[0, 100]`.
+/// The `q`-th percentile of a sample, `q` in `[0, 100]`: the element at
+/// index `round(q / 100 · (n − 1))` of the sorted sample (no
+/// interpolation; 0 for an empty sample).
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;

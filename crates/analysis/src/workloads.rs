@@ -2,8 +2,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfstab_graph::{generators, Graph};
+use selfstab_graph::{generators, Graph, NodeId};
 use std::fmt;
+
+/// The most processes `GraphBuilder::build` accepts (`NodeId` is a `u32`).
+const MAX_NODES: usize = NodeId::MAX_INDEX + 1;
+/// The most edges `GraphBuilder::build` accepts (each edge takes two `u32`
+/// CSR port entries).
+const MAX_EDGES: usize = u32::MAX as usize / 2;
 
 /// A reproducible graph workload: a family plus its size parameter.
 ///
@@ -69,7 +75,7 @@ impl Workload {
 
     /// Why the family's generator would reject these parameters, or `None`
     /// when [`Workload::build`] succeeds. Mirrors the generators' own
-    /// preconditions.
+    /// preconditions and the graph builder's capacity.
     fn invalid_reason(&self) -> Option<String> {
         let reason: String = match *self {
             Workload::Path(0) => "a path needs at least one process".into(),
@@ -95,9 +101,62 @@ impl Workload {
             Workload::Barabasi(n, m) if m == 0 || m >= n => {
                 format!("need 0 < attach < n, got n = {n}, attach = {m}")
             }
-            _ => return None,
+            _ => match self.largest_size() {
+                None => "the graph's size overflows".into(),
+                Some((nodes, _)) if nodes > MAX_NODES => {
+                    format!("{nodes} processes exceed the {MAX_NODES} a graph can hold")
+                }
+                Some((_, edges)) if edges > MAX_EDGES => {
+                    format!("up to {edges} edges exceed the {MAX_EDGES} a graph can hold")
+                }
+                Some(_) => return None,
+            },
         };
         Some(reason)
+    }
+
+    /// The process count and the largest edge count [`Workload::build`]
+    /// can produce from parameters its generator accepts, or `None` when
+    /// either overflows `usize`.
+    fn largest_size(&self) -> Option<(usize, usize)> {
+        let tree = |n: usize| Some((n, n - 1));
+        match *self {
+            Workload::Path(n) | Workload::Star(n) | Workload::Tree(n) => tree(n),
+            Workload::Ring(n) => Some((n, n)),
+            Workload::Complete(n) => Some((n, n.checked_mul(n - 1)? / 2)),
+            // Any pair may be drawn when p > 0; with p = 0 only the edges
+            // that join the components are added.
+            Workload::Gnp(n, p) if p > 0.0 => Some((n, n.checked_mul(n - 1)? / 2)),
+            Workload::Gnp(n, _) => tree(n),
+            Workload::Grid(r, c) => {
+                let n = r.checked_mul(c)?;
+                Some((n, n.checked_mul(2)? - r - c))
+            }
+            Workload::Torus(r, c) => {
+                let n = r.checked_mul(c)?;
+                Some((n, n.checked_mul(2)?))
+            }
+            Workload::Caterpillar(spine, legs) => tree(spine.checked_mul(legs.checked_add(1)?)?),
+            Workload::Figure11 => Some((15, 14)),
+            Workload::Hypercube(d) => Some((1 << d, d << (d - 1))),
+            Workload::BalancedTree(1, depth) => tree(depth.checked_add(1)?),
+            Workload::BalancedTree(arity, depth) => {
+                // 1 + arity + … + arity^depth; with arity ≥ 2 the level
+                // overflows within 64 levels, so the loop stays short.
+                let (mut n, mut level) = (1usize, 1usize);
+                for _ in 0..depth {
+                    level = level.checked_mul(arity)?;
+                    n = n.checked_add(level)?;
+                }
+                tree(n)
+            }
+            // A clique on the first attach + 1 processes, then attach edges
+            // per further process.
+            Workload::Barabasi(n, m) => {
+                let edges = (m.checked_mul(m + 1)? / 2).checked_add((n - m - 1).checked_mul(m)?)?;
+                Some((n, edges))
+            }
+        }
     }
 
     /// Short label used in table rows and bench identifiers.
@@ -319,6 +378,18 @@ mod tests {
             ("gnp(0,0.5)", "at least one process"),
             ("ba(5,0)", "0 < attach < n"),
             ("ba(5,5)", "0 < attach < n"),
+            ("ring(5000000000)", "processes exceed"),
+            ("path(9000000000)", "processes exceed"),
+            ("ring(2147483648)", "edges exceed"),
+            ("complete(100000)", "edges exceed"),
+            ("gnp(100000,0.001)", "edges exceed"),
+            ("grid(4294967296x4294967296)", "overflows"),
+            ("torus(65536x65536)", "edges exceed"),
+            ("caterpillar(4294967296,1)", "processes exceed"),
+            ("btree(2,40)", "processes exceed"),
+            ("btree(2,100)", "overflows"),
+            ("btree(1,18446744073709551615)", "overflows"),
+            ("ba(100000,50000)", "edges exceed"),
         ] {
             let err = bad.parse::<Workload>().unwrap_err();
             assert!(err.contains(bad) && err.contains(reason), "{bad}: {err}");
@@ -344,6 +415,12 @@ mod tests {
                 .unwrap_or_else(|err| panic!("{err}"));
             assert!(workload.build(1).node_count() > 0, "{good}");
         }
+        // The largest ring the builder accepts has exactly u32::MAX / 2
+        // edges; one more process is rejected above.
+        assert_eq!(
+            "ring(2147483647)".parse::<Workload>(),
+            Ok(Workload::Ring(2_147_483_647))
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The `experiments` binary's untrusted inputs: a workload label the
-//! generators reject, whether given on the command line or read from a
-//! trace file's metadata, is an error on stderr with exit code 1 — never a
-//! panic (exit code 101) — and the record/replay summary stays valid JSON
-//! for any output path.
+//! The `experiments` binary's inputs: a workload label the generators
+//! reject, whether given on the command line or read from a trace file's
+//! metadata, is an error on stderr with exit code 1 — never a panic (exit
+//! code 101) — the record/replay summary stays valid JSON for any output
+//! path, and `--only` selects experiments by a case-insensitive list.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -33,13 +33,19 @@ fn assert_rejected(output: &Output, label: &str, reason: &str) {
     assert!(!stderr.contains("panicked"), "{label}: {stderr}");
 }
 
-const REJECTED: [(&str, &str); 6] = [
+const REJECTED: [(&str, &str); 10] = [
     ("ring(2)", "at least three processes"),
     ("path(0)", "at least one process"),
     ("grid(0x4)", "at least one row and one column"),
     ("hypercube(0)", "between 1 and 20 dimensions"),
     ("ba(5,0)", "0 < attach < n"),
     ("gnp(10,1.5)", "not in [0, 1]"),
+    // Beyond what the graph builder holds: these must not reach a
+    // generator, which would materialize billions of edges first.
+    ("ring(5000000000)", "processes exceed"),
+    ("path(9000000000)", "processes exceed"),
+    ("complete(100000)", "edges exceed"),
+    ("grid(4294967296x4294967296)", "overflows"),
 ];
 
 #[test]
@@ -82,13 +88,18 @@ fn rejected_replay_workloads_exit_with_the_reason() {
     let dir = scratch_dir("replay");
     // One recordable workload per rejected label, with a label of the
     // same length.
-    let recorded = [
+    let recorded: [Workload; REJECTED.len()] = [
         Workload::Ring(3),
         Workload::Ring(4),
         Workload::Grid(3, 4),
         Workload::Hypercube(3),
         Workload::Ring(5),
         Workload::Gnp(10, 0.5),
+        Workload::Caterpillar(3, 2),
+        Workload::Caterpillar(4, 2),
+        Workload::Caterpillar(5, 2),
+        // 0.1 + 0.2 prints as 0.30000000000000004: a 27-byte label.
+        Workload::Gnp(10, 0.1 + 0.2),
     ];
     for (workload, (label, reason)) in recorded.into_iter().zip(REJECTED) {
         let path = patched_trace(&dir, workload, label);
@@ -96,6 +107,21 @@ fn rejected_replay_workloads_exit_with_the_reason() {
         assert_rejected(&output, label, reason);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--only` takes a comma-separated, case-insensitive list and runs exactly
+/// the named experiments; E8 shares the `E7/E8` table.
+#[test]
+fn only_runs_a_case_insensitive_list_of_experiments() {
+    let output = experiments(&["--quick", "--only", "e8,E1", "--format", "json"]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 tables");
+    let ids: Vec<&str> = stdout
+        .split("{\"id\": \"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().expect("the id's closing quote"))
+        .collect();
+    assert_eq!(ids, ["E1", "E7/E8"]);
 }
 
 #[test]

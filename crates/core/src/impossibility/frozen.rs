@@ -46,11 +46,6 @@ impl FrozenReadColoring {
         }
     }
 
-    /// The designated port of process `p`.
-    pub fn frozen_port(&self, p: NodeId) -> Port {
-        self.frozen[p.index()]
-    }
-
     /// Extracts the colors from a configuration.
     pub fn output(config: &[usize]) -> Vec<usize> {
         config.to_vec()
@@ -151,11 +146,6 @@ impl FrozenReadMis {
     /// Creates the protocol from local identifiers and designated ports.
     pub fn new(coloring: LocalColoring, frozen: Vec<Port>) -> Self {
         FrozenReadMis { coloring, frozen }
-    }
-
-    /// The designated port of process `p`.
-    pub fn frozen_port(&self, p: NodeId) -> Port {
-        self.frozen[p.index()]
     }
 
     /// The output function (membership booleans).

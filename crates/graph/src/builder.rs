@@ -59,11 +59,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges currently recorded (including not-yet-validated ones).
-    pub fn pending_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Validates the recorded edges and produces the immutable [`Graph`].
     ///
     /// # Errors
@@ -216,12 +211,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(g.edge_count(), 3);
-    }
-
-    #[test]
-    fn pending_edge_count_reports_recorded_edges() {
-        let b = GraphBuilder::new(3).edge(0, 1).edge(1, 2);
-        assert_eq!(b.pending_edge_count(), 2);
     }
 
     #[test]

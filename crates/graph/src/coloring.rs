@@ -132,17 +132,6 @@ impl LocalColoring {
                 .edges()
                 .all(|(p, q)| self.colors[p.index()] != self.colors[q.index()])
     }
-
-    /// Groups processes by color; entry `c` lists the processes of color `c`
-    /// (possibly empty for unused smaller colors).
-    pub fn color_classes(&self) -> Vec<Vec<NodeId>> {
-        let max = self.colors.iter().copied().max().unwrap_or(0) as usize;
-        let mut classes = vec![Vec::new(); if self.colors.is_empty() { 0 } else { max + 1 }];
-        for (i, &c) in self.colors.iter().enumerate() {
-            classes[c as usize].push(NodeId::new(i));
-        }
-        classes
-    }
 }
 
 /// Greedy coloring in process-index order: each process takes the smallest
@@ -302,15 +291,6 @@ mod tests {
                 assert_eq!(c.rank(probe), smaller, "rank({probe}) of {:?}", c.colors());
             }
         }
-    }
-
-    #[test]
-    fn color_classes_group_processes() {
-        let c = LocalColoring::new_unchecked(vec![1, 0, 1]);
-        let classes = c.color_classes();
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0], vec![NodeId::new(1)]);
-        assert_eq!(classes[1], vec![NodeId::new(0), NodeId::new(2)]);
     }
 
     #[test]

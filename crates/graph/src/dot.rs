@@ -1,62 +1,10 @@
-//! Graphviz DOT export, for visual inspection of topologies, colorings and
+//! Graphviz DOT export of spanning trees, for visual inspection of
 //! protocol outputs while debugging experiments.
 
 use std::fmt::Write as _;
 
-use crate::coloring::LocalColoring;
 use crate::graph::Graph;
 use crate::node::NodeId;
-
-/// Renders the graph in Graphviz DOT syntax (undirected).
-///
-/// # Example
-///
-/// ```
-/// use selfstab_graph::{dot, generators};
-/// let g = generators::path(3);
-/// let out = dot::to_dot(&g, "chain");
-/// assert!(out.starts_with("graph chain {"));
-/// assert!(out.contains("p0 -- p1"));
-/// ```
-pub fn to_dot(graph: &Graph, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    for p in graph.nodes() {
-        let _ = writeln!(out, "  {p};");
-    }
-    for (p, q) in graph.edges() {
-        let _ = writeln!(out, "  {p} -- {q};");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the graph with each process labelled (and lightly styled) by its
-/// color, and an optional set of highlighted processes (e.g. the members of
-/// a computed MIS) drawn with a bold border.
-pub fn to_dot_colored(
-    graph: &Graph,
-    name: &str,
-    coloring: &LocalColoring,
-    highlighted: &[NodeId],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    for p in graph.nodes() {
-        let color = coloring.colors().get(p.index()).copied().unwrap_or(0);
-        let style = if highlighted.contains(&p) {
-            ", penwidth=3"
-        } else {
-            ""
-        };
-        let _ = writeln!(out, "  {p} [label=\"{p}\\nC={color}\"{style}];");
-    }
-    for (p, q) in graph.edges() {
-        let _ = writeln!(out, "  {p} -- {q};");
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Renders a spanning tree embedded in the graph: tree edges (given as
 /// `parents[p] = Some(parent of p)`) are drawn directed and bold, non-tree
@@ -110,19 +58,7 @@ pub fn to_dot_tree(graph: &Graph, name: &str, parents: &[Option<NodeId>]) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coloring;
     use crate::generators;
-
-    #[test]
-    fn dot_lists_every_node_and_edge() {
-        let g = generators::ring(4);
-        let dot = to_dot(&g, "ring4");
-        for p in g.nodes() {
-            assert!(dot.contains(&format!("{p};")));
-        }
-        assert_eq!(dot.matches(" -- ").count(), g.edge_count());
-        assert!(dot.ends_with("}\n"));
-    }
 
     #[test]
     fn tree_dot_distinguishes_tree_and_non_tree_edges() {
@@ -155,15 +91,5 @@ mod tests {
         assert!(dot.contains("p0 -> p1 [penwidth=2];"));
         assert!(dot.contains("p1 -> p0 [penwidth=2];"));
         assert!(!dot.contains("style=dashed"));
-    }
-
-    #[test]
-    fn colored_dot_mentions_colors_and_highlights() {
-        let g = generators::path(3);
-        let c = coloring::greedy(&g);
-        let dot = to_dot_colored(&g, "p3", &c, &[NodeId::new(1)]);
-        assert!(dot.contains("C=0"));
-        assert!(dot.contains("C=1"));
-        assert!(dot.contains("penwidth=3"));
     }
 }

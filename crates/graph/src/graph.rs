@@ -1,6 +1,5 @@
 //! The locally-labelled undirected graph type.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use rand::seq::SliceRandom;
@@ -222,37 +221,6 @@ impl Graph {
         shuffled
     }
 
-    /// Returns a copy of this graph where the ports of process `p` are
-    /// re-ordered according to `order`.
-    ///
-    /// `order` must be a permutation of `0..δ.p`; entry `i` of `order` is the
-    /// old port that becomes new port `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameters`] when `order` is not a
-    /// permutation of `0..δ.p`, and [`GraphError::NodeOutOfRange`] when `p`
-    /// does not exist.
-    pub fn with_port_order(&self, p: NodeId, order: &[usize]) -> Result<Graph, GraphError> {
-        self.check_node(p)?;
-        let degree = self.degree(p);
-        let valid = order.len() == degree
-            && order.iter().collect::<BTreeSet<_>>().len() == degree
-            && order.iter().all(|&i| i < degree);
-        if !valid {
-            return Err(GraphError::InvalidParameters {
-                reason: format!("port order for {p} must be a permutation of 0..{degree}"),
-            });
-        }
-        let mut reordered = self.clone();
-        let start = reordered.offsets[p.index()] as usize;
-        let old: Vec<NodeId> = self.neighbor_slice(p).to_vec();
-        for (i, &from) in order.iter().enumerate() {
-            reordered.neighbors[start + i] = old[from];
-        }
-        Ok(reordered)
-    }
-
     /// Iterator over the per-process adjacency rows (neighbor of each port,
     /// per process), each row a slice of the CSR neighbor array. Mostly
     /// useful for serialization and debugging.
@@ -388,31 +356,6 @@ mod tests {
             b.sort();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn with_port_order_permutes_one_node() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        let p0 = NodeId::new(0);
-        let original: Vec<_> = g.neighbors(p0).collect();
-        let reordered = g.with_port_order(p0, &[2, 0, 1]).unwrap();
-        let new: Vec<_> = reordered.neighbors(p0).collect();
-        assert_eq!(new, vec![original[2], original[0], original[1]]);
-        // Other processes untouched.
-        assert_eq!(
-            g.neighbors(NodeId::new(1)).collect::<Vec<_>>(),
-            reordered.neighbors(NodeId::new(1)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn with_port_order_rejects_non_permutations() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        let p0 = NodeId::new(0);
-        assert!(g.with_port_order(p0, &[0, 0, 1]).is_err());
-        assert!(g.with_port_order(p0, &[0, 1]).is_err());
-        assert!(g.with_port_order(p0, &[0, 1, 5]).is_err());
-        assert!(g.with_port_order(NodeId::new(9), &[0]).is_err());
     }
 
     #[test]

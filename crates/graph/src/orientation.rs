@@ -145,16 +145,6 @@ impl DagOrientation {
         &self.pred[start..end]
     }
 
-    /// Returns `true` when `p` has no incoming oriented edge.
-    pub fn is_source(&self, p: NodeId) -> bool {
-        self.predecessors(p).is_empty()
-    }
-
-    /// Returns `true` when `p` has no outgoing oriented edge.
-    pub fn is_sink(&self, p: NodeId) -> bool {
-        self.successors(p).is_empty()
-    }
-
     /// Number of oriented edges.
     pub fn edge_count(&self) -> usize {
         self.succ.len()
@@ -186,27 +176,6 @@ impl DagOrientation {
         } else {
             None
         }
-    }
-
-    /// Length (in edges) of the longest directed path of the dag. This upper
-    /// bounds how long a "wait-for" chain can grow in the deterministic
-    /// protocols.
-    pub fn longest_directed_path(&self) -> usize {
-        let order = match self.topological_order() {
-            Some(order) => order,
-            None => return 0,
-        };
-        let mut depth = vec![0usize; self.node_count()];
-        let mut best = 0;
-        for p in order {
-            for &q in self.successors(p) {
-                if depth[p.index()] + 1 > depth[q.index()] {
-                    depth[q.index()] = depth[p.index()] + 1;
-                    best = best.max(depth[q.index()]);
-                }
-            }
-        }
-        best
     }
 }
 
@@ -273,8 +242,8 @@ mod tests {
             &[(n(0), n(1)), (n(1), n(2)), (n(3), n(2)), (n(0), n(3))],
         )
         .unwrap();
-        assert!(dag.is_source(n(0)));
-        assert!(dag.is_sink(n(2)));
+        assert!(dag.predecessors(n(0)).is_empty());
+        assert!(dag.successors(n(2)).is_empty());
         assert_eq!(dag.predecessors(n(2)), vec![n(1), n(3)]);
 
         // A directed cycle is rejected.
@@ -290,27 +259,15 @@ mod tests {
     }
 
     #[test]
-    fn longest_directed_path_on_an_oriented_path() {
-        let g = generators::path(5);
-        let n = NodeId::new;
-        let dag = DagOrientation::from_edges(
-            &g,
-            &[(n(0), n(1)), (n(1), n(2)), (n(2), n(3)), (n(3), n(4))],
-        )
-        .unwrap();
-        assert_eq!(dag.longest_directed_path(), 4);
-    }
-
-    #[test]
     fn sources_and_sinks_cover_all_extremes() {
         let g = generators::star(5);
         let c = coloring::greedy(&g);
         let dag = DagOrientation::from_coloring(&g, &c).unwrap();
         // In a star colored greedily, the center gets color 0 and points to
         // every leaf.
-        assert!(dag.is_source(NodeId::new(0)));
+        assert!(dag.predecessors(NodeId::new(0)).is_empty());
         for leaf in 1..5 {
-            assert!(dag.is_sink(NodeId::new(leaf)));
+            assert!(dag.successors(NodeId::new(leaf)).is_empty());
         }
     }
 }

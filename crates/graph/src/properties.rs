@@ -11,34 +11,11 @@ pub fn max_degree(graph: &Graph) -> usize {
     graph.max_degree()
 }
 
-/// Minimum degree of the graph (0 for an empty graph).
-pub fn min_degree(graph: &Graph) -> usize {
-    graph.nodes().map(|p| graph.degree(p)).min().unwrap_or(0)
-}
-
-/// Average degree `2m / n` of the graph (0 for an empty graph).
-pub fn average_degree(graph: &Graph) -> f64 {
-    if graph.node_count() == 0 {
-        0.0
-    } else {
-        2.0 * graph.edge_count() as f64 / graph.node_count() as f64
-    }
-}
-
 /// Degree sequence, sorted in non-increasing order.
 pub fn degree_sequence(graph: &Graph) -> Vec<usize> {
     let mut degrees: Vec<usize> = graph.nodes().map(|p| graph.degree(p)).collect();
     degrees.sort_unstable_by(|a, b| b.cmp(a));
     degrees
-}
-
-/// Histogram of degrees: entry `d` counts the processes of degree `d`.
-pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for p in graph.nodes() {
-        hist[graph.degree(p)] += 1;
-    }
-    hist
 }
 
 /// Edge density `m / (n(n-1)/2)`, or 0 for graphs with fewer than two
@@ -173,12 +150,6 @@ pub fn is_bipartite(graph: &Graph) -> bool {
     true
 }
 
-/// Number of colors a protocol needs in the worst case on this graph:
-/// `Δ + 1` (the paper's palette for the COLORING protocol).
-pub fn palette_size(graph: &Graph) -> usize {
-    graph.max_degree() + 1
-}
-
 /// Number of triangles (3-cycles) in the graph.
 pub fn triangle_count(graph: &Graph) -> usize {
     let mut count = 0;
@@ -192,23 +163,6 @@ pub fn triangle_count(graph: &Graph) -> usize {
     count
 }
 
-/// Global clustering coefficient: `3 · triangles / number of connected
-/// triples` (0 when the graph has no path of length two).
-pub fn clustering_coefficient(graph: &Graph) -> f64 {
-    let triples: usize = graph
-        .nodes()
-        .map(|p| {
-            let d = graph.degree(p);
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
-    if triples == 0 {
-        0.0
-    } else {
-        3.0 * triangle_count(graph) as f64 / triples as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,10 +172,7 @@ mod tests {
     fn degrees_of_a_star() {
         let g = generators::star(6);
         assert_eq!(max_degree(&g), 5);
-        assert_eq!(min_degree(&g), 1);
-        assert!((average_degree(&g) - 2.0 * 5.0 / 6.0).abs() < 1e-12);
         assert_eq!(degree_sequence(&g), vec![5, 1, 1, 1, 1, 1]);
-        assert_eq!(degree_histogram(&g), vec![0, 5, 0, 0, 0, 1]);
     }
 
     #[test]
@@ -288,26 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn palette_is_delta_plus_one() {
-        assert_eq!(palette_size(&generators::ring(5)), 3);
-        assert_eq!(palette_size(&generators::star(9)), 9);
-    }
-
-    #[test]
     fn triangle_counts_of_known_graphs() {
         assert_eq!(triangle_count(&generators::complete(4)), 4);
         assert_eq!(triangle_count(&generators::complete(5)), 10);
         assert_eq!(triangle_count(&generators::ring(6)), 0);
         assert_eq!(triangle_count(&generators::wheel(5)), 4);
         assert_eq!(triangle_count(&generators::star(7)), 0);
-    }
-
-    #[test]
-    fn clustering_coefficient_of_known_graphs() {
-        assert!((clustering_coefficient(&generators::complete(5)) - 1.0).abs() < 1e-12);
-        assert_eq!(clustering_coefficient(&generators::star(6)), 0.0);
-        assert_eq!(clustering_coefficient(&generators::path(2)), 0.0);
-        let ring = clustering_coefficient(&generators::ring(7));
-        assert_eq!(ring, 0.0);
     }
 }

@@ -72,11 +72,6 @@ impl RootedGraph {
         self.root
     }
 
-    /// Whether `p` is the root.
-    pub fn is_root(&self, p: NodeId) -> bool {
-        p == self.root
-    }
-
     /// The oracle BFS layering: the true distance of every process from the
     /// root (`None` for processes unreachable from the root).
     ///
@@ -207,8 +202,7 @@ mod tests {
     #[test]
     fn rooted_graph_exposes_root_and_layers() {
         let net = RootedGraph::new(generators::path(5), NodeId::new(0)).unwrap();
-        assert!(net.is_root(NodeId::new(0)));
-        assert!(!net.is_root(NodeId::new(1)));
+        assert_eq!(net.root(), NodeId::new(0));
         assert_eq!(
             net.bfs_layers(),
             vec![Some(0), Some(1), Some(2), Some(3), Some(4)]

@@ -113,11 +113,6 @@ impl EnabledSet {
             .map(|(i, _)| NodeId::new(i))
     }
 
-    /// Collects the enabled processes in increasing id order.
-    pub fn to_nodes(&self) -> Vec<NodeId> {
-        self.iter().collect()
-    }
-
     /// A set for `n` processes whose guards are all dirty (none evaluated
     /// yet): the executor's starting point.
     pub(crate) fn all_dirty(n: usize) -> Self {
@@ -209,7 +204,7 @@ mod tests {
         assert!(set.any());
         assert!(set.is_enabled(NodeId::new(1)));
         assert!(!set.is_enabled(NodeId::new(0)));
-        assert_eq!(set.to_nodes(), vec![NodeId::new(1), NodeId::new(3)]);
+        assert!(set.iter().eq([NodeId::new(1), NodeId::new(3)]));
         set.settle(NodeId::new(1), false);
         assert_eq!(set.count(), 1);
         assert!(set.flags().eq([false, false, false, true]));
@@ -248,7 +243,7 @@ mod tests {
         assert!(set.is_enabled(p));
         assert_eq!(set.count(), 1);
         assert_eq!(set, EnabledSet::from_flags(vec![false, true, false]));
-        assert_eq!(set.to_nodes(), vec![p]);
+        assert!(set.iter().eq([p]));
         // The round bit survives settling until the round boundary.
         assert!(!set.mark_selected(p));
         set.start_round();

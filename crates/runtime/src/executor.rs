@@ -61,12 +61,10 @@
 //! * the scheduler writes its selection into a reused `Vec<NodeId>`
 //!   (sorted and duplicate-free by the [`Scheduler`] contract — the
 //!   executor `debug_assert`s instead of re-sorting),
-//! * the dirty queue, staged updates, the executed list, the neighbor-view
-//!   read log and the distinct-read set are all reused buffers drained in
-//!   place,
+//! * the dirty queue, staged updates, the neighbor-view read log and the
+//!   distinct-read set are all reused buffers drained in place,
 //! * round detection decrements an `unselected_remaining` counter instead
-//!   of scanning the selected-this-round flags every step,
-//! * [`Simulation::comm_config`] returns the maintained cache by reference.
+//!   of scanning the selected-this-round flags every step.
 //!
 //! The one deliberate exception, off by default: while a [`TraceSink`] is
 //! attached, every step builds a [`StepRecord`] with one
@@ -130,9 +128,8 @@ pub struct RunReport {
 /// What happened during a single step.
 ///
 /// Kept `Copy`-small so [`Simulation::step`] stays allocation-free; the
-/// process lists live in the simulation's reused scratch buffers and are
-/// readable until the next step through [`Simulation::last_selected`] and
-/// [`Simulation::last_executed`].
+/// selected processes live in the simulation's reused scratch buffer and
+/// are readable until the next step through [`Simulation::last_selected`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// Number of processes selected by the scheduler.
@@ -203,9 +200,6 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     guard_evaluations: u64,
     /// Scratch: the scheduler's selection for the current step.
     selected_scratch: Vec<NodeId>,
-    /// Scratch: the processes that executed in the current step, in
-    /// increasing id order (the selection's order).
-    executed_scratch: Vec<NodeId>,
     /// Scratch for the sampled debug invariant check, so even debug builds
     /// keep the steady-state step allocation-free (the `zero_alloc`
     /// integration test runs in debug mode).
@@ -216,38 +210,8 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
 impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// Creates a simulation from an **arbitrary random** initial
     /// configuration (the self-stabilization setting: transient faults may
-    /// have left anything in the variables).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use selfstab_graph::generators;
-    /// use selfstab_runtime::guarded::{ActionContext, GuardedAction, GuardedProtocol};
-    /// use selfstab_runtime::scheduler::Synchronous;
-    /// use selfstab_runtime::{SimOptions, Simulation};
-    ///
-    /// // "Adopt the largest value in my neighborhood" as a guarded action.
-    /// let adopt = GuardedAction::new(
-    ///     "adopt-max",
-    ///     |ctx: &ActionContext<'_, '_, u32, u32>| ctx.neighbor_comms().any(|v| v > ctx.state),
-    ///     |ctx, _rng| ctx.neighbor_comms().copied().max().unwrap_or(*ctx.state),
-    /// );
-    /// let protocol = GuardedProtocol::new(
-    ///     "max-propagation",
-    ///     vec![adopt],
-    ///     |_, p, _| p.index() as u32,
-    ///     |_, state| *state,
-    ///     |_, _| 32,
-    ///     |_, _| 32,
-    ///     |_, config| config.iter().all(|&v| v == config.iter().copied().max().unwrap_or(0)),
-    /// );
-    ///
-    /// let graph = generators::ring(5);
-    /// let mut sim = Simulation::new(&graph, protocol, Synchronous, 7, SimOptions::default());
-    /// assert_eq!(sim.steps(), 0);
-    /// sim.run_steps(3);
-    /// assert!(sim.config().iter().all(|&v| v == 4), "the maximum spread everywhere");
-    /// ```
+    /// have left anything in the variables). The [crate-level
+    /// example](crate) builds and drives one.
     pub fn new(
         graph: &'g Graph,
         protocol: P,
@@ -315,10 +279,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             enabled: EnabledSet::all_dirty(n),
             dirty_queue,
             // Scratch is sized for the worst case up front (a step stages
-            // or executes at most n processes — selections are
-            // duplicate-free by the scheduler contract — and a distinct
-            // read set never exceeds the maximum degree), so the step loop
-            // is allocation-free from the very first step.
+            // at most n processes — selections are duplicate-free by the
+            // scheduler contract — and a distinct read set never exceeds
+            // the maximum degree), so the step loop is allocation-free
+            // from the very first step.
             staged: Vec::with_capacity(n),
             read_log: Vec::with_capacity(graph.max_degree()),
             distinct_reads: Vec::with_capacity(graph.max_degree()),
@@ -327,23 +291,17 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             activation_salt: seed ^ 0xA076_1D64_78BD_642F,
             guard_evaluations: 0,
             selected_scratch: Vec::with_capacity(n),
-            executed_scratch: Vec::with_capacity(n),
             debug_enabled_scratch: Vec::new(), // lint: allow(hot-alloc) — debug-assert scratch, grown once
         }
     }
 
     /// The simulated topology.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// The simulated topology with the graph's own lifetime.
     ///
-    /// Unlike [`Simulation::graph`] (whose borrow is tied to `&self`), the
-    /// returned reference lives as long as the graph itself, so callers —
-    /// fault injectors in particular — can keep reading the topology while
-    /// mutating the simulation in the same scope.
-    pub fn topology(&self) -> &'g Graph {
+    /// The reference lives as long as the graph itself, not as long as the
+    /// borrow of `self`, so callers — fault injectors in particular — can
+    /// keep reading the topology while mutating the simulation in the same
+    /// scope.
+    pub fn graph(&self) -> &'g Graph {
         self.graph
     }
 
@@ -355,13 +313,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// The current configuration (one state per process).
     pub fn config(&self) -> &[P::State] {
         &self.config
-    }
-
-    /// The current communication configuration (one communication state per
-    /// process), served **by reference** from the maintained cache (the
-    /// seed executor cloned the whole cache on every call).
-    pub fn comm_config(&self) -> &[P::Comm] {
-        &self.comm_cache
     }
 
     /// Heap bytes owned by the (state, communication) rows — the
@@ -377,12 +328,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// order (empty before the first step).
     pub fn last_selected(&self) -> &[NodeId] {
         &self.selected_scratch
-    }
-
-    /// The processes that executed an enabled action in the most recent
-    /// step, in increasing id order (empty before the first step).
-    pub fn last_executed(&self) -> &[NodeId] {
-        &self.executed_scratch
     }
 
     /// The enabled set for the current configuration.
@@ -559,9 +504,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     ///
     /// Allocation-free in steady state: selection, updates, read tracking
     /// and round bookkeeping all reuse persistent buffers (see the
-    /// [module documentation](self)). The selected/executed process lists
-    /// of the step remain readable through [`Simulation::last_selected`] /
-    /// [`Simulation::last_executed`].
+    /// [module documentation](self)). The step's selected processes remain
+    /// readable through [`Simulation::last_selected`].
     pub fn step(&mut self) -> StepOutcome {
         self.refresh_enabled();
         #[cfg(debug_assertions)]
@@ -607,7 +551,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         let step = self.step;
         let clock = PhaseClock::start(metrics);
         let mut comm_changed_any = false;
-        self.executed_scratch.clear();
         for &p in &self.selected_scratch {
             if self.enabled.mark_selected(p) {
                 self.unselected_remaining -= 1;
@@ -646,7 +589,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                     self.stats.record_comm_change(step);
                     comm_changed_any = true;
                 }
-                self.executed_scratch.push(p);
                 self.staged.push((p, new_state, new_comm, comm_changed));
             }
             if tracing {
@@ -666,6 +608,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // read the own full state) and, when its communication state
         // changed, its neighbors.
         let clock = PhaseClock::start(metrics);
+        // One staged update per executed activation.
+        let executed = self.staged.len();
         for (p, state, comm, comm_changed) in self.staged.drain(..) {
             self.config[p.index()] = state;
             mark_dirty(&mut self.enabled, &mut self.dirty_queue, p);
@@ -676,7 +620,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 }
             }
         }
-        clock.stop(StepPhase::Merge, self.executed_scratch.len());
+        clock.stop(StepPhase::Merge, executed);
         if let Some(sink) = &mut self.sink {
             sink.record_step(&StepRecord {
                 step,
@@ -702,7 +646,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
 
         StepOutcome {
             selected: self.selected_scratch.len(),
-            executed: self.executed_scratch.len(),
+            executed,
             comm_changed: comm_changed_any,
         }
     }
@@ -717,43 +661,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// Runs until the protocol's silence predicate holds (checked every
     /// `check_interval` steps) or `max_steps` further steps have been
     /// executed.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use selfstab_graph::generators;
-    /// use selfstab_runtime::guarded::{ActionContext, GuardedAction, GuardedProtocol};
-    /// use selfstab_runtime::scheduler::DistributedRandom;
-    /// use selfstab_runtime::{SimOptions, Simulation};
-    ///
-    /// let adopt_min = GuardedAction::new(
-    ///     "adopt-smaller-value",
-    ///     |ctx: &ActionContext<'_, '_, u32, u32>| ctx.neighbor_comms().any(|v| v < ctx.state),
-    ///     |ctx, _rng| ctx.neighbor_comms().copied().min().unwrap_or(*ctx.state),
-    /// );
-    /// let protocol = GuardedProtocol::new(
-    ///     "min-propagation",
-    ///     vec![adopt_min],
-    ///     |_, p, _| p.index() as u32 + 1,
-    ///     |_, state| *state,
-    ///     |_, _| 32,
-    ///     |_, _| 32,
-    ///     |_, config| config.iter().all(|&v| v == 1),
-    /// );
-    ///
-    /// let graph = generators::ring(8);
-    /// let mut sim = Simulation::new(
-    ///     &graph,
-    ///     protocol,
-    ///     DistributedRandom::new(0.5),
-    ///     3,
-    ///     SimOptions::default(),
-    /// );
-    /// let report = sim.run_until_silent(100_000);
-    /// assert!(report.silent, "min-propagation quiesces");
-    /// assert!(report.legitimate, "everyone holds the global minimum");
-    /// assert_eq!(report.total_steps, sim.steps());
-    /// ```
     pub fn run_until_silent(&mut self, max_steps: u64) -> RunReport {
         let start_steps = self.step;
         let start_rounds = self.rounds;
@@ -772,33 +679,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         RunReport {
             silent,
             legitimate: self.is_legitimate(),
-            steps: self.step - start_steps,
-            rounds: self.rounds - start_rounds,
-            total_steps: self.step,
-            total_rounds: self.rounds,
-        }
-    }
-
-    /// Runs until the legitimacy predicate holds or `max_steps` further steps
-    /// have been executed.
-    pub fn run_until_legitimate(&mut self, max_steps: u64) -> RunReport {
-        let start_steps = self.step;
-        let start_rounds = self.rounds;
-        let mut legitimate = self.is_legitimate();
-        let mut executed: u64 = 0;
-        while !legitimate && executed < max_steps {
-            self.step();
-            executed += 1;
-            if executed.is_multiple_of(self.options.check_interval) {
-                legitimate = self.is_legitimate();
-            }
-        }
-        if !legitimate {
-            legitimate = self.is_legitimate();
-        }
-        RunReport {
-            silent: self.is_silent(),
-            legitimate,
             steps: self.step - start_steps,
             rounds: self.rounds - start_rounds,
             total_steps: self.step,
@@ -920,45 +800,7 @@ fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
 /// The `measure` closure receives the [`RunReport`] of the silence run plus
 /// the simulation itself, ready for post-stabilization driving
 /// ([`Simulation::mark_suffix`], [`Simulation::run_steps`]) and metric
-/// extraction.
-///
-/// # Example
-///
-/// ```
-/// use selfstab_graph::generators;
-/// use selfstab_runtime::guarded::{ActionContext, GuardedAction, GuardedProtocol};
-/// use selfstab_runtime::scheduler::Synchronous;
-/// use selfstab_runtime::{run_cell, SimOptions};
-///
-/// let adopt_min = GuardedAction::new(
-///     "adopt-smaller-value",
-///     |ctx: &ActionContext<'_, '_, u32, u32>| ctx.neighbor_comms().any(|v| v < ctx.state),
-///     |ctx, _rng| ctx.neighbor_comms().copied().min().unwrap_or(*ctx.state),
-/// );
-/// let protocol = GuardedProtocol::new(
-///     "min-propagation",
-///     vec![adopt_min],
-///     |_, p, _| p.index() as u32 + 1,
-///     |_, state: &u32| *state,
-///     |_, _| 32,
-///     |_, _| 32,
-///     |_, config: &[u32]| config.iter().all(|&v| v == 1),
-/// );
-/// let graph = generators::ring(8);
-/// let steps = run_cell(
-///     &graph,
-///     protocol,
-///     Synchronous,
-///     7,
-///     SimOptions::default(),
-///     10_000,
-///     |report, _sim| {
-///         assert!(report.silent);
-///         report.total_steps
-///     },
-/// );
-/// assert!(steps > 0);
-/// ```
+/// extraction. The [crate-level example](crate) calls it.
 pub fn run_cell<P, S, M, F>(
     graph: &Graph,
     protocol: P,
@@ -1050,20 +892,13 @@ mod tests {
     /// Compile-time Send audit: experiment campaigns move cells across
     /// worker threads, so a [`Simulation`] over Send protocol/scheduler
     /// types must itself be Send (and the concrete schedulers must be Send
-    /// individually — see the matching assertions in `scheduler::tests` and
-    /// `guarded::tests`).
+    /// individually — see the matching assertions in `scheduler::tests`).
     #[test]
     fn simulation_is_send_for_send_protocol_and_scheduler() {
         fn assert_send<T: Send>() {}
         assert_send::<Simulation<'static, MinValue, Synchronous>>();
         assert_send::<Simulation<'static, MinValue, DistributedRandom>>();
-        assert_send::<
-            Simulation<
-                'static,
-                crate::guarded::GuardedProtocol<u32, u32>,
-                Box<dyn crate::scheduler::Scheduler + Send>,
-            >,
-        >();
+        assert_send::<Simulation<'static, MinValue, Box<dyn crate::scheduler::Scheduler + Send>>>();
     }
 
     #[test]
@@ -1113,15 +948,11 @@ mod tests {
         let graph = generators::path(4);
         let mut sim = Simulation::new(&graph, MinValue, Synchronous, 1, SimOptions::default());
         assert!(sim.last_selected().is_empty());
-        assert!(sim.last_executed().is_empty());
         let outcome = sim.step();
         assert_eq!(outcome.selected, 4, "synchronous selects everyone");
+        // Process 0 holds the minimum; the other three adopt a smaller value.
+        assert_eq!(outcome.executed, 3);
         assert_eq!(sim.last_selected().len(), outcome.selected);
-        assert_eq!(sim.last_executed().len(), outcome.executed);
-        assert!(sim
-            .last_executed()
-            .iter()
-            .all(|p| sim.last_selected().contains(p)));
         // Selected list is sorted and duplicate-free per the contract.
         assert!(sim.last_selected().windows(2).all(|w| w[0] < w[1]));
     }
@@ -1212,7 +1043,7 @@ mod tests {
             SimOptions::default(),
         );
         assert!(!sim.is_legitimate());
-        let report = sim.run_until_legitimate(50);
+        let report = sim.run_until_silent(50);
         assert!(report.legitimate);
         assert_eq!(sim.config(), &[1, 1, 1]);
         // Three u32 rows in each store.

@@ -66,24 +66,10 @@ where
     S: Scheduler,
     R: RngCore,
 {
-    let mut injector = FaultInjector::new(sim.topology());
+    let mut injector = FaultInjector::new(sim.graph());
     injector
         .inject(sim, FaultModel::Uniform(FaultLoad::Count(count)), rng)
         .to_vec() // lint: allow(hot-alloc) — convenience wrapper; campaigns reuse the injector
-}
-
-/// Overwrites the state of the given processes with freshly sampled
-/// arbitrary states.
-pub fn inject_faults_at<P, S, R>(sim: &mut Simulation<'_, P, S>, victims: &[NodeId], rng: &mut R)
-where
-    P: Protocol,
-    S: Scheduler,
-    R: RngCore,
-{
-    for &p in victims {
-        let state = sim.protocol().arbitrary_state(sim.topology(), p, rng);
-        sim.set_state(p, state);
-    }
 }
 
 /// A fault scenario for experiment definitions: how many processes to
@@ -203,8 +189,9 @@ impl fmt::Display for FaultModel {
 ///   swaps — and reads the prefix. Any permutation of the pool is an
 ///   equally valid starting point, so the pool is never re-initialized.
 /// * the ball model's BFS reuses a persistent distance array and queue.
-/// * `victims` holds the most recent selection (readable until the next
-///   injection).
+/// * `victims` holds the most recent selection (the slice
+///   [`FaultInjector::select_victims`] and [`FaultInjector::inject`]
+///   return).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     /// Persistent permutation of all node ids (partial Fisher–Yates pool).
@@ -237,11 +224,6 @@ impl FaultInjector {
             by_degree: Vec::new(), // lint: allow(hot-alloc) — filled once on first hub-targeted injection
             distinct_scratch: Vec::with_capacity(n),
         }
-    }
-
-    /// The victims of the most recent injection, in selection order.
-    pub fn last_victims(&self) -> &[NodeId] {
-        &self.victims
     }
 
     /// Whether the most recent selection hit pairwise-distinct processes —
@@ -359,7 +341,7 @@ impl FaultInjector {
         S: Scheduler,
         R: RngCore,
     {
-        let graph = sim.topology();
+        let graph = sim.graph();
         self.select_victims(graph, model, rng);
         let adversarial = matches!(model, FaultModel::StuckAt(_));
         for i in 0..self.victims.len() {
@@ -430,11 +412,6 @@ impl FaultPlan {
     /// A single injection at scenario start.
     pub fn single(model: FaultModel) -> Self {
         FaultPlan::new(vec![FaultEvent { at_step: 0, model }]) // lint: allow(hot-alloc) — plan construction
-    }
-
-    /// A single injection after `at_step` steps.
-    pub fn delayed(model: FaultModel, at_step: u64) -> Self {
-        FaultPlan::new(vec![FaultEvent { at_step, model }]) // lint: allow(hot-alloc) — plan construction
     }
 
     /// `injections` firings of `model`, `period` steps apart, starting at
@@ -550,7 +527,7 @@ where
     R: RngCore,
 {
     let start_step = sim.steps();
-    let n = sim.topology().node_count().max(1);
+    let n = sim.graph().node_count().max(1);
     let mut telemetry = RecoveryTelemetry::default();
     let mut next_event = 0;
     let mut round_start_reads = sim.stats().total_read_operations();
@@ -711,33 +688,11 @@ mod tests {
 
         // Distinctness via the injector's own allocation-free check.
         let mut injector = FaultInjector::new(&graph);
-        injector.select_victims(&graph, FaultModel::Uniform(FaultLoad::Count(100)), &mut rng);
-        assert_eq!(injector.last_victims().len(), 4);
+        let selected = injector
+            .select_victims(&graph, FaultModel::Uniform(FaultLoad::Count(100)), &mut rng)
+            .len();
+        assert_eq!(selected, 4);
         assert!(injector.last_victims_distinct(), "victims are distinct");
-    }
-
-    #[test]
-    fn inject_at_specific_processes() {
-        let graph = generators::path(5);
-        let mut sim = Simulation::with_config(
-            &graph,
-            MinValue,
-            Synchronous,
-            vec![7; 5],
-            3,
-            SimOptions::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(2);
-        inject_faults_at(&mut sim, &[NodeId::new(2)], &mut rng);
-        // Exactly the targeted process may have changed.
-        let changed: Vec<usize> = sim
-            .config()
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 7)
-            .map(|(i, _)| i)
-            .collect();
-        assert!(changed.is_empty() || changed == vec![2]);
     }
 
     #[test]
@@ -878,7 +833,6 @@ mod tests {
         assert_eq!(plan.events()[0].at_step, 2);
         assert_eq!(plan.injection_count(), 2);
         assert_eq!(FaultPlan::single(model).events()[0].at_step, 0);
-        assert_eq!(FaultPlan::delayed(model, 7).events()[0].at_step, 7);
         let periodic = FaultPlan::periodic(model, 10, 3);
         let offsets: Vec<u64> = periodic.events().iter().map(|e| e.at_step).collect();
         assert_eq!(offsets, vec![0, 10, 20]);

@@ -33,10 +33,10 @@
 //!
 //! ```
 //! use selfstab_graph::generators;
-//! use selfstab_runtime::executor::{SimOptions, Simulation};
 //! use selfstab_runtime::protocol::Protocol;
-//! use selfstab_runtime::scheduler::DistributedRandom;
+//! use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
 //! use selfstab_runtime::view::NeighborView;
+//! use selfstab_runtime::{run_cell, SimOptions, Simulation};
 //! use rand::RngCore;
 //!
 //! /// A toy silent protocol: every process copies the minimum of its own
@@ -87,9 +87,28 @@
 //!
 //! let graph = generators::ring(6);
 //! let mut sim = Simulation::new(&graph, MinProtocol, DistributedRandom::new(0.5), 42, SimOptions::default());
+//! assert_eq!(sim.steps(), 0);
 //! let report = sim.run_until_silent(10_000);
-//! assert!(report.silent);
-//! assert!(sim.is_legitimate());
+//! assert!(report.silent && report.legitimate);
+//! assert_eq!(report.total_steps, sim.steps());
+//!
+//! // Under the synchronous daemon the minimum (1, held by process 0)
+//! // travels one hop per step, so three steps reach the far side.
+//! let mut sim = Simulation::new(&graph, MinProtocol, Synchronous, 7, SimOptions::default());
+//! sim.run_steps(3);
+//! assert!(sim.config().iter().all(|&v| v == 1));
+//!
+//! // `run_cell` owns every input of one experiment cell: it builds the
+//! // simulation, runs it to silence and hands both to `measure`.
+//! let steps = run_cell(
+//!     &graph, MinProtocol, Synchronous, 7, SimOptions::default(), 10_000,
+//!     |report, sim| {
+//!         assert!(report.silent);
+//!         assert_eq!(report.total_steps, sim.steps());
+//!         report.total_steps
+//!     },
+//! );
+//! assert_eq!(steps, 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -98,7 +117,6 @@
 pub mod enabled;
 pub mod executor;
 pub mod faults;
-pub mod guarded;
 pub mod protocol;
 pub mod scheduler;
 pub mod stats;

@@ -36,17 +36,6 @@ impl<'a> SchedulerContext<'a> {
     pub fn node_count(&self) -> usize {
         self.enabled.node_count()
     }
-
-    /// Iterates the identifiers of the currently enabled processes in
-    /// increasing id order.
-    ///
-    /// Allocation-free view over the maintained [`EnabledSet`] — this was
-    /// the last allocating accessor behind the select path (it used to
-    /// collect a fresh `Vec` per call). Callers that need an owned list
-    /// `collect()` explicitly.
-    pub fn enabled_nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
-        self.enabled.iter()
-    }
 }
 
 /// A scheduler selects a non-empty subset of processes at every step.

@@ -14,8 +14,8 @@
 //! Histograms bucket durations by `floor(log2(ns)) + 1` (bucket 0 holds
 //! exact zeros), which keeps recording branch-free and wait-free;
 //! quantiles are therefore *upper bounds* at power-of-two resolution —
-//! plenty for p50/p95/p99 phase summaries, and campaign-cell summaries
-//! additionally keep exact samples on the analysis side.
+//! plenty for p50/p95/p99 phase summaries. Campaign-cell durations are
+//! not recorded here: the analysis side keeps their exact samples.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -166,8 +166,7 @@ impl PhaseMetrics {
     }
 }
 
-/// Process-global metrics: executor phases, fault injections, campaign
-/// cells.
+/// Process-global metrics: executor phases and fault injections.
 ///
 /// All methods are `&self` and wait-free; one registry instance is
 /// shared by every simulation in the process (see [`global`]).
@@ -177,7 +176,6 @@ pub struct MetricsRegistry {
     fault_injections: AtomicU64,
     fault_victims: AtomicU64,
     fault_histogram: Histogram,
-    campaign_cells: Histogram,
 }
 
 impl MetricsRegistry {
@@ -207,16 +205,6 @@ impl MetricsRegistry {
     /// Duration histogram of fault injections.
     pub fn fault_histogram(&self) -> &Histogram {
         &self.fault_histogram
-    }
-
-    /// Records one completed campaign cell.
-    pub fn record_campaign_cell(&self, elapsed: Duration) {
-        self.campaign_cells.record(elapsed);
-    }
-
-    /// Duration histogram of campaign cells.
-    pub fn campaign_cells(&self) -> &Histogram {
-        &self.campaign_cells
     }
 }
 
@@ -305,15 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_and_campaign_counters_accumulate() {
+    fn fault_counters_accumulate() {
         let r = MetricsRegistry::default();
         r.record_fault_injection(3, Duration::from_nanos(100));
         r.record_fault_injection(5, Duration::from_nanos(200));
         assert_eq!(r.fault_injections(), 2);
         assert_eq!(r.fault_victims(), 8);
         assert_eq!(r.fault_histogram().count(), 2);
-        r.record_campaign_cell(Duration::from_millis(1));
-        assert_eq!(r.campaign_cells().count(), 1);
     }
 
     // The global enable flag is shared process-wide, so this test only

@@ -20,8 +20,8 @@
 //!   [`RunStats`](crate::stats::RunStats) and configuration are the
 //!   acceptance check.
 //! * [`metrics`] — process-global lock-free counters and log-bucketed
-//!   duration histograms for the four executor phases, fault
-//!   injections and campaign cells.
+//!   duration histograms for the four executor phases and fault
+//!   injections.
 //! * [`digest`] — the FNV-1a digests stored in trace footers so a
 //!   replay in another process can verify without the original run's
 //!   memory.

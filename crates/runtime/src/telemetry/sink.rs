@@ -149,11 +149,6 @@ impl MemorySink {
         self.steps
     }
 
-    /// Consumes the sink, returning the encoded stream.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// Decodes the full stream back into records.
     pub fn decode_all(&self) -> Result<Vec<StepRecord>, WireError> {
         let mut records = Vec::new();
@@ -362,11 +357,6 @@ impl TraceFileReader {
     /// Total size of the container in bytes.
     pub fn byte_len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Number of step records decoded so far.
-    pub fn steps_read(&self) -> u64 {
-        self.steps_read
     }
 
     /// The verification footer; `Some` only after the whole stream has

@@ -104,16 +104,6 @@ impl<'a, C> NeighborView<'a, C> {
         &self.comm_snapshot[q.index()]
     }
 
-    /// The distinct ports read so far during this activation, in first-read
-    /// order (allocates; the executor uses
-    /// [`NeighborView::collect_distinct_reads`] with a reused buffer
-    /// instead).
-    pub fn reads(&self) -> Vec<Port> {
-        let mut distinct = Vec::new();
-        self.collect_distinct_reads(&mut distinct);
-        distinct
-    }
-
     /// Writes the distinct ports read so far, in first-read order, into
     /// `out` (cleared first). Allocation-free once `out` has capacity Δ.
     pub fn collect_distinct_reads(&self, out: &mut Vec<Port>) {
@@ -146,7 +136,9 @@ mod tests {
         assert_eq!(*view.read(Port::new(2)), 13);
         assert_eq!(*view.read(Port::new(0)), 11);
         assert_eq!(*view.read(Port::new(2)), 13);
-        assert_eq!(view.reads(), vec![Port::new(2), Port::new(0)]);
+        let mut distinct = Vec::new();
+        view.collect_distinct_reads(&mut distinct);
+        assert_eq!(distinct, vec![Port::new(2), Port::new(0)]);
         assert_eq!(view.read_operations(), 3);
     }
 
@@ -157,7 +149,9 @@ mod tests {
         let view = NeighborView::from_snapshot(&graph, NodeId::new(1), &comms, false);
         let _ = view.read(Port::new(0));
         let _ = view.read(Port::new(1));
-        assert!(view.reads().is_empty());
+        let mut distinct = vec![Port::new(0)];
+        view.collect_distinct_reads(&mut distinct);
+        assert!(distinct.is_empty());
         assert_eq!(view.read_operations(), 0);
     }
 

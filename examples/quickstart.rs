@@ -20,9 +20,9 @@ fn main() {
     let outcome = selfstab::run_coloring(&graph, 1, 5_000_000).expect("stabilizes w.p. 1");
     println!(
         "\nCOLORING   : proper = {}, colors used = {}, steps = {}, rounds = {}, k = {}",
-        verify::is_proper_coloring(&graph, &outcome.colors),
+        verify::is_proper_coloring(&graph, &outcome.output),
         {
-            let mut c = outcome.colors.clone();
+            let mut c = outcome.output.clone();
             c.sort_unstable();
             c.dedup();
             c.len()

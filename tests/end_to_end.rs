@@ -15,7 +15,7 @@ fn facade_helpers_cover_the_three_problems() {
     let graph = generators::gnp_connected(25, 0.15, &mut rng).unwrap();
 
     let coloring = selfstab::run_coloring(&graph, 1, 2_000_000).unwrap();
-    assert!(verify::is_proper_coloring(&graph, &coloring.colors));
+    assert!(verify::is_proper_coloring(&graph, &coloring.output));
 
     let mis = selfstab::run_mis(&graph, 2, 2_000_000).unwrap();
     assert!(verify::is_maximal_independent_set(&graph, &mis.output));
