@@ -53,87 +53,142 @@ impl GraphBuilder {
     }
 
     /// Adds every edge from an iterator of endpoint pairs.
+    ///
+    /// A builder with no edge yet adopts a `Vec` of pairs as its edge list
+    /// instead of copying it.
     #[must_use]
     pub fn edges<I: IntoIterator<Item = (usize, usize)>>(mut self, iter: I) -> Self {
-        self.edges.extend(iter);
+        if self.edges.is_empty() {
+            // Collecting a `Vec`'s own iterator reuses its buffer.
+            self.edges = iter.into_iter().collect();
+        } else {
+            self.edges.extend(iter);
+        }
         self
     }
 
     /// Validates the recorded edges and produces the immutable [`Graph`].
     ///
+    /// Takes time linear in `node_count` plus the number of edges. Besides
+    /// the recorded edge list and the graph itself, it allocates only a few
+    /// `node_count`-entry `u32` arrays.
+    ///
     /// # Errors
+    ///
+    /// Capacity is checked first, before any per-edge work:
     ///
     /// * [`GraphError::TooManyNodes`] if `node_count` exceeds the `u32`
     ///   [`NodeId`] space,
     /// * [`GraphError::TooManyEdges`] if the edges would overflow the `u32`
-    ///   CSR port-entry space,
-    /// * [`GraphError::NodeOutOfRange`] if an endpoint is `>= node_count`,
-    /// * [`GraphError::SelfLoop`] if an edge `{p, p}` was added,
+    ///   CSR port-entry space.
+    ///
+    /// Otherwise the error describes the first invalid edge in insertion
+    /// order:
+    ///
+    /// * [`GraphError::NodeOutOfRange`] if an endpoint is `>= node_count`
+    ///   (an endpoint beyond [`NodeId::MAX_INDEX`] is reported as
+    ///   `MAX_INDEX`),
+    /// * [`GraphError::SelfLoop`] if the edge is `{p, p}`,
     /// * [`GraphError::DuplicateEdge`] if the same undirected edge was added
-    ///   twice.
+    ///   before, in either orientation; `a` and `b` are the endpoints of the
+    ///   later copy, in the order it was added.
     pub fn build(self) -> Result<Graph, GraphError> {
         let n = self.node_count;
         // Capacity checks come first, before any per-edge work or
         // allocation: a request beyond the u32-compacted identifier space
-        // must fail fast with a typed error instead of wrapping (or
-        // attempting a multi-gigabyte validation pass).
+        // must fail fast with a typed error instead of wrapping.
         if n > NodeId::MAX_INDEX + 1 {
             return Err(GraphError::TooManyNodes {
                 node_count: n,
                 max_nodes: NodeId::MAX_INDEX + 1,
             });
         }
-        let max_edges = (u32::MAX as usize) / 2;
-        if self.edges.len() > max_edges {
+        if self.edges.len() > MAX_EDGES {
             return Err(GraphError::TooManyEdges {
                 edge_count: self.edges.len(),
-                max_edges,
+                max_edges: MAX_EDGES,
             });
         }
-        let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-        // First pass: validate every edge. Out-of-range endpoints are
-        // clamped into the identifier range for error reporting only —
-        // `NodeId::new` itself would panic on an endpoint beyond
-        // `NodeId::MAX_INDEX`.
-        for &(a, b) in &self.edges {
-            if a >= n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: NodeId::new(a.min(NodeId::MAX_INDEX)),
-                    node_count: n,
-                });
-            }
-            if b >= n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: NodeId::new(b.min(NodeId::MAX_INDEX)),
-                    node_count: n,
-                });
-            }
-            if a == b {
-                return Err(GraphError::SelfLoop {
-                    node: NodeId::new(a),
-                });
-            }
-            let key = (a.min(b), a.max(b));
-            if !seen.insert(key) {
-                return Err(GraphError::DuplicateEdge {
-                    a: NodeId::new(a),
-                    b: NodeId::new(b),
-                });
-            }
+        if let Some(bad) = self
+            .edges
+            .iter()
+            .position(|&(a, b)| a >= n || b >= n || a == b)
+        {
+            return Err(first_invalid_edge(n, &self.edges[..=bad]));
         }
-        let edge_count = seen.len();
-        // Second pass: hand both endpoint directions to the shared CSR
-        // builder. Port numbering of every process follows the order in
-        // which its incident edges were added, which is exactly the
-        // pair-order guarantee of `csr::from_pairs`.
-        let mut pairs: Vec<(usize, NodeId)> = Vec::with_capacity(2 * self.edges.len());
-        for &(a, b) in &self.edges {
-            pairs.push((a, NodeId::new(b)));
-            pairs.push((b, NodeId::new(a)));
+        // Port numbering of every process follows the order in which its
+        // incident edges were added, which is exactly the pair-order
+        // guarantee of `csr::from_pairs`.
+        let (neighbors, offsets) = crate::csr::from_pairs(
+            n,
+            self.edges
+                .iter()
+                .flat_map(|&(a, b)| [(a, NodeId::new(b)), (b, NodeId::new(a))]),
+        );
+        // Every endpoint is in range and no edge is a loop, so a row lists
+        // a neighbour twice exactly when an edge was added twice.
+        if has_repeated_neighbor(&neighbors, &offsets) {
+            return Err(first_invalid_edge(n, &self.edges));
         }
-        let (neighbors, offsets) = crate::csr::from_pairs(n, &pairs);
-        Ok(Graph::from_csr(neighbors, offsets, edge_count))
+        Ok(Graph::from_csr(neighbors, offsets, self.edges.len()))
     }
+}
+
+/// The most undirected edges a [`Graph`] holds: each takes two `u32` CSR
+/// port entries.
+pub(crate) const MAX_EDGES: usize = u32::MAX as usize / 2;
+
+/// Whether some CSR row lists the same neighbour twice.
+fn has_repeated_neighbor(neighbors: &[NodeId], offsets: &[u32]) -> bool {
+    // `last_row[q]` is the last row seen listing `q`. It starts as `q`
+    // itself, which no loop-free row lists, so row `p` finds `p` there
+    // only when it listed `q` before.
+    let mut last_row: Vec<NodeId> = (0..offsets.len() - 1).map(NodeId::new).collect();
+    for (p, bounds) in offsets.windows(2).enumerate() {
+        let p = NodeId::new(p);
+        for &q in &neighbors[bounds[0] as usize..bounds[1] as usize] {
+            if std::mem::replace(&mut last_row[q.index()], p) == p {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// The error for the first invalid edge of `edges`, found by a sequential
+/// scan that keeps every edge seen in a `BTreeSet`. `build` calls it only
+/// on a list it knows to hold an invalid edge.
+fn first_invalid_edge(n: usize, edges: &[(usize, usize)]) -> GraphError {
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+    // Out-of-range endpoints are clamped into the identifier range for
+    // error reporting only — `NodeId::new` itself would panic on an
+    // endpoint beyond `NodeId::MAX_INDEX`.
+    for &(a, b) in edges {
+        if a >= n {
+            return GraphError::NodeOutOfRange {
+                node: NodeId::new(a.min(NodeId::MAX_INDEX)),
+                node_count: n,
+            };
+        }
+        if b >= n {
+            return GraphError::NodeOutOfRange {
+                node: NodeId::new(b.min(NodeId::MAX_INDEX)),
+                node_count: n,
+            };
+        }
+        if a == b {
+            return GraphError::SelfLoop {
+                node: NodeId::new(a),
+            };
+        }
+        if !seen.insert((a.min(b), a.max(b))) {
+            return GraphError::DuplicateEdge {
+                a: NodeId::new(a),
+                b: NodeId::new(b),
+            };
+        }
+    }
+    unreachable!("first_invalid_edge is called on a list with an invalid edge")
 }
 
 #[cfg(test)]
@@ -190,6 +245,18 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, GraphError::DuplicateEdge { .. }));
+        // The error names the later copy, as it was added.
+        let err = GraphBuilder::new(4)
+            .edges(vec![(0, 1), (2, 3), (1, 2), (3, 2), (0, 1)])
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::DuplicateEdge {
+                a: NodeId::new(3),
+                b: NodeId::new(2)
+            }
+        );
     }
 
     #[test]
@@ -211,6 +278,18 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(g.edge_count(), 3);
+    }
+
+    #[test]
+    fn edges_adopts_a_vec_on_an_empty_builder() {
+        let list: Vec<(usize, usize)> = (0..3).map(|i| (i, i + 1)).collect();
+        let buffer = list.as_ptr();
+        let builder = GraphBuilder::new(4).edges(list);
+        assert_eq!(builder.edges.as_ptr(), buffer);
+        // A non-empty builder appends instead.
+        let builder = builder.edges(vec![(0, 3)]);
+        assert_eq!(builder.edges, vec![(0, 1), (1, 2), (2, 3), (0, 3)]);
+        assert_eq!(builder.build().unwrap().edge_count(), 4);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! [`DagOrientation`](crate::orientation::DagOrientation)'s directed
 //! successor/predecessor arrays — store their rows as one flat node array
 //! plus an `n + 1`-entry offset array. This module holds the one
-//! implementation of the three-phase build (count degrees, exclusive
-//! prefix-sum, cursor scatter) they share.
+//! implementation of the build they share: count degrees into the offsets,
+//! prefix-sum them, scatter the values, then shift the offsets back. It
+//! reads its `(row, value)` pairs from a re-iterable iterator, so callers
+//! never materialise a pair buffer, and it allocates nothing but the two
+//! arrays it returns.
 
 use crate::node::NodeId;
 
@@ -15,29 +18,36 @@ use crate::node::NodeId;
 /// keeps the order in which its pairs appear in `pairs` (for [`Graph`]
 /// this is what makes port numbering follow edge-insertion order).
 ///
+/// `pairs` is iterated twice (once to count, once to scatter), so both
+/// passes must yield the same sequence.
+///
 /// Offsets are `u32`: 2³¹ directed entries is far beyond simulated scale,
 /// and the narrower offsets halve the index array on 64-bit targets.
 ///
 /// [`Graph`]: crate::Graph
-pub(crate) fn from_pairs(n: usize, pairs: &[(usize, NodeId)]) -> (Vec<NodeId>, Vec<u32>) {
-    // lint: allow(hot-alloc) — CSR build is construction-time, not stepping
-    let mut degree = vec![0u32; n];
-    for &(row, _) in pairs {
-        degree[row] += 1;
+pub(crate) fn from_pairs<I>(n: usize, pairs: I) -> (Vec<NodeId>, Vec<u32>)
+where
+    I: Iterator<Item = (usize, NodeId)> + Clone,
+{
+    // Count the degree of row r into offsets[r + 1], then prefix-sum, so
+    // offsets[r] is where row r starts.
+    // lint: allow(hot-alloc) — construction-time CSR offsets
+    let mut offsets = vec![0u32; n + 1];
+    // lint: allow(hot-alloc) — clones an iterator adapter, which owns no heap data
+    pairs.clone().for_each(|(row, _)| offsets[row + 1] += 1);
+    for r in 1..=n {
+        offsets[r] += offsets[r - 1];
     }
-    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut total = 0u32;
-    offsets.push(0);
-    for &d in &degree {
-        total += d;
-        offsets.push(total);
-    }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec(); // lint: allow(hot-alloc) — construction-time cursor scratch
-    let mut flat = vec![NodeId::new(0); total as usize]; // lint: allow(hot-alloc) — construction-time CSR backbone
-    for &(row, value) in pairs {
-        flat[cursor[row] as usize] = value;
-        cursor[row] += 1;
-    }
+    // Scatter with offsets[r] as row r's cursor. Afterwards offsets[r] is
+    // where row r ends, i.e. the old offsets[r + 1], so one shift restores
+    // the row starts.
+    let mut flat = vec![NodeId::new(0); offsets[n] as usize]; // lint: allow(hot-alloc) — construction-time CSR backbone
+    pairs.for_each(|(row, value)| {
+        flat[offsets[row] as usize] = value;
+        offsets[row] += 1;
+    });
+    offsets.copy_within(0..n, 1);
+    offsets[0] = 0;
     (flat, offsets)
 }
 
@@ -54,7 +64,7 @@ mod tests {
             (2, NodeId::new(0)),
             (1, NodeId::new(4)),
         ];
-        let (flat, offsets) = from_pairs(3, &pairs);
+        let (flat, offsets) = from_pairs(3, pairs.into_iter());
         assert_eq!(offsets, vec![0, 1, 4, 5]);
         assert_eq!(&flat[0..1], &[NodeId::new(2)]);
         assert_eq!(
@@ -66,11 +76,11 @@ mod tests {
 
     #[test]
     fn empty_rows_and_empty_input() {
-        let (flat, offsets) = from_pairs(4, &[]);
+        let (flat, offsets) = from_pairs(4, std::iter::empty());
         assert!(flat.is_empty());
         assert_eq!(offsets, vec![0, 0, 0, 0, 0]);
 
-        let (flat, offsets) = from_pairs(0, &[]);
+        let (flat, offsets) = from_pairs(0, std::iter::empty());
         assert!(flat.is_empty());
         assert_eq!(offsets, vec![0]);
     }

@@ -23,9 +23,10 @@ pub use paper::{
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, MAX_EDGES};
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::node::NodeId;
 
 /// Path (chain) graph `p0 - p1 - … - p(n-1)`.
 ///
@@ -186,17 +187,11 @@ pub fn balanced_tree(arity: usize, depth: usize) -> Graph {
         level *= arity;
         n += level;
     }
-    let mut builder = GraphBuilder::new(n);
-    // Children of node i are arity*i + 1 … arity*i + arity (heap layout).
-    for parent in 0..n {
-        for k in 1..=arity {
-            let child = arity * parent + k;
-            if child < n {
-                builder = builder.edge(parent, child);
-            }
-        }
-    }
-    builder
+    // Children of node i are arity*i + 1 … arity*i + arity (heap layout),
+    // so child c hangs below (c - 1) / arity, and walking the children in
+    // order adds the edges parent by parent.
+    GraphBuilder::new(n)
+        .edges((1..n).map(|child| ((child - 1) / arity, child)))
         .build()
         .expect("balanced tree construction is always valid")
 }
@@ -376,7 +371,9 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
 /// # Errors
 ///
 /// Returns [`GraphError::InvalidParameters`] when `attach == 0` or
-/// `n <= attach`.
+/// `n <= attach`, and, before drawing anything, the capacity errors of
+/// [`GraphBuilder::build`] ([`GraphError::TooManyNodes`],
+/// [`GraphError::TooManyEdges`]) for a graph too large to hold.
 pub fn barabasi_albert<R: Rng + ?Sized>(
     n: usize,
     attach: usize,
@@ -387,33 +384,51 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
             reason: format!("need 0 < attach < n, got n = {n}, attach = {attach}"),
         });
     }
-    let mut builder = GraphBuilder::new(n);
+    if n > NodeId::MAX_INDEX + 1 {
+        return Err(GraphError::TooManyNodes {
+            node_count: n,
+            max_nodes: NodeId::MAX_INDEX + 1,
+        });
+    }
+    let seed_size = attach + 1;
+    // The seed clique, then `attach` edges for every later process. With
+    // attach < n <= 2^32 the count stays below 2^63.
+    let edge_count = seed_size * attach / 2 + (n - seed_size) * attach;
+    if edge_count > MAX_EDGES {
+        return Err(GraphError::TooManyEdges {
+            edge_count,
+            max_edges: MAX_EDGES,
+        });
+    }
+    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(edge_count);
     // `endpoints` repeats every process once per incident edge, so sampling
     // it uniformly is degree-proportional sampling.
-    let mut endpoints: Vec<usize> = Vec::new();
-    let seed_size = attach + 1;
+    let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * edge_count);
     for i in 0..seed_size {
         for j in (i + 1)..seed_size {
-            builder = builder.edge(i, j);
-            endpoints.push(i);
-            endpoints.push(j);
+            edges.push((i, j));
+            endpoints.push(NodeId::new(i));
+            endpoints.push(NodeId::new(j));
         }
     }
+    let mut targets: Vec<NodeId> = Vec::with_capacity(attach);
     for v in seed_size..n {
-        let mut targets: Vec<usize> = Vec::with_capacity(attach);
+        targets.clear();
         while targets.len() < attach {
             let t = endpoints[rng.gen_range(0..endpoints.len())];
             if !targets.contains(&t) {
                 targets.push(t);
             }
         }
-        for t in targets {
-            builder = builder.edge(v, t);
-            endpoints.push(v);
+        for &t in &targets {
+            edges.push((v, t.index()));
+            endpoints.push(NodeId::new(v));
             endpoints.push(t);
         }
     }
-    builder.build()
+    // Freed before the CSR build, which would otherwise hold it too.
+    drop(endpoints);
+    GraphBuilder::new(n).edges(edges).build()
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: every possible edge is
@@ -445,10 +460,14 @@ pub fn gnp_connected<R: Rng + ?Sized>(
         });
     }
     let mut edges: Vec<(usize, usize)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen_bool(prob) {
-                edges.push((i, j));
+    // At `prob == 0` no pair is drawn and `gen_bool` consumes no
+    // randomness, so the n(n-1)/2 pairs need not be visited.
+    if prob > 0.0 {
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.gen_bool(prob) {
+                    edges.push((i, j));
+                }
             }
         }
     }

@@ -243,11 +243,7 @@ impl Graph {
     /// assert_eq!(g.edge_count(), 4);
     /// ```
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Graph, GraphError> {
-        let mut builder = GraphBuilder::new(n);
-        for &(a, b) in edges {
-            builder = builder.edge(a, b);
-        }
-        builder.build()
+        GraphBuilder::new(n).edges(edges.iter().copied()).build()
     }
 }
 

@@ -39,10 +39,10 @@ impl DagOrientation {
     /// shared [`crate::csr`] builder). Successor rows keep the edge-list
     /// order; predecessor rows are sorted ascending.
     fn from_directed_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let forward: Vec<(usize, NodeId)> = edges.iter().map(|&(f, t)| (f.index(), t)).collect();
-        let backward: Vec<(usize, NodeId)> = edges.iter().map(|&(f, t)| (t.index(), f)).collect();
-        let (succ, succ_offsets) = crate::csr::from_pairs(n, &forward);
-        let (mut pred, pred_offsets) = crate::csr::from_pairs(n, &backward);
+        let (succ, succ_offsets) =
+            crate::csr::from_pairs(n, edges.iter().map(|&(f, t)| (f.index(), t)));
+        let (mut pred, pred_offsets) =
+            crate::csr::from_pairs(n, edges.iter().map(|&(f, t)| (t.index(), f)));
         for p in 0..n {
             let start = pred_offsets[p] as usize;
             let end = pred_offsets[p + 1] as usize;

@@ -18,17 +18,6 @@ pub fn degree_sequence(graph: &Graph) -> Vec<usize> {
     degrees
 }
 
-/// Edge density `m / (n(n-1)/2)`, or 0 for graphs with fewer than two
-/// processes.
-pub fn density(graph: &Graph) -> f64 {
-    let n = graph.node_count();
-    if n < 2 {
-        0.0
-    } else {
-        graph.edge_count() as f64 / (n * (n - 1) / 2) as f64
-    }
-}
-
 /// BFS distances from `source` to every process; `None` marks unreachable
 /// processes.
 ///
@@ -173,13 +162,6 @@ mod tests {
         let g = generators::star(6);
         assert_eq!(max_degree(&g), 5);
         assert_eq!(degree_sequence(&g), vec![5, 1, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn density_of_complete_graph_is_one() {
-        let g = generators::complete(5);
-        assert!((density(&g) - 1.0).abs() < 1e-12);
-        assert_eq!(density(&generators::path(1)), 0.0);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+
 use selfstab_graph::{
-    coloring, generators, longest_path, orientation, properties, verify, Graph, NodeId,
+    coloring, generators, longest_path, orientation, properties, verify, Graph, GraphBuilder,
+    GraphError, NodeId,
 };
 
 /// Strategy producing a connected random graph together with the seed used.
@@ -26,6 +29,76 @@ fn reference_adjacency(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<NodeId>> {
         rows[b].push(NodeId::new(a));
     }
     rows
+}
+
+/// The builder's validation as it was before construction became linear,
+/// copied verbatim: capacity checks, then one sequential scan that keeps
+/// every edge seen in a `BTreeSet` and stops at the first invalid edge.
+/// Returns the edge count of a valid list.
+fn reference_validation(n: usize, edges: &[(usize, usize)]) -> Result<usize, GraphError> {
+    // Capacity checks come first, before any per-edge work or
+    // allocation: a request beyond the u32-compacted identifier space
+    // must fail fast with a typed error instead of wrapping (or
+    // attempting a multi-gigabyte validation pass).
+    if n > NodeId::MAX_INDEX + 1 {
+        return Err(GraphError::TooManyNodes {
+            node_count: n,
+            max_nodes: NodeId::MAX_INDEX + 1,
+        });
+    }
+    let max_edges = (u32::MAX as usize) / 2;
+    if edges.len() > max_edges {
+        return Err(GraphError::TooManyEdges {
+            edge_count: edges.len(),
+            max_edges,
+        });
+    }
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+    // First pass: validate every edge. Out-of-range endpoints are
+    // clamped into the identifier range for error reporting only —
+    // `NodeId::new` itself would panic on an endpoint beyond
+    // `NodeId::MAX_INDEX`.
+    for &(a, b) in edges {
+        if a >= n {
+            return Err(GraphError::NodeOutOfRange {
+                node: NodeId::new(a.min(NodeId::MAX_INDEX)),
+                node_count: n,
+            });
+        }
+        if b >= n {
+            return Err(GraphError::NodeOutOfRange {
+                node: NodeId::new(b.min(NodeId::MAX_INDEX)),
+                node_count: n,
+            });
+        }
+        if a == b {
+            return Err(GraphError::SelfLoop {
+                node: NodeId::new(a),
+            });
+        }
+        let key = (a.min(b), a.max(b));
+        if !seen.insert(key) {
+            return Err(GraphError::DuplicateEdge {
+                a: NodeId::new(a),
+                b: NodeId::new(b),
+            });
+        }
+    }
+    Ok(seen.len())
+}
+
+/// Builds `edges` and checks the whole result against the reference: the
+/// same error, or a graph whose rows match the reference adjacency.
+fn assert_build_matches_reference(n: usize, edges: &[(usize, usize)]) {
+    match (
+        GraphBuilder::new(n).edges(edges.to_vec()).build(),
+        reference_validation(n, edges),
+    ) {
+        (Ok(g), Ok(edge_count)) => {
+            assert_csr_matches_reference(&g, &reference_adjacency(n, edges), edge_count);
+        }
+        (built, reference) => assert_eq!(built.err(), reference.err(), "edges {edges:?}"),
+    }
 }
 
 /// Checks that a CSR [`Graph`] agrees with the reference `Vec<Vec<NodeId>>`
@@ -63,7 +136,7 @@ fn assert_csr_matches_reference(g: &Graph, reference: &[Vec<NodeId>], edge_count
 
 /// The CSR layout must agree with the reference adjacency on every
 /// deterministic generator family (the insertion orders differ per family,
-/// so this exercises the builder's two-pass scatter broadly).
+/// so this exercises the builder's CSR scatter broadly).
 #[test]
 fn csr_layout_matches_reference_adjacency_across_generators() {
     let mut rng = StdRng::seed_from_u64(0xC5);
@@ -114,18 +187,81 @@ fn csr_layout_matches_reference_adjacency_across_generators() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The error names the first invalid edge in insertion order, whichever
+/// check it fails, exactly as the reference scan does.
+#[test]
+fn build_reports_the_first_invalid_edge_in_insertion_order() {
+    let far = NodeId::MAX_INDEX + 7;
+    let cases: Vec<(Vec<(usize, usize)>, GraphError)> = vec![
+        // An earlier duplicate wins over a later out-of-range edge ...
+        (
+            vec![(0, 1), (1, 2), (1, 0), (0, 5)],
+            GraphError::DuplicateEdge {
+                a: NodeId::new(1),
+                b: NodeId::new(0),
+            },
+        ),
+        // ... and an earlier out-of-range edge over a later duplicate.
+        (
+            vec![(0, 1), (0, 5), (1, 2), (0, 1)],
+            GraphError::NodeOutOfRange {
+                node: NodeId::new(5),
+                node_count: 3,
+            },
+        ),
+        // An endpoint beyond the identifier space is reported clamped.
+        (
+            vec![(0, 1), (far, 2), (2, 1), (1, 2)],
+            GraphError::NodeOutOfRange {
+                node: NodeId::new(NodeId::MAX_INDEX),
+                node_count: 3,
+            },
+        ),
+        (
+            vec![(0, 2), (2, 1), (1, 2), (1, 1)],
+            GraphError::DuplicateEdge {
+                a: NodeId::new(1),
+                b: NodeId::new(2),
+            },
+        ),
+        // A list whose only fault is a duplicate names its later copy.
+        (
+            vec![(2, 1), (0, 2), (1, 2), (0, 1), (2, 0)],
+            GraphError::DuplicateEdge {
+                a: NodeId::new(1),
+                b: NodeId::new(2),
+            },
+        ),
+        (
+            vec![(0, 2), (2, 2), (2, 0)],
+            GraphError::SelfLoop {
+                node: NodeId::new(2),
+            },
+        ),
+    ];
+    for (edges, expected) in cases {
+        assert_eq!(reference_validation(3, &edges), Err(expected.clone()));
+        assert_eq!(Graph::from_edges(3, &edges), Err(expected));
+    }
+}
 
-    /// Arbitrary random edge lists: the CSR graph built by the two-pass
-    /// builder must agree with the reference `Vec<Vec<NodeId>>` adjacency
-    /// built row-by-row from the same insertion sequence — including the
-    /// port numbering, which follows insertion order in both models.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary random edge lists: the CSR graph built by the builder
+    /// must agree with the reference `Vec<Vec<NodeId>>` adjacency built
+    /// row-by-row from the same insertion sequence — including the port
+    /// numbering, which follows insertion order in both models. Each bit
+    /// of `faults` inserts one invalid edge at a random position: a
+    /// duplicate in either orientation, a self-loop, an endpoint just out
+    /// of range, and one beyond the `u32` identifier space. The build's
+    /// result, error or graph, must equal the reference validation's.
     #[test]
     fn csr_builder_matches_reference_adjacency_on_random_edge_lists(
         n in 1usize..40,
         seed in 0u64..10_000,
         density in 1u32..40,
+        faults in 0u32..16,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         // Draw a random simple edge list in random insertion order.
@@ -146,9 +282,24 @@ proptest! {
                 *edge = (edge.1, edge.0);
             }
         }
-        let g = Graph::from_edges(n, &edges).unwrap();
-        let reference = reference_adjacency(n, &edges);
-        assert_csr_matches_reference(&g, &reference, edges.len());
+        if faults & 1 != 0 && !edges.is_empty() {
+            let (a, b) = edges[rng.gen_range(0..edges.len())];
+            let copy = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+            edges.insert(rng.gen_range(0..edges.len() + 1), copy);
+        }
+        if faults & 2 != 0 {
+            let p = rng.gen_range(0..n);
+            edges.insert(rng.gen_range(0..edges.len() + 1), (p, p));
+        }
+        for (bit, first_out) in [(4, n), (8, NodeId::MAX_INDEX + 1)] {
+            if faults & bit != 0 {
+                let out = first_out + rng.gen_range(0..3usize);
+                let p = rng.gen_range(0..n);
+                let edge = if rng.gen_bool(0.5) { (p, out) } else { (out, p) };
+                edges.insert(rng.gen_range(0..edges.len() + 1), edge);
+            }
+        }
+        assert_build_matches_reference(n, &edges);
     }
 
     #[test]
