@@ -60,10 +60,12 @@ impl Protocol for BaselineColoring {
         rng.gen_range(0..self.palette)
     }
 
+    #[inline]
     fn comm(&self, _p: NodeId, state: &usize) -> usize {
         *state
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -74,6 +76,7 @@ impl Protocol for BaselineColoring {
         (0..graph.degree(p)).any(|i| view.read(Port::new(i)) == state)
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

@@ -59,6 +59,7 @@ impl BaselineMatching {
         &self.coloring
     }
 
+    #[inline]
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
@@ -80,6 +81,7 @@ impl BaselineMatching {
         edges
     }
 
+    #[inline]
     fn eval(
         &self,
         graph: &Graph,
@@ -202,6 +204,7 @@ impl Protocol for BaselineMatching {
         }
     }
 
+    #[inline]
     fn comm(&self, p: NodeId, state: &BaselineMatchingState) -> MatchingComm {
         MatchingComm {
             married: state.married,
@@ -210,6 +213,7 @@ impl Protocol for BaselineMatching {
         }
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -220,6 +224,7 @@ impl Protocol for BaselineMatching {
         self.eval(graph, p, state, view).is_some()
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -252,7 +257,7 @@ impl Protocol for BaselineMatching {
             .map(|p| self.comm(p, &config[p.index()]))
             .collect();
         graph.nodes().all(|p| {
-            let view = NeighborView::from_snapshot(graph, p, &snapshot, false);
+            let view = NeighborView::from_snapshot(graph, p, &snapshot);
             self.eval(graph, p, &config[p.index()], &view).is_none()
         })
     }

@@ -51,10 +51,12 @@ impl BaselineMis {
         config.iter().map(|s| *s == Membership::Dominator).collect()
     }
 
+    #[inline]
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
 
+    #[inline]
     fn eval(
         &self,
         graph: &Graph,
@@ -100,6 +102,7 @@ impl Protocol for BaselineMis {
         }
     }
 
+    #[inline]
     fn comm(&self, p: NodeId, state: &Membership) -> MisComm {
         MisComm {
             status: *state,
@@ -107,6 +110,7 @@ impl Protocol for BaselineMis {
         }
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -117,6 +121,7 @@ impl Protocol for BaselineMis {
         self.eval(graph, p, state, view).is_some()
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

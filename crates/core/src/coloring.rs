@@ -91,10 +91,12 @@ impl Protocol for Coloring {
         }
     }
 
+    #[inline]
     fn comm(&self, _p: NodeId, state: &ColoringState) -> usize {
         state.color
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -107,6 +109,7 @@ impl Protocol for Coloring {
         graph.degree(p) > 0
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -326,7 +329,7 @@ mod tests {
         let graph = Graph::from_edges(3, &[(0, 1)]).unwrap();
         let protocol = Coloring::new(&graph);
         let comm = vec![0usize, 0, 0];
-        let view = NeighborView::from_snapshot(&graph, NodeId::new(2), &comm, true);
+        let view = NeighborView::from_snapshot(&graph, NodeId::new(2), &comm);
         assert!(!protocol.is_enabled(
             &graph,
             NodeId::new(2),

@@ -65,10 +65,12 @@ impl Protocol for FrozenReadColoring {
         rng.gen_range(0..self.palette)
     }
 
+    #[inline]
     fn comm(&self, _p: NodeId, state: &usize) -> usize {
         *state
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -83,6 +85,7 @@ impl Protocol for FrozenReadColoring {
         view.read(port) == state
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -156,10 +159,12 @@ impl FrozenReadMis {
             .collect()
     }
 
+    #[inline]
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
 
+    #[inline]
     fn eval(
         &self,
         graph: &Graph,
@@ -220,6 +225,7 @@ impl Protocol for FrozenReadMis {
         }
     }
 
+    #[inline]
     fn comm(&self, p: NodeId, state: &MisState) -> MisComm {
         MisComm {
             status: state.status,
@@ -227,6 +233,7 @@ impl Protocol for FrozenReadMis {
         }
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -237,6 +244,7 @@ impl Protocol for FrozenReadMis {
         self.eval(graph, p, state, view).is_some()
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

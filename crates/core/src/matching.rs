@@ -80,6 +80,7 @@ impl Matching {
         &self.coloring
     }
 
+    #[inline]
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
@@ -136,6 +137,7 @@ impl Matching {
     /// Evaluates the six guarded actions of `p` in priority order; returns
     /// the successor state or `None` when `p` is disabled. Deterministic, so
     /// it backs both `is_enabled` and `activate`.
+    #[inline]
     fn eval(
         &self,
         graph: &Graph,
@@ -260,6 +262,7 @@ impl Protocol for Matching {
         }
     }
 
+    #[inline]
     fn comm(&self, p: NodeId, state: &MatchingState) -> MatchingComm {
         MatchingComm {
             married: state.married,
@@ -268,6 +271,7 @@ impl Protocol for Matching {
         }
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -278,6 +282,7 @@ impl Protocol for Matching {
         self.eval(graph, p, state, view).is_some()
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

@@ -110,6 +110,7 @@ impl Mis {
         longest_path::mis_stability_bound(lmax)
     }
 
+    #[inline]
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
@@ -118,6 +119,7 @@ impl Mis {
     /// the successor state, or `None` when every action is disabled. The
     /// protocol is deterministic, so this single function backs both
     /// `is_enabled` and `activate`.
+    #[inline]
     fn eval(
         &self,
         graph: &Graph,
@@ -193,6 +195,7 @@ impl Protocol for Mis {
         }
     }
 
+    #[inline]
     fn comm(&self, p: NodeId, state: &MisState) -> MisComm {
         // The communication state a neighbor reads is the S variable plus
         // the color constant C.p.
@@ -202,6 +205,7 @@ impl Protocol for Mis {
         }
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -212,6 +216,7 @@ impl Protocol for Mis {
         self.eval(graph, p, state, view).is_some()
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

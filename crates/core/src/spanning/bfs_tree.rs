@@ -106,6 +106,7 @@ impl BfsTree {
     ///
     /// Returns `(desired_dist, desired_parent, consistent)`; reading through
     /// `view` charges the communication measures when the view tracks.
+    #[inline]
     fn check(
         &self,
         graph: &Graph,
@@ -153,10 +154,12 @@ impl Protocol for BfsTree {
         }
     }
 
+    #[inline]
     fn comm(&self, _p: NodeId, state: &BfsState) -> usize {
         state.dist
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -174,6 +177,7 @@ impl Protocol for BfsTree {
         !consistent
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

@@ -146,6 +146,7 @@ impl LeaderElection {
 
     /// Free local checks: inconsistencies visible without reading any
     /// neighbor.
+    #[inline]
     fn self_violation(&self, graph: &Graph, p: NodeId, state: &LeaderElectionState) -> bool {
         let id = self.ids.id(p);
         if state.leader > id {
@@ -160,6 +161,7 @@ impl LeaderElection {
     }
 
     /// Whether the single probed neighbor `q` reveals an inconsistency.
+    #[inline]
     fn probe_fires(
         &self,
         p: NodeId,
@@ -190,6 +192,7 @@ impl LeaderElection {
     /// Full neighborhood scan: the best claim available to `p`, preferring
     /// the smallest leader, then the shortest distance. Falls back to
     /// self-candidacy when no neighbor offers an adoptable smaller claim.
+    #[inline]
     fn recompute(
         &self,
         graph: &Graph,
@@ -250,6 +253,7 @@ impl Protocol for LeaderElection {
         }
     }
 
+    #[inline]
     fn comm(&self, p: NodeId, state: &LeaderElectionState) -> LeaderComm {
         LeaderComm {
             id: self.ids.id(p),
@@ -258,6 +262,7 @@ impl Protocol for LeaderElection {
         }
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -274,6 +279,7 @@ impl Protocol for LeaderElection {
         true
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,

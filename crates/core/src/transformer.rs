@@ -109,10 +109,12 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
         }
     }
 
+    #[inline]
     fn comm(&self, _p: NodeId, state: &Self::State) -> Self::Comm {
         state.output.clone()
     }
 
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
@@ -125,6 +127,7 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
         graph.degree(p) > 0
     }
 
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -205,10 +208,12 @@ impl EdgeCheckable for ColoringSpec {
         rng.gen_range(0..self.palette.max(1))
     }
 
+    #[inline]
     fn conflict(&self, mine: &usize, neighbor: &usize) -> bool {
         mine == neighbor
     }
 
+    #[inline]
     fn correct(
         &self,
         _graph: &Graph,
@@ -248,6 +253,7 @@ impl SeparationSpec {
         }
     }
 
+    #[inline]
     fn circular_distance(&self, a: usize, b: usize) -> usize {
         let d = a.abs_diff(b) % self.modulus;
         d.min(self.modulus - d)
@@ -266,10 +272,12 @@ impl EdgeCheckable for SeparationSpec {
         rng.gen_range(0..self.modulus)
     }
 
+    #[inline]
     fn conflict(&self, mine: &usize, neighbor: &usize) -> bool {
         self.circular_distance(*mine, *neighbor) < self.gap
     }
 
+    #[inline]
     fn correct(
         &self,
         _graph: &Graph,

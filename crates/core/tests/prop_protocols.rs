@@ -363,9 +363,9 @@ fn is_enabled_agrees_with_activate_for_deterministic_protocols() {
             .map(|p| mis.comm(p, &mis_config[p.index()]))
             .collect();
         for p in graph.nodes() {
-            let view = NeighborView::from_snapshot(&graph, p, &mis_snapshot, false);
+            let view = NeighborView::from_snapshot(&graph, p, &mis_snapshot);
             let enabled = mis.is_enabled(&graph, p, &mis_config[p.index()], &view);
-            let view = NeighborView::from_snapshot(&graph, p, &mis_snapshot, false);
+            let view = NeighborView::from_snapshot(&graph, p, &mis_snapshot);
             let outcome = mis.activate(&graph, p, &mis_config[p.index()], &view, &mut rng);
             assert_eq!(enabled, outcome.is_some());
         }
@@ -379,9 +379,9 @@ fn is_enabled_agrees_with_activate_for_deterministic_protocols() {
             .map(|p| matching.comm(p, &m_config[p.index()]))
             .collect();
         for p in graph.nodes() {
-            let view = NeighborView::from_snapshot(&graph, p, &m_snapshot, false);
+            let view = NeighborView::from_snapshot(&graph, p, &m_snapshot);
             let enabled = matching.is_enabled(&graph, p, &m_config[p.index()], &view);
-            let view = NeighborView::from_snapshot(&graph, p, &m_snapshot, false);
+            let view = NeighborView::from_snapshot(&graph, p, &m_snapshot);
             let outcome = matching.activate(&graph, p, &m_config[p.index()], &view, &mut rng);
             assert_eq!(enabled, outcome.is_some());
         }

@@ -95,6 +95,7 @@ impl LocalColoring {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn color(&self, p: NodeId) -> Color {
         self.colors[p.index()]
     }

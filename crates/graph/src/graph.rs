@@ -87,6 +87,7 @@ impl Graph {
     }
 
     /// Number of processes `n = |Π|`.
+    #[inline]
     pub fn node_count(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -97,6 +98,7 @@ impl Graph {
     }
 
     /// Iterator over all process identifiers `0..n`.
+    #[inline]
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count()).map(NodeId::new)
     }
@@ -106,6 +108,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn degree(&self, p: NodeId) -> usize {
         (self.offsets[p.index() + 1] - self.offsets[p.index()]) as usize
     }
@@ -139,6 +142,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `p` is out of range or `port >= δ.p`.
+    #[inline]
     pub fn neighbor(&self, p: NodeId, port: Port) -> NodeId {
         self.neighbor_slice(p)[port.index()]
     }
@@ -148,6 +152,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn neighbors(&self, p: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.neighbor_slice(p).iter().copied()
     }
@@ -157,6 +162,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn ports(&self, p: NodeId) -> impl Iterator<Item = (Port, NodeId)> + '_ {
         self.neighbor_slice(p)
             .iter()
@@ -165,6 +171,7 @@ impl Graph {
     }
 
     /// The port of `p` that leads to `q`, if `q` is a neighbor of `p`.
+    #[inline]
     pub fn port_to(&self, p: NodeId, q: NodeId) -> Option<Port> {
         self.neighbor_slice(p)
             .iter()

@@ -39,6 +39,7 @@ impl NodeId {
     /// construction paths ([`GraphBuilder::build`](crate::GraphBuilder))
     /// check node counts first and report the typed
     /// [`GraphError`](crate::GraphError) instead.
+    #[inline]
     pub const fn new(index: usize) -> Self {
         assert!(
             index <= NodeId::MAX_INDEX,
@@ -48,6 +49,7 @@ impl NodeId {
     }
 
     /// Returns the dense index of this process.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -107,6 +109,7 @@ impl Port {
     /// Panics if `index` exceeds [`Port::MAX_INDEX`]. Decoders of
     /// untrusted input (the trace wire format) check the range first and
     /// report a typed error instead.
+    #[inline]
     pub const fn new(index: usize) -> Self {
         assert!(
             index <= Port::MAX_INDEX,
@@ -116,6 +119,7 @@ impl Port {
     }
 
     /// Returns the 0-based index of this port.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -128,6 +132,7 @@ impl Port {
     /// # Panics
     ///
     /// Panics if `degree == 0`.
+    #[inline]
     pub fn next_round_robin(self, degree: usize) -> Port {
         assert!(degree > 0, "a process with no neighbor has no port");
         // Protocols call this on every activation, and a port in range
@@ -146,6 +151,7 @@ impl Port {
     /// Useful when a transient fault leaves an internal pointer out of range:
     /// the runtime re-interprets it as a valid port, which matches the
     /// "arbitrary initial value over the variable domain" assumption.
+    #[inline]
     pub fn clamp_to_degree(self, degree: usize) -> Port {
         if self.index() < degree {
             // The common case, on every guard evaluation: already in range.

@@ -163,6 +163,7 @@ impl Identifiers {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn id(&self, p: NodeId) -> u64 {
         self.ids[p.index()]
     }

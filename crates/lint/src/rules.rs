@@ -94,6 +94,7 @@ impl Family {
 /// types and is deliberately absent.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/executor.rs",
+    "crates/runtime/src/view.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/telemetry/wire.rs",
     "crates/graph/src/csr.rs",

@@ -39,8 +39,9 @@
 //!   enabled set, drawing from the simulation's RNG;
 //! * **C. activation** — one loop over the selection in increasing id
 //!   order: each selected process reads the pre-step configuration
-//!   through a tracked view, its reads go straight into [`RunStats`], and
-//!   its new state is staged;
+//!   through a tracked view, which records each distinct port it reads in
+//!   one reused buffer; those ports go straight into [`RunStats`], and the
+//!   new state is staged;
 //! * **D. merge** — the staged updates are applied simultaneously, keeping
 //!   the communication cache current and dirtying the guards they may
 //!   flip.
@@ -61,8 +62,9 @@
 //! * the scheduler writes its selection into a reused `Vec<NodeId>`
 //!   (sorted and duplicate-free by the [`Scheduler`] contract — the
 //!   executor `debug_assert`s instead of re-sorting),
-//! * the dirty queue, staged updates, the neighbor-view read log and the
-//!   distinct-read set are all reused buffers drained in place,
+//! * the dirty queue and staged updates are reused buffers drained in
+//!   place, and the read-port buffer has one slot per port of the
+//!   largest degree, which every tracked view borrows in turn,
 //! * round detection decrements an `unselected_remaining` counter instead
 //!   of scanning the selected-this-round flags every step.
 //!
@@ -187,11 +189,10 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// Staged updates `(process, state, comm, comm_changed)` of the
     /// current step, applied simultaneously in the merge phase.
     staged: Vec<(NodeId, P::State, P::Comm, bool)>,
-    /// Read-log buffer threaded through the tracked neighbor views (one
-    /// activation at a time), so recording reads never allocates.
-    read_log: Vec<Port>,
-    /// Distinct ports of the current activation, first-read order.
-    distinct_reads: Vec<Port>,
+    /// Port slots lent to each activation's tracked view (`Δ` of them): the
+    /// view writes the activation's distinct read ports into them, in
+    /// first-read order, so recording reads never allocates.
+    read_ports: Vec<Port>,
     /// Salt for the per-activation RNG streams, derived from the
     /// construction seed (see [`ActivationRng`]).
     activation_salt: u64,
@@ -252,8 +253,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             graph.node_count(),
             "configuration must contain one state per process"
         );
-        // lint: allow(hot-alloc) — constructor-only degree table
-        let degrees: Vec<usize> = graph.nodes().map(|p| graph.degree(p)).collect();
         let n = graph.node_count();
         let comm_cache: Vec<P::Comm> = graph
             .nodes()
@@ -269,7 +268,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             scheduler,
             rng: StdRng::seed_from_u64(seed),
             config,
-            stats: RunStats::new(&degrees),
+            stats: RunStats::new(graph.nodes().map(|p| graph.degree(p))),
             sink: None,
             options,
             step: 0,
@@ -284,8 +283,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // the maximum degree), so the step loop is allocation-free
             // from the very first step.
             staged: Vec::with_capacity(n),
-            read_log: Vec::with_capacity(graph.max_degree()),
-            distinct_reads: Vec::with_capacity(graph.max_degree()),
+            read_ports: vec![Port::new(0); graph.max_degree()], // lint: allow(hot-alloc) — constructor-only read-port slots
             // Any injective-ish mixing of the seed works here; the constant
             // only separates the salt from the main RNG stream's seed.
             activation_salt: seed ^ 0xA076_1D64_78BD_642F,
@@ -445,7 +443,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // state pays one relaxed load and nothing else.
         let clock = PhaseClock::start(metrics::active());
         for &p in &self.dirty_queue {
-            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache, false);
+            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache);
             let enabled = self
                 .protocol
                 .is_enabled(self.graph, p, &self.config[p.index()], &view);
@@ -471,7 +469,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     pub fn recompute_enabled_into(&self, out: &mut Vec<bool>) {
         out.clear();
         for p in self.graph.nodes() {
-            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache, false);
+            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache);
             out.push(
                 self.protocol
                     .is_enabled(self.graph, p, &self.config[p.index()], &view),
@@ -555,26 +553,13 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             if self.enabled.mark_selected(p) {
                 self.unselected_remaining -= 1;
             }
-            let log_buffer = std::mem::take(&mut self.read_log);
-            let view = NeighborView::with_log_buffer(graph, p, &self.comm_cache, true, log_buffer);
+            let view = NeighborView::tracked(graph, p, &self.comm_cache, &mut self.read_ports);
             let mut rng = activation_rng(self.activation_salt, step, p);
             let new_state =
                 self.protocol
                     .activate(graph, p, &self.config[p.index()], &view, &mut rng);
-            let read_operations = view.read_operations();
-            // The distinct-read set: collected into the persistent scratch
-            // normally, or — when tracing — straight into the exactly-sized
-            // `Vec` the `ActivationRecord` will own, so the one documented
-            // trace allocation is also the only scan.
-            let mut traced_reads = Vec::new(); // lint: allow(hot-alloc) — the documented trace allocation (see above)
-            let reads: &mut Vec<Port> = if tracing {
-                traced_reads.reserve_exact(read_operations.min(graph.degree(p)));
-                &mut traced_reads
-            } else {
-                &mut self.distinct_reads
-            };
-            view.collect_distinct_reads(reads);
-            self.read_log = view.into_log_buffer();
+            let (distinct, read_operations) = view.finish();
+            let reads = &self.read_ports[..distinct];
             // A disabled selected process does nothing, but it still
             // evaluated its guards, so it is recorded as an activation
             // (with whatever it read, possibly nothing) like every other
@@ -595,7 +580,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 records.push(ActivationRecord {
                     process: p,
                     executed,
-                    reads: traced_reads,
+                    reads: reads.to_vec(), // lint: allow(hot-alloc) — the documented trace allocation (see above)
                     comm_changed,
                 });
             }
@@ -770,6 +755,7 @@ impl rand::RngCore for ActivationRng {
 
 /// Derives the private RNG of one activation (a SplitMix64 finalizer over
 /// the salt/step/process mix; see [`ActivationRng`]).
+#[inline]
 fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
     let mut z = salt
         ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -889,6 +875,64 @@ mod tests {
         }
     }
 
+    /// Reads its last port, then its first, then its last again, and never
+    /// moves: every activation reads one port twice.
+    struct RereadsLastPort;
+
+    impl Protocol for RereadsLastPort {
+        type State = u32;
+        type Comm = u32;
+
+        fn name(&self) -> &'static str {
+            "rereads-last-port"
+        }
+
+        fn arbitrary_state(&self, _graph: &Graph, _p: NodeId, _rng: &mut dyn RngCore) -> u32 {
+            0
+        }
+
+        fn comm(&self, _p: NodeId, state: &u32) -> u32 {
+            *state
+        }
+
+        fn is_enabled(
+            &self,
+            _graph: &Graph,
+            _p: NodeId,
+            _state: &u32,
+            _view: &NeighborView<'_, u32>,
+        ) -> bool {
+            false
+        }
+
+        fn activate(
+            &self,
+            graph: &Graph,
+            p: NodeId,
+            _state: &u32,
+            view: &NeighborView<'_, u32>,
+            _rng: &mut dyn RngCore,
+        ) -> Option<u32> {
+            let last = Port::new(graph.degree(p) - 1);
+            for port in [last, Port::new(0), last] {
+                let _ = view.read(port);
+            }
+            None
+        }
+
+        fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
+            32
+        }
+
+        fn state_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
+            32
+        }
+
+        fn is_legitimate(&self, _graph: &Graph, _config: &[u32]) -> bool {
+            true
+        }
+    }
+
     /// Compile-time Send audit: experiment campaigns move cells across
     /// worker threads, so a [`Simulation`] over Send protocol/scheduler
     /// types must itself be Send (and the concrete schedulers must be Send
@@ -985,6 +1029,41 @@ mod tests {
         }
         assert_eq!(sim.stats().suffix_selections(), 3);
         assert_eq!(sim.stats().suffix_read_operations(), 4);
+    }
+
+    #[test]
+    fn a_repeated_read_counts_as_an_operation_not_as_a_neighbor() {
+        // On path(3) the end processes read their one port three times; the
+        // middle one reads port 1, port 0, then port 1 again.
+        let graph = generators::path(3);
+        let mut sim = Simulation::with_config(
+            &graph,
+            RereadsLastPort,
+            Synchronous,
+            vec![0; 3],
+            0,
+            SimOptions::default(),
+        );
+        let sink = Arc::new(Mutex::new(MemorySink::new()));
+        sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+        sim.step();
+        for p in graph.nodes() {
+            let stats = sim.stats().process(p);
+            assert_eq!(stats.total_read_operations, 3);
+            assert_eq!(stats.max_reads_per_activation as usize, graph.degree(p));
+        }
+        assert_eq!(sim.stats().measured_efficiency(), 2);
+        let record = sink.lock().unwrap().decode_all().unwrap().pop().unwrap();
+        let reads: Vec<&[Port]> = record.activations.iter().map(|a| &a.reads[..]).collect();
+        assert_eq!(
+            reads,
+            [
+                &[Port::new(0)][..],
+                &[Port::new(1), Port::new(0)][..],
+                &[Port::new(0)][..],
+            ],
+            "distinct ports in first-read order"
+        );
     }
 
     #[test]

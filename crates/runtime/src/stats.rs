@@ -105,17 +105,19 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Creates empty statistics for processes with the given degrees.
-    pub fn new(degrees: &[usize]) -> Self {
-        let mut port_offsets = Vec::with_capacity(degrees.len() + 1);
+    /// Creates empty statistics for processes with the given degrees, one
+    /// per process in [`NodeId`] order.
+    pub fn new(degrees: impl IntoIterator<Item = usize>) -> Self {
+        let degrees = degrees.into_iter();
+        let mut port_offsets = Vec::with_capacity(degrees.size_hint().0 + 1);
         let mut total: u32 = 0;
         port_offsets.push(0);
-        for &d in degrees {
+        for d in degrees {
             total += u32::try_from(d).expect("degree exceeds the u32 port space");
             port_offsets.push(total);
         }
         RunStats {
-            per_process: vec![ProcessStats::default(); degrees.len()],
+            per_process: vec![ProcessStats::default(); port_offsets.len() - 1],
             port_offsets,
             port_flags: vec![0; total as usize],
             steps: 0,
@@ -172,6 +174,7 @@ impl RunStats {
     /// included). Every selection is an activation — a disabled process
     /// still evaluates its guards — so this is the one per-activation
     /// write: one scalar row, plus the flag bytes of the ports read.
+    #[inline]
     pub(crate) fn record_activation(&mut self, p: NodeId, reads: &[Port], read_operations: usize) {
         self.total_selections += 1;
         self.total_reads += read_operations as u64;
@@ -195,6 +198,7 @@ impl RunStats {
     }
 
     /// Records that a process changed its communication state at `step`.
+    #[inline]
     pub(crate) fn record_comm_change(&mut self, step: u64) {
         self.total_comm_change_count += 1;
         self.latest_comm_change_step = Some(step);
@@ -360,7 +364,7 @@ mod tests {
 
     #[test]
     fn activation_accounting() {
-        let mut stats = RunStats::new(&[3, 2]);
+        let mut stats = RunStats::new([3, 2]);
         let p0 = NodeId::new(0);
         let p1 = NodeId::new(1);
         stats.record_activation(p0, &ports(&[0, 2]), 5);
@@ -387,7 +391,7 @@ mod tests {
 
     #[test]
     fn suffix_marker_resets_suffix_read_sets_only() {
-        let mut stats = RunStats::new(&[2]);
+        let mut stats = RunStats::new([2]);
         let p = NodeId::new(0);
         stats.record_activation(p, &ports(&[0, 1]), 2);
         assert_eq!(stats.distinct_neighbors_since_marker(p), 2);
@@ -404,7 +408,7 @@ mod tests {
 
     #[test]
     fn suffix_marker_resets_read_and_selection_counters() {
-        let mut stats = RunStats::new(&[2, 2]);
+        let mut stats = RunStats::new([2, 2]);
         let p0 = NodeId::new(0);
         stats.record_activation(p0, &ports(&[0]), 3);
         assert_eq!(stats.suffix_read_operations(), 3);
@@ -426,7 +430,7 @@ mod tests {
     fn suffix_totals_follow_the_latest_marker() {
         // Three processes of degree 3, 1 and 2.
         let degrees = [3usize, 1, 2];
-        let mut stats = RunStats::new(&degrees);
+        let mut stats = RunStats::new(degrees);
         let step = |stats: &mut RunStats, acts: &[(usize, &[usize], usize)]| {
             for &(i, reads, ops) in acts {
                 stats.record_activation(NodeId::new(i), &ports(reads), ops);
@@ -471,7 +475,7 @@ mod tests {
 
     #[test]
     fn suffix_efficiency_only_sees_post_marker_activations() {
-        let mut stats = RunStats::new(&[3]);
+        let mut stats = RunStats::new([3]);
         let p = NodeId::new(0);
         stats.record_activation(p, &ports(&[0, 1, 2]), 3);
         assert_eq!(stats.measured_efficiency(), 3);
@@ -490,7 +494,7 @@ mod tests {
 
     #[test]
     fn stability_counts() {
-        let mut stats = RunStats::new(&[2, 2, 2]);
+        let mut stats = RunStats::new([2, 2, 2]);
         stats.record_activation(NodeId::new(0), &ports(&[0]), 1);
         stats.record_activation(NodeId::new(1), &ports(&[0, 1]), 2);
         // Process 2 never reads anyone.

@@ -224,12 +224,14 @@ pub fn set_enabled(enabled: bool) {
 }
 
 /// Whether metrics collection is enabled.
+#[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) // ordering: enable flag guards no data
 }
 
 /// The registry when collection is enabled, `None` otherwise — the one
 /// relaxed load instrumented code performs per step.
+#[inline]
 pub fn active() -> Option<&'static MetricsRegistry> {
     if enabled() {
         Some(global())

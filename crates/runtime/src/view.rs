@@ -1,28 +1,32 @@
 //! Read-tracked views of a process's neighborhood.
+//!
+//! The executor builds a view on its hot path once per guard evaluation
+//! (untracked) and once per activation (tracked). Construction borrows
+//! everything it needs and allocates nothing, and a tracked view records
+//! its reads in one pass: [`NeighborView::read`] writes each newly read
+//! port into a slot of the caller's port buffer and counts every read
+//! operation, so the executor gets the distinct read set and the operation
+//! count straight from [`NeighborView::finish`], with no log to
+//! de-duplicate afterwards.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 use selfstab_graph::{Graph, NodeId, Port};
 
 /// The window through which a process observes its neighbors' communication
 /// states during one activation.
 ///
-/// Every call to [`NeighborView::read`] in a tracking view is recorded; the
-/// executor collects the recorded port set after the activation, which is
-/// how the paper's communication measures (k-efficiency, Definition 4;
+/// Every call to [`NeighborView::read`] in a tracked view is recorded; the
+/// executor collects the distinct ports after the activation, which is how
+/// the paper's communication measures (k-efficiency, Definition 4;
 /// ♦-(x,k)-stability, Definition 9) are evaluated on actual executions.
 /// Protocols that stop reading some neighbors (the frozen-read protocols of
 /// the Theorem 1 and 2 impossibility experiments) simply never call `read`
 /// on those ports.
 ///
-/// Views are built on the executor's hot path — once per guard evaluation
-/// and once per activation — so constructing one performs **no
-/// allocation**: the view borrows the graph's CSR neighbor slice and the
-/// communication snapshot instead of copying per-neighbor references, and
-/// the executor threads one persistent read-log buffer through every
-/// tracked view ([`NeighborView::with_log_buffer`] /
-/// [`NeighborView::into_log_buffer`]) so recording reads never grows a
-/// fresh `Vec` in steady state.
+/// Constructing a view performs **no allocation**: it borrows the graph's
+/// CSR neighbor slice, the communication snapshot and, when tracking, the
+/// caller's port buffer ([`NeighborView::tracked`]).
 #[derive(Debug)]
 pub struct NeighborView<'a, C> {
     /// The observed process's neighbors, indexed by port (borrowed from the
@@ -30,95 +34,101 @@ pub struct NeighborView<'a, C> {
     neighbors: &'a [NodeId],
     /// Communication snapshot of every process, indexed by [`NodeId`].
     comm_snapshot: &'a [C],
-    /// Log of every read operation performed during the current activation,
-    /// in order, repeats included.
-    reads: RefCell<Vec<Port>>,
-    /// Whether reads are recorded (enabledness checks are not charged).
-    tracking: bool,
+    /// The caller's port buffer when reads are tracked (enabledness checks
+    /// are not charged): its first `distinct` slots hold the distinct ports
+    /// read so far, in first-read order.
+    slots: Option<&'a [Cell<Port>]>,
+    /// Number of distinct ports read so far.
+    distinct: Cell<usize>,
+    /// Number of read operations performed so far, repeats included.
+    operations: Cell<usize>,
 }
 
 impl<'a, C> NeighborView<'a, C> {
-    /// Builds the view of process `p` from a snapshot of every process's
-    /// communication state (indexed by [`NodeId`]).
+    /// Builds an untracked view of process `p` from a snapshot of every
+    /// process's communication state (indexed by [`NodeId`]): its reads are
+    /// not recorded.
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range or `comm_snapshot` does not cover the
     /// graph.
-    pub fn from_snapshot(
-        graph: &'a Graph,
-        p: NodeId,
-        comm_snapshot: &'a [C],
-        tracking: bool,
-    ) -> Self {
-        Self::with_log_buffer(graph, p, comm_snapshot, tracking, Vec::new())
-    }
-
-    /// Like [`NeighborView::from_snapshot`], but the read log reuses
-    /// `log_buffer`'s allocation (the buffer is cleared first). The executor
-    /// recovers the buffer with [`NeighborView::into_log_buffer`] after the
-    /// activation, so its capacity survives across steps.
-    pub fn with_log_buffer(
-        graph: &'a Graph,
-        p: NodeId,
-        comm_snapshot: &'a [C],
-        tracking: bool,
-        mut log_buffer: Vec<Port>,
-    ) -> Self {
+    #[inline]
+    pub fn from_snapshot(graph: &'a Graph, p: NodeId, comm_snapshot: &'a [C]) -> Self {
         assert!(
             comm_snapshot.len() >= graph.node_count(),
             "communication snapshot must cover the graph"
         );
-        log_buffer.clear();
         NeighborView {
             neighbors: graph.neighbor_slice(p),
             comm_snapshot,
-            reads: RefCell::new(log_buffer),
-            tracking,
+            slots: None,
+            distinct: Cell::new(0),
+            operations: Cell::new(0),
         }
     }
 
-    /// Consumes the view and returns the read-log buffer (with the reads of
-    /// this activation still in it), so its allocation can be reused.
-    pub fn into_log_buffer(self) -> Vec<Port> {
-        self.reads.into_inner()
+    /// Like [`NeighborView::from_snapshot`], but every read is recorded:
+    /// the distinct ports go into `ports` in first-read order, and
+    /// [`NeighborView::finish`] reports how many there are and how many
+    /// read operations the activation performed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range, `comm_snapshot` does not cover the
+    /// graph, or `ports` is shorter than `p`'s degree.
+    #[inline]
+    pub fn tracked(
+        graph: &'a Graph,
+        p: NodeId,
+        comm_snapshot: &'a [C],
+        ports: &'a mut [Port],
+    ) -> Self {
+        let mut view = Self::from_snapshot(graph, p, comm_snapshot);
+        assert!(
+            ports.len() >= view.degree(),
+            "port buffer must hold one slot per neighbor"
+        );
+        view.slots = Some(Cell::from_mut(ports).as_slice_of_cells());
+        view
     }
 
     /// Degree of the observed process (number of ports).
+    #[inline]
     pub fn degree(&self) -> usize {
         self.neighbors.len()
     }
 
     /// Reads the communication state of the neighbor behind `port`,
-    /// recording the read.
+    /// recording the read in a tracked view.
     ///
     /// # Panics
     ///
     /// Panics if `port` is out of range (not below
     /// [`NeighborView::degree`]).
+    #[inline]
     pub fn read(&self, port: Port) -> &C {
         let q = self.neighbors[port.index()];
-        if self.tracking {
-            self.reads.borrow_mut().push(port);
+        if let Some(slots) = self.slots {
+            let distinct = self.distinct.get();
+            // `port` is below the degree, so a new one always finds a free
+            // slot: the distinct ports read so far are fewer than the degree.
+            if !slots[..distinct].iter().any(|slot| slot.get() == port) {
+                slots[distinct].set(port);
+                self.distinct.set(distinct + 1);
+            }
+            self.operations.set(self.operations.get() + 1);
         }
         &self.comm_snapshot[q.index()]
     }
 
-    /// Writes the distinct ports read so far, in first-read order, into
-    /// `out` (cleared first). Allocation-free once `out` has capacity Δ.
-    pub fn collect_distinct_reads(&self, out: &mut Vec<Port>) {
-        out.clear();
-        for &port in self.reads.borrow().iter() {
-            if !out.contains(&port) {
-                out.push(port);
-            }
-        }
-    }
-
-    /// Total number of read operations performed (including repeated reads of
-    /// the same port).
-    pub fn read_operations(&self) -> usize {
-        self.reads.borrow().len()
+    /// Ends the view and returns `(distinct, operations)`: the number of
+    /// distinct ports read, which sit in the first `distinct` slots of the
+    /// port buffer in first-read order, and the number of read operations,
+    /// repeats included. Both are 0 for an untracked view.
+    #[inline]
+    pub fn finish(self) -> (usize, usize) {
+        (self.distinct.get(), self.operations.get())
     }
 }
 
@@ -131,51 +141,34 @@ mod tests {
     fn reads_are_recorded_in_order_and_deduplicated() {
         let graph = generators::star(4);
         let comms: Vec<u32> = vec![10, 11, 12, 13];
-        let view = NeighborView::from_snapshot(&graph, NodeId::new(0), &comms, true);
+        let mut ports = [Port::new(9); 3];
+        let view = NeighborView::tracked(&graph, NodeId::new(0), &comms, &mut ports);
         assert_eq!(view.degree(), 3);
         assert_eq!(*view.read(Port::new(2)), 13);
         assert_eq!(*view.read(Port::new(0)), 11);
         assert_eq!(*view.read(Port::new(2)), 13);
-        let mut distinct = Vec::new();
-        view.collect_distinct_reads(&mut distinct);
-        assert_eq!(distinct, vec![Port::new(2), Port::new(0)]);
-        assert_eq!(view.read_operations(), 3);
+        assert_eq!(*view.read(Port::new(0)), 11);
+        assert_eq!(view.finish(), (2, 4), "repeats count as operations only");
+        assert_eq!(ports[..2], [Port::new(2), Port::new(0)]);
     }
 
     #[test]
     fn untracked_views_record_nothing() {
         let graph = generators::path(3);
         let comms: Vec<u32> = vec![0, 1, 2];
-        let view = NeighborView::from_snapshot(&graph, NodeId::new(1), &comms, false);
-        let _ = view.read(Port::new(0));
-        let _ = view.read(Port::new(1));
-        let mut distinct = vec![Port::new(0)];
-        view.collect_distinct_reads(&mut distinct);
-        assert!(distinct.is_empty());
-        assert_eq!(view.read_operations(), 0);
+        let view = NeighborView::from_snapshot(&graph, NodeId::new(1), &comms);
+        assert_eq!(*view.read(Port::new(0)), 0);
+        assert_eq!(*view.read(Port::new(1)), 2);
+        assert_eq!(view.finish(), (0, 0));
     }
 
     #[test]
-    fn log_buffer_round_trips_and_keeps_capacity() {
-        let graph = generators::path(3);
-        let comms: Vec<u32> = vec![0, 1, 2];
-        let mut buffer = Vec::with_capacity(8);
-        let spare = buffer.spare_capacity_mut().len();
-        let view = NeighborView::with_log_buffer(&graph, NodeId::new(1), &comms, true, buffer);
-        let _ = view.read(Port::new(1));
-        let _ = view.read(Port::new(1));
-        let mut distinct = Vec::new();
-        view.collect_distinct_reads(&mut distinct);
-        assert_eq!(distinct, vec![Port::new(1)]);
-        buffer = view.into_log_buffer();
-        assert_eq!(buffer.len(), 2, "raw log keeps repeats");
-        assert!(
-            buffer.capacity() >= spare,
-            "capacity survives the round trip"
-        );
-        // Reusing the buffer clears the previous activation's reads.
-        let view = NeighborView::with_log_buffer(&graph, NodeId::new(0), &comms, true, buffer);
-        assert_eq!(view.read_operations(), 0);
+    #[should_panic(expected = "one slot per neighbor")]
+    fn tracked_rejects_a_port_buffer_shorter_than_the_degree() {
+        let graph = generators::star(4);
+        let comms: Vec<u32> = vec![0; 4];
+        let mut ports = [Port::new(0); 2];
+        let _ = NeighborView::tracked(&graph, NodeId::new(0), &comms, &mut ports);
     }
 
     #[test]
@@ -183,7 +176,8 @@ mod tests {
     fn read_panics_on_an_out_of_range_port() {
         let graph = generators::path(2);
         let comms: Vec<u32> = vec![0, 1];
-        let view = NeighborView::from_snapshot(&graph, NodeId::new(0), &comms, true);
+        let mut ports = [Port::new(0); 1];
+        let view = NeighborView::tracked(&graph, NodeId::new(0), &comms, &mut ports);
         let _ = view.read(Port::new(5));
     }
 
@@ -192,7 +186,7 @@ mod tests {
         let graph = generators::ring(4);
         let comms: Vec<u32> = vec![100, 101, 102, 103];
         let p = NodeId::new(2);
-        let view = NeighborView::from_snapshot(&graph, p, &comms, true);
+        let view = NeighborView::from_snapshot(&graph, p, &comms);
         for (port, q) in graph.ports(p) {
             assert_eq!(*view.read(port), comms[q.index()]);
         }
