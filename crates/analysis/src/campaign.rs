@@ -51,7 +51,6 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, LocallyCentral, Scheduler, Synchronous,
 };
 use selfstab_runtime::telemetry::metrics;
-use selfstab_runtime::{BallCenter, FaultLoad, FaultModel, FaultPlan};
 
 use crate::experiments::ExperimentConfig;
 
@@ -399,75 +398,6 @@ impl DaemonSpec {
     }
 }
 
-/// Declarative fault-plan axis of a campaign grid: a `Copy` description of
-/// a timed fault scenario that each cell materializes locally with
-/// [`FaultPlanSpec::build`] — the same pattern as [`DaemonSpec`], making
-/// fault scenarios a first-class grid axis (crossed with workloads,
-/// daemons and protocol parameters like any other).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultPlanSpec {
-    /// One injection of `model` at scenario start.
-    Single(FaultModel),
-    /// `injections` firings of `model`, `period` steps apart (bursty
-    /// re-injection while the previous repair may still be in flight).
-    Periodic {
-        /// What each injection corrupts.
-        model: FaultModel,
-        /// Steps between injections.
-        period: u64,
-        /// Number of injections.
-        injections: usize,
-    },
-}
-
-impl FaultPlanSpec {
-    /// Builds the described plan.
-    pub fn build(&self) -> FaultPlan {
-        match *self {
-            FaultPlanSpec::Single(model) => FaultPlan::single(model),
-            FaultPlanSpec::Periodic {
-                model,
-                period,
-                injections,
-            } => FaultPlan::periodic(model, period, injections),
-        }
-    }
-
-    /// The label used in table rows.
-    pub fn label(&self) -> String {
-        match *self {
-            FaultPlanSpec::Single(model) => model.to_string(),
-            FaultPlanSpec::Periodic {
-                model,
-                period,
-                injections,
-            } => format!("{model}×{injections}@{period}"),
-        }
-    }
-
-    /// The fault-model sweep of the recovery experiment (E14): the same
-    /// fault *load* delivered uniformly at random, onto the hubs, as a
-    /// correlated region around the hub, and as adversarial stuck states —
-    /// plus a bursty uniform re-injection — so recovery cost is compared
-    /// across *who* gets hit, not just *how many*.
-    pub fn recovery_set(load: FaultLoad) -> Vec<FaultPlanSpec> {
-        vec![
-            FaultPlanSpec::Single(FaultModel::Uniform(load)),
-            FaultPlanSpec::Single(FaultModel::DegreeTargeted(load)),
-            FaultPlanSpec::Single(FaultModel::Ball {
-                center: BallCenter::Hub,
-                radius: 1,
-            }),
-            FaultPlanSpec::Single(FaultModel::StuckAt(load)),
-            FaultPlanSpec::Periodic {
-                model: FaultModel::Uniform(load),
-                period: 8,
-                injections: 3,
-            },
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,25 +547,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn fault_plan_specs_build_matching_plans_and_labels() {
-        let load = FaultLoad::Fraction(0.2);
-        let single = FaultPlanSpec::Single(FaultModel::Uniform(load));
-        assert_eq!(single.build().injection_count(), 1);
-        assert_eq!(single.label(), "uniform(20%)");
-        let periodic = FaultPlanSpec::Periodic {
-            model: FaultModel::StuckAt(load),
-            period: 5,
-            injections: 4,
-        };
-        assert_eq!(periodic.build().injection_count(), 4);
-        assert_eq!(periodic.label(), "stuck(20%)×4@5");
-        let set = FaultPlanSpec::recovery_set(load);
-        assert_eq!(set.len(), 5);
-        // Labels are pairwise distinct (they key table rows).
-        let labels: BTreeSet<String> = set.iter().map(|s| s.label()).collect();
-        assert_eq!(labels.len(), set.len());
     }
 }

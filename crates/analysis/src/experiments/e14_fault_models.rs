@@ -2,29 +2,30 @@
 //!
 //! E9 measures recovery from *uniform-random* transient faults — the
 //! easiest-case scenario. This experiment sweeps the structured
-//! [`FaultModel`](selfstab_runtime::FaultModel)s of the fault-scenario
+//! [`FaultModel`]s of the fault-scenario
 //! engine over the same protocols: the same fault *load* delivered onto
 //! uniformly random victims, onto the highest-degree hubs, as a correlated
 //! ball around the hub, as adversarial stuck states chosen to maximize
 //! guard churn, and as a bursty re-injection train — crossed with workload,
 //! daemon and protocol (the 1-efficient MIS vs its Δ-efficient baseline).
 //!
-//! For every cell the recovery telemetry is distilled into three numbers:
-//! rounds to re-stabilize, **availability** (fraction of post-fault rounds
-//! whose configuration was still legitimate — the service-loss view), and
-//! the **read spike** (peak reads in one recovery round relative to the
+//! For every cell the recovery telemetry yields three numbers: rounds to
+//! re-stabilize, **availability** (fraction of post-fault rounds whose
+//! configuration was still legitimate — the service-loss view), and the
+//! **read spike** (peak reads in one recovery round relative to the
 //! pre-fault steady state — the full-Δ repair bill a ♦-k-efficient
 //! protocol may transiently pay).
 
 use selfstab_core::baselines::BaselineMis;
-use selfstab_core::measures::recovery_report;
 use selfstab_core::mis::Mis;
-use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad};
+use selfstab_runtime::faults::{
+    run_fault_plan, BallCenter, FaultInjector, FaultLoad, FaultModel, FaultPlan,
+};
 use selfstab_runtime::{run_cell, SimOptions};
 
 use super::e9_fault_recovery::{fault_rng, steady_window_reads_per_round, MisKind};
 use super::ExperimentConfig;
-use crate::campaign::{CampaignSpec, CellOutcome, DaemonSpec, FaultPlanSpec, PointResult};
+use crate::campaign::{CampaignSpec, CellOutcome, DaemonSpec, PointResult};
 use crate::stats::Summary;
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
@@ -35,6 +36,29 @@ use crate::workloads::Workload;
 /// ball scenario corrupts the hub's radius-1 region instead — on hubby
 /// topologies a comparable share of the system).
 pub const FAULT_LOAD: FaultLoad = FaultLoad::Fraction(0.2);
+
+/// The fault-plan sweep, each plan with its row label: the same fault
+/// *load* delivered uniformly at random, onto the hubs, as a correlated
+/// region around the hub, and as adversarial stuck states, plus a bursty
+/// uniform re-injection (three injections 8 steps apart), so recovery cost
+/// is compared across *who* gets hit, not just *how many*.
+fn plans() -> Vec<(String, FaultPlan)> {
+    let uniform = FaultModel::Uniform(FAULT_LOAD);
+    let mut plans: Vec<(String, FaultPlan)> = [
+        uniform,
+        FaultModel::DegreeTargeted(FAULT_LOAD),
+        FaultModel::Ball {
+            center: BallCenter::Hub,
+            radius: 1,
+        },
+        FaultModel::StuckAt(FAULT_LOAD),
+    ]
+    .into_iter()
+    .map(|model| (model.to_string(), FaultPlan::single(model)))
+    .collect();
+    plans.push((format!("{uniform}×3@8"), FaultPlan::periodic(uniform, 8, 3)));
+    plans
+}
 
 /// Metrics of one run whose initial stabilization succeeded.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,12 +91,12 @@ pub struct FaultModelRecovery {
 }
 
 /// The campaign cell: stabilize, measure the steady-state read rate over a
-/// fixed window of rounds, execute the fault plan, and distill the
-/// recovery telemetry.
+/// fixed window of rounds, execute the fault plan, and read the recovery
+/// telemetry.
 pub fn cell(
     workload: &Workload,
     daemon: DaemonSpec,
-    plan: FaultPlanSpec,
+    plan: &FaultPlan,
     kind: MisKind,
     config: &ExperimentConfig,
     seed: u64,
@@ -81,7 +105,7 @@ pub fn cell(
         graph: &selfstab_graph::Graph,
         protocol: P,
         daemon: DaemonSpec,
-        plan: FaultPlanSpec,
+        plan: &FaultPlan,
         config: &ExperimentConfig,
         seed: u64,
     ) -> CellOutcome<FaultModelRun> {
@@ -105,19 +129,17 @@ pub fn cell(
 
                 let mut fault_rng = fault_rng(seed);
                 let mut injector = FaultInjector::new(sim.graph());
-                let telemetry = run_fault_plan(
-                    sim,
-                    &plan.build(),
-                    &mut injector,
-                    &mut fault_rng,
-                    config.max_steps,
-                );
-                let report = recovery_report(&telemetry, steady_total);
+                let telemetry =
+                    run_fault_plan(sim, plan, &mut injector, &mut fault_rng, config.max_steps);
                 CellOutcome::Stabilized(FaultModelRun {
-                    recovery_rounds: report.recovery_rounds,
-                    availability: report.availability,
-                    read_spike: report.read_spike_ratio,
-                    victims: report.victims,
+                    recovery_rounds: telemetry.recovery_rounds,
+                    availability: telemetry.availability,
+                    read_spike: if steady_total > 0.0 {
+                        telemetry.peak_round_reads as f64 / steady_total
+                    } else {
+                        0.0
+                    },
+                    victims: telemetry.victims,
                 })
             },
         )
@@ -164,7 +186,7 @@ fn aggregate<P>(point: &PointResult<'_, P, CellOutcome<FaultModelRun>>) -> Fault
 pub fn measure(
     workload: &Workload,
     daemon: DaemonSpec,
-    plan: FaultPlanSpec,
+    plan: &FaultPlan,
     kind: MisKind,
     config: &ExperimentConfig,
 ) -> FaultModelRecovery {
@@ -205,26 +227,27 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
     );
     let daemons = [DaemonSpec::Synchronous, DaemonSpec::DistributedRandom(0.5)];
     let kinds = [MisKind::Efficient, MisKind::Baseline];
+    let plans = plans();
     let mut points = Vec::new();
     for workload in workloads() {
         for &daemon in &daemons {
-            for &plan in &FaultPlanSpec::recovery_set(FAULT_LOAD) {
+            for (label, plan) in &plans {
                 for &kind in &kinds {
-                    points.push((workload, daemon, plan, kind));
+                    points.push((workload, daemon, label, plan, kind));
                 }
             }
         }
     }
     let spec = CampaignSpec::with_config(points, config);
     for point in spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, c.point.2, c.point.3, config, c.seed)
+        cell(&c.point.0, c.point.1, c.point.3, c.point.4, config, c.seed)
     }) {
-        let (workload, daemon, plan, kind) = *point.point;
+        let (workload, daemon, label, _, kind) = *point.point;
         let m = aggregate(&point);
         table.push_row(vec![
             workload.label(),
             daemon.name().to_string(),
-            plan.label(),
+            label.clone(),
             kind.label().to_string(),
             Summary::from_counts(m.victims.iter().map(|&v| v as u64))
                 .mean
@@ -258,7 +281,6 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfstab_runtime::{BallCenter, FaultModel};
 
     #[test]
     fn recovery_runs_and_reports_sane_figures() {
@@ -266,7 +288,7 @@ mod tests {
         let m = measure(
             &Workload::Grid(4, 4),
             DaemonSpec::Synchronous,
-            FaultPlanSpec::Single(FaultModel::Uniform(FAULT_LOAD)),
+            &FaultPlan::single(FaultModel::Uniform(FAULT_LOAD)),
             MisKind::Efficient,
             &cfg,
         );
@@ -274,8 +296,13 @@ mod tests {
         assert_eq!(m.recovery_rounds.len() as u64, cfg.runs);
         assert!(m.availability.iter().all(|a| (0.0..=1.0).contains(a)));
         assert!(m.victims.iter().all(|&v| v == 4), "20% of 16 processes");
-        // Every plan of the recovery set is repaired, in every run.
-        for plan in FaultPlanSpec::recovery_set(FAULT_LOAD) {
+        // Every plan of the sweep is repaired, in every run, and the row
+        // labels are pairwise distinct.
+        let plans = plans();
+        let labels: std::collections::BTreeSet<&str> =
+            plans.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(labels.len(), 5);
+        for (label, plan) in &plans {
             let m = measure(
                 &Workload::Grid(4, 4),
                 DaemonSpec::Synchronous,
@@ -283,7 +310,7 @@ mod tests {
                 MisKind::Efficient,
                 &cfg,
             );
-            assert_eq!(m.timeouts, 0, "{}", plan.label());
+            assert_eq!(m.timeouts, 0, "{label}");
         }
     }
 
@@ -298,14 +325,14 @@ mod tests {
         let uniform = measure(
             &workload,
             DaemonSpec::Synchronous,
-            FaultPlanSpec::Single(FaultModel::Uniform(FAULT_LOAD)),
+            &FaultPlan::single(FaultModel::Uniform(FAULT_LOAD)),
             MisKind::Baseline,
             &cfg,
         );
         let ball = measure(
             &workload,
             DaemonSpec::Synchronous,
-            FaultPlanSpec::Single(FaultModel::Ball {
+            &FaultPlan::single(FaultModel::Ball {
                 center: BallCenter::Hub,
                 radius: 1,
             }),

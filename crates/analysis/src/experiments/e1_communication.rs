@@ -172,26 +172,6 @@ fn push_report(
     ]);
 }
 
-/// Convenience used by the bench harness: run one protocol on one workload
-/// until silence and return its measured efficiency.
-pub fn measured_efficiency<P, F>(workload: &Workload, seed: u64, max_steps: u64, make: F) -> usize
-where
-    P: Protocol,
-    F: FnOnce(&selfstab_graph::Graph) -> P,
-{
-    let graph = workload.build(seed);
-    let protocol = make(&graph);
-    run_cell(
-        &graph,
-        protocol,
-        DistributedRandom::new(0.5),
-        seed,
-        SimOptions::default(),
-        max_steps,
-        |_report, sim| sim.stats().measured_efficiency(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,11 +193,5 @@ mod tests {
                 assert!(k > 1, "baseline {protocol} on {} read only {k}", row[0]);
             }
         }
-    }
-
-    #[test]
-    fn measured_efficiency_helper_reports_one_for_coloring() {
-        let k = measured_efficiency(&Workload::Ring(16), 3, 500_000, Coloring::new);
-        assert_eq!(k, 1);
     }
 }

@@ -52,6 +52,6 @@ pub mod table;
 pub mod tracecell;
 pub mod workloads;
 
-pub use campaign::{CampaignSpec, CellOutcome, DaemonSpec, FaultPlanSpec};
+pub use campaign::{CampaignSpec, CellOutcome, DaemonSpec};
 pub use table::ExperimentTable;
 pub use workloads::Workload;

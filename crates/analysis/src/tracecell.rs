@@ -24,7 +24,7 @@ use selfstab_runtime::faults::{
 };
 use selfstab_runtime::scheduler::DistributedRandom;
 use selfstab_runtime::telemetry::{
-    replay_with, FileSink, Fnv64, TraceFileReader, TraceFooter, TraceHeader,
+    self, FileSink, Fnv64, TraceFileReader, TraceFooter, TraceHeader,
 };
 
 use crate::workloads::Workload;
@@ -232,7 +232,7 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
     Ok(TraceRunSummary {
         steps,
         rounds,
-        recovered: telemetry.recovered,
+        recovered: telemetry.recovery_rounds.is_some(),
         stats_digest,
         config_digest,
         trace_bytes: std::fs::metadata(path)?.len(),
@@ -241,7 +241,8 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
 
 /// Replays the trace container at `path` and verifies it end to end:
 /// every activation's executed flag, comm flag and read ports against the
-/// recording (see [`replay_with`]), then the step count and both footer
+/// recording, with the cell's fault plan re-fired from the same salted
+/// RNG (see [`telemetry::replay()`]), then the step count and both footer
 /// digests.
 /// Returns the replayed run's summary — identical to the recording's —
 /// or a description of the first divergence.
@@ -269,29 +270,14 @@ pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
         .footer()
         .ok_or("trace file has no footer (recording was interrupted?)")?;
 
-    // Reproduce the recorded fault injections: same plan, same salted
-    // RNG, fired under exactly the condition `run_fault_plan` used
-    // (event offset <= executed steps, in event order, including
-    // trailing events fired after the last step — the replay driver's
-    // final hook call covers those).
-    let plan = spec.plan();
-    let mut injector = FaultInjector::new(&graph);
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ FAULT_RNG_SALT);
-    let mut next_event = 0;
-    let outcome = replay_with(
+    let outcome = telemetry::replay(
         &graph,
         Coloring::new(&graph),
         spec.seed,
         SimOptions::default(),
         records,
-        |sim| {
-            while next_event < plan.events().len()
-                && plan.events()[next_event].at_step <= sim.steps()
-            {
-                injector.inject(sim, plan.events()[next_event].model, &mut rng);
-                next_event += 1;
-            }
-        },
+        &spec.plan(),
+        &mut StdRng::seed_from_u64(spec.seed ^ FAULT_RNG_SALT),
     )
     .map_err(|divergence| divergence.to_string())?;
 

@@ -1,9 +1,11 @@
-//! Acceptance test for the telemetry layer's headline guarantees, at the
-//! scale the issue pinned: a 10⁴-process COLORING fault-recovery run
-//! (1) records into the binary trace container, (2) replays to a
-//! byte-identical [`RunStats`](selfstab_runtime::RunStats) and final
-//! configuration, and (3) the binary container is at least 10× smaller
-//! than the same step records serialized as JSON.
+//! Acceptance tests for the telemetry layer's headline guarantees. A
+//! 10⁴-process COLORING fault-recovery run (1) records into the binary
+//! trace container, (2) replays to a byte-identical
+//! [`RunStats`](selfstab_runtime::RunStats) and final configuration, and
+//! (3) the binary container is at least 10× smaller than the same step
+//! records serialized as JSON. The canonical cell that CI records and
+//! replays is pinned to the bytes it produced when the trace format and
+//! the fault-scenario engine were last changed.
 
 use selfstab_analysis::tracecell::{self, TraceCellSpec};
 use selfstab_analysis::Workload;
@@ -89,5 +91,47 @@ fn ten_thousand_node_trace_replays_byte_identically_and_beats_json_tenfold() {
         json.len()
     );
 
+    std::fs::remove_file(&path).ok();
+}
+
+/// FNV-1a-64 over the bytes of a file, one byte at a time.
+fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The canonical cell (`--trace-workload 'grid(10x10)' --trace-seed
+/// 20090622`) records the same run into the same bytes, and replays it.
+/// A change to the executor, the fault-scenario engine, COLORING or the
+/// trace encoding that alters any of these values changes every recorded
+/// trace, and must say why.
+#[test]
+fn canonical_grid_trace_is_pinned() {
+    let spec = TraceCellSpec {
+        workload: Workload::Grid(10, 10),
+        seed: 20_090_622,
+        ..TraceCellSpec::default()
+    };
+    let path = std::env::temp_dir().join(format!("sstb_canonical_{}.trace", std::process::id()));
+    let recorded = tracecell::record(&spec, &path).expect("records the canonical cell");
+    let bytes = std::fs::read(&path).expect("reads the trace back");
+    assert_eq!((recorded.steps, recorded.rounds), (96, 12));
+    assert_eq!(recorded.trace_bytes, 15_999);
+    assert_eq!(bytes.len(), 15_999);
+    assert_eq!(recorded.stats_digest, 0x9f0e_be91_ef52_1e32);
+    assert_eq!(recorded.config_digest, 0x1293_6a50_aad9_7041);
+    assert_eq!(fnv1a_bytes(&bytes), 0xd4b5_6925_b600_6d5d);
+
+    let replayed = tracecell::replay(&path).expect("replays without divergence");
+    assert_eq!(
+        (
+            replayed.steps,
+            replayed.rounds,
+            replayed.stats_digest,
+            replayed.config_digest
+        ),
+        (96, 12, recorded.stats_digest, recorded.config_digest)
+    );
     std::fs::remove_file(&path).ok();
 }

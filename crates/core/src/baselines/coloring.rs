@@ -8,8 +8,7 @@
 //! its communication complexity is `∆ · log(∆+1)` bits per step instead of
 //! `log(∆+1)`.
 
-use rand::seq::SliceRandom;
-use rand::RngCore;
+use rand::{Rng, RngCore};
 use selfstab_graph::{verify, Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
@@ -56,7 +55,6 @@ impl Protocol for BaselineColoring {
     }
 
     fn arbitrary_state(&self, _graph: &Graph, _p: NodeId, rng: &mut dyn RngCore) -> usize {
-        use rand::Rng;
         rng.gen_range(0..self.palette)
     }
 
@@ -91,13 +89,16 @@ impl Protocol for BaselineColoring {
         if !neighbor_colors.contains(state) {
             return None;
         }
-        let free: Vec<usize> = (0..self.palette)
-            .filter(|c| !neighbor_colors.contains(c))
-            .collect();
+        let mut free = (0..self.palette).filter(|c| !neighbor_colors.contains(c));
+        let free_count = free.clone().count();
         // With palette ∆+1 and at most ∆ neighbors a free color always
-        // exists; keep the current color as a last resort if the palette was
-        // chosen too small.
-        Some(free.choose(rng).copied().unwrap_or(*state))
+        // exists; keep the current color as a last resort (and draw
+        // nothing) if the palette was chosen too small. Otherwise draw one
+        // index among the free colors, as `SliceRandom::choose` would.
+        if free_count == 0 {
+            return Some(*state);
+        }
+        free.nth(rng.gen_range(0..free_count))
     }
 
     fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
@@ -179,6 +180,38 @@ mod tests {
         assert!(sim.is_silent());
         sim.run_steps(50);
         assert_eq!(sim.config(), config.as_slice());
+    }
+
+    #[test]
+    fn redraw_picks_what_choose_picks_from_the_collected_free_colors() {
+        // The activation draws an index among the free colors without
+        // collecting them. From the same RNG state it must return what
+        // `choose` over the collected list returned, and leave the RNG in
+        // the same state: one draw, or none when no color is free (palette
+        // 4 against a hub with 5 neighbors).
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let graph = generators::star(6);
+        let hub = NodeId::new(0);
+        let mut configs = StdRng::seed_from_u64(3);
+        for palette in [4, 7] {
+            let protocol = BaselineColoring::with_palette(palette);
+            for seed in 0..300 {
+                let comm: Vec<usize> = (0..6).map(|_| configs.gen_range(0..palette)).collect();
+                let taken = &comm[1..];
+                let (mut ours, mut reference) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let view = NeighborView::from_snapshot(&graph, hub, &comm);
+                let got = protocol.activate(&graph, hub, &comm[0], &view, &mut ours);
+                let expected = taken.contains(&comm[0]).then(|| {
+                    let free: Vec<usize> = (0..palette).filter(|c| !taken.contains(c)).collect();
+                    free.choose(&mut reference).copied().unwrap_or(comm[0])
+                });
+                assert_eq!(got, expected, "palette {palette}, config {comm:?}");
+                assert_eq!(ours.next_u64(), reference.next_u64(), "{comm:?}");
+            }
+        }
     }
 
     #[test]

@@ -65,22 +65,17 @@ impl BaselineMis {
         view: &NeighborView<'_, MisComm>,
     ) -> Option<Membership> {
         let my_color = self.color(p);
-        let neighbors: Vec<MisComm> = (0..graph.degree(p))
-            .map(|i| *view.read(Port::new(i)))
-            .collect();
+        // Both rules in one pass that reads every port once, in port order:
+        // the Δ-efficient read pattern, whatever the outcome.
+        let (mut must_leave, mut may_join) = (false, true);
+        for i in 0..graph.degree(p) {
+            let n = view.read(Port::new(i));
+            must_leave |= n.status == Membership::Dominator && n.color < my_color;
+            may_join &= n.status == Membership::Dominated || my_color < n.color;
+        }
         match state {
-            Membership::Dominator => {
-                let must_leave = neighbors
-                    .iter()
-                    .any(|n| n.status == Membership::Dominator && n.color < my_color);
-                must_leave.then_some(Membership::Dominated)
-            }
-            Membership::Dominated => {
-                let may_join = neighbors
-                    .iter()
-                    .all(|n| n.status == Membership::Dominated || my_color < n.color);
-                may_join.then_some(Membership::Dominator)
-            }
+            Membership::Dominator => must_leave.then_some(Membership::Dominated),
+            Membership::Dominated => may_join.then_some(Membership::Dominator),
         }
     }
 }

@@ -182,89 +182,6 @@ pub fn suffix_comm_report<P: Protocol>(
     }
 }
 
-/// Aggregated recovery economics of one fault-scenario run: what a
-/// [`FaultPlan`](selfstab_runtime::FaultPlan) execution cost, distilled
-/// from the per-round [`RecoveryTelemetry`](selfstab_runtime::RecoveryTelemetry)
-/// curve recorded by
-/// [`run_fault_plan`](selfstab_runtime::run_fault_plan).
-///
-/// The paper's headline concern is the *post-fault* bill of a
-/// communication-efficient silent protocol: a ♦-k-efficient protocol may
-/// pay full-Δ reads during repair. This report prices that bill three
-/// ways: how long the repair took (rounds), how much service was lost
-/// while it ran (availability = fraction of post-fault rounds whose
-/// configuration was legitimate), and how hard the read rate spiked over
-/// the pre-fault steady state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryReport {
-    /// Number of injections the plan fired.
-    pub injections: usize,
-    /// Total processes corrupted across all injections.
-    pub victims: usize,
-    /// Whether the system quiesced after the last injection within budget.
-    pub recovered: bool,
-    /// Rounds from the last injection to quiescence (`None` on timeout).
-    pub recovery_rounds: Option<u64>,
-    /// Fraction of post-first-injection rounds whose configuration
-    /// satisfied the legitimacy predicate (1.0 when no round completed
-    /// after the first injection — an instantly absorbed fault).
-    pub availability: f64,
-    /// Largest fraction of processes simultaneously enabled in any
-    /// post-injection round (the repair wave's peak footprint).
-    pub peak_enabled_fraction: f64,
-    /// Largest number of read operations in a single post-injection round.
-    pub peak_round_reads: u64,
-    /// Mean read operations per post-injection round.
-    pub mean_round_reads: f64,
-    /// `peak_round_reads` relative to the pre-fault steady-state read cost
-    /// per round supplied by the caller (0 when no baseline was supplied).
-    pub read_spike_ratio: f64,
-}
-
-/// Distills a [`RecoveryReport`] out of a scenario run's telemetry.
-///
-/// `steady_reads_per_round` is the pre-fault baseline (total reads per
-/// round over the whole system, as measured over a stabilized window);
-/// pass 0.0 to skip the spike ratio. Rounds completed *before* the first
-/// injection (a delayed plan stepping a silent system) are excluded from
-/// the availability and read-spike figures.
-pub fn recovery_report(
-    telemetry: &selfstab_runtime::RecoveryTelemetry,
-    steady_reads_per_round: f64,
-) -> RecoveryReport {
-    let first_injection_round = telemetry.injections.first().map(|i| i.round).unwrap_or(0);
-    let post: Vec<&selfstab_runtime::faults::RoundSample> = telemetry
-        .rounds
-        .iter()
-        .filter(|r| r.round > first_injection_round)
-        .collect();
-    let legit = post.iter().filter(|r| r.legitimate).count();
-    let peak_round_reads = post.iter().map(|r| r.read_operations).max().unwrap_or(0);
-    RecoveryReport {
-        injections: telemetry.injections.len(),
-        victims: telemetry.injections.iter().map(|i| i.victims).sum(),
-        recovered: telemetry.recovered,
-        recovery_rounds: telemetry.recovery_rounds,
-        availability: if post.is_empty() {
-            1.0
-        } else {
-            legit as f64 / post.len() as f64
-        },
-        peak_enabled_fraction: post.iter().map(|r| r.enabled_fraction).fold(0.0, f64::max),
-        peak_round_reads,
-        mean_round_reads: if post.is_empty() {
-            0.0
-        } else {
-            post.iter().map(|r| r.read_operations).sum::<u64>() as f64 / post.len() as f64
-        },
-        read_spike_ratio: if steady_reads_per_round > 0.0 {
-            peak_round_reads as f64 / steady_reads_per_round
-        } else {
-            0.0
-        },
-    }
-}
-
 /// The ♦-(x, k)-stability measurement of an execution suffix: how many
 /// processes read at most `k` distinct neighbors since the suffix marker was
 /// placed (Definition 9), together with the theoretical lower bound the
@@ -418,59 +335,6 @@ mod tests {
         assert_eq!(le_report.nodes, 12);
         assert!(le_report.suffix_steps >= 1_000);
         assert!(le_report.suffix_selections > 0);
-    }
-
-    #[test]
-    fn recovery_report_prices_a_fault_scenario() {
-        use rand::SeedableRng;
-        use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultPlan};
-        use selfstab_runtime::scheduler::Synchronous;
-        use selfstab_runtime::{FaultLoad, FaultModel};
-
-        let graph = generators::grid(4, 4);
-        let protocol = Coloring::new(&graph);
-        let mut sim = Simulation::new(&graph, protocol, Synchronous, 9, SimOptions::default());
-        assert!(sim.run_until_silent(200_000).silent);
-
-        // Pre-fault steady baseline over a short window of rounds.
-        let reads_before = sim.stats().total_read_operations();
-        let rounds_before = sim.stats().rounds;
-        while sim.stats().rounds < rounds_before + 5 {
-            sim.step();
-        }
-        let steady = (sim.stats().total_read_operations() - reads_before) as f64 / 5.0;
-
-        let mut injector = FaultInjector::new(&graph);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let plan = FaultPlan::single(FaultModel::Uniform(FaultLoad::Fraction(0.25)));
-        let telemetry = run_fault_plan(&mut sim, &plan, &mut injector, &mut rng, 200_000);
-        let report = recovery_report(&telemetry, steady);
-
-        assert_eq!(report.injections, 1);
-        assert_eq!(report.victims, 4);
-        assert!(report.recovered, "COLORING recovers from transient faults");
-        assert!(report.recovery_rounds.is_some());
-        assert!((0.0..=1.0).contains(&report.availability));
-        assert!((0.0..=1.0).contains(&report.peak_enabled_fraction));
-        if !telemetry.rounds.is_empty() {
-            assert!(report.peak_round_reads as f64 >= report.mean_round_reads);
-        }
-        // With a positive steady baseline the spike ratio is defined.
-        assert!(steady > 0.0 || report.read_spike_ratio == 0.0);
-    }
-
-    #[test]
-    fn recovery_report_of_an_empty_telemetry_is_degenerate() {
-        let telemetry = selfstab_runtime::RecoveryTelemetry::default();
-        let report = recovery_report(&telemetry, 0.0);
-        assert_eq!(report.injections, 0);
-        assert_eq!(report.victims, 0);
-        assert!(!report.recovered);
-        assert_eq!(report.recovery_rounds, None);
-        assert_eq!(report.availability, 1.0);
-        assert_eq!(report.peak_round_reads, 0);
-        assert_eq!(report.mean_round_reads, 0.0);
-        assert_eq!(report.read_spike_ratio, 0.0);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use selfstab_core::coloring::Coloring;
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis, MisState};
@@ -50,7 +50,7 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, Fair, LocallyCentral, Scheduler,
     StarvingAdversary, Synchronous,
 };
-use selfstab_runtime::telemetry::{replay_with, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
+use selfstab_runtime::telemetry::{self, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
 use selfstab_runtime::{FileSink, Protocol, RunStats, SimOptions, Simulation};
 
 /// The seven daemons, by name.
@@ -462,31 +462,22 @@ fn record_replay_verifies_against_capture() {
     let footer = *reader.footer().expect("footer after the stream");
     assert_eq!(footer.steps, steps);
 
-    let scenario = plan();
-    let mut injector = FaultInjector::new(&graph);
-    let mut rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
-    let mut next_event = 0;
-    let outcome = replay_with(
+    let mut replay_rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
+    let outcome = telemetry::replay(
         &graph,
         Mis::with_greedy_coloring(&graph),
         seed,
         SimOptions::default(),
         records,
-        |sim| {
-            while next_event < scenario.events().len()
-                && scenario.events()[next_event].at_step <= sim.steps()
-            {
-                injector.inject(sim, scenario.events()[next_event].model, &mut rng);
-                next_event += 1;
-            }
-        },
+        &plan(),
+        &mut replay_rng,
     )
     .unwrap_or_else(|divergence| panic!("{divergence}"));
 
     assert_eq!(
-        next_event,
-        scenario.events().len(),
-        "every recorded injection must fire during replay"
+        replay_rng.next_u64(),
+        rng.next_u64(),
+        "the replay must draw exactly the recording's fault stream"
     );
     assert_eq!(outcome.steps, steps, "replay: step count");
     assert_eq!(outcome.stats, recorded_stats, "replay: RunStats equality");

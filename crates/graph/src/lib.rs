@@ -40,7 +40,6 @@
 pub mod builder;
 pub mod coloring;
 mod csr;
-pub mod dot;
 pub mod error;
 pub mod generators;
 pub mod graph;

@@ -132,8 +132,6 @@ pub use faults::{
 pub use protocol::Protocol;
 pub use scheduler::Scheduler;
 pub use stats::RunStats;
-pub use telemetry::{
-    FileSink, MemorySink, ReplayScheduler, TraceFileReader, TraceFooter, TraceHeader, TraceSink,
-};
+pub use telemetry::{FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceSink};
 pub use trace::StepRecord;
 pub use view::NeighborView;

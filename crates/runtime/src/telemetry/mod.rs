@@ -14,11 +14,11 @@
 //!   [`TraceFileReader`], and shared `Arc<Mutex<_>>` sinks for reading
 //!   records while a simulation owns the sink.
 //! * [`replay()`] — drives a fresh [`Simulation`](crate::Simulation) by a
-//!   recorded step stream and compares every activation's executed flag,
-//!   comm flag and read ports with the recording; divergence is a
-//!   reportable artifact, byte-identical
-//!   [`RunStats`](crate::stats::RunStats) and configuration are the
-//!   acceptance check.
+//!   recorded step stream, re-fires the recorded run's fault plan, and
+//!   compares every activation's executed flag, comm flag and read ports
+//!   with the recording; divergence is a reportable artifact,
+//!   byte-identical [`RunStats`](crate::stats::RunStats) and
+//!   configuration are the acceptance check.
 //! * [`metrics`] — process-global lock-free counters and log-bucketed
 //!   duration histograms for the four executor phases and fault
 //!   injections.
@@ -39,9 +39,7 @@ pub mod wire;
 
 pub use digest::Fnv64;
 pub use metrics::{MetricsRegistry, StepPhase};
-pub use replay::{
-    replay, replay_with, DivergenceKind, ReplayDivergence, ReplayOutcome, ReplayScheduler,
-};
+pub use replay::{replay, DivergenceKind, ReplayDivergence, ReplayOutcome};
 pub use sink::{
     FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceReadError, TraceSink,
 };

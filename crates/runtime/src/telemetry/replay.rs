@@ -6,14 +6,16 @@
 //! A simulation's observable execution is a pure function of `(graph,
 //! protocol, construction seed, options, scheduler decisions, external
 //! state writes)`. A trace records the scheduler decisions (the selected
-//! set of every step); [`replay_with`] re-runs the simulation with a
-//! [`ReplayScheduler`] that emits exactly those selections, and the
-//! caller-supplied hook reproduces external writes (fault injections)
-//! keyed on the step counter. Everything else — activation RNG streams
-//! (derived from `(seed, step, process)`), guard evaluation, the merge
-//! order — is deterministic, so the replayed run must match the
-//! recording in every observable: each activation's executed flag, comm
-//! flag and read ports, [`RunStats`], final configuration. The replay
+//! set of every step); [`replay()`] re-runs the simulation with a
+//! scheduler that emits exactly those selections, and
+//! reproduces the external writes by re-firing the recorded run's
+//! [`FaultPlan`] from the same fault RNG, under the firing rule of
+//! [`run_fault_plan`](crate::faults::run_fault_plan). Everything else —
+//! activation RNG streams (derived from `(seed, step, process)`), guard
+//! evaluation, the merge order — is deterministic, so the replayed run
+//! must match the recording in every observable: each activation's
+//! executed flag, comm flag and read ports, [`RunStats`], final
+//! configuration. The replay
 //! records its own steps into a shared [`MemorySink`] and compares every
 //! decoded record with the recorded one. Any mismatch is reported as a
 //! [`ReplayDivergence`] naming the first step, process and field that
@@ -22,9 +24,11 @@
 
 use std::sync::{Arc, Mutex};
 
+use rand::RngCore;
 use selfstab_graph::{Graph, NodeId};
 
 use crate::executor::{SimOptions, Simulation};
+use crate::faults::{fire_due_events, FaultInjector, FaultPlan};
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::RunStats;
@@ -34,22 +38,17 @@ use crate::trace::{ActivationRecord, StepRecord};
 
 /// Scheduler that replays recorded selections staged one step at a time.
 ///
-/// The replay driver stages each record's selection before stepping; a
-/// step without a staged selection panics (it would mean the driver and
-/// the executor disagree about how many steps remain).
+/// [`replay()`] stages each record's selection before stepping; a step
+/// without a staged selection panics (it would mean the driver and the
+/// executor disagree about how many steps remain).
 #[derive(Debug, Default)]
-pub struct ReplayScheduler {
+struct ReplayScheduler {
     staged: Vec<NodeId>,
 }
 
 impl ReplayScheduler {
-    /// Creates a scheduler with no staged selection.
-    pub fn new() -> Self {
-        ReplayScheduler::default()
-    }
-
     /// Stages the selection for the next step.
-    pub fn stage(&mut self, selection: &[NodeId]) {
+    fn stage(&mut self, selection: &[NodeId]) {
         self.staged.clear();
         self.staged.extend_from_slice(selection);
     }
@@ -68,8 +67,7 @@ impl Scheduler for ReplayScheduler {
     ) {
         assert!(
             !self.staged.is_empty(),
-            "ReplayScheduler stepped without a staged selection \
-             (drive it through telemetry::replay, not run_until_silent)"
+            "ReplayScheduler stepped without a staged selection"
         );
         out.append(&mut self.staged);
     }
@@ -140,42 +138,45 @@ pub struct ReplayOutcome<State> {
     pub steps: u64,
 }
 
-/// Replays `records` through a fresh simulation, with a `hook` invoked
-/// before every step (and once more after the last) to reproduce
-/// external state writes — fault injections keyed on
-/// [`Simulation::steps`].
+/// Replays `records` through a fresh simulation, re-firing `plan` from
+/// `fault_rng` to reproduce the recorded run's fault injections.
 ///
 /// `graph`, `protocol`, `seed` and `options` must match the recorded
 /// run's construction, and the trace must have been recorded from the
-/// run's first step (the first record must carry step index 0). The
-/// replay attaches a shared [`MemorySink`] and compares every replayed
+/// run's first step (the first record must carry step index 0). `plan`
+/// and `fault_rng` must be the plan the recording ran from that step (an
+/// empty plan for a run without faults) and an RNG in the state the
+/// recording's fault RNG started in. Before every step, and once after the
+/// last, every event whose offset is at most the steps replayed so far
+/// fires on a fresh [`FaultInjector`]: the rule
+/// [`run_fault_plan`](crate::faults::run_fault_plan) applies.
+///
+/// The replay attaches a shared [`MemorySink`] and compares every replayed
 /// record with its recording, activation by activation: the executed
 /// flag, the comm-changed flag and the read ports, in that order. The
 /// first mismatch aborts the replay with a [`ReplayDivergence`]. The
 /// final-state checks ([`RunStats`] equality or digest, configuration
 /// equality or digest) are the caller's: this driver returns both in the
 /// [`ReplayOutcome`].
-///
-/// # Panics
-///
-/// Panics if `hook` attaches another trace sink or detaches the replay's
-/// own: the replay reads each step's record from the sink it attached.
-pub fn replay_with<'g, P, I, F>(
-    graph: &'g Graph,
+pub fn replay<P, I, R>(
+    graph: &Graph,
     protocol: P,
     seed: u64,
     options: SimOptions,
     records: I,
-    mut hook: F,
+    plan: &FaultPlan,
+    fault_rng: &mut R,
 ) -> Result<ReplayOutcome<P::State>, Box<ReplayDivergence>>
 where
     P: Protocol,
     I: IntoIterator<Item = StepRecord>,
-    F: FnMut(&mut Simulation<'g, P, ReplayScheduler>),
+    R: RngCore,
 {
-    let mut sim = Simulation::new(graph, protocol, ReplayScheduler::new(), seed, options);
+    let mut sim = Simulation::new(graph, protocol, ReplayScheduler::default(), seed, options);
     let sink = Arc::new(Mutex::new(MemorySink::new()));
     sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+    let mut injector = FaultInjector::new(graph);
+    let mut next_event = 0;
     // Read position in, and last step of, the replay's own step stream.
     let (mut pos, mut prev) = (0, None);
     let n = graph.node_count();
@@ -199,21 +200,12 @@ where
             }));
         }
 
-        hook(&mut sim);
-
+        fire_due_events(&mut sim, plan, &mut next_event, 0, &mut injector, fault_rng);
         sim.scheduler_mut().stage(&record.selected());
         sim.step();
 
-        let replayed = {
-            let memory = lock_shared(&sink);
-            assert!(
-                pos < memory.bytes().len(),
-                "the replay's trace sink missed step {}: the hook must not replace it",
-                record.step
-            );
-            wire::decode_step(memory.bytes(), &mut pos, prev)
-                .expect("the replay's own step stream decodes")
-        };
+        let replayed = wire::decode_step(lock_shared(&sink).bytes(), &mut pos, prev)
+            .expect("the replay's own step stream decodes");
         prev = Some(replayed.step);
         if let Some((kind, detail)) = first_activation_mismatch(&record, &replayed) {
             return Err(Box::new(ReplayDivergence {
@@ -223,10 +215,9 @@ where
             }));
         }
     }
-    // One trailing hook call: a recording may end with an external write
-    // (e.g. a fault injected right before the run went silent or hit its
-    // step budget) that is part of the final configuration.
-    hook(&mut sim);
+    // A recording may end with an injection (one due after the last step
+    // it recorded) that is part of its final configuration.
+    fire_due_events(&mut sim, plan, &mut next_event, 0, &mut injector, fault_rng);
 
     let steps = sim.steps();
     let (config, stats, _) = sim.into_parts();
@@ -235,21 +226,6 @@ where
         config,
         steps,
     })
-}
-
-/// [`replay_with`] for recordings without external state writes.
-pub fn replay<P, I>(
-    graph: &Graph,
-    protocol: P,
-    seed: u64,
-    options: SimOptions,
-    records: I,
-) -> Result<ReplayOutcome<P::State>, Box<ReplayDivergence>>
-where
-    P: Protocol,
-    I: IntoIterator<Item = StepRecord>,
-{
-    replay_with(graph, protocol, seed, options, records, |_| {})
 }
 
 /// Compares a recorded step with its replay, activation by activation,

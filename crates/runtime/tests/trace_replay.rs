@@ -5,9 +5,10 @@
 //! keying exactly) under one of the seven daemons, with mid-run fault
 //! injections driven by the fault-scenario engine, while a [`FileSink`]
 //! captures the step stream. The trace file is then read back and
-//! replayed through [`telemetry::replay_with`]; the replayed
-//! [`RunStats`] and final configuration must equal the recording's both
-//! by `PartialEq` and by the FNV digests sealed in the trace footer.
+//! replayed through [`telemetry::replay`] with the same plan and fault
+//! RNG; the replayed [`RunStats`] and final configuration must equal the
+//! recording's both by `PartialEq` and by the FNV digests sealed in the
+//! trace footer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -20,7 +21,7 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, Fair, LocallyCentral, Scheduler,
     StarvingAdversary, Synchronous,
 };
-use selfstab_runtime::telemetry::{replay_with, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
+use selfstab_runtime::telemetry::{self, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
 use selfstab_runtime::view::NeighborView;
 use selfstab_runtime::{FileSink, RunStats, SimOptions, Simulation};
 
@@ -180,31 +181,22 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
     let footer = *reader.footer().expect("footer after the stream");
     assert_eq!(footer.steps, steps, "{daemon}");
 
-    let scenario = plan();
-    let mut injector = FaultInjector::new(graph);
-    let mut rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
-    let mut next_event = 0;
-    let outcome = replay_with(
+    let mut replay_rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
+    let outcome = telemetry::replay(
         graph,
         RandomRecolor { palette },
         seed,
         SimOptions::default(),
         records,
-        |sim| {
-            while next_event < scenario.events().len()
-                && scenario.events()[next_event].at_step <= sim.steps()
-            {
-                injector.inject(sim, scenario.events()[next_event].model, &mut rng);
-                next_event += 1;
-            }
-        },
+        &plan(),
+        &mut replay_rng,
     )
     .unwrap_or_else(|divergence| panic!("{daemon}: {divergence}"));
 
     assert_eq!(
-        next_event,
-        scenario.events().len(),
-        "{daemon}: every recorded injection must fire during replay"
+        replay_rng.next_u64(),
+        rng.next_u64(),
+        "{daemon}: the replay must draw exactly the recording's fault stream"
     );
     assert_eq!(outcome.steps, steps, "{daemon}: step count");
     assert_eq!(outcome.stats, recorded_stats, "{daemon}: RunStats equality");
@@ -300,24 +292,15 @@ fn corrupt_traces_are_rejected() {
     // cannot match the recording's RNG stream).
     let mut reader = TraceFileReader::open(&path).expect("opens");
     let records = reader.read_to_end().expect("decodes");
-    let scenario = plan();
-    let mut injector = FaultInjector::new(&ring);
     let mut wrong_rng = StdRng::seed_from_u64((seed + 1) ^ FAULT_RNG_SALT);
-    let mut next_event = 0;
-    let result = replay_with(
+    let result = telemetry::replay(
         &ring,
         RandomRecolor { palette: 4 },
         seed + 1,
         SimOptions::default(),
         records,
-        |sim| {
-            while next_event < scenario.events().len()
-                && scenario.events()[next_event].at_step <= sim.steps()
-            {
-                injector.inject(sim, scenario.events()[next_event].model, &mut wrong_rng);
-                next_event += 1;
-            }
-        },
+        &plan(),
+        &mut wrong_rng,
     );
     assert!(
         result.is_err(),

@@ -45,6 +45,7 @@ fn main() {
         verify::is_maximal_independent_set(&graph, &members),
         report.total_rounds
     );
+    assert!(report.silent && verify::is_maximal_independent_set(&graph, &members));
 
     // Stabilized-phase behavior: how many radios settle on monitoring a
     // single neighbor (Theorem 6)?

@@ -57,6 +57,11 @@ fn theorem1_demo() {
         sim.stats().total_comm_changes(),
         sim.is_legitimate()
     );
+    assert!(ce.violates_predicate() && ce.is_silent());
+    assert!(
+        !sim.is_legitimate(),
+        "the frozen-read protocol never escapes"
+    );
 
     // Contrast: the real COLORING protocol recovers from the very same
     // configuration because it keeps cycling over all neighbors.
@@ -81,6 +86,7 @@ fn theorem1_demo() {
         "the paper's COLORING protocol from the same configuration: silent = {}, proper = {} (in {} steps)",
         report.silent, report.legitimate, report.steps
     );
+    assert!(report.silent && report.legitimate);
 }
 
 fn theorem2_demo() {
@@ -116,6 +122,11 @@ fn theorem2_demo() {
         sim.stats().total_comm_changes(),
         sim.is_legitimate()
     );
+    assert!(ce.violates_predicate() && ce.is_silent());
+    assert!(
+        !sim.is_legitimate(),
+        "the frozen-read protocol never escapes"
+    );
 
     // Contrast with the real MIS protocol on the same colors.
     let colors: Vec<Color> = ce
@@ -137,4 +148,5 @@ fn theorem2_demo() {
         "the paper's MIS protocol from the same configuration: silent = {}, maximal independent set = {} (in {} steps)",
         report.silent, report.legitimate, report.steps
     );
+    assert!(report.silent && report.legitimate);
 }

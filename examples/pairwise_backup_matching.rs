@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab::prelude::*;
 use selfstab_core::matching::Matching;
-use selfstab_runtime::faults;
+use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad, FaultModel, FaultPlan};
 
 fn main() {
     // The replication fabric: the Figure 11 topology of the paper plus a
@@ -48,6 +48,7 @@ fn report_on(label: &str, graph: &Graph, seed: u64) {
         verify::is_maximal_matching(graph, &pairs),
         bound
     );
+    assert!(report.silent && verify::is_maximal_matching(graph, &pairs));
     for (a, b) in pairs.iter().take(6) {
         println!("  {a} <-> {b}");
     }
@@ -55,16 +56,25 @@ fn report_on(label: &str, graph: &Graph, seed: u64) {
         println!("  … and {} more pairs", pairs.len() - 6);
     }
 
-    // Corrupt a third of the fleet and watch the pairing repair itself.
+    // Corrupt a third of the fleet and watch the pairing repair itself:
+    // the fault-scenario engine injects, then steps until silence.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
-    let victims = faults::inject_random_faults(&mut sim, graph.node_count() / 3, &mut rng);
-    let rounds_before = sim.rounds();
-    let report = sim.run_until_silent(5_000_000);
-    let pairs = sim.protocol().output(graph, sim.config());
-    println!(
-        "after corrupting {} servers: re-paired in {} rounds, still maximal: {}\n",
-        victims.len(),
-        sim.rounds() - rounds_before,
-        report.legitimate && verify::is_maximal_matching(graph, &pairs)
+    let outage = FaultPlan::single(FaultModel::Uniform(FaultLoad::Count(
+        graph.node_count() / 3,
+    )));
+    let recovery = run_fault_plan(
+        &mut sim,
+        &outage,
+        &mut FaultInjector::new(graph),
+        &mut rng,
+        5_000_000,
     );
+    let pairs = sim.protocol().output(graph, sim.config());
+    let rounds = recovery.recovery_rounds.expect("MATCHING re-stabilizes");
+    let maximal = sim.is_legitimate() && verify::is_maximal_matching(graph, &pairs);
+    println!(
+        "after corrupting {} servers: re-paired in {rounds} rounds, still maximal: {maximal}\n",
+        recovery.victims
+    );
+    assert!(maximal);
 }

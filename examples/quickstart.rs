@@ -31,6 +31,8 @@ fn main() {
         outcome.rounds,
         outcome.measured_efficiency,
     );
+    assert!(verify::is_proper_coloring(&graph, &outcome.output));
+    assert_eq!(outcome.measured_efficiency, 1);
 
     // 2. Maximal independent set with the deterministic 1-efficient MIS.
     let outcome = selfstab::run_mis(&graph, 2, 5_000_000).expect("stabilizes");
@@ -41,6 +43,8 @@ fn main() {
         outcome.steps,
         outcome.measured_efficiency,
     );
+    assert!(verify::is_maximal_independent_set(&graph, &outcome.output));
+    assert_eq!(outcome.measured_efficiency, 1);
 
     // 3. Maximal matching with the deterministic 1-efficient MATCHING.
     let outcome = selfstab::run_matching(&graph, 3, 5_000_000).expect("stabilizes");
@@ -51,6 +55,8 @@ fn main() {
         outcome.steps,
         outcome.measured_efficiency,
     );
+    assert!(verify::is_maximal_matching(&graph, &outcome.output));
+    assert_eq!(outcome.measured_efficiency, 1);
 
     // 4. What did 1-efficiency buy? Compare per-step communication with the
     //    classical Δ-efficient local-checking strategy (Definition 5).

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab::prelude::*;
 use selfstab_core::coloring::Coloring;
-use selfstab_runtime::faults;
+use selfstab_runtime::faults::{FaultInjector, FaultLoad, FaultModel};
 
 fn count_conflicts(graph: &Graph, colors: &[usize]) -> usize {
     graph
@@ -48,18 +48,22 @@ fn main() {
         report.total_rounds,
         count_conflicts(&graph, &colors)
     );
+    assert!(report.silent && count_conflicts(&graph, &colors) == 0);
     println!(
         "per wake-up, every sensor reads exactly {} neighbor register(s)",
         sim.stats().measured_efficiency()
     );
+    assert_eq!(sim.stats().measured_efficiency(), 1);
 
     // A lightning strike scrambles the memory of a quarter of the sensors.
     let mut rng = StdRng::seed_from_u64(99);
-    let victims = faults::inject_random_faults(&mut sim, graph.node_count() / 4, &mut rng);
+    let strike = FaultModel::Uniform(FaultLoad::Count(graph.node_count() / 4));
+    let victims = FaultInjector::new(&graph)
+        .inject(&mut sim, strike, &mut rng)
+        .len();
     let colors = Coloring::output(sim.config());
     println!(
-        "\ntransient fault hits {} sensors -> {} slot conflicts appear",
-        victims.len(),
+        "\ntransient fault hits {victims} sensors -> {} slot conflicts appear",
         count_conflicts(&graph, &colors)
     );
 
@@ -72,6 +76,7 @@ fn main() {
         count_conflicts(&graph, &colors),
         report.legitimate
     );
+    assert!(report.silent && report.legitimate && count_conflicts(&graph, &colors) == 0);
 
     // Print the final slot map row by row.
     println!("\nfinal slot assignment (rows of the grid):");

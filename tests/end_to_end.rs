@@ -7,7 +7,7 @@ use selfstab::prelude::*;
 use selfstab_analysis::experiments::{self, ExperimentConfig};
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::Mis;
-use selfstab_runtime::faults;
+use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad, FaultModel, FaultPlan};
 
 #[test]
 fn facade_helpers_cover_the_three_problems() {
@@ -45,12 +45,17 @@ fn protocols_recover_from_repeated_fault_bursts() {
     );
     assert!(sim.run_until_silent(2_000_000).silent);
     let mut rng = StdRng::seed_from_u64(17);
+    let mut injector = FaultInjector::new(&graph);
+    let burst_plan = FaultPlan::single(FaultModel::Uniform(FaultLoad::Count(6)));
     for burst in 0..5 {
-        faults::inject_random_faults(&mut sim, 6, &mut rng);
-        let report = sim.run_until_silent(2_000_000);
-        assert!(report.silent, "burst {burst}: no recovery");
+        let telemetry = run_fault_plan(&mut sim, &burst_plan, &mut injector, &mut rng, 2_000_000);
+        assert_eq!(telemetry.victims, 6, "burst {burst}");
         assert!(
-            report.legitimate,
+            telemetry.recovery_rounds.is_some(),
+            "burst {burst}: no recovery"
+        );
+        assert!(
+            sim.is_legitimate(),
             "burst {burst}: recovered to an illegitimate configuration"
         );
     }
@@ -70,7 +75,11 @@ fn matching_recovers_from_adversarially_corrupted_pointers() {
     assert!(sim.run_until_silent(2_000_000).silent);
     // Corrupt every process at once (the worst transient fault).
     let mut rng = StdRng::seed_from_u64(23);
-    faults::inject_random_faults(&mut sim, graph.node_count(), &mut rng);
+    let everyone = FaultModel::Uniform(FaultLoad::Fraction(1.0));
+    let victims = FaultInjector::new(&graph)
+        .inject(&mut sim, everyone, &mut rng)
+        .len();
+    assert_eq!(victims, graph.node_count());
     let report = sim.run_until_silent(2_000_000);
     assert!(report.silent);
     assert!(report.legitimate);
