@@ -77,19 +77,18 @@ impl Protocol for BaselineColoring {
     #[inline]
     fn activate(
         &self,
-        graph: &Graph,
-        p: NodeId,
+        _graph: &Graph,
+        _p: NodeId,
         state: &usize,
         view: &NeighborView<'_, usize>,
         rng: &mut dyn RngCore,
     ) -> Option<usize> {
-        let neighbor_colors: Vec<usize> = (0..graph.degree(p))
-            .map(|i| *view.read(Port::new(i)))
-            .collect();
-        if !neighbor_colors.contains(state) {
+        let neighbors = view.read_all();
+        let taken = |color: &usize| neighbors.iter().any(|c| c == color);
+        if !taken(state) {
             return None;
         }
-        let mut free = (0..self.palette).filter(|c| !neighbor_colors.contains(c));
+        let mut free = (0..self.palette).filter(|c| !taken(c));
         let free_count = free.clone().count();
         // With palette ∆+1 and at most ∆ neighbors a free color always
         // exists; keep the current color as a last resort (and draw

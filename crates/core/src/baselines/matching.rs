@@ -100,11 +100,11 @@ impl BaselineMatching {
             return None;
         }
         let my_color = self.color(p);
-        let neighbors: Vec<MatchingComm> = (0..degree).map(|i| *view.read(Port::new(i))).collect();
+        let neighbors = view.read_all();
         let pr = state.pr.map(|port| port.clamp_to_degree(degree));
         let points_back = |port: Port| {
             let q = graph.neighbor(p, port);
-            neighbors[port.index()].pr == graph.port_to(q, p)
+            neighbors[port].pr == graph.port_to(q, p)
         };
         let married_now = pr.map(points_back).unwrap_or(false);
 
@@ -117,7 +117,7 @@ impl BaselineMatching {
         }
         match pr {
             Some(port) if !points_back(port) => {
-                let n = &neighbors[port.index()];
+                let n = &neighbors[port];
                 // Rule 2: abandon a hopeless proposal.
                 if n.married || n.color < my_color {
                     return Some(BaselineMatchingState {
@@ -150,7 +150,7 @@ impl BaselineMatching {
                 let suitor = (0..degree)
                     .map(Port::new)
                     .filter(|&port| points_back(port))
-                    .min_by_key(|&port| neighbors[port.index()].color);
+                    .min_by_key(|&port| neighbors[port].color);
                 if let Some(port) = suitor {
                     return Some(BaselineMatchingState {
                         married: state.married,
@@ -162,10 +162,10 @@ impl BaselineMatching {
                 let target = (0..degree)
                     .map(Port::new)
                     .filter(|&port| {
-                        let n = &neighbors[port.index()];
+                        let n = &neighbors[port];
                         n.pr.is_none() && !n.married && my_color < n.color
                     })
-                    .min_by_key(|&port| neighbors[port.index()].color);
+                    .min_by_key(|&port| neighbors[port].color);
                 if let Some(port) = target {
                     return Some(BaselineMatchingState {
                         married: state.married,

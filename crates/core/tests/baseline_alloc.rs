@@ -1,23 +1,25 @@
-//! The Δ-efficient baseline MIS evaluates its guards and activations
+//! The Δ-efficient baselines evaluate their guards and activations
 //! without touching the allocator.
 //!
-//! `BaselineMis` reads every neighbour on every guard evaluation and every
-//! activation, so it is the protocol whose per-activation cost scales with
-//! Δ. Both of its rules are evaluated in one pass over the ports, with no
-//! buffer of the neighbours' registers. A counting global allocator checks
+//! The baselines read every neighbour on every guard evaluation and every
+//! activation, so they are the protocols whose per-activation cost scales
+//! with Δ. `BaselineMis` evaluates both of its rules in one pass over the
+//! ports; `BaselineMatching` and `BaselineColoring` take the whole
+//! neighbourhood through `NeighborView::read_all`, which lends it out
+//! instead of copying it into a buffer. A counting global allocator checks
 //! that, once the executor's scratch is warm, neither silent stepping
 //! (every selected process re-checks all its neighbours and stays put) nor
-//! a repair after a corrupted membership (guard re-evaluations and moves)
-//! allocates.
+//! repairs (guard re-evaluations and moves, colour redraws included)
+//! allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use selfstab_core::baselines::BaselineMis;
+use selfstab_core::baselines::{BaselineColoring, BaselineMatching, BaselineMis};
 use selfstab_core::mis::Membership;
-use selfstab_graph::{generators, NodeId};
+use selfstab_graph::{generators, Graph, NodeId};
 use selfstab_runtime::scheduler::Synchronous;
-use selfstab_runtime::{SimOptions, Simulation};
+use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 /// Global allocation-event counter (alloc + realloc; frees are irrelevant
 /// to the "no allocation" claim).
@@ -62,13 +64,43 @@ fn allocation_count() -> u64 {
 }
 
 #[test]
-fn baseline_mis_steps_without_allocating() {
+fn baseline_protocols_step_without_allocating() {
     // One test function only: the counter is process-global, and a second
     // concurrently-running test would pollute it.
     let graph = generators::grid(8, 8);
+    baseline_mis_steps_without_allocating(&graph);
+    baseline_matching_checks_without_allocating(&graph);
+    baseline_coloring_redraws_without_allocating(&graph);
+
+    // The counter works: an explicit allocation registers.
+    let before = allocation_count();
+    let v: Vec<u64> = Vec::with_capacity(32);
+    assert!(v.capacity() >= 32);
+    assert!(allocation_count() > before);
+}
+
+/// Runs `steps` synchronous steps of a silent `sim` and asserts that they
+/// read neighbours and did not allocate.
+fn assert_silent_stepping_is_allocation_free<P: Protocol>(
+    sim: &mut Simulation<'_, P, Synchronous>,
+    steps: u64,
+) {
+    let name = sim.protocol().name();
+    let reads_before = sim.stats().total_read_operations();
+    let before = allocation_count();
+    sim.run_steps(steps);
+    let allocations = allocation_count() - before;
+    assert!(sim.stats().total_read_operations() > reads_before);
+    assert_eq!(
+        allocations, 0,
+        "{name}: silent stepping allocated {allocations} times"
+    );
+}
+
+fn baseline_mis_steps_without_allocating(graph: &Graph) {
     let mut sim = Simulation::new(
-        &graph,
-        BaselineMis::with_greedy_coloring(&graph),
+        graph,
+        BaselineMis::with_greedy_coloring(graph),
         Synchronous,
         5,
         SimOptions::default(),
@@ -83,15 +115,7 @@ fn baseline_mis_steps_without_allocating() {
 
     // Silent stepping: the synchronous daemon activates every process,
     // and each one reads all its neighbours.
-    let reads_before = sim.stats().total_read_operations();
-    let before = allocation_count();
-    sim.run_steps(200);
-    let allocations = allocation_count() - before;
-    assert!(sim.stats().total_read_operations() > reads_before);
-    assert_eq!(
-        allocations, 0,
-        "silent stepping allocated {allocations} times"
-    );
+    assert_silent_stepping_is_allocation_free(&mut sim, 200);
 
     // Repair: corrupted memberships re-evaluate guards and move.
     let before = allocation_count();
@@ -105,10 +129,42 @@ fn baseline_mis_steps_without_allocating() {
         allocations, 0,
         "repair stepping allocated {allocations} times"
     );
+}
 
-    // The counter works: an explicit allocation registers.
+fn baseline_matching_checks_without_allocating(graph: &Graph) {
+    let mut sim = Simulation::new(
+        graph,
+        BaselineMatching::with_greedy_coloring(graph),
+        Synchronous,
+        5,
+        SimOptions::default(),
+    );
+    assert!(sim.run_until_silent(100_000).silent);
+    assert_silent_stepping_is_allocation_free(&mut sim, 200);
+}
+
+fn baseline_coloring_redraws_without_allocating(graph: &Graph) {
+    let n = graph.node_count();
+    let mut sim = Simulation::with_config(
+        graph,
+        BaselineColoring::new(graph),
+        Synchronous,
+        vec![0; n],
+        5,
+        SimOptions::default(),
+    );
+    // Warm the executor's scratch, then put every process back in
+    // conflict: the all-zero configuration again.
+    assert!(sim.run_until_silent(100_000).silent);
+    for p in graph.nodes() {
+        sim.set_state(p, 0);
+    }
     let before = allocation_count();
-    let v: Vec<u64> = Vec::with_capacity(32);
-    assert!(v.capacity() >= 32);
-    assert!(allocation_count() > before);
+    let outcome = sim.step();
+    let allocations = allocation_count() - before;
+    assert_eq!(outcome.executed, n, "every process redraws its colour");
+    assert_eq!(
+        allocations, 0,
+        "a redraw step allocated {allocations} times"
+    );
 }

@@ -33,6 +33,19 @@
 //! (protocol, daemon) pairs on random topologies, and a final case records
 //! an MIS fault-recovery run into a trace file and replays it, comparing
 //! every step record activation by activation.
+//!
+//! Those drives ask for the enabled set after every operation, so none of
+//! their steps starts with a dirty guard. For a daemon that does not read
+//! the set, a step settles a selected process's dirty guard from its
+//! activation and the other dirty guards after the activations; the
+//! **order lane** covers that path. It runs the shipped protocols under
+//! the seven daemons and the four fault models twice from one seed: one
+//! simulation asks for the enabled set before every step, which settles
+//! every guard before selection, and the other only every
+//! [`ORDER_CHECK_EVERY`] steps, where it checks the set against the
+//! reference. After every step the two must agree on the guard count, the
+//! `RunStats` digest, the configuration, the selection and the step
+//! records, byte for byte.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,7 +64,8 @@ use selfstab_runtime::scheduler::{
     StarvingAdversary, Synchronous,
 };
 use selfstab_runtime::telemetry::{self, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
-use selfstab_runtime::{FileSink, Protocol, RunStats, SimOptions, Simulation};
+use selfstab_runtime::{FileSink, MemorySink, Protocol, RunStats, SimOptions, Simulation};
+use std::sync::{Arc, Mutex};
 
 /// The seven daemons, by name.
 const DAEMONS: [&str; 7] = [
@@ -105,9 +119,10 @@ const PROTOCOLS: [&str; 6] = [
 const BFS_TREE: usize = 5;
 
 /// A run over one protocol. The method is generic, so one protocol table
-/// ([`with_protocol`]) serves the fixed drives and the property test.
+/// ([`with_protocol`]) serves the fixed drives, the property test and the
+/// order lane.
 trait OnProtocol {
-    fn run<P: Protocol>(&mut self, graph: &Graph, protocol: P);
+    fn run<P: Protocol + Clone>(&mut self, graph: &Graph, protocol: P);
 }
 
 /// Runs `on` over shipped protocol `index` (see [`PROTOCOLS`]) on
@@ -227,7 +242,7 @@ impl OnProtocol for Drive<'_> {
     /// Drives the protocol through `ops`, checking the reference after
     /// every operation, then runs it to silence, checking after every
     /// step.
-    fn run<P: Protocol>(&mut self, graph: &Graph, protocol: P) {
+    fn run<P: Protocol + Clone>(&mut self, graph: &Graph, protocol: P) {
         let lane = format!("{}/{}/{graph}", protocol.name(), self.daemon);
         let mut sim = Simulation::new(
             graph,
@@ -382,6 +397,191 @@ proptest! {
         let root = NodeId::new(root_pick % graph.node_count());
         with_protocol(protocol, &graph, root, &mut drive);
     }
+}
+
+/// Steps between the order lane's checks against the reference. Only
+/// those checks and the stuck-at model's candidate search refresh the lazy
+/// simulation's enabled set, so the steps in between start with dirty
+/// guards.
+const ORDER_CHECK_EVERY: u64 = 4;
+
+/// A simulation of the order lane, with the shared sink its step records
+/// go to and its own fault injector and fault RNG.
+struct OrderSide<'g, P: Protocol> {
+    sim: Simulation<'g, P, Box<dyn Scheduler + Send>>,
+    records: Arc<Mutex<MemorySink>>,
+    injector: FaultInjector,
+    fault_rng: StdRng,
+}
+
+impl<'g, P: Protocol> OrderSide<'g, P> {
+    fn new(graph: &'g Graph, protocol: P, daemon_name: &str, seed: u64) -> Self {
+        let mut sim = Simulation::new(
+            graph,
+            protocol,
+            daemon(daemon_name),
+            seed,
+            SimOptions::default(),
+        );
+        let records = Arc::new(Mutex::new(MemorySink::new()));
+        sim.attach_trace_sink(Box::new(Arc::clone(&records)));
+        OrderSide {
+            sim,
+            records,
+            injector: FaultInjector::new(graph),
+            fault_rng: StdRng::seed_from_u64(seed ^ 0xFA17),
+        }
+    }
+}
+
+/// One case of the order lane: a protocol under one daemon, injecting
+/// fault model `model` (index into [`models`]).
+struct OrderLane {
+    daemon: &'static str,
+    model: usize,
+    seed: u64,
+}
+
+/// Steps both simulations of the order lane once, `eager` after asking for
+/// its enabled set, and asserts that they did the same work. `checked` is
+/// how many bytes of step records earlier steps already compared.
+fn step_both<P: Protocol>(
+    eager: &mut OrderSide<'_, P>,
+    lazy: &mut OrderSide<'_, P>,
+    checked: &mut usize,
+    reference: &mut Vec<bool>,
+    lane: &str,
+) {
+    let _ = eager.sim.enabled_set();
+    eager.sim.step();
+    lazy.sim.step();
+    let step = lazy.sim.steps();
+    let (e, l) = (&eager.sim, &lazy.sim);
+    assert_eq!(
+        e.guard_evaluations(),
+        l.guard_evaluations(),
+        "{lane}: guard evaluations after step {step}"
+    );
+    assert_eq!(
+        e.stats().digest(),
+        l.stats().digest(),
+        "{lane}: RunStats after step {step}"
+    );
+    assert_eq!(
+        e.config(),
+        l.config(),
+        "{lane}: configuration after step {step}"
+    );
+    assert_eq!(
+        e.last_selected(),
+        l.last_selected(),
+        "{lane}: selection of step {step}"
+    );
+    let eager_records = eager.records.lock().expect("sink lock");
+    let lazy_records = lazy.records.lock().expect("sink lock");
+    assert!(
+        eager_records.bytes()[*checked..] == lazy_records.bytes()[*checked..],
+        "{lane}: step records of step {step} differ"
+    );
+    *checked = lazy_records.bytes().len();
+    drop((eager_records, lazy_records));
+    if step.is_multiple_of(ORDER_CHECK_EVERY) {
+        assert_matches_reference(
+            &mut lazy.sim,
+            reference,
+            lane,
+            format_args!("after step {step} of the lazy run"),
+        );
+        assert_eq!(
+            eager.sim.enabled_set(),
+            lazy.sim.enabled_set(),
+            "{lane}: enabled sets after step {step}"
+        );
+    }
+}
+
+impl OnProtocol for OrderLane {
+    /// Drives both simulations through the fixed drive's 12 cycles of
+    /// steps and injections, then to silence.
+    fn run<P: Protocol + Clone>(&mut self, graph: &Graph, protocol: P) {
+        let lane = format!(
+            "order/{}/{}/{}/{graph}",
+            protocol.name(),
+            self.daemon,
+            models()[self.model]
+        );
+        let mut eager = OrderSide::new(graph, protocol.clone(), self.daemon, self.seed);
+        let mut lazy = OrderSide::new(graph, protocol, self.daemon, self.seed);
+        let (mut checked, mut reference) = (0, Vec::new());
+        for op in cycle_ops(self.model) {
+            match op {
+                Op::Step => step_both(&mut eager, &mut lazy, &mut checked, &mut reference, &lane),
+                Op::Inject(m) => {
+                    for side in [&mut eager, &mut lazy] {
+                        side.injector
+                            .inject(&mut side.sim, models()[m], &mut side.fault_rng);
+                    }
+                }
+            }
+        }
+        let budget = lazy.sim.steps() + SETTLE_STEPS;
+        while !lazy.sim.is_silent() && lazy.sim.steps() < budget {
+            step_both(&mut eager, &mut lazy, &mut checked, &mut reference, &lane);
+        }
+        assert!(lazy.sim.is_silent(), "{lane}: must re-stabilize");
+        assert_matches_reference(
+            &mut lazy.sim,
+            &mut reference,
+            &lane,
+            format_args!("once silent"),
+        );
+    }
+}
+
+/// The order lane for every daemon × fault model on shipped protocol
+/// `index`, on its fixed topology.
+fn assert_order_lane(index: usize) {
+    let graph = fixed_topology(index);
+    for daemon in DAEMONS {
+        for model in 0..models().len() {
+            let mut lane = OrderLane {
+                daemon,
+                model,
+                seed: 0x0DE2 + index as u64,
+            };
+            with_protocol(index, &graph, NodeId::new(0), &mut lane);
+        }
+    }
+}
+
+#[test]
+fn coloring_steps_alike_whether_guards_settle_before_or_after_selection() {
+    assert_order_lane(0);
+}
+
+#[test]
+fn mis_steps_alike_whether_guards_settle_before_or_after_selection() {
+    assert_order_lane(1);
+}
+
+#[test]
+fn matching_steps_alike_whether_guards_settle_before_or_after_selection() {
+    assert_order_lane(2);
+}
+
+#[test]
+fn leader_election_steps_alike_whether_guards_settle_before_or_after_selection() {
+    assert_order_lane(3);
+}
+
+#[test]
+fn checker_transformer_steps_alike_whether_guards_settle_before_or_after_selection() {
+    assert_order_lane(4);
+}
+
+#[test]
+fn bfs_tree_steps_alike_whether_guards_settle_before_or_after_selection() {
+    assert_order_lane(BFS_TREE);
 }
 
 fn mis_config_digest(config: &[MisState]) -> u64 {

@@ -9,20 +9,24 @@
 //! [`SchedulerContext`](crate::scheduler::SchedulerContext).
 //!
 //! **Invariant** (maintained by the executor, checked by sampled
-//! debug-asserts): after the executor refreshes the set at the start of a
-//! step, `set.is_enabled(p)` equals `protocol.is_enabled(graph, p, state_p,
+//! debug-asserts): once the executor has settled every dirty guard,
+//! `set.is_enabled(p)` equals `protocol.is_enabled(graph, p, state_p,
 //! view_p)` evaluated against the current configuration, for every `p`.
+//! That holds at selection for a daemon that reads the set, before every
+//! step's merge, and whenever
+//! [`Simulation::enabled_set`](crate::executor::Simulation::enabled_set)
+//! returns.
 //!
 //! # Layout
 //!
 //! The set stores **one flag byte per process**, shared with the two other
 //! per-process flags the executor keeps: whether the process's guard is
-//! *dirty* (must be re-evaluated before the next selection) and whether it
-//! was *selected this round*. One activation reads or writes all three for
-//! the same process, so packing them into one byte costs one memory access
-//! where three `Vec<bool>` arrays cost three. Only the enabled bit is
-//! public: [`EnabledSet::is_enabled`], [`EnabledSet::flags`] and equality
-//! see nothing else.
+//! *dirty* (must be re-evaluated before the set is next read) and whether
+//! it was *selected this round*. One activation writes all three for the
+//! same process in one store, so packing them into one byte costs one
+//! memory access where three `Vec<bool>` arrays cost three. Only the
+//! enabled bit is public: [`EnabledSet::is_enabled`], [`EnabledSet::flags`]
+//! and equality see nothing else.
 
 use std::fmt;
 
@@ -132,6 +136,12 @@ impl EnabledSet {
         was_clean
     }
 
+    /// Whether `p`'s guard is dirty (not settled since it was last marked).
+    #[inline]
+    pub(crate) fn is_dirty(&self, p: NodeId) -> bool {
+        self.flags[p.index()] & DIRTY != 0
+    }
+
     /// Stores the freshly evaluated guard of `p` and clears its dirty bit.
     #[inline]
     pub(crate) fn settle(&mut self, p: NodeId, enabled: bool) {
@@ -147,14 +157,38 @@ impl EnabledSet {
         }
     }
 
-    /// Marks `p` as selected this round; returns `true` on its first
+    /// Settles the guard of a selected process from its activation: one
+    /// store sets `p`'s selected-this-round bit, stores `enabled` (whether
+    /// the activation moved, which the [`Protocol`] contract makes its
+    /// guard) and clears its dirty bit. Returns `true` on `p`'s first
     /// selection of the round.
+    ///
+    /// Branch-free, because every selected process passes through it.
+    /// Debug builds check the contract where the set already knows the
+    /// answer: a clean guard must get the flag it already had.
+    ///
+    /// [`Protocol`]: crate::protocol::Protocol
     #[inline]
-    pub(crate) fn mark_selected(&mut self, p: NodeId) -> bool {
+    pub(crate) fn settle_selected(&mut self, p: NodeId, enabled: bool) -> bool {
         let flag = &mut self.flags[p.index()];
-        let first = *flag & SELECTED == 0;
-        *flag |= SELECTED;
-        first
+        let old = *flag;
+        debug_assert!(
+            old & DIRTY != 0 || (old & ENABLED != 0) == enabled,
+            "process {p}: activate returned {} but its settled guard says {}; \
+             the Protocol contract requires activate to return Some exactly \
+             when is_enabled is true",
+            if enabled { "Some" } else { "None" },
+            if old & ENABLED != 0 {
+                "enabled"
+            } else {
+                "disabled"
+            },
+        );
+        *flag = SELECTED | (u8::from(enabled) * ENABLED);
+        // An enabled old flag is counted in `count`, so this never
+        // underflows.
+        self.count = self.count + usize::from(enabled) - usize::from(old & ENABLED);
+        old & SELECTED == 0
     }
 
     /// Clears every selected-this-round bit (a round just completed).
@@ -236,21 +270,44 @@ mod tests {
             "equality sees only the enabled bit"
         );
         assert!(!set.mark_dirty(p), "already dirty");
-        assert!(set.mark_selected(p));
-        assert!(!set.mark_selected(p), "second selection of the round");
-        set.settle(p, true);
+        assert!(set.is_dirty(p));
+        assert!(set.settle_selected(p, false));
+        assert!(!set.is_dirty(p), "an activation settles the guard");
+        assert!(set.mark_dirty(p));
+        assert!(
+            !set.settle_selected(p, true),
+            "second selection of the round"
+        );
         assert!(set.mark_dirty(p), "settling clears the dirty bit");
+        set.settle(p, true);
+        assert!(!set.is_dirty(p));
         assert!(set.is_enabled(p));
         assert_eq!(set.count(), 1);
         assert_eq!(set, EnabledSet::from_flags(vec![false, true, false]));
         assert!(set.iter().eq([p]));
         // The round bit survives settling until the round boundary.
-        assert!(!set.mark_selected(p));
+        assert!(!set.settle_selected(p, true));
         set.start_round();
-        assert!(set.mark_selected(p));
+        assert!(set.settle_selected(p, true));
         assert!(set.is_enabled(p), "a round boundary keeps the enabled bit");
         set.settle(p, false);
         assert_eq!(set.count(), 0);
         assert_eq!(set, EnabledSet::new(3));
+    }
+
+    #[test]
+    fn settling_a_selected_process_keeps_the_count() {
+        let mut set = EnabledSet::all_dirty(4);
+        for (i, enabled) in [true, false, true, true].into_iter().enumerate() {
+            set.settle_selected(NodeId::new(i), enabled);
+        }
+        assert_eq!(set.count(), 3);
+        assert!(set.flags().eq([true, false, true, true]));
+        for (i, enabled) in [false, true, true, false].into_iter().enumerate() {
+            set.mark_dirty(NodeId::new(i));
+            set.settle_selected(NodeId::new(i), enabled);
+        }
+        assert_eq!(set.count(), 2);
+        assert_eq!(set, EnabledSet::from_flags(vec![false, true, true, false]));
     }
 }

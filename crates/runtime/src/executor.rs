@@ -30,21 +30,35 @@
 //!
 //! # One loop per step
 //!
-//! [`Simulation::step`] runs four phases on the calling thread, each timed
+//! [`Simulation::step`] runs its phases on the calling thread, each timed
 //! by the [metrics registry](crate::telemetry::metrics) when it is enabled:
 //!
-//! * **A. guard refresh** — drain the dirty queue, re-evaluating exactly
-//!   the guards that may have flipped;
-//! * **B. selection** — the scheduler picks a non-empty subset from the
-//!   enabled set, drawing from the simulation's RNG;
+//! * **A. guard refresh**, only for a daemon that reads the enabled set
+//!   ([`Scheduler::reads_enabled_set`]) — drain the dirty queue,
+//!   re-evaluating exactly the guards that may have flipped;
+//! * **B. selection** — the scheduler picks a non-empty subset, drawing
+//!   from the simulation's RNG;
 //! * **C. activation** — one loop over the selection in increasing id
 //!   order: each selected process reads the pre-step configuration
 //!   through a tracked view, which records each distinct port it reads in
 //!   one reused buffer; those ports go straight into [`RunStats`], and the
-//!   new state is staged;
+//!   new state is staged. By the [`Protocol`] contract the activation
+//!   returns a new state exactly when the process's guard holds, so one
+//!   write to the process's flag byte settles its guard and marks it
+//!   selected this round;
+//! * **A′. guard refresh** of the dirty guards no activation settled,
+//!   still against the pre-step configuration (nothing is left after A);
 //! * **D. merge** — the staged updates are applied simultaneously, keeping
 //!   the communication cache current and dirtying the guards they may
 //!   flip.
+//!
+//! Either way every queued guard is settled once per step, against the
+//! same configuration, so the enabled set is exact at selection for a
+//! daemon that reads it and before the merge for every daemon, and the
+//! guard count does not depend on the daemon. Under a daemon that reads no
+//! enabled flag, such as the synchronous daemon, which selects every
+//! process, each selected dirty guard is evaluated once, in its
+//! activation, instead of twice.
 //!
 //! The three per-process flags this needs — enabled, dirty, selected this
 //! round — share one byte per process inside the [`EnabledSet`], so one
@@ -180,8 +194,8 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// steps (the seed executor recomputed this clone every step).
     comm_cache: Vec<P::Comm>,
     /// Maintained enabled set, valid for the current configuration once
-    /// `refresh_enabled` has drained `dirty_queue`. Its flag bytes also
-    /// hold each process's dirty and selected-this-round bits.
+    /// every guard on `dirty_queue` is settled. Its flag bytes also hold
+    /// each process's dirty and selected-this-round bits.
     enabled: EnabledSet,
     /// The processes whose dirty bit is set, each listed once; sized to
     /// `n` at construction, so it never grows.
@@ -196,8 +210,9 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// Salt for the per-activation RNG streams, derived from the
     /// construction seed (see [`ActivationRng`]).
     activation_salt: u64,
-    /// Total number of `is_enabled` evaluations performed — the cost the
-    /// incremental maintenance is designed to shrink.
+    /// Total number of guards settled, by `is_enabled` or by an
+    /// activation — the cost the incremental maintenance is designed to
+    /// shrink.
     guard_evaluations: u64,
     /// Scratch: the scheduler's selection for the current step.
     selected_scratch: Vec<NodeId>,
@@ -337,11 +352,17 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         &self.enabled
     }
 
-    /// Total number of `is_enabled` evaluations performed so far.
+    /// Total number of guard evaluations performed so far: one per dirty
+    /// guard settled.
     ///
-    /// This grows with the amount of actual change per step (`O(Δ)` per
-    /// activation) rather than with `n` per step, and it stays flat while
-    /// the system is silent. Calls to
+    /// A guard is settled once per step it was dirty at, either by
+    /// `is_enabled` or, for a selected process whose daemon does not read
+    /// the enabled set, by its activation, which evaluates the same guard
+    /// on the same configuration. The count is therefore the same whether
+    /// or not the caller asks for [`Simulation::enabled_set`] between
+    /// steps. It grows with the amount of actual change per step (`O(Δ)`
+    /// per activation) rather than with `n` per step, and it stays flat
+    /// while the system is silent. Calls to
     /// [`Simulation::recompute_enabled_into`] are not counted. Kept out of
     /// [`RunStats`], which describes the execution, not the executor's
     /// work.
@@ -433,8 +454,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         }
     }
 
-    /// Phase A: re-evaluates the guards of every dirty process, bringing
-    /// the maintained enabled set in sync with the current configuration.
+    /// Phase A: settles every queued guard, bringing the maintained enabled
+    /// set in sync with the current configuration, and empties the queue.
+    ///
+    /// A guard that an activation of the running step already settled is
+    /// no longer dirty: it is counted, as the activation evaluated it, but
+    /// not evaluated again.
     fn refresh_enabled(&mut self) {
         if self.dirty_queue.is_empty() {
             return;
@@ -443,16 +468,18 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // state pays one relaxed load and nothing else.
         let clock = PhaseClock::start(metrics::active());
         for &p in &self.dirty_queue {
-            let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache);
-            let enabled = self
-                .protocol
-                .is_enabled(self.graph, p, &self.config[p.index()], &view);
-            self.enabled.settle(p, enabled);
+            if self.enabled.is_dirty(p) {
+                let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache);
+                let enabled =
+                    self.protocol
+                        .is_enabled(self.graph, p, &self.config[p.index()], &view);
+                self.enabled.settle(p, enabled);
+            }
         }
-        let evaluated = self.dirty_queue.len();
-        self.guard_evaluations += evaluated as u64;
+        let settled = self.dirty_queue.len();
+        self.guard_evaluations += settled as u64;
         self.dirty_queue.clear();
-        clock.stop(StepPhase::GuardRefresh, evaluated);
+        clock.stop(StepPhase::GuardRefresh, settled);
     }
 
     /// Writes the enabled flag of every process, re-evaluated from scratch
@@ -500,14 +527,22 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     /// selected process against the pre-step configuration, then applies all
     /// updates simultaneously.
     ///
+    /// The dirty guards are settled before selection for a daemon that
+    /// reads the enabled set, and otherwise by the activations and after
+    /// them (see the [module documentation](self)).
+    ///
     /// Allocation-free in steady state: selection, updates, read tracking
     /// and round bookkeeping all reuse persistent buffers (see the
     /// [module documentation](self)). The step's selected processes remain
     /// readable through [`Simulation::last_selected`].
     pub fn step(&mut self) -> StepOutcome {
-        self.refresh_enabled();
-        #[cfg(debug_assertions)]
-        self.debug_check_enabled_invariant();
+        // Phase A, only for a daemon that reads the enabled set: settle
+        // every dirty guard before selection. For any other daemon the
+        // activations below settle the selected guards themselves.
+        let reads_enabled = self.scheduler.reads_enabled_set();
+        if reads_enabled {
+            self.refresh_enabled();
+        }
 
         // One relaxed load per step; `None` (the default) keeps every
         // phase free of clock reads and metric writes.
@@ -516,11 +551,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // Phase B: selection.
         let clock = PhaseClock::start(metrics);
         self.selected_scratch.clear();
-        let ctx = SchedulerContext {
-            step: self.step,
-            graph: self.graph,
-            enabled: &self.enabled,
-        };
+        let ctx = SchedulerContext::from_parts(
+            self.step,
+            self.graph,
+            reads_enabled.then_some(&self.enabled),
+        );
         self.scheduler
             .select(&ctx, &mut self.rng, &mut self.selected_scratch);
         assert!(
@@ -550,9 +585,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         let clock = PhaseClock::start(metrics);
         let mut comm_changed_any = false;
         for &p in &self.selected_scratch {
-            if self.enabled.mark_selected(p) {
-                self.unselected_remaining -= 1;
-            }
             let view = NeighborView::tracked(graph, p, &self.comm_cache, &mut self.read_ports);
             let mut rng = activation_rng(self.activation_salt, step, p);
             let new_state =
@@ -566,6 +598,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // selected process.
             self.stats.record_activation(p, reads, read_operations);
             let executed = new_state.is_some();
+            // By the `Protocol` contract the activation just evaluated p's
+            // guard on the pre-step snapshot: one write settles it and
+            // marks p selected this round.
+            let first_this_round = self.enabled.settle_selected(p, executed);
+            self.unselected_remaining -= usize::from(first_this_round);
             let mut comm_changed = false;
             if let Some(new_state) = new_state {
                 let new_comm = self.protocol.comm(p, &new_state);
@@ -586,6 +623,13 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             }
         }
         clock.stop(StepPhase::Activation, self.selected_scratch.len());
+
+        // Phase A for the dirty guards no activation settled, still on the
+        // pre-step snapshot: from here to the merge the set is exact,
+        // whatever the daemon.
+        self.refresh_enabled();
+        #[cfg(debug_assertions)]
+        self.debug_check_enabled_invariant();
 
         // Phase D: merge. Apply all staged updates simultaneously,
         // maintaining the communication cache and dirtying exactly the
@@ -809,7 +853,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{CentralRoundRobin, DistributedRandom, Synchronous};
+    use crate::scheduler::{CentralRandom, CentralRoundRobin, DistributedRandom, Synchronous};
     use crate::telemetry::MemorySink;
     use rand::RngCore;
     use selfstab_graph::generators;
@@ -930,6 +974,82 @@ mod tests {
 
         fn is_legitimate(&self, _graph: &Graph, _config: &[u32]) -> bool {
             true
+        }
+    }
+
+    /// Breaks the `Protocol` contract: its guard is never enabled, yet
+    /// every activation moves.
+    struct MovesWhileDisabled;
+
+    impl Protocol for MovesWhileDisabled {
+        type State = u32;
+        type Comm = u32;
+
+        fn name(&self) -> &'static str {
+            "moves-while-disabled"
+        }
+
+        fn arbitrary_state(&self, _graph: &Graph, _p: NodeId, _rng: &mut dyn RngCore) -> u32 {
+            0
+        }
+
+        fn comm(&self, _p: NodeId, state: &u32) -> u32 {
+            *state
+        }
+
+        fn is_enabled(
+            &self,
+            _graph: &Graph,
+            _p: NodeId,
+            _state: &u32,
+            _view: &NeighborView<'_, u32>,
+        ) -> bool {
+            false
+        }
+
+        fn activate(
+            &self,
+            _graph: &Graph,
+            _p: NodeId,
+            state: &u32,
+            _view: &NeighborView<'_, u32>,
+            _rng: &mut dyn RngCore,
+        ) -> Option<u32> {
+            Some(state + 1)
+        }
+
+        fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
+            32
+        }
+
+        fn state_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
+            32
+        }
+
+        fn is_legitimate(&self, _graph: &Graph, _config: &[u32]) -> bool {
+            true
+        }
+    }
+
+    /// Reads the enabled set while claiming not to.
+    struct ReadsWithoutSaying;
+
+    impl Scheduler for ReadsWithoutSaying {
+        fn name(&self) -> &'static str {
+            "reads-without-saying"
+        }
+
+        fn select(
+            &mut self,
+            ctx: &SchedulerContext<'_>,
+            _rng: &mut dyn RngCore,
+            out: &mut Vec<NodeId>,
+        ) {
+            out.push(ctx.enabled().iter().next().unwrap_or(NodeId::new(0)));
+        }
+
+        fn reads_enabled_set(&self) -> bool {
+            false
         }
     }
 
@@ -1237,6 +1357,55 @@ mod tests {
             sim.enabled_set().count() > 0,
             "the fault re-enabled the neighborhood"
         );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the Protocol contract requires activate")]
+    fn an_activation_that_contradicts_a_settled_guard_panics() {
+        // The daemon reads the set, so every guard is settled before
+        // selection; the activation of the process it falls back to then
+        // contradicts its clean guard.
+        let graph = generators::path(3);
+        let mut sim = Simulation::new(
+            &graph,
+            MovesWhileDisabled,
+            CentralRandom::enabled_only(),
+            1,
+            SimOptions::default(),
+        );
+        sim.step();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "incremental enabled set diverged from full recomputation")]
+    fn an_activation_that_contradicts_a_dirty_guard_fails_the_invariant_check() {
+        // Every guard is dirty and every process selected, so each one is
+        // settled from its activation alone, which the reference refutes.
+        let graph = generators::path(3);
+        let mut sim = Simulation::new(
+            &graph,
+            MovesWhileDisabled,
+            Synchronous,
+            1,
+            SimOptions::default(),
+        );
+        sim.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "the enabled set was not refreshed for this step")]
+    fn a_daemon_that_reads_the_set_must_say_so() {
+        let graph = generators::path(3);
+        let mut sim = Simulation::new(
+            &graph,
+            MinValue,
+            ReadsWithoutSaying,
+            1,
+            SimOptions::default(),
+        );
+        sim.step();
     }
 
     #[test]

@@ -29,7 +29,12 @@ use crate::view::NeighborView;
 ///
 /// * `activate` must return `Some` exactly when `is_enabled` returns `true`
 ///   for the same configuration (guards are deterministic; only action
-///   *bodies* may use randomness).
+///   *bodies* may use randomness). The executor relies on this: when the
+///   daemon does not read the enabled set, a selected process's enabled
+///   flag is settled from whether its activation returned `Some`, without
+///   calling `is_enabled`. Debug builds check it wherever the flag is
+///   already known, and the sampled check against the from-scratch
+///   reference catches the rest.
 /// * `activate` and `is_enabled` may only learn about other processes through
 ///   `view` — this is what makes the measured read sets meaningful.
 /// * `comm` must be a pure projection of the state.

@@ -7,6 +7,11 @@
 //! that even adversarial strategies satisfy the assumption within a bounded
 //! window. The synchronous and central daemons are special cases useful for
 //! experiments and for deterministic tests.
+//!
+//! Most daemons select without looking at which processes are enabled;
+//! only [`CentralRandom::enabled_only`] and [`StarvingAdversary`] read the
+//! enabled set, and each daemon says which it is through
+//! [`Scheduler::reads_enabled_set`].
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -21,20 +26,60 @@ pub struct SchedulerContext<'a> {
     /// 0-based index of the step being scheduled.
     pub step: u64,
     /// The simulated graph, for daemons whose selection depends on the
-    /// topology ([`LocallyCentral`]). It has as many processes as
-    /// `enabled`.
+    /// topology ([`LocallyCentral`]).
     pub graph: &'a Graph,
-    /// The enabled set maintained incrementally by the executor: which
-    /// processes have an enabled action in the current configuration, with
-    /// an `O(1)` cardinality. Schedulers consume this instead of a freshly
-    /// recomputed per-step vector.
-    pub enabled: &'a EnabledSet,
+    /// The enabled set, present only when the executor refreshed it for
+    /// this step (see [`SchedulerContext::enabled`]).
+    enabled: Option<&'a EnabledSet>,
 }
 
 impl<'a> SchedulerContext<'a> {
+    /// A context whose enabled set is current: `enabled` must describe the
+    /// configuration the step starts from, one flag per process of `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `enabled` and `graph` disagree on the process count.
+    pub fn new(step: u64, graph: &'a Graph, enabled: &'a EnabledSet) -> Self {
+        assert_eq!(
+            enabled.node_count(),
+            graph.node_count(),
+            "the enabled set must have one flag per process"
+        );
+        Self::from_parts(step, graph, Some(enabled))
+    }
+
+    /// The executor's context: `enabled` is `None` when the set was not
+    /// refreshed for this step.
+    #[inline]
+    pub(crate) fn from_parts(step: u64, graph: &'a Graph, enabled: Option<&'a EnabledSet>) -> Self {
+        SchedulerContext {
+            step,
+            graph,
+            enabled,
+        }
+    }
+
     /// Number of processes in the system.
     pub fn node_count(&self) -> usize {
-        self.enabled.node_count()
+        self.graph.node_count()
+    }
+
+    /// The enabled set maintained incrementally by the executor: which
+    /// processes have an enabled action in the current configuration, with
+    /// an `O(1)` cardinality.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the executor did not refresh the set for this step,
+    /// which it skips exactly when the scheduler's
+    /// [`Scheduler::reads_enabled_set`] returns `false`: a daemon that
+    /// reads the set must say so, or it would read a stale one.
+    pub fn enabled(&self) -> &'a EnabledSet {
+        self.enabled.expect(
+            "the enabled set was not refreshed for this step: \
+             a scheduler that reads it must return true from reads_enabled_set",
+        )
     }
 }
 
@@ -54,6 +99,10 @@ impl<'a> SchedulerContext<'a> {
 ///   that generate selections out of order (e.g. via shuffling) sort before
 ///   returning. Selecting a *disabled* process is allowed (it is a no-op
 ///   activation in the model).
+/// * A daemon reads the enabled set only if
+///   [`Scheduler::reads_enabled_set`] says so. The executor refreshes the
+///   set before selection only for such a daemon, and
+///   [`SchedulerContext::enabled`] panics for any other.
 pub trait Scheduler {
     /// Short human-readable name, used in reports.
     fn name(&self) -> &'static str;
@@ -62,6 +111,20 @@ pub trait Scheduler {
     ///
     /// See the [trait documentation](Scheduler) for the selection contract.
     fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>);
+
+    /// Whether [`Scheduler::select`] reads the enabled set
+    /// ([`SchedulerContext::enabled`]).
+    ///
+    /// A fact about the daemon, not an option. The executor evaluates the
+    /// step's dirty guards before selection only for a daemon that reads
+    /// the set; for any other, each selected process's activation settles
+    /// its own guard and the rest are evaluated after the activations, so
+    /// a selected process's guard is evaluated once instead of twice.
+    /// Either order yields the same enabled set and the same guard count.
+    /// The default, `true`, is always safe.
+    fn reads_enabled_set(&self) -> bool {
+        true
+    }
 }
 
 /// Boxed schedulers forward to their contents, so heterogeneous scheduler
@@ -74,6 +137,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 
     fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
         (**self).select(ctx, rng, out);
+    }
+
+    fn reads_enabled_set(&self) -> bool {
+        (**self).reads_enabled_set()
     }
 }
 
@@ -93,6 +160,10 @@ impl Scheduler for Synchronous {
         out: &mut Vec<NodeId>,
     ) {
         out.extend((0..ctx.node_count()).map(NodeId::new));
+    }
+
+    fn reads_enabled_set(&self) -> bool {
+        false
     }
 }
 
@@ -133,6 +204,10 @@ impl Scheduler for CentralRoundRobin {
         let chosen = NodeId::new(self.next % n);
         self.next = (self.next + 1) % n;
         out.push(chosen);
+    }
+
+    fn reads_enabled_set(&self) -> bool {
+        false
     }
 }
 
@@ -180,16 +255,24 @@ impl Scheduler for CentralRandom {
     fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         assert!(n > 0, "CentralRandom cannot select from an empty system");
-        if self.prefer_enabled && ctx.enabled.any() {
+        if self.prefer_enabled {
             // The maintained enabled set makes this allocation-free: draw a
             // rank among the enabled processes and walk to it.
-            let rank = rng.gen_range(0..ctx.enabled.count());
-            if let Some(p) = ctx.enabled.iter().nth(rank) {
-                out.push(p);
-                return;
+            let enabled = ctx.enabled();
+            if enabled.any() {
+                let rank = rng.gen_range(0..enabled.count());
+                if let Some(p) = enabled.iter().nth(rank) {
+                    out.push(p);
+                    return;
+                }
             }
         }
         out.push(NodeId::new(rng.gen_range(0..n)));
+    }
+
+    /// Only [`CentralRandom::enabled_only`] reads the set.
+    fn reads_enabled_set(&self) -> bool {
+        self.prefer_enabled
     }
 }
 
@@ -243,6 +326,10 @@ impl Scheduler for DistributedRandom {
             out.push(NodeId::new(rng.gen_range(0..n)));
         }
     }
+
+    fn reads_enabled_set(&self) -> bool {
+        false
+    }
 }
 
 /// Adversarial daemon that tries to starve progress: it activates only the
@@ -281,7 +368,7 @@ impl Scheduler for StarvingAdversary {
             self.last_activation = vec![0; n];
         }
         let chosen = ctx
-            .enabled
+            .enabled()
             .iter()
             .max_by_key(|p| {
                 (
@@ -367,6 +454,10 @@ impl Scheduler for LocallyCentral {
         // sorted output.
         out.sort_unstable();
     }
+
+    fn reads_enabled_set(&self) -> bool {
+        false
+    }
 }
 
 /// Fairness-enforcing wrapper: guarantees that no process goes more than
@@ -427,6 +518,11 @@ impl<S: Scheduler> Scheduler for Fair<S> {
             out.sort_unstable();
         }
     }
+
+    /// The wrapper itself reads no enabled flag; its inner daemon may.
+    fn reads_enabled_set(&self) -> bool {
+        self.inner.reads_enabled_set()
+    }
 }
 
 #[cfg(test)]
@@ -443,11 +539,7 @@ mod tests {
 
     impl System {
         fn ctx(&self, step: u64) -> SchedulerContext<'_> {
-            SchedulerContext {
-                step,
-                graph: &self.graph,
-                enabled: &self.enabled,
-            }
+            SchedulerContext::new(step, &self.graph, &self.enabled)
         }
     }
 
@@ -491,6 +583,33 @@ mod tests {
         assert_send::<LocallyCentral>();
         assert_send::<Fair<DistributedRandom>>();
         assert_send::<Box<dyn Scheduler + Send>>();
+    }
+
+    #[test]
+    fn only_daemons_that_select_by_enabledness_read_the_enabled_set() {
+        let reads = |s: &dyn Scheduler| s.reads_enabled_set();
+        assert!(!reads(&Synchronous));
+        assert!(!reads(&CentralRoundRobin::new()));
+        assert!(!reads(&CentralRandom::new()));
+        assert!(!reads(&DistributedRandom::new(0.5)));
+        assert!(!reads(&LocallyCentral::new(0.5)));
+        assert!(reads(&CentralRandom::enabled_only()));
+        assert!(reads(&StarvingAdversary::new()));
+        // The wrapper and the box answer for their contents.
+        assert!(!reads(&Fair::new(DistributedRandom::new(0.5), 4)));
+        assert!(reads(&Fair::new(StarvingAdversary::new(), 4)));
+        let boxed: Box<dyn Scheduler> = Box::new(CentralRandom::enabled_only());
+        assert!(reads(&boxed));
+        let boxed: Box<dyn Scheduler> = Box::new(Synchronous);
+        assert!(!reads(&boxed));
+    }
+
+    #[test]
+    #[should_panic(expected = "one flag per process")]
+    fn a_context_rejects_an_enabled_set_of_another_size() {
+        let graph = Graph::from_edges(3, &[]).expect("edgeless graph");
+        let enabled = EnabledSet::new(2);
+        let _ = SchedulerContext::new(0, &graph, &enabled);
     }
 
     #[test]

@@ -24,7 +24,11 @@ use std::time::Duration;
 /// The four phases of one executor step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPhase {
-    /// Phase A: re-evaluating guards over the dirty queue.
+    /// Phase A: settling the guards on the dirty queue, before selection
+    /// for a daemon that reads the enabled set and after the activations
+    /// otherwise. Its items count every guard the step settled, those its
+    /// activations settled included; its time covers the `is_enabled`
+    /// calls only.
     GuardRefresh = 0,
     /// Phase B: the scheduler's (sequential) selection.
     Selection = 1,
@@ -35,7 +39,7 @@ pub enum StepPhase {
 }
 
 impl StepPhase {
-    /// All phases, in execution order.
+    /// All phases, in the order reports list them.
     pub const ALL: [StepPhase; 4] = [
         StepPhase::GuardRefresh,
         StepPhase::Selection,

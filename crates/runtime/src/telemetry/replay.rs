@@ -71,6 +71,10 @@ impl Scheduler for ReplayScheduler {
         );
         out.append(&mut self.staged);
     }
+
+    fn reads_enabled_set(&self) -> bool {
+        false
+    }
 }
 
 /// How a replayed step differed from its recording.

@@ -7,9 +7,12 @@
 //! port into a slot of the caller's port buffer and counts every read
 //! operation, so the executor gets the distinct read set and the operation
 //! count straight from [`NeighborView::finish`], with no log to
-//! de-duplicate afterwards.
+//! de-duplicate afterwards. A Δ-efficient protocol that reads every port
+//! takes them all at once through [`NeighborView::read_all`], which records
+//! the same reads and lends out the whole neighbourhood without copying it.
 
 use std::cell::Cell;
+use std::ops::Index;
 
 use selfstab_graph::{Graph, NodeId, Port};
 
@@ -122,6 +125,37 @@ impl<'a, C> NeighborView<'a, C> {
         &self.comm_snapshot[q.index()]
     }
 
+    /// Reads every port, in port order, and returns the whole
+    /// neighbourhood, indexed by port.
+    ///
+    /// A tracked view records exactly what [`NeighborView::degree`] calls
+    /// to [`NeighborView::read`], one per port in increasing order, would
+    /// record. The returned [`Neighborhood`] borrows the snapshot, so
+    /// reading it allocates nothing and records nothing more.
+    #[inline]
+    pub fn read_all(&self) -> Neighborhood<'a, C> {
+        let degree = self.degree();
+        if let Some(slots) = self.slots {
+            // A port is new unless an earlier read recorded it: the ports
+            // this loop records are distinct from each other.
+            let earlier = self.distinct.get();
+            let mut distinct = earlier;
+            for i in 0..degree {
+                let port = Port::new(i);
+                if !slots[..earlier].iter().any(|slot| slot.get() == port) {
+                    slots[distinct].set(port);
+                    distinct += 1;
+                }
+            }
+            self.distinct.set(distinct);
+            self.operations.set(self.operations.get() + degree);
+        }
+        Neighborhood {
+            neighbors: self.neighbors,
+            comm_snapshot: self.comm_snapshot,
+        }
+    }
+
     /// Ends the view and returns `(distinct, operations)`: the number of
     /// distinct ports read, which sit in the first `distinct` slots of the
     /// port buffer in first-read order, and the number of read operations,
@@ -129,6 +163,39 @@ impl<'a, C> NeighborView<'a, C> {
     #[inline]
     pub fn finish(self) -> (usize, usize) {
         (self.distinct.get(), self.operations.get())
+    }
+}
+
+/// A process's whole neighbourhood, already read
+/// ([`NeighborView::read_all`]): the neighbours' communication states,
+/// indexed by port, borrowed from the snapshot.
+#[derive(Debug)]
+pub struct Neighborhood<'a, C> {
+    neighbors: &'a [NodeId],
+    comm_snapshot: &'a [C],
+}
+
+impl<'a, C> Neighborhood<'a, C> {
+    /// The neighbours' communication states in port order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a C> + '_ {
+        self.neighbors
+            .iter()
+            .map(|q| &self.comm_snapshot[q.index()])
+    }
+}
+
+impl<C> Index<Port> for Neighborhood<'_, C> {
+    type Output = C;
+
+    /// The communication state of the neighbour behind `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    #[inline]
+    fn index(&self, port: Port) -> &C {
+        &self.comm_snapshot[self.neighbors[port.index()].index()]
     }
 }
 
@@ -150,6 +217,31 @@ mod tests {
         assert_eq!(*view.read(Port::new(0)), 11);
         assert_eq!(view.finish(), (2, 4), "repeats count as operations only");
         assert_eq!(ports[..2], [Port::new(2), Port::new(0)]);
+    }
+
+    #[test]
+    fn read_all_records_what_reading_every_port_in_order_records() {
+        let graph = generators::star(5);
+        let comms: Vec<u32> = vec![10, 11, 12, 13, 14];
+        let hub = NodeId::new(0);
+        // Fresh, and after two earlier reads (one of them repeated).
+        for earlier in [&[][..], &[Port::new(2), Port::new(2)][..]] {
+            let (mut ours, mut theirs) = ([Port::new(9); 4], [Port::new(9); 4]);
+            let view = NeighborView::tracked(&graph, hub, &comms, &mut ours);
+            let reference = NeighborView::tracked(&graph, hub, &comms, &mut theirs);
+            for &port in earlier {
+                let _ = (view.read(port), reference.read(port));
+            }
+            let all = view.read_all();
+            let by_port: Vec<u32> = (0..4).map(|i| *reference.read(Port::new(i))).collect();
+            assert!(all.iter().copied().eq(by_port.iter().copied()));
+            assert_eq!(all[Port::new(3)], 14);
+            assert_eq!(view.finish(), reference.finish());
+            assert_eq!(ours, theirs, "same ports in the same order");
+        }
+        let untracked = NeighborView::from_snapshot(&graph, hub, &comms);
+        assert_eq!(untracked.read_all().iter().len(), 4);
+        assert_eq!(untracked.finish(), (0, 0));
     }
 
     #[test]

@@ -49,11 +49,7 @@ proptest! {
                 .map(|&always| always || rng.gen_bool(0.5))
                 .collect();
             let enabled = EnabledSet::from_flags(flags);
-            let ctx = SchedulerContext {
-                step,
-                graph: &graph,
-                enabled: &enabled,
-            };
+            let ctx = SchedulerContext::new(step, &graph, &enabled);
             let mut chosen = Vec::new();
             scheduler.select(&ctx, &mut rng, &mut chosen);
             prop_assert!(!chosen.is_empty(), "schedulers must select non-empty subsets");
