@@ -16,7 +16,7 @@
 use rand::Rng;
 use rand::RngCore;
 use selfstab_graph::coloring::{Color, LocalColoring};
-use selfstab_graph::{verify, Graph, NodeId, Port};
+use selfstab_graph::{verify, Graph, NodeId};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
 
@@ -59,7 +59,6 @@ impl BaselineMis {
     #[inline]
     fn eval(
         &self,
-        graph: &Graph,
         p: NodeId,
         state: &Membership,
         view: &NeighborView<'_, MisComm>,
@@ -68,8 +67,7 @@ impl BaselineMis {
         // Both rules in one pass that reads every port once, in port order:
         // the Δ-efficient read pattern, whatever the outcome.
         let (mut must_leave, mut may_join) = (false, true);
-        for i in 0..graph.degree(p) {
-            let n = view.read(Port::new(i));
+        for n in view.read_all().iter() {
             must_leave |= n.status == Membership::Dominator && n.color < my_color;
             may_join &= n.status == Membership::Dominated || my_color < n.color;
         }
@@ -108,24 +106,24 @@ impl Protocol for BaselineMis {
     #[inline]
     fn is_enabled(
         &self,
-        graph: &Graph,
+        _graph: &Graph,
         p: NodeId,
         state: &Membership,
         view: &NeighborView<'_, MisComm>,
     ) -> bool {
-        self.eval(graph, p, state, view).is_some()
+        self.eval(p, state, view).is_some()
     }
 
     #[inline]
     fn activate(
         &self,
-        graph: &Graph,
+        _graph: &Graph,
         p: NodeId,
         state: &Membership,
         view: &NeighborView<'_, MisComm>,
         _rng: &mut dyn RngCore,
     ) -> Option<Membership> {
-        self.eval(graph, p, state, view)
+        self.eval(p, state, view)
     }
 
     fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {

@@ -117,8 +117,7 @@ impl BfsTree {
         let degree = graph.degree(p);
         let mut min_dist = usize::MAX;
         let mut argmin = Port::new(0);
-        for i in 0..degree {
-            let d = *view.read(Port::new(i));
+        for (i, &d) in view.read_all().iter().enumerate() {
             if d < min_dist {
                 min_dist = d;
                 argmin = Port::new(i);

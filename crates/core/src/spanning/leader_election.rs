@@ -208,9 +208,8 @@ impl LeaderElection {
             parent: state.parent.clamp_to_degree(graph.degree(p)),
             cur: next_cur,
         };
-        for i in 0..graph.degree(p) {
+        for (i, q) in view.read_all().iter().enumerate() {
             let port = Port::new(i);
-            let q = view.read(port);
             // A dying (capped-out or corrupted-out-of-domain) claim is not
             // adoptable; this also keeps the `+ 1` below overflow-free.
             if q.dist >= self.cap {

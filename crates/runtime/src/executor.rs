@@ -1039,12 +1039,7 @@ mod tests {
             "reads-without-saying"
         }
 
-        fn select(
-            &mut self,
-            ctx: &SchedulerContext<'_>,
-            _rng: &mut dyn RngCore,
-            out: &mut Vec<NodeId>,
-        ) {
+        fn select(&mut self, ctx: &SchedulerContext<'_>, _rng: &mut StdRng, out: &mut Vec<NodeId>) {
             out.push(ctx.enabled().iter().next().unwrap_or(NodeId::new(0)));
         }
 

@@ -542,12 +542,6 @@ where
         sim.step();
         at_round_boundary = sim.rounds() > rounds_before;
         if at_round_boundary {
-            // Evaluate the guards the round's last step dirtied now, before
-            // a due injection dirties them again. The enabled set is the
-            // same either way; only the executor's guard-evaluation count
-            // (which perfbench's `paper-suite` compares across commits)
-            // depends on this order.
-            sim.enabled_set();
             let reads_now = sim.stats().total_read_operations();
             if next_event > 0 {
                 repair_rounds += 1;

@@ -12,10 +12,16 @@
 //! only [`CentralRandom::enabled_only`] and [`StarvingAdversary`] read the
 //! enabled set, and each daemon says which it is through
 //! [`Scheduler::reads_enabled_set`].
+//!
+//! A daemon draws from the executor's own generator, passed by its
+//! concrete type ([`StdRng`]) rather than as `&mut dyn RngCore`: every
+//! coin a daemon flips then compiles to an inlined generator step instead
+//! of a virtual call, which matters for [`DistributedRandom`], whose
+//! selection is one draw per process.
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rand::RngCore;
 use selfstab_graph::{Graph, NodeId};
 
 use crate::enabled::EnabledSet;
@@ -107,10 +113,11 @@ pub trait Scheduler {
     /// Short human-readable name, used in reports.
     fn name(&self) -> &'static str;
 
-    /// Writes the processes activated at this step into `out`.
+    /// Writes the processes activated at this step into `out`, drawing
+    /// any randomness from `rng`, the executor's generator.
     ///
     /// See the [trait documentation](Scheduler) for the selection contract.
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>);
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>);
 
     /// Whether [`Scheduler::select`] reads the enabled set
     /// ([`SchedulerContext::enabled`]).
@@ -135,7 +142,7 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
         (**self).name()
     }
 
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>) {
         (**self).select(ctx, rng, out);
     }
 
@@ -153,12 +160,7 @@ impl Scheduler for Synchronous {
         "synchronous"
     }
 
-    fn select(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<NodeId>,
-    ) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, _rng: &mut StdRng, out: &mut Vec<NodeId>) {
         out.extend((0..ctx.node_count()).map(NodeId::new));
     }
 
@@ -190,12 +192,7 @@ impl Scheduler for CentralRoundRobin {
     /// Panics on an empty system (`n = 0`): there is no process to select,
     /// and silently clamping would fabricate a selection of a process that
     /// does not exist (see the [`Scheduler`] contract).
-    fn select(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<NodeId>,
-    ) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, _rng: &mut StdRng, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         assert!(
             n > 0,
@@ -252,7 +249,7 @@ impl Scheduler for CentralRandom {
     /// # Panics
     ///
     /// Panics on an empty system (`n = 0`), per the [`Scheduler`] contract.
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         assert!(n > 0, "CentralRandom cannot select from an empty system");
         if self.prefer_enabled {
@@ -314,14 +311,21 @@ impl Scheduler for DistributedRandom {
         "distributed-random"
     }
 
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
-        // Ascending visit order keeps the output sorted by construction.
+        // One coin per process in ascending order, which keeps the output
+        // sorted by construction. The compaction has no branch on the
+        // coin: every process is written at the next free slot and the
+        // slot is kept only if its coin came up, so a fair coin costs no
+        // mispredicted jump. `out` starts empty, and the executor's buffer
+        // already holds `n`, so the resize does not allocate.
+        out.resize(n, NodeId::new(0));
+        let mut kept = 0;
         for i in 0..n {
-            if rng.gen_bool(self.activation_prob) {
-                out.push(NodeId::new(i));
-            }
+            out[kept] = NodeId::new(i);
+            kept += usize::from(rng.gen_bool(self.activation_prob));
         }
+        out.truncate(kept);
         if out.is_empty() && n > 0 {
             out.push(NodeId::new(rng.gen_range(0..n)));
         }
@@ -358,7 +362,7 @@ impl Scheduler for StarvingAdversary {
     /// # Panics
     ///
     /// Panics on an empty system (`n = 0`), per the [`Scheduler`] contract.
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         assert!(
             n > 0,
@@ -424,7 +428,7 @@ impl Scheduler for LocallyCentral {
         "locally-central"
     }
 
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         // Visit processes in a random order, greedily keeping those whose
         // neighbors have not been kept yet.
@@ -495,7 +499,7 @@ impl<S: Scheduler> Scheduler for Fair<S> {
         "fair"
     }
 
-    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
+    fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut StdRng, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         if self.last_selected.len() != n {
             self.last_selected = vec![ctx.step; n];
@@ -528,8 +532,7 @@ impl<S: Scheduler> Scheduler for Fair<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// A system to schedule: a graph and its processes' enabled flags.
     struct System {
@@ -678,6 +681,37 @@ mod tests {
         let mut s = DistributedRandom::new(0.01);
         for step in 0..200 {
             assert!(!select_vec(&mut s, &sys.ctx(step), &mut rng).is_empty());
+        }
+    }
+
+    /// The branch-free compaction keeps exactly the processes whose coin
+    /// came up: one `gen_bool` per process in id order, then one fallback
+    /// draw when no coin did, and the generator ends where that leaves it.
+    #[test]
+    fn distributed_random_keeps_exactly_the_processes_whose_coin_came_up() {
+        for n in [1, 2, 7, 64, 65, 1000] {
+            let sys = system(&vec![true; n]);
+            for p in [f64::MIN_POSITIVE, 0.001, 0.3, 0.5, 0.999, 1.0] {
+                let mut s = DistributedRandom::new(p);
+                for seed in 0..50 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut coins = rng.clone();
+                    let mut expected: Vec<NodeId> = (0..n)
+                        .filter(|_| coins.gen_bool(p))
+                        .map(NodeId::new)
+                        .collect();
+                    if expected.is_empty() {
+                        expected.push(NodeId::new(coins.gen_range(0..n)));
+                    }
+                    let case = format!("n = {n}, p = {p:e}, seed = {seed}");
+                    assert_eq!(
+                        select_vec(&mut s, &sys.ctx(seed), &mut rng),
+                        expected,
+                        "{case}"
+                    );
+                    assert_eq!(rng.next_u64(), coins.next_u64(), "{case}: generator state");
+                }
+            }
         }
     }
 

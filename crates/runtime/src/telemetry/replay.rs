@@ -24,6 +24,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use rand::rngs::StdRng;
 use rand::RngCore;
 use selfstab_graph::{Graph, NodeId};
 
@@ -59,12 +60,7 @@ impl Scheduler for ReplayScheduler {
         "replay"
     }
 
-    fn select(
-        &mut self,
-        _ctx: &SchedulerContext<'_>,
-        _rng: &mut dyn rand::RngCore,
-        out: &mut Vec<NodeId>,
-    ) {
+    fn select(&mut self, _ctx: &SchedulerContext<'_>, _rng: &mut StdRng, out: &mut Vec<NodeId>) {
         assert!(
             !self.staged.is_empty(),
             "ReplayScheduler stepped without a staged selection"

@@ -7,9 +7,15 @@
 //! port into a slot of the caller's port buffer and counts every read
 //! operation, so the executor gets the distinct read set and the operation
 //! count straight from [`NeighborView::finish`], with no log to
-//! de-duplicate afterwards. A Δ-efficient protocol that reads every port
-//! takes them all at once through [`NeighborView::read_all`], which records
-//! the same reads and lends out the whole neighbourhood without copying it.
+//! de-duplicate afterwards.
+//!
+//! A tracked `read` de-duplicates by scanning the ports already read, so
+//! it costs O(d) after d distinct reads, and Δ reads in port order cost
+//! Δ(Δ−1)/2 comparisons. An untracked `read` is one index into the
+//! snapshot. A protocol that reads every port therefore takes them all at
+//! once through [`NeighborView::read_all`], which records the same reads
+//! in O(Δ) (after a constant number of earlier reads) and lends out the
+//! whole neighbourhood without copying it.
 
 use std::cell::Cell;
 use std::ops::Index;
