@@ -63,6 +63,9 @@ impl Protocol for BaselineColoring {
         *state
     }
 
+    /// Hand-written because it stops at the first clashing neighbor: the
+    /// derived guard would count every free color, O(palette·Δ), before
+    /// drawing one.
     #[inline]
     fn is_enabled(
         &self,

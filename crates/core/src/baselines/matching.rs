@@ -80,14 +80,51 @@ impl BaselineMatching {
         }
         edges
     }
+}
+
+impl Protocol for BaselineMatching {
+    type State = BaselineMatchingState;
+    type Comm = MatchingComm;
+
+    fn name(&self) -> &'static str {
+        "matching-baseline-delta-efficient"
+    }
+
+    fn arbitrary_state(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        rng: &mut dyn RngCore,
+    ) -> BaselineMatchingState {
+        let degree = graph.degree(p).max(1);
+        let pr = if rng.gen_bool(0.5) {
+            None
+        } else {
+            Some(Port::new(rng.gen_range(0..degree)))
+        };
+        BaselineMatchingState {
+            married: rng.gen_bool(0.5),
+            pr,
+        }
+    }
 
     #[inline]
-    fn eval(
+    fn comm(&self, p: NodeId, state: &BaselineMatchingState) -> MatchingComm {
+        MatchingComm {
+            married: state.married,
+            pr: state.pr,
+            color: self.color(p),
+        }
+    }
+
+    #[inline]
+    fn activate(
         &self,
         graph: &Graph,
         p: NodeId,
         state: &BaselineMatchingState,
         view: &NeighborView<'_, MatchingComm>,
+        _rng: &mut dyn RngCore,
     ) -> Option<BaselineMatchingState> {
         let degree = graph.degree(p);
         if degree == 0 {
@@ -176,65 +213,6 @@ impl BaselineMatching {
             }
         }
     }
-}
-
-impl Protocol for BaselineMatching {
-    type State = BaselineMatchingState;
-    type Comm = MatchingComm;
-
-    fn name(&self) -> &'static str {
-        "matching-baseline-delta-efficient"
-    }
-
-    fn arbitrary_state(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        rng: &mut dyn RngCore,
-    ) -> BaselineMatchingState {
-        let degree = graph.degree(p).max(1);
-        let pr = if rng.gen_bool(0.5) {
-            None
-        } else {
-            Some(Port::new(rng.gen_range(0..degree)))
-        };
-        BaselineMatchingState {
-            married: rng.gen_bool(0.5),
-            pr,
-        }
-    }
-
-    #[inline]
-    fn comm(&self, p: NodeId, state: &BaselineMatchingState) -> MatchingComm {
-        MatchingComm {
-            married: state.married,
-            pr: state.pr,
-            color: self.color(p),
-        }
-    }
-
-    #[inline]
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &BaselineMatchingState,
-        view: &NeighborView<'_, MatchingComm>,
-    ) -> bool {
-        self.eval(graph, p, state, view).is_some()
-    }
-
-    #[inline]
-    fn activate(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &BaselineMatchingState,
-        view: &NeighborView<'_, MatchingComm>,
-        _rng: &mut dyn RngCore,
-    ) -> Option<BaselineMatchingState> {
-        self.eval(graph, p, state, view)
-    }
 
     fn comm_bits(&self, graph: &Graph, p: NodeId) -> u64 {
         1 + bits_for_domain(graph.degree(p) as u64 + 1)
@@ -258,7 +236,7 @@ impl Protocol for BaselineMatching {
             .collect();
         graph.nodes().all(|p| {
             let view = NeighborView::from_snapshot(graph, p, &snapshot);
-            self.eval(graph, p, &config[p.index()], &view).is_none()
+            !self.is_enabled(graph, p, &config[p.index()], &view)
         })
     }
 }

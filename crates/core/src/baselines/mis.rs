@@ -55,27 +55,6 @@ impl BaselineMis {
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
-
-    #[inline]
-    fn eval(
-        &self,
-        p: NodeId,
-        state: &Membership,
-        view: &NeighborView<'_, MisComm>,
-    ) -> Option<Membership> {
-        let my_color = self.color(p);
-        // Both rules in one pass that reads every port once, in port order:
-        // the Δ-efficient read pattern, whatever the outcome.
-        let (mut must_leave, mut may_join) = (false, true);
-        for n in view.read_all().iter() {
-            must_leave |= n.status == Membership::Dominator && n.color < my_color;
-            may_join &= n.status == Membership::Dominated || my_color < n.color;
-        }
-        match state {
-            Membership::Dominator => must_leave.then_some(Membership::Dominated),
-            Membership::Dominated => may_join.then_some(Membership::Dominator),
-        }
-    }
 }
 
 impl Protocol for BaselineMis {
@@ -104,17 +83,6 @@ impl Protocol for BaselineMis {
     }
 
     #[inline]
-    fn is_enabled(
-        &self,
-        _graph: &Graph,
-        p: NodeId,
-        state: &Membership,
-        view: &NeighborView<'_, MisComm>,
-    ) -> bool {
-        self.eval(p, state, view).is_some()
-    }
-
-    #[inline]
     fn activate(
         &self,
         _graph: &Graph,
@@ -123,7 +91,18 @@ impl Protocol for BaselineMis {
         view: &NeighborView<'_, MisComm>,
         _rng: &mut dyn RngCore,
     ) -> Option<Membership> {
-        self.eval(p, state, view)
+        let my_color = self.color(p);
+        // Both rules in one pass that reads every port once, in port order:
+        // the Δ-efficient read pattern, whatever the outcome.
+        let (mut must_leave, mut may_join) = (false, true);
+        for n in view.read_all().iter() {
+            must_leave |= n.status == Membership::Dominator && n.color < my_color;
+            may_join &= n.status == Membership::Dominated || my_color < n.color;
+        }
+        match state {
+            Membership::Dominator => must_leave.then_some(Membership::Dominated),
+            Membership::Dominated => may_join.then_some(Membership::Dominator),
+        }
     }
 
     fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {

@@ -96,6 +96,9 @@ impl Protocol for Coloring {
         state.color
     }
 
+    /// Hand-written because it is O(1): the derived guard would read the
+    /// checked neighbor and, on a conflict, redraw a color, only to learn
+    /// what the degree already says.
     #[inline]
     fn is_enabled(
         &self,

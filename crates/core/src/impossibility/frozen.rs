@@ -71,21 +71,6 @@ impl Protocol for FrozenReadColoring {
     }
 
     #[inline]
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &usize,
-        view: &NeighborView<'_, usize>,
-    ) -> bool {
-        if graph.degree(p) == 0 {
-            return false;
-        }
-        let port = self.frozen[p.index()].clamp_to_degree(graph.degree(p));
-        view.read(port) == state
-    }
-
-    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -163,46 +148,6 @@ impl FrozenReadMis {
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
-
-    #[inline]
-    fn eval(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &MisState,
-        view: &NeighborView<'_, MisComm>,
-    ) -> Option<MisState> {
-        if graph.degree(p) == 0 {
-            return match state.status {
-                Membership::Dominated => Some(MisState {
-                    status: Membership::Dominator,
-                    cur: state.cur,
-                }),
-                Membership::Dominator => None,
-            };
-        }
-        let port = self.frozen[p.index()].clamp_to_degree(graph.degree(p));
-        let neighbor = *view.read(port);
-        let my_color = self.color(p);
-        if neighbor.status == Membership::Dominator
-            && neighbor.color < my_color
-            && state.status == Membership::Dominator
-        {
-            return Some(MisState {
-                status: Membership::Dominated,
-                cur: port,
-            });
-        }
-        if (neighbor.status == Membership::Dominated || my_color < neighbor.color)
-            && state.status == Membership::Dominated
-        {
-            return Some(MisState {
-                status: Membership::Dominator,
-                cur: port,
-            });
-        }
-        None
-    }
 }
 
 impl Protocol for FrozenReadMis {
@@ -234,17 +179,6 @@ impl Protocol for FrozenReadMis {
     }
 
     #[inline]
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &MisState,
-        view: &NeighborView<'_, MisComm>,
-    ) -> bool {
-        self.eval(graph, p, state, view).is_some()
-    }
-
-    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -253,7 +187,36 @@ impl Protocol for FrozenReadMis {
         view: &NeighborView<'_, MisComm>,
         _rng: &mut dyn RngCore,
     ) -> Option<MisState> {
-        self.eval(graph, p, state, view)
+        if graph.degree(p) == 0 {
+            return match state.status {
+                Membership::Dominated => Some(MisState {
+                    status: Membership::Dominator,
+                    cur: state.cur,
+                }),
+                Membership::Dominator => None,
+            };
+        }
+        let port = self.frozen[p.index()].clamp_to_degree(graph.degree(p));
+        let neighbor = *view.read(port);
+        let my_color = self.color(p);
+        if neighbor.status == Membership::Dominator
+            && neighbor.color < my_color
+            && state.status == Membership::Dominator
+        {
+            return Some(MisState {
+                status: Membership::Dominated,
+                cur: port,
+            });
+        }
+        if (neighbor.status == Membership::Dominated || my_color < neighbor.color)
+            && state.status == Membership::Dominated
+        {
+            return Some(MisState {
+                status: Membership::Dominator,
+                cur: port,
+            });
+        }
+        None
     }
 
     fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {

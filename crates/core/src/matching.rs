@@ -15,7 +15,7 @@
 //! other; the predicate `PRmarried(p) ≡ (PR.p = cur.p ∧ PR.(cur.p) = p)`
 //! lets `p` evaluate this by reading only the neighbor designated by `cur.p`.
 //! The six guarded actions (priority order) are transcribed verbatim in
-//! `Matching::eval`.
+//! `Matching`'s `activate`.
 //!
 //! The protocol reads one neighbor per activation (1-efficient), reaches a
 //! silent configuration in at most `(∆+1)·n + 2` rounds (Lemma 9), every
@@ -133,17 +133,49 @@ impl Matching {
     pub fn stability_bound(graph: &Graph) -> usize {
         verify::matching_stability_bound(graph)
     }
+}
+
+impl Protocol for Matching {
+    type State = MatchingState;
+    type Comm = MatchingComm;
+
+    fn name(&self) -> &'static str {
+        "matching-1-efficient"
+    }
+
+    fn arbitrary_state(&self, graph: &Graph, p: NodeId, rng: &mut dyn RngCore) -> MatchingState {
+        let degree = graph.degree(p).max(1);
+        let pr = if rng.gen_bool(0.5) {
+            None
+        } else {
+            Some(Port::new(rng.gen_range(0..degree)))
+        };
+        MatchingState {
+            married: rng.gen_bool(0.5),
+            pr,
+            cur: Port::new(rng.gen_range(0..degree)),
+        }
+    }
+
+    #[inline]
+    fn comm(&self, p: NodeId, state: &MatchingState) -> MatchingComm {
+        MatchingComm {
+            married: state.married,
+            pr: state.pr,
+            color: self.color(p),
+        }
+    }
 
     /// Evaluates the six guarded actions of `p` in priority order; returns
-    /// the successor state or `None` when `p` is disabled. Deterministic, so
-    /// it backs both `is_enabled` and `activate`.
+    /// the successor state or `None` when `p` is disabled.
     #[inline]
-    fn eval(
+    fn activate(
         &self,
         graph: &Graph,
         p: NodeId,
         state: &MatchingState,
         view: &NeighborView<'_, MatchingComm>,
+        _rng: &mut dyn RngCore,
     ) -> Option<MatchingState> {
         let degree = graph.degree(p);
         if degree == 0 {
@@ -237,61 +269,6 @@ impl Matching {
             });
         }
         None
-    }
-}
-
-impl Protocol for Matching {
-    type State = MatchingState;
-    type Comm = MatchingComm;
-
-    fn name(&self) -> &'static str {
-        "matching-1-efficient"
-    }
-
-    fn arbitrary_state(&self, graph: &Graph, p: NodeId, rng: &mut dyn RngCore) -> MatchingState {
-        let degree = graph.degree(p).max(1);
-        let pr = if rng.gen_bool(0.5) {
-            None
-        } else {
-            Some(Port::new(rng.gen_range(0..degree)))
-        };
-        MatchingState {
-            married: rng.gen_bool(0.5),
-            pr,
-            cur: Port::new(rng.gen_range(0..degree)),
-        }
-    }
-
-    #[inline]
-    fn comm(&self, p: NodeId, state: &MatchingState) -> MatchingComm {
-        MatchingComm {
-            married: state.married,
-            pr: state.pr,
-            color: self.color(p),
-        }
-    }
-
-    #[inline]
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &MatchingState,
-        view: &NeighborView<'_, MatchingComm>,
-    ) -> bool {
-        self.eval(graph, p, state, view).is_some()
-    }
-
-    #[inline]
-    fn activate(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &MatchingState,
-        view: &NeighborView<'_, MatchingComm>,
-        _rng: &mut dyn RngCore,
-    ) -> Option<MatchingState> {
-        self.eval(graph, p, state, view)
     }
 
     fn comm_bits(&self, graph: &Graph, p: NodeId) -> u64 {

@@ -114,18 +114,48 @@ impl Mis {
     fn color(&self, p: NodeId) -> Color {
         self.coloring.color(p)
     }
+}
+
+impl Protocol for Mis {
+    type State = MisState;
+    type Comm = MisComm;
+
+    fn name(&self) -> &'static str {
+        "mis-1-efficient"
+    }
+
+    fn arbitrary_state(&self, graph: &Graph, p: NodeId, rng: &mut dyn RngCore) -> MisState {
+        let degree = graph.degree(p).max(1);
+        MisState {
+            status: if rng.gen_bool(0.5) {
+                Membership::Dominator
+            } else {
+                Membership::Dominated
+            },
+            cur: Port::new(rng.gen_range(0..degree)),
+        }
+    }
+
+    #[inline]
+    fn comm(&self, p: NodeId, state: &MisState) -> MisComm {
+        // The communication state a neighbor reads is the S variable plus
+        // the color constant C.p.
+        MisComm {
+            status: state.status,
+            color: self.color(p),
+        }
+    }
 
     /// Evaluates the guarded actions of `p` in priority order and returns
-    /// the successor state, or `None` when every action is disabled. The
-    /// protocol is deterministic, so this single function backs both
-    /// `is_enabled` and `activate`.
+    /// the successor state, or `None` when every action is disabled.
     #[inline]
-    fn eval(
+    fn activate(
         &self,
         graph: &Graph,
         p: NodeId,
         state: &MisState,
         view: &NeighborView<'_, MisComm>,
+        _rng: &mut dyn RngCore,
     ) -> Option<MisState> {
         let degree = graph.degree(p);
         if degree == 0 {
@@ -173,60 +203,6 @@ impl Mis {
         }
         None
     }
-}
-
-impl Protocol for Mis {
-    type State = MisState;
-    type Comm = MisComm;
-
-    fn name(&self) -> &'static str {
-        "mis-1-efficient"
-    }
-
-    fn arbitrary_state(&self, graph: &Graph, p: NodeId, rng: &mut dyn RngCore) -> MisState {
-        let degree = graph.degree(p).max(1);
-        MisState {
-            status: if rng.gen_bool(0.5) {
-                Membership::Dominator
-            } else {
-                Membership::Dominated
-            },
-            cur: Port::new(rng.gen_range(0..degree)),
-        }
-    }
-
-    #[inline]
-    fn comm(&self, p: NodeId, state: &MisState) -> MisComm {
-        // The communication state a neighbor reads is the S variable plus
-        // the color constant C.p.
-        MisComm {
-            status: state.status,
-            color: self.color(p),
-        }
-    }
-
-    #[inline]
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &MisState,
-        view: &NeighborView<'_, MisComm>,
-    ) -> bool {
-        self.eval(graph, p, state, view).is_some()
-    }
-
-    #[inline]
-    fn activate(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &MisState,
-        view: &NeighborView<'_, MisComm>,
-        _rng: &mut dyn RngCore,
-    ) -> Option<MisState> {
-        self.eval(graph, p, state, view)
-    }
 
     fn comm_bits(&self, _graph: &Graph, _p: NodeId) -> u64 {
         // S (1 bit) plus the color constant.
@@ -264,18 +240,6 @@ impl Protocol for Mis {
                 }
             }
         })
-    }
-}
-
-impl Mis {
-    /// Builds the communication snapshot of a configuration, attaching each
-    /// process's color constant (this is what neighbors actually read).
-    pub fn comm_snapshot(&self, config: &[MisState]) -> Vec<MisComm> {
-        config
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.comm(NodeId::new(i), s))
-            .collect()
     }
 }
 
@@ -523,19 +487,16 @@ mod tests {
     }
 
     #[test]
-    fn comm_snapshot_attaches_colors() {
+    fn comm_attaches_the_color_constant() {
         let graph = generators::path(3);
         let protocol = protocol_for(&graph);
-        let config = vec![
-            MisState {
-                status: Membership::Dominator,
-                cur: Port::new(0)
-            };
-            3
-        ];
-        let snapshot = protocol.comm_snapshot(&config);
-        for (i, comm) in snapshot.iter().enumerate() {
-            assert_eq!(comm.color, protocol.coloring().color(NodeId::new(i)));
+        let state = MisState {
+            status: Membership::Dominator,
+            cur: Port::new(0),
+        };
+        for p in graph.nodes() {
+            let comm = protocol.comm(p, &state);
+            assert_eq!(comm.color, protocol.coloring().color(p));
             assert_eq!(comm.status, Membership::Dominator);
         }
     }

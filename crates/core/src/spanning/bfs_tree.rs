@@ -158,24 +158,6 @@ impl Protocol for BfsTree {
     }
 
     #[inline]
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &BfsState,
-        view: &NeighborView<'_, usize>,
-    ) -> bool {
-        if p == self.root {
-            return state.dist != 0;
-        }
-        if graph.degree(p) == 0 {
-            return false; // unreachable: nothing to repair against
-        }
-        let (_, _, consistent) = self.check(graph, p, state, view);
-        !consistent
-    }
-
-    #[inline]
     fn activate(
         &self,
         graph: &Graph,
@@ -191,7 +173,7 @@ impl Protocol for BfsTree {
             });
         }
         if graph.degree(p) == 0 {
-            return None;
+            return None; // unreachable: nothing to repair against
         }
         let (desired, parent, consistent) = self.check(graph, p, state, view);
         (!consistent).then_some(BfsState {

@@ -261,6 +261,10 @@ impl Protocol for LeaderElection {
         }
     }
 
+    /// Hand-written because it is O(1) at a process with neighbors: the
+    /// derived guard would probe a neighbor and, when the probe fires,
+    /// rescan the whole neighborhood, only to learn what the degree
+    /// already says.
     #[inline]
     fn is_enabled(
         &self,
@@ -340,14 +344,12 @@ impl Protocol for LeaderElection {
         crate::spanning::is_bfs_spanning_tree(graph, expected, &dist, &parents)
     }
 
-    /// Silent ⇔ legitimate up to internal-variable churn: once every
-    /// process advertises the true minimum identifier with BFS-consistent
-    /// distances, no probe ever fires again and the communication variables
-    /// are fixed (only the `cur` pointers keep cycling), mirroring the
-    /// COLORING protocol's notion of silence.
-    fn is_silent_config(&self, graph: &Graph, config: &[LeaderElectionState]) -> bool {
-        self.is_legitimate(graph, config)
-    }
+    // Silent ⇔ legitimate up to internal-variable churn: once every
+    // process advertises the true minimum identifier with BFS-consistent
+    // distances, no probe ever fires again and the communication variables
+    // are fixed (only the `cur` pointers keep cycling), mirroring the
+    // COLORING protocol's notion of silence. The default
+    // `is_silent_config` is therefore exact.
 }
 
 #[cfg(test)]

@@ -114,6 +114,9 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
         state.output.clone()
     }
 
+    /// Hand-written because it is O(1): the derived guard would read the
+    /// checked neighbor and, on a conflict, run the specification's
+    /// correction, only to learn what the degree already says.
     #[inline]
     fn is_enabled(
         &self,

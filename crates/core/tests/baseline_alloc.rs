@@ -1,5 +1,6 @@
-//! The Δ-efficient baselines evaluate their guards and activations
-//! without touching the allocator.
+//! The Δ-efficient baselines, and the protocols whose guard is derived
+//! from `activate`, evaluate their guards and activations without
+//! touching the allocator.
 //!
 //! The baselines read every neighbour on every guard evaluation and every
 //! activation, so they are the protocols whose per-activation cost scales
@@ -11,14 +12,23 @@
 //! (every selected process re-checks all its neighbours and stays put) nor
 //! repairs (guard re-evaluations and moves, colour redraws included)
 //! allocate.
+//!
+//! MIS, MATCHING and the BFS tree write no guard: `Protocol::is_enabled`
+//! runs their `activate` on a lazily seeded generator. The synchronous
+//! daemon settles every selected guard through the activation itself, so
+//! they run under `CentralRandom::enabled_only()`, which reads the enabled
+//! set: every dirty guard then goes through the derived `is_enabled`
+//! before selection, and that must not allocate either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use selfstab_core::baselines::{BaselineColoring, BaselineMatching, BaselineMis};
-use selfstab_core::mis::Membership;
-use selfstab_graph::{generators, Graph, NodeId};
-use selfstab_runtime::scheduler::Synchronous;
+use selfstab_core::matching::{Matching, MatchingState};
+use selfstab_core::mis::{Membership, Mis, MisState};
+use selfstab_core::spanning::{BfsState, BfsTree};
+use selfstab_graph::{generators, Graph, NodeId, Port, RootedGraph};
+use selfstab_runtime::scheduler::{CentralRandom, Scheduler, Synchronous};
 use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 /// Global allocation-event counter (alloc + realloc; frees are irrelevant
@@ -71,6 +81,25 @@ fn baseline_protocols_step_without_allocating() {
     baseline_mis_steps_without_allocating(&graph);
     baseline_matching_checks_without_allocating(&graph);
     baseline_coloring_redraws_without_allocating(&graph);
+    let mis = Mis::with_greedy_coloring(&graph);
+    let dominator = MisState {
+        status: Membership::Dominator,
+        cur: Port::new(0),
+    };
+    derived_guards_evaluate_without_allocating(&graph, mis, dominator);
+    let matching = Matching::with_greedy_coloring(&graph);
+    let married_to_no_one = MatchingState {
+        married: true,
+        pr: None,
+        cur: Port::new(0),
+    };
+    derived_guards_evaluate_without_allocating(&graph, matching, married_to_no_one);
+    let network = RootedGraph::new(graph.clone(), NodeId::new(0)).expect("valid root");
+    let fake_root = BfsState {
+        dist: 0,
+        parent: Port::new(0),
+    };
+    derived_guards_evaluate_without_allocating(network.graph(), BfsTree::new(&network), fake_root);
 
     // The counter works: an explicit allocation registers.
     let before = allocation_count();
@@ -79,10 +108,10 @@ fn baseline_protocols_step_without_allocating() {
     assert!(allocation_count() > before);
 }
 
-/// Runs `steps` synchronous steps of a silent `sim` and asserts that they
-/// read neighbours and did not allocate.
-fn assert_silent_stepping_is_allocation_free<P: Protocol>(
-    sim: &mut Simulation<'_, P, Synchronous>,
+/// Runs `steps` steps of a silent `sim` and asserts that they read
+/// neighbours and did not allocate.
+fn assert_silent_stepping_is_allocation_free<P: Protocol, S: Scheduler>(
+    sim: &mut Simulation<'_, P, S>,
     steps: u64,
 ) {
     let name = sim.protocol().name();
@@ -166,5 +195,48 @@ fn baseline_coloring_redraws_without_allocating(graph: &Graph) {
     assert_eq!(
         allocations, 0,
         "a redraw step allocated {allocations} times"
+    );
+}
+
+/// Drives `protocol` to silence under `CentralRandom::enabled_only()`, then
+/// checks that silent stepping and repairs allocate nothing once warm. Each
+/// repair writes `corrupt` into a process other than 0 (the BFS root),
+/// dirtying its neighbourhood, whose guards the derived `is_enabled`
+/// settles before the next selection.
+fn derived_guards_evaluate_without_allocating<P: Protocol>(
+    graph: &Graph,
+    protocol: P,
+    corrupt: P::State,
+) {
+    let name = protocol.name();
+    let mut sim = Simulation::new(
+        graph,
+        protocol,
+        CentralRandom::enabled_only(),
+        5,
+        SimOptions::default(),
+    );
+    let victim = |round: usize| NodeId::new(1 + (9 * round) % (graph.node_count() - 1));
+    assert!(sim.run_until_silent(1_000_000).silent, "{name}: no silence");
+    // Warm the executor's scratch with a few repairs.
+    for round in 0..4 {
+        sim.set_state(victim(round), corrupt.clone());
+        sim.run_steps(300);
+    }
+    assert!(sim.run_until_silent(1_000_000).silent, "{name}: no silence");
+
+    assert_silent_stepping_is_allocation_free(&mut sim, 2_000);
+
+    let guards_before = sim.guard_evaluations();
+    let before = allocation_count();
+    for round in 4..12 {
+        sim.set_state(victim(round), corrupt.clone());
+        sim.run_steps(300);
+    }
+    let allocations = allocation_count() - before;
+    assert!(sim.guard_evaluations() > guards_before);
+    assert_eq!(
+        allocations, 0,
+        "{name}: repair stepping allocated {allocations} times"
     );
 }

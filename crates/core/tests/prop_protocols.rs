@@ -11,17 +11,26 @@
 //! * the measures `RunStats` reports (k-efficiency, its suffix form, and
 //!   the k-stable and ♦-k-stable process counts) equal the same measures
 //!   recomputed from the run's step records.
+//!
+//! They also check the `Protocol` contract on the protocols that keep a
+//! hand-written guard (COLORING, its baseline, the transformer and the
+//! leader election): each guard agrees with whether `activate` moves, and
+//! a mutant guard fails the same check.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use selfstab_core::coloring::Coloring;
+use rand::{RngCore, SeedableRng};
+use selfstab_core::baselines::BaselineColoring;
+use selfstab_core::coloring::{Coloring, ColoringState};
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis};
-use selfstab_graph::{generators, longest_path, verify, Graph, Port};
+use selfstab_core::spanning::LeaderElection;
+use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker, SeparationSpec};
+use selfstab_graph::{generators, longest_path, verify, Graph, Identifiers, NodeId, Port};
 use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
+use selfstab_runtime::view::NeighborView;
 use selfstab_runtime::{MemorySink, Protocol, SimOptions, Simulation, StepRecord};
 
 fn random_connected_graph(n: usize, seed: u64) -> Graph {
@@ -342,48 +351,140 @@ proptest! {
     }
 }
 
-/// Deterministic regression tests for the protocol trait contract: guards
-/// are deterministic, so `is_enabled` must agree with `activate`.
-#[test]
-fn is_enabled_agrees_with_activate_for_deterministic_protocols() {
-    use rand::rngs::StdRng;
-    use selfstab_runtime::view::NeighborView;
-    let graph = generators::grid(3, 3);
-    let mis = Mis::with_greedy_coloring(&graph);
-    let matching = Matching::with_greedy_coloring(&graph);
-    let mut rng = StdRng::seed_from_u64(5);
-    for seed in 0..50u64 {
-        let mut seed_rng = StdRng::seed_from_u64(seed);
-        let mis_config: Vec<_> = graph
+/// The first disagreement between `protocol`'s `is_enabled` and whether
+/// its `activate` moves, over 50 random configurations of `graph` and four
+/// activation generators each, or `None` when they always agree.
+fn guard_disagreement<P: Protocol>(graph: &Graph, protocol: &P) -> Option<String> {
+    for config_seed in 0..50u64 {
+        let mut rng = StdRng::seed_from_u64(config_seed);
+        let config: Vec<P::State> = graph
             .nodes()
-            .map(|p| mis.arbitrary_state(&graph, p, &mut seed_rng))
+            .map(|p| protocol.arbitrary_state(graph, p, &mut rng))
             .collect();
-        let mis_snapshot: Vec<_> = graph
+        let snapshot: Vec<P::Comm> = graph
             .nodes()
-            .map(|p| mis.comm(p, &mis_config[p.index()]))
+            .map(|p| protocol.comm(p, &config[p.index()]))
             .collect();
         for p in graph.nodes() {
-            let view = NeighborView::from_snapshot(&graph, p, &mis_snapshot);
-            let enabled = mis.is_enabled(&graph, p, &mis_config[p.index()], &view);
-            let view = NeighborView::from_snapshot(&graph, p, &mis_snapshot);
-            let outcome = mis.activate(&graph, p, &mis_config[p.index()], &view, &mut rng);
-            assert_eq!(enabled, outcome.is_some());
+            let state = &config[p.index()];
+            let view = NeighborView::from_snapshot(graph, p, &snapshot);
+            let enabled = protocol.is_enabled(graph, p, state, &view);
+            for rng_seed in 0..4u64 {
+                let view = NeighborView::from_snapshot(graph, p, &snapshot);
+                let mut rng = StdRng::seed_from_u64(rng_seed);
+                let moved = protocol
+                    .activate(graph, p, state, &view, &mut rng)
+                    .is_some();
+                if moved != enabled {
+                    return Some(format!(
+                        "{} on {graph}, configuration seed {config_seed}, process {p}, \
+                         rng seed {rng_seed}: is_enabled says {enabled}, activate moved: {moved}",
+                        protocol.name()
+                    ));
+                }
+            }
         }
+    }
+    None
+}
 
-        let m_config: Vec<_> = graph
-            .nodes()
-            .map(|p| matching.arbitrary_state(&graph, p, &mut seed_rng))
-            .collect();
-        let m_snapshot: Vec<_> = graph
-            .nodes()
-            .map(|p| matching.comm(p, &m_config[p.index()]))
-            .collect();
-        for p in graph.nodes() {
-            let view = NeighborView::from_snapshot(&graph, p, &m_snapshot);
-            let enabled = matching.is_enabled(&graph, p, &m_config[p.index()], &view);
-            let view = NeighborView::from_snapshot(&graph, p, &m_snapshot);
-            let outcome = matching.activate(&graph, p, &m_config[p.index()], &view, &mut rng);
-            assert_eq!(enabled, outcome.is_some());
-        }
+/// A grid, a star (its leaves have degree 1) and a graph with an isolated
+/// process (degree 0).
+fn contract_graphs() -> [Graph; 3] {
+    [
+        generators::grid(3, 3),
+        generators::star(6),
+        Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).expect("valid edges"),
+    ]
+}
+
+/// The `Protocol` contract binds every hand-written guard: it is an
+/// optimisation of the guard `activate` defines, so it must say whether
+/// the activation moves, whatever generator the activation draws from.
+#[test]
+fn hand_written_guards_agree_with_activate() {
+    for graph in contract_graphs() {
+        assert_eq!(guard_disagreement(&graph, &Coloring::new(&graph)), None);
+        assert_eq!(
+            guard_disagreement(&graph, &BaselineColoring::new(&graph)),
+            None
+        );
+        let transformed = RoundRobinChecker::new(ColoringSpec::new(&graph));
+        assert_eq!(guard_disagreement(&graph, &transformed), None);
+        let separation = SeparationSpec::new(4 * graph.max_degree() + 1, 2);
+        assert_eq!(
+            guard_disagreement(&graph, &RoundRobinChecker::new(separation)),
+            None
+        );
+        let election = LeaderElection::new(&graph, Identifiers::sequential(graph.node_count()));
+        assert_eq!(guard_disagreement(&graph, &election), None);
+    }
+}
+
+/// COLORING with a guard that wrongly says "disabled" at every process of
+/// degree 1: a contract mutant.
+struct DisabledAtDegreeOne(Coloring);
+
+impl Protocol for DisabledAtDegreeOne {
+    type State = ColoringState;
+    type Comm = usize;
+
+    fn name(&self) -> &'static str {
+        "coloring-disabled-at-degree-one"
+    }
+
+    fn arbitrary_state(&self, graph: &Graph, p: NodeId, rng: &mut dyn RngCore) -> ColoringState {
+        self.0.arbitrary_state(graph, p, rng)
+    }
+
+    fn comm(&self, p: NodeId, state: &ColoringState) -> usize {
+        self.0.comm(p, state)
+    }
+
+    fn is_enabled(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &ColoringState,
+        view: &NeighborView<'_, usize>,
+    ) -> bool {
+        graph.degree(p) != 1 && self.0.is_enabled(graph, p, state, view)
+    }
+
+    fn activate(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &ColoringState,
+        view: &NeighborView<'_, usize>,
+        rng: &mut dyn RngCore,
+    ) -> Option<ColoringState> {
+        self.0.activate(graph, p, state, view, rng)
+    }
+
+    fn comm_bits(&self, graph: &Graph, p: NodeId) -> u64 {
+        self.0.comm_bits(graph, p)
+    }
+
+    fn state_bits(&self, graph: &Graph, p: NodeId) -> u64 {
+        self.0.state_bits(graph, p)
+    }
+
+    fn is_legitimate(&self, graph: &Graph, config: &[ColoringState]) -> bool {
+        self.0.is_legitimate(graph, config)
+    }
+}
+
+/// Positive control: the check above catches a guard that disagrees with
+/// `activate` on both graphs that have a process of degree 1.
+#[test]
+fn a_guard_that_disagrees_with_activate_fails_the_contract_check() {
+    let [_, star, with_isolated] = contract_graphs();
+    for graph in [star, with_isolated] {
+        let mutant = DisabledAtDegreeOne(Coloring::new(&graph));
+        assert!(
+            guard_disagreement(&graph, &mutant).is_some(),
+            "the contract check missed the mutant on {graph}"
+        );
     }
 }

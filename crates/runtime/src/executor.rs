@@ -92,7 +92,7 @@ use rand::SeedableRng;
 use selfstab_graph::{Graph, NodeId, Port};
 
 use crate::enabled::EnabledSet;
-use crate::protocol::Protocol;
+use crate::protocol::{ActivationRng, Protocol};
 use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::RunStats;
 use crate::telemetry::metrics::{self, MetricsRegistry, StepPhase};
@@ -757,48 +757,9 @@ impl PhaseClock {
     }
 }
 
-/// The private RNG of one activation, keyed by `(seed, step, process)`:
-/// the random stream a protocol sees depends on which process is
-/// activated at which step of which run, and on nothing else — not on the
-/// order of activations within a step, nor on how many processes the step
-/// selected. A replay of the same selections therefore hands every
-/// activation the same randomness.
-///
-/// Expansion of the seed into generator state is **lazy**: protocols that
-/// never draw during `activate` (MIS, matching, the min-value test
-/// protocols — the synchronous hot path at 10⁶ activations per step) pay
-/// one branch per activation instead of a full `seed_from_u64`.
-struct ActivationRng {
-    seed: u64,
-    inner: Option<StdRng>,
-}
-impl ActivationRng {
-    #[inline]
-    fn rng(&mut self) -> &mut StdRng {
-        self.inner
-            .get_or_insert_with(|| StdRng::seed_from_u64(self.seed))
-    }
-}
-
-impl rand::RngCore for ActivationRng {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        self.rng().next_u32()
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.rng().next_u64()
-    }
-
-    #[inline]
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.rng().fill_bytes(dest)
-    }
-}
-
-/// Derives the private RNG of one activation (a SplitMix64 finalizer over
-/// the salt/step/process mix; see [`ActivationRng`]).
+/// Derives the private RNG of one activation, keyed by `(seed, step,
+/// process)` (a SplitMix64 finalizer over the salt/step/process mix; see
+/// [`ActivationRng`]).
 #[inline]
 fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
     let mut z = salt
@@ -807,10 +768,7 @@ fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    ActivationRng {
-        seed: z,
-        inner: None,
-    }
+    ActivationRng::new(z)
 }
 
 /// Runs one self-contained experiment **cell**: builds a [`Simulation`] from
@@ -880,16 +838,6 @@ mod tests {
             *state
         }
 
-        fn is_enabled(
-            &self,
-            graph: &Graph,
-            p: NodeId,
-            state: &u32,
-            view: &NeighborView<'_, u32>,
-        ) -> bool {
-            (0..graph.degree(p)).any(|i| view.read(Port::new(i)) < state)
-        }
-
         fn activate(
             &self,
             graph: &Graph,
@@ -939,16 +887,6 @@ mod tests {
             *state
         }
 
-        fn is_enabled(
-            &self,
-            _graph: &Graph,
-            _p: NodeId,
-            _state: &u32,
-            _view: &NeighborView<'_, u32>,
-        ) -> bool {
-            false
-        }
-
         fn activate(
             &self,
             graph: &Graph,
@@ -977,8 +915,8 @@ mod tests {
         }
     }
 
-    /// Breaks the `Protocol` contract: its guard is never enabled, yet
-    /// every activation moves.
+    /// Breaks the `Protocol` contract: its hand-written guard is never
+    /// enabled, yet every activation moves.
     struct MovesWhileDisabled;
 
     impl Protocol for MovesWhileDisabled {

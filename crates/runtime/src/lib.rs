@@ -54,15 +54,7 @@
 //!         _rng: &mut dyn RngCore,
 //!     ) -> u32 { p.index() as u32 + 1 }
 //!     fn comm(&self, _p: selfstab_graph::NodeId, state: &u32) -> u32 { *state }
-//!     fn is_enabled(
-//!         &self,
-//!         graph: &selfstab_graph::Graph,
-//!         p: selfstab_graph::NodeId,
-//!         state: &u32,
-//!         view: &NeighborView<'_, u32>,
-//!     ) -> bool {
-//!         (0..graph.degree(p)).any(|i| view.read(selfstab_graph::Port::new(i)) < state)
-//!     }
+//!     // The guarded action: `is_enabled` defaults to whether this moves.
 //!     fn activate(
 //!         &self,
 //!         graph: &selfstab_graph::Graph,

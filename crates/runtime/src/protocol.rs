@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use selfstab_graph::{Graph, NodeId};
 
 use crate::view::NeighborView;
@@ -24,15 +25,19 @@ use crate::view::NeighborView;
 /// guarded actions in priority order against a read-tracked view of its
 /// neighbors' communication states and returns the new state of the enabled
 /// action with the highest priority, or `None` when the process is disabled.
+/// That one definition is the protocol: a process is enabled exactly when
+/// its activation returns `Some`, which is what [`Protocol::is_enabled`]
+/// computes unless a protocol overrides it.
 ///
 /// # Contract
 ///
-/// * `activate` must return `Some` exactly when `is_enabled` returns `true`
-///   for the same configuration (guards are deterministic; only action
-///   *bodies* may use randomness). The executor relies on this: when the
-///   daemon does not read the enabled set, a selected process's enabled
-///   flag is settled from whether its activation returned `Some`, without
-///   calling `is_enabled`. Debug builds check it wherever the flag is
+/// * Whether `activate` returns `Some` depends only on `state` and `view`,
+///   never on `rng`: guards are deterministic, and only action *bodies*
+///   may draw. A hand-written `is_enabled` is an optimisation and must
+///   agree with it. The executor relies on this: when the daemon does not
+///   read the enabled set, a selected process's enabled flag is settled
+///   from whether its activation returned `Some`, without calling
+///   `is_enabled`. Debug builds check an override wherever the flag is
 ///   already known, and the sampled check against the from-scratch
 ///   reference catches the rest.
 /// * `activate` and `is_enabled` may only learn about other processes through
@@ -76,13 +81,25 @@ pub trait Protocol: Sync {
     /// Reads performed here are **not** charged to the communication
     /// measures: enabledness is the scheduler's (daemon's) omniscient view,
     /// not a message exchanged by the protocol.
+    ///
+    /// The default runs [`Protocol::activate`] and reports whether it
+    /// moved. Its generator has a fixed key and is seeded lazily, so a
+    /// deterministic activation never seeds it. Override only where the
+    /// guard is measurably cheaper than the activation; the override must
+    /// agree with `activate` (see the contract).
+    #[inline]
     fn is_enabled(
         &self,
         graph: &Graph,
         p: NodeId,
         state: &Self::State,
         view: &NeighborView<'_, Self::Comm>,
-    ) -> bool;
+    ) -> bool {
+        // Whether the activation moves does not depend on its draws, so
+        // any fixed key gives the same answer.
+        self.activate(graph, p, state, view, &mut ActivationRng::new(0))
+            .is_some()
+    }
 
     /// Executes one atomic activation of `p` from `state`, reading neighbors
     /// through `view`, and returns the new state, or `None` when every
@@ -118,16 +135,54 @@ pub trait Protocol: Sync {
     fn is_silent_config(&self, graph: &Graph, config: &[Self::State]) -> bool {
         self.is_legitimate(graph, config)
     }
+}
 
-    /// Number of bits `log2(ceil)` helper for describing variable domains.
-    ///
-    /// Provided for implementors: the number of bits required to store a
-    /// variable ranging over `domain_size` values (at least 1 bit).
-    fn bits_for_domain(domain_size: u64) -> u64
-    where
-        Self: Sized,
-    {
-        bits_for_domain(domain_size)
+/// The private RNG of one activation, seeded from a 64-bit key. The
+/// executor derives the key from `(seed, step, process)`, so the random
+/// stream a protocol sees depends on which process is activated at which
+/// step of which run, and on nothing else — not on the order of
+/// activations within a step, nor on how many processes the step
+/// selected. A replay of the same selections therefore hands every
+/// activation the same randomness. [`Protocol::is_enabled`]'s default
+/// uses a fixed key.
+///
+/// Expansion of the key into generator state is **lazy**: protocols that
+/// never draw during `activate` (MIS, matching, the min-value test
+/// protocols — the synchronous hot path at 10⁶ activations per step) pay
+/// one branch per activation instead of a full `seed_from_u64`.
+pub(crate) struct ActivationRng {
+    key: u64,
+    inner: Option<StdRng>,
+}
+
+impl ActivationRng {
+    /// A generator for `key`, not yet seeded.
+    #[inline]
+    pub(crate) fn new(key: u64) -> Self {
+        ActivationRng { key, inner: None }
+    }
+
+    #[inline]
+    fn rng(&mut self) -> &mut StdRng {
+        self.inner
+            .get_or_insert_with(|| StdRng::seed_from_u64(self.key))
+    }
+}
+
+impl RngCore for ActivationRng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        self.rng().next_u32()
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.rng().next_u64()
+    }
+
+    #[inline]
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.rng().fill_bytes(dest)
     }
 }
 

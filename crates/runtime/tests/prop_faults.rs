@@ -38,16 +38,6 @@ impl Protocol for MinValue {
         *state
     }
 
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &u32,
-        view: &NeighborView<'_, u32>,
-    ) -> bool {
-        (0..graph.degree(p)).any(|i| view.read(Port::new(i)) < state)
-    }
-
     fn activate(
         &self,
         graph: &Graph,

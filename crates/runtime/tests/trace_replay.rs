@@ -49,16 +49,6 @@ impl Protocol for RandomRecolor {
         *state
     }
 
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &usize,
-        view: &NeighborView<'_, usize>,
-    ) -> bool {
-        (0..graph.degree(p)).any(|i| view.read(Port::new(i)) == state)
-    }
-
     fn activate(
         &self,
         graph: &Graph,

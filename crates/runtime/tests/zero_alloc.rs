@@ -71,8 +71,9 @@ fn allocation_count() -> u64 {
 }
 
 /// Minimum-propagation toy protocol with `Copy` state: the same executor
-/// shape as the paper protocols (guard reads all neighbors, activation
-/// copies the minimum) without depending on `selfstab-core`.
+/// shape as the paper protocols (the activation reads all neighbors and
+/// copies the minimum, and the guard is derived from it) without
+/// depending on `selfstab-core`.
 struct MinValue;
 
 impl Protocol for MinValue {
@@ -89,16 +90,6 @@ impl Protocol for MinValue {
 
     fn comm(&self, _p: NodeId, state: &u32) -> u32 {
         *state
-    }
-
-    fn is_enabled(
-        &self,
-        graph: &Graph,
-        p: NodeId,
-        state: &u32,
-        view: &NeighborView<'_, u32>,
-    ) -> bool {
-        (0..graph.degree(p)).any(|i| view.read(Port::new(i)) < state)
     }
 
     fn activate(
