@@ -12,7 +12,7 @@ use selfstab_core::coloring::Coloring;
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker};
 use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{run_cell, Protocol, SimOptions};
+use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid2, CampaignSpec, CellOutcome, PointResult};
@@ -85,49 +85,37 @@ pub fn cell(
         graph: &Graph,
         protocol: P,
         seed: u64,
-        options: SimOptions,
         max_steps: u64,
     ) -> CellOutcome<TransformerRun> {
-        run_cell(
+        let mut sim = Simulation::new(
             graph,
             protocol,
             DistributedRandom::new(0.5),
             seed,
-            options,
-            max_steps,
-            |report, sim| {
-                if !report.silent {
-                    return CellOutcome::Timeout;
-                }
-                CellOutcome::Stabilized(TransformerRun {
-                    steps: report.total_steps,
-                    efficiency: sim.stats().measured_efficiency(),
-                })
-            },
-        )
+            SimOptions::default(),
+        );
+        let report = sim.run_until_silent(max_steps);
+        if !report.silent {
+            return CellOutcome::Timeout;
+        }
+        CellOutcome::Stabilized(TransformerRun {
+            steps: report.total_steps,
+            efficiency: sim.stats().measured_efficiency(),
+        })
     }
     let graph = workload.build(config.base_seed);
-    let options = SimOptions::default();
     match variant {
-        Variant::HandWritten => drive(
-            &graph,
-            Coloring::new(&graph),
-            seed,
-            options,
-            config.max_steps,
-        ),
+        Variant::HandWritten => drive(&graph, Coloring::new(&graph), seed, config.max_steps),
         Variant::Transformed => drive(
             &graph,
             RoundRobinChecker::new(ColoringSpec::new(&graph)),
             seed,
-            options,
             config.max_steps,
         ),
         Variant::Baseline => drive(
             &graph,
             BaselineColoring::new(&graph),
             seed,
-            options,
             config.max_steps,
         ),
     }

@@ -17,7 +17,7 @@ use selfstab_core::coloring::Coloring;
 use selfstab_core::mis::Mis;
 use selfstab_graph::coloring as graph_coloring;
 use selfstab_runtime::scheduler::Synchronous;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid2, CampaignSpec, DaemonSpec};
@@ -78,18 +78,10 @@ pub fn identifier_cell(
     let graph = workload.build(config.base_seed);
     let protocol = Mis::new(kind.coloring(&graph));
     let bound = protocol.round_bound(&graph);
-    run_cell(
-        &graph,
-        protocol,
-        Synchronous,
-        seed,
-        SimOptions::default(),
-        bound + 16,
-        |report, _sim| {
-            assert!(report.silent, "MIS must stabilize within its bound");
-            report.total_rounds
-        },
-    )
+    let report = Simulation::new(&graph, protocol, Synchronous, seed, SimOptions::default())
+        .run_until_silent(bound + 16);
+    assert!(report.silent, "MIS must stabilize within its bound");
+    report.total_rounds
 }
 
 /// The daemon-ablation cell: one COLORING run under the given daemon.
@@ -100,18 +92,16 @@ pub fn daemon_cell(
     seed: u64,
 ) -> u64 {
     let graph = workload.build(config.base_seed);
-    run_cell(
+    let report = Simulation::new(
         &graph,
         Coloring::new(&graph),
         daemon.build(),
         seed,
         SimOptions::default(),
-        config.max_steps,
-        |report, _sim| {
-            assert!(report.silent, "COLORING must stabilize under a fair daemon");
-            report.total_steps
-        },
     )
+    .run_until_silent(config.max_steps);
+    assert!(report.silent, "COLORING must stabilize under a fair daemon");
+    report.total_steps
 }
 
 /// Runs the identifier ablation for MIS on one workload.

@@ -11,7 +11,7 @@
 use selfstab_core::measures::suffix_comm_report;
 use selfstab_core::spanning::{is_bfs_spanning_tree, BfsTree};
 use selfstab_graph::{properties, NodeId, RootedGraph};
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid2, CampaignSpec, CellOutcome, DaemonSpec, PointResult};
@@ -71,35 +71,33 @@ pub fn cell(
     let graph = workload.build(config.base_seed);
     let root = root_of(&graph);
     let network = RootedGraph::new(graph.clone(), root).expect("root in range");
-    run_cell(
+    let mut sim = Simulation::new(
         &graph,
         BfsTree::new(&network),
         daemon.build(),
         seed,
         SimOptions::default().with_check_interval(8),
-        config.max_steps,
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            let config = sim.config();
-            let dist = BfsTree::distances(config);
-            let parents = sim.protocol().parent_ports(config);
-            let oracle_ok = is_bfs_spanning_tree(sim.graph(), root, &dist, &parents);
-            // Post-stabilization cost: drive the silent system for a while
-            // and measure what the protocol keeps reading.
-            sim.mark_suffix();
-            sim.run_steps(10 * sim.graph().node_count() as u64);
-            let suffix = suffix_comm_report(sim.protocol(), sim.graph(), sim.stats());
-            CellOutcome::Stabilized(BfsTreeRun {
-                rounds: report.total_rounds,
-                steps: report.total_steps,
-                suffix_reads_per_selection: suffix.reads_per_selection,
-                suffix_efficiency: suffix.suffix_efficiency,
-                oracle_ok,
-            })
-        },
-    )
+    );
+    let report = sim.run_until_silent(config.max_steps);
+    if !report.silent {
+        return CellOutcome::Timeout;
+    }
+    let config = sim.config();
+    let dist = BfsTree::distances(config);
+    let parents = sim.protocol().parent_ports(config);
+    let oracle_ok = is_bfs_spanning_tree(&graph, root, &dist, &parents);
+    // Post-stabilization cost: drive the silent system for a while and
+    // measure what the protocol keeps reading.
+    sim.mark_suffix();
+    sim.run_steps(10 * graph.node_count() as u64);
+    let suffix = suffix_comm_report(sim.protocol(), &graph, sim.stats());
+    CellOutcome::Stabilized(BfsTreeRun {
+        rounds: report.total_rounds,
+        steps: report.total_steps,
+        suffix_reads_per_selection: suffix.reads_per_selection,
+        suffix_efficiency: suffix.suffix_efficiency,
+        oracle_ok,
+    })
 }
 
 /// Folds a point's per-seed outcomes into the aggregated measurement

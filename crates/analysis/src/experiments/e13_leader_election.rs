@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use selfstab_core::measures::suffix_comm_report;
 use selfstab_core::spanning::{is_bfs_spanning_tree, LeaderElection};
 use selfstab_graph::Identifiers;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::e12_bfs_tree;
 use super::ExperimentConfig;
@@ -72,35 +72,32 @@ pub fn cell(
     let ids = Identifiers::shuffled(graph.node_count(), &mut StdRng::seed_from_u64(seed));
     let protocol = LeaderElection::new(&graph, ids);
     let expected = protocol.expected_leader().expect("non-empty workloads");
-    run_cell(
+    let mut sim = Simulation::new(
         &graph,
         protocol,
         daemon.build(),
         seed,
         SimOptions::default().with_check_interval(8),
-        config.max_steps,
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            let config = sim.config();
-            let unique_leader = sim.protocol().self_declared_leaders(config) == vec![expected];
-            let dist = LeaderElection::distances(config);
-            let parents = sim.protocol().parent_ports(config);
-            let verified =
-                unique_leader && is_bfs_spanning_tree(sim.graph(), expected, &dist, &parents);
-            sim.mark_suffix();
-            sim.run_steps(10 * sim.graph().node_count() as u64);
-            let suffix = suffix_comm_report(sim.protocol(), sim.graph(), sim.stats());
-            CellOutcome::Stabilized(LeaderElectionRun {
-                rounds: report.total_rounds,
-                steps: report.total_steps,
-                suffix_reads_per_selection: suffix.reads_per_selection,
-                suffix_efficiency: suffix.suffix_efficiency,
-                verified,
-            })
-        },
-    )
+    );
+    let report = sim.run_until_silent(config.max_steps);
+    if !report.silent {
+        return CellOutcome::Timeout;
+    }
+    let config = sim.config();
+    let unique_leader = sim.protocol().self_declared_leaders(config) == vec![expected];
+    let dist = LeaderElection::distances(config);
+    let parents = sim.protocol().parent_ports(config);
+    let verified = unique_leader && is_bfs_spanning_tree(&graph, expected, &dist, &parents);
+    sim.mark_suffix();
+    sim.run_steps(10 * graph.node_count() as u64);
+    let suffix = suffix_comm_report(sim.protocol(), &graph, sim.stats());
+    CellOutcome::Stabilized(LeaderElectionRun {
+        rounds: report.total_rounds,
+        steps: report.total_steps,
+        suffix_reads_per_selection: suffix.reads_per_selection,
+        suffix_efficiency: suffix.suffix_efficiency,
+        verified,
+    })
 }
 
 fn aggregate<P>(

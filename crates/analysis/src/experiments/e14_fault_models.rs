@@ -21,7 +21,7 @@ use selfstab_core::mis::Mis;
 use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::e9_fault_recovery::{fault_rng, steady_window_reads_per_round, MisKind};
 use super::ExperimentConfig;
@@ -109,40 +109,41 @@ pub fn cell(
         config: &ExperimentConfig,
         seed: u64,
     ) -> CellOutcome<FaultModelRun> {
-        run_cell(
+        let mut sim = Simulation::new(
             graph,
             protocol,
             daemon.build(),
             seed,
             SimOptions::default().with_check_interval(4),
-            config.max_steps,
-            |report, sim| {
-                if !report.silent {
-                    return CellOutcome::Timeout;
-                }
-                // Pre-fault steady-state read rate over a window of rounds
-                // (same helper and fault-RNG derivation as E9, so the two
-                // experiments' figures stay directly comparable); E9 tables
-                // the per-process form of this baseline, E14 only uses it
-                // to normalize the read spike.
-                let steady_total = steady_window_reads_per_round(sim, 10);
+        );
+        if !sim.run_until_silent(config.max_steps).silent {
+            return CellOutcome::Timeout;
+        }
+        // Pre-fault steady-state read rate over a window of rounds (same
+        // helper and fault-RNG derivation as E9, so the two experiments'
+        // figures stay directly comparable); E9 tables the per-process form
+        // of this baseline, E14 only uses it to normalize the read spike.
+        let steady_total = steady_window_reads_per_round(&mut sim, 10);
 
-                let mut fault_rng = fault_rng(seed);
-                let mut injector = FaultInjector::new(sim.graph());
-                let telemetry =
-                    run_fault_plan(sim, plan, &mut injector, &mut fault_rng, config.max_steps);
-                CellOutcome::Stabilized(FaultModelRun {
-                    recovery_rounds: telemetry.recovery_rounds,
-                    availability: telemetry.availability,
-                    read_spike: if steady_total > 0.0 {
-                        telemetry.peak_round_reads as f64 / steady_total
-                    } else {
-                        0.0
-                    },
-                    victims: telemetry.victims,
-                })
+        let mut fault_rng = fault_rng(seed);
+        let mut injector = FaultInjector::new(graph);
+        let telemetry = run_fault_plan(
+            &mut sim,
+            plan,
+            &mut injector,
+            &mut fault_rng,
+            config.max_steps,
+        );
+        CellOutcome::Stabilized(FaultModelRun {
+            recovery_rounds: telemetry.recovery_rounds,
+            availability: telemetry.availability,
+            read_spike: if steady_total > 0.0 {
+                telemetry.peak_round_reads as f64 / steady_total
+            } else {
+                0.0
             },
-        )
+            victims: telemetry.victims,
+        })
     }
     let graph = workload.build(config.base_seed);
     match kind {

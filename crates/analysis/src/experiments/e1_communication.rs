@@ -13,7 +13,7 @@ use selfstab_core::measures;
 use selfstab_core::mis::Mis;
 use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{run_cell, Protocol, SimOptions};
+use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid2, CampaignSpec};
@@ -60,52 +60,38 @@ pub fn cell(
         graph: &Graph,
         protocol: P,
         seed: u64,
-        options: SimOptions,
         max_steps: u64,
     ) -> measures::ComplexityReport {
-        let extra_steps = 50 * graph.node_count() as u64;
-        run_cell(
+        let mut sim = Simulation::new(
             graph,
             protocol,
             DistributedRandom::new(0.5),
             seed,
-            options,
-            max_steps,
-            |_report, sim| {
-                sim.run_steps(extra_steps);
-                measures::complexity_report(sim.protocol(), sim.graph(), sim.stats())
-            },
-        )
+            SimOptions::default(),
+        );
+        sim.run_until_silent(max_steps);
+        sim.run_steps(50 * graph.node_count() as u64);
+        measures::complexity_report(sim.protocol(), graph, sim.stats())
     }
     let graph = workload.build(config.base_seed);
-    let options = SimOptions::default();
     match kind {
-        ProtocolKind::Coloring => complexity(
-            &graph,
-            Coloring::new(&graph),
-            seed,
-            options,
-            config.max_steps,
-        ),
+        ProtocolKind::Coloring => complexity(&graph, Coloring::new(&graph), seed, config.max_steps),
         ProtocolKind::BaselineColoring => complexity(
             &graph,
             BaselineColoring::new(&graph),
             seed,
-            options,
             config.max_steps,
         ),
         ProtocolKind::Mis => complexity(
             &graph,
             Mis::with_greedy_coloring(&graph),
             seed,
-            options,
             config.max_steps,
         ),
         ProtocolKind::BaselineMis => complexity(
             &graph,
             BaselineMis::with_greedy_coloring(&graph),
             seed,
-            options,
             config.max_steps,
         ),
     }

@@ -8,7 +8,7 @@
 
 use selfstab_core::coloring::Coloring;
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -45,24 +45,22 @@ pub struct ColoringConvergence {
 /// worker thread.
 pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOutcome<ColoringRun> {
     let graph = workload.build(config.base_seed);
-    run_cell(
+    let mut sim = Simulation::new(
         &graph,
         Coloring::new(&graph),
         DistributedRandom::new(0.5),
         seed,
         SimOptions::default(),
-        config.max_steps,
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            CellOutcome::Stabilized(ColoringRun {
-                steps: report.total_steps,
-                rounds: report.total_rounds,
-                efficiency: sim.stats().measured_efficiency(),
-            })
-        },
-    )
+    );
+    let report = sim.run_until_silent(config.max_steps);
+    if !report.silent {
+        return CellOutcome::Timeout;
+    }
+    CellOutcome::Stabilized(ColoringRun {
+        steps: report.total_steps,
+        rounds: report.total_rounds,
+        efficiency: sim.stats().measured_efficiency(),
+    })
 }
 
 fn aggregate(point: &PointResult<'_, Workload, CellOutcome<ColoringRun>>) -> ColoringConvergence {

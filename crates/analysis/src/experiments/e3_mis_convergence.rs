@@ -7,7 +7,7 @@
 use selfstab_core::mis::Mis;
 use selfstab_graph::verify;
 use selfstab_runtime::scheduler::Synchronous;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -49,26 +49,15 @@ pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOu
     let graph = workload.build(config.base_seed);
     let protocol = Mis::with_greedy_coloring(&graph);
     let bound = protocol.round_bound(&graph);
-    run_cell(
-        &graph,
-        protocol,
-        Synchronous,
-        seed,
-        SimOptions::default(),
-        config.max_steps.min(bound + 16),
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            CellOutcome::Stabilized(MisRun {
-                rounds: report.total_rounds,
-                legitimate: verify::is_maximal_independent_set(
-                    sim.graph(),
-                    &Mis::output(sim.config()),
-                ),
-            })
-        },
-    )
+    let mut sim = Simulation::new(&graph, protocol, Synchronous, seed, SimOptions::default());
+    let report = sim.run_until_silent(config.max_steps.min(bound + 16));
+    if !report.silent {
+        return CellOutcome::Timeout;
+    }
+    CellOutcome::Stabilized(MisRun {
+        rounds: report.total_rounds,
+        legitimate: verify::is_maximal_independent_set(&graph, &Mis::output(sim.config())),
+    })
 }
 
 fn aggregate(

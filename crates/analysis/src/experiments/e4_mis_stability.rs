@@ -8,7 +8,7 @@
 use selfstab_core::mis::{Membership, Mis};
 use selfstab_graph::longest_path;
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -49,31 +49,28 @@ pub fn cell(
     seed: u64,
 ) -> CellOutcome<MisStabilityRun> {
     let graph = workload.build(config.base_seed);
-    run_cell(
+    let mut sim = Simulation::new(
         &graph,
         Mis::with_greedy_coloring(&graph),
         DistributedRandom::new(0.5),
         seed,
         SimOptions::default(),
-        config.max_steps,
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            let dominated = sim
-                .config()
-                .iter()
-                .filter(|s| s.status == Membership::Dominated)
-                .count();
-            // Measure the suffix read sets over a stabilized window.
-            sim.mark_suffix();
-            sim.run_steps((sim.graph().node_count() as u64) * 20);
-            CellOutcome::Stabilized(MisStabilityRun {
-                stable: sim.stats().stable_process_count(1),
-                dominated,
-            })
-        },
-    )
+    );
+    if !sim.run_until_silent(config.max_steps).silent {
+        return CellOutcome::Timeout;
+    }
+    let dominated = sim
+        .config()
+        .iter()
+        .filter(|s| s.status == Membership::Dominated)
+        .count();
+    // Measure the suffix read sets over a stabilized window.
+    sim.mark_suffix();
+    sim.run_steps((graph.node_count() as u64) * 20);
+    CellOutcome::Stabilized(MisStabilityRun {
+        stable: sim.stats().stable_process_count(1),
+        dominated,
+    })
 }
 
 fn aggregate(

@@ -7,7 +7,7 @@
 use selfstab_core::matching::Matching;
 use selfstab_graph::verify;
 use selfstab_runtime::scheduler::Synchronous;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -42,24 +42,22 @@ pub struct MatchingConvergence {
 pub fn cell(workload: &Workload, config: &ExperimentConfig, seed: u64) -> CellOutcome<MatchingRun> {
     let graph = workload.build(config.base_seed);
     let bound = Matching::round_bound(&graph);
-    run_cell(
+    let mut sim = Simulation::new(
         &graph,
         Matching::with_greedy_coloring(&graph),
         Synchronous,
         seed,
         SimOptions::default(),
-        config.max_steps.min(bound + 16),
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            let edges = sim.protocol().output(sim.graph(), sim.config());
-            CellOutcome::Stabilized(MatchingRun {
-                rounds: report.total_rounds,
-                legitimate: verify::is_maximal_matching(sim.graph(), &edges),
-            })
-        },
-    )
+    );
+    let report = sim.run_until_silent(config.max_steps.min(bound + 16));
+    if !report.silent {
+        return CellOutcome::Timeout;
+    }
+    let edges = sim.protocol().output(&graph, sim.config());
+    CellOutcome::Stabilized(MatchingRun {
+        rounds: report.total_rounds,
+        legitimate: verify::is_maximal_matching(&graph, &edges),
+    })
 }
 
 fn aggregate(

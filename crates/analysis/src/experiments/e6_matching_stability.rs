@@ -6,7 +6,7 @@
 
 use selfstab_core::matching::Matching;
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
@@ -47,26 +47,23 @@ pub fn cell(
     seed: u64,
 ) -> CellOutcome<MatchingStabilityRun> {
     let graph = workload.build(config.base_seed);
-    run_cell(
+    let mut sim = Simulation::new(
         &graph,
         Matching::with_greedy_coloring(&graph),
         DistributedRandom::new(0.5),
         seed,
         SimOptions::default(),
-        config.max_steps,
-        |report, sim| {
-            if !report.silent {
-                return CellOutcome::Timeout;
-            }
-            let matched = 2 * sim.protocol().output(sim.graph(), sim.config()).len();
-            sim.mark_suffix();
-            sim.run_steps((sim.graph().node_count() as u64) * 20);
-            CellOutcome::Stabilized(MatchingStabilityRun {
-                matched,
-                stable: sim.stats().stable_process_count(1),
-            })
-        },
-    )
+    );
+    if !sim.run_until_silent(config.max_steps).silent {
+        return CellOutcome::Timeout;
+    }
+    let matched = 2 * sim.protocol().output(&graph, sim.config()).len();
+    sim.mark_suffix();
+    sim.run_steps((graph.node_count() as u64) * 20);
+    CellOutcome::Stabilized(MatchingStabilityRun {
+        matched,
+        stable: sim.stats().stable_process_count(1),
+    })
 }
 
 fn aggregate(

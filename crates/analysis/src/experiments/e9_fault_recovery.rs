@@ -23,7 +23,7 @@ use selfstab_core::baselines::BaselineMis;
 use selfstab_core::mis::Mis;
 use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad, FaultModel, FaultPlan};
 use selfstab_runtime::scheduler::Synchronous;
-use selfstab_runtime::{run_cell, SimOptions};
+use selfstab_runtime::{SimOptions, Simulation};
 
 use super::ExperimentConfig;
 use crate::campaign::{grid3, CampaignSpec, CellOutcome, PointResult};
@@ -115,36 +115,31 @@ pub fn cell(
         config: &ExperimentConfig,
         seed: u64,
     ) -> CellOutcome<FaultRecoveryRun> {
-        run_cell(
-            graph,
-            protocol,
-            Synchronous,
-            seed,
-            SimOptions::default(),
-            config.max_steps,
-            |report, sim| {
-                if !report.silent {
-                    return CellOutcome::Timeout;
-                }
-                // Steady-state read overhead over a fixed window of rounds.
-                let steady_reads_per_round =
-                    steady_window_reads_per_round(sim, 20) / sim.graph().node_count() as f64;
+        let mut sim = Simulation::new(graph, protocol, Synchronous, seed, SimOptions::default());
+        if !sim.run_until_silent(config.max_steps).silent {
+            return CellOutcome::Timeout;
+        }
+        // Steady-state read overhead over a fixed window of rounds.
+        let steady_reads_per_round =
+            steady_window_reads_per_round(&mut sim, 20) / graph.node_count() as f64;
 
-                // Transient faults, then re-stabilization — through the
-                // fault-scenario engine (one uniform injection at scenario
-                // start is the seed experiment's model, expressed as a
-                // FaultPlan).
-                let mut fault_rng = fault_rng(seed);
-                let plan = FaultPlan::single(FaultModel::Uniform(FaultLoad::Count(fault_count)));
-                let mut injector = FaultInjector::new(sim.graph());
-                let telemetry =
-                    run_fault_plan(sim, &plan, &mut injector, &mut fault_rng, config.max_steps);
-                CellOutcome::Stabilized(FaultRecoveryRun {
-                    steady_reads_per_round,
-                    recovery_rounds: telemetry.recovery_rounds,
-                })
-            },
-        )
+        // Transient faults, then re-stabilization — through the
+        // fault-scenario engine (one uniform injection at scenario start is
+        // the seed experiment's model, expressed as a FaultPlan).
+        let mut fault_rng = fault_rng(seed);
+        let plan = FaultPlan::single(FaultModel::Uniform(FaultLoad::Count(fault_count)));
+        let mut injector = FaultInjector::new(graph);
+        let telemetry = run_fault_plan(
+            &mut sim,
+            &plan,
+            &mut injector,
+            &mut fault_rng,
+            config.max_steps,
+        );
+        CellOutcome::Stabilized(FaultRecoveryRun {
+            steady_reads_per_round,
+            recovery_rounds: telemetry.recovery_rounds,
+        })
     }
     let graph = workload.build(config.base_seed);
     let fault_count = faults.resolve(&graph);

@@ -226,19 +226,6 @@ impl Protocol for BaselineMatching {
     fn is_legitimate(&self, graph: &Graph, config: &[BaselineMatchingState]) -> bool {
         verify::is_maximal_matching(graph, &self.output(graph, config))
     }
-
-    fn is_silent_config(&self, graph: &Graph, config: &[BaselineMatchingState]) -> bool {
-        // With no internal variable, a configuration is silent exactly when
-        // no process is enabled.
-        let snapshot: Vec<MatchingComm> = graph
-            .nodes()
-            .map(|p| self.comm(p, &config[p.index()]))
-            .collect();
-        graph.nodes().all(|p| {
-            let view = NeighborView::from_snapshot(graph, p, &snapshot);
-            !self.is_enabled(graph, p, &config[p.index()], &view)
-        })
-    }
 }
 
 #[cfg(test)]

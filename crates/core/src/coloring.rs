@@ -156,10 +156,14 @@ impl Protocol for Coloring {
         verify::is_proper_coloring(graph, &colors)
     }
 
-    // Silence coincides with legitimacy (Lemma 1: the coloring predicate is
-    // closed, and once it holds action 1 is never enabled again, so the
-    // communication variables are fixed). The default implementation of
-    // `is_silent_config` is therefore exact.
+    /// Silent exactly when legitimate. A process with a neighbour is always
+    /// enabled, advancing its pointer, so the default ("no process is
+    /// enabled") never holds; but once the coloring predicate holds it is
+    /// closed and action 1 never fires again (Lemma 1), so the
+    /// communication variables are fixed.
+    fn is_silent_config(&self, graph: &Graph, config: &[ColoringState]) -> bool {
+        self.is_legitimate(graph, config)
+    }
 }
 
 /// The paper's communication-complexity figure for `COLORING`

@@ -101,19 +101,6 @@ impl Protocol for FrozenReadColoring {
     fn is_legitimate(&self, graph: &Graph, config: &[usize]) -> bool {
         verify::is_proper_coloring(graph, config)
     }
-
-    fn is_silent_config(&self, graph: &Graph, config: &[usize]) -> bool {
-        // Silent iff nobody observes a conflict through its designated port
-        // (the only reads the protocol ever performs).
-        graph.nodes().all(|p| {
-            if graph.degree(p) == 0 {
-                return true;
-            }
-            let port = self.frozen[p.index()].clamp_to_degree(graph.degree(p));
-            let q = graph.neighbor(p, port);
-            config[p.index()] != config[q.index()]
-        })
-    }
 }
 
 /// Frozen-read variant of the `MIS` protocol: same guarded actions as
@@ -229,27 +216,6 @@ impl Protocol for FrozenReadMis {
 
     fn is_legitimate(&self, graph: &Graph, config: &[MisState]) -> bool {
         verify::is_maximal_independent_set(graph, &FrozenReadMis::output(config))
-    }
-
-    fn is_silent_config(&self, graph: &Graph, config: &[MisState]) -> bool {
-        // Silent iff no process can change its S variable through its
-        // designated read.
-        graph.nodes().all(|p| {
-            if graph.degree(p) == 0 {
-                return config[p.index()].status == Membership::Dominator;
-            }
-            let port = self.frozen[p.index()].clamp_to_degree(graph.degree(p));
-            let q = graph.neighbor(p, port);
-            let neighbor_status = config[q.index()].status;
-            match config[p.index()].status {
-                Membership::Dominator => {
-                    !(neighbor_status == Membership::Dominator && self.color(q) < self.color(p))
-                }
-                Membership::Dominated => {
-                    neighbor_status == Membership::Dominator && self.color(q) < self.color(p)
-                }
-            }
-        })
     }
 }
 

@@ -196,14 +196,15 @@ impl Protocol for BfsTree {
         crate::spanning::is_bfs_spanning_tree(graph, self.root, &dist, &parents)
     }
 
-    // Silence coincides with legitimacy on connected graphs (the model's
-    // standing assumption): the guard of every process is the local BFS
-    // consistency check, and local consistency everywhere forces `dist` to
-    // equal the oracle BFS layering (follow the strictly-decreasing parent
-    // chain to the root), so the default `is_silent_config` is exact. On a
-    // disconnected graph an unreachable component can quiesce at the cap —
-    // such runs report silent without legitimate, which is what the
-    // oracle-based predicate should say about a rootless component.
+    // Silence is the default `is_silent_config`, "no guard holds": the
+    // protocol is terminal once silent. On connected graphs (the model's
+    // standing assumption) it coincides with legitimacy: the guard of every
+    // process is the local BFS consistency check, and local consistency
+    // everywhere forces `dist` to equal the oracle BFS layering (follow the
+    // strictly-decreasing parent chain to the root). On a disconnected
+    // graph an unreachable component can quiesce at the cap; such runs
+    // report silent without legitimate, which is what the oracle-based
+    // predicate should say about a rootless component.
 }
 
 #[cfg(test)]

@@ -344,12 +344,15 @@ impl Protocol for LeaderElection {
         crate::spanning::is_bfs_spanning_tree(graph, expected, &dist, &parents)
     }
 
-    // Silent ⇔ legitimate up to internal-variable churn: once every
-    // process advertises the true minimum identifier with BFS-consistent
-    // distances, no probe ever fires again and the communication variables
-    // are fixed (only the `cur` pointers keep cycling), mirroring the
-    // COLORING protocol's notion of silence. The default
-    // `is_silent_config` is therefore exact.
+    /// Silent exactly when legitimate. A process with a neighbour is always
+    /// enabled, probing one neighbour per activation, so the default ("no
+    /// process is enabled") never holds; but once every process advertises
+    /// the true minimum identifier with BFS-consistent distances, no probe
+    /// ever fires again and the communication variables are fixed (only
+    /// the `cur` pointers keep cycling), as in COLORING.
+    fn is_silent_config(&self, graph: &Graph, config: &[LeaderElectionState]) -> bool {
+        self.is_legitimate(graph, config)
+    }
 }
 
 #[cfg(test)]

@@ -175,6 +175,15 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
                 .conflict(&config[p.index()].output, &config[q.index()].output)
         })
     }
+
+    /// Silent exactly when legitimate. As in COLORING, a process with a
+    /// neighbour is always enabled, so the default ("no process is
+    /// enabled") never holds; but once no edge conflicts, no correction
+    /// fires again and only the `cur` pointers move. This takes a
+    /// symmetric pairwise predicate, as both shipped specifications are.
+    fn is_silent_config(&self, graph: &Graph, config: &[Self::State]) -> bool {
+        self.is_legitimate(graph, config)
+    }
 }
 
 /// The paper's `COLORING` protocol expressed as an edge-checkable

@@ -15,20 +15,26 @@
 //! They also check the `Protocol` contract on the protocols that keep a
 //! hand-written guard (COLORING, its baseline, the transformer and the
 //! leader election): each guard agrees with whether `activate` moves, and
-//! a mutant guard fails the same check.
+//! a mutant guard fails the same check. Every shipped protocol's silence
+//! predicate holds where no guard does, and a configuration it calls silent
+//! keeps its communication variables fixed.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use selfstab_core::baselines::BaselineColoring;
+use selfstab_core::baselines::{BaselineColoring, BaselineMatching, BaselineMis};
 use selfstab_core::coloring::{Coloring, ColoringState};
+use selfstab_core::impossibility::{FrozenReadColoring, FrozenReadMis};
 use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis};
-use selfstab_core::spanning::LeaderElection;
+use selfstab_core::spanning::{BfsTree, LeaderElection};
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker, SeparationSpec};
-use selfstab_graph::{generators, longest_path, verify, Graph, Identifiers, NodeId, Port};
+use selfstab_graph::coloring::greedy;
+use selfstab_graph::{
+    generators, longest_path, verify, Graph, Identifiers, NodeId, Port, RootedGraph,
+};
 use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
 use selfstab_runtime::view::NeighborView;
 use selfstab_runtime::{MemorySink, Protocol, SimOptions, Simulation, StepRecord};
@@ -418,6 +424,128 @@ fn hand_written_guards_agree_with_activate() {
         );
         let election = LeaderElection::new(&graph, Identifiers::sequential(graph.node_count()));
         assert_eq!(guard_disagreement(&graph, &election), None);
+    }
+}
+
+/// The first breach of the silence contract by `protocol` on `graph`, or
+/// `None` when there is none: (a) a configuration where no process is
+/// enabled must be reported silent, and (b) from a configuration reported
+/// silent, `100·n` steps of the distributed daemon must change no
+/// communication variable. Checked on `extra`, on 50 random configurations
+/// and on the configurations `run_until_silent` reaches from them.
+fn silence_breach<P: Protocol + Clone>(
+    graph: &Graph,
+    protocol: &P,
+    extra: &[Vec<P::State>],
+) -> Option<String> {
+    let simulation = |config: &[P::State], seed| {
+        Simulation::with_config(
+            graph,
+            protocol.clone(),
+            DistributedRandom::new(0.5),
+            config.to_vec(),
+            seed,
+            SimOptions::default(),
+        )
+    };
+    let mut configs = extra.to_vec();
+    for seed in 0..50u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config: Vec<P::State> = graph
+            .nodes()
+            .map(|p| protocol.arbitrary_state(graph, p, &mut rng))
+            .collect();
+        let mut sim = simulation(&config, seed);
+        sim.run_until_silent(5_000);
+        configs.push(config);
+        configs.push(sim.config().to_vec());
+    }
+    let name = protocol.name();
+    for (i, config) in configs.iter().enumerate() {
+        if configs[..i].contains(config) {
+            continue;
+        }
+        let silent = protocol.is_silent_config(graph, config);
+        let mut sim = simulation(config, 1);
+        if sim.enabled_set().count() == 0 && !silent {
+            return Some(format!(
+                "{name} on {graph}: no process is enabled in {config:?}, yet it is not silent"
+            ));
+        }
+        if silent {
+            sim.run_steps(100 * graph.node_count() as u64);
+            let changes = sim.stats().total_comm_changes();
+            if changes > 0 {
+                return Some(format!(
+                    "{name} on {graph}: {config:?} is reported silent, yet {changes} \
+                     communication variables changed in the next {} steps",
+                    sim.steps()
+                ));
+            }
+        }
+    }
+    None
+}
+
+/// Every shipped protocol's silence predicate, on the contract graphs and
+/// on `path(2)`. There the greedy colours are [0, 1], and the Δ-efficient
+/// MIS baseline's [Dominated, Dominator] is a maximal independent set in
+/// which process 0 may still join: legitimate, but not silent.
+#[test]
+fn silence_predicates_hold_where_no_guard_does_and_keep_comm_fixed() {
+    let mut graphs = contract_graphs().to_vec();
+    graphs.push(generators::path(2));
+    for graph in &graphs {
+        let n = graph.node_count();
+        let legitimate_not_silent = match n {
+            2 => vec![vec![Membership::Dominated, Membership::Dominator]],
+            _ => Vec::new(),
+        };
+        let breaches = [
+            silence_breach(graph, &Coloring::new(graph), &[]),
+            silence_breach(graph, &Mis::with_greedy_coloring(graph), &[]),
+            silence_breach(graph, &Matching::with_greedy_coloring(graph), &[]),
+            silence_breach(graph, &BaselineColoring::new(graph), &[]),
+            silence_breach(
+                graph,
+                &BaselineMis::with_greedy_coloring(graph),
+                &legitimate_not_silent,
+            ),
+            silence_breach(graph, &BaselineMatching::with_greedy_coloring(graph), &[]),
+            silence_breach(
+                graph,
+                &FrozenReadColoring::new(graph.max_degree() + 1, vec![Port::new(0); n]),
+                &[],
+            ),
+            silence_breach(
+                graph,
+                &FrozenReadMis::new(greedy(graph), vec![Port::new(0); n]),
+                &[],
+            ),
+            silence_breach(
+                graph,
+                &BfsTree::new(&RootedGraph::new(graph.clone(), NodeId::new(0)).expect("root")),
+                &[],
+            ),
+            silence_breach(
+                graph,
+                &LeaderElection::new(graph, Identifiers::sequential(n)),
+                &[],
+            ),
+            silence_breach(
+                graph,
+                &RoundRobinChecker::new(ColoringSpec::new(graph)),
+                &[],
+            ),
+            silence_breach(
+                graph,
+                &RoundRobinChecker::new(SeparationSpec::new(4 * graph.max_degree() + 1, 2)),
+                &[],
+            ),
+        ];
+        for breach in breaches {
+            assert_eq!(breach, None);
+        }
     }
 }
 

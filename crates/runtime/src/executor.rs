@@ -720,12 +720,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Box<dyn TraceSink>>) {
         (self.config, self.stats, self.sink)
     }
-
-    /// Mutable access to the RNG, for fault injection helpers that want to
-    /// reuse the simulation's randomness.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
 }
 
 /// Marks `p`'s guard dirty, queueing `p` on its first mark since the last
@@ -769,43 +763,6 @@ fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     ActivationRng::new(z)
-}
-
-/// Runs one self-contained experiment **cell**: builds a [`Simulation`] from
-/// its owned inputs, drives it to silence (or until `max_steps` further
-/// steps), and extracts a result through `measure`.
-///
-/// This is the entry point parallel experiment campaigns use. Every mutable
-/// piece of a cell is owned by the call — the protocol, the scheduler, the
-/// configuration, and the [`StdRng`] seeded from `seed` — so any number of
-/// `run_cell` invocations may execute concurrently on different threads
-/// without sharing mutable state. [`Simulation`] itself is `Send` whenever
-/// the protocol, scheduler, and their state types are `Send` (every protocol
-/// and scheduler in this workspace is; the `send_bounds` test module pins
-/// this down), so a cell may also be constructed on one thread and finished
-/// on another.
-///
-/// The `measure` closure receives the [`RunReport`] of the silence run plus
-/// the simulation itself, ready for post-stabilization driving
-/// ([`Simulation::mark_suffix`], [`Simulation::run_steps`]) and metric
-/// extraction. The [crate-level example](crate) calls it.
-pub fn run_cell<P, S, M, F>(
-    graph: &Graph,
-    protocol: P,
-    scheduler: S,
-    seed: u64,
-    options: SimOptions,
-    max_steps: u64,
-    measure: F,
-) -> M
-where
-    P: Protocol,
-    S: Scheduler,
-    F: FnOnce(RunReport, &mut Simulation<'_, P, S>) -> M,
-{
-    let mut sim = Simulation::new(graph, protocol, scheduler, seed, options);
-    let report = sim.run_until_silent(max_steps);
-    measure(report, &mut sim)
 }
 
 #[cfg(test)]
@@ -996,33 +953,6 @@ mod tests {
         assert_send::<Simulation<'static, MinValue, Synchronous>>();
         assert_send::<Simulation<'static, MinValue, DistributedRandom>>();
         assert_send::<Simulation<'static, MinValue, Box<dyn crate::scheduler::Scheduler + Send>>>();
-    }
-
-    #[test]
-    fn run_cell_matches_a_hand_driven_simulation() {
-        let graph = generators::ring(8);
-        let cell_steps = run_cell(
-            &graph,
-            MinValue,
-            DistributedRandom::new(0.4),
-            3,
-            SimOptions::default(),
-            10_000,
-            |report, sim| {
-                assert!(report.silent);
-                assert_eq!(report.total_steps, sim.steps());
-                report.total_steps
-            },
-        );
-        let mut sim = Simulation::new(
-            &graph,
-            MinValue,
-            DistributedRandom::new(0.4),
-            3,
-            SimOptions::default(),
-        );
-        let report = sim.run_until_silent(10_000);
-        assert_eq!(cell_steps, report.total_steps);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   to the start of a scenario run,
 //! * **[`run_fault_plan`]** — the scenario driver: executes a plan against
 //!   a running [`Simulation`], keeps stepping until the system is silent
-//!   again or a budget runs out, and accumulates one
+//!   at a round boundary or a budget runs out, and accumulates one
 //!   [`RecoveryTelemetry`] round by round (victims, recovery rounds,
-//!   availability and the peak reads of one round).
+//!   availability and the peak reads of one round). Silence is the
+//!   protocol's [`Protocol::is_silent_config`], checked once per round, so
+//!   every scenario that steps ends on a whole round.
 //!
 //! Plan events fire under one rule, applied by [`run_fault_plan`] and by
 //! [`replay`](crate::telemetry::replay()): before a step, every event whose
@@ -423,12 +425,14 @@ impl FaultPlan {
 pub struct RecoveryTelemetry {
     /// Processes corrupted, summed over the plan's injections.
     pub victims: usize,
-    /// Rounds from the last injection until silence (`None` when the
-    /// budget ran out first: the system did not recover).
+    /// Rounds from the last injection to the first round boundary at
+    /// which the system is silent (`None` when the budget ran out first:
+    /// the system did not recover). At least 1 whenever a step ran after
+    /// the last injection.
     pub recovery_rounds: Option<u64>,
     /// Fraction of the rounds completed after the first injection whose
     /// closing configuration satisfied the legitimacy predicate (1.0 when
-    /// no round completed: an instantly absorbed fault).
+    /// no round completed: the plan left the system silent).
     pub availability: f64,
     /// Most read operations in one round completed after the first
     /// injection.
@@ -477,13 +481,14 @@ where
 /// step offset, then keeps stepping until the system is **silent** again
 /// or `max_steps` scenario steps have been executed.
 ///
-/// Silence is detected two ways: instantly when no process has an enabled
-/// guard (MIS/MATCHING-style protocols whose guards fall quiet), and at
-/// every round boundary through [`Protocol::is_silent_config`] (protocols
-/// like COLORING or the leader election stay *guard-enabled* forever —
-/// they keep probing one neighbor — yet their communication variables
-/// quiesce; the per-round check amortizes the `O(n)` predicate to `O(1)`
-/// per step under central daemons).
+/// Silence has one test, [`Simulation::is_silent`] at a round boundary
+/// once every event has fired: the scenario's start counts as one, and
+/// after it every step that completes a round. A scenario that steps
+/// therefore ends on a whole round, whether the protocol's guards fall
+/// quiet (its silence is then "no guard holds") or stay enabled forever,
+/// probing while its communication variables quiesce (COLORING, MIS, the
+/// leader election). Checking once per round also amortizes the `O(n)`
+/// predicate to `O(1)` per step under central daemons.
 ///
 /// At every round boundary after the first injection the driver checks
 /// legitimacy and counts the round's reads, which it folds into the
@@ -514,9 +519,8 @@ where
     let (mut repair_rounds, mut legitimate_rounds, mut peak_round_reads) = (0u64, 0u64, 0u64);
     let mut round_start_reads = sim.stats().total_read_operations();
     let mut rounds_at_last_injection = sim.rounds();
-    // The first silence check may run the O(n) predicate (treated as a
-    // round boundary) so a plan landing on an already-silent system with a
-    // zero-event tail terminates immediately.
+    // The scenario's start counts as a round boundary, so a plan that
+    // leaves the system silent ends before its first step.
     let mut at_round_boundary = true;
     loop {
         let due_from = next_event;
@@ -524,16 +528,11 @@ where
         if next_event > due_from {
             rounds_at_last_injection = sim.rounds();
         }
-        // Silence ends the scenario only once every event has fired. The
-        // enabled-count fast path catches guard-quiescent protocols with
-        // no O(n) work; `at_round_boundary` covers the ♦-efficient
-        // protocols that stay enabled forever but stop writing.
-        if next_event == plan.events.len() {
-            let guard_quiet = sim.enabled_set().count() == 0;
-            if guard_quiet || (at_round_boundary && sim.is_silent()) {
-                recovery_rounds = Some(sim.rounds() - rounds_at_last_injection);
-                break;
-            }
+        // Checked only on a round boundary, so a scenario that steps ends
+        // on a whole round.
+        if next_event == plan.events.len() && at_round_boundary && sim.is_silent() {
+            recovery_rounds = Some(sim.rounds() - rounds_at_last_injection);
+            break;
         }
         if sim.steps() - start_step >= max_steps {
             break;
@@ -567,7 +566,7 @@ where
 mod tests {
     use super::*;
     use crate::executor::SimOptions;
-    use crate::scheduler::Synchronous;
+    use crate::scheduler::{DistributedRandom, Synchronous};
     use crate::view::NeighborView;
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -859,6 +858,43 @@ mod tests {
         assert_eq!(empty.recovery_rounds, Some(0));
         assert_eq!(empty.availability, 1.0);
         assert_eq!(empty.peak_round_reads, 0);
+    }
+
+    #[test]
+    fn a_scenario_that_steps_after_its_last_injection_ends_on_a_round_boundary() {
+        // MinValue is terminal: once repaired, no guard holds. Under the
+        // distributed daemon the repair often ends mid-round, yet the
+        // scenario runs on to the round boundary, so it reports at least
+        // one recovery round and that round's reads.
+        let graph = generators::star(25);
+        let uniform = FaultModel::Uniform(FaultLoad::Fraction(0.2));
+        for plan in [
+            FaultPlan::single(uniform),
+            FaultPlan::periodic(uniform, 3, 2),
+        ] {
+            let last_injection = plan.events.last().expect("one event").at_step;
+            for seed in 0..20 {
+                let mut sim = Simulation::with_config(
+                    &graph,
+                    MinValue,
+                    DistributedRandom::new(0.5),
+                    vec![500; 25],
+                    seed,
+                    SimOptions::default(),
+                );
+                let mut injector = FaultInjector::new(&graph);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let telemetry = run_fault_plan(&mut sim, &plan, &mut injector, &mut rng, 10_000);
+                if sim.steps() > last_injection {
+                    assert!(
+                        telemetry.recovery_rounds >= Some(1),
+                        "seed {seed}, {} steps: {telemetry:?}",
+                        sim.steps()
+                    );
+                    assert!(telemetry.peak_round_reads > 0, "seed {seed}: {telemetry:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! use selfstab_runtime::protocol::Protocol;
 //! use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
 //! use selfstab_runtime::view::NeighborView;
-//! use selfstab_runtime::{run_cell, SimOptions, Simulation};
+//! use selfstab_runtime::{SimOptions, Simulation};
 //! use rand::RngCore;
 //!
 //! /// A toy silent protocol: every process copies the minimum of its own
@@ -85,22 +85,12 @@
 //! assert_eq!(report.total_steps, sim.steps());
 //!
 //! // Under the synchronous daemon the minimum (1, held by process 0)
-//! // travels one hop per step, so three steps reach the far side.
+//! // travels one hop per step, so three steps reach the far side, where
+//! // no guard holds: the default silence predicate.
 //! let mut sim = Simulation::new(&graph, MinProtocol, Synchronous, 7, SimOptions::default());
 //! sim.run_steps(3);
 //! assert!(sim.config().iter().all(|&v| v == 1));
-//!
-//! // `run_cell` owns every input of one experiment cell: it builds the
-//! // simulation, runs it to silence and hands both to `measure`.
-//! let steps = run_cell(
-//!     &graph, MinProtocol, Synchronous, 7, SimOptions::default(), 10_000,
-//!     |report, sim| {
-//!         assert!(report.silent);
-//!         assert_eq!(report.total_steps, sim.steps());
-//!         report.total_steps
-//!     },
-//! );
-//! assert_eq!(steps, 3);
+//! assert!(sim.is_silent());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -117,7 +107,7 @@ pub mod trace;
 pub mod view;
 
 pub use enabled::EnabledSet;
-pub use executor::{run_cell, RunReport, SimOptions, Simulation};
+pub use executor::{RunReport, SimOptions, Simulation};
 pub use faults::{
     run_fault_plan, BallCenter, FaultInjector, FaultLoad, FaultModel, FaultPlan, RecoveryTelemetry,
 };

@@ -27,7 +27,9 @@ use crate::view::NeighborView;
 /// action with the highest priority, or `None` when the process is disabled.
 /// That one definition is the protocol: a process is enabled exactly when
 /// its activation returns `Some`, which is what [`Protocol::is_enabled`]
-/// computes unless a protocol overrides it.
+/// computes unless a protocol overrides it, and a configuration is silent
+/// when no process is enabled, which is what [`Protocol::is_silent_config`]
+/// computes unless a protocol whose guards never fall quiet overrides it.
 ///
 /// # Contract
 ///
@@ -128,12 +130,24 @@ pub trait Protocol: Sync {
     /// Returns `true` when `config` is a *silent* configuration: every
     /// continuation keeps all communication variables fixed.
     ///
-    /// The default implementation returns [`Protocol::is_legitimate`], which
-    /// is exact for the paper's three protocols (their lemmas show silent ⇔
-    /// legitimate up to internal-variable churn); override when the two
-    /// notions differ.
+    /// The default returns whether no process is enabled, evaluated through
+    /// [`Protocol::is_enabled`] on an untracked snapshot. A terminal
+    /// configuration is silent by definition, so the default is exact for
+    /// every protocol whose guards fall quiet. Override it only for a
+    /// protocol that keeps a guard enabled forever, probing a neighbour
+    /// while its communication variables stay fixed (COLORING, MIS,
+    /// MATCHING, the leader election and the transformer do); the override
+    /// must hold on every terminal configuration and imply that no
+    /// continuation changes a communication variable.
     fn is_silent_config(&self, graph: &Graph, config: &[Self::State]) -> bool {
-        self.is_legitimate(graph, config)
+        let snapshot: Vec<Self::Comm> = graph
+            .nodes()
+            .map(|p| self.comm(p, &config[p.index()]))
+            .collect();
+        graph.nodes().all(|p| {
+            let view = NeighborView::from_snapshot(graph, p, &snapshot);
+            !self.is_enabled(graph, p, &config[p.index()], &view)
+        })
     }
 }
 

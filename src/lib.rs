@@ -57,7 +57,7 @@ use selfstab_core::matching::Matching;
 use selfstab_core::mis::Mis;
 use selfstab_graph::{Graph, NodeId};
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::{run_cell, Protocol, SimOptions};
+use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 /// Result of a one-call protocol run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,22 +125,20 @@ fn run_to_silence<P: Protocol, T>(
     max_steps: u64,
     output: impl FnOnce(&P, &[P::State]) -> T,
 ) -> Option<RunOutcome<T>> {
-    run_cell(
+    let mut sim = Simulation::new(
         graph,
         protocol,
         DistributedRandom::new(0.5),
         seed,
         SimOptions::default(),
-        max_steps,
-        |report, sim| {
-            report.silent.then(|| RunOutcome {
-                output: output(sim.protocol(), sim.config()),
-                steps: report.total_steps,
-                rounds: report.total_rounds,
-                measured_efficiency: sim.stats().measured_efficiency(),
-            })
-        },
-    )
+    );
+    let report = sim.run_until_silent(max_steps);
+    report.silent.then(|| RunOutcome {
+        output: output(sim.protocol(), sim.config()),
+        steps: report.total_steps,
+        rounds: report.total_rounds,
+        measured_efficiency: sim.stats().measured_efficiency(),
+    })
 }
 
 #[cfg(test)]
