@@ -28,9 +28,9 @@
 //! returned vector is ordered by point (then seed) regardless of which
 //! worker computed which cell, and a cell receives nothing but its own grid
 //! coordinates — so as long as the cell function is pure (every experiment
-//! cell builds its graph, protocol, scheduler, and per-cell
-//! [`StdRng`](rand::rngs::StdRng) locally from the seed), the campaign's
-//! output is byte-identical for every thread count. The integration test
+//! cell only reads its point's graph, and builds its protocol, scheduler,
+//! and per-cell [`StdRng`](rand::rngs::StdRng) locally from the seed), the
+//! campaign's output is byte-identical for every thread count. The integration test
 //! `tests/determinism.rs` checks this for all thirteen experiment tables.
 //!
 //! # Scheduling

@@ -14,15 +14,15 @@ use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::DistributedRandom;
 use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
-use super::ExperimentConfig;
-use crate::campaign::{grid2, CampaignSpec, CellOutcome, PointResult};
+use super::{topologies, ExperimentConfig};
+use crate::campaign::{grid2, CampaignSpec, CellOutcome};
 use crate::stats::Summary;
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
 
 /// The protocol axis of the E10 grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
+#[derive(Clone, Copy)]
+enum Variant {
     /// Hand-written COLORING (Figure 7).
     HandWritten,
     /// The round-robin transformer over the edge-checkable coloring spec.
@@ -32,15 +32,6 @@ pub enum Variant {
 }
 
 impl Variant {
-    /// The axis in presentation order.
-    pub fn all() -> Vec<Variant> {
-        vec![
-            Variant::HandWritten,
-            Variant::Transformed,
-            Variant::Baseline,
-        ]
-    }
-
     /// The [`Protocol::name`] of the variant (asserted against the built
     /// protocols in the tests below).
     fn protocol_name(&self) -> &'static str {
@@ -53,30 +44,16 @@ impl Variant {
 }
 
 /// Metrics of one stabilized run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransformerRun {
+struct TransformerRun {
     /// Steps to silence.
-    pub steps: u64,
+    steps: u64,
     /// Largest measured per-activation read count.
-    pub efficiency: usize,
+    efficiency: usize,
 }
 
-/// Aggregated measurements for one (workload, protocol) pair.
-#[derive(Debug, Clone)]
-pub struct TransformerMeasurement {
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Steps to silence per run.
-    pub steps: Vec<u64>,
-    /// Largest measured per-activation read count.
-    pub max_efficiency: usize,
-    /// Runs that did not stabilize within the budget.
-    pub timeouts: u64,
-}
-
-/// The campaign cell: one (workload, variant, seed) run.
-pub fn cell(
-    workload: &Workload,
+/// The campaign cell: one run of `variant`.
+fn cell(
+    graph: &Graph,
     variant: Variant,
     config: &ExperimentConfig,
     seed: u64,
@@ -84,8 +61,8 @@ pub fn cell(
     fn drive<P: Protocol>(
         graph: &Graph,
         protocol: P,
+        config: &ExperimentConfig,
         seed: u64,
-        max_steps: u64,
     ) -> CellOutcome<TransformerRun> {
         let mut sim = Simulation::new(
             graph,
@@ -94,7 +71,7 @@ pub fn cell(
             seed,
             SimOptions::default(),
         );
-        let report = sim.run_until_silent(max_steps);
+        let report = sim.run_until_silent(config.max_steps);
         if !report.silent {
             return CellOutcome::Timeout;
         }
@@ -103,45 +80,16 @@ pub fn cell(
             efficiency: sim.stats().measured_efficiency(),
         })
     }
-    let graph = workload.build(config.base_seed);
     match variant {
-        Variant::HandWritten => drive(&graph, Coloring::new(&graph), seed, config.max_steps),
+        Variant::HandWritten => drive(graph, Coloring::new(graph), config, seed),
         Variant::Transformed => drive(
-            &graph,
-            RoundRobinChecker::new(ColoringSpec::new(&graph)),
+            graph,
+            RoundRobinChecker::new(ColoringSpec::new(graph)),
+            config,
             seed,
-            config.max_steps,
         ),
-        Variant::Baseline => drive(
-            &graph,
-            BaselineColoring::new(&graph),
-            seed,
-            config.max_steps,
-        ),
+        Variant::Baseline => drive(graph, BaselineColoring::new(graph), config, seed),
     }
-}
-
-fn aggregate(
-    point: &PointResult<'_, (Workload, Variant), CellOutcome<TransformerRun>>,
-) -> TransformerMeasurement {
-    let (_, variant) = point.point;
-    TransformerMeasurement {
-        protocol: variant.protocol_name(),
-        steps: point.stabilized().map(|r| r.steps).collect(),
-        max_efficiency: point.stabilized().map(|r| r.efficiency).max().unwrap_or(0),
-        timeouts: point.timeouts(),
-    }
-}
-
-/// Measures the three coloring variants on one workload.
-pub fn measure(workload: &Workload, config: &ExperimentConfig) -> Vec<TransformerMeasurement> {
-    let spec = CampaignSpec::with_config(grid2(&[*workload], &Variant::all()), config);
-    spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, config, c.seed)
-    })
-    .iter()
-    .map(aggregate)
-    .collect()
 }
 
 /// Runs E10 and renders its table.
@@ -157,23 +105,35 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
             "timeouts",
         ],
     );
-    let workloads = [
-        Workload::Ring(24),
-        Workload::Grid(5, 5),
-        Workload::Gnp(32, 0.15),
+    let topologies = topologies(
+        [
+            Workload::Ring(24),
+            Workload::Grid(5, 5),
+            Workload::Gnp(32, 0.15),
+        ],
+        config,
+    );
+    let variants = [
+        Variant::HandWritten,
+        Variant::Transformed,
+        Variant::Baseline,
     ];
-    let spec = CampaignSpec::with_config(grid2(&workloads, &Variant::all()), config);
+    let spec = CampaignSpec::with_config(
+        grid2(&topologies.iter().collect::<Vec<_>>(), &variants),
+        config,
+    );
     for point in spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, config, c.seed)
+        cell(&c.point.0.graph, c.point.1, config, c.seed)
     }) {
-        let (workload, _) = point.point;
-        let m = aggregate(&point);
+        let (topology, variant) = point.point;
+        let steps = Summary::from_counts(point.stabilized().map(|r| r.steps));
+        let max_k = point.stabilized().map(|r| r.efficiency).max().unwrap_or(0);
         table.push_row(vec![
-            workload.label(),
-            m.protocol.to_string(),
-            Summary::from_counts(m.steps.iter().copied()).display_mean_max(),
-            m.max_efficiency.to_string(),
-            m.timeouts.to_string(),
+            topology.workload.label(),
+            variant.protocol_name().to_string(),
+            steps.display_mean_max(),
+            max_k.to_string(),
+            point.timeouts().to_string(),
         ]);
     }
     table.push_note("extension of §6: the transformed protocol is 1-efficient (max k = 1) and converges like the hand-written COLORING; the baseline reads Δ registers per step");
@@ -186,31 +146,36 @@ mod tests {
 
     #[test]
     fn variant_labels_match_the_built_protocols() {
-        let graph = Workload::Ring(6).build(1);
+        let graph = &topologies([Workload::Ring(6)], &ExperimentConfig::quick())[0].graph;
         assert_eq!(
             Variant::HandWritten.protocol_name(),
-            Coloring::new(&graph).name()
+            Coloring::new(graph).name()
         );
         assert_eq!(
             Variant::Transformed.protocol_name(),
-            RoundRobinChecker::new(ColoringSpec::new(&graph)).name()
+            RoundRobinChecker::new(ColoringSpec::new(graph)).name()
         );
         assert_eq!(
             Variant::Baseline.protocol_name(),
-            BaselineColoring::new(&graph).name()
+            BaselineColoring::new(graph).name()
         );
     }
 
     #[test]
     fn transformer_is_one_efficient_and_converges() {
         let cfg = ExperimentConfig::quick();
-        let results = measure(&Workload::Ring(12), &cfg);
-        assert_eq!(results.len(), 3);
-        let transformed = &results[1];
-        assert_eq!(transformed.timeouts, 0);
-        assert!(transformed.max_efficiency <= 1);
+        let ring = &topologies([Workload::Ring(12)], &cfg)[0].graph;
+        let efficiency = |variant| -> Vec<usize> {
+            cfg.seeds()
+                .map(|seed| match cell(ring, variant, &cfg, seed) {
+                    CellOutcome::Stabilized(run) => run.efficiency,
+                    CellOutcome::Timeout => panic!("seed {seed} timed out"),
+                })
+                .collect()
+        };
+        assert!(efficiency(Variant::Transformed).iter().all(|&k| k <= 1));
         // The baseline on a ring reads up to 2 neighbors per step.
-        assert!(results[2].max_efficiency >= 1);
+        assert!(efficiency(Variant::Baseline).into_iter().max() >= Some(1));
     }
 
     #[test]

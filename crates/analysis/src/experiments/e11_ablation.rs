@@ -15,19 +15,20 @@
 
 use selfstab_core::coloring::Coloring;
 use selfstab_core::mis::Mis;
-use selfstab_graph::coloring as graph_coloring;
+use selfstab_graph::coloring::{self as graph_coloring, LocalColoring};
+use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::Synchronous;
 use selfstab_runtime::{SimOptions, Simulation};
 
-use super::ExperimentConfig;
+use super::{topologies, ExperimentConfig};
 use crate::campaign::{grid2, CampaignSpec, DaemonSpec};
 use crate::stats::Summary;
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
 
 /// The identifier-assignment axis of the ablation grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdentifierKind {
+#[derive(Clone, Copy)]
+enum IdentifierKind {
     /// First-fit greedy coloring.
     Greedy,
     /// DSATUR (usually fewer colors).
@@ -42,7 +43,7 @@ impl IdentifierKind {
         }
     }
 
-    fn coloring(&self, graph: &selfstab_graph::Graph) -> graph_coloring::LocalColoring {
+    fn coloring(&self, graph: &Graph) -> LocalColoring {
         match self {
             IdentifierKind::Greedy => graph_coloring::greedy(graph),
             IdentifierKind::Dsatur => graph_coloring::dsatur(graph),
@@ -50,51 +51,24 @@ impl IdentifierKind {
     }
 }
 
-/// Result of the identifier ablation on one workload.
-#[derive(Debug, Clone)]
-pub struct IdentifierAblation {
-    /// Colors used by the greedy assignment.
-    pub greedy_colors: usize,
-    /// Colors used by DSATUR.
-    pub dsatur_colors: usize,
-    /// Lemma 4 bound with greedy identifiers.
-    pub greedy_bound: u64,
-    /// Lemma 4 bound with DSATUR identifiers.
-    pub dsatur_bound: u64,
-    /// Mean rounds to silence with greedy identifiers.
-    pub greedy_rounds: f64,
-    /// Mean rounds to silence with DSATUR identifiers.
-    pub dsatur_rounds: f64,
-}
-
-/// The identifier-ablation cell: one MIS run with the given identifier
-/// assignment, under the synchronous daemon, within the Lemma 4 bound.
-pub fn identifier_cell(
-    workload: &Workload,
-    kind: IdentifierKind,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> u64 {
-    let graph = workload.build(config.base_seed);
-    let protocol = Mis::new(kind.coloring(&graph));
-    let bound = protocol.round_bound(&graph);
-    let report = Simulation::new(&graph, protocol, Synchronous, seed, SimOptions::default())
+/// The identifier-ablation cell: rounds to silence of one MIS run with the
+/// given identifier assignment, under the synchronous daemon, within the
+/// Lemma 4 bound.
+fn identifier_cell(graph: &Graph, kind: IdentifierKind, seed: u64) -> u64 {
+    let protocol = Mis::new(kind.coloring(graph));
+    let bound = protocol.round_bound(graph);
+    let report = Simulation::new(graph, protocol, Synchronous, seed, SimOptions::default())
         .run_until_silent(bound + 16);
     assert!(report.silent, "MIS must stabilize within its bound");
     report.total_rounds
 }
 
-/// The daemon-ablation cell: one COLORING run under the given daemon.
-pub fn daemon_cell(
-    workload: &Workload,
-    daemon: DaemonSpec,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> u64 {
-    let graph = workload.build(config.base_seed);
+/// The daemon-ablation cell: steps to silence of one COLORING run under
+/// the given daemon.
+fn daemon_cell(graph: &Graph, daemon: DaemonSpec, config: &ExperimentConfig, seed: u64) -> u64 {
     let report = Simulation::new(
-        &graph,
-        Coloring::new(&graph),
+        graph,
+        Coloring::new(graph),
         daemon.build(),
         seed,
         SimOptions::default(),
@@ -102,45 +76,6 @@ pub fn daemon_cell(
     .run_until_silent(config.max_steps);
     assert!(report.silent, "COLORING must stabilize under a fair daemon");
     report.total_steps
-}
-
-/// Runs the identifier ablation for MIS on one workload.
-pub fn identifier_ablation(workload: &Workload, config: &ExperimentConfig) -> IdentifierAblation {
-    let graph = workload.build(config.base_seed);
-    let greedy = graph_coloring::greedy(&graph);
-    let dsatur = graph_coloring::dsatur(&graph);
-    let spec = CampaignSpec::with_config(
-        grid2(
-            &[*workload],
-            &[IdentifierKind::Greedy, IdentifierKind::Dsatur],
-        ),
-        config,
-    );
-    let results = spec.run(config.threads, |c| {
-        identifier_cell(&c.point.0, c.point.1, config, c.seed)
-    });
-    let mean = |runs: &[u64]| Summary::from_counts(runs.iter().copied()).mean;
-    IdentifierAblation {
-        greedy_colors: greedy.color_count(),
-        dsatur_colors: dsatur.color_count(),
-        greedy_bound: Mis::new(greedy).round_bound(&graph),
-        dsatur_bound: Mis::new(dsatur).round_bound(&graph),
-        greedy_rounds: mean(&results[0].runs),
-        dsatur_rounds: mean(&results[1].runs),
-    }
-}
-
-/// Steps-to-silence summary of COLORING on one workload under one daemon.
-pub fn daemon_ablation(
-    workload: &Workload,
-    config: &ExperimentConfig,
-    daemon: DaemonSpec,
-) -> Summary {
-    let spec = CampaignSpec::with_config(grid2(&[*workload], &[daemon]), config);
-    let results = spec.run(config.threads, |c| {
-        daemon_cell(&c.point.0, c.point.1, config, c.seed)
-    });
-    Summary::from_counts(results[0].runs.iter().copied())
 }
 
 /// Runs E11 and renders its table.
@@ -158,48 +93,54 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
         ],
     );
     // Identifier ablation: (workload × identifier kind) grid.
-    let id_workloads = [
-        Workload::Gnp(48, 0.12),
-        Workload::Grid(6, 6),
-        Workload::Star(24),
-    ];
+    let id_topologies = topologies(
+        [
+            Workload::Gnp(48, 0.12),
+            Workload::Grid(6, 6),
+            Workload::Star(24),
+        ],
+        config,
+    );
     let id_spec = CampaignSpec::with_config(
         grid2(
-            &id_workloads,
+            &id_topologies.iter().collect::<Vec<_>>(),
             &[IdentifierKind::Greedy, IdentifierKind::Dsatur],
         ),
         config,
     );
     for point in id_spec.run(config.threads, |c| {
-        identifier_cell(&c.point.0, c.point.1, config, c.seed)
+        identifier_cell(&c.point.0.graph, c.point.1, c.seed)
     }) {
-        let (workload, kind) = *point.point;
-        let graph = workload.build(config.base_seed);
-        let coloring = kind.coloring(&graph);
-        let bound = Mis::new(coloring.clone()).round_bound(&graph);
+        let (topology, kind) = point.point;
+        let coloring = kind.coloring(&topology.graph);
+        let color_count = coloring.color_count();
+        let bound = Mis::new(coloring).round_bound(&topology.graph);
         let rounds = Summary::from_counts(point.runs.iter().copied()).mean;
         table.push_row(vec![
-            workload.label(),
+            topology.workload.label(),
             "identifiers".into(),
             kind.label().into(),
-            format!("#C = {}", coloring.color_count()),
+            format!("#C = {color_count}"),
             bound.to_string(),
             format!("{rounds:.1} rounds"),
         ]);
     }
     // Daemon ablation: (workload × daemon) grid.
-    let daemon_workloads = [Workload::Ring(32), Workload::Gnp(48, 0.12)];
+    let daemon_topologies = topologies([Workload::Ring(32), Workload::Gnp(48, 0.12)], config);
     let daemon_spec = CampaignSpec::with_config(
-        grid2(&daemon_workloads, &DaemonSpec::ablation_set()),
+        grid2(
+            &daemon_topologies.iter().collect::<Vec<_>>(),
+            &DaemonSpec::ablation_set(),
+        ),
         config,
     );
     for point in daemon_spec.run(config.threads, |c| {
-        daemon_cell(&c.point.0, c.point.1, config, c.seed)
+        daemon_cell(&c.point.0.graph, c.point.1, config, c.seed)
     }) {
-        let (workload, daemon) = *point.point;
+        let (topology, daemon) = point.point;
         let summary = Summary::from_counts(point.runs.iter().copied());
         table.push_row(vec![
-            workload.label(),
+            topology.workload.label(),
             "daemon".into(),
             daemon.name().into(),
             "steps to silence".into(),
@@ -223,19 +164,27 @@ mod tests {
     #[test]
     fn dsatur_never_uses_more_colors_than_greedy() {
         let cfg = ExperimentConfig::quick();
-        let a = identifier_ablation(&Workload::Grid(4, 4), &cfg);
-        assert!(a.dsatur_colors <= a.greedy_colors);
-        assert!(a.dsatur_bound <= a.greedy_bound);
-        assert!(a.greedy_rounds >= 1.0);
+        let grid = &topologies([Workload::Grid(4, 4)], &cfg)[0].graph;
+        let greedy = IdentifierKind::Greedy.coloring(grid);
+        let dsatur = IdentifierKind::Dsatur.coloring(grid);
+        assert!(dsatur.color_count() <= greedy.color_count());
+        assert!(Mis::new(dsatur).round_bound(grid) <= Mis::new(greedy).round_bound(grid));
+        let rounds: u64 = cfg
+            .seeds()
+            .map(|seed| identifier_cell(grid, IdentifierKind::Greedy, seed))
+            .sum();
+        assert!(rounds >= cfg.runs, "at least one round per run on average");
     }
 
     #[test]
     fn coloring_converges_under_all_daemons() {
         let cfg = ExperimentConfig::quick();
-        let workload = Workload::Ring(12);
+        let ring = &topologies([Workload::Ring(12)], &cfg)[0].graph;
         for daemon in DaemonSpec::ablation_set() {
-            let summary = daemon_ablation(&workload, &cfg, daemon);
-            assert_eq!(summary.count as u64, cfg.runs, "{}", daemon.name());
+            for seed in cfg.seeds() {
+                // The cell asserts that the run reached silence.
+                daemon_cell(ring, daemon, &cfg, seed);
+            }
         }
     }
 

@@ -10,73 +10,53 @@
 
 use selfstab_core::measures::suffix_comm_report;
 use selfstab_core::spanning::{is_bfs_spanning_tree, BfsTree};
-use selfstab_graph::{properties, NodeId, RootedGraph};
+use selfstab_graph::{properties, Graph, NodeId, RootedGraph};
 use selfstab_runtime::{SimOptions, Simulation};
 
-use super::ExperimentConfig;
-use crate::campaign::{grid2, CampaignSpec, CellOutcome, DaemonSpec, PointResult};
+use super::{topologies, ExperimentConfig, Topology};
+use crate::campaign::{grid2, CampaignSpec, CellOutcome, DaemonSpec};
 use crate::stats::Summary;
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
 
-/// Metrics of one stabilized run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BfsTreeRun {
+/// Metrics of one stabilized run (E13 tables the suffix cost of E12 cells
+/// as its baseline).
+pub(super) struct BfsTreeRun {
     /// Rounds to silence.
-    pub rounds: u64,
+    rounds: u64,
     /// Steps to silence.
-    pub steps: u64,
+    steps: u64,
     /// Post-stabilization reads per selection.
-    pub suffix_reads_per_selection: f64,
+    pub(super) suffix_reads_per_selection: f64,
     /// Post-stabilization efficiency (distinct neighbors per activation).
-    pub suffix_efficiency: usize,
+    pub(super) suffix_efficiency: usize,
     /// Whether the stabilized configuration matched the oracle BFS layers.
-    pub oracle_ok: bool,
-}
-
-/// Aggregated measurements of one workload under one daemon.
-#[derive(Debug, Clone)]
-pub struct BfsTreeConvergence {
-    /// Rounds to silence per run.
-    pub rounds: Vec<u64>,
-    /// Steps to silence per run.
-    pub steps: Vec<u64>,
-    /// Post-stabilization reads per selection, per run.
-    pub suffix_reads_per_selection: Vec<f64>,
-    /// Post-stabilization efficiency (distinct neighbors per activation),
-    /// per run.
-    pub suffix_efficiency: Vec<usize>,
-    /// Runs whose stabilized configuration matched the oracle BFS layers.
-    pub oracle_verified: u64,
-    /// Runs that failed to stabilize within the budget.
-    pub timeouts: u64,
+    oracle_ok: bool,
 }
 
 /// The root used for every workload: a non-trivial process (not always
 /// process 0, which generators often make special), fixed per workload for
 /// comparability across seeds.
-fn root_of(graph: &selfstab_graph::Graph) -> NodeId {
+fn root_of(graph: &Graph) -> NodeId {
     NodeId::new(graph.node_count() / 2)
 }
 
-/// The campaign cell: one (workload, daemon, seed) BFS-tree run. The
-/// topology is a function of the base seed alone; only the initial
-/// configuration varies per run.
-pub fn cell(
-    workload: &Workload,
+/// The campaign cell: one BFS-tree run under `daemon`; only the initial
+/// configuration varies with the seed.
+pub(super) fn cell(
+    graph: &Graph,
     daemon: DaemonSpec,
     config: &ExperimentConfig,
     seed: u64,
 ) -> CellOutcome<BfsTreeRun> {
-    let graph = workload.build(config.base_seed);
-    let root = root_of(&graph);
+    let root = root_of(graph);
     let network = RootedGraph::new(graph.clone(), root).expect("root in range");
     let mut sim = Simulation::new(
-        &graph,
+        graph,
         BfsTree::new(&network),
         daemon.build(),
         seed,
-        SimOptions::default().with_check_interval(8),
+        SimOptions::default(),
     );
     let report = sim.run_until_silent(config.max_steps);
     if !report.silent {
@@ -85,12 +65,12 @@ pub fn cell(
     let config = sim.config();
     let dist = BfsTree::distances(config);
     let parents = sim.protocol().parent_ports(config);
-    let oracle_ok = is_bfs_spanning_tree(&graph, root, &dist, &parents);
+    let oracle_ok = is_bfs_spanning_tree(graph, root, &dist, &parents);
     // Post-stabilization cost: drive the silent system for a while and
     // measure what the protocol keeps reading.
     sim.mark_suffix();
     sim.run_steps(10 * graph.node_count() as u64);
-    let suffix = suffix_comm_report(sim.protocol(), &graph, sim.stats());
+    let suffix = suffix_comm_report(sim.protocol(), graph, sim.stats());
     CellOutcome::Stabilized(BfsTreeRun {
         rounds: report.total_rounds,
         steps: report.total_steps,
@@ -98,35 +78,6 @@ pub fn cell(
         suffix_efficiency: suffix.suffix_efficiency,
         oracle_ok,
     })
-}
-
-/// Folds a point's per-seed outcomes into the aggregated measurement
-/// (shared with E13, which runs E12 cells as its baseline).
-pub fn aggregate<P>(point: &PointResult<'_, P, CellOutcome<BfsTreeRun>>) -> BfsTreeConvergence {
-    BfsTreeConvergence {
-        rounds: point.stabilized().map(|r| r.rounds).collect(),
-        steps: point.stabilized().map(|r| r.steps).collect(),
-        suffix_reads_per_selection: point
-            .stabilized()
-            .map(|r| r.suffix_reads_per_selection)
-            .collect(),
-        suffix_efficiency: point.stabilized().map(|r| r.suffix_efficiency).collect(),
-        oracle_verified: point.stabilized().filter(|r| r.oracle_ok).count() as u64,
-        timeouts: point.timeouts(),
-    }
-}
-
-/// Measures BFS-tree convergence on one workload under one daemon.
-pub fn measure(
-    workload: &Workload,
-    daemon: DaemonSpec,
-    config: &ExperimentConfig,
-) -> BfsTreeConvergence {
-    let spec = CampaignSpec::with_config(grid2(&[*workload], &[daemon]), config);
-    let results = spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, config, c.seed)
-    });
-    aggregate(&results[0])
 }
 
 /// Runs E12 and renders its table.
@@ -149,23 +100,29 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
             "timeouts",
         ],
     );
+    let topologies = topologies(Workload::spanning_suite(), config);
     let spec = CampaignSpec::with_config(
-        grid2(&Workload::spanning_suite(), &DaemonSpec::spanning_set()),
+        grid2(
+            &topologies.iter().collect::<Vec<_>>(),
+            &DaemonSpec::spanning_set(),
+        ),
         config,
     );
     for point in spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, config, c.seed)
+        cell(&c.point.0.graph, c.point.1, config, c.seed)
     }) {
-        let (workload, daemon) = *point.point;
-        let graph = workload.build(config.base_seed);
-        let root = root_of(&graph);
-        let diameter = properties::diameter(&graph).expect("workloads are connected");
-        let height = properties::eccentricity(&graph, root);
-        let m = aggregate(&point);
-        let rounds = Summary::from_counts(m.rounds.iter().copied());
-        let steps = Summary::from_counts(m.steps.iter().copied());
-        let reads = Summary::from_samples(m.suffix_reads_per_selection.iter().copied());
-        let k = m.suffix_efficiency.iter().copied().max().unwrap_or(0);
+        let (Topology { workload, graph }, daemon) = point.point;
+        let diameter = properties::diameter(graph).expect("workloads are connected");
+        let height = properties::eccentricity(graph, root_of(graph));
+        let rounds = Summary::from_counts(point.stabilized().map(|r| r.rounds));
+        let steps = Summary::from_counts(point.stabilized().map(|r| r.steps));
+        let reads = Summary::from_samples(point.stabilized().map(|r| r.suffix_reads_per_selection));
+        let k = point
+            .stabilized()
+            .map(|r| r.suffix_efficiency)
+            .max()
+            .unwrap_or(0);
+        let verified = point.stabilized().filter(|r| r.oracle_ok).count();
         table.push_row(vec![
             workload.label(),
             daemon.name().to_string(),
@@ -177,8 +134,8 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
             steps.display_mean_max(),
             format!("{:.2}", reads.mean),
             k.to_string(),
-            format!("{}/{}", m.oracle_verified, m.rounds.len()),
-            m.timeouts.to_string(),
+            format!("{verified}/{}", point.stabilized_count()),
+            point.timeouts().to_string(),
         ]);
     }
     table.push_note(
@@ -202,12 +159,16 @@ mod tests {
     #[test]
     fn bfs_tree_stabilizes_and_verifies_on_a_quick_run() {
         let cfg = ExperimentConfig::quick();
-        let m = measure(&Workload::Ring(16), DaemonSpec::Synchronous, &cfg);
-        assert_eq!(m.timeouts, 0);
-        assert_eq!(m.oracle_verified, cfg.runs);
-        assert_eq!(m.rounds.len() as u64, cfg.runs);
-        // The ring's post-silence cost: both neighbors re-read per check.
-        assert!(m.suffix_efficiency.iter().all(|&k| k == 2));
+        let ring = &topologies([Workload::Ring(16)], &cfg)[0].graph;
+        for seed in cfg.seeds() {
+            let CellOutcome::Stabilized(run) = cell(ring, DaemonSpec::Synchronous, &cfg, seed)
+            else {
+                panic!("seed {seed} timed out");
+            };
+            assert!(run.oracle_ok, "seed {seed}");
+            // The ring's post-silence cost: both neighbors re-read per check.
+            assert_eq!(run.suffix_efficiency, 2, "seed {seed}");
+        }
     }
 
     #[test]

@@ -18,14 +18,15 @@
 
 use selfstab_core::baselines::BaselineMis;
 use selfstab_core::mis::Mis;
+use selfstab_graph::Graph;
 use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
-use selfstab_runtime::{SimOptions, Simulation};
+use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 use super::e9_fault_recovery::{fault_rng, steady_window_reads_per_round, MisKind};
-use super::ExperimentConfig;
-use crate::campaign::{CampaignSpec, CellOutcome, DaemonSpec, PointResult};
+use super::{topologies, ExperimentConfig};
+use crate::campaign::{CampaignSpec, CellOutcome, DaemonSpec};
 use crate::stats::Summary;
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
@@ -35,7 +36,7 @@ use crate::workloads::Workload;
 /// same number of victims and differ only in *which* states they hit (the
 /// ball scenario corrupts the hub's radius-1 region instead — on hubby
 /// topologies a comparable share of the system).
-pub const FAULT_LOAD: FaultLoad = FaultLoad::Fraction(0.2);
+const FAULT_LOAD: FaultLoad = FaultLoad::Fraction(0.2);
 
 /// The fault-plan sweep, each plan with its row label: the same fault
 /// *load* delivered uniformly at random, onto the hubs, as a correlated
@@ -61,61 +62,38 @@ fn plans() -> Vec<(String, FaultPlan)> {
 }
 
 /// Metrics of one run whose initial stabilization succeeded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultModelRun {
+struct FaultModelRun {
     /// Rounds to re-stabilize after the last injection (`None` on timeout).
-    pub recovery_rounds: Option<u64>,
+    recovery_rounds: Option<u64>,
     /// Fraction of post-fault rounds with a legitimate configuration.
-    pub availability: f64,
+    availability: f64,
     /// Peak reads in a single recovery round relative to the steady-state
     /// reads per round (0 when the fault was absorbed without a round).
-    pub read_spike: f64,
+    read_spike: f64,
     /// Processes corrupted across all injections of the plan.
-    pub victims: usize,
-}
-
-/// Aggregated measurements for one (workload, daemon, plan, protocol)
-/// point.
-#[derive(Debug, Clone)]
-pub struct FaultModelRecovery {
-    /// Rounds to re-stabilize, per recovered run.
-    pub recovery_rounds: Vec<u64>,
-    /// Availability per run.
-    pub availability: Vec<f64>,
-    /// Read spike per run.
-    pub read_spike: Vec<f64>,
-    /// Victims per run.
-    pub victims: Vec<usize>,
-    /// Runs that failed to stabilize initially or to recover in budget.
-    pub timeouts: u64,
+    victims: usize,
 }
 
 /// The campaign cell: stabilize, measure the steady-state read rate over a
 /// fixed window of rounds, execute the fault plan, and read the recovery
 /// telemetry.
-pub fn cell(
-    workload: &Workload,
+fn cell(
+    graph: &Graph,
     daemon: DaemonSpec,
     plan: &FaultPlan,
     kind: MisKind,
     config: &ExperimentConfig,
     seed: u64,
 ) -> CellOutcome<FaultModelRun> {
-    fn drive<P: selfstab_runtime::Protocol>(
-        graph: &selfstab_graph::Graph,
+    fn drive<P: Protocol>(
+        graph: &Graph,
         protocol: P,
         daemon: DaemonSpec,
         plan: &FaultPlan,
         config: &ExperimentConfig,
         seed: u64,
     ) -> CellOutcome<FaultModelRun> {
-        let mut sim = Simulation::new(
-            graph,
-            protocol,
-            daemon.build(),
-            seed,
-            SimOptions::default().with_check_interval(4),
-        );
+        let mut sim = Simulation::new(graph, protocol, daemon.build(), seed, SimOptions::default());
         if !sim.run_until_silent(config.max_steps).silent {
             return CellOutcome::Timeout;
         }
@@ -145,68 +123,24 @@ pub fn cell(
             victims: telemetry.victims,
         })
     }
-    let graph = workload.build(config.base_seed);
     match kind {
         MisKind::Efficient => drive(
-            &graph,
-            Mis::with_greedy_coloring(&graph),
+            graph,
+            Mis::with_greedy_coloring(graph),
             daemon,
             plan,
             config,
             seed,
         ),
         MisKind::Baseline => drive(
-            &graph,
-            BaselineMis::with_greedy_coloring(&graph),
+            graph,
+            BaselineMis::with_greedy_coloring(graph),
             daemon,
             plan,
             config,
             seed,
         ),
     }
-}
-
-fn aggregate<P>(point: &PointResult<'_, P, CellOutcome<FaultModelRun>>) -> FaultModelRecovery {
-    let recovery_rounds: Vec<u64> = point
-        .stabilized()
-        .filter_map(|r| r.recovery_rounds)
-        .collect();
-    // A run times out when it never stabilizes, or when it stabilizes but
-    // fails to recover from the plan within the budget.
-    let recovery_timeouts = point.stabilized_count() as u64 - recovery_rounds.len() as u64;
-    FaultModelRecovery {
-        recovery_rounds,
-        availability: point.stabilized().map(|r| r.availability).collect(),
-        read_spike: point.stabilized().map(|r| r.read_spike).collect(),
-        victims: point.stabilized().map(|r| r.victims).collect(),
-        timeouts: point.timeouts() + recovery_timeouts,
-    }
-}
-
-/// Measures one (workload, daemon, plan, protocol) point.
-pub fn measure(
-    workload: &Workload,
-    daemon: DaemonSpec,
-    plan: &FaultPlan,
-    kind: MisKind,
-    config: &ExperimentConfig,
-) -> FaultModelRecovery {
-    let spec = CampaignSpec::with_config(vec![(*workload, daemon, plan, kind)], config);
-    let results = spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, c.point.2, c.point.3, config, c.seed)
-    });
-    aggregate(&results[0])
-}
-
-/// The workload sweep: a hubless grid, a star (extreme hub) and a
-/// heavy-tailed Barabási–Albert graph — the families where targeted and
-/// regional corruption should diverge most from uniform.
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload::Grid(5, 5),
-        Workload::Star(25),
-        Workload::Barabasi(40, 2),
-    ]
 }
 
 /// Runs E14 and renders its table.
@@ -226,44 +160,53 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
             "timeouts",
         ],
     );
+    // A hubless grid, a star (extreme hub) and a heavy-tailed
+    // Barabási–Albert graph: the families where targeted and regional
+    // corruption should diverge most from uniform.
+    let topologies = topologies(
+        [
+            Workload::Grid(5, 5),
+            Workload::Star(25),
+            Workload::Barabasi(40, 2),
+        ],
+        config,
+    );
     let daemons = [DaemonSpec::Synchronous, DaemonSpec::DistributedRandom(0.5)];
     let kinds = [MisKind::Efficient, MisKind::Baseline];
     let plans = plans();
     let mut points = Vec::new();
-    for workload in workloads() {
+    for topology in &topologies {
         for &daemon in &daemons {
             for (label, plan) in &plans {
                 for &kind in &kinds {
-                    points.push((workload, daemon, label, plan, kind));
+                    points.push((topology, daemon, label, plan, kind));
                 }
             }
         }
     }
     let spec = CampaignSpec::with_config(points, config);
     for point in spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, c.point.3, c.point.4, config, c.seed)
+        let (topology, daemon, _, plan, kind) = *c.point;
+        cell(&topology.graph, daemon, plan, kind, config, c.seed)
     }) {
-        let (workload, daemon, label, _, kind) = *point.point;
-        let m = aggregate(&point);
+        let (topology, daemon, label, _, kind) = *point.point;
+        let victims = Summary::from_counts(point.stabilized().map(|r| r.victims as u64));
+        let recovery = Summary::from_counts(point.stabilized().filter_map(|r| r.recovery_rounds));
+        let availability = Summary::from_samples(point.stabilized().map(|r| r.availability));
+        let read_spike = Summary::from_samples(point.stabilized().map(|r| r.read_spike));
+        // A run times out when it never stabilizes, or when it stabilizes
+        // but fails to recover from the plan within the budget.
+        let timeouts = point.runs.len() - recovery.count;
         table.push_row(vec![
-            workload.label(),
+            topology.workload.label(),
             daemon.name().to_string(),
             label.clone(),
             kind.label().to_string(),
-            Summary::from_counts(m.victims.iter().map(|&v| v as u64))
-                .mean
-                .round()
-                .to_string(),
-            Summary::from_counts(m.recovery_rounds.iter().copied()).display_mean_max(),
-            format!(
-                "{:.2}",
-                Summary::from_samples(m.availability.iter().copied()).mean
-            ),
-            format!(
-                "{:.1}",
-                Summary::from_samples(m.read_spike.iter().copied()).mean
-            ),
-            m.timeouts.to_string(),
+            victims.mean.round().to_string(),
+            recovery.display_mean_max(),
+            format!("{:.2}", availability.mean),
+            format!("{:.1}", read_spike.mean),
+            timeouts.to_string(),
         ]);
     }
     table.push_note(
@@ -283,35 +226,41 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
 mod tests {
     use super::*;
 
+    /// The synchronous runs of `kind` under `plan` on `graph` over the
+    /// configuration's seeds, each of which must stabilize and recover.
+    fn recovered_runs(
+        graph: &Graph,
+        plan: &FaultPlan,
+        kind: MisKind,
+        cfg: &ExperimentConfig,
+    ) -> Vec<FaultModelRun> {
+        cfg.seeds()
+            .map(
+                |seed| match cell(graph, DaemonSpec::Synchronous, plan, kind, cfg, seed) {
+                    CellOutcome::Stabilized(run) if run.recovery_rounds.is_some() => run,
+                    _ => panic!("seed {seed} timed out"),
+                },
+            )
+            .collect()
+    }
+
     #[test]
     fn recovery_runs_and_reports_sane_figures() {
         let cfg = ExperimentConfig::quick();
-        let m = measure(
-            &Workload::Grid(4, 4),
-            DaemonSpec::Synchronous,
-            &FaultPlan::single(FaultModel::Uniform(FAULT_LOAD)),
-            MisKind::Efficient,
-            &cfg,
-        );
-        assert_eq!(m.timeouts, 0);
-        assert_eq!(m.recovery_rounds.len() as u64, cfg.runs);
-        assert!(m.availability.iter().all(|a| (0.0..=1.0).contains(a)));
-        assert!(m.victims.iter().all(|&v| v == 4), "20% of 16 processes");
+        let grid = &topologies([Workload::Grid(4, 4)], &cfg)[0].graph;
+        let uniform = FaultPlan::single(FaultModel::Uniform(FAULT_LOAD));
+        for run in recovered_runs(grid, &uniform, MisKind::Efficient, &cfg) {
+            assert!((0.0..=1.0).contains(&run.availability));
+            assert_eq!(run.victims, 4, "20% of 16 processes");
+        }
         // Every plan of the sweep is repaired, in every run, and the row
         // labels are pairwise distinct.
         let plans = plans();
         let labels: std::collections::BTreeSet<&str> =
             plans.iter().map(|(label, _)| label.as_str()).collect();
         assert_eq!(labels.len(), 5);
-        for (label, plan) in &plans {
-            let m = measure(
-                &Workload::Grid(4, 4),
-                DaemonSpec::Synchronous,
-                plan,
-                MisKind::Efficient,
-                &cfg,
-            );
-            assert_eq!(m.timeouts, 0, "{label}");
+        for (_, plan) in &plans {
+            recovered_runs(grid, plan, MisKind::Efficient, &cfg);
         }
     }
 
@@ -322,17 +271,15 @@ mod tests {
         // scenario must be at least as expensive in recovery rounds on
         // average, with strictly more victims.
         let cfg = ExperimentConfig::quick();
-        let workload = Workload::Star(25);
-        let uniform = measure(
-            &workload,
-            DaemonSpec::Synchronous,
+        let star = &topologies([Workload::Star(25)], &cfg)[0].graph;
+        let uniform = recovered_runs(
+            star,
             &FaultPlan::single(FaultModel::Uniform(FAULT_LOAD)),
             MisKind::Baseline,
             &cfg,
         );
-        let ball = measure(
-            &workload,
-            DaemonSpec::Synchronous,
+        let ball = recovered_runs(
+            star,
             &FaultPlan::single(FaultModel::Ball {
                 center: BallCenter::Hub,
                 radius: 1,
@@ -340,19 +287,17 @@ mod tests {
             MisKind::Baseline,
             &cfg,
         );
-        assert_eq!(uniform.timeouts, 0);
-        assert_eq!(ball.timeouts, 0);
-        assert!(ball.victims.iter().all(|&v| v == 25), "the whole star");
-        assert!(uniform.victims.iter().all(|&v| v == 5), "20% of 25");
-        assert!(!ball.recovery_rounds.is_empty());
-        assert!(!uniform.recovery_rounds.is_empty());
+        assert!(ball.iter().all(|r| r.victims == 25), "the whole star");
+        assert!(uniform.iter().all(|r| r.victims == 5), "20% of 25");
+        let rounds = |runs: &[FaultModelRun]| -> Vec<u64> {
+            runs.iter().filter_map(|r| r.recovery_rounds).collect()
+        };
+        let (ball, uniform) = (rounds(&ball), rounds(&uniform));
         let mean = |rounds: &[u64]| rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;
         assert!(
-            mean(&ball.recovery_rounds) >= mean(&uniform.recovery_rounds),
+            mean(&ball) >= mean(&uniform),
             "corrupting the whole star must cost at least as many recovery rounds as 20% of it \
-             ({:?} vs {:?})",
-            ball.recovery_rounds,
-            uniform.recovery_rounds
+             ({ball:?} vs {uniform:?})"
         );
     }
 }

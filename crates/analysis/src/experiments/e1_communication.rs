@@ -9,59 +9,43 @@
 
 use selfstab_core::baselines::{BaselineColoring, BaselineMis};
 use selfstab_core::coloring::Coloring;
-use selfstab_core::measures;
+use selfstab_core::measures::{self, ComplexityReport};
 use selfstab_core::mis::Mis;
 use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::DistributedRandom;
 use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
-use super::ExperimentConfig;
+use super::{topologies, ExperimentConfig};
 use crate::campaign::{grid2, CampaignSpec};
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
 
 /// The protocol axis of the E1 grid: each 1-efficient protocol of the paper
 /// next to its Δ-efficient local-checking baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolKind {
-    /// 1-efficient COLORING (Figure 7).
+#[derive(Clone, Copy)]
+enum ProtocolKind {
     Coloring,
-    /// Δ-efficient baseline coloring.
     BaselineColoring,
-    /// 1-efficient MIS (Figure 8).
     Mis,
-    /// Δ-efficient baseline MIS.
     BaselineMis,
 }
 
-impl ProtocolKind {
-    /// The axis in presentation order (1-efficient before its baseline).
-    pub fn all() -> Vec<ProtocolKind> {
-        vec![
-            ProtocolKind::Coloring,
-            ProtocolKind::BaselineColoring,
-            ProtocolKind::Mis,
-            ProtocolKind::BaselineMis,
-        ]
-    }
-}
-
-/// The campaign cell: runs one protocol on one workload to silence, then
-/// keeps it running for a fixed window so that the *stabilized-phase* read
-/// behavior is measured even when the random initial configuration happened
-/// to be legitimate already.
-pub fn cell(
-    workload: &Workload,
+/// The campaign cell: runs one protocol to silence, then keeps it running
+/// for a fixed window so that the *stabilized-phase* read behavior is
+/// measured even when the random initial configuration happened to be
+/// legitimate already.
+fn cell(
+    graph: &Graph,
     kind: ProtocolKind,
     config: &ExperimentConfig,
     seed: u64,
-) -> measures::ComplexityReport {
+) -> ComplexityReport {
     fn complexity<P: Protocol>(
         graph: &Graph,
         protocol: P,
+        config: &ExperimentConfig,
         seed: u64,
-        max_steps: u64,
-    ) -> measures::ComplexityReport {
+    ) -> ComplexityReport {
         let mut sim = Simulation::new(
             graph,
             protocol,
@@ -69,30 +53,21 @@ pub fn cell(
             seed,
             SimOptions::default(),
         );
-        sim.run_until_silent(max_steps);
+        sim.run_until_silent(config.max_steps);
         sim.run_steps(50 * graph.node_count() as u64);
         measures::complexity_report(sim.protocol(), graph, sim.stats())
     }
-    let graph = workload.build(config.base_seed);
     match kind {
-        ProtocolKind::Coloring => complexity(&graph, Coloring::new(&graph), seed, config.max_steps),
-        ProtocolKind::BaselineColoring => complexity(
-            &graph,
-            BaselineColoring::new(&graph),
-            seed,
-            config.max_steps,
-        ),
-        ProtocolKind::Mis => complexity(
-            &graph,
-            Mis::with_greedy_coloring(&graph),
-            seed,
-            config.max_steps,
-        ),
+        ProtocolKind::Coloring => complexity(graph, Coloring::new(graph), config, seed),
+        ProtocolKind::BaselineColoring => {
+            complexity(graph, BaselineColoring::new(graph), config, seed)
+        }
+        ProtocolKind::Mis => complexity(graph, Mis::with_greedy_coloring(graph), config, seed),
         ProtocolKind::BaselineMis => complexity(
-            &graph,
-            BaselineMis::with_greedy_coloring(&graph),
+            graph,
+            BaselineMis::with_greedy_coloring(graph),
+            config,
             seed,
-            config.max_steps,
         ),
     }
 }
@@ -113,49 +88,47 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
             "ratio",
         ],
     );
+    let topologies = topologies(Workload::degree_suite(), config);
+    let kinds = [
+        ProtocolKind::Coloring,
+        ProtocolKind::BaselineColoring,
+        ProtocolKind::Mis,
+        ProtocolKind::BaselineMis,
+    ];
     // One run per (workload, protocol) point: the measured efficiency is a
     // worst-case maximum over a long window, not a seed-sensitive average.
     let spec = CampaignSpec::new(
-        grid2(&Workload::degree_suite(), &ProtocolKind::all()),
+        grid2(&topologies.iter().collect::<Vec<_>>(), &kinds),
         vec![config.base_seed],
     );
     for point in spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.1, config, c.seed)
+        cell(&c.point.0.graph, c.point.1, config, c.seed)
     }) {
-        let (workload, _) = *point.point;
-        let report = point.runs.into_iter().next().expect("one run per point");
-        push_report(&mut table, &workload, report);
+        let report = &point.runs[0];
+        let ratio = if report.communication_bits == 0 {
+            "-".to_string()
+        } else {
+            format!(
+                "{:.1}x",
+                report.delta_communication_bits as f64 / report.communication_bits as f64
+            )
+        };
+        table.push_row(vec![
+            point.point.0.workload.label(),
+            report.nodes.to_string(),
+            report.max_degree.to_string(),
+            report.protocol.to_string(),
+            report.measured_efficiency.to_string(),
+            report.communication_bits.to_string(),
+            report.delta_communication_bits.to_string(),
+            ratio,
+        ]);
     }
     table.push_note(
         "paper claim (§3.2): 1-efficient protocols read log(Δ+1)-order bits per step; \
          local-checking baselines read Δ times as much",
     );
     table
-}
-
-fn push_report(
-    table: &mut ExperimentTable,
-    workload: &Workload,
-    report: measures::ComplexityReport,
-) {
-    let ratio = if report.communication_bits == 0 {
-        "-".to_string()
-    } else {
-        format!(
-            "{:.1}x",
-            report.delta_communication_bits as f64 / report.communication_bits as f64
-        )
-    };
-    table.push_row(vec![
-        workload.label(),
-        report.nodes.to_string(),
-        report.max_degree.to_string(),
-        report.protocol.to_string(),
-        report.measured_efficiency.to_string(),
-        report.communication_bits.to_string(),
-        report.delta_communication_bits.to_string(),
-        ratio,
-    ]);
 }
 
 #[cfg(test)]

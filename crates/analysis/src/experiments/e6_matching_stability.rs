@@ -5,51 +5,28 @@
 //! processes against the theoretical lower bound `2⌈m/(2∆−1)⌉`.
 
 use selfstab_core::matching::Matching;
+use selfstab_graph::Graph;
 use selfstab_runtime::scheduler::DistributedRandom;
 use selfstab_runtime::{SimOptions, Simulation};
 
-use super::ExperimentConfig;
-use crate::campaign::{CampaignSpec, CellOutcome, PointResult};
+use super::{topologies, ExperimentConfig, Topology};
+use crate::campaign::{CampaignSpec, CellOutcome};
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
 
 /// Metrics of one stabilized run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchingStabilityRun {
+struct MatchingStabilityRun {
     /// Matched processes in the silent configuration.
-    pub matched: usize,
+    matched: usize,
     /// Processes whose suffix read set has at most one element.
-    pub stable: usize,
+    stable: usize,
 }
 
-/// Aggregated measurements of one workload.
-#[derive(Debug, Clone)]
-pub struct MatchingStability {
-    /// Edge count m.
-    pub edges: usize,
-    /// Maximum degree Δ.
-    pub max_degree: usize,
-    /// The Theorem 8 bound 2⌈m/(2Δ−1)⌉.
-    pub bound: usize,
-    /// Minimum over runs of the number of matched processes.
-    pub min_matched: usize,
-    /// Minimum over runs of the measured 1-stable process count (suffix
-    /// read sets after stabilization).
-    pub min_stable: usize,
-    /// Number of processes.
-    pub nodes: usize,
-}
-
-/// The campaign cell: one (workload, seed) MATCHING stability run.
-pub fn cell(
-    workload: &Workload,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> CellOutcome<MatchingStabilityRun> {
-    let graph = workload.build(config.base_seed);
+/// The campaign cell: one MATCHING stability run.
+fn cell(graph: &Graph, config: &ExperimentConfig, seed: u64) -> CellOutcome<MatchingStabilityRun> {
     let mut sim = Simulation::new(
-        &graph,
-        Matching::with_greedy_coloring(&graph),
+        graph,
+        Matching::with_greedy_coloring(graph),
         DistributedRandom::new(0.5),
         seed,
         SimOptions::default(),
@@ -57,47 +34,13 @@ pub fn cell(
     if !sim.run_until_silent(config.max_steps).silent {
         return CellOutcome::Timeout;
     }
-    let matched = 2 * sim.protocol().output(&graph, sim.config()).len();
+    let matched = 2 * sim.protocol().output(graph, sim.config()).len();
     sim.mark_suffix();
     sim.run_steps((graph.node_count() as u64) * 20);
     CellOutcome::Stabilized(MatchingStabilityRun {
         matched,
         stable: sim.stats().stable_process_count(1),
     })
-}
-
-fn aggregate(
-    point: &PointResult<'_, Workload, CellOutcome<MatchingStabilityRun>>,
-    config: &ExperimentConfig,
-) -> MatchingStability {
-    let graph = point.point.build(config.base_seed);
-    MatchingStability {
-        edges: graph.edge_count(),
-        max_degree: graph.max_degree(),
-        bound: Matching::stability_bound(&graph),
-        min_matched: point.stabilized().map(|r| r.matched).min().unwrap_or(0),
-        min_stable: point.stabilized().map(|r| r.stable).min().unwrap_or(0),
-        nodes: graph.node_count(),
-    }
-}
-
-/// Measures ♦-(x, 1)-stability of MATCHING on one workload.
-pub fn measure(workload: &Workload, config: &ExperimentConfig) -> MatchingStability {
-    let spec = CampaignSpec::with_config(vec![*workload], config);
-    let results = spec.run(config.threads, |c| cell(c.point, config, c.seed));
-    aggregate(&results[0], config)
-}
-
-/// The E6 workload axis.
-pub fn workloads() -> Vec<Workload> {
-    vec![
-        Workload::Figure11,
-        Workload::Ring(16),
-        Workload::Path(17),
-        Workload::Grid(4, 4),
-        Workload::Star(17),
-        Workload::Gnp(32, 0.15),
-    ]
 }
 
 /// Runs E6 and renders its table.
@@ -116,18 +59,29 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
             "bound satisfied",
         ],
     );
-    let spec = CampaignSpec::with_config(workloads(), config);
-    for point in spec.run(config.threads, |c| cell(c.point, config, c.seed)) {
-        let m = aggregate(&point, config);
+    let workloads = [
+        Workload::Figure11,
+        Workload::Ring(16),
+        Workload::Path(17),
+        Workload::Grid(4, 4),
+        Workload::Star(17),
+        Workload::Gnp(32, 0.15),
+    ];
+    let spec = CampaignSpec::with_config(topologies(workloads, config), config);
+    for point in spec.run(config.threads, |c| cell(&c.point.graph, config, c.seed)) {
+        let Topology { workload, graph } = point.point;
+        let bound = Matching::stability_bound(graph);
+        let min_matched = point.stabilized().map(|r| r.matched).min().unwrap_or(0);
+        let min_stable = point.stabilized().map(|r| r.stable).min().unwrap_or(0);
         table.push_row(vec![
-            point.point.label(),
-            m.nodes.to_string(),
-            m.edges.to_string(),
-            m.max_degree.to_string(),
-            m.bound.to_string(),
-            m.min_matched.to_string(),
-            m.min_stable.to_string(),
-            (m.min_matched >= m.bound && m.min_stable >= m.bound).to_string(),
+            workload.label(),
+            graph.node_count().to_string(),
+            graph.edge_count().to_string(),
+            graph.max_degree().to_string(),
+            bound.to_string(),
+            min_matched.to_string(),
+            min_stable.to_string(),
+            (min_matched >= bound && min_stable >= bound).to_string(),
         ]);
     }
     table.push_note("paper claim (Thm 8): at least 2⌈m/(2Δ−1)⌉ processes are eventually married and keep reading a single neighbor; Figure 11 (Δ=4, m=14) can meet the bound exactly");
@@ -141,12 +95,17 @@ mod tests {
     #[test]
     fn figure11_meets_the_bound() {
         let cfg = ExperimentConfig::quick();
-        let m = measure(&Workload::Figure11, &cfg);
-        assert_eq!(m.edges, 14);
-        assert_eq!(m.max_degree, 4);
-        assert_eq!(m.bound, 4);
-        assert!(m.min_matched >= 4);
-        assert!(m.min_stable >= 4);
+        let figure11 = &topologies([Workload::Figure11], &cfg)[0].graph;
+        assert_eq!(figure11.edge_count(), 14);
+        assert_eq!(figure11.max_degree(), 4);
+        assert_eq!(Matching::stability_bound(figure11), 4);
+        for seed in cfg.seeds() {
+            let CellOutcome::Stabilized(run) = cell(figure11, &cfg, seed) else {
+                panic!("seed {seed} timed out");
+            };
+            assert!(run.matched >= 4, "seed {seed}: {} matched", run.matched);
+            assert!(run.stable >= 4, "seed {seed}: {} stable", run.stable);
+        }
     }
 
     #[test]

@@ -21,19 +21,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_core::baselines::BaselineMis;
 use selfstab_core::mis::Mis;
+use selfstab_graph::Graph;
 use selfstab_runtime::faults::{run_fault_plan, FaultInjector, FaultLoad, FaultModel, FaultPlan};
 use selfstab_runtime::scheduler::Synchronous;
-use selfstab_runtime::{SimOptions, Simulation};
+use selfstab_runtime::{Protocol, Scheduler, SimOptions, Simulation};
 
-use super::ExperimentConfig;
-use crate::campaign::{grid3, CampaignSpec, CellOutcome, PointResult};
+use super::{topologies, ExperimentConfig, Topology};
+use crate::campaign::{grid3, CampaignSpec, CellOutcome};
 use crate::stats::Summary;
 use crate::table::ExperimentTable;
 use crate::workloads::Workload;
 
-/// The protocol axis of the E9 grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MisKind {
+/// The protocol axis of the E9 grid (shared with E14).
+#[derive(Clone, Copy)]
+pub(super) enum MisKind {
     /// The paper's 1-efficient MIS.
     Efficient,
     /// The Δ-efficient local-checking baseline.
@@ -41,8 +42,8 @@ pub enum MisKind {
 }
 
 impl MisKind {
-    /// The protocol label used in table rows (shared with E14).
-    pub fn label(&self) -> &'static str {
+    /// The protocol label used in table rows.
+    pub(super) fn label(&self) -> &'static str {
         match self {
             MisKind::Efficient => "mis-1-efficient",
             MisKind::Baseline => "mis-baseline",
@@ -51,39 +52,22 @@ impl MisKind {
 }
 
 /// Metrics of one run whose initial stabilization succeeded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRecoveryRun {
+struct FaultRecoveryRun {
     /// Reads per process per round over the stabilized window.
-    pub steady_reads_per_round: f64,
+    steady_reads_per_round: f64,
     /// Rounds to re-stabilize after the faults (`None`: the recovery run
     /// did not re-stabilize within the budget).
-    pub recovery_rounds: Option<u64>,
-}
-
-/// Aggregated measurements for one (workload, protocol, fault-load) point.
-#[derive(Debug, Clone)]
-pub struct FaultRecovery {
-    /// Reads per process per round in the stabilized phase (averaged over a
-    /// measurement window).
-    pub steady_reads_per_round: f64,
-    /// Rounds to re-stabilize after the faults, per run.
-    pub recovery_rounds: Vec<u64>,
-    /// Runs that failed to (re-)stabilize within the budget.
-    pub timeouts: u64,
+    recovery_rounds: Option<u64>,
 }
 
 /// Total read operations per round over `window_rounds` further completed
 /// rounds of a (typically stabilized) simulation — the pre-fault steady
 /// baseline. Shared by E9 and E14 so their steady-state figures stay
 /// directly comparable.
-pub(crate) fn steady_window_reads_per_round<P, S>(
-    sim: &mut selfstab_runtime::Simulation<'_, P, S>,
+pub(super) fn steady_window_reads_per_round<P: Protocol, S: Scheduler>(
+    sim: &mut Simulation<'_, P, S>,
     window_rounds: u64,
-) -> f64
-where
-    P: selfstab_runtime::Protocol,
-    S: selfstab_runtime::Scheduler,
-{
+) -> f64 {
     let reads_before = sim.stats().total_read_operations();
     let rounds_before = sim.rounds();
     while sim.rounds() < rounds_before + window_rounds {
@@ -94,24 +78,24 @@ where
 
 /// The fault-stream RNG of a cell, derived from the cell seed — identical
 /// in E9 and E14, so a uniform E14 scenario replays E9's faults exactly.
-pub(crate) fn fault_rng(seed: u64) -> StdRng {
+pub(super) fn fault_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7))
 }
 
 /// The campaign cell: stabilize, measure the steady-state read overhead
 /// over a fixed window of rounds, inject transient faults, and measure the
 /// re-stabilization cost.
-pub fn cell(
-    workload: &Workload,
+fn cell(
+    graph: &Graph,
     kind: MisKind,
     faults: FaultLoad,
     config: &ExperimentConfig,
     seed: u64,
 ) -> CellOutcome<FaultRecoveryRun> {
-    fn drive<P: selfstab_runtime::Protocol>(
-        graph: &selfstab_graph::Graph,
+    fn drive<P: Protocol>(
+        graph: &Graph,
         protocol: P,
-        fault_count: usize,
+        faults: FaultLoad,
         config: &ExperimentConfig,
         seed: u64,
     ) -> CellOutcome<FaultRecoveryRun> {
@@ -127,7 +111,7 @@ pub fn cell(
         // fault-scenario engine (one uniform injection at scenario start is
         // the seed experiment's model, expressed as a FaultPlan).
         let mut fault_rng = fault_rng(seed);
-        let plan = FaultPlan::single(FaultModel::Uniform(FaultLoad::Count(fault_count)));
+        let plan = FaultPlan::single(FaultModel::Uniform(faults));
         let mut injector = FaultInjector::new(graph);
         let telemetry = run_fault_plan(
             &mut sim,
@@ -141,73 +125,22 @@ pub fn cell(
             recovery_rounds: telemetry.recovery_rounds,
         })
     }
-    let graph = workload.build(config.base_seed);
-    let fault_count = faults.resolve(&graph);
     match kind {
         MisKind::Efficient => drive(
-            &graph,
-            Mis::with_greedy_coloring(&graph),
-            fault_count,
+            graph,
+            Mis::with_greedy_coloring(graph),
+            faults,
             config,
             seed,
         ),
         MisKind::Baseline => drive(
-            &graph,
-            BaselineMis::with_greedy_coloring(&graph),
-            fault_count,
+            graph,
+            BaselineMis::with_greedy_coloring(graph),
+            faults,
             config,
             seed,
         ),
     }
-}
-
-fn aggregate<P>(point: &PointResult<'_, P, CellOutcome<FaultRecoveryRun>>) -> FaultRecovery {
-    let recovery_rounds: Vec<u64> = point
-        .stabilized()
-        .filter_map(|r| r.recovery_rounds)
-        .collect();
-    // A run times out when it never stabilizes, or when it stabilizes but
-    // fails to recover from the injected faults.
-    let recovery_timeouts = point.stabilized_count() as u64 - recovery_rounds.len() as u64;
-    FaultRecovery {
-        steady_reads_per_round: Summary::from_samples(
-            point.stabilized().map(|r| r.steady_reads_per_round),
-        )
-        .mean,
-        recovery_rounds,
-        timeouts: point.timeouts() + recovery_timeouts,
-    }
-}
-
-fn measure(
-    workload: &Workload,
-    config: &ExperimentConfig,
-    faults: FaultLoad,
-    kind: MisKind,
-) -> FaultRecovery {
-    let spec = CampaignSpec::with_config(vec![(*workload, faults, kind)], config);
-    let results = spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.2, c.point.1, config, c.seed)
-    });
-    aggregate(&results[0])
-}
-
-/// Measures the 1-efficient MIS protocol on one workload.
-pub fn measure_efficient(
-    workload: &Workload,
-    config: &ExperimentConfig,
-    faults: FaultLoad,
-) -> FaultRecovery {
-    measure(workload, config, faults, MisKind::Efficient)
-}
-
-/// Measures the Δ-efficient baseline MIS on one workload.
-pub fn measure_baseline(
-    workload: &Workload,
-    config: &ExperimentConfig,
-    faults: FaultLoad,
-) -> FaultRecovery {
-    measure(workload, config, faults, MisKind::Baseline)
 }
 
 /// Runs E9 and renders its table.
@@ -217,31 +150,40 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
         "stabilized-phase reads per process per round and recovery after transient faults (MIS vs baseline)",
         vec!["workload", "faults f", "protocol", "steady reads/process/round", "recovery rounds", "timeouts"],
     );
-    let workloads = [
-        Workload::Grid(5, 5),
-        Workload::Gnp(40, 0.15),
-        Workload::Star(25),
-    ];
+    let topologies = topologies(
+        [
+            Workload::Grid(5, 5),
+            Workload::Gnp(40, 0.15),
+            Workload::Star(25),
+        ],
+        config,
+    );
     let fault_loads = [
         FaultLoad::Count(1),
         FaultLoad::Fraction(0.1),
         FaultLoad::Fraction(0.25),
     ];
     let kinds = [MisKind::Efficient, MisKind::Baseline];
-    let spec = CampaignSpec::with_config(grid3(&workloads, &fault_loads, &kinds), config);
+    let spec = CampaignSpec::with_config(
+        grid3(&topologies.iter().collect::<Vec<_>>(), &fault_loads, &kinds),
+        config,
+    );
     for point in spec.run(config.threads, |c| {
-        cell(&c.point.0, c.point.2, c.point.1, config, c.seed)
+        cell(&c.point.0.graph, c.point.2, c.point.1, config, c.seed)
     }) {
-        let (workload, faults, kind) = *point.point;
-        let graph = workload.build(config.base_seed);
-        let m = aggregate(&point);
+        let (Topology { workload, graph }, faults, kind) = point.point;
+        let steady = Summary::from_samples(point.stabilized().map(|r| r.steady_reads_per_round));
+        let recovery = Summary::from_counts(point.stabilized().filter_map(|r| r.recovery_rounds));
+        // A run times out when it never stabilizes, or when it stabilizes
+        // but fails to recover from the injected faults.
+        let timeouts = point.runs.len() - recovery.count;
         table.push_row(vec![
             workload.label(),
-            faults.resolve(&graph).to_string(),
+            faults.resolve(graph).to_string(),
             kind.label().to_string(),
-            format!("{:.2}", m.steady_reads_per_round),
-            Summary::from_counts(m.recovery_rounds.iter().copied()).display_mean_max(),
-            m.timeouts.to_string(),
+            format!("{:.2}", steady.mean),
+            recovery.display_mean_max(),
+            timeouts.to_string(),
         ]);
     }
     table.push_note("paper claim (§1): after stabilization the 1-efficient protocol reads at most 1 register per process per activation, the local-checking baseline reads up to Δ; both recover from any transient fault");
@@ -252,35 +194,47 @@ pub fn run(config: &ExperimentConfig) -> ExperimentTable {
 mod tests {
     use super::*;
 
+    /// The runs of `kind` on `graph` over the configuration's seeds, each
+    /// of which must stabilize and then recover from `faults`.
+    fn recovered_runs(
+        graph: &Graph,
+        kind: MisKind,
+        faults: FaultLoad,
+        cfg: &ExperimentConfig,
+    ) -> Vec<FaultRecoveryRun> {
+        cfg.seeds()
+            .map(|seed| match cell(graph, kind, faults, cfg, seed) {
+                CellOutcome::Stabilized(run) if run.recovery_rounds.is_some() => run,
+                _ => panic!("{} seed {seed} timed out", kind.label()),
+            })
+            .collect()
+    }
+
     #[test]
     fn efficient_protocol_reads_less_in_steady_state() {
         let cfg = ExperimentConfig::quick();
-        let workload = Workload::Star(13);
-        let efficient = measure_efficient(&workload, &cfg, FaultLoad::Count(1));
-        let baseline = measure_baseline(&workload, &cfg, FaultLoad::Count(1));
-        assert_eq!(efficient.timeouts, 0);
-        assert_eq!(baseline.timeouts, 0);
+        let star = &topologies([Workload::Star(13)], &cfg)[0].graph;
+        let steady = |kind| {
+            let runs = recovered_runs(star, kind, FaultLoad::Count(1), &cfg);
+            Summary::from_samples(runs.iter().map(|r| r.steady_reads_per_round)).mean
+        };
+        let efficient = steady(MisKind::Efficient);
+        let baseline = steady(MisKind::Baseline);
         // The 1-efficient protocol reads at most one register per process
         // per round; the baseline's hub reads Δ = 12 registers whenever the
         // daemon activates it while enabled-checking, so its average is
         // higher on a star.
-        assert!(efficient.steady_reads_per_round <= 1.01);
-        assert!(
-            baseline.steady_reads_per_round < efficient.steady_reads_per_round + 13.0,
-            "sanity upper bound"
-        );
+        assert!(efficient <= 1.01);
+        assert!(baseline < efficient + 13.0, "sanity upper bound");
     }
 
     #[test]
     fn both_protocols_recover_from_faults() {
         let cfg = ExperimentConfig::quick();
-        let workload = Workload::Grid(4, 4);
-        for m in [
-            measure_efficient(&workload, &cfg, FaultLoad::Fraction(0.25)),
-            measure_baseline(&workload, &cfg, FaultLoad::Fraction(0.25)),
-        ] {
-            assert_eq!(m.timeouts, 0);
-            assert!(!m.recovery_rounds.is_empty());
+        let grid = &topologies([Workload::Grid(4, 4)], &cfg)[0].graph;
+        for kind in [MisKind::Efficient, MisKind::Baseline] {
+            let runs = recovered_runs(grid, kind, FaultLoad::Fraction(0.25), &cfg);
+            assert_eq!(runs.len() as u64, cfg.runs);
         }
     }
 }

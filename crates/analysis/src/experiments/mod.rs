@@ -1,13 +1,17 @@
 //! The experiments E1–E14 (see the crate-level table).
 //!
-//! Every experiment is a pure function from an [`ExperimentConfig`] to an
-//! [`ExperimentTable`], and declares its run grid as a
-//! [`CampaignSpec`](crate::campaign::CampaignSpec) — workloads × daemons ×
-//! protocol parameters × seeds — whose cells the campaign engine executes
-//! on `config.threads` worker threads. The `experiments` binary prints the
-//! tables, the integration tests check their invariants (including
-//! byte-identical output across thread counts), and the end-to-end
-//! benchmark (`perfbench/`) times the `--quick` suite.
+//! Each experiment module is a table function: its one public item, `run`,
+//! maps an [`ExperimentConfig`] to an [`ExperimentTable`]. It declares its
+//! run grid as a [`CampaignSpec`](crate::campaign::CampaignSpec) —
+//! workloads × daemons × protocol parameters × seeds — whose points carry
+//! or borrow each workload's graph, built once from `config.base_seed`.
+//! The campaign engine runs the module's private cell, a pure function of
+//! one point and one seed, on `config.threads` worker threads, and `run`
+//! folds each point's runs straight into its row: the numbers a row shows
+//! are computed in one place. The `experiments` binary prints the tables,
+//! the integration tests check their invariants (including byte-identical
+//! output across thread counts), and the end-to-end benchmark
+//! (`perfbench/`) times the `--quick` suite.
 
 pub mod e10_transformer;
 pub mod e11_ablation;
@@ -23,7 +27,10 @@ pub mod e6_matching_stability;
 pub mod e7_impossibility;
 pub mod e9_fault_recovery;
 
+use selfstab_graph::Graph;
+
 use crate::table::ExperimentTable;
+use crate::workloads::Workload;
 
 /// Shared knobs for the experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +81,29 @@ impl ExperimentConfig {
         self.threads = threads.max(1);
         self
     }
+}
+
+/// A workload and its topology. Every cell and every row of the
+/// workload's grid points reads this one graph, so the runs of a point
+/// differ only in their seed.
+struct Topology {
+    workload: Workload,
+    graph: Graph,
+}
+
+/// The topologies of `workloads`, in order, each built once from
+/// `config.base_seed`.
+fn topologies(
+    workloads: impl IntoIterator<Item = Workload>,
+    config: &ExperimentConfig,
+) -> Vec<Topology> {
+    workloads
+        .into_iter()
+        .map(|workload| Topology {
+            graph: workload.build(config.base_seed),
+            workload,
+        })
+        .collect()
 }
 
 /// An experiment runner: a pure function from the shared configuration to a

@@ -4,8 +4,8 @@
 //! bounds and figure constructions. Each experiment in
 //! [`experiments`] regenerates one of them as a table whose *shape* can be
 //! compared against the paper's claim (the `experiments` binary prints
-//! them; `crates/analysis/golden/quick_tables.json` records the `--quick`
-//! tables):
+//! them; `crates/analysis/golden/quick_tables.json` and
+//! `full_tables.json` record the `--quick` and the full tables):
 //!
 //! | Experiment | Paper artifact | Claim checked |
 //! |---|---|---|
@@ -24,15 +24,18 @@
 //! | E13 | spanning subsystem   | leader election: unique min-id leader, ♦-1-efficient vs the Δ-efficient baseline |
 //! | E14 | fault-scenario engine | recovery cost depends on *which* processes a fault hits: uniform vs hubs vs ball vs stuck-at vs bursty |
 //!
-//! Every experiment declares its run grid as a [`campaign::CampaignSpec`]
-//! (workload × daemon × parameters × seeds) executed by the parallel
-//! campaign engine — see the [`campaign`] module for the engine's
-//! determinism guarantees. The `experiments` binary (`cargo run --release
-//! -p selfstab-analysis --bin experiments`) prints every table (`--only
-//! E12,E13` runs a subset, `--seed N` changes the base seed, `--threads N`
-//! sets the worker count, `--format json` emits one machine-readable
-//! document, `--list` shows the identifiers); the end-to-end benchmark
-//! (`perfbench/`) times the `--quick` suite as its `paper-suite` workload.
+//! Every experiment module is a table function whose one public item is
+//! `run`: it declares its run grid as a [`campaign::CampaignSpec`]
+//! (workload × daemon × parameters × seeds, each workload's graph built
+//! once) executed by the parallel campaign engine — see the [`campaign`]
+//! module for the engine's determinism guarantees — and folds each grid
+//! point's runs straight into its row. The `experiments` binary (`cargo
+//! run --release -p selfstab-analysis --bin experiments`) prints every
+//! table (`--only E12,E13` runs a subset, `--seed N` changes the base
+//! seed, `--threads N` sets the worker count, `--format json` emits one
+//! machine-readable document, `--list` shows the identifiers); the
+//! end-to-end benchmark (`perfbench/`) times the `--quick` suite as its
+//! `paper-suite` workload.
 //!
 //! The binary is also the observability entry point: `--trace-out` /
 //! `--replay` record and verify the canonical [`tracecell`] through the

@@ -57,7 +57,7 @@ fn e14_fault_scenario_tables_are_thread_count_independent() {
 fn quick_suite_is_byte_identical_across_the_thread_matrix() {
     // The matrix on a representative selection: E2 (randomized
     // activations), E9 (fault injection + recovery telemetry), E12
-    // (multi-axis sweep with check intervals). Reference point: one
+    // (multi-axis sweep). Reference point: one
     // thread, against 2, 4 and 8 threads.
     let only = vec!["E2".to_string(), "E9".to_string(), "E12".to_string()];
     let render = |tables: &[selfstab_analysis::ExperimentTable]| -> String {

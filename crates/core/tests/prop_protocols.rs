@@ -549,6 +549,36 @@ fn silence_predicates_hold_where_no_guard_does_and_keep_comm_fixed() {
     }
 }
 
+/// The leader election's silence predicate is local, so a run whose
+/// communication variables stop changing is reported silent even where no
+/// configuration is legitimate: the third contract graph leaves process 4
+/// isolated, so no BFS tree spans it.
+#[test]
+fn leader_election_reaches_reported_silence_on_every_contract_graph() {
+    for graph in contract_graphs() {
+        let protocol = LeaderElection::new(&graph, Identifiers::sequential(graph.node_count()));
+        for seed in 0..50u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config: Vec<_> = graph
+                .nodes()
+                .map(|p| protocol.arbitrary_state(&graph, p, &mut rng))
+                .collect();
+            let mut sim = Simulation::with_config(
+                &graph,
+                protocol.clone(),
+                DistributedRandom::new(0.5),
+                config,
+                seed,
+                SimOptions::default(),
+            );
+            assert!(
+                sim.run_until_silent(20_000).silent,
+                "{graph}, seed {seed}: not reported silent within 20,000 steps"
+            );
+        }
+    }
+}
+
 /// COLORING with a guard that wrongly says "disabled" at every process of
 /// degree 1: a contract mutant.
 struct DisabledAtDegreeOne(Coloring);

@@ -47,9 +47,7 @@ fn run_to_silence<P: Protocol>(
     seed: u64,
     max_steps: u64,
 ) -> (bool, Vec<P::State>) {
-    // The tree predicates are global (O(n + m) per evaluation), so check
-    // silence only every few steps on the slower daemons.
-    let options = SimOptions::default().with_check_interval(8);
+    let options = SimOptions::default();
     match scheduler_kind % 4 {
         0 => {
             let mut sim = Simulation::new(graph, protocol, Synchronous, seed, options);
@@ -176,7 +174,7 @@ proptest! {
             protocol,
             DistributedRandom::new(0.5),
             run_seed,
-            SimOptions::default().with_check_interval(8),
+            SimOptions::default(),
         );
         prop_assert!(sim.run_until_silent(4_000_000).silent);
         sim.mark_suffix();
