@@ -10,7 +10,7 @@
 
 use selfstab_core::measures::suffix_comm_report;
 use selfstab_core::spanning::{is_bfs_spanning_tree, BfsTree};
-use selfstab_graph::{properties, Graph, NodeId, RootedGraph};
+use selfstab_graph::{properties, Graph, NodeId};
 use selfstab_runtime::{SimOptions, Simulation};
 
 use super::{topologies, ExperimentConfig, Topology};
@@ -50,10 +50,9 @@ pub(super) fn cell(
     seed: u64,
 ) -> CellOutcome<BfsTreeRun> {
     let root = root_of(graph);
-    let network = RootedGraph::new(graph.clone(), root).expect("root in range");
     let mut sim = Simulation::new(
         graph,
-        BfsTree::new(&network),
+        BfsTree::new(graph, root),
         daemon.build(),
         seed,
         SimOptions::default(),

@@ -12,7 +12,7 @@
 //! processes) and of the Figure 2 generalization (arbitrary ∆), and expose
 //! them as [`Theorem1Counterexample`] values whose invariants —
 //! *illegitimate yet silent* — are checked by the tests, the integration
-//! suite and the `impossibility` benchmark (experiment E7).
+//! suite and the E7/E8 experiment table.
 
 use selfstab_graph::generators;
 use selfstab_graph::{Graph, GraphError, NodeId, Port};

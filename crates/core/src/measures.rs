@@ -10,8 +10,9 @@
 //!   neighbors in the worst step),
 //! * the **space complexity** of Definition 6 (local state bits plus
 //!   communication complexity),
-//! * the **♦-(x, k)-stability** of Definition 9 (how many processes settle
-//!   on reading at most `k` neighbors once stabilized).
+//! * the post-stabilization cost of an execution suffix, including the `x`
+//!   of ♦-(x, 1)-stability (Definition 9); for any `k`, that `x` is
+//!   [`RunStats::stable_process_count`] itself.
 
 use selfstab_graph::{Graph, NodeId};
 use selfstab_runtime::protocol::Protocol;
@@ -182,41 +183,6 @@ pub fn suffix_comm_report<P: Protocol>(
     }
 }
 
-/// The ♦-(x, k)-stability measurement of an execution suffix: how many
-/// processes read at most `k` distinct neighbors since the suffix marker was
-/// placed (Definition 9), together with the theoretical lower bound the
-/// caller wants to compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StabilityMeasurement {
-    /// The `k` of ♦-(x, k)-stability.
-    pub k: usize,
-    /// Measured `x`: processes whose suffix read set has at most `k`
-    /// elements.
-    pub stable_processes: usize,
-    /// Total number of processes.
-    pub nodes: usize,
-    /// The theoretical lower bound on `x` claimed by the paper
-    /// (⌊(Lmax+1)/2⌋ for MIS, 2⌈m/(2∆−1)⌉ for MATCHING).
-    pub theoretical_bound: usize,
-}
-
-impl StabilityMeasurement {
-    /// Builds the measurement from execution statistics.
-    pub fn from_stats(stats: &RunStats, k: usize, theoretical_bound: usize) -> Self {
-        StabilityMeasurement {
-            k,
-            stable_processes: stats.stable_process_count(k),
-            nodes: stats.processes().len(),
-            theoretical_bound,
-        }
-    }
-
-    /// Whether the measured execution satisfies the theoretical bound.
-    pub fn satisfies_bound(&self) -> bool {
-        self.stable_processes >= self.theoretical_bound
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,38 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn stability_measurement_compares_against_bound() {
-        let graph = generators::path(9);
-        let protocol = crate::mis::Mis::with_greedy_coloring(&graph);
-        let bound = crate::mis::Mis::stability_bound(8);
-        let mut sim = Simulation::new(
-            &graph,
-            protocol,
-            DistributedRandom::new(0.5),
-            5,
-            SimOptions::default(),
-        );
-        let report = sim.run_until_silent(200_000);
-        assert!(report.silent);
-        sim.mark_suffix();
-        sim.run_steps(1_000);
-        let measurement = StabilityMeasurement::from_stats(sim.stats(), 1, bound);
-        assert!(measurement.satisfies_bound());
-        assert_eq!(measurement.nodes, 9);
-        assert_eq!(measurement.k, 1);
-    }
-
-    #[test]
     fn suffix_report_contrasts_efficient_and_inefficient_protocols() {
         use crate::spanning::{BfsTree, LeaderElection};
-        use selfstab_graph::{Identifiers, NodeId, RootedGraph};
+        use selfstab_graph::Identifiers;
 
         let graph = generators::grid(3, 4);
         // Δ-efficient structure: the BFS tree keeps scanning neighborhoods.
-        let network = RootedGraph::new(graph.clone(), NodeId::new(0)).unwrap();
         let mut bfs = Simulation::new(
-            network.graph(),
-            BfsTree::new(&network),
+            &graph,
+            BfsTree::new(&graph, NodeId::new(0)),
             DistributedRandom::new(0.5),
             3,
             SimOptions::default(),

@@ -31,7 +31,7 @@
 
 use rand::Rng;
 use rand::RngCore;
-use selfstab_graph::{Graph, NodeId, Port, RootedGraph};
+use selfstab_graph::{Graph, NodeId, Port};
 use selfstab_runtime::protocol::{bits_for_domain, Protocol};
 use selfstab_runtime::view::NeighborView;
 
@@ -54,11 +54,16 @@ pub struct BfsTree {
 }
 
 impl BfsTree {
-    /// Creates the protocol for a rooted network.
-    pub fn new(network: &RootedGraph) -> Self {
+    /// Creates the protocol for `graph` rooted at `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a process of `graph`.
+    pub fn new(graph: &Graph, root: NodeId) -> Self {
+        graph.check_node(root).expect("root in range");
         BfsTree {
-            root: network.root(),
-            cap: network.graph().node_count(),
+            root,
+            cap: graph.node_count(),
         }
     }
 
@@ -214,16 +219,12 @@ mod tests {
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
-    fn rooted(graph: Graph, root: usize) -> RootedGraph {
-        RootedGraph::new(graph, NodeId::new(root)).unwrap()
-    }
-
     #[test]
     fn stabilizes_to_the_oracle_layers_on_a_grid() {
-        let network = rooted(generators::grid(4, 5), 7);
-        let protocol = BfsTree::new(&network);
+        let graph = generators::grid(4, 5);
+        let protocol = BfsTree::new(&graph, NodeId::new(7));
         let mut sim = Simulation::new(
-            network.graph(),
+            &graph,
             protocol,
             DistributedRandom::new(0.5),
             3,
@@ -232,16 +233,19 @@ mod tests {
         let report = sim.run_until_silent(200_000);
         assert!(report.silent);
         assert!(report.legitimate);
-        let oracle: Vec<usize> = network.bfs_layers().into_iter().flatten().collect();
+        let oracle: Vec<usize> = properties::bfs_distances(&graph, NodeId::new(7))
+            .into_iter()
+            .flatten()
+            .collect();
         assert_eq!(BfsTree::distances(sim.config()), oracle);
     }
 
     #[test]
     fn stabilized_parents_form_a_spanning_tree() {
-        let network = rooted(generators::ring(9), 4);
-        let protocol = BfsTree::new(&network);
+        let graph = generators::ring(9);
+        let protocol = BfsTree::new(&graph, NodeId::new(4));
         let mut sim = Simulation::new(
-            network.graph(),
+            &graph,
             protocol.clone(),
             Synchronous,
             11,
@@ -249,7 +253,7 @@ mod tests {
         );
         assert!(sim.run_until_silent(10_000).silent);
         // Tree edges: one per non-root process, together spanning the graph.
-        let parents = protocol.parents(network.graph(), sim.config());
+        let parents = protocol.parents(&graph, sim.config());
         let edges: Vec<(usize, usize)> = parents
             .iter()
             .enumerate()
@@ -266,15 +270,9 @@ mod tests {
     fn synchronous_convergence_is_linear_in_the_height() {
         // From any initial configuration the true BFS wave propagates one
         // layer per synchronous round; the cap bounds the initial garbage.
-        let network = rooted(generators::path(24), 0);
-        let protocol = BfsTree::new(&network);
-        let mut sim = Simulation::new(
-            network.graph(),
-            protocol,
-            Synchronous,
-            7,
-            SimOptions::default(),
-        );
+        let graph = generators::path(24);
+        let protocol = BfsTree::new(&graph, NodeId::new(0));
+        let mut sim = Simulation::new(&graph, protocol, Synchronous, 7, SimOptions::default());
         let report = sim.run_until_silent(10_000);
         assert!(report.silent);
         assert!(
@@ -286,13 +284,13 @@ mod tests {
 
     #[test]
     fn root_action_and_domains() {
-        let network = rooted(generators::star(5), 0);
-        let protocol = BfsTree::new(&network);
+        let graph = generators::star(5);
+        let protocol = BfsTree::new(&graph, NodeId::new(0));
         assert_eq!(protocol.root(), NodeId::new(0));
         assert_eq!(protocol.cap(), 5);
         // comm = dist, domain 0..=5 -> 3 bits.
-        assert_eq!(protocol.comm_bits(network.graph(), NodeId::new(0)), 3);
-        assert!(protocol.state_bits(network.graph(), NodeId::new(0)) > 3);
+        assert_eq!(protocol.comm_bits(&graph, NodeId::new(0)), 3);
+        assert!(protocol.state_bits(&graph, NodeId::new(0)) > 3);
         let config = vec![
             BfsState {
                 dist: 3,
@@ -301,7 +299,7 @@ mod tests {
             5
         ];
         let mut sim = Simulation::with_config(
-            network.graph(),
+            &graph,
             protocol,
             Synchronous,
             config,
@@ -315,11 +313,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "root in range")]
+    fn rejects_an_out_of_range_root() {
+        BfsTree::new(&generators::path(3), NodeId::new(3));
+    }
+
+    #[test]
     fn is_delta_efficient_not_one_efficient() {
-        let network = rooted(generators::wheel(8), 2);
-        let protocol = BfsTree::new(&network);
+        let graph = generators::wheel(8);
+        let protocol = BfsTree::new(&graph, NodeId::new(2));
         let mut sim = Simulation::new(
-            network.graph(),
+            &graph,
             protocol,
             DistributedRandom::new(0.5),
             5,
@@ -335,8 +339,8 @@ mod tests {
         // A corrupted dist smaller than possible (a "fake root" wave) must
         // be flushed: neighbors of the fake distance keep re-deriving larger
         // values until the true wave dominates.
-        let network = rooted(generators::path(6), 0);
-        let protocol = BfsTree::new(&network);
+        let graph = generators::path(6);
+        let protocol = BfsTree::new(&graph, NodeId::new(0));
         let mut config: Vec<BfsState> = (0..6)
             .map(|_| BfsState {
                 dist: 0,
@@ -345,7 +349,7 @@ mod tests {
             .collect();
         config[5].dist = 0; // far end claims to be at the root
         let mut sim = Simulation::with_config(
-            network.graph(),
+            &graph,
             protocol,
             Synchronous,
             config,

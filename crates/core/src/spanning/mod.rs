@@ -7,7 +7,8 @@
 //! them, exercising the network models the base protocols do not use:
 //!
 //! * [`BfsTree`] — a silent BFS spanning-tree construction for **rooted**
-//!   networks ([`selfstab_graph::RootedGraph`]): every process maintains a
+//!   networks (one distinguished root [`NodeId`], a constant of the
+//!   protocol value like the local colors of MIS): every process maintains a
 //!   `dist`/`parent` pair, the guard is the local BFS consistency check,
 //!   and each repair reads the whole neighborhood (the classical
 //!   Δ-efficient structure the paper's measures charge for),
@@ -24,8 +25,8 @@
 //! distances equal the oracle BFS layers, with exactly one root/leader —
 //! unlike the local predicates (coloring, MIS, matching) shipped so far.
 //! The property tests verify stabilized configurations against the graph
-//! crate's oracles ([`selfstab_graph::RootedGraph::bfs_layers`],
-//! [`selfstab_graph::properties::bfs_distances`]).
+//! crate's oracle, [`selfstab_graph::properties::bfs_distances`] from the
+//! root or the elected leader.
 
 pub mod bfs_tree;
 pub mod leader_election;

@@ -192,7 +192,7 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
 ///
 /// `RoundRobinChecker<ColoringSpec>` behaves exactly like
 /// [`crate::coloring::Coloring`]; the equivalence is checked in the tests
-/// and in the `transformer` benchmark (experiment E10).
+/// and in the E10 experiment table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColoringSpec {
     /// Number of colors available.

@@ -27,7 +27,7 @@ use selfstab_core::baselines::{BaselineColoring, BaselineMatching, BaselineMis};
 use selfstab_core::matching::{Matching, MatchingState};
 use selfstab_core::mis::{Membership, Mis, MisState};
 use selfstab_core::spanning::{BfsState, BfsTree};
-use selfstab_graph::{generators, Graph, NodeId, Port, RootedGraph};
+use selfstab_graph::{generators, Graph, NodeId, Port};
 use selfstab_runtime::scheduler::{CentralRandom, Scheduler, Synchronous};
 use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
@@ -94,12 +94,12 @@ fn baseline_protocols_step_without_allocating() {
         cur: Port::new(0),
     };
     derived_guards_evaluate_without_allocating(&graph, matching, married_to_no_one);
-    let network = RootedGraph::new(graph.clone(), NodeId::new(0)).expect("valid root");
     let fake_root = BfsState {
         dist: 0,
         parent: Port::new(0),
     };
-    derived_guards_evaluate_without_allocating(network.graph(), BfsTree::new(&network), fake_root);
+    let bfs = BfsTree::new(&graph, NodeId::new(0));
+    derived_guards_evaluate_without_allocating(&graph, bfs, fake_root);
 
     // The counter works: an explicit allocation registers.
     let before = allocation_count();

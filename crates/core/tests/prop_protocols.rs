@@ -32,9 +32,7 @@ use selfstab_core::mis::{Membership, Mis};
 use selfstab_core::spanning::{BfsTree, LeaderElection};
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker, SeparationSpec};
 use selfstab_graph::coloring::greedy;
-use selfstab_graph::{
-    generators, longest_path, verify, Graph, Identifiers, NodeId, Port, RootedGraph,
-};
+use selfstab_graph::{generators, longest_path, verify, Graph, Identifiers, NodeId, Port};
 use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
 use selfstab_runtime::view::NeighborView;
 use selfstab_runtime::{MemorySink, Protocol, SimOptions, Simulation, StepRecord};
@@ -522,11 +520,7 @@ fn silence_predicates_hold_where_no_guard_does_and_keep_comm_fixed() {
                 &FrozenReadMis::new(greedy(graph), vec![Port::new(0); n]),
                 &[],
             ),
-            silence_breach(
-                graph,
-                &BfsTree::new(&RootedGraph::new(graph.clone(), NodeId::new(0)).expect("root")),
-                &[],
-            ),
+            silence_breach(graph, &BfsTree::new(graph, NodeId::new(0)), &[]),
             silence_breach(
                 graph,
                 &LeaderElection::new(graph, Identifiers::sequential(n)),

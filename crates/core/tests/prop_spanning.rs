@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_core::spanning::{is_bfs_spanning_tree, BfsTree, LeaderElection};
-use selfstab_graph::{generators, properties, Graph, Identifiers, NodeId, RootedGraph};
+use selfstab_graph::{generators, properties, Graph, Identifiers, NodeId};
 use selfstab_runtime::scheduler::{
     CentralRandom, DistributedRandom, Fair, StarvingAdversary, Synchronous,
 };
@@ -95,8 +95,7 @@ proptest! {
     ) {
         let graph = topology(kind, n, graph_seed);
         let root = NodeId::new(root_pick % graph.node_count());
-        let network = RootedGraph::new(graph.clone(), root).unwrap();
-        let protocol = BfsTree::new(&network);
+        let protocol = BfsTree::new(&graph, root);
         let (silent, config) =
             run_to_silence(&graph, protocol.clone(), scheduler_kind, run_seed, 2_000_000);
         prop_assert!(silent, "BFS tree did not stabilize on {graph} (root {root})");
@@ -106,7 +105,8 @@ proptest! {
         let dist = BfsTree::distances(&config);
         let parents = protocol.parent_ports(&config);
         prop_assert!(is_bfs_spanning_tree(&graph, root, &dist, &parents));
-        let oracle: Vec<usize> = network.bfs_layers().into_iter().flatten().collect();
+        let oracle: Vec<usize> =
+            properties::bfs_distances(&graph, root).into_iter().flatten().collect();
         prop_assert_eq!(&dist, &oracle, "distances differ from oracle on {}", graph);
         let tree_edges: Vec<(usize, usize)> = protocol
             .parents(&graph, &config)

@@ -55,7 +55,7 @@ use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis, MisState};
 use selfstab_core::spanning::{BfsTree, LeaderElection};
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker};
-use selfstab_graph::{generators, Graph, Identifiers, NodeId, RootedGraph};
+use selfstab_graph::{generators, Graph, Identifiers, NodeId};
 use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultEvent, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
@@ -137,10 +137,7 @@ fn with_protocol(index: usize, graph: &Graph, root: NodeId, on: &mut impl OnProt
             on.run(graph, LeaderElection::new(graph, ids));
         }
         4 => on.run(graph, RoundRobinChecker::new(ColoringSpec::new(graph))),
-        _ => {
-            let network = RootedGraph::new(graph.clone(), root).expect("root in range");
-            on.run(graph, BfsTree::new(&network));
-        }
+        _ => on.run(graph, BfsTree::new(graph, root)),
     }
 }
 

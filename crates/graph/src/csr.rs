@@ -1,15 +1,12 @@
-//! Shared CSR (compressed sparse row) construction.
+//! CSR (compressed sparse row) construction.
 //!
-//! Both adjacency-like structures of this crate — [`Graph`](crate::Graph)'s
-//! undirected port-numbered adjacency and
-//! [`DagOrientation`](crate::orientation::DagOrientation)'s directed
-//! successor/predecessor arrays — store their rows as one flat node array
-//! plus an `n + 1`-entry offset array. This module holds the one
-//! implementation of the build they share: count degrees into the offsets,
-//! prefix-sum them, scatter the values, then shift the offsets back. It
-//! reads its `(row, value)` pairs from a re-iterable iterator, so callers
-//! never materialise a pair buffer, and it allocates nothing but the two
-//! arrays it returns.
+//! [`Graph`](crate::Graph) stores its undirected port-numbered adjacency as
+//! one flat node array plus an `n + 1`-entry offset array, and
+//! [`GraphBuilder`](crate::GraphBuilder) fills both here: count degrees
+//! into the offsets, prefix-sum them, scatter the values, then shift the
+//! offsets back. The build reads its `(row, value)` pairs from a
+//! re-iterable iterator, so the builder never materialises a pair buffer,
+//! and it allocates nothing but the two arrays it returns.
 
 use crate::node::NodeId;
 

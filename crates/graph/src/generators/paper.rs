@@ -75,15 +75,6 @@ pub struct RootedDagNetwork {
 }
 
 impl RootedDagNetwork {
-    /// Successor set `Succ.p` of a process under the fixed orientation.
-    pub fn successors(&self, p: NodeId) -> Vec<NodeId> {
-        self.oriented_edges
-            .iter()
-            .filter(|(from, _)| *from == p)
-            .map(|&(_, to)| to)
-            .collect()
-    }
-
     /// Processes with no incoming oriented edge (sources of the dag).
     pub fn sources(&self) -> Vec<NodeId> {
         self.graph
@@ -228,6 +219,25 @@ mod tests {
     use crate::properties;
     use crate::verify;
 
+    /// Asserts that `net` orients every graph edge exactly once and that
+    /// `rank` rises along every oriented edge, so the orientation has no
+    /// directed cycle.
+    fn assert_ranked_orientation(net: &RootedDagNetwork, rank: &[usize]) {
+        assert_eq!(net.oriented_edges.len(), net.graph.edge_count());
+        let mut undirected: Vec<_> = net
+            .oriented_edges
+            .iter()
+            .map(|&(from, to)| (from.min(to), from.max(to)))
+            .collect();
+        undirected.sort();
+        undirected.dedup();
+        assert_eq!(undirected.len(), net.graph.edge_count());
+        for &(from, to) in &net.oriented_edges {
+            assert!(net.graph.has_edge(from, to), "{from} → {to} is not an edge");
+            assert!(rank[from.index()] < rank[to.index()], "{from} → {to}");
+        }
+    }
+
     #[test]
     fn theorem1_chain_is_a_five_path() {
         let g = theorem1_chain();
@@ -268,11 +278,8 @@ mod tests {
         // Sources are p1 and p4, sinks are p5 and p6.
         assert_eq!(net.sources(), vec![NodeId::new(0), NodeId::new(3)]);
         assert_eq!(net.sinks(), vec![NodeId::new(4), NodeId::new(5)]);
-        // Orientation must be acyclic.
-        assert!(crate::orientation::edges_form_dag(
-            &net.graph,
-            &net.oriented_edges
-        ));
+        // Sources at rank 0, their successors p2, p3 at 1, the sinks at 2.
+        assert_ranked_orientation(&net, &[0, 1, 1, 0, 2, 2]);
     }
 
     #[test]
@@ -288,10 +295,16 @@ mod tests {
             assert!(sources.contains(&NodeId::new(3)), "p4 must stay a source");
             assert!(sinks.contains(&NodeId::new(4)), "p5 must stay a sink");
             assert!(sinks.contains(&NodeId::new(5)), "p6 must stay a sink");
-            assert!(crate::orientation::edges_form_dag(
-                &net.graph,
-                &net.oriented_edges
-            ));
+            // Figure 3's ranks; leaves of the sources p1, p4 sit one rank
+            // above them, every other leaf below its process at rank 0.
+            let mut rank = vec![0, 1, 1, 0, 2, 2];
+            for core in 0..6 {
+                rank.extend(std::iter::repeat_n(
+                    usize::from(core == 0 || core == 3),
+                    delta - 2,
+                ));
+            }
+            assert_ranked_orientation(&net, &rank);
         }
         assert!(theorem2_general(0).is_err());
     }

@@ -1,96 +1,22 @@
-//! Rooted and identified network models.
+//! The identified network model.
 //!
 //! The paper's base model is **anonymous**: processes distinguish neighbors
-//! only through local port numbers. The classical silent spanning-tree
-//! protocols need slightly stronger models, both expressed here on top of
-//! the anonymous [`Graph`]:
+//! only through local port numbers. Self-stabilizing leader election needs
+//! a slightly stronger model, expressed here on top of the anonymous
+//! [`Graph`](crate::Graph): every process carries a unique constant
+//! identifier ([`Identifiers`]).
 //!
-//! * **rooted networks** ([`RootedGraph`]): one distinguished process (the
-//!   root) knows it is the root — the model of the silent BFS spanning-tree
-//!   constructions,
-//! * **identified networks** ([`Identifiers`]): every process carries a
-//!   unique constant identifier — the model of self-stabilizing leader
-//!   election.
-//!
-//! Both are *per-process constants*, so protocols consume them the same way
-//! the MIS/MATCHING protocols consume their local colors: stored in the
-//! protocol value, indexed by [`NodeId`]. The types also provide the oracle
-//! views the test suites verify stabilized configurations against
-//! ([`RootedGraph::bfs_layers`], [`Identifiers::min_id_node`]).
+//! Identifiers are *per-process constants*, so protocols consume them the
+//! same way the MIS/MATCHING protocols consume their local colors and the
+//! BFS spanning tree its root: stored in the protocol value, indexed by
+//! [`NodeId`]. [`Identifiers::min_id_node`] is the oracle leader the test
+//! suites verify stabilized configurations against.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::GraphError;
-use crate::graph::Graph;
 use crate::node::NodeId;
-use crate::properties;
-
-/// A communication graph with one distinguished root process.
-///
-/// Connectivity is not enforced (the paper's model assumes it, like
-/// [`Graph`] itself): on a disconnected graph [`RootedGraph::bfs_layers`]
-/// reports `None` for processes unreachable from the root and
-/// [`RootedGraph::height`] returns `None`, so oracle-based verification
-/// fails rather than silently passing.
-///
-/// # Example
-///
-/// ```
-/// use selfstab_graph::{generators, NodeId, RootedGraph};
-///
-/// let net = RootedGraph::new(generators::ring(6), NodeId::new(2)).unwrap();
-/// assert_eq!(net.root(), NodeId::new(2));
-/// assert_eq!(net.bfs_layers()[2], Some(0));
-/// assert_eq!(net.height(), Some(3));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RootedGraph {
-    graph: Graph,
-    root: NodeId,
-}
-
-impl RootedGraph {
-    /// Designates `root` as the root of `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] when `root` is not a process
-    /// of `graph`.
-    pub fn new(graph: Graph, root: NodeId) -> Result<Self, GraphError> {
-        graph.check_node(root)?;
-        Ok(RootedGraph { graph, root })
-    }
-
-    /// The underlying undirected communication graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The distinguished root process.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// The oracle BFS layering: the true distance of every process from the
-    /// root (`None` for processes unreachable from the root).
-    ///
-    /// A stabilized BFS spanning-tree configuration must report exactly
-    /// these distances — this is what the property tests verify against.
-    pub fn bfs_layers(&self) -> Vec<Option<usize>> {
-        properties::bfs_distances(&self.graph, self.root)
-    }
-
-    /// Height of the BFS tree (the root's eccentricity), or `None` when the
-    /// graph is disconnected.
-    pub fn height(&self) -> Option<usize> {
-        if properties::is_connected(&self.graph) {
-            Some(properties::eccentricity(&self.graph, self.root))
-        } else {
-            None
-        }
-    }
-}
 
 /// Unique per-process identifiers: the *identified network* model.
 ///
@@ -102,7 +28,7 @@ impl RootedGraph {
 /// # Example
 ///
 /// ```
-/// use selfstab_graph::rooted::Identifiers;
+/// use selfstab_graph::identifiers::Identifiers;
 ///
 /// let ids = Identifiers::sequential(4);
 /// assert_eq!(ids.id(selfstab_graph::NodeId::new(3)), 3);
@@ -196,34 +122,8 @@ impl Identifiers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn rooted_graph_exposes_root_and_layers() {
-        let net = RootedGraph::new(generators::path(5), NodeId::new(0)).unwrap();
-        assert_eq!(net.root(), NodeId::new(0));
-        assert_eq!(
-            net.bfs_layers(),
-            vec![Some(0), Some(1), Some(2), Some(3), Some(4)]
-        );
-        assert_eq!(net.height(), Some(4));
-        assert_eq!(net.graph().node_count(), 5);
-    }
-
-    #[test]
-    fn rooted_graph_rejects_out_of_range_roots() {
-        assert!(RootedGraph::new(generators::path(3), NodeId::new(3)).is_err());
-    }
-
-    #[test]
-    fn disconnected_rooted_graph_has_no_height() {
-        let graph = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let net = RootedGraph::new(graph, NodeId::new(0)).unwrap();
-        assert_eq!(net.height(), None);
-        assert_eq!(net.bfs_layers()[3], None);
-    }
 
     #[test]
     fn sequential_ids_are_process_indices() {

@@ -14,11 +14,10 @@
 //! * structural [`properties`] (degree, diameter, connectivity, …) and the
 //!   [`longest_path`] computation needed by Theorem 6,
 //! * distance-1 [`coloring`] providing the "local identifiers" `C.p` required
-//!   by the MIS and MATCHING protocols, and the color-induced dag
-//!   [`orientation`] of Theorem 4,
-//! * the [`rooted`] network models: [`RootedGraph`] (a distinguished root,
-//!   for spanning-tree construction) and [`Identifiers`] (unique per-process
-//!   ids, for leader election), with oracle BFS layers for verification,
+//!   by the MIS and MATCHING protocols,
+//! * the [`identifiers`] of the identified network model (unique
+//!   per-process ids, for leader election); the rooted model needs only a
+//!   root [`NodeId`], and [`properties::bfs_distances`] is its oracle,
 //! * [`verify`] predicates for the three output specifications (proper
 //!   coloring, maximal independent set, maximal matching).
 //!
@@ -30,7 +29,7 @@
 //! let g = generators::ring(8);
 //! assert_eq!(g.node_count(), 8);
 //! assert_eq!(g.edge_count(), 8);
-//! assert_eq!(properties::max_degree(&g), 2);
+//! assert_eq!(g.max_degree(), 2);
 //! assert!(properties::is_connected(&g));
 //! ```
 
@@ -43,17 +42,15 @@ mod csr;
 pub mod error;
 pub mod generators;
 pub mod graph;
+pub mod identifiers;
 pub mod longest_path;
 pub mod node;
-pub mod orientation;
 pub mod properties;
-pub mod rooted;
 pub mod verify;
 
 pub use builder::GraphBuilder;
 pub use coloring::LocalColoring;
 pub use error::GraphError;
 pub use graph::Graph;
+pub use identifiers::Identifiers;
 pub use node::{NodeId, Port};
-pub use orientation::DagOrientation;
-pub use rooted::{Identifiers, RootedGraph};

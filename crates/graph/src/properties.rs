@@ -6,11 +6,6 @@ use std::collections::VecDeque;
 use crate::graph::Graph;
 use crate::node::NodeId;
 
-/// Maximum degree `Δ` of the graph.
-pub fn max_degree(graph: &Graph) -> usize {
-    graph.max_degree()
-}
-
 /// Degree sequence, sorted in non-increasing order.
 pub fn degree_sequence(graph: &Graph) -> Vec<usize> {
     let mut degrees: Vec<usize> = graph.nodes().map(|p| graph.degree(p)).collect();
@@ -160,7 +155,7 @@ mod tests {
     #[test]
     fn degrees_of_a_star() {
         let g = generators::star(6);
-        assert_eq!(max_degree(&g), 5);
+        assert_eq!(g.max_degree(), 5);
         assert_eq!(degree_sequence(&g), vec![5, 1, 1, 1, 1, 1]);
     }
 
@@ -169,6 +164,10 @@ mod tests {
         let g = generators::path(5);
         let d = bfs_distances(&g, NodeId::new(0));
         assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3), Some(4)]);
+        // Processes unreachable from the source have no distance.
+        let split = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let d = bfs_distances(&split, NodeId::new(0));
+        assert_eq!(d, vec![Some(0), Some(1), None, None]);
     }
 
     #[test]

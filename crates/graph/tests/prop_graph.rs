@@ -6,8 +6,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 use selfstab_graph::{
-    coloring, generators, longest_path, orientation, properties, verify, Graph, GraphBuilder,
-    GraphError, NodeId,
+    coloring, generators, longest_path, properties, verify, Graph, GraphBuilder, GraphError, NodeId,
 };
 
 /// Strategy producing a connected random graph together with the seed used.
@@ -329,22 +328,6 @@ proptest! {
         prop_assert!(greedy.color_count() <= g.max_degree() + 1);
         prop_assert!(dsatur.color_count() <= g.max_degree() + 1);
         prop_assert!(verify::is_proper_coloring(&g, greedy.colors()));
-    }
-
-    #[test]
-    fn coloring_orientation_is_a_dag(g in connected_graph()) {
-        let c = coloring::greedy(&g);
-        let dag = orientation::DagOrientation::from_coloring(&g, &c).expect("proper coloring");
-        prop_assert!(dag.topological_order().is_some());
-        prop_assert_eq!(dag.edge_count(), g.edge_count());
-        // Every process is either a source, a sink, or has both kinds of
-        // incident edges; in all cases successors + predecessors = degree.
-        for p in g.nodes() {
-            prop_assert_eq!(
-                dag.successors(p).len() + dag.predecessors(p).len(),
-                g.degree(p)
-            );
-        }
     }
 
     #[test]

@@ -2,15 +2,21 @@
 //! [`StepRecord`] sequences — empty steps, backwards step jumps,
 //! duplicate and unsorted process ids, maximum-degree read lists,
 //! `u32`-boundary node ids — must round-trip byte-exactly through
-//! [`MemorySink`]'s delta/varint encoding.
+//! [`MemorySink`]'s delta/varint encoding, and bytes that no encoder
+//! wrote — random soup, or a trace file with overwritten bytes or a cut
+//! tail — must decode or fail with an error, never panic.
+
+use std::path::Path;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use selfstab_graph::{NodeId, Port};
+use selfstab_runtime::telemetry::wire;
 use selfstab_runtime::trace::{ActivationRecord, StepRecord};
-use selfstab_runtime::MemorySink;
-use selfstab_runtime::TraceSink;
+use selfstab_runtime::{
+    FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceSink,
+};
 
 /// Builds a deterministic, deliberately adversarial record sequence from
 /// one sampled seed. The shapes this must cover (the proptest stub only
@@ -88,8 +94,83 @@ fn arbitrary_records(seed: u64, steps: usize) -> Vec<StepRecord> {
     records
 }
 
+/// Records `records` into a sealed trace file at `path` and returns its
+/// bytes.
+fn recorded_trace(path: &Path, records: &[StepRecord]) -> Vec<u8> {
+    let header = TraceHeader {
+        node_count: 64,
+        seed: 1,
+        meta: "workload=ring(64)".to_string(),
+    };
+    let mut sink = FileSink::create(path, &header).expect("creates the trace file");
+    for record in records {
+        sink.record_step(record);
+    }
+    let footer = TraceFooter {
+        steps: records.len() as u64,
+        stats_digest: 2,
+        config_digest: 3,
+    };
+    sink.finish(&footer).expect("seals the trace file");
+    std::fs::read(path).expect("reads the trace file back")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn decode_step_fails_without_panicking_on_byte_soup(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..32 {
+            // Half the bytes small, so counts and read tags stay plausible
+            // and decoding reaches past the first fields.
+            let len = rng.gen_range(0..256usize);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        rng.gen_range(0..4u8)
+                    } else {
+                        rng.next_u32() as u8
+                    }
+                })
+                .collect();
+            let (mut pos, mut prev_step) = (0, None);
+            // Every decoded record consumes at least one byte.
+            while pos < bytes.len() {
+                match wire::decode_step(&bytes, &mut pos, prev_step) {
+                    Ok(record) => prev_step = Some(record.step),
+                    Err(_) => break,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_trace_files_fail_without_panicking(
+        seed in 0u64..1_000_000,
+        steps in 1usize..20,
+    ) {
+        let path = std::env::temp_dir()
+            .join(format!("sstb_wire_corrupt_{seed}_{}.trace", std::process::id()));
+        let recorded = recorded_trace(&path, &arbitrary_records(seed, steps));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            let mut bytes = recorded.clone();
+            if rng.gen_bool(0.5) {
+                for _ in 0..rng.gen_range(1..4u32) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] = rng.next_u32() as u8;
+                }
+            } else {
+                bytes.truncate(rng.gen_range(0..bytes.len()));
+            }
+            std::fs::write(&path, &bytes).expect("writes the corrupted trace");
+            if let Ok(mut reader) = TraceFileReader::open(&path) {
+                let _ = reader.read_to_end();
+            }
+        }
+        std::fs::remove_file(&path).expect("removes the trace file");
+    }
 
     #[test]
     fn wire_round_trips_arbitrary_record_sequences(

@@ -84,8 +84,7 @@ fn theorem_6_mis_stability_bound() {
     assert!(sim.run_until_silent(2_000_000).silent);
     sim.mark_suffix();
     sim.run_steps(3_000);
-    let measurement = measures::StabilityMeasurement::from_stats(sim.stats(), 1, bound);
-    assert!(measurement.satisfies_bound());
+    assert!(sim.stats().stable_process_count(1) >= bound);
     // The dominated processes are exactly the ones that settled on one
     // neighbor; on a path at least half the processes are dominated.
     let dominated = sim
@@ -211,20 +210,4 @@ fn section_3_2_complexity_examples() {
         measures::space_complexity_bits_of(&protocol, &graph, hub, 1),
         selfstab_core::coloring::space_complexity_bits(&graph, hub)
     );
-}
-
-/// Theorem 4: the color-induced orientation is a dag on any locally-colored
-/// network.
-#[test]
-fn theorem_4_color_orientation_is_a_dag() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use selfstab_graph::{coloring, orientation};
-    let mut rng = StdRng::seed_from_u64(5);
-    for _ in 0..10 {
-        let graph = generators::gnp_connected(30, 0.15, &mut rng).unwrap();
-        let colors = coloring::greedy(&graph);
-        let dag = orientation::DagOrientation::from_coloring(&graph, &colors).unwrap();
-        assert!(dag.topological_order().is_some());
-    }
 }
