@@ -169,6 +169,7 @@ fn build(network: RootedDagNetwork, pendants_per_core: usize) -> Theorem2Counter
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfstab_graph::verify;
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
@@ -191,7 +192,7 @@ mod tests {
         // and that orientation is a dag (Theorem 4), so the frozen-read
         // protocol really had the symmetry-breaking information Theorem 2
         // allows.
-        assert!(coloring.is_proper(ce.graph()));
+        assert!(verify::is_proper_coloring(ce.graph(), coloring.colors()));
     }
 
     #[test]

@@ -27,11 +27,11 @@ pub type Color = u32;
 /// # Example
 ///
 /// ```
-/// use selfstab_graph::{coloring, generators};
+/// use selfstab_graph::{coloring, generators, verify};
 ///
 /// let g = generators::ring(5);
 /// let c = coloring::greedy(&g);
-/// assert!(c.is_proper(&g));
+/// assert!(verify::is_proper_coloring(&g, c.colors()));
 /// assert!(c.color_count() <= g.max_degree() + 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,14 +125,6 @@ impl LocalColoring {
     pub fn rank(&self, c: Color) -> usize {
         self.palette.partition_point(|&d| d < c)
     }
-
-    /// Returns `true` when no two neighbors of `graph` share a color.
-    pub fn is_proper(&self, graph: &Graph) -> bool {
-        self.colors.len() == graph.node_count()
-            && graph
-                .edges()
-                .all(|(p, q)| self.colors[p.index()] != self.colors[q.index()])
-    }
 }
 
 /// Greedy coloring in process-index order: each process takes the smallest
@@ -208,7 +200,7 @@ pub fn dsatur(graph: &Graph) -> LocalColoring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, verify};
 
     #[test]
     fn colors_are_4_bytes() {
@@ -228,7 +220,10 @@ mod tests {
             generators::caterpillar(5, 3),
         ] {
             let c = greedy(&g);
-            assert!(c.is_proper(&g), "greedy coloring improper on {g}");
+            assert!(
+                verify::is_proper_coloring(&g, c.colors()),
+                "greedy coloring improper on {g}"
+            );
             assert!(c.color_count() <= g.max_degree() + 1);
         }
     }
@@ -242,7 +237,10 @@ mod tests {
             generators::wheel(8),
         ] {
             let c = dsatur(&g);
-            assert!(c.is_proper(&g), "dsatur coloring improper on {g}");
+            assert!(
+                verify::is_proper_coloring(&g, c.colors()),
+                "dsatur coloring improper on {g}"
+            );
             assert!(c.color_count() <= g.max_degree() + 1);
         }
     }
@@ -308,6 +306,6 @@ mod tests {
         let g = generators::ring(6);
         let order: Vec<NodeId> = (0..6).rev().map(NodeId::new).collect();
         let c = greedy_with_order(&g, order);
-        assert!(c.is_proper(&g));
+        assert!(verify::is_proper_coloring(&g, c.colors()));
     }
 }

@@ -1,6 +1,7 @@
 //! The locally-labelled undirected graph type.
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -132,9 +133,21 @@ impl Graph {
     /// Panics if `p` is out of range.
     #[inline]
     pub fn neighbor_slice(&self, p: NodeId) -> &[NodeId] {
-        let start = self.offsets[p.index()] as usize;
-        let end = self.offsets[p.index() + 1] as usize;
-        &self.neighbors[start..end]
+        &self.neighbors[self.port_range(p)]
+    }
+
+    /// Where `p`'s ports sit in the flat CSR arrays:
+    /// [`Graph::neighbor_slice`] is this range of the neighbor array, and
+    /// port `i` of `p` is entry `port_range(p).start + i`. A per-port
+    /// array laid out like the graph (the runtime's read flags) indexes
+    /// its rows with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[inline]
+    pub fn port_range(&self, p: NodeId) -> Range<usize> {
+        self.offsets[p.index()] as usize..self.offsets[p.index() + 1] as usize
     }
 
     /// The neighbor of `p` behind local port `port`.
@@ -309,6 +322,14 @@ mod tests {
             let iterated: Vec<_> = g.neighbors(p).collect();
             assert_eq!(slice, &iterated[..]);
         }
+        // The port ranges tile the flat arrays in process order.
+        let mut next = 0;
+        for p in g.nodes() {
+            let range = g.port_range(p);
+            assert_eq!((range.start, range.len()), (next, g.degree(p)));
+            next = range.end;
+        }
+        assert_eq!(next, 2 * g.edge_count());
         let rows: Vec<&[NodeId]> = g.adjacency().collect();
         assert_eq!(rows.len(), g.node_count());
         for (i, row) in rows.iter().enumerate() {

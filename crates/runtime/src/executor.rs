@@ -40,12 +40,13 @@
 //!   from the simulation's RNG;
 //! * **C. activation** — one loop over the selection in increasing id
 //!   order: each selected process reads the pre-step configuration
-//!   through a tracked view, which records each distinct port it reads in
-//!   one reused buffer; those ports go straight into [`RunStats`], and the
-//!   new state is staged. By the [`Protocol`] contract the activation
-//!   returns a new state exactly when the process's guard holds, so one
-//!   write to the process's flag byte settles its guard and marks it
-//!   selected this round;
+//!   through a tracked view, built from its CSR row, which records each
+//!   distinct port it reads in one reused buffer; those ports go straight
+//!   into [`RunStats`], on the same row, and the new state is staged (the
+//!   store-wide totals take one add per step). By the [`Protocol`]
+//!   contract the activation returns a new state exactly when the
+//!   process's guard holds, so one write to the process's flag byte
+//!   settles its guard and marks it selected this round;
 //! * **A′. guard refresh** of the dirty guards no activation settled,
 //!   still against the pre-step configuration (nothing is left after A);
 //! * **D. merge** — the staged updates are applied simultaneously, keeping
@@ -469,7 +470,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         let clock = PhaseClock::start(metrics::active());
         for &p in &self.dirty_queue {
             if self.enabled.is_dirty(p) {
-                let view = NeighborView::from_snapshot(self.graph, p, &self.comm_cache);
+                let view =
+                    NeighborView::untracked_row(self.graph.neighbor_slice(p), &self.comm_cache);
                 let enabled =
                     self.protocol
                         .is_enabled(self.graph, p, &self.config[p.index()], &view);
@@ -584,8 +586,16 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         let step = self.step;
         let clock = PhaseClock::start(metrics);
         let mut comm_changed_any = false;
+        let mut read_operations_step = 0u64;
         for &p in &self.selected_scratch {
-            let view = NeighborView::tracked(graph, p, &self.comm_cache, &mut self.read_ports);
+            // p's CSR row: the view reads its neighbours, the record its
+            // flag bytes, which are laid out like the graph.
+            let row = graph.port_range(p);
+            let view = NeighborView::tracked_row(
+                graph.neighbor_slice(p),
+                &self.comm_cache,
+                &mut self.read_ports,
+            );
             let mut rng = activation_rng(self.activation_salt, step, p);
             let new_state =
                 self.protocol
@@ -596,7 +606,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // evaluated its guards, so it is recorded as an activation
             // (with whatever it read, possibly nothing) like every other
             // selected process.
-            self.stats.record_activation(p, reads, read_operations);
+            self.stats.record_activation(p, row, reads, read_operations);
+            read_operations_step += read_operations as u64;
             let executed = new_state.is_some();
             // By the `Protocol` contract the activation just evaluated p's
             // guard on the pre-step snapshot: one write settles it and
@@ -622,6 +633,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 });
             }
         }
+        self.stats
+            .record_step_totals(self.selected_scratch.len(), read_operations_step);
         clock.stop(StepPhase::Activation, self.selected_scratch.len());
 
         // Phase A for the dirty guards no activation settled, still on the
@@ -752,17 +765,14 @@ impl PhaseClock {
 }
 
 /// Derives the private RNG of one activation, keyed by `(seed, step,
-/// process)` (a SplitMix64 finalizer over the salt/step/process mix; see
-/// [`ActivationRng`]).
+/// process)`: the salt/step/process mix, which the generator finalizes on
+/// its first draw (see [`ActivationRng`]).
 #[inline]
 fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
-    let mut z = salt
-        ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (p.index() as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ActivationRng::new(z)
+    ActivationRng::new(
+        salt ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (p.index() as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
+    )
 }
 
 #[cfg(test)]

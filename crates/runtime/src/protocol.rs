@@ -160,17 +160,19 @@ pub trait Protocol: Sync {
 /// activation the same randomness. [`Protocol::is_enabled`]'s default
 /// uses a fixed key.
 ///
-/// Expansion of the key into generator state is **lazy**: protocols that
-/// never draw during `activate` (MIS, matching, the min-value test
-/// protocols — the synchronous hot path at 10⁶ activations per step) pay
-/// one branch per activation instead of a full `seed_from_u64`.
+/// Everything past storing the key is **lazy**: the first draw mixes it
+/// (a SplitMix64 finalizer) and expands it into generator state, so
+/// protocols that never draw during `activate` (MIS, matching, the
+/// min-value test protocols — the synchronous hot path at 10⁶ activations
+/// per step) pay one branch per activation instead of a mix and a full
+/// `seed_from_u64`.
 pub(crate) struct ActivationRng {
     key: u64,
     inner: Option<StdRng>,
 }
 
 impl ActivationRng {
-    /// A generator for `key`, not yet seeded.
+    /// A generator for `key`, not yet mixed or seeded.
     #[inline]
     pub(crate) fn new(key: u64) -> Self {
         ActivationRng { key, inner: None }
@@ -178,8 +180,12 @@ impl ActivationRng {
 
     #[inline]
     fn rng(&mut self) -> &mut StdRng {
-        self.inner
-            .get_or_insert_with(|| StdRng::seed_from_u64(self.key))
+        self.inner.get_or_insert_with(|| {
+            let mut z = self.key;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            StdRng::seed_from_u64(z ^ (z >> 31))
+        })
     }
 }
 

@@ -319,12 +319,25 @@ impl Scheduler for DistributedRandom {
         // slot is kept only if its coin came up, so a fair coin costs no
         // mispredicted jump. `out` starts empty, and the executor's buffer
         // already holds `n`, so the resize does not allocate.
+        //
+        // The loop has no panic path, and it flips its coins on a local
+        // copy of the generator, written back once after the loop, so the
+        // generator's state stays in registers instead of being stored
+        // back at every coin. A graph holds at most `NodeId::MAX_INDEX + 1`
+        // processes, and bounding `n` by that lets every id below it
+        // convert without a range check; the slot `kept <= i` exists.
+        let n = n.min(NodeId::MAX_INDEX + 1);
         out.resize(n, NodeId::new(0));
+        let slots = out.as_mut_slice();
+        let mut coins = rng.clone();
         let mut kept = 0;
         for i in 0..n {
-            out[kept] = NodeId::new(i);
-            kept += usize::from(rng.gen_bool(self.activation_prob));
+            if let Some(slot) = slots.get_mut(kept) {
+                *slot = NodeId::new(i);
+            }
+            kept += usize::from(coins.gen_bool(self.activation_prob));
         }
+        *rng = coins;
         out.truncate(kept);
         if out.is_empty() && n > 0 {
             out.push(NodeId::new(rng.gen_range(0..n)));

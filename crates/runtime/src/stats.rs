@@ -26,17 +26,28 @@
 //! The statistics are stored struct-of-arrays: per-process *scalar*
 //! counters live in one dense `Vec<ProcessStats>` of 24-byte rows, while
 //! the per-port read flags of all processes share one flat `Vec<u8>` in
-//! CSR layout (`port_offsets[p] .. port_offsets[p + 1]` is process `p`'s
-//! slice; bit 0 of a flag byte means "read at least once", bit 1 "read
-//! since the suffix marker"). Every activation writes exactly one scalar
-//! row and the flag bytes of the ports it read. The footprint is
-//! `24·n + 4·(n + 1) + 2m` bytes (rows, `u32` offsets, one flag byte per
-//! port) with no per-process heap indirection.
+//! the graph's CSR layout (process `p`'s flags are the range
+//! [`Graph::port_range`] gives for `p`; bit 0 of a flag byte means "read
+//! at least once", bit 1 "read since the suffix marker"). Every
+//! activation writes exactly one scalar row and the flag bytes of the
+//! ports it read, on the graph row the executor loaded for the
+//! activation's view, and sets the whole row in one pass when it read
+//! every port. The store keeps its own `u32` copy of the row offsets only
+//! for the queries that take no graph (`distinct_neighbors_*`, the
+//! stability counts) and for [`RunStats::digest`]; debug builds check on
+//! every record that it equals the graph's. The footprint is
+//! `24·n + 4·(n + 1) + 2m` bytes (rows, offsets, one flag byte per port)
+//! with no per-process heap indirection.
 //!
 //! Store-wide quantities are running aggregates instead of per-process
-//! counters: the suffix totals ([`RunStats::suffix_selections`],
+//! counters, added once per step rather than once per activation: the
+//! suffix totals ([`RunStats::suffix_selections`],
 //! [`RunStats::suffix_read_operations`]) are the running totals minus a
 //! snapshot taken by [`RunStats::mark_suffix`].
+//!
+//! [`Graph::port_range`]: selfstab_graph::Graph::port_range
+
+use std::ops::Range;
 
 use selfstab_graph::{NodeId, Port};
 
@@ -75,7 +86,9 @@ pub struct ProcessStats {
 pub struct RunStats {
     per_process: Vec<ProcessStats>,
     /// CSR offsets into the flat port-flag array: process `p` owns
-    /// `port_offsets[p] .. port_offsets[p + 1]`. `u32` suffices — the graph
+    /// `port_offsets[p] .. port_offsets[p + 1]`, the graph's own row
+    /// offsets. Read by the graph-free queries and the digest only; the
+    /// record takes the row from the graph. `u32` suffices — the graph
     /// builder caps the edge count so that `2m` fits.
     port_offsets: Vec<u32>,
     /// Flat per-port flags: [`READ_EVER`] | [`READ_SINCE_MARKER`] bits.
@@ -146,11 +159,15 @@ impl RunStats {
         &self.per_process
     }
 
+    /// Where `p`'s flag bytes sit in the flat flag array: the same range
+    /// as `p`'s row of the graph's CSR arrays.
+    fn port_range(&self, p: NodeId) -> Range<usize> {
+        self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize
+    }
+
     /// Number of ports of `p` whose flag byte has `bit` set.
     fn ports_with(&self, p: NodeId, bit: u8) -> usize {
-        let range =
-            self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize;
-        self.port_flags[range]
+        self.port_flags[self.port_range(p)]
             .iter()
             .filter(|&&flags| flags & bit != 0)
             .count()
@@ -174,10 +191,29 @@ impl RunStats {
     /// included). Every selection is an activation — a disabled process
     /// still evaluates its guards — so this is the one per-activation
     /// write: one scalar row, plus the flag bytes of the ports read.
-    #[inline]
-    pub(crate) fn record_activation(&mut self, p: NodeId, reads: &[Port], read_operations: usize) {
-        self.total_selections += 1;
-        self.total_reads += read_operations as u64;
+    ///
+    /// `row` is `p`'s [`Graph::port_range`] in the graph these statistics
+    /// were built for: the executor has just loaded it to build the
+    /// activation's view, and the flag array is laid out like the graph's
+    /// CSR arrays, so the record reads no offset of its own. An
+    /// activation that read every port sets the whole row in one pass.
+    /// The store-wide totals are not touched here: the executor adds a
+    /// whole step's activations with [`RunStats::record_step_totals`].
+    ///
+    /// [`Graph::port_range`]: selfstab_graph::Graph::port_range
+    #[inline(always)]
+    pub(crate) fn record_activation(
+        &mut self,
+        p: NodeId,
+        row: Range<usize>,
+        reads: &[Port],
+        read_operations: usize,
+    ) {
+        debug_assert_eq!(
+            row,
+            self.port_range(p),
+            "the graph's CSR row of {p} disagrees with the statistics' offsets"
+        );
         // A distinct read set never exceeds the degree, which `RunStats::new`
         // checked fits in `u32`.
         let distinct = u32::try_from(reads.len()).unwrap_or(u32::MAX);
@@ -187,14 +223,28 @@ impl RunStats {
         stats.max_reads_per_activation = stats.max_reads_per_activation.max(distinct);
         stats.max_reads_per_activation_since_marker =
             stats.max_reads_per_activation_since_marker.max(distinct);
-        let ports =
-            self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize;
-        let flags = &mut self.port_flags[ports];
-        for &port in reads {
-            if let Some(port_flags) = flags.get_mut(port.index()) {
-                *port_flags |= READ_EVER | READ_SINCE_MARKER;
+        let flags = &mut self.port_flags[row];
+        // A flag byte holds no bit besides these two, so a read port's
+        // byte is stored, not or-ed into.
+        if reads.len() == flags.len() {
+            // The reads are distinct ports of `p`, so they are all of them.
+            flags.fill(READ_EVER | READ_SINCE_MARKER);
+        } else {
+            for &port in reads {
+                if let Some(port_flags) = flags.get_mut(port.index()) {
+                    *port_flags = READ_EVER | READ_SINCE_MARKER;
+                }
             }
         }
+    }
+
+    /// Adds one step's activations to the store-wide totals: `selections`
+    /// activations with `read_operations` reads among them, the sums of
+    /// what the step's [`RunStats::record_activation`] calls recorded.
+    #[inline]
+    pub(crate) fn record_step_totals(&mut self, selections: usize, read_operations: u64) {
+        self.total_selections += selections as u64;
+        self.total_reads += read_operations;
     }
 
     /// Records that a process changed its communication state at `step`.
@@ -350,9 +400,71 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use selfstab_graph::{generators, Graph};
 
-    fn ports(reads: &[usize]) -> Vec<Port> {
-        reads.iter().map(|&r| Port::new(r)).collect()
+    /// Records one activation of `p` as the executor does: on `p`'s row,
+    /// with the store-wide totals added after it.
+    fn record(stats: &mut RunStats, p: NodeId, reads: &[usize], read_operations: usize) {
+        let reads: Vec<Port> = reads.iter().map(|&r| Port::new(r)).collect();
+        let row = stats.port_range(p);
+        stats.record_activation(p, row, &reads, read_operations);
+        stats.record_step_totals(1, read_operations as u64);
+    }
+
+    #[test]
+    fn offsets_are_the_graphs_csr_row_starts_on_every_generator_family() {
+        // The executor records each activation on the graph's CSR row, so
+        // the statistics' own offsets, which its graph-free queries and
+        // `digest` read, must lay the flag array out exactly like it.
+        let mut rng = StdRng::seed_from_u64(1);
+        let graphs = [
+            generators::path(7),
+            generators::ring(9),
+            generators::complete(6),
+            generators::star(8),
+            generators::wheel(7),
+            generators::complete_bipartite(3, 4),
+            generators::grid(3, 4),
+            generators::torus(3, 4),
+            generators::balanced_tree(2, 3),
+            generators::balanced_tree(7, 0),
+            generators::caterpillar(4, 2),
+            generators::lollipop(4, 3),
+            generators::hypercube(3),
+            generators::barbell(4, 2),
+            generators::petersen(),
+            generators::random_tree(20, &mut rng),
+            generators::barabasi_albert(30, 2, &mut rng).unwrap(),
+            generators::gnp_connected(20, 0.2, &mut rng).unwrap(),
+            generators::gnm_connected(20, 40, &mut rng).unwrap(),
+            generators::random_regular(12, 3, &mut rng).unwrap(),
+            generators::theorem1_chain(),
+            generators::theorem1_spliced_chain(),
+            generators::theorem1_general(4).unwrap(),
+            generators::theorem2_network().graph,
+            generators::theorem2_general(4).unwrap().graph,
+            generators::figure9_path(9),
+            generators::figure11_example(),
+            Graph::from_edges(5, &[(0, 1), (1, 2)]).unwrap(),
+        ];
+        for graph in &graphs {
+            let stats = RunStats::new(graph.nodes().map(|p| graph.degree(p)));
+            for p in graph.nodes() {
+                assert_eq!(stats.port_range(p), graph.port_range(p), "{graph}: {p}");
+            }
+            assert_eq!(stats.port_offsets.len(), graph.node_count() + 1);
+            assert_eq!(stats.port_flags.len(), 2 * graph.edge_count());
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "disagrees with the statistics' offsets")]
+    fn recording_on_a_row_of_another_layout_fails_in_debug_builds() {
+        let mut stats = RunStats::new([2, 3]);
+        stats.record_activation(NodeId::new(1), 0..3, &[], 0);
     }
 
     #[test]
@@ -367,8 +479,8 @@ mod tests {
         let mut stats = RunStats::new([3, 2]);
         let p0 = NodeId::new(0);
         let p1 = NodeId::new(1);
-        stats.record_activation(p0, &ports(&[0, 2]), 5);
-        stats.record_activation(p1, &ports(&[1]), 1);
+        record(&mut stats, p0, &[0, 2], 5);
+        record(&mut stats, p1, &[1], 1);
         stats.record_comm_change(0);
 
         assert_eq!(stats.process(p0).selections, 1);
@@ -393,13 +505,13 @@ mod tests {
     fn suffix_marker_resets_suffix_read_sets_only() {
         let mut stats = RunStats::new([2]);
         let p = NodeId::new(0);
-        stats.record_activation(p, &ports(&[0, 1]), 2);
+        record(&mut stats, p, &[0, 1], 2);
         assert_eq!(stats.distinct_neighbors_since_marker(p), 2);
         stats.mark_suffix(10);
         assert_eq!(stats.suffix_marker_step, Some(10));
         assert_eq!(stats.distinct_neighbors_since_marker(p), 0);
         assert_eq!(stats.distinct_neighbors_ever(p), 2);
-        stats.record_activation(p, &ports(&[1]), 1);
+        record(&mut stats, p, &[1], 1);
         assert_eq!(stats.distinct_neighbors_since_marker(p), 1);
         assert_eq!(stats.distinct_neighbors_ever(p), 2);
         assert_eq!(stats.stable_process_count(1), 1);
@@ -410,14 +522,14 @@ mod tests {
     fn suffix_marker_resets_read_and_selection_counters() {
         let mut stats = RunStats::new([2, 2]);
         let p0 = NodeId::new(0);
-        stats.record_activation(p0, &ports(&[0]), 3);
+        record(&mut stats, p0, &[0], 3);
         assert_eq!(stats.suffix_read_operations(), 3);
         assert_eq!(stats.suffix_selections(), 1);
         stats.mark_suffix(5);
         assert_eq!(stats.suffix_read_operations(), 0);
         assert_eq!(stats.suffix_selections(), 0);
         assert_eq!(stats.process(p0).total_read_operations, 3);
-        stats.record_activation(p0, &ports(&[1]), 2);
+        record(&mut stats, p0, &[1], 2);
         assert_eq!(stats.suffix_read_operations(), 2);
         assert_eq!(stats.suffix_selections(), 1);
         // The per-process rows keep whole-execution totals.
@@ -433,7 +545,7 @@ mod tests {
         let mut stats = RunStats::new(degrees);
         let step = |stats: &mut RunStats, acts: &[(usize, &[usize], usize)]| {
             for &(i, reads, ops) in acts {
-                stats.record_activation(NodeId::new(i), &ports(reads), ops);
+                record(stats, NodeId::new(i), reads, ops);
             }
         };
 
@@ -477,26 +589,26 @@ mod tests {
     fn suffix_efficiency_only_sees_post_marker_activations() {
         let mut stats = RunStats::new([3]);
         let p = NodeId::new(0);
-        stats.record_activation(p, &ports(&[0, 1, 2]), 3);
+        record(&mut stats, p, &[0, 1, 2], 3);
         assert_eq!(stats.measured_efficiency(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 3);
         stats.mark_suffix(1);
         assert_eq!(stats.suffix_measured_efficiency(), 0);
-        stats.record_activation(p, &ports(&[1]), 1);
+        record(&mut stats, p, &[1], 1);
         // Whole-run efficiency remembers the repair; the suffix shows the
         // protocol is eventually 1-efficient.
         assert_eq!(stats.measured_efficiency(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 1);
         // A later activation with fewer reads keeps the suffix maximum.
-        stats.record_activation(p, &[], 0);
+        record(&mut stats, p, &[], 0);
         assert_eq!(stats.suffix_measured_efficiency(), 1);
     }
 
     #[test]
     fn stability_counts() {
         let mut stats = RunStats::new([2, 2, 2]);
-        stats.record_activation(NodeId::new(0), &ports(&[0]), 1);
-        stats.record_activation(NodeId::new(1), &ports(&[0, 1]), 2);
+        record(&mut stats, NodeId::new(0), &[0], 1);
+        record(&mut stats, NodeId::new(1), &[0, 1], 2);
         // Process 2 never reads anyone.
         assert_eq!(stats.k_stable_process_count(0), 1);
         assert_eq!(stats.k_stable_process_count(1), 2);

@@ -9,13 +9,22 @@
 //! count straight from [`NeighborView::finish`], with no log to
 //! de-duplicate afterwards.
 //!
+//! The public constructor, [`NeighborView::from_snapshot`], checks that
+//! the snapshot covers the graph. The executor's views are built from
+//! what the step already holds: the process's CSR row, the communication
+//! cache and, for an activation, the port slots cut to the row's length.
+//! The simulation's construction established the rest (a cache entry per
+//! process, a slot per port of the largest degree), so they check nothing
+//! more per call.
+//!
 //! A tracked `read` de-duplicates by scanning the ports already read, so
 //! it costs O(d) after d distinct reads, and Δ reads in port order cost
-//! Δ(Δ−1)/2 comparisons. An untracked `read` is one index into the
-//! snapshot. A protocol that reads every port therefore takes them all at
-//! once through [`NeighborView::read_all`], which records the same reads
-//! in O(Δ) (after a constant number of earlier reads) and lends out the
-//! whole neighbourhood without copying it.
+//! Δ(Δ−1)/2 comparisons; once every port is recorded, a `read` skips the
+//! scan. An untracked `read` is one index into the snapshot. A protocol
+//! that reads every port therefore takes them all at once through
+//! [`NeighborView::read_all`], which records the same reads in O(Δ)
+//! (after a constant number of earlier reads, and in O(1) once every port
+//! is recorded) and lends out the whole neighbourhood without copying it.
 
 use std::cell::Cell;
 use std::ops::Index;
@@ -35,7 +44,8 @@ use selfstab_graph::{Graph, NodeId, Port};
 ///
 /// Constructing a view performs **no allocation**: it borrows the graph's
 /// CSR neighbor slice, the communication snapshot and, when tracking, the
-/// caller's port buffer ([`NeighborView::tracked`]).
+/// executor's port buffer. Only the executor builds tracked views, one per
+/// activation; [`NeighborView::from_snapshot`] builds untracked ones.
 #[derive(Debug)]
 pub struct NeighborView<'a, C> {
     /// The observed process's neighbors, indexed by port (borrowed from the
@@ -68,8 +78,16 @@ impl<'a, C> NeighborView<'a, C> {
             comm_snapshot.len() >= graph.node_count(),
             "communication snapshot must cover the graph"
         );
+        Self::untracked_row(graph.neighbor_slice(p), comm_snapshot)
+    }
+
+    /// The executor's untracked view (a guard refresh) of the process whose
+    /// CSR row is `neighbors`. `comm_snapshot` is the communication cache,
+    /// which covers the graph by construction, so nothing is checked here.
+    #[inline]
+    pub(crate) fn untracked_row(neighbors: &'a [NodeId], comm_snapshot: &'a [C]) -> Self {
         NeighborView {
-            neighbors: graph.neighbor_slice(p),
+            neighbors,
             comm_snapshot,
             slots: None,
             distinct: Cell::new(0),
@@ -77,29 +95,30 @@ impl<'a, C> NeighborView<'a, C> {
         }
     }
 
-    /// Like [`NeighborView::from_snapshot`], but every read is recorded:
-    /// the distinct ports go into `ports` in first-read order, and
-    /// [`NeighborView::finish`] reports how many there are and how many
-    /// read operations the activation performed.
+    /// The executor's tracked view (an activation) of the process whose
+    /// CSR row is `neighbors`: every read is recorded, the distinct ports
+    /// go into the first `neighbors.len()` slots of `ports` in first-read
+    /// order, and [`NeighborView::finish`] reports how many there are and
+    /// how many read operations the activation performed. The executor
+    /// holds one slot per port of the largest degree.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range, `comm_snapshot` does not cover the
-    /// graph, or `ports` is shorter than `p`'s degree.
+    /// Panics if `ports` is shorter than the row.
     #[inline]
-    pub fn tracked(
-        graph: &'a Graph,
-        p: NodeId,
+    pub(crate) fn tracked_row(
+        neighbors: &'a [NodeId],
         comm_snapshot: &'a [C],
         ports: &'a mut [Port],
     ) -> Self {
-        let mut view = Self::from_snapshot(graph, p, comm_snapshot);
-        assert!(
-            ports.len() >= view.degree(),
-            "port buffer must hold one slot per neighbor"
-        );
-        view.slots = Some(Cell::from_mut(ports).as_slice_of_cells());
-        view
+        // Cut to one slot per port, so `read` finds the next free slot
+        // with one length check, and finds none once every port is
+        // recorded.
+        let slots = Cell::from_mut(&mut ports[..neighbors.len()]).as_slice_of_cells();
+        NeighborView {
+            slots: Some(slots),
+            ..Self::untracked_row(neighbors, comm_snapshot)
+        }
     }
 
     /// Degree of the observed process (number of ports).
@@ -120,11 +139,14 @@ impl<'a, C> NeighborView<'a, C> {
         let q = self.neighbors[port.index()];
         if let Some(slots) = self.slots {
             let distinct = self.distinct.get();
-            // `port` is below the degree, so a new one always finds a free
-            // slot: the distinct ports read so far are fewer than the degree.
-            if !slots[..distinct].iter().any(|slot| slot.get() == port) {
-                slots[distinct].set(port);
-                self.distinct.set(distinct + 1);
+            // Once every port is recorded (`distinct` is the degree),
+            // nothing is new and the scan is skipped; below that, a new
+            // port takes the next free slot.
+            if let Some(free) = slots.get(distinct) {
+                if !slots[..distinct].iter().any(|slot| slot.get() == port) {
+                    free.set(port);
+                    self.distinct.set(distinct + 1);
+                }
             }
             self.operations.set(self.operations.get() + 1);
         }
@@ -143,17 +165,20 @@ impl<'a, C> NeighborView<'a, C> {
         let degree = self.degree();
         if let Some(slots) = self.slots {
             // A port is new unless an earlier read recorded it: the ports
-            // this loop records are distinct from each other.
+            // this loop records are distinct from each other. Once every
+            // port is recorded, there is nothing to add.
             let earlier = self.distinct.get();
-            let mut distinct = earlier;
-            for i in 0..degree {
-                let port = Port::new(i);
-                if !slots[..earlier].iter().any(|slot| slot.get() == port) {
-                    slots[distinct].set(port);
-                    distinct += 1;
+            if earlier < degree {
+                let mut distinct = earlier;
+                for i in 0..degree {
+                    let port = Port::new(i);
+                    if !slots[..earlier].iter().any(|slot| slot.get() == port) {
+                        slots[distinct].set(port);
+                        distinct += 1;
+                    }
                 }
+                self.distinct.set(distinct);
             }
-            self.distinct.set(distinct);
             self.operations.set(self.operations.get() + degree);
         }
         Neighborhood {
@@ -215,7 +240,8 @@ mod tests {
         let graph = generators::star(4);
         let comms: Vec<u32> = vec![10, 11, 12, 13];
         let mut ports = [Port::new(9); 3];
-        let view = NeighborView::tracked(&graph, NodeId::new(0), &comms, &mut ports);
+        let view =
+            NeighborView::tracked_row(graph.neighbor_slice(NodeId::new(0)), &comms, &mut ports);
         assert_eq!(view.degree(), 3);
         assert_eq!(*view.read(Port::new(2)), 13);
         assert_eq!(*view.read(Port::new(0)), 11);
@@ -233,8 +259,9 @@ mod tests {
         // Fresh, and after two earlier reads (one of them repeated).
         for earlier in [&[][..], &[Port::new(2), Port::new(2)][..]] {
             let (mut ours, mut theirs) = ([Port::new(9); 4], [Port::new(9); 4]);
-            let view = NeighborView::tracked(&graph, hub, &comms, &mut ours);
-            let reference = NeighborView::tracked(&graph, hub, &comms, &mut theirs);
+            let view = NeighborView::tracked_row(graph.neighbor_slice(hub), &comms, &mut ours);
+            let reference =
+                NeighborView::tracked_row(graph.neighbor_slice(hub), &comms, &mut theirs);
             for &port in earlier {
                 let _ = (view.read(port), reference.read(port));
             }
@@ -261,12 +288,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one slot per neighbor")]
+    #[should_panic(expected = "out of range for slice")]
     fn tracked_rejects_a_port_buffer_shorter_than_the_degree() {
         let graph = generators::star(4);
         let comms: Vec<u32> = vec![0; 4];
         let mut ports = [Port::new(0); 2];
-        let _ = NeighborView::tracked(&graph, NodeId::new(0), &comms, &mut ports);
+        let _ = NeighborView::tracked_row(graph.neighbor_slice(NodeId::new(0)), &comms, &mut ports);
     }
 
     #[test]
@@ -275,7 +302,8 @@ mod tests {
         let graph = generators::path(2);
         let comms: Vec<u32> = vec![0, 1];
         let mut ports = [Port::new(0); 1];
-        let view = NeighborView::tracked(&graph, NodeId::new(0), &comms, &mut ports);
+        let view =
+            NeighborView::tracked_row(graph.neighbor_slice(NodeId::new(0)), &comms, &mut ports);
         let _ = view.read(Port::new(5));
     }
 
