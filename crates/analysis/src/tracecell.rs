@@ -4,9 +4,11 @@
 //! This is the experiment-side face of
 //! [`selfstab_runtime::telemetry`]: a canonical cell (COLORING under the
 //! distributed random daemon, hit by a fixed mid-run fault plan) whose
-//! execution is captured by a [`FileSink`] and can be reproduced — on a
-//! later invocation, another machine, or in CI — by [`replay`]. The trace
-//! header's metadata string carries everything needed to rebuild the run
+//! execution is recorded into the simulation's
+//! [`Trace`](selfstab_runtime::Trace), written as a trace file, and can be
+//! reproduced — on a later invocation, another machine, or in CI — by
+//! [`replay`]. The trace header's metadata string carries everything
+//! needed to rebuild the run
 //! (`protocol=coloring;workload=ring(64);daemon=distributed-random(0.5);
 //! seed=7;max_steps=20000;plan=v1`), and the footer's digests pin the
 //! recorded [`RunStats`](selfstab_runtime::RunStats) and final
@@ -23,9 +25,7 @@ use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultEvent, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
 use selfstab_runtime::scheduler::DistributedRandom;
-use selfstab_runtime::telemetry::{
-    self, FileSink, Fnv64, TraceFileReader, TraceFooter, TraceHeader,
-};
+use selfstab_runtime::telemetry::{self, read_trace_file, Fnv64, TraceFooter, TraceHeader};
 
 use crate::workloads::Workload;
 
@@ -38,8 +38,7 @@ const FAULT_RNG_SALT: u64 = 0xFA17;
 
 /// Identity of one recordable trace cell. Everything the replayer needs
 /// is derivable from this spec, and the spec itself round-trips through
-/// the trace header's metadata string ([`TraceCellSpec::meta`] /
-/// [`TraceCellSpec::from_meta`]).
+/// the trace header's metadata string ([`TraceCellSpec::meta`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceCellSpec {
     /// Topology of the run.
@@ -97,7 +96,7 @@ impl TraceCellSpec {
     /// Parses a metadata string produced by [`TraceCellSpec::meta`],
     /// rejecting traces recorded by a different protocol, daemon, or
     /// fault-plan version (replaying those would silently diverge).
-    pub fn from_meta(meta: &str) -> Result<TraceCellSpec, String> {
+    fn from_meta(meta: &str) -> Result<TraceCellSpec, String> {
         let mut workload = None;
         let mut seed = None;
         let mut max_steps = None;
@@ -156,7 +155,7 @@ impl TraceCellSpec {
 /// Digest of a COLORING configuration: every process's color and probe
 /// cursor, in process order. Stored in the trace footer and recomputed by
 /// the replayer.
-pub fn coloring_config_digest(config: &[ColoringState]) -> u64 {
+fn coloring_config_digest(config: &[ColoringState]) -> u64 {
     let mut hasher = Fnv64::new();
     hasher.write_usize(config.len());
     for state in config {
@@ -188,8 +187,8 @@ pub struct TraceRunSummary {
 }
 
 /// Records the cell described by `spec` into the trace container at
-/// `path`: runs the fault-recovery scenario with a [`FileSink`] attached
-/// and seals the file with the run's verification digests.
+/// `path`: runs the fault-recovery scenario while the simulation records
+/// its trace, then writes the trace with the run's verification digests.
 pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> {
     let graph = spec.workload.build(spec.seed);
     let mut sim = Simulation::new(
@@ -199,15 +198,7 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
         spec.seed,
         SimOptions::default(),
     );
-    let sink = FileSink::create(
-        path,
-        &TraceHeader {
-            node_count: graph.node_count() as u64,
-            seed: spec.seed,
-            meta: spec.meta(),
-        },
-    )?;
-    sim.attach_trace_sink(Box::new(sink));
+    sim.record_trace();
 
     let mut injector = FaultInjector::new(&graph);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ FAULT_RNG_SALT);
@@ -223,12 +214,20 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
     let rounds = sim.stats().rounds;
     let stats_digest = sim.stats().digest();
     let config_digest = coloring_config_digest(sim.config());
-    let mut sink = sim.detach_trace_sink().expect("sink attached above");
-    sink.finish(&TraceFooter {
-        steps,
-        stats_digest,
-        config_digest,
-    })?;
+    let trace = sim.take_trace().expect("recording since construction");
+    trace.write_file(
+        path,
+        &TraceHeader {
+            node_count: graph.node_count() as u64,
+            seed: spec.seed,
+            meta: spec.meta(),
+        },
+        &TraceFooter {
+            steps,
+            stats_digest,
+            config_digest,
+        },
+    )?;
     Ok(TraceRunSummary {
         steps,
         rounds,
@@ -247,28 +246,23 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
 /// Returns the replayed run's summary — identical to the recording's —
 /// or a description of the first divergence.
 pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
-    let mut reader = TraceFileReader::open(path).map_err(|err| err.to_string())?;
-    let spec = TraceCellSpec::from_meta(&reader.header().meta)?;
-    if reader.header().seed != spec.seed {
+    let (header, records, footer) = read_trace_file(path).map_err(|err| err.to_string())?;
+    let spec = TraceCellSpec::from_meta(&header.meta)?;
+    if header.seed != spec.seed {
         return Err(format!(
             "trace header seed {} contradicts its metadata seed {}",
-            reader.header().seed,
-            spec.seed
+            header.seed, spec.seed
         ));
     }
     let graph = spec.workload.build(spec.seed);
-    if graph.node_count() as u64 != reader.header().node_count {
+    if graph.node_count() as u64 != header.node_count {
         return Err(format!(
             "trace header says {} processes but workload {} builds {}",
-            reader.header().node_count,
+            header.node_count,
             spec.workload,
             graph.node_count()
         ));
     }
-    let records = reader.read_to_end().map_err(|err| err.to_string())?;
-    let footer = *reader
-        .footer()
-        .ok_or("trace file has no footer (recording was interrupted?)")?;
 
     let outcome = telemetry::replay(
         &graph,
@@ -309,7 +303,9 @@ pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
         recovered: true,
         stats_digest,
         config_digest,
-        trace_bytes: reader.byte_len() as u64,
+        trace_bytes: std::fs::metadata(path)
+            .map_err(|err| err.to_string())?
+            .len(),
     })
 }
 
@@ -317,35 +313,31 @@ pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
 mod tests {
     use super::*;
     use selfstab_graph::{NodeId, Port};
-    use selfstab_runtime::telemetry::TraceSink;
-    use selfstab_runtime::StepRecord;
+    use selfstab_runtime::{StepRecord, Trace};
 
     fn temp_trace(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sstb_tracecell_{tag}_{}.trace", std::process::id()))
     }
 
-    /// Decodes the trace at `path`, applies `edit` to the first step
-    /// record it accepts, and re-seals the file with the original header
-    /// and footer. `edit` either leaves a record untouched and returns
+    /// Reads the trace at `path`, applies `edit` to the first step record
+    /// it accepts, and rewrites the file with the original header and
+    /// footer. `edit` either leaves a record untouched and returns
     /// `None`, or edits it and returns the process whose activation it
     /// edited first.
     fn edit_first_record(
         path: &Path,
         edit: impl FnMut(&mut StepRecord) -> Option<NodeId>,
     ) -> NodeId {
-        let mut reader = TraceFileReader::open(path).expect("opens");
-        let header = reader.header().clone();
-        let mut records = reader.read_to_end().expect("decodes");
-        let footer = *reader.footer().expect("sealed");
+        let (header, mut records, footer) = read_trace_file(path).expect("reads");
         let process = records
             .iter_mut()
             .find_map(edit)
             .expect("some record admits the edit");
-        let mut sink = FileSink::create(path, &header).expect("creates");
+        let mut trace = Trace::new();
         for record in &records {
-            sink.record_step(record);
+            trace.push(record);
         }
-        sink.finish(&footer).expect("seals");
+        trace.write_file(path, &header, &footer).expect("writes");
         process
     }
 

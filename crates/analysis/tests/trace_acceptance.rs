@@ -9,7 +9,7 @@
 
 use selfstab_analysis::tracecell::{self, TraceCellSpec};
 use selfstab_analysis::Workload;
-use selfstab_runtime::{StepRecord, TraceFileReader};
+use selfstab_runtime::{read_trace_file, StepRecord};
 
 /// Serializes step records as one JSON document,
 /// `{"steps":[{"step":0,"activations":[{"process":2,"executed":true,
@@ -79,9 +79,7 @@ fn ten_thousand_node_trace_replays_byte_identically_and_beats_json_tenfold() {
 
     // Compare the container against the same step records serialized as
     // JSON, decoded from the recorded file itself.
-    let records = TraceFileReader::open(&path)
-        .and_then(|mut reader| reader.read_to_end())
-        .expect("decodes the recorded file");
+    let (_, records, _) = read_trace_file(&path).expect("reads the recorded file");
     assert_eq!(records.len() as u64, recorded.steps, "one record per step");
     let json = records_json(&records);
     assert!(

@@ -19,8 +19,6 @@
 //! predicate holds where no guard does, and a configuration it calls silent
 //! keeps its communication variables fixed.
 
-use std::sync::{Arc, Mutex};
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -35,7 +33,7 @@ use selfstab_graph::coloring::greedy;
 use selfstab_graph::{generators, longest_path, verify, Graph, Identifiers, NodeId, Port};
 use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{MemorySink, Protocol, SimOptions, Simulation, StepRecord};
+use selfstab_runtime::{Protocol, SimOptions, Simulation, StepRecord};
 
 fn random_connected_graph(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -68,8 +66,8 @@ fn reads_per_process(records: &[StepRecord], n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Runs `protocol` under `DistributedRandom(0.5)` with a shared
-/// [`MemorySink`] attached: to silence, then the suffix marker, then 300
+/// Runs `protocol` under `DistributedRandom(0.5)`, recording its trace: to
+/// silence, then the suffix marker, then 300
 /// more steps. Every measure `RunStats` reports, per process and in
 /// aggregate, must equal the same measure recomputed from the decoded
 /// step records.
@@ -82,15 +80,14 @@ fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, s
         seed,
         SimOptions::default(),
     );
-    let sink = Arc::new(Mutex::new(MemorySink::new()));
-    sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+    sim.record_trace();
     let report = sim.run_until_silent(1_000_000);
     assert!(report.silent, "{name} did not stabilize on {graph}");
     let marker = sim.steps();
     sim.mark_suffix();
     sim.run_steps(300);
 
-    let records = sink.lock().unwrap().decode_all().expect("decodes");
+    let records = sim.trace().expect("recording").records();
     assert_eq!(records.len() as u64, sim.steps(), "{name}");
     let suffix = &records[records.partition_point(|r| r.step < marker)..];
     let ever = reads_per_process(&records, graph.node_count());

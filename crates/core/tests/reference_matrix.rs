@@ -63,9 +63,10 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, Fair, LocallyCentral, Scheduler,
     StarvingAdversary, Synchronous,
 };
-use selfstab_runtime::telemetry::{self, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
-use selfstab_runtime::{FileSink, MemorySink, Protocol, RunStats, SimOptions, Simulation};
-use std::sync::{Arc, Mutex};
+use selfstab_runtime::telemetry::{
+    self, read_trace_file, sstb, wire, Fnv64, TraceFooter, TraceHeader,
+};
+use selfstab_runtime::{Protocol, RunStats, SimOptions, Simulation, Trace};
 
 /// The seven daemons, by name.
 const DAEMONS: [&str; 7] = [
@@ -402,11 +403,10 @@ proptest! {
 /// guards.
 const ORDER_CHECK_EVERY: u64 = 4;
 
-/// A simulation of the order lane, with the shared sink its step records
-/// go to and its own fault injector and fault RNG.
+/// A simulation of the order lane, recording its trace, with its own fault
+/// injector and fault RNG.
 struct OrderSide<'g, P: Protocol> {
     sim: Simulation<'g, P, Box<dyn Scheduler + Send>>,
-    records: Arc<Mutex<MemorySink>>,
     injector: FaultInjector,
     fault_rng: StdRng,
 }
@@ -420,11 +420,9 @@ impl<'g, P: Protocol> OrderSide<'g, P> {
             seed,
             SimOptions::default(),
         );
-        let records = Arc::new(Mutex::new(MemorySink::new()));
-        sim.attach_trace_sink(Box::new(Arc::clone(&records)));
+        sim.record_trace();
         OrderSide {
             sim,
-            records,
             injector: FaultInjector::new(graph),
             fault_rng: StdRng::seed_from_u64(seed ^ 0xFA17),
         }
@@ -474,14 +472,13 @@ fn step_both<P: Protocol>(
         l.last_selected(),
         "{lane}: selection of step {step}"
     );
-    let eager_records = eager.records.lock().expect("sink lock");
-    let lazy_records = lazy.records.lock().expect("sink lock");
+    let eager_trace = e.trace().expect("recording").bytes();
+    let lazy_trace = l.trace().expect("recording").bytes();
     assert!(
-        eager_records.bytes()[*checked..] == lazy_records.bytes()[*checked..],
+        eager_trace[*checked..] == lazy_trace[*checked..],
         "{lane}: step records of step {step} differ"
     );
-    *checked = lazy_records.bytes().len();
-    drop((eager_records, lazy_records));
+    *checked = lazy_trace.len();
     if step.is_multiple_of(ORDER_CHECK_EVERY) {
         assert_matches_reference(
             &mut lazy.sim,
@@ -593,7 +590,9 @@ fn mis_config_digest(config: &[MisState]) -> u64 {
 
 /// Records an MIS fault-recovery run into a trace file and replays it,
 /// comparing every step record activation by activation and the final
-/// stats and configuration with the recording and its footer digests.
+/// stats and configuration with the recording and its footer digests. The
+/// file holds the recorded trace's bytes between its header and footer,
+/// and its records encode back into them.
 #[test]
 fn record_replay_verifies_against_capture() {
     let graph = generators::grid(6, 6);
@@ -628,16 +627,7 @@ fn record_replay_verifies_against_capture() {
         seed,
         SimOptions::default(),
     );
-    let sink = FileSink::create(
-        &path,
-        &TraceHeader {
-            node_count: graph.node_count() as u64,
-            seed,
-            meta: format!("protocol=mis-1-efficient;seed={seed}"),
-        },
-    )
-    .expect("creates trace file");
-    sim.attach_trace_sink(Box::new(sink));
+    sim.record_trace();
     let mut injector = FaultInjector::new(&graph);
     let mut rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
     run_fault_plan(&mut sim, &plan(), &mut injector, &mut rng, MAX_STEPS);
@@ -645,19 +635,47 @@ fn record_replay_verifies_against_capture() {
     assert!(steps > 0, "the scenario must execute steps");
     let recorded_stats: RunStats = sim.stats().clone();
     let recorded_config = sim.config().to_vec();
-    let mut sink = sim.detach_trace_sink().expect("sink attached");
-    sink.finish(&TraceFooter {
+    let trace = sim.take_trace().expect("recording");
+    let header = TraceHeader {
+        node_count: graph.node_count() as u64,
+        seed,
+        meta: format!("protocol=mis-1-efficient;seed={seed}"),
+    };
+    let footer = TraceFooter {
         steps,
         stats_digest: recorded_stats.digest(),
         config_digest: mis_config_digest(&recorded_config),
-    })
-    .expect("seals trace file");
+    };
+    trace
+        .write_file(&path, &header, &footer)
+        .expect("writes trace file");
+
+    // The file is the trace between its header and its footer.
+    let mut expected = sstb::TRACE_MAGIC.to_vec();
+    expected.push(sstb::TRACE_VERSION);
+    for field in [header.node_count, header.seed, header.meta.len() as u64] {
+        wire::put_varint(&mut expected, field);
+    }
+    expected.extend_from_slice(header.meta.as_bytes());
+    expected.extend_from_slice(trace.bytes());
+    expected.push(0x00);
+    wire::put_varint(&mut expected, steps);
+    expected.extend_from_slice(&footer.stats_digest.to_le_bytes());
+    expected.extend_from_slice(&footer.config_digest.to_le_bytes());
+    assert!(std::fs::read(&path).expect("reads the trace file back") == expected);
+    let (read_header, records, read_footer) = read_trace_file(&path).expect("reads trace file");
+    assert_eq!((read_header, read_footer), (header, footer));
+    let mut encoded = Trace::new();
+    for record in &records {
+        encoded.push(record);
+    }
+    assert_eq!(
+        encoded.bytes(),
+        trace.bytes(),
+        "records re-encode to the trace"
+    );
 
     // Replay, comparing every step record activation by activation.
-    let mut reader = TraceFileReader::open(&path).expect("opens trace file");
-    let records = reader.read_to_end().expect("decodes step stream");
-    let footer = *reader.footer().expect("footer after the stream");
-    assert_eq!(footer.steps, steps);
 
     let mut replay_rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
     let outcome = telemetry::replay(

@@ -89,9 +89,9 @@ impl Family {
 
 /// The designated hot-path modules: the files whose steady-state code the
 /// zero-allocation regime covers. `telemetry/wire.rs` is the trace
-/// *encode* path (record construction is allocation-free by contract;
-/// only the sink write may buffer); `trace.rs` only defines the record
-/// types and is deliberately absent.
+/// *encode* path (a recording step encodes into the trace's buffer, which
+/// allocates only to grow; its decoder's allocations carry escapes);
+/// `trace.rs` only defines the record types and is deliberately absent.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/executor.rs",
     "crates/runtime/src/view.rs",

@@ -83,10 +83,9 @@
 //! * round detection decrements an `unselected_remaining` counter instead
 //!   of scanning the selected-this-round flags every step.
 //!
-//! The one deliberate exception, off by default: while a [`TraceSink`] is
-//! attached, every step builds a [`StepRecord`] with one
-//! `ActivationRecord` (plus its read list) per activation and hands it to
-//! the sink.
+//! A recording simulation ([`Simulation::record_trace`]) builds no record
+//! either: the step encodes its selection and each activation straight
+//! into the [`Trace`] it owns, which allocates only when its buffer grows.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,8 +96,7 @@ use crate::protocol::{ActivationRng, Protocol};
 use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::RunStats;
 use crate::telemetry::metrics::{self, MetricsRegistry, StepPhase};
-use crate::telemetry::sink::TraceSink;
-use crate::trace::{ActivationRecord, StepRecord};
+use crate::telemetry::Trace;
 use crate::view::NeighborView;
 
 /// Options controlling a [`Simulation`].
@@ -179,10 +177,9 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// One full state per process, indexed by [`NodeId`].
     config: Vec<P::State>,
     stats: RunStats,
-    /// Attached telemetry sink, if any, and the executor's only consumer
-    /// of step records: it hands the sink every step's record. With no
-    /// sink attached the executor builds no records at all.
-    sink: Option<Box<dyn TraceSink>>,
+    /// The trace being recorded, if any: each step encodes itself into it
+    /// as it runs.
+    trace: Option<Trace>,
     options: SimOptions,
     step: u64,
     rounds: u64,
@@ -285,7 +282,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             rng: StdRng::seed_from_u64(seed),
             config,
             stats: RunStats::new(graph.nodes().map(|p| graph.degree(p))),
-            sink: None,
+            trace: None,
             options,
             step: 0,
             rounds: 0,
@@ -376,25 +373,29 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         &self.stats
     }
 
-    /// Attaches a telemetry sink; every subsequent step's record is
-    /// streamed into it (replacing any previously attached sink).
+    /// Starts recording: from the next step on, each step encodes its
+    /// selection and every activation's executed flag, comm flag and
+    /// distinct read ports into the simulation's [`Trace`]. A trace that
+    /// is already recording keeps recording. A trace recorded from the
+    /// first step is what [`replay()`](crate::telemetry::replay())
+    /// re-executes.
     ///
-    /// To read the records while the simulation owns the sink, attach a
-    /// shared one: `Arc<Mutex<T>>` is a sink whenever `T` is, so a
-    /// caller can keep one handle to a
-    /// [`MemorySink`](crate::telemetry::MemorySink) and decode it between
-    /// steps.
-    ///
-    /// Running with no sink attached is the zero-cost path: the executor
-    /// checks once per step and skips record construction entirely.
-    pub fn attach_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Not recording is the default and the zero-cost path: the step tests
+    /// once per step and once per activation whether a trace records, and
+    /// encodes nothing. A recording step allocates only when the trace's
+    /// buffer grows.
+    pub fn record_trace(&mut self) {
+        self.trace.get_or_insert_with(Trace::new);
     }
 
-    /// Detaches the telemetry sink, returning it so the owner can seal
-    /// the stream ([`TraceSink::finish`]) with the run's digests.
-    pub fn detach_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+    /// The trace being recorded, if any.
+    pub fn trace(&self) -> Option<&Trace> {
+        self.trace.as_ref()
+    }
+
+    /// Stops recording and returns the trace, if one was recording.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        self.trace.take()
     }
 
     /// Mutable access to the scheduler.
@@ -573,14 +574,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
 
         // Phase C: activation. Every selected process evaluates against the
         // pre-step snapshot and stages its update; nothing it reads is
-        // mutated until the merge below.
-        let tracing = self.sink.is_some();
-        // Step records are the one intentional per-step allocation: the
-        // attached sink consumes them, so there is no buffer to reuse.
-        // Off by default.
-        let mut records: Vec<ActivationRecord> = Vec::new(); // lint: allow(hot-alloc) — the documented trace allocation (see above)
-        if tracing {
-            records.reserve(self.selected_scratch.len());
+        // mutated until the merge below. A recording trace opens the step's
+        // record here, and each activation appends itself as it finishes.
+        let mut trace = self.trace.as_mut();
+        if let Some(trace) = &mut trace {
+            trace.open_step(self.step, self.selected_scratch.iter().copied());
         }
         let graph = self.graph;
         let step = self.step;
@@ -624,13 +622,8 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 }
                 self.staged.push((p, new_state, new_comm, comm_changed));
             }
-            if tracing {
-                records.push(ActivationRecord {
-                    process: p,
-                    executed,
-                    reads: reads.to_vec(), // lint: allow(hot-alloc) — the documented trace allocation (see above)
-                    comm_changed,
-                });
+            if let Some(trace) = &mut trace {
+                trace.push_activation(executed, comm_changed, reads);
             }
         }
         self.stats
@@ -663,12 +656,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             }
         }
         clock.stop(StepPhase::Merge, executed);
-        if let Some(sink) = &mut self.sink {
-            sink.record_step(&StepRecord {
-                step,
-                activations: records,
-            });
-        }
 
         self.step += 1;
         self.stats.steps = self.step;
@@ -729,9 +716,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
     }
 
     /// Consumes the simulation and returns its final configuration, stats
-    /// and attached telemetry sink, if any.
-    pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Box<dyn TraceSink>>) {
-        (self.config, self.stats, self.sink)
+    /// and recorded trace, if any.
+    pub fn into_parts(self) -> (Vec<P::State>, RunStats, Option<Trace>) {
+        (self.config, self.stats, self.trace)
     }
 }
 
@@ -779,10 +766,8 @@ fn activation_rng(salt: u64, step: u64, p: NodeId) -> ActivationRng {
 mod tests {
     use super::*;
     use crate::scheduler::{CentralRandom, CentralRoundRobin, DistributedRandom, Synchronous};
-    use crate::telemetry::MemorySink;
     use rand::RngCore;
     use selfstab_graph::generators;
-    use std::sync::{Arc, Mutex};
 
     /// Toy silent protocol used to exercise the executor: each process
     /// exposes a value and copies the minimum of its own value and its
@@ -1037,8 +1022,7 @@ mod tests {
             0,
             SimOptions::default(),
         );
-        let sink = Arc::new(Mutex::new(MemorySink::new()));
-        sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+        sim.record_trace();
         sim.step();
         for p in graph.nodes() {
             let stats = sim.stats().process(p);
@@ -1046,7 +1030,7 @@ mod tests {
             assert_eq!(stats.max_reads_per_activation as usize, graph.degree(p));
         }
         assert_eq!(sim.stats().measured_efficiency(), 2);
-        let record = sink.lock().unwrap().decode_all().unwrap().pop().unwrap();
+        let record = sim.trace().unwrap().records().pop().unwrap();
         let reads: Vec<&[Port]> = record.activations.iter().map(|a| &a.reads[..]).collect();
         assert_eq!(
             reads,
@@ -1085,14 +1069,13 @@ mod tests {
             3,
             SimOptions::default(),
         );
-        let sink = Arc::new(Mutex::new(MemorySink::new()));
-        sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+        sim.record_trace();
         let report = sim.run_until_silent(10_000);
         assert!(report.silent);
         // MinValue reads both neighbors each activation: it is 2-efficient
         // (Δ-efficient), not 1-efficient.
         assert_eq!(sim.stats().measured_efficiency(), 2);
-        let records = sink.lock().unwrap().decode_all().expect("decodes");
+        let records = sim.trace().unwrap().records();
         assert_eq!(records.len() as u64, report.total_steps);
         let most_reads = records
             .iter()
@@ -1186,8 +1169,7 @@ mod tests {
             13,
             SimOptions::default(),
         );
-        let sink = Arc::new(Mutex::new(MemorySink::new()));
-        sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+        sim.record_trace();
         let mut changes_before = sim.stats().total_comm_changes();
         for _ in 0..300 {
             let step_index = sim.steps();
@@ -1202,9 +1184,12 @@ mod tests {
                 assert_eq!(sim.stats().last_comm_change_step(), Some(step_index));
             }
             // The step's per-activation record must agree as well.
-            let record = sink.lock().unwrap().decode_all().unwrap().pop().unwrap();
+            let record = sim.trace().unwrap().records().pop().unwrap();
             assert_eq!(record.step, step_index);
-            assert_eq!(record.any_comm_changed(), outcome.comm_changed);
+            assert_eq!(
+                record.activations.iter().any(|a| a.comm_changed),
+                outcome.comm_changed
+            );
             assert_eq!(
                 record.activations.iter().filter(|a| a.comm_changed).count() as u64,
                 changes_after - changes_before,

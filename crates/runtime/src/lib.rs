@@ -114,6 +114,6 @@ pub use faults::{
 pub use protocol::Protocol;
 pub use scheduler::Scheduler;
 pub use stats::RunStats;
-pub use telemetry::{FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceSink};
+pub use telemetry::{read_trace_file, Trace, TraceFooter, TraceHeader};
 pub use trace::StepRecord;
 pub use view::NeighborView;

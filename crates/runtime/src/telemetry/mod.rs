@@ -1,18 +1,17 @@
 //! Observability: compact binary trace capture/replay and runtime
 //! metrics.
 //!
-//! Per-step observability, from unit tests up to million-node,
-//! million-step runs, goes through one path: the executor hands each
-//! step's [`StepRecord`](crate::trace::StepRecord) to the attached
-//! [`TraceSink`], and nothing else.
+//! Per-step observability, from unit tests up to the 10⁴-process
+//! acceptance cell, goes through one path: a recording
+//! [`Simulation`](crate::Simulation) encodes each step into the [`Trace`]
+//! it owns as the step runs, and nothing else.
 //!
-//! * [`wire`] — the delta-encoded, varint-packed binary format for
-//!   [`StepRecord`](crate::trace::StepRecord)s (a few bytes per
-//!   activation instead of tens of JSON bytes).
-//! * [`sink`] — the [`TraceSink`] trait the executor streams records
-//!   into, with [`MemorySink`], [`FileSink`], the matching
-//!   [`TraceFileReader`], and shared `Arc<Mutex<_>>` sinks for reading
-//!   records while a simulation owns the sink.
+//! * [`wire`] — the delta-encoded, varint-packed binary format of one
+//!   step (a few bytes per activation instead of tens of JSON bytes).
+//! * [`sstb`] — [`Trace`], the encoded step stream, and the SSTB trace
+//!   file around it: [`Trace::write_file`] writes one in a call, and
+//!   [`read_trace_file`] reads one back whole, checking every length and
+//!   tag before it uses it.
 //! * [`replay()`] — drives a fresh [`Simulation`](crate::Simulation) by a
 //!   recorded step stream, re-fires the recorded run's fault plan, and
 //!   compares every activation's executed flag, comm flag and read ports
@@ -26,21 +25,21 @@
 //!   replay in another process can verify without the original run's
 //!   memory.
 //!
-//! Capture is strictly pay-for-what-you-use: with no sink attached and
+//! Capture is strictly pay-for-what-you-use: with no trace recording and
 //! metrics disabled, the executor's hot path is unchanged — zero
-//! steady-state allocations, no record construction, one relaxed atomic
-//! load per step (enforced by the `zero_alloc` integration test).
+//! steady-state allocations, one test per step and per activation for the
+//! trace, one relaxed atomic load per step for the metrics (enforced by
+//! the `zero_alloc` integration test, which also checks that a recording
+//! step allocates only when its trace grows).
 
 pub mod digest;
 pub mod metrics;
 pub mod replay;
-pub mod sink;
+pub mod sstb;
 pub mod wire;
 
 pub use digest::Fnv64;
 pub use metrics::{MetricsRegistry, StepPhase};
 pub use replay::{replay, DivergenceKind, ReplayDivergence, ReplayOutcome};
-pub use sink::{
-    FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceReadError, TraceSink,
-};
+pub use sstb::{read_trace_file, Trace, TraceFooter, TraceHeader, TraceReadError};
 pub use wire::WireError;

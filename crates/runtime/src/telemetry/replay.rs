@@ -15,14 +15,11 @@
 //! evaluation, the merge order — is deterministic, so the replayed run
 //! must match the recording in every observable: each activation's
 //! executed flag, comm flag and read ports, [`RunStats`], final
-//! configuration. The replay
-//! records its own steps into a shared [`MemorySink`] and compares every
-//! decoded record with the recorded one. Any mismatch is reported as a
-//! [`ReplayDivergence`] naming the first step, process and field that
-//! differed — a shareable anomaly artifact rather than a silent wrong
-//! answer.
-
-use std::sync::{Arc, Mutex};
+//! configuration. The replay records its own steps into its simulation's
+//! [`Trace`](super::Trace) and compares every decoded record with the
+//! recorded one. Any mismatch is reported as a [`ReplayDivergence`]
+//! naming the first step, process and field that differed — a shareable
+//! anomaly artifact rather than a silent wrong answer.
 
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -33,8 +30,7 @@ use crate::faults::{fire_due_events, FaultInjector, FaultPlan};
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::RunStats;
-use crate::telemetry::sink::{lock_shared, MemorySink};
-use crate::telemetry::wire;
+use crate::telemetry::sstb;
 use crate::trace::{ActivationRecord, StepRecord};
 
 /// Scheduler that replays recorded selections staged one step at a time.
@@ -151,8 +147,8 @@ pub struct ReplayOutcome<State> {
 /// fires on a fresh [`FaultInjector`]: the rule
 /// [`run_fault_plan`](crate::faults::run_fault_plan) applies.
 ///
-/// The replay attaches a shared [`MemorySink`] and compares every replayed
-/// record with its recording, activation by activation: the executed
+/// The replay records its own trace and compares every replayed record
+/// with its recording, activation by activation: the executed
 /// flag, the comm-changed flag and the read ports, in that order. The
 /// first mismatch aborts the replay with a [`ReplayDivergence`]. The
 /// final-state checks ([`RunStats`] equality or digest, configuration
@@ -173,8 +169,7 @@ where
     R: RngCore,
 {
     let mut sim = Simulation::new(graph, protocol, ReplayScheduler::default(), seed, options);
-    let sink = Arc::new(Mutex::new(MemorySink::new()));
-    sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+    sim.record_trace();
     let mut injector = FaultInjector::new(graph);
     let mut next_event = 0;
     // Read position in, and last step of, the replay's own step stream.
@@ -204,9 +199,10 @@ where
         sim.scheduler_mut().stage(&record.selected());
         sim.step();
 
-        let replayed = wire::decode_step(lock_shared(&sink).bytes(), &mut pos, prev)
-            .expect("the replay's own step stream decodes");
-        prev = Some(replayed.step);
+        let own = sim.trace().expect("the replay records its own steps");
+        let replayed = sstb::next_step(own.bytes(), &mut pos, &mut prev)
+            .expect("the replay's own trace decodes")
+            .expect("the step just run is recorded");
         if let Some((kind, detail)) = first_activation_mismatch(&record, &replayed) {
             return Err(Box::new(ReplayDivergence {
                 step: record.step,

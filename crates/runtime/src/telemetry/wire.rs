@@ -24,6 +24,11 @@
 //!                                  first-read order
 //! ```
 //!
+//! The encoder writes a record in two calls, so the executor never builds
+//! one: `open_step` writes everything up to the zeroed bitsets once the
+//! selection is known, and `put_activation` sets one activation's bits
+//! and appends its reads as it finishes.
+//!
 //! The codec is lossless for *arbitrary* records (steps may go backwards,
 //! processes may repeat, reads may arrive in any order): delta encoding
 //! uses wrapping zigzag differences, and the bitmap form is only chosen
@@ -169,45 +174,48 @@ fn list_len(reads: &[Port]) -> usize {
     total
 }
 
-/// Encodes `record` into `buf`, delta-coding the step index against
-/// `prev_step` (`None` for the first record of a stream).
-pub fn encode_step(buf: &mut Vec<u8>, prev_step: Option<u64>, record: &StepRecord) {
+/// Opens a record in `buf`: the step index, delta-coded against
+/// `prev_step` (`None` for the first record of a stream), the selected
+/// processes, and the executed and comm bitsets, zeroed. Returns the
+/// bitsets' offset, which each [`put_activation`] of the record takes.
+pub(crate) fn open_step(
+    buf: &mut Vec<u8>,
+    prev_step: Option<u64>,
+    step: u64,
+    selected: impl ExactSizeIterator<Item = NodeId>,
+) -> usize {
     match prev_step {
-        None => put_varint(buf, record.step),
-        Some(prev) => put_delta(buf, prev, record.step),
+        None => put_varint(buf, step),
+        Some(prev) => put_delta(buf, prev, step),
     }
-    put_varint(buf, record.activations.len() as u64);
-
+    let count = selected.len();
+    put_varint(buf, count as u64);
     let mut prev_process = 0u64;
-    for activation in &record.activations {
-        put_delta(buf, prev_process, activation.process.index() as u64);
-        prev_process = activation.process.index() as u64;
+    for p in selected {
+        put_delta(buf, prev_process, p.index() as u64);
+        prev_process = p.index() as u64;
     }
-
-    push_bitset(buf, record.activations.iter().map(|a| a.executed));
-    push_bitset(buf, record.activations.iter().map(|a| a.comm_changed));
-
-    for activation in &record.activations {
-        encode_reads(buf, &activation.reads);
-    }
+    let flags_at = buf.len();
+    buf.resize(flags_at + 2 * count.div_ceil(8), 0);
+    flags_at
 }
 
-/// Packs a sequence of flags into bytes, 8 flags per byte, LSB first.
-fn push_bitset(buf: &mut Vec<u8>, flags: impl Iterator<Item = bool>) {
-    let mut byte = 0u8;
-    let mut filled = 0u8;
-    for flag in flags {
-        byte |= u8::from(flag) << filled;
-        filled += 1;
-        if filled == 8 {
-            buf.push(byte);
-            byte = 0;
-            filled = 0;
-        }
-    }
-    if filled > 0 {
-        buf.push(byte);
-    }
+/// Writes activation `i` of the `count` activations of the record whose
+/// bitsets start at `flags_at`: sets its executed and comm bits and
+/// appends its reads. The activations of a record are written in order.
+pub(crate) fn put_activation(
+    buf: &mut Vec<u8>,
+    flags_at: usize,
+    count: usize,
+    i: usize,
+    executed: bool,
+    comm_changed: bool,
+    reads: &[Port],
+) {
+    let executed_byte = flags_at + i / 8;
+    buf[executed_byte] |= u8::from(executed) << (i % 8);
+    buf[executed_byte + count.div_ceil(8)] |= u8::from(comm_changed) << (i % 8);
+    encode_reads(buf, reads);
 }
 
 /// Encodes one activation's read set: bitmap when ascending *and*
@@ -244,7 +252,7 @@ fn encode_reads(buf: &mut Vec<u8>, reads: &[Port]) {
 /// Decodes one step record from `input` at `*pos`, advancing the cursor.
 ///
 /// `prev_step` must be the step index of the previously decoded record
-/// (`None` for the first), mirroring [`encode_step`].
+/// (`None` for the first), mirroring `open_step`.
 pub fn decode_step(
     input: &[u8],
     pos: &mut usize,
@@ -298,7 +306,7 @@ pub fn decode_step(
     Ok(StepRecord { step, activations })
 }
 
-/// Reads a `count`-bit bitset written by [`push_bitset`].
+/// Reads a `count`-bit bitset, 8 flags per byte, LSB first.
 fn read_bitset(
     input: &[u8],
     pos: &mut usize,
@@ -389,6 +397,7 @@ fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Trace;
 
     #[test]
     fn varint_round_trip_boundaries() {
@@ -449,21 +458,14 @@ mod tests {
         }
     }
 
+    /// Encodes `records` into a trace through the executor's calls and
+    /// decodes them back.
     fn round_trip(records: &[StepRecord]) {
-        let mut buf = Vec::new();
-        let mut prev = None;
+        let mut trace = Trace::new();
         for r in records {
-            encode_step(&mut buf, prev, r);
-            prev = Some(r.step);
+            trace.push(r);
         }
-        let mut pos = 0;
-        let mut prev = None;
-        for r in records {
-            let decoded = decode_step(&buf, &mut pos, prev).expect("decodes");
-            assert_eq!(&decoded, r);
-            prev = Some(decoded.step);
-        }
-        assert_eq!(pos, buf.len(), "decoder consumed the whole stream");
+        assert_eq!(trace.records(), records);
     }
 
     #[test]
@@ -500,20 +502,15 @@ mod tests {
     fn executor_shaped_records_cost_a_few_bytes_per_activation() {
         // 64 consecutive processes, 1 read each: the shape a silent
         // synchronous step produces under a 1-efficient protocol.
-        let entries: Vec<(usize, bool, Vec<usize>, bool)> =
-            (0..64).map(|p| (p, false, vec![0usize], false)).collect();
-        let borrowed: Vec<(usize, bool, &[usize], bool)> = entries
-            .iter()
-            .map(|(p, e, r, c)| (*p, *e, r.as_slice(), *c))
-            .collect();
-        let rec = record(17, &borrowed);
         let mut buf = Vec::new();
-        encode_step(&mut buf, Some(16), &rec);
+        let flags_at = open_step(&mut buf, Some(16), 17, (0..64).map(NodeId::new));
+        for i in 0..64 {
+            put_activation(&mut buf, flags_at, 64, i, false, false, &[Port::new(0)]);
+        }
         assert!(
-            buf.len() <= 4 * rec.activations.len(),
-            "expected a few bytes per activation, got {} bytes for {}",
-            buf.len(),
-            rec.activations.len()
+            buf.len() <= 4 * 64,
+            "expected a few bytes per activation, got {} bytes for 64",
+            buf.len()
         );
     }
 
@@ -593,10 +590,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_out_of_range_process_id() {
-        let rec = record(0, &[(0, true, &[], false)]);
-        let mut buf = Vec::new();
-        encode_step(&mut buf, None, &rec);
-        // Patch the process delta to encode u32::MAX + 1.
+        // A one-activation step whose process delta encodes u32::MAX + 1.
         let mut patched = Vec::new();
         put_varint(&mut patched, 0); // step
         put_varint(&mut patched, 1); // count

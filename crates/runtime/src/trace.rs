@@ -2,13 +2,14 @@
 //!
 //! A [`StepRecord`] says, for one step, which processes the scheduler
 //! selected, which of them executed an action, which neighbors each of
-//! them read, and whose communication state changed. The executor builds
-//! one per step only while an attached
-//! [`TraceSink`](crate::telemetry::TraceSink) is recording, and hands it to
-//! that sink; see [`telemetry`](crate::telemetry) for the sinks and for
-//! replay, which compares every replayed record with the recorded one.
-//! The paper's measures do not need records: the executor always
-//! maintains them in the aggregated [`RunStats`](crate::stats::RunStats).
+//! them read, and whose communication state changed. It is the decoded
+//! form of one step of a [`Trace`](crate::telemetry::Trace): the executor
+//! never builds one, but encodes each step straight into the trace it
+//! records, and [`Trace::records`](crate::telemetry::Trace::records) and
+//! [`read_trace_file`](crate::telemetry::read_trace_file) decode them;
+//! replay compares every replayed record with the recorded one. The
+//! paper's measures do not need records: the executor always maintains
+//! them in the aggregated [`RunStats`](crate::stats::RunStats).
 
 use selfstab_graph::{NodeId, Port};
 
@@ -40,11 +41,6 @@ impl StepRecord {
     pub fn selected(&self) -> Vec<NodeId> {
         self.activations.iter().map(|a| a.process).collect()
     }
-
-    /// Returns `true` when some communication variable changed in this step.
-    pub fn any_comm_changed(&self) -> bool {
-        self.activations.iter().any(|a| a.comm_changed)
-    }
 }
 
 #[cfg(test)]
@@ -64,6 +60,5 @@ mod tests {
             activations: vec![activation(0, &[0, 1], true), activation(2, &[1], false)],
         };
         assert_eq!(r.selected(), vec![NodeId::new(0), NodeId::new(2)]);
-        assert!(r.any_comm_changed());
     }
 }

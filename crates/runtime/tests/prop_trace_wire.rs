@@ -1,22 +1,133 @@
 //! Property tests over the telemetry wire format: arbitrary
 //! [`StepRecord`] sequences — empty steps, backwards step jumps,
 //! duplicate and unsorted process ids, maximum-degree read lists,
-//! `u32`-boundary node ids — must round-trip byte-exactly through
-//! [`MemorySink`]'s delta/varint encoding, and bytes that no encoder
-//! wrote — random soup, or a trace file with overwritten bytes or a cut
-//! tail — must decode or fail with an error, never panic.
+//! `u32`-boundary node ids — must round-trip byte-exactly through a
+//! [`Trace`]'s delta/varint encoding, and bytes that no encoder wrote —
+//! random soup, or a trace file with overwritten bytes or a cut tail —
+//! must decode or fail with an error, never panic.
+//!
+//! Reading such a file must also request memory in proportion to the file,
+//! never to a count or length the file claims: a counting allocator sums
+//! the bytes [`read_trace_file`] requests, on the reading thread only, and
+//! the sum must stay within [`PER_BYTE`] bytes per byte of the file plus
+//! [`FIXED`].
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::Path;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use selfstab_graph::{NodeId, Port};
+use selfstab_runtime::telemetry::sstb::{TRACE_MAGIC, TRACE_VERSION};
 use selfstab_runtime::telemetry::wire;
 use selfstab_runtime::trace::{ActivationRecord, StepRecord};
-use selfstab_runtime::{
-    FileSink, MemorySink, TraceFileReader, TraceFooter, TraceHeader, TraceSink,
-};
+use selfstab_runtime::{read_trace_file, Trace, TraceFooter, TraceHeader};
+
+/// Bytes the reader may request per byte of the file, from the sizes the
+/// decoder builds (`StepRecord` and `ActivationRecord` 32 bytes, `Port` 4,
+/// as the assertions below pin):
+///
+/// * 1 for the file, read whole;
+/// * 128 for what one byte may decode into. A bitmap byte names up to 8
+///   ports of 4 bytes, pushed into a `Vec` whose growth (capacities 4, 8,
+///   16, …) requests at most 4 times its final length in all: 8 × 4 × 4. Nothing else decodes into more: a step
+///   record (32 bytes, in a `Vec` grown the same way, so under 128)
+///   takes at least 3 bytes (tag, step, count), an activation (32 bytes,
+///   sized exactly) at least 2 (process delta, reads tag), a listed port
+///   (4 bytes, sized exactly) at least 1, and the metadata 1 per byte;
+/// * 32 + 4 for the record that fails, whose activations and one list of
+///   ports are sized from counts bounded only by the bytes left, at most
+///   one per byte of the file. Decoding stops at the first failure.
+const PER_BYTE: usize = 1 + 128 + 32 + 4;
+
+const _: () = assert!(std::mem::size_of::<StepRecord>() == 32);
+const _: () = assert!(std::mem::size_of::<ActivationRecord>() == 32);
+const _: () = assert!(std::mem::size_of::<Port>() == 4);
+
+/// Bytes the reader may request whatever the file's length: one error
+/// message, which names the path or a few numbers, with room to spare.
+const FIXED: usize = 4096;
+
+thread_local! {
+    /// Bytes requested on this thread since counting began, or `None`
+    /// while it is not counting.
+    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+struct CountingAllocator;
+
+impl CountingAllocator {
+    fn count(size: usize) {
+        // `try_with`: the allocator may run while the thread's locals are
+        // torn down, and `REQUESTED` has no destructor to miss.
+        let _ = REQUESTED.try_with(|requested| {
+            if let Some(total) = requested.get() {
+                requested.set(Some(total.saturating_add(size)));
+            }
+        });
+    }
+}
+
+// SAFETY: delegates every operation unchanged to the `System` allocator;
+// the only addition is a thread-local sum of the requested sizes.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Reads the trace file at `path`, which holds `bytes`, and asserts that
+/// the reader requested at most `PER_BYTE` bytes per byte of it plus
+/// `FIXED`.
+fn read_within_the_allocation_bound(path: &Path, bytes: &[u8]) {
+    std::fs::write(path, bytes).expect("writes the trace file");
+    REQUESTED.with(|requested| requested.set(Some(0)));
+    let read = read_trace_file(path);
+    let requested = REQUESTED
+        .with(|requested| requested.replace(None))
+        .expect("counting");
+    drop(read);
+    let bound = PER_BYTE * bytes.len() + FIXED;
+    assert!(
+        requested <= bound,
+        "reading a {}-byte trace file requested {requested} bytes (bound {bound})",
+        bytes.len()
+    );
+}
+
+/// `len` bytes of soup, half of them below 4 so that counts and read tags
+/// stay plausible and decoding reaches past the first fields.
+fn byte_soup(rng: &mut StdRng, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                rng.gen_range(0..4u8)
+            } else {
+                rng.next_u32() as u8
+            }
+        })
+        .collect()
+}
 
 /// Builds a deterministic, deliberately adversarial record sequence from
 /// one sampled seed. The shapes this must cover (the proptest stub only
@@ -94,24 +205,26 @@ fn arbitrary_records(seed: u64, steps: usize) -> Vec<StepRecord> {
     records
 }
 
-/// Records `records` into a sealed trace file at `path` and returns its
+/// Writes `records` as a sealed trace file at `path` and returns its
 /// bytes.
 fn recorded_trace(path: &Path, records: &[StepRecord]) -> Vec<u8> {
+    let mut trace = Trace::new();
+    for record in records {
+        trace.push(record);
+    }
     let header = TraceHeader {
         node_count: 64,
         seed: 1,
         meta: "workload=ring(64)".to_string(),
     };
-    let mut sink = FileSink::create(path, &header).expect("creates the trace file");
-    for record in records {
-        sink.record_step(record);
-    }
     let footer = TraceFooter {
         steps: records.len() as u64,
         stats_digest: 2,
         config_digest: 3,
     };
-    sink.finish(&footer).expect("seals the trace file");
+    trace
+        .write_file(path, &header, &footer)
+        .expect("writes the trace file");
     std::fs::read(path).expect("reads the trace file back")
 }
 
@@ -122,18 +235,8 @@ proptest! {
     fn decode_step_fails_without_panicking_on_byte_soup(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..32 {
-            // Half the bytes small, so counts and read tags stay plausible
-            // and decoding reaches past the first fields.
             let len = rng.gen_range(0..256usize);
-            let bytes: Vec<u8> = (0..len)
-                .map(|_| {
-                    if rng.gen_bool(0.5) {
-                        rng.gen_range(0..4u8)
-                    } else {
-                        rng.next_u32() as u8
-                    }
-                })
-                .collect();
+            let bytes = byte_soup(&mut rng, len);
             let (mut pos, mut prev_step) = (0, None);
             // Every decoded record consumes at least one byte.
             while pos < bytes.len() {
@@ -146,7 +249,26 @@ proptest! {
     }
 
     #[test]
-    fn corrupted_trace_files_fail_without_panicking(
+    fn byte_soup_behind_a_trace_header_reads_without_panicking_within_the_allocation_bound(
+        seed in 0u64..1_000_000,
+    ) {
+        let path = std::env::temp_dir()
+            .join(format!("sstb_wire_soup_{seed}_{}.trace", std::process::id()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..32 {
+            // The magic and version, so the reader gets to the header and
+            // the step stream.
+            let mut bytes = TRACE_MAGIC.to_vec();
+            bytes.push(TRACE_VERSION);
+            let len = rng.gen_range(0..256usize);
+            bytes.extend(byte_soup(&mut rng, len));
+            read_within_the_allocation_bound(&path, &bytes);
+        }
+        std::fs::remove_file(&path).expect("removes the trace file");
+    }
+
+    #[test]
+    fn corrupted_trace_files_read_without_panicking_within_the_allocation_bound(
         seed in 0u64..1_000_000,
         steps in 1usize..20,
     ) {
@@ -164,10 +286,7 @@ proptest! {
             } else {
                 bytes.truncate(rng.gen_range(0..bytes.len()));
             }
-            std::fs::write(&path, &bytes).expect("writes the corrupted trace");
-            if let Ok(mut reader) = TraceFileReader::open(&path) {
-                let _ = reader.read_to_end();
-            }
+            read_within_the_allocation_bound(&path, &bytes);
         }
         std::fs::remove_file(&path).expect("removes the trace file");
     }
@@ -178,12 +297,11 @@ proptest! {
         steps in 0usize..40,
     ) {
         let records = arbitrary_records(seed, steps);
-        let mut sink = MemorySink::new();
+        let mut trace = Trace::new();
         for record in &records {
-            sink.record_step(record);
+            trace.push(record);
         }
-        prop_assert_eq!(sink.steps(), records.len() as u64);
-        let decoded = sink.decode_all().expect("generated streams are well-formed");
-        prop_assert_eq!(decoded, records);
+        prop_assert_eq!(trace.steps(), records.len() as u64);
+        prop_assert_eq!(trace.records(), records);
     }
 }

@@ -13,8 +13,6 @@
 //! what the executor recorded, and every trace record's read list must
 //! equal the reference's.
 
-use std::sync::{Arc, Mutex};
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
@@ -23,7 +21,7 @@ use selfstab_runtime::protocol::Protocol;
 use selfstab_runtime::scheduler::{DistributedRandom, Scheduler, Synchronous};
 use selfstab_runtime::stats::ProcessStats;
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{MemorySink, SimOptions, Simulation};
+use selfstab_runtime::{SimOptions, Simulation};
 
 /// Steps per case.
 const STEPS: u64 = 24;
@@ -261,8 +259,7 @@ fn check<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, coverage: &mut Co
         seed,
         SimOptions::default(),
     );
-    let sink = Arc::new(Mutex::new(MemorySink::new()));
-    sim.attach_trace_sink(Box::new(Arc::clone(&sink)));
+    sim.record_trace();
     let mut reference = Reference::new(graph);
     for step in 0..STEPS {
         if step == MARK_AT {
@@ -270,11 +267,10 @@ fn check<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, coverage: &mut Co
             reference.mark_suffix();
         }
         sim.step();
-        let record = sink
-            .lock()
-            .expect("the sink is not poisoned")
-            .decode_all()
-            .expect("the trace decodes")
+        let record = sim
+            .trace()
+            .expect("recording")
+            .records()
             .pop()
             .expect("one record per step");
         for activation in &record.activations {

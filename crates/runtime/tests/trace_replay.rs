@@ -3,12 +3,12 @@
 //! Each case runs a randomized protocol (the activation draws from the
 //! per-activation RNG, so the replay must reproduce the executor's RNG
 //! keying exactly) under one of the seven daemons, with mid-run fault
-//! injections driven by the fault-scenario engine, while a [`FileSink`]
-//! captures the step stream. The trace file is then read back and
-//! replayed through [`telemetry::replay`] with the same plan and fault
-//! RNG; the replayed [`RunStats`] and final configuration must equal the
-//! recording's both by `PartialEq` and by the FNV digests sealed in the
-//! trace footer.
+//! injections driven by the fault-scenario engine, while the simulation
+//! records its trace, which is then written as a trace file. The file is
+//! read back and replayed through [`telemetry::replay`] with the same plan
+//! and fault RNG; the replayed [`RunStats`] and final configuration must
+//! equal the recording's both by `PartialEq` and by the FNV digests sealed
+//! in the trace footer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -21,9 +21,9 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, Fair, LocallyCentral, Scheduler,
     StarvingAdversary, Synchronous,
 };
-use selfstab_runtime::telemetry::{self, Fnv64, TraceFileReader, TraceFooter, TraceHeader};
+use selfstab_runtime::telemetry::{self, read_trace_file, Fnv64, TraceFooter, TraceHeader};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{FileSink, RunStats, SimOptions, Simulation};
+use selfstab_runtime::{RunStats, SimOptions, Simulation};
 
 /// Greedy coloring whose repair move consults the activation RNG: a
 /// process in conflict with a neighbor jumps to a *random* free color.
@@ -137,16 +137,7 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
         seed,
         SimOptions::default(),
     );
-    let sink = FileSink::create(
-        &path,
-        &TraceHeader {
-            node_count: graph.node_count() as u64,
-            seed,
-            meta: format!("protocol=random-recolor;daemon={daemon};seed={seed}"),
-        },
-    )
-    .expect("creates trace file");
-    sim.attach_trace_sink(Box::new(sink));
+    sim.record_trace();
     let mut injector = FaultInjector::new(graph);
     let mut rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
     run_fault_plan(&mut sim, &plan(), &mut injector, &mut rng, MAX_STEPS);
@@ -156,19 +147,26 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
     let stats_digest = recorded_stats.digest();
     let cfg_digest = config_digest(sim.config());
     let recorded_config = sim.config().to_vec();
-    let mut sink = sim.detach_trace_sink().expect("sink attached");
-    sink.finish(&TraceFooter {
-        steps,
-        stats_digest,
-        config_digest: cfg_digest,
-    })
-    .expect("seals trace file");
+    let trace = sim.take_trace().expect("recording");
+    trace
+        .write_file(
+            &path,
+            &TraceHeader {
+                node_count: graph.node_count() as u64,
+                seed,
+                meta: format!("protocol=random-recolor;daemon={daemon};seed={seed}"),
+            },
+            &TraceFooter {
+                steps,
+                stats_digest,
+                config_digest: cfg_digest,
+            },
+        )
+        .expect("writes trace file");
 
     // Replay: every replayed step record is compared with the recorded
     // one, activation by activation (executed flag, comm flag, reads).
-    let mut reader = TraceFileReader::open(&path).expect("opens trace file");
-    let records = reader.read_to_end().expect("decodes step stream");
-    let footer = *reader.footer().expect("footer after the stream");
+    let (_, records, footer) = read_trace_file(&path).expect("reads trace file");
     assert_eq!(footer.steps, steps, "{daemon}");
 
     let mut replay_rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
@@ -244,44 +242,40 @@ fn corrupt_traces_are_rejected() {
         seed,
         SimOptions::default(),
     );
-    let sink = FileSink::create(
-        &path,
-        &TraceHeader {
-            node_count: 16,
-            seed,
-            meta: String::new(),
-        },
-    )
-    .expect("creates");
-    sim.attach_trace_sink(Box::new(sink));
+    sim.record_trace();
     let mut injector = FaultInjector::new(&ring);
     let mut rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
     run_fault_plan(&mut sim, &plan(), &mut injector, &mut rng, MAX_STEPS);
-    let steps = sim.steps();
-    let mut sink = sim.detach_trace_sink().expect("attached");
-    sink.finish(&TraceFooter {
-        steps,
-        stats_digest: sim.stats().digest(),
-        config_digest: config_digest(sim.config()),
-    })
-    .expect("seals");
+    let trace = sim.take_trace().expect("recording");
+    trace
+        .write_file(
+            &path,
+            &TraceHeader {
+                node_count: 16,
+                seed,
+                meta: String::new(),
+            },
+            &TraceFooter {
+                steps: sim.steps(),
+                stats_digest: sim.stats().digest(),
+                config_digest: config_digest(sim.config()),
+            },
+        )
+        .expect("writes");
 
     // Truncation: drop the footer and half a record.
     let bytes = std::fs::read(&path).expect("reads");
     let truncated = &bytes[..bytes.len() - 20];
     let trunc_path = path.with_extension("truncated");
     std::fs::write(&trunc_path, truncated).expect("writes");
-    let mut reader = TraceFileReader::open(&trunc_path).expect("header still valid");
-    let result = reader.read_to_end();
     assert!(
-        result.is_err() || reader.footer().is_none(),
-        "a truncated stream must not produce a sealed footer"
+        read_trace_file(&trunc_path).is_err(),
+        "a truncated stream must not read as a sealed trace"
     );
 
     // Replaying under the wrong seed must diverge (the executed sets
     // cannot match the recording's RNG stream).
-    let mut reader = TraceFileReader::open(&path).expect("opens");
-    let records = reader.read_to_end().expect("decodes");
+    let (_, records, _) = read_trace_file(&path).expect("reads");
     let mut wrong_rng = StdRng::seed_from_u64((seed + 1) ^ FAULT_RNG_SALT);
     let result = telemetry::replay(
         &ring,

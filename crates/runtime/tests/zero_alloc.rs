@@ -8,11 +8,13 @@
 //! `Box`, clone or format sneaking into `step()` (or into the schedulers'
 //! `select`) trips it immediately.
 //!
-//! The one deliberate exception is a trace sink: while one is attached,
-//! every step builds a record for it and therefore allocates by design;
-//! none is attached here, as in every large-scale experiment. Metrics stay
-//! disabled, as they are by default, so the registry costs one relaxed
-//! load per step.
+//! A recording simulation encodes each step straight into the trace it
+//! owns, so the traced lane allows it only the allocations of that
+//! buffer's growth: the buffer at least doubles whenever it grows, so a
+//! `B`-byte trace costs at most ⌈log₂ B⌉ + 1 allocation events, however
+//! many steps it holds. A step that built a record for each step would
+//! exceed that within a few steps. Metrics stay disabled, as they are by
+//! default, so the registry costs one relaxed load per step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,6 +219,40 @@ fn assert_zero_alloc_steady_state<S: Scheduler>(graph: &Graph, scheduler: S, dae
     );
 }
 
+/// Drives one daemon to silence untraced, then records 1,000 steps of
+/// fault injections and repairs, and asserts that the recording steps
+/// allocate only as often as the trace's buffer can have grown.
+fn assert_traced_steps_only_grow_the_trace<S: Scheduler>(
+    graph: &Graph,
+    scheduler: S,
+    daemon: &str,
+) {
+    let mut sim = Simulation::new(graph, MinValue, scheduler, 42, SimOptions::default());
+    let report = sim.run_until_silent(500_000);
+    assert!(report.silent, "{daemon}: MinValue must stabilize");
+    sim.run_steps(300);
+
+    let before = allocation_count();
+    sim.record_trace();
+    for round in 0..20u32 {
+        sim.set_state(
+            NodeId::new((5 * round as usize + 3) % graph.node_count()),
+            0,
+        );
+        sim.run_steps(50);
+    }
+    let events = allocation_count() - before;
+    let trace = sim.trace().expect("recording");
+    assert_eq!(trace.steps(), 1_000, "{daemon}");
+    let bytes = trace.bytes().len();
+    let bound = u64::from(bytes.next_power_of_two().trailing_zeros()) + 1;
+    assert!(
+        events <= bound,
+        "{daemon}: 1,000 traced steps allocated {events} times for a {bytes}-byte trace \
+         (at most {bound})"
+    );
+}
+
 #[test]
 fn steady_state_step_performs_zero_heap_allocations() {
     // One test function only: the counter is process-global, and a second
@@ -239,6 +275,13 @@ fn steady_state_step_performs_zero_heap_allocations() {
         "distributed-random/grid",
     );
     assert_zero_alloc_steady_state(&grid, LocallyCentral::new(0.4), "locally-central/grid");
+
+    assert_traced_steps_only_grow_the_trace(&ring, CentralRandom::new(), "traced/central-random");
+    assert_traced_steps_only_grow_the_trace(
+        &grid,
+        DistributedRandom::new(0.3),
+        "traced/distributed-random/grid",
+    );
 
     // Sanity check that the counter actually works: an explicit allocation
     // must register.
