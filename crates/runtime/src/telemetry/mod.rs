@@ -7,11 +7,12 @@
 //! it owns as the step runs, and nothing else.
 //!
 //! * [`wire`] — the delta-encoded, varint-packed binary format of one
-//!   step (a few bytes per activation instead of tens of JSON bytes).
-//! * [`sstb`] — [`Trace`], the encoded step stream, and the SSTB trace
-//!   file around it: [`Trace::write_file`] writes one in a call, and
-//!   [`read_trace_file`] reads one back whole, checking every length and
-//!   tag before it uses it.
+//!   step (a few bytes per activation instead of tens of JSON bytes), and
+//!   [`Trace`], the step stream a recording simulation encodes into it.
+//! * [`sstb`] — the SSTB trace file around a trace:
+//!   [`Trace::write_file`] writes one in a call, and [`read_trace_file`]
+//!   reads one back whole, checking every length and tag before it uses
+//!   it.
 //! * [`replay()`] — drives a fresh [`Simulation`](crate::Simulation) by a
 //!   recorded step stream, re-fires the recorded run's fault plan, and
 //!   compares every activation's executed flag, comm flag and read ports
@@ -41,5 +42,5 @@ pub mod wire;
 pub use digest::Fnv64;
 pub use metrics::{MetricsRegistry, StepPhase};
 pub use replay::{replay, DivergenceKind, ReplayDivergence, ReplayOutcome};
-pub use sstb::{read_trace_file, Trace, TraceFooter, TraceHeader, TraceReadError};
-pub use wire::WireError;
+pub use sstb::{read_trace_file, TraceFooter, TraceHeader, TraceReadError};
+pub use wire::{Trace, WireError};

@@ -1,12 +1,8 @@
-//! The owned trace, and the SSTB trace file around it.
+//! The SSTB trace file around a [`Trace`], and the decode loop of its
+//! tagged step stream.
 //!
-//! A [`Simulation`](crate::Simulation) that records
-//! ([`record_trace`](crate::Simulation::record_trace)) encodes every step
-//! into a [`Trace`] it owns: the step opens its record with its index and
-//! selection, and each activation appends its executed flag, comm flag
-//! and distinct read ports as it finishes (the [`wire`] format). A trace
-//! holds exactly a trace file's tagged step stream, so
-//! [`Trace::write_file`] writes a whole file in one call, and
+//! A trace holds exactly a trace file's tagged step stream (the [`wire`]
+//! format), so [`Trace::write_file`] writes a whole file in one call, and
 //! [`read_trace_file`] reads one back into its header, decoded records and
 //! footer:
 //!
@@ -23,11 +19,9 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use selfstab_graph::{NodeId, Port};
-
 use crate::trace::StepRecord;
 
-use super::wire::{self, WireError};
+use super::wire::{self, Trace, WireError, TAG_STEP};
 
 /// Magic bytes opening a trace file: "SSTB" (Self-Stabilization Trace,
 /// Binary).
@@ -39,9 +33,6 @@ pub const TRACE_MAGIC: [u8; 4] = *b"SSTB";
 /// [`RunStats::digest`](crate::stats::RunStats::digest) folds into the
 /// footer, so a version-1 footer cannot verify against a current replay.
 pub const TRACE_VERSION: u8 = 2;
-
-/// Tag byte preceding each encoded step in a trace file.
-const TAG_STEP: u8 = 0x01;
 
 /// Tag byte closing the step stream; the footer follows.
 const TAG_END: u8 = 0x00;
@@ -75,83 +66,14 @@ pub struct TraceFooter {
     pub config_digest: u64,
 }
 
-/// A recorded step stream, encoded as it is recorded: a trace file's
-/// tagged step stream, between its header and its end tag.
-///
-/// A simulation encodes into its trace without building a
-/// [`StepRecord`]; [`push`](Trace::push) encodes a decoded record through
-/// the same calls, and [`records`](Trace::records) decodes the stream.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    bytes: Vec<u8>,
-    steps: u64,
-    /// Step index of the last record opened, which the next one is
-    /// delta-coded against.
-    prev_step: Option<u64>,
-    /// The last record opened: the offset of its bitsets, its activation
-    /// count, and how many of its activations are written.
-    flags_at: usize,
-    count: usize,
-    written: usize,
-}
-
 impl Trace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// The encoded step stream: per step, the step tag and the step's
-    /// wire encoding.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Number of steps recorded.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Decodes every recorded step.
     pub fn records(&self) -> Vec<StepRecord> {
-        decode_steps(&self.bytes, &mut 0).expect("a trace holds only what its encoder wrote")
-    }
-
-    /// Appends `record`, encoded through the calls a recording simulation
-    /// makes.
-    pub fn push(&mut self, record: &StepRecord) {
-        self.open_step(record.step, record.activations.iter().map(|a| a.process));
-        for a in &record.activations {
-            self.push_activation(a.executed, a.comm_changed, &a.reads);
-        }
-    }
-
-    /// Opens the record of step `step`, whose activations are those of
-    /// the `selected` processes, in order.
-    pub(crate) fn open_step(&mut self, step: u64, selected: impl ExactSizeIterator<Item = NodeId>) {
-        debug_assert_eq!(self.written, self.count, "the previous record is complete");
-        self.bytes.push(TAG_STEP);
-        self.count = selected.len();
-        self.written = 0;
-        self.flags_at = wire::open_step(&mut self.bytes, self.prev_step, step, selected);
-        self.prev_step = Some(step);
-        self.steps += 1;
-    }
-
-    /// Appends the next activation of the open record.
-    #[inline]
-    pub(crate) fn push_activation(&mut self, executed: bool, comm_changed: bool, reads: &[Port]) {
-        debug_assert!(self.written < self.count, "the open record is complete");
-        wire::put_activation(
-            &mut self.bytes,
-            self.flags_at,
-            self.count,
-            self.written,
-            executed,
-            comm_changed,
-            reads,
-        );
-        self.written += 1;
+        let mut pos = 0;
+        let records = decode_steps(self.bytes(), &mut pos)
+            .expect("a trace holds only what its encoder wrote");
+        assert_eq!(pos, self.bytes().len(), "decoder consumed the whole stream");
+        records
     }
 
     /// Writes the trace file at `path` (truncating any existing file):
@@ -174,7 +96,7 @@ impl Trace {
         tail.extend_from_slice(&footer.config_digest.to_le_bytes());
         let mut file = File::create(path)?;
         file.write_all(&head)?;
-        file.write_all(&self.bytes)?;
+        file.write_all(self.bytes())?;
         file.write_all(&tail)
     }
 }
@@ -221,8 +143,9 @@ impl From<WireError> for TraceReadError {
 /// The bytes are untrusted. The file must open with the SSTB magic and
 /// version 2, its metadata length must fit in the file, every record must
 /// carry the step tag and decode (see [`WireError`]), the stream must end
-/// with the end tag, and the footer's step count must equal the number of
-/// records; otherwise the read fails with the first violation.
+/// with the end tag, the footer's step count must equal the number of
+/// records, and the footer must end the file; otherwise the read fails
+/// with the first violation.
 pub fn read_trace_file(
     path: &Path,
 ) -> Result<(TraceHeader, Vec<StepRecord>, TraceFooter), TraceReadError> {
@@ -280,6 +203,12 @@ pub fn read_trace_file(
             records.len()
         )));
     }
+    if pos != bytes.len() {
+        return Err(TraceReadError::Container(format!(
+            "the file runs {} bytes past its footer",
+            bytes.len() - pos
+        )));
+    }
     Ok((header, records, footer))
 }
 
@@ -331,6 +260,7 @@ pub(crate) fn next_step(
 mod tests {
     use super::*;
     use crate::trace::ActivationRecord;
+    use selfstab_graph::{NodeId, Port};
 
     fn sample_records() -> Vec<StepRecord> {
         (0..5)
@@ -465,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn reader_rejects_unknown_tags_a_missing_end_and_a_wrong_step_count() {
+    fn reader_rejects_unknown_tags_a_missing_end_a_wrong_step_count_and_a_long_tail() {
         let mut trace = Trace::new();
         for r in &sample_records() {
             trace.push(r);
@@ -492,6 +422,14 @@ mod tests {
                 assert!(reason.contains("footer claims 6 steps"), "{reason}");
             }
             other => panic!("expected a step-count error, got {other:?}"),
+        }
+        let mut bytes = file_bytes(&trace, steps);
+        bytes.push(TAG_END);
+        match read_bytes("tail", &bytes) {
+            Err(TraceReadError::Container(reason)) => {
+                assert!(reason.contains("1 bytes past its footer"), "{reason}");
+            }
+            other => panic!("expected a trailing-bytes error, got {other:?}"),
         }
     }
 }

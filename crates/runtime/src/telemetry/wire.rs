@@ -1,4 +1,5 @@
-//! Compact binary wire format for step records.
+//! Compact binary wire format for step records, and the [`Trace`] that
+//! encodes them.
 //!
 //! One [`StepRecord`] is encoded as:
 //!
@@ -24,10 +25,10 @@
 //!                                  first-read order
 //! ```
 //!
-//! The encoder writes a record in two calls, so the executor never builds
-//! one: `open_step` writes everything up to the zeroed bitsets once the
-//! selection is known, and `put_activation` sets one activation's bits
-//! and appends its reads as it finishes.
+//! [`Trace`] is the one encoder, and the executor never builds a record:
+//! it opens a step's record once the selection is known (everything up to
+//! the zeroed bitsets), and each activation sets its two bits and appends
+//! its reads as it finishes.
 //!
 //! The codec is lossless for *arbitrary* records (steps may go backwards,
 //! processes may repeat, reads may arrive in any order): delta encoding
@@ -174,48 +175,97 @@ fn list_len(reads: &[Port]) -> usize {
     total
 }
 
-/// Opens a record in `buf`: the step index, delta-coded against
-/// `prev_step` (`None` for the first record of a stream), the selected
-/// processes, and the executed and comm bitsets, zeroed. Returns the
-/// bitsets' offset, which each [`put_activation`] of the record takes.
-pub(crate) fn open_step(
-    buf: &mut Vec<u8>,
-    prev_step: Option<u64>,
-    step: u64,
-    selected: impl ExactSizeIterator<Item = NodeId>,
-) -> usize {
-    match prev_step {
-        None => put_varint(buf, step),
-        Some(prev) => put_delta(buf, prev, step),
-    }
-    let count = selected.len();
-    put_varint(buf, count as u64);
-    let mut prev_process = 0u64;
-    for p in selected {
-        put_delta(buf, prev_process, p.index() as u64);
-        prev_process = p.index() as u64;
-    }
-    let flags_at = buf.len();
-    buf.resize(flags_at + 2 * count.div_ceil(8), 0);
-    flags_at
-}
+/// Tag byte preceding each step record of a [`Trace`], and so of a trace
+/// file's step stream.
+pub(super) const TAG_STEP: u8 = 0x01;
 
-/// Writes activation `i` of the `count` activations of the record whose
-/// bitsets start at `flags_at`: sets its executed and comm bits and
-/// appends its reads. The activations of a record are written in order.
-pub(crate) fn put_activation(
-    buf: &mut Vec<u8>,
+/// A recorded step stream, encoded as it is recorded: per step, the step
+/// tag and the step's record. It is a trace file's tagged step stream,
+/// between the file's header and its end tag.
+///
+/// A recording simulation encodes into its trace without building a
+/// [`StepRecord`], and [`push`](Trace::push) encodes a decoded record
+/// through the same calls. [`records`](Trace::records) decodes the stream
+/// and [`write_file`](Trace::write_file) writes it as a trace file (both
+/// in [`sstb`](super::sstb), with the decode loop and the container).
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    bytes: Vec<u8>,
+    steps: u64,
+    /// Step index of the last record opened, which the next one is
+    /// delta-coded against.
+    prev_step: Option<u64>,
+    /// The last record opened: the offset of its bitsets, its activation
+    /// count, and how many of its activations are written.
     flags_at: usize,
     count: usize,
-    i: usize,
-    executed: bool,
-    comm_changed: bool,
-    reads: &[Port],
-) {
-    let executed_byte = flags_at + i / 8;
-    buf[executed_byte] |= u8::from(executed) << (i % 8);
-    buf[executed_byte + count.div_ceil(8)] |= u8::from(comm_changed) << (i % 8);
-    encode_reads(buf, reads);
+    written: usize,
+}
+
+impl Trace {
+    /// An empty trace.
+    pub fn new() -> Self {
+        Trace::default()
+    }
+
+    /// The encoded step stream: per step, the step tag and the step's
+    /// wire encoding.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Number of steps recorded.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Appends `record`, encoded through the calls a recording simulation
+    /// makes.
+    pub fn push(&mut self, record: &StepRecord) {
+        self.open_step(record.step, record.activations.iter().map(|a| a.process));
+        for a in &record.activations {
+            self.push_activation(a.executed, a.comm_changed, &a.reads);
+        }
+    }
+
+    /// Opens the record of step `step`, whose activations are those of
+    /// the `selected` processes, in order: the step tag, the step index
+    /// (delta-coded against the previous record's; the first is absolute),
+    /// the selected processes, and the executed and comm bitsets, zeroed.
+    pub(crate) fn open_step(&mut self, step: u64, selected: impl ExactSizeIterator<Item = NodeId>) {
+        debug_assert_eq!(self.written, self.count, "the previous record is complete");
+        let buf = &mut self.bytes;
+        buf.push(TAG_STEP);
+        match self.prev_step {
+            None => put_varint(buf, step),
+            Some(prev) => put_delta(buf, prev, step),
+        }
+        self.count = selected.len();
+        put_varint(buf, self.count as u64);
+        let mut prev_process = 0u64;
+        for p in selected {
+            put_delta(buf, prev_process, p.index() as u64);
+            prev_process = p.index() as u64;
+        }
+        self.flags_at = buf.len();
+        buf.resize(self.flags_at + 2 * self.count.div_ceil(8), 0);
+        self.written = 0;
+        self.prev_step = Some(step);
+        self.steps += 1;
+    }
+
+    /// Appends the next activation of the open record: sets its executed
+    /// and comm bits and appends its reads.
+    #[inline]
+    pub(crate) fn push_activation(&mut self, executed: bool, comm_changed: bool, reads: &[Port]) {
+        debug_assert!(self.written < self.count, "the open record is complete");
+        let i = self.written;
+        let executed_byte = self.flags_at + i / 8;
+        self.bytes[executed_byte] |= u8::from(executed) << (i % 8);
+        self.bytes[executed_byte + self.count.div_ceil(8)] |= u8::from(comm_changed) << (i % 8);
+        encode_reads(&mut self.bytes, reads);
+        self.written += 1;
+    }
 }
 
 /// Encodes one activation's read set: bitmap when ascending *and*
@@ -252,7 +302,7 @@ fn encode_reads(buf: &mut Vec<u8>, reads: &[Port]) {
 /// Decodes one step record from `input` at `*pos`, advancing the cursor.
 ///
 /// `prev_step` must be the step index of the previously decoded record
-/// (`None` for the first), mirroring `open_step`.
+/// (`None` for the first), mirroring `Trace::open_step`.
 pub fn decode_step(
     input: &[u8],
     pos: &mut usize,
@@ -397,7 +447,6 @@ fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Trace;
 
     #[test]
     fn varint_round_trip_boundaries() {
@@ -499,18 +548,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "decoder consumed the whole stream")]
+    fn records_reject_a_byte_the_decoder_leaves() {
+        // An end tag past the last record: the decode loop stops at it, so
+        // only the whole-stream check can notice it.
+        let mut trace = Trace::new();
+        trace.push(&record(0, &[(0, true, &[], false)]));
+        trace.bytes.push(0x00);
+        trace.records();
+    }
+
+    #[test]
     fn executor_shaped_records_cost_a_few_bytes_per_activation() {
         // 64 consecutive processes, 1 read each: the shape a silent
         // synchronous step produces under a 1-efficient protocol.
-        let mut buf = Vec::new();
-        let flags_at = open_step(&mut buf, Some(16), 17, (0..64).map(NodeId::new));
-        for i in 0..64 {
-            put_activation(&mut buf, flags_at, 64, i, false, false, &[Port::new(0)]);
+        let mut trace = Trace::new();
+        trace.open_step(17, (0..64).map(NodeId::new));
+        for _ in 0..64 {
+            trace.push_activation(false, false, &[Port::new(0)]);
         }
         assert!(
-            buf.len() <= 4 * 64,
+            trace.bytes().len() <= 4 * 64,
             "expected a few bytes per activation, got {} bytes for 64",
-            buf.len()
+            trace.bytes().len()
         );
     }
 
