@@ -148,10 +148,7 @@ impl Protocol for Mis {
 
     /// Evaluates the guarded actions of `p` in priority order and returns
     /// the successor state, or `None` when every action is disabled.
-    // `always`: with `#[inline]` alone it compiled out of line in the
-    // release benchmark binary, so every MIS activation built its view in
-    // a stack slot and called through it.
-    #[inline(always)]
+    #[inline]
     fn activate(
         &self,
         graph: &Graph,
