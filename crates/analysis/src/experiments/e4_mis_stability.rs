@@ -45,7 +45,7 @@ fn cell(graph: &Graph, config: &ExperimentConfig, seed: u64) -> CellOutcome<MisS
     sim.mark_suffix();
     sim.run_steps((graph.node_count() as u64) * 20);
     CellOutcome::Stabilized(MisStabilityRun {
-        stable: sim.stats().stable_process_count(1),
+        stable: sim.stats().stable_process_count(sim.graph(), 1),
         dominated,
     })
 }

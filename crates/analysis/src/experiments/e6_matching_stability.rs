@@ -39,7 +39,7 @@ fn cell(graph: &Graph, config: &ExperimentConfig, seed: u64) -> CellOutcome<Matc
     sim.run_steps((graph.node_count() as u64) * 20);
     CellOutcome::Stabilized(MatchingStabilityRun {
         matched,
-        stable: sim.stats().stable_process_count(1),
+        stable: sim.stats().stable_process_count(sim.graph(), 1),
     })
 }
 

@@ -212,7 +212,7 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
 
     let steps = sim.steps();
     let rounds = sim.stats().rounds;
-    let stats_digest = sim.stats().digest();
+    let stats_digest = sim.stats().digest(sim.graph());
     let config_digest = coloring_config_digest(sim.config());
     let trace = sim.take_trace().expect("recording since construction");
     trace.write_file(
@@ -281,7 +281,7 @@ pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
             outcome.steps, footer.steps
         ));
     }
-    let stats_digest = outcome.stats.digest();
+    let stats_digest = outcome.stats.digest(&graph);
     if stats_digest != footer.stats_digest {
         return Err(format!(
             "replayed RunStats digest {stats_digest:016x} does not match the recorded \

@@ -241,7 +241,7 @@ mod tests {
         sim.run_steps(500);
         // Every process reads at most one distinct neighbor over the whole
         // computation: 1-stability (Definition 7), not just ♦-1-stability.
-        assert_eq!(sim.stats().k_stable_process_count(1), 6);
+        assert_eq!(sim.stats().k_stable_process_count(sim.graph(), 1), 6);
         assert!(sim.stats().measured_efficiency() <= 1);
     }
 
@@ -258,7 +258,7 @@ mod tests {
             SimOptions::default(),
         );
         sim.run_steps(500);
-        assert_eq!(sim.stats().k_stable_process_count(1), 5);
+        assert_eq!(sim.stats().k_stable_process_count(sim.graph(), 1), 5);
     }
 
     #[test]

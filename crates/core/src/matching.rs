@@ -87,17 +87,18 @@ impl Matching {
 
     /// The protocol's output: the set of matched edges
     /// `{{p, q} : inMM[q].p ∨ inMM[p].q}` of a configuration, each edge
-    /// reported once.
+    /// reported once, as `(p, q)` with `p < q`, in order of `p` and then of
+    /// `p`'s ports.
+    ///
+    /// Linear in `m`, up to the `port_to` scan of each edge's upper
+    /// endpoint: each edge is tested once, from its lower endpoint.
     pub fn output(&self, graph: &Graph, config: &[MatchingState]) -> Vec<(NodeId, NodeId)> {
         let mut edges = Vec::new();
         for p in graph.nodes() {
-            for (port, q) in graph.ports(p) {
+            for (port, q) in graph.ports(p).filter(|&(_, q)| p < q) {
                 // The edge {p, q} is matched when inMM[q].p ∨ inMM[p].q.
                 if self.in_mm(graph, config, p, port) || self.in_mm_towards(graph, config, q, p) {
-                    let key = if p < q { (p, q) } else { (q, p) };
-                    if !edges.contains(&key) {
-                        edges.push(key);
-                    }
+                    edges.push((p, q));
                 }
             }
         }
@@ -366,9 +367,102 @@ impl Protocol for Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use selfstab_graph::generators;
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
+
+    /// `Matching::output` as it was when it was quadratic: every endpoint
+    /// tests every edge, and `Vec::contains` drops the second report.
+    fn quadratic_output(
+        protocol: &Matching,
+        graph: &Graph,
+        config: &[MatchingState],
+    ) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        for p in graph.nodes() {
+            for (port, q) in graph.ports(p) {
+                if protocol.in_mm(graph, config, p, port)
+                    || protocol.in_mm_towards(graph, config, q, p)
+                {
+                    let key = if p < q { (p, q) } else { (q, p) };
+                    if !edges.contains(&key) {
+                        edges.push(key);
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn output_equals_the_quadratic_scan_on_every_generator_family() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let graphs = [
+            generators::path(7),
+            generators::ring(9),
+            generators::complete(6),
+            generators::star(8),
+            generators::wheel(7),
+            generators::complete_bipartite(3, 4),
+            generators::grid(3, 4),
+            generators::torus(3, 4),
+            generators::balanced_tree(2, 3),
+            generators::caterpillar(4, 2),
+            generators::lollipop(4, 3),
+            generators::hypercube(3),
+            generators::barbell(4, 2),
+            generators::petersen(),
+            generators::random_tree(20, &mut rng),
+            generators::barabasi_albert(30, 2, &mut rng).unwrap(),
+            generators::gnp_connected(20, 0.2, &mut rng).unwrap(),
+            generators::gnm_connected(20, 40, &mut rng).unwrap(),
+            generators::random_regular(12, 3, &mut rng).unwrap(),
+            generators::theorem1_chain(),
+            generators::theorem1_spliced_chain(),
+            generators::theorem1_general(4).unwrap(),
+            generators::theorem2_network().graph,
+            generators::theorem2_general(4).unwrap().graph,
+            generators::figure9_path(9),
+            generators::figure11_example(),
+            Graph::from_edges(5, &[(0, 1), (1, 2)]).unwrap(),
+        ];
+        for graph in &graphs {
+            let protocol = protocol_for(graph);
+            // Arbitrary configurations, and the same ones with every
+            // process pointing at the neighbor it checks, where mutual
+            // pointers (matched edges) are common.
+            for _ in 0..20 {
+                let mut config: Vec<MatchingState> = graph
+                    .nodes()
+                    .map(|p| protocol.arbitrary_state(graph, p, &mut rng))
+                    .collect();
+                let expected = quadratic_output(&protocol, graph, &config);
+                assert_eq!(protocol.output(graph, &config), expected, "{graph}");
+                for state in &mut config {
+                    state.pr = Some(state.cur);
+                }
+                let expected = quadratic_output(&protocol, graph, &config);
+                assert_eq!(protocol.output(graph, &config), expected, "{graph}");
+            }
+            // The silent configurations runs reach: maximal matchings.
+            for seed in 0..3 {
+                let mut sim = Simulation::new(
+                    graph,
+                    protocol.clone(),
+                    DistributedRandom::new(0.5),
+                    seed,
+                    SimOptions::default(),
+                );
+                assert!(sim.run_until_silent(400_000).silent, "{graph}");
+                let output = protocol.output(graph, sim.config());
+                assert!(!output.is_empty(), "{graph}");
+                let expected = quadratic_output(&protocol, graph, sim.config());
+                assert_eq!(output, expected, "{graph}");
+            }
+        }
+    }
 
     #[test]
     fn matching_state_rows_are_16_bytes() {
@@ -493,7 +587,7 @@ mod tests {
         // their partner only.
         sim.mark_suffix();
         sim.run_steps(2_000);
-        assert!(sim.stats().stable_process_count(1) >= bound);
+        assert!(sim.stats().stable_process_count(sim.graph(), 1) >= bound);
     }
 
     #[test]

@@ -179,7 +179,7 @@ pub fn suffix_comm_report<P: Protocol>(
             graph,
             suffix_efficiency,
         ),
-        one_stable_processes: stats.stable_process_count(1),
+        one_stable_processes: stats.stable_process_count(graph, 1),
     }
 }
 

@@ -381,7 +381,7 @@ mod tests {
         // dominated process reads its single justifying neighbor only.
         sim.mark_suffix();
         sim.run_steps(2_000);
-        assert!(sim.stats().stable_process_count(1) >= bound);
+        assert!(sim.stats().stable_process_count(sim.graph(), 1) >= bound);
     }
 
     #[test]

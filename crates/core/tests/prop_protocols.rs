@@ -98,11 +98,11 @@ fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, s
         let reported = [
             (
                 row.max_reads_per_activation as usize,
-                stats.distinct_neighbors_ever(p),
+                stats.distinct_neighbors_ever(graph, p),
             ),
             (
                 row.max_reads_per_activation_since_marker as usize,
-                stats.distinct_neighbors_since_marker(p),
+                stats.distinct_neighbors_since_marker(graph, p),
             ),
         ];
         let from_records = [ever[p.index()], since_marker[p.index()]];
@@ -118,8 +118,8 @@ fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, s
     for k in 0..=graph.max_degree() + 1 {
         let at_most_k = |reads: &[(usize, usize)]| reads.iter().filter(|r| r.1 <= k).count();
         let counts = (
-            stats.k_stable_process_count(k),
-            stats.stable_process_count(k),
+            stats.k_stable_process_count(graph, k),
+            stats.stable_process_count(graph, k),
         );
         assert_eq!(
             counts,
@@ -225,7 +225,7 @@ proptest! {
         );
         sim.mark_suffix();
         sim.run_steps(1_000);
-        prop_assert!(sim.stats().stable_process_count(1) >= bound);
+        prop_assert!(sim.stats().stable_process_count(sim.graph(), 1) >= bound);
     }
 
     #[test]

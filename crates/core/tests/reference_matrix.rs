@@ -456,8 +456,8 @@ fn step_both<P: Protocol>(
         "{lane}: guard evaluations after step {step}"
     );
     assert_eq!(
-        e.stats().digest(),
-        l.stats().digest(),
+        e.stats().digest(e.graph()),
+        l.stats().digest(l.graph()),
         "{lane}: RunStats after step {step}"
     );
     assert_eq!(
@@ -640,7 +640,7 @@ fn record_replay_verifies_against_capture() {
     };
     let footer = TraceFooter {
         steps,
-        stats_digest: recorded_stats.digest(),
+        stats_digest: recorded_stats.digest(&graph),
         config_digest: mis_config_digest(&recorded_config),
     };
     trace
@@ -683,7 +683,7 @@ fn record_replay_verifies_against_capture() {
     assert_eq!(outcome.stats, recorded_stats, "replay: RunStats equality");
     assert_eq!(outcome.config, recorded_config, "replay: final config");
     assert_eq!(
-        outcome.stats.digest(),
+        outcome.stats.digest(&graph),
         footer.stats_digest,
         "replay: stats digest vs footer"
     );

@@ -7,6 +7,8 @@
 //! container type ([`LocalColoring`]), and helpers for the `#C` and `R(c)`
 //! quantities appearing in the MIS convergence bound (Lemma 4).
 
+use std::sync::Arc;
+
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::NodeId;
@@ -24,6 +26,9 @@ pub type Color = u32;
 /// A proper (distance-1) vertex coloring of a graph, used as the local
 /// identifiers `C.p` of the MIS and MATCHING protocols.
 ///
+/// The colors are constants, so clones share one per-process slice: a
+/// protocol built from a coloring clones in `O(#C)`, not `O(n)`.
+///
 /// # Example
 ///
 /// ```
@@ -36,7 +41,7 @@ pub type Color = u32;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalColoring {
-    colors: Vec<Color>,
+    colors: Arc<[Color]>,
     /// The distinct colors in use, sorted: `#C` is its length and `R(c)` a
     /// binary search into it.
     palette: Vec<Color>,
@@ -52,7 +57,10 @@ impl LocalColoring {
         palette.dedup();
         // A few distinct colors survive out of n entries: release the rest.
         palette.shrink_to_fit();
-        LocalColoring { colors, palette }
+        LocalColoring {
+            colors: colors.into(),
+            palette,
+        }
     }
 
     /// Wraps an explicit color assignment, checking that it is a proper
@@ -299,6 +307,28 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
         assert_eq!(c.colors(), &[3, 1]);
+    }
+
+    #[test]
+    fn clones_share_the_colors_and_compare_and_print_as_before() {
+        let c = greedy(&generators::grid(4, 5));
+        let clone = c.clone();
+        assert_eq!(clone.colors().as_ptr(), c.colors().as_ptr());
+        assert_eq!(clone, c);
+        assert_eq!(format!("{clone:?}"), format!("{c:?}"));
+        // Equality compares the colors, not where they are stored.
+        let copy = LocalColoring::new_unchecked(c.colors().to_vec());
+        assert_ne!(copy.colors().as_ptr(), c.colors().as_ptr());
+        assert_eq!(copy, c);
+        assert_ne!(
+            LocalColoring::new_unchecked(vec![3, 1]),
+            LocalColoring::new_unchecked(vec![1, 3])
+        );
+        // The same text as when the colors were a `Vec`.
+        assert_eq!(
+            format!("{:?}", LocalColoring::new_unchecked(vec![3, 1, 3])),
+            "LocalColoring { colors: [3, 1, 3], palette: [1, 3] }"
+        );
     }
 
     #[test]

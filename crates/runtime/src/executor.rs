@@ -42,16 +42,20 @@
 //!   order: each selected process reads the pre-step configuration
 //!   through a tracked view, built from its CSR row, which records each
 //!   distinct port it reads in one reused buffer; those ports go straight
-//!   into [`RunStats`], on the same row, and the new state is staged (the
-//!   store-wide totals take one add per step). By the [`Protocol`]
-//!   contract the activation returns a new state exactly when the
-//!   process's guard holds, so one write to the process's flag byte
-//!   settles its guard and marks it selected this round;
+//!   into [`RunStats`], on the same row (the store-wide totals take one
+//!   add per step), and the new state is staged with one flag: whether
+//!   its communication value differs from the cached one. By the
+//!   [`Protocol`] contract the activation returns a new state exactly
+//!   when the process's guard holds, so one write to the process's flag
+//!   byte settles its guard and marks it selected this round;
 //! * **A′. guard refresh** of the dirty guards no activation settled,
 //!   still against the pre-step configuration (nothing is left after A);
 //! * **D. merge** — the staged updates are applied simultaneously, keeping
 //!   the communication cache current and dirtying the guards they may
-//!   flip.
+//!   flip. The new communication value is not staged: [`Protocol::comm`]
+//!   is a projection of the state, so the merge derives it from the new
+//!   state for the updates whose flag is set; a step that changes no
+//!   communication value derives none.
 //!
 //! Either way every queued guard is settled once per step, against the
 //! same configuration, so the enabled set is exact at selection for a
@@ -198,9 +202,11 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// The processes whose dirty bit is set, each listed once; sized to
     /// `n` at construction, so it never grows.
     dirty_queue: Vec<NodeId>,
-    /// Staged updates `(process, state, comm, comm_changed)` of the
-    /// current step, applied simultaneously in the merge phase.
-    staged: Vec<(NodeId, P::State, P::Comm, bool)>,
+    /// Staged updates `(process, state, comm_changed)` of the current
+    /// step, applied simultaneously in the merge phase. The new comm is not
+    /// staged: it is a projection of the staged state, so the merge derives
+    /// it again for the entries whose flag is set.
+    staged: Vec<(NodeId, P::State, bool)>,
     /// Port slots lent to each activation's tracked view (`Δ` of them): the
     /// view writes the activation's distinct read ports into them, in
     /// first-read order, so recording reads never allocates.
@@ -281,7 +287,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             scheduler,
             rng: StdRng::seed_from_u64(seed),
             config,
-            stats: RunStats::new(graph.nodes().map(|p| graph.degree(p))),
+            stats: RunStats::new(graph),
             trace: None,
             options,
             step: 0,
@@ -614,13 +620,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             self.unselected_remaining -= usize::from(first_this_round);
             let mut comm_changed = false;
             if let Some(new_state) = new_state {
-                let new_comm = self.protocol.comm(p, &new_state);
-                comm_changed = new_comm != self.comm_cache[p.index()];
+                comm_changed = self.protocol.comm(p, &new_state) != self.comm_cache[p.index()];
                 if comm_changed {
                     self.stats.record_comm_change(step);
                     comm_changed_any = true;
                 }
-                self.staged.push((p, new_state, new_comm, comm_changed));
+                self.staged.push((p, new_state, comm_changed));
             }
             if let Some(trace) = &mut trace {
                 trace.push_activation(executed, comm_changed, reads);
@@ -641,15 +646,16 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // maintaining the communication cache and dirtying exactly the
         // guards the updates may flip: the updated process itself (guards
         // read the own full state) and, when its communication state
-        // changed, its neighbors.
+        // changed, its neighbors. The cache entry is derived from the new
+        // state, only where the activation found the comm changed.
         let clock = PhaseClock::start(metrics);
         // One staged update per executed activation.
         let executed = self.staged.len();
-        for (p, state, comm, comm_changed) in self.staged.drain(..) {
+        for (p, state, comm_changed) in self.staged.drain(..) {
             self.config[p.index()] = state;
             mark_dirty(&mut self.enabled, &mut self.dirty_queue, p);
             if comm_changed {
-                self.comm_cache[p.index()] = comm;
+                self.comm_cache[p.index()] = self.protocol.comm(p, &self.config[p.index()]);
                 for q in graph.neighbors(p) {
                     mark_dirty(&mut self.enabled, &mut self.dirty_queue, q);
                 }
@@ -1117,8 +1123,8 @@ mod tests {
         // activation still reads both neighbors to discover that (exactly the
         // "check every neighbor forever" cost the paper wants to avoid), so
         // every process is 2-stable but not 1-stable on the suffix.
-        assert_eq!(sim.stats().stable_process_count(2), 5);
-        assert_eq!(sim.stats().stable_process_count(1), 0);
+        assert_eq!(sim.stats().stable_process_count(&graph, 2), 5);
+        assert_eq!(sim.stats().stable_process_count(&graph, 1), 0);
     }
 
     #[test]

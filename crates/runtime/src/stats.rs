@@ -32,12 +32,12 @@
 //! activation writes exactly one scalar row and the flag bytes of the
 //! ports it read, on the graph row the executor loaded for the
 //! activation's view, and sets the whole row in one pass when it read
-//! every port. The store keeps its own `u32` copy of the row offsets only
-//! for the queries that take no graph (`distinct_neighbors_*`, the
-//! stability counts) and for [`RunStats::digest`]; debug builds check on
-//! every record that it equals the graph's. The footprint is
-//! `24·n + 4·(n + 1) + 2m` bytes (rows, offsets, one flag byte per port)
-//! with no per-process heap indirection.
+//! every port. The store keeps no offsets of its own: the queries that
+//! read the flags ([`RunStats::distinct_neighbors_ever`] and the rest)
+//! and [`RunStats::digest`] take the graph the statistics were built
+//! for, and assert its shape (`n` rows, `2m` flag bytes). The footprint
+//! is `24·n + 2m` bytes (rows, one flag byte per port) with no
+//! per-process heap indirection.
 //!
 //! Store-wide quantities are running aggregates instead of per-process
 //! counters, added once per step rather than once per activation: the
@@ -49,7 +49,7 @@
 
 use std::ops::Range;
 
-use selfstab_graph::{NodeId, Port};
+use selfstab_graph::{Graph, NodeId, Port};
 
 /// Port-flag bit: the port was read at least once since the beginning.
 const READ_EVER: u8 = 1;
@@ -85,13 +85,9 @@ pub struct ProcessStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     per_process: Vec<ProcessStats>,
-    /// CSR offsets into the flat port-flag array: process `p` owns
-    /// `port_offsets[p] .. port_offsets[p + 1]`, the graph's own row
-    /// offsets. Read by the graph-free queries and the digest only; the
-    /// record takes the row from the graph. `u32` suffices — the graph
-    /// builder caps the edge count so that `2m` fits.
-    port_offsets: Vec<u32>,
-    /// Flat per-port flags: [`READ_EVER`] | [`READ_SINCE_MARKER`] bits.
+    /// Flat per-port flags: [`READ_EVER`] | [`READ_SINCE_MARKER`] bits,
+    /// laid out like the graph's CSR arrays (process `p` owns
+    /// [`Graph::port_range`]`(p)`).
     port_flags: Vec<u8>,
     /// Total number of steps executed.
     pub steps: u64,
@@ -118,21 +114,13 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Creates empty statistics for processes with the given degrees, one
-    /// per process in [`NodeId`] order.
-    pub fn new(degrees: impl IntoIterator<Item = usize>) -> Self {
-        let degrees = degrees.into_iter();
-        let mut port_offsets = Vec::with_capacity(degrees.size_hint().0 + 1);
-        let mut total: u32 = 0;
-        port_offsets.push(0);
-        for d in degrees {
-            total += u32::try_from(d).expect("degree exceeds the u32 port space");
-            port_offsets.push(total);
-        }
+    /// Creates empty statistics for the processes of `graph`: one row per
+    /// process and one flag byte per port, laid out like the graph's CSR
+    /// arrays.
+    pub fn new(graph: &Graph) -> Self {
         RunStats {
-            per_process: vec![ProcessStats::default(); port_offsets.len() - 1],
-            port_offsets,
-            port_flags: vec![0; total as usize],
+            per_process: vec![ProcessStats::default(); graph.node_count()],
+            port_flags: vec![0; 2 * graph.edge_count()],
             steps: 0,
             rounds: 0,
             suffix_marker_step: None,
@@ -159,15 +147,21 @@ impl RunStats {
         &self.per_process
     }
 
-    /// Where `p`'s flag bytes sit in the flat flag array: the same range
-    /// as `p`'s row of the graph's CSR arrays.
-    fn port_range(&self, p: NodeId) -> Range<usize> {
-        self.port_offsets[p.index()] as usize..self.port_offsets[p.index() + 1] as usize
+    /// Checks that `graph` has the shape these statistics were built for:
+    /// one row per process and one flag byte per port. Every query that
+    /// takes the graph's layout calls this first.
+    fn assert_layout(&self, graph: &Graph) {
+        assert_eq!(
+            (self.per_process.len(), self.port_flags.len()),
+            (graph.node_count(), 2 * graph.edge_count()),
+            "statistics of another graph: (processes, ports) differ"
+        );
     }
 
-    /// Number of ports of `p` whose flag byte has `bit` set.
-    fn ports_with(&self, p: NodeId, bit: u8) -> usize {
-        self.port_flags[self.port_range(p)]
+    /// Number of ports of `p` whose flag byte has `bit` set; `p`'s flag
+    /// bytes are its row of `graph`'s CSR arrays.
+    fn ports_with(&self, graph: &Graph, p: NodeId, bit: u8) -> usize {
+        self.port_flags[graph.port_range(p)]
             .iter()
             .filter(|&&flags| flags & bit != 0)
             .count()
@@ -176,14 +170,26 @@ impl RunStats {
     /// Number of distinct neighbors `p` read since the start of the
     /// execution (`R_p(C)` of Definition 7 for the whole computation
     /// observed so far).
-    pub fn distinct_neighbors_ever(&self, p: NodeId) -> usize {
-        self.ports_with(p, READ_EVER)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not shaped like the graph these statistics
+    /// were built for, or if `p` is out of range.
+    pub fn distinct_neighbors_ever(&self, graph: &Graph, p: NodeId) -> usize {
+        self.assert_layout(graph);
+        self.ports_with(graph, p, READ_EVER)
     }
 
     /// Number of distinct neighbors `p` read since the last suffix marker
     /// (`R_p(C')` of Definitions 8–9 for the suffix starting at the marker).
-    pub fn distinct_neighbors_since_marker(&self, p: NodeId) -> usize {
-        self.ports_with(p, READ_SINCE_MARKER)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not shaped like the graph these statistics
+    /// were built for, or if `p` is out of range.
+    pub fn distinct_neighbors_since_marker(&self, graph: &Graph, p: NodeId) -> usize {
+        self.assert_layout(graph);
+        self.ports_with(graph, p, READ_SINCE_MARKER)
     }
 
     /// Records one activation of `p`: a selection that read the given
@@ -195,8 +201,8 @@ impl RunStats {
     /// `row` is `p`'s [`Graph::port_range`] in the graph these statistics
     /// were built for: the executor has just loaded it to build the
     /// activation's view, and the flag array is laid out like the graph's
-    /// CSR arrays, so the record reads no offset of its own. An
-    /// activation that read every port sets the whole row in one pass.
+    /// CSR arrays, so the record reads no offset. An activation that read
+    /// every port sets the whole row in one pass.
     /// The store-wide totals are not touched here: the executor adds a
     /// whole step's activations with [`RunStats::record_step_totals`].
     ///
@@ -209,13 +215,8 @@ impl RunStats {
         reads: &[Port],
         read_operations: usize,
     ) {
-        debug_assert_eq!(
-            row,
-            self.port_range(p),
-            "the graph's CSR row of {p} disagrees with the statistics' offsets"
-        );
-        // A distinct read set never exceeds the degree, which `RunStats::new`
-        // checked fits in `u32`.
+        // A distinct read set never exceeds the degree, which the graph
+        // builder keeps within `u32`.
         let distinct = u32::try_from(reads.len()).unwrap_or(u32::MAX);
         let stats = &mut self.per_process[p.index()];
         stats.selections += 1;
@@ -313,17 +314,31 @@ impl RunStats {
 
     /// Number of processes whose suffix read set has size at most `k` —
     /// the `x` of ♦-(x, k)-stability measured from the suffix marker.
-    pub fn stable_process_count(&self, k: usize) -> usize {
-        (0..self.per_process.len())
-            .filter(|&i| self.distinct_neighbors_since_marker(NodeId::new(i)) <= k)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not shaped like the graph these statistics
+    /// were built for.
+    pub fn stable_process_count(&self, graph: &Graph, k: usize) -> usize {
+        self.assert_layout(graph);
+        graph
+            .nodes()
+            .filter(|&p| self.ports_with(graph, p, READ_SINCE_MARKER) <= k)
             .count()
     }
 
     /// Number of processes whose *whole-execution* read set has size at most
     /// `k` (the unconditioned k-stability of Definition 7).
-    pub fn k_stable_process_count(&self, k: usize) -> usize {
-        (0..self.per_process.len())
-            .filter(|&i| self.distinct_neighbors_ever(NodeId::new(i)) <= k)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not shaped like the graph these statistics
+    /// were built for.
+    pub fn k_stable_process_count(&self, graph: &Graph, k: usize) -> usize {
+        self.assert_layout(graph);
+        graph
+            .nodes()
+            .filter(|&p| self.ports_with(graph, p, READ_EVER) <= k)
             .count()
     }
 
@@ -361,11 +376,18 @@ impl RunStats {
     /// byte-identity without the recording run's memory (in-process
     /// comparisons just use `==`).
     ///
-    /// Two stats stores compare equal iff they digest equal (modulo FNV
-    /// collisions): the digest folds every scalar, every CSR offset and
-    /// every port-flag byte in a canonical order, with `Option`s encoded
-    /// as a presence bit before the value.
-    pub fn digest(&self) -> u64 {
+    /// Two stats stores of one graph compare equal iff they digest equal
+    /// (modulo FNV collisions): the digest folds every scalar, every CSR
+    /// offset of `graph` (the layout of the flag bytes) and every
+    /// port-flag byte in a canonical order, with `Option`s encoded as a
+    /// presence bit before the value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not shaped like the graph these statistics
+    /// were built for.
+    pub fn digest(&self, graph: &Graph) -> u64 {
+        self.assert_layout(graph);
         let mut fnv = crate::telemetry::Fnv64::new();
         let write_opt = |fnv: &mut crate::telemetry::Fnv64, value: Option<u64>| {
             fnv.write_bool(value.is_some());
@@ -387,8 +409,10 @@ impl RunStats {
             fnv.write_u64(u64::from(stats.max_reads_per_activation));
             fnv.write_u64(u64::from(stats.max_reads_per_activation_since_marker));
         }
-        for &offset in &self.port_offsets {
-            fnv.write_u64(u64::from(offset));
+        // The `n + 1` row offsets, in order: 0, then where each row ends.
+        fnv.write_u64(0);
+        for p in graph.nodes() {
+            fnv.write_u64(graph.port_range(p).end as u64);
         }
         for &flags in &self.port_flags {
             fnv.write_u64(u64::from(flags));
@@ -402,22 +426,27 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use selfstab_graph::{generators, Graph};
+    use selfstab_graph::generators;
 
-    /// Records one activation of `p` as the executor does: on `p`'s row,
-    /// with the store-wide totals added after it.
-    fn record(stats: &mut RunStats, p: NodeId, reads: &[usize], read_operations: usize) {
+    /// Records one activation of `p` as the executor does: on `p`'s row of
+    /// `graph`, with the store-wide totals added after it.
+    fn record(
+        stats: &mut RunStats,
+        graph: &Graph,
+        p: NodeId,
+        reads: &[usize],
+        read_operations: usize,
+    ) {
         let reads: Vec<Port> = reads.iter().map(|&r| Port::new(r)).collect();
-        let row = stats.port_range(p);
-        stats.record_activation(p, row, &reads, read_operations);
+        stats.record_activation(p, graph.port_range(p), &reads, read_operations);
         stats.record_step_totals(1, read_operations as u64);
     }
 
     #[test]
-    fn offsets_are_the_graphs_csr_row_starts_on_every_generator_family() {
-        // The executor records each activation on the graph's CSR row, so
-        // the statistics' own offsets, which its graph-free queries and
-        // `digest` read, must lay the flag array out exactly like it.
+    fn flags_follow_the_graphs_csr_rows_on_every_generator_family() {
+        // The executor records each activation on the graph's CSR row, and
+        // the queries read the flags back through the same rows: one flag
+        // byte per port, in the graph's order.
         let mut rng = StdRng::seed_from_u64(1);
         let graphs = [
             generators::path(7),
@@ -450,21 +479,46 @@ mod tests {
             Graph::from_edges(5, &[(0, 1), (1, 2)]).unwrap(),
         ];
         for graph in &graphs {
-            let stats = RunStats::new(graph.nodes().map(|p| graph.degree(p)));
-            for p in graph.nodes() {
-                assert_eq!(stats.port_range(p), graph.port_range(p), "{graph}: {p}");
+            let mut stats = RunStats::new(graph);
+            assert_eq!(stats.processes().len(), graph.node_count(), "{graph}");
+            assert_eq!(stats.port_flags.len(), 2 * graph.edge_count(), "{graph}");
+            // Every process reads its last port.
+            for p in graph.nodes().filter(|&p| graph.degree(p) > 0) {
+                record(&mut stats, graph, p, &[graph.degree(p) - 1], 1);
             }
-            assert_eq!(stats.port_offsets.len(), graph.node_count() + 1);
-            assert_eq!(stats.port_flags.len(), 2 * graph.edge_count());
+            for p in graph.nodes() {
+                let row = &stats.port_flags[graph.port_range(p)];
+                if let Some((last, rest)) = row.split_last() {
+                    assert_eq!(*last, READ_EVER | READ_SINCE_MARKER, "{graph}: {p}");
+                    assert!(rest.iter().all(|&flags| flags == 0), "{graph}: {p}");
+                }
+                let read = usize::from(!row.is_empty());
+                assert_eq!(
+                    stats.distinct_neighbors_ever(graph, p),
+                    read,
+                    "{graph}: {p}"
+                );
+                assert_eq!(
+                    stats.distinct_neighbors_since_marker(graph, p),
+                    read,
+                    "{graph}: {p}"
+                );
+            }
+            assert_eq!(
+                stats.k_stable_process_count(graph, 0),
+                graph.nodes().filter(|&p| graph.degree(p) == 0).count()
+            );
+            assert_eq!(stats.stable_process_count(graph, 1), graph.node_count());
         }
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "disagrees with the statistics' offsets")]
-    fn recording_on_a_row_of_another_layout_fails_in_debug_builds() {
-        let mut stats = RunStats::new([2, 3]);
-        stats.record_activation(NodeId::new(1), 0..3, &[], 0);
+    #[should_panic(expected = "statistics of another graph")]
+    fn queries_reject_a_graph_of_another_shape() {
+        // ring(4) and path(4) have the same processes but not the same
+        // number of ports.
+        let stats = RunStats::new(&generators::ring(4));
+        let _ = stats.digest(&generators::path(4));
     }
 
     #[test]
@@ -476,17 +530,19 @@ mod tests {
 
     #[test]
     fn activation_accounting() {
-        let mut stats = RunStats::new([3, 2]);
+        // Both processes have three ports.
+        let graph = generators::complete(4);
+        let mut stats = RunStats::new(&graph);
         let p0 = NodeId::new(0);
         let p1 = NodeId::new(1);
-        record(&mut stats, p0, &[0, 2], 5);
-        record(&mut stats, p1, &[1], 1);
+        record(&mut stats, &graph, p0, &[0, 2], 5);
+        record(&mut stats, &graph, p1, &[1], 1);
         stats.record_comm_change(0);
 
         assert_eq!(stats.process(p0).selections, 1);
         assert_eq!(stats.process(p0).max_reads_per_activation, 2);
         assert_eq!(stats.process(p0).total_read_operations, 5);
-        assert_eq!(stats.distinct_neighbors_ever(p0), 2);
+        assert_eq!(stats.distinct_neighbors_ever(&graph, p0), 2);
         assert_eq!(stats.process(p1).selections, 1);
         assert_eq!(stats.process(p1).total_read_operations, 1);
         assert_eq!(stats.measured_efficiency(), 2);
@@ -503,33 +559,36 @@ mod tests {
 
     #[test]
     fn suffix_marker_resets_suffix_read_sets_only() {
-        let mut stats = RunStats::new([2]);
+        // Process 0 has two ports; the other two processes read nothing.
+        let graph = generators::ring(3);
+        let mut stats = RunStats::new(&graph);
         let p = NodeId::new(0);
-        record(&mut stats, p, &[0, 1], 2);
-        assert_eq!(stats.distinct_neighbors_since_marker(p), 2);
+        record(&mut stats, &graph, p, &[0, 1], 2);
+        assert_eq!(stats.distinct_neighbors_since_marker(&graph, p), 2);
         stats.mark_suffix(10);
         assert_eq!(stats.suffix_marker_step, Some(10));
-        assert_eq!(stats.distinct_neighbors_since_marker(p), 0);
-        assert_eq!(stats.distinct_neighbors_ever(p), 2);
-        record(&mut stats, p, &[1], 1);
-        assert_eq!(stats.distinct_neighbors_since_marker(p), 1);
-        assert_eq!(stats.distinct_neighbors_ever(p), 2);
-        assert_eq!(stats.stable_process_count(1), 1);
-        assert_eq!(stats.stable_process_count(0), 0);
+        assert_eq!(stats.distinct_neighbors_since_marker(&graph, p), 0);
+        assert_eq!(stats.distinct_neighbors_ever(&graph, p), 2);
+        record(&mut stats, &graph, p, &[1], 1);
+        assert_eq!(stats.distinct_neighbors_since_marker(&graph, p), 1);
+        assert_eq!(stats.distinct_neighbors_ever(&graph, p), 2);
+        assert_eq!(stats.stable_process_count(&graph, 1), 3);
+        assert_eq!(stats.stable_process_count(&graph, 0), 2);
     }
 
     #[test]
     fn suffix_marker_resets_read_and_selection_counters() {
-        let mut stats = RunStats::new([2, 2]);
+        let graph = generators::ring(3);
+        let mut stats = RunStats::new(&graph);
         let p0 = NodeId::new(0);
-        record(&mut stats, p0, &[0], 3);
+        record(&mut stats, &graph, p0, &[0], 3);
         assert_eq!(stats.suffix_read_operations(), 3);
         assert_eq!(stats.suffix_selections(), 1);
         stats.mark_suffix(5);
         assert_eq!(stats.suffix_read_operations(), 0);
         assert_eq!(stats.suffix_selections(), 0);
         assert_eq!(stats.process(p0).total_read_operations, 3);
-        record(&mut stats, p0, &[1], 2);
+        record(&mut stats, &graph, p0, &[1], 2);
         assert_eq!(stats.suffix_read_operations(), 2);
         assert_eq!(stats.suffix_selections(), 1);
         // The per-process rows keep whole-execution totals.
@@ -540,12 +599,13 @@ mod tests {
 
     #[test]
     fn suffix_totals_follow_the_latest_marker() {
-        // Three processes of degree 3, 1 and 2.
-        let degrees = [3usize, 1, 2];
-        let mut stats = RunStats::new(degrees);
+        // Processes 0, 1 and 2 have 3, 1 and 2 ports; process 3 never
+        // moves.
+        let graph = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (2, 3)]).unwrap();
+        let mut stats = RunStats::new(&graph);
         let step = |stats: &mut RunStats, acts: &[(usize, &[usize], usize)]| {
             for &(i, reads, ops) in acts {
-                record(stats, NodeId::new(i), reads, ops);
+                record(stats, &graph, NodeId::new(i), reads, ops);
             }
         };
 
@@ -582,36 +642,39 @@ mod tests {
         assert_eq!(stats.total_read_operations(), 8 + 3 + 4);
         assert_eq!(stats.measured_efficiency(), 3);
         let selections: Vec<u64> = stats.processes().iter().map(|s| s.selections).collect();
-        assert_eq!(selections, vec![3, 2, 3]);
+        assert_eq!(selections, vec![3, 2, 3, 0]);
     }
 
     #[test]
     fn suffix_efficiency_only_sees_post_marker_activations() {
-        let mut stats = RunStats::new([3]);
+        // The hub of star(4) has three ports.
+        let graph = generators::star(4);
+        let mut stats = RunStats::new(&graph);
         let p = NodeId::new(0);
-        record(&mut stats, p, &[0, 1, 2], 3);
+        record(&mut stats, &graph, p, &[0, 1, 2], 3);
         assert_eq!(stats.measured_efficiency(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 3);
         stats.mark_suffix(1);
         assert_eq!(stats.suffix_measured_efficiency(), 0);
-        record(&mut stats, p, &[1], 1);
+        record(&mut stats, &graph, p, &[1], 1);
         // Whole-run efficiency remembers the repair; the suffix shows the
         // protocol is eventually 1-efficient.
         assert_eq!(stats.measured_efficiency(), 3);
         assert_eq!(stats.suffix_measured_efficiency(), 1);
         // A later activation with fewer reads keeps the suffix maximum.
-        record(&mut stats, p, &[], 0);
+        record(&mut stats, &graph, p, &[], 0);
         assert_eq!(stats.suffix_measured_efficiency(), 1);
     }
 
     #[test]
     fn stability_counts() {
-        let mut stats = RunStats::new([2, 2, 2]);
-        record(&mut stats, NodeId::new(0), &[0], 1);
-        record(&mut stats, NodeId::new(1), &[0, 1], 2);
+        let graph = generators::ring(3);
+        let mut stats = RunStats::new(&graph);
+        record(&mut stats, &graph, NodeId::new(0), &[0], 1);
+        record(&mut stats, &graph, NodeId::new(1), &[0, 1], 2);
         // Process 2 never reads anyone.
-        assert_eq!(stats.k_stable_process_count(0), 1);
-        assert_eq!(stats.k_stable_process_count(1), 2);
-        assert_eq!(stats.k_stable_process_count(2), 3);
+        assert_eq!(stats.k_stable_process_count(&graph, 0), 1);
+        assert_eq!(stats.k_stable_process_count(&graph, 1), 2);
+        assert_eq!(stats.k_stable_process_count(&graph, 2), 3);
     }
 }

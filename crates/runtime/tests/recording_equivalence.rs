@@ -300,8 +300,8 @@ fn check<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, coverage: &mut Co
                 .count();
             assert_eq!(
                 (
-                    stats.distinct_neighbors_ever(p),
-                    stats.distinct_neighbors_since_marker(p)
+                    stats.distinct_neighbors_ever(graph, p),
+                    stats.distinct_neighbors_since_marker(graph, p)
                 ),
                 (ever, since),
                 "{label}: read sets of {p} after step {step}"

@@ -144,7 +144,7 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
     let steps = sim.steps();
     assert!(steps > 0, "{daemon}: the scenario must execute steps");
     let recorded_stats: RunStats = sim.stats().clone();
-    let stats_digest = recorded_stats.digest();
+    let stats_digest = recorded_stats.digest(graph);
     let cfg_digest = config_digest(sim.config());
     let recorded_config = sim.config().to_vec();
     let trace = sim.take_trace().expect("recording");
@@ -190,7 +190,7 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
     assert_eq!(outcome.stats, recorded_stats, "{daemon}: RunStats equality");
     assert_eq!(outcome.config, recorded_config, "{daemon}: final config");
     assert_eq!(
-        outcome.stats.digest(),
+        outcome.stats.digest(graph),
         footer.stats_digest,
         "{daemon}: stats digest vs footer"
     );
@@ -257,7 +257,7 @@ fn corrupt_traces_are_rejected() {
             },
             &TraceFooter {
                 steps: sim.steps(),
-                stats_digest: sim.stats().digest(),
+                stats_digest: sim.stats().digest(sim.graph()),
                 config_digest: config_digest(sim.config()),
             },
         )

@@ -55,7 +55,7 @@ fn main() {
     let bound = Mis::stability_bound(lmax);
     println!(
         "once stable      : {} of {} radios read a single fixed neighbor (Theorem 6 bound >= {bound}, Lmax >= {lmax})",
-        sim.stats().stable_process_count(1),
+        sim.stats().stable_process_count(sim.graph(), 1),
         graph.node_count()
     );
 

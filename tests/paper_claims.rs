@@ -84,7 +84,7 @@ fn theorem_6_mis_stability_bound() {
     assert!(sim.run_until_silent(2_000_000).silent);
     sim.mark_suffix();
     sim.run_steps(3_000);
-    assert!(sim.stats().stable_process_count(1) >= bound);
+    assert!(sim.stats().stable_process_count(sim.graph(), 1) >= bound);
     // The dominated processes are exactly the ones that settled on one
     // neighbor; on a path at least half the processes are dominated.
     let dominated = sim
