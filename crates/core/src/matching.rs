@@ -373,8 +373,9 @@ mod tests {
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
-    /// `Matching::output` as it was when it was quadratic: every endpoint
-    /// tests every edge, and `Vec::contains` drops the second report.
+    /// The reference for `Matching::output`, quadratic in the matching's
+    /// size: every endpoint tests every edge, and `Vec::contains` drops
+    /// the second report, so edges come in the order they are first met.
     fn quadratic_output(
         protocol: &Matching,
         graph: &Graph,

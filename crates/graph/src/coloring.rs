@@ -310,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_colors_and_compare_and_print_as_before() {
+    fn clones_share_the_colors_and_compare_by_content() {
         let c = greedy(&generators::grid(4, 5));
         let clone = c.clone();
         assert_eq!(clone.colors().as_ptr(), c.colors().as_ptr());
@@ -324,7 +324,7 @@ mod tests {
             LocalColoring::new_unchecked(vec![3, 1]),
             LocalColoring::new_unchecked(vec![1, 3])
         );
-        // The same text as when the colors were a `Vec`.
+        // Debug prints the colors as a list.
         assert_eq!(
             format!("{:?}", LocalColoring::new_unchecked(vec![3, 1, 3])),
             "LocalColoring { colors: [3, 1, 3], palette: [1, 3] }"

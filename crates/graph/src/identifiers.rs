@@ -12,8 +12,6 @@
 //! [`NodeId`]. [`Identifiers::min_id_node`] is the oracle leader the test
 //! suites verify stabilized configurations against.
 
-use std::sync::Arc;
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -26,7 +24,6 @@ use crate::node::NodeId;
 /// (typically electing the minimum) but must not exploit their numeric
 /// structure. [`Identifiers::shuffled`] deliberately decorrelates identifier
 /// order from process indices, which the test suites use to check that.
-/// The identifiers are constants, so clones share one per-process slice.
 ///
 /// # Example
 ///
@@ -39,7 +36,7 @@ use crate::node::NodeId;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Identifiers {
-    ids: Arc<[u64]>,
+    ids: Vec<u64>,
 }
 
 impl Identifiers {
@@ -56,7 +53,7 @@ impl Identifiers {
     pub fn shuffled<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         let mut ids: Vec<u64> = (0..n as u64).collect();
         ids.shuffle(rng);
-        Identifiers { ids: ids.into() }
+        Identifiers { ids }
     }
 
     /// Explicit identifier assignment (`ids[p]` is the identifier of
@@ -74,7 +71,7 @@ impl Identifiers {
                 reason: "identifiers must be pairwise distinct".into(),
             });
         }
-        Ok(Identifiers { ids: ids.into() })
+        Ok(Identifiers { ids })
     }
 
     /// Number of processes covered.
@@ -159,28 +156,6 @@ mod tests {
         let ids = Identifiers::from_vec(vec![30, 10, 20]).unwrap();
         assert_eq!(ids.min_id_node(), Some(NodeId::new(1)));
         assert_eq!(ids.max_id(), Some(30));
-    }
-
-    #[test]
-    fn clones_share_the_identifiers_and_compare_and_print_as_before() {
-        let ids = Identifiers::shuffled(20, &mut StdRng::seed_from_u64(5));
-        let clone = ids.clone();
-        assert_eq!(clone.ids.as_ptr(), ids.ids.as_ptr());
-        assert_eq!(clone, ids);
-        assert_eq!(format!("{clone:?}"), format!("{ids:?}"));
-        // Equality compares the identifiers, not where they are stored.
-        let copy = Identifiers::from_vec(ids.ids.to_vec()).unwrap();
-        assert_ne!(copy.ids.as_ptr(), ids.ids.as_ptr());
-        assert_eq!(copy, ids);
-        assert_ne!(
-            Identifiers::sequential(3),
-            Identifiers::from_vec(vec![2, 1, 0]).unwrap()
-        );
-        // The same text as when the identifiers were a `Vec`.
-        assert_eq!(
-            format!("{:?}", Identifiers::from_vec(vec![30, 10, 20]).unwrap()),
-            "Identifiers { ids: [30, 10, 20] }"
-        );
     }
 
     #[test]

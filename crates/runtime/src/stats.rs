@@ -34,8 +34,11 @@
 //! activation's view, and sets the whole row in one pass when it read
 //! every port. The store keeps no offsets of its own: the queries that
 //! read the flags ([`RunStats::distinct_neighbors_ever`] and the rest)
-//! and [`RunStats::digest`] take the graph the statistics were built
-//! for, and assert its shape (`n` rows, `2m` flag bytes). The footprint
+//! and [`RunStats::digest`] take the graph, and the caller must pass the
+//! one the statistics were built for (the graph the simulation ran on).
+//! They assert only its process and port counts (`n` rows, `2m` flag
+//! bytes), not its rows: another graph with the same counts reads the
+//! flags of the wrong rows without a panic. The footprint
 //! is `24·n + 2m` bytes (rows, one flag byte per port) with no
 //! per-process heap indirection.
 //!
@@ -147,9 +150,11 @@ impl RunStats {
         &self.per_process
     }
 
-    /// Checks that `graph` has the shape these statistics were built for:
-    /// one row per process and one flag byte per port. Every query that
-    /// takes the graph's layout calls this first.
+    /// Checks that `graph` has as many processes and ports as the graph
+    /// these statistics were built for. Every query that takes the
+    /// graph's layout calls this first. It cannot tell apart two graphs
+    /// with equal counts (`star(4)` and `path(4)`), so it catches a wrong
+    /// graph only when its size differs.
     fn assert_layout(&self, graph: &Graph) {
         assert_eq!(
             (self.per_process.len(), self.port_flags.len()),
@@ -173,8 +178,9 @@ impl RunStats {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` is not shaped like the graph these statistics
-    /// were built for, or if `p` is out of range.
+    /// Panics if `graph` has another process or port count than the graph
+    /// these statistics were built for (its rows are not compared), or if
+    /// `p` is out of range.
     pub fn distinct_neighbors_ever(&self, graph: &Graph, p: NodeId) -> usize {
         self.assert_layout(graph);
         self.ports_with(graph, p, READ_EVER)
@@ -185,8 +191,9 @@ impl RunStats {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` is not shaped like the graph these statistics
-    /// were built for, or if `p` is out of range.
+    /// Panics if `graph` has another process or port count than the graph
+    /// these statistics were built for (its rows are not compared), or if
+    /// `p` is out of range.
     pub fn distinct_neighbors_since_marker(&self, graph: &Graph, p: NodeId) -> usize {
         self.assert_layout(graph);
         self.ports_with(graph, p, READ_SINCE_MARKER)
@@ -317,8 +324,8 @@ impl RunStats {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` is not shaped like the graph these statistics
-    /// were built for.
+    /// Panics if `graph` has another process or port count than the graph
+    /// these statistics were built for (its rows are not compared).
     pub fn stable_process_count(&self, graph: &Graph, k: usize) -> usize {
         self.assert_layout(graph);
         graph
@@ -332,8 +339,8 @@ impl RunStats {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` is not shaped like the graph these statistics
-    /// were built for.
+    /// Panics if `graph` has another process or port count than the graph
+    /// these statistics were built for (its rows are not compared).
     pub fn k_stable_process_count(&self, graph: &Graph, k: usize) -> usize {
         self.assert_layout(graph);
         graph
@@ -384,8 +391,8 @@ impl RunStats {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` is not shaped like the graph these statistics
-    /// were built for.
+    /// Panics if `graph` has another process or port count than the graph
+    /// these statistics were built for (its rows are not compared).
     pub fn digest(&self, graph: &Graph) -> u64 {
         self.assert_layout(graph);
         let mut fnv = crate::telemetry::Fnv64::new();
@@ -516,7 +523,9 @@ mod tests {
     #[should_panic(expected = "statistics of another graph")]
     fn queries_reject_a_graph_of_another_shape() {
         // ring(4) and path(4) have the same processes but not the same
-        // number of ports.
+        // number of ports. A graph with the same counts as the one the
+        // statistics were built for (star(4) for path(4)) is not caught:
+        // the check compares counts, not rows.
         let stats = RunStats::new(&generators::ring(4));
         let _ = stats.digest(&generators::path(4));
     }
