@@ -246,7 +246,7 @@ pub fn record(spec: &TraceCellSpec, path: &Path) -> io::Result<TraceRunSummary> 
 /// Returns the replayed run's summary — identical to the recording's —
 /// or a description of the first divergence.
 pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
-    let (header, records, footer) = read_trace_file(path).map_err(|err| err.to_string())?;
+    let (header, trace, footer) = read_trace_file(path).map_err(|err| err.to_string())?;
     let spec = TraceCellSpec::from_meta(&header.meta)?;
     if header.seed != spec.seed {
         return Err(format!(
@@ -268,8 +268,7 @@ pub fn replay(path: &Path) -> Result<TraceRunSummary, String> {
         &graph,
         Coloring::new(&graph),
         spec.seed,
-        SimOptions::default(),
-        records,
+        &trace,
         &spec.plan(),
         &mut StdRng::seed_from_u64(spec.seed ^ FAULT_RNG_SALT),
     )
@@ -328,7 +327,8 @@ mod tests {
         path: &Path,
         edit: impl FnMut(&mut StepRecord) -> Option<NodeId>,
     ) -> NodeId {
-        let (header, mut records, footer) = read_trace_file(path).expect("reads");
+        let (header, trace, footer) = read_trace_file(path).expect("reads");
+        let mut records = trace.records();
         let process = records
             .iter_mut()
             .find_map(edit)

@@ -79,7 +79,8 @@ fn ten_thousand_node_trace_replays_byte_identically_and_beats_json_tenfold() {
 
     // Compare the container against the same step records serialized as
     // JSON, decoded from the recorded file itself.
-    let (_, records, _) = read_trace_file(&path).expect("reads the recorded file");
+    let (_, trace, _) = read_trace_file(&path).expect("reads the recorded file");
+    let records = trace.records();
     assert_eq!(records.len() as u64, recorded.steps, "one record per step");
     let json = records_json(&records);
     assert!(

@@ -32,7 +32,7 @@
 //! A property test adds random step/injection interleavings for random
 //! (protocol, daemon) pairs on random topologies, and a final case records
 //! an MIS fault-recovery run into a trace file and replays it, comparing
-//! every step record activation by activation.
+//! every step's record with the recording's.
 //!
 //! Those drives ask for the enabled set after every operation, so none of
 //! their steps starts with a dirty guard. For a daemon that does not read
@@ -587,9 +587,9 @@ fn mis_config_digest(config: &[MisState]) -> u64 {
 }
 
 /// Records an MIS fault-recovery run into a trace file and replays it,
-/// comparing every step record activation by activation and the final
-/// stats and configuration with the recording and its footer digests. The
-/// file holds the recorded trace's bytes and reads back into its records.
+/// comparing every step's record and the final stats and configuration
+/// with the recording and its footer digests. The file holds the recorded
+/// trace's bytes and reads back into the same trace.
 #[test]
 fn record_replay_verifies_against_capture() {
     let graph = generators::grid(6, 6);
@@ -647,28 +647,27 @@ fn record_replay_verifies_against_capture() {
         .write_file(&path, &header, &footer)
         .expect("writes trace file");
 
-    // The file holds the trace's bytes and reads back into its records.
+    // The file holds the trace's bytes and reads back into the trace.
     let file = std::fs::read(&path).expect("reads the trace file back");
     assert!(
         file.windows(trace.bytes().len())
             .any(|w| w == trace.bytes()),
         "the file holds the trace's bytes"
     );
-    let (read_header, records, read_footer) = read_trace_file(&path).expect("reads trace file");
+    let (read_header, read_trace, read_footer) = read_trace_file(&path).expect("reads trace file");
     assert_eq!((read_header, read_footer), (header, footer));
     assert!(
-        records == trace.records(),
-        "the file's records are the trace's"
+        read_trace.bytes() == trace.bytes() && read_trace.records() == trace.records(),
+        "the file reads back into the trace"
     );
 
-    // Replay, comparing every step record activation by activation.
+    // Replay, comparing every step's record with the recording's.
     let mut replay_rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
     let outcome = telemetry::replay(
         &graph,
         Mis::with_greedy_coloring(&graph),
         seed,
-        SimOptions::default(),
-        records,
+        &read_trace,
         &plan(),
         &mut replay_rng,
     )

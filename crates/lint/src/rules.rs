@@ -88,10 +88,12 @@ impl Family {
 }
 
 /// The designated hot-path modules: the files whose steady-state code the
-/// zero-allocation regime covers. `telemetry/wire.rs` is the trace
-/// *encode* path (a recording step encodes into the trace's buffer, which
-/// allocates only to grow; its decoder's allocations carry escapes);
-/// `trace.rs` only defines the record types and is deliberately absent.
+/// zero-allocation regime covers. `telemetry/wire.rs` is the trace's
+/// encode path (a recording step encodes into the trace's buffer, which
+/// allocates only to grow) and its one parser, which allocates nothing
+/// (replay parses every recorded step through it); `trace.rs` defines the
+/// decoded record types and builds them, for tests and divergence
+/// messages, so it is deliberately absent.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/executor.rs",
     "crates/runtime/src/view.rs",

@@ -404,6 +404,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         self.trace.take()
     }
 
+    /// The trace being recorded, if any, mutably: replay drops each
+    /// record it has compared ([`Trace::clear`]).
+    pub(crate) fn trace_mut(&mut self) -> Option<&mut Trace> {
+        self.trace.as_mut()
+    }
+
     /// Mutable access to the scheduler.
     ///
     /// Exists for drivers that feed the scheduler between steps — the
@@ -1201,7 +1207,8 @@ mod tests {
                 changes_after - changes_before,
             );
             // The record's selection matches the scratch-backed accessor.
-            assert_eq!(record.selected(), sim.last_selected());
+            let selected: Vec<NodeId> = record.activations.iter().map(|a| a.process).collect();
+            assert_eq!(selected, sim.last_selected());
             changes_before = changes_after;
         }
     }

@@ -4,10 +4,10 @@
 //! # Determinism guarantee
 //!
 //! A simulation's observable execution is a pure function of `(graph,
-//! protocol, construction seed, options, scheduler decisions, external
-//! state writes)`. A trace records the scheduler decisions (the selected
-//! set of every step); [`replay()`] re-runs the simulation with a
-//! scheduler that emits exactly those selections, and
+//! protocol, construction seed, scheduler decisions, external state
+//! writes)`. A trace records the scheduler decisions (the selected set of
+//! every step); [`replay()`] re-runs the simulation with a scheduler that
+//! emits exactly those selections, and
 //! reproduces the external writes by re-firing the recorded run's
 //! [`FaultPlan`] from the same fault RNG, under the firing rule of
 //! [`run_fault_plan`](crate::faults::run_fault_plan). Everything else —
@@ -16,10 +16,13 @@
 //! must match the recording in every observable: each activation's
 //! executed flag, comm flag and read ports, [`RunStats`], final
 //! configuration. The replay records its own steps into its simulation's
-//! [`Trace`](super::Trace) and compares every decoded record with the
-//! recorded one. Any mismatch is reported as a [`ReplayDivergence`]
-//! naming the first step, process and field that differed — a shareable
-//! anomaly artifact rather than a silent wrong answer.
+//! [`Trace`], keeping only the newest record, and compares that record's
+//! bytes with the recorded one's: each record has exactly one encoding
+//! (see [`wire`](super::wire)), so equal bytes are equal records, and a
+//! replay that matches decodes nothing but the recorded selections. Any
+//! mismatch is decoded and reported as a [`ReplayDivergence`] naming the
+//! first step, process and field that differed — a shareable anomaly
+//! artifact rather than a silent wrong answer.
 
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -30,24 +33,25 @@ use crate::faults::{fire_due_events, FaultInjector, FaultPlan};
 use crate::protocol::Protocol;
 use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::stats::RunStats;
-use crate::telemetry::sstb;
+use crate::telemetry::wire::StepVisitor;
+use crate::telemetry::Trace;
 use crate::trace::{ActivationRecord, StepRecord};
 
 /// Scheduler that replays recorded selections staged one step at a time.
 ///
-/// [`replay()`] stages each record's selection before stepping; a step
-/// without a staged selection panics (it would mean the driver and the
-/// executor disagree about how many steps remain).
+/// [`replay()`] stages each record's selection before stepping, by
+/// parsing the record into it; a step without a staged selection panics
+/// (it would mean the replay loop and the executor disagree about how
+/// many steps remain).
 #[derive(Debug, Default)]
 struct ReplayScheduler {
     staged: Vec<NodeId>,
 }
 
-impl ReplayScheduler {
-    /// Stages the selection for the next step.
-    fn stage(&mut self, selection: &[NodeId]) {
-        self.staged.clear();
-        self.staged.extend_from_slice(selection);
+/// Stages the selected processes of the record parsed into it.
+impl StepVisitor for ReplayScheduler {
+    fn process(&mut self, process: NodeId) {
+        self.staged.push(process);
     }
 }
 
@@ -134,12 +138,12 @@ pub struct ReplayOutcome<State> {
     pub steps: u64,
 }
 
-/// Replays `records` through a fresh simulation, re-firing `plan` from
+/// Replays `trace` through a fresh simulation, re-firing `plan` from
 /// `fault_rng` to reproduce the recorded run's fault injections.
 ///
-/// `graph`, `protocol`, `seed` and `options` must match the recorded
-/// run's construction, and the trace must have been recorded from the
-/// run's first step (the first record must carry step index 0). `plan`
+/// `graph`, `protocol` and `seed` must match the recorded run's
+/// construction, and the trace must have been recorded from the run's
+/// first step (the first record must carry step index 0). `plan`
 /// and `fault_rng` must be the plan the recording ran from that step (an
 /// empty plan for a run without faults) and an RNG in the state the
 /// recording's fault RNG started in. Before every step, and once after the
@@ -147,69 +151,74 @@ pub struct ReplayOutcome<State> {
 /// fires on a fresh [`FaultInjector`]: the rule
 /// [`run_fault_plan`](crate::faults::run_fault_plan) applies.
 ///
-/// The replay records its own trace and compares every replayed record
-/// with its recording, activation by activation: the executed
-/// flag, the comm-changed flag and the read ports, in that order. The
-/// first mismatch aborts the replay with a [`ReplayDivergence`]. The
-/// final-state checks ([`RunStats`] equality or digest, configuration
-/// equality or digest) are the caller's: this driver returns both in the
-/// [`ReplayOutcome`].
-pub fn replay<P, I, R>(
+/// The replay stages each recorded selection, steps, and compares the
+/// record of the step it ran with the recorded one, by their bytes; it
+/// keeps only that newest record of its own trace. On the first mismatch
+/// it decodes both and aborts with a [`ReplayDivergence`] naming the
+/// first activation whose executed flag, comm-changed flag or read ports
+/// (in that order) differ. A recorded step index other than the
+/// simulation's, or a selection that breaks the scheduler contract, is a
+/// divergence too. The final-state checks ([`RunStats`] equality or
+/// digest, configuration equality or digest) are the caller's: `replay`
+/// returns both in the [`ReplayOutcome`].
+pub fn replay<P, R>(
     graph: &Graph,
     protocol: P,
     seed: u64,
-    options: SimOptions,
-    records: I,
+    trace: &Trace,
     plan: &FaultPlan,
     fault_rng: &mut R,
 ) -> Result<ReplayOutcome<P::State>, Box<ReplayDivergence>>
 where
     P: Protocol,
-    I: IntoIterator<Item = StepRecord>,
     R: RngCore,
 {
-    let mut sim = Simulation::new(graph, protocol, ReplayScheduler::default(), seed, options);
+    let mut sim = Simulation::new(
+        graph,
+        protocol,
+        ReplayScheduler::default(),
+        seed,
+        SimOptions::default(),
+    );
     sim.record_trace();
     let mut injector = FaultInjector::new(graph);
     let mut next_event = 0;
-    // Read position in, and last step of, the replay's own step stream.
-    let (mut pos, mut prev) = (0, None);
-    let n = graph.node_count();
-    for record in records {
-        if record.step != sim.steps() {
-            return Err(Box::new(ReplayDivergence {
-                step: record.step,
-                kind: DivergenceKind::StepIndex,
-                detail: format!(
-                    "record carries step {} but the simulation is at step {}",
-                    record.step,
-                    sim.steps()
-                ),
-            }));
+    let recorded = trace.bytes();
+    // Read position in, and step of the last record of, the recording.
+    let (mut pos, mut prev_step) = (0, None);
+    while pos < recorded.len() {
+        let start = pos;
+        let scheduler = sim.scheduler_mut();
+        scheduler.staged.clear();
+        let step = trace.parse_record(&mut pos, prev_step, scheduler);
+        let diverged = |kind, detail| Err(Box::new(ReplayDivergence { step, kind, detail }));
+        if step != sim.steps() {
+            let detail = format!(
+                "record carries step {step} but the simulation is at step {}",
+                sim.steps()
+            );
+            return diverged(DivergenceKind::StepIndex, detail);
         }
-        if let Some(detail) = selection_contract_violation(&record, n) {
-            return Err(Box::new(ReplayDivergence {
-                step: record.step,
-                kind: DivergenceKind::Selection,
-                detail,
-            }));
+        let selection = &sim.scheduler_mut().staged;
+        if let Some(detail) = selection_contract_violation(selection, graph.node_count()) {
+            return diverged(DivergenceKind::Selection, detail);
         }
 
         fire_due_events(&mut sim, plan, &mut next_event, 0, &mut injector, fault_rng);
-        sim.scheduler_mut().stage(&record.selected());
+        sim.trace_mut()
+            .expect("the replay records its own steps")
+            .clear();
         sim.step();
 
         let own = sim.trace().expect("the replay records its own steps");
-        let replayed = sstb::next_step(own.bytes(), &mut pos, &mut prev)
-            .expect("the replay's own trace decodes")
-            .expect("the step just run is recorded");
-        if let Some((kind, detail)) = first_activation_mismatch(&record, &replayed) {
-            return Err(Box::new(ReplayDivergence {
-                step: record.step,
-                kind,
-                detail,
-            }));
+        if own.bytes() != &recorded[start..pos] {
+            let recorded = StepRecord::parse(trace, &mut { start }, prev_step);
+            let replayed = StepRecord::parse(own, &mut 0, prev_step);
+            let (kind, detail) = first_activation_mismatch(&recorded, &replayed)
+                .expect("records whose bytes differ differ in an activation");
+            return diverged(kind, detail);
         }
+        prev_step = Some(step);
     }
     // A recording may end with an injection (one due after the last step
     // it recorded) that is part of its final configuration.
@@ -231,13 +240,13 @@ fn first_activation_mismatch(
     recorded: &StepRecord,
     replayed: &StepRecord,
 ) -> Option<(DivergenceKind, String)> {
-    debug_assert_eq!(recorded.selected(), replayed.selected());
     let ports = |a: &ActivationRecord| a.reads.iter().map(|p| p.index()).collect::<Vec<_>>();
     recorded
         .activations
         .iter()
         .zip(&replayed.activations)
         .find_map(|(rec, rep)| {
+            debug_assert_eq!(rec.process, rep.process);
             let (kind, detail) = if rec.executed != rep.executed {
                 let detail = format!(
                     "recorded executed={} but the replay executed={}",
@@ -264,15 +273,14 @@ fn first_activation_mismatch(
         })
 }
 
-/// Checks a record's selection against the scheduler contract; returns a
+/// Checks a recorded selection against the scheduler contract; returns a
 /// description of the first violation.
-fn selection_contract_violation(record: &StepRecord, node_count: usize) -> Option<String> {
-    if record.activations.is_empty() {
+fn selection_contract_violation(selection: &[NodeId], node_count: usize) -> Option<String> {
+    if selection.is_empty() {
         return Some("recorded selection is empty".to_string());
     }
     let mut prev: Option<NodeId> = None;
-    for activation in &record.activations {
-        let p = activation.process;
+    for &p in selection {
         if p.index() >= node_count {
             return Some(format!(
                 "recorded selection names process {p} but the graph has {node_count} processes"

@@ -1,10 +1,9 @@
-//! The SSTB trace file around a [`Trace`], and the decode loop of its
-//! tagged step stream.
+//! The SSTB trace file around a [`Trace`].
 //!
 //! A trace holds exactly a trace file's tagged step stream (the [`wire`]
 //! format), so [`Trace::write_file`] writes a whole file in one call, and
-//! [`read_trace_file`] reads one back into its header, decoded records and
-//! footer:
+//! [`read_trace_file`] reads one back into its header, the checked step
+//! stream as a trace, and its footer:
 //!
 //! ```text
 //! "SSTB"  magic
@@ -18,8 +17,6 @@
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
-
-use crate::trace::StepRecord;
 
 use super::wire::{self, Trace, WireError, TAG_STEP};
 
@@ -67,15 +64,6 @@ pub struct TraceFooter {
 }
 
 impl Trace {
-    /// Decodes every recorded step.
-    pub fn records(&self) -> Vec<StepRecord> {
-        let mut pos = 0;
-        let records = decode_steps(self.bytes(), &mut pos)
-            .expect("a trace holds only what its encoder wrote");
-        assert_eq!(pos, self.bytes().len(), "decoder consumed the whole stream");
-        records
-    }
-
     /// Writes the trace file at `path` (truncating any existing file):
     /// `header`, the recorded steps, and `footer`.
     pub fn write_file(
@@ -137,19 +125,20 @@ impl From<WireError> for TraceReadError {
     }
 }
 
-/// Reads the trace file at `path` whole: its header, every step record and
-/// its footer.
+/// Reads the trace file at `path` whole: its header, its step stream as a
+/// [`Trace`], and its footer.
 ///
 /// The bytes are untrusted. The file must open with the SSTB magic and
-/// version 2, its metadata length must fit in the file, every record must
-/// carry the step tag and decode (see [`WireError`]), the stream must end
-/// with the end tag, the footer's step count must equal the number of
-/// records, and the footer must end the file; otherwise the read fails
-/// with the first violation.
-pub fn read_trace_file(
-    path: &Path,
-) -> Result<(TraceHeader, Vec<StepRecord>, TraceFooter), TraceReadError> {
-    let bytes = std::fs::read(path)?;
+/// version 2, every varint must be minimal, its metadata length must fit
+/// in the file and its metadata be UTF-8, every record must carry the step
+/// tag and be exactly what the encoder writes for it (see
+/// [`wire`] and [`WireError`]), the stream must end with the end tag, the
+/// footer's step count must equal the number of records, and the footer
+/// must end the file; otherwise the read fails with the first violation.
+/// One pass makes these checks, and the file's buffer, cut to the step
+/// stream, becomes the trace: nothing is decoded into records.
+pub fn read_trace_file(path: &Path) -> Result<(TraceHeader, Trace, TraceFooter), TraceReadError> {
+    let mut bytes = std::fs::read(path)?;
     if bytes.len() < 5 || bytes[..4] != TRACE_MAGIC {
         return Err(TraceReadError::Container(format!(
             "{} lacks the SSTB magic",
@@ -186,21 +175,35 @@ pub fn read_trace_file(
         meta,
     };
 
-    let records = decode_steps(&bytes, &mut pos)?;
-    if bytes.get(pos) != Some(&TAG_END) {
-        return Err(WireError::UnexpectedEof { offset: pos }.into());
+    let stream_start = pos;
+    let (mut steps, mut last_step) = (0u64, None);
+    loop {
+        match bytes.get(pos) {
+            Some(&TAG_STEP) => {
+                pos += 1;
+                last_step = Some(wire::parse_step(&bytes, &mut pos, last_step, &mut ())?);
+                steps += 1;
+            }
+            Some(&TAG_END) => break,
+            None => return Err(WireError::UnexpectedEof { offset: pos }.into()),
+            Some(other) => {
+                return Err(TraceReadError::Container(format!(
+                    "unknown record tag 0x{other:02x} at byte {pos}"
+                )))
+            }
+        }
     }
+    let stream_end = pos;
     pos += 1;
-    let steps = wire::read_varint(&bytes, &mut pos)?;
     let footer = TraceFooter {
-        steps,
+        steps: wire::read_varint(&bytes, &mut pos)?,
         stats_digest: read_u64_le(&bytes, &mut pos)?,
         config_digest: read_u64_le(&bytes, &mut pos)?,
     };
-    if steps != records.len() as u64 {
+    if footer.steps != steps {
         return Err(TraceReadError::Container(format!(
-            "footer claims {steps} steps but the stream held {}",
-            records.len()
+            "footer claims {} steps but the stream held {steps}",
+            footer.steps
         )));
     }
     if pos != bytes.len() {
@@ -209,7 +212,9 @@ pub fn read_trace_file(
             bytes.len() - pos
         )));
     }
-    Ok((header, records, footer))
+    bytes.truncate(stream_end);
+    bytes.drain(..stream_start);
+    Ok((header, Trace::from_checked(bytes, steps, last_step), footer))
 }
 
 /// Reads a little-endian `u64` at `*pos`, advancing the cursor.
@@ -223,43 +228,10 @@ fn read_u64_le(input: &[u8], pos: &mut usize) -> Result<u64, WireError> {
     ))
 }
 
-/// Decodes the tagged steps at `*pos` up to the end tag (left unread) or
-/// the end of `input`.
-fn decode_steps(input: &[u8], pos: &mut usize) -> Result<Vec<StepRecord>, TraceReadError> {
-    let mut records = Vec::new();
-    let mut prev_step = None;
-    while let Some(record) = next_step(input, pos, &mut prev_step)? {
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Decodes the tagged step at `*pos`, or returns `None` at the end tag
-/// (left unread) or the end of `input`. `prev_step` is the step index of
-/// the record before it, and becomes this record's.
-pub(crate) fn next_step(
-    input: &[u8],
-    pos: &mut usize,
-    prev_step: &mut Option<u64>,
-) -> Result<Option<StepRecord>, TraceReadError> {
-    match input.get(*pos) {
-        None | Some(&TAG_END) => Ok(None),
-        Some(&TAG_STEP) => {
-            *pos += 1;
-            let record = wire::decode_step(input, pos, *prev_step)?;
-            *prev_step = Some(record.step);
-            Ok(Some(record))
-        }
-        Some(other) => Err(TraceReadError::Container(format!(
-            "unknown record tag 0x{other:02x} at byte {pos}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ActivationRecord;
+    use crate::trace::{ActivationRecord, StepRecord};
     use selfstab_graph::{NodeId, Port};
 
     fn sample_records() -> Vec<StepRecord> {
@@ -319,9 +291,11 @@ mod tests {
         // tag, a one-byte step count and two digests.
         let head = 5 + 3 + header.meta.len();
         assert_eq!(&bytes[head..bytes.len() - 18], trace.bytes());
-        let (read_header, read_records, read_footer) = read_trace_file(&path).expect("reads");
+        let (read_header, read_trace, read_footer) = read_trace_file(&path).expect("reads");
         assert_eq!(read_header, header);
-        assert_eq!(read_records, records);
+        assert_eq!(read_trace.bytes(), trace.bytes());
+        assert_eq!(read_trace.steps(), trace.steps());
+        assert_eq!(read_trace.records(), records);
         assert_eq!(read_footer, footer);
         std::fs::remove_file(&path).ok();
     }
@@ -330,7 +304,7 @@ mod tests {
     fn read_bytes(
         name: &str,
         bytes: &[u8],
-    ) -> Result<(TraceHeader, Vec<StepRecord>, TraceFooter), TraceReadError> {
+    ) -> Result<(TraceHeader, Trace, TraceFooter), TraceReadError> {
         let path = temp_path(name);
         std::fs::write(&path, bytes).expect("writes");
         let read = read_trace_file(&path);
@@ -430,6 +404,120 @@ mod tests {
                 assert!(reason.contains("1 bytes past its footer"), "{reason}");
             }
             other => panic!("expected a trailing-bytes error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reader_rejects_metadata_that_is_not_utf8() {
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.extend_from_slice(&[TRACE_VERSION, 6, 1, 2, 0xff, 0xfe, TAG_END, 0]);
+        bytes.extend_from_slice(&[0; 16]);
+        match read_bytes("utf8", &bytes) {
+            Err(TraceReadError::Container(reason)) => {
+                assert!(reason.contains("not UTF-8"), "{reason}");
+            }
+            other => panic!("expected a metadata error, got {other:?}"),
+        }
+    }
+
+    /// A sealed file of one step, whose header fields after the version
+    /// are `head` and whose record after its tag is `record`.
+    fn one_step_file(head: &[u8], record: &[u8]) -> Vec<u8> {
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.push(TRACE_VERSION);
+        bytes.extend_from_slice(head);
+        bytes.push(TAG_STEP);
+        bytes.extend_from_slice(record);
+        bytes.extend_from_slice(&[TAG_END, 1]);
+        bytes.extend_from_slice(&[0; 16]);
+        bytes
+    }
+
+    #[test]
+    fn reader_rejects_every_encoding_the_encoder_does_not_write() {
+        // Node count 6, seed 1, no metadata.
+        let head = [6, 1, 0];
+        // Step 0 selects process 0 with the given executed and comm
+        // bitsets, and its read set is `reads` (a tag and its payload).
+        let record = |flags: [u8; 2], reads: &[u8]| [&[0, 1, 0][..], &flags, reads].concat();
+        // What the encoder writes for step 0 when process 0 read `ports`.
+        let encoded = |ports: &[usize]| {
+            let mut trace = Trace::new();
+            trace.push(&StepRecord {
+                step: 0,
+                activations: vec![ActivationRecord {
+                    process: NodeId::new(0),
+                    executed: false,
+                    reads: ports.iter().map(|&p| Port::new(p)).collect(),
+                    comm_changed: false,
+                }],
+            });
+            trace.bytes()[1..].to_vec()
+        };
+        // Ports 1 and 900 as a 113-byte bitmap (tag 226), which the list
+        // form (tag 5, deltas 1 and 899) undercuts.
+        let mut wide_bitmap = vec![0xe2, 0x01];
+        wide_bitmap.resize(2 + 113, 0);
+        wide_bitmap[2] = 1 << 1;
+        wide_bitmap[2 + 112] = 1 << (900 % 8);
+        let dense = [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11];
+        // Each case: a file the encoder does not write, the violation, and
+        // the file the encoder writes for the same run, which reads.
+        let cases = [
+            (
+                one_step_file(&head, &[0x80, 0x00, 1, 0, 0, 0, 1]),
+                "varint (overlong)",
+                one_step_file(&head, &encoded(&[])),
+            ),
+            (
+                one_step_file(&[0x86, 0x00, 1, 0], &encoded(&[])),
+                "varint (overlong)",
+                one_step_file(&head, &encoded(&[])),
+            ),
+            (
+                one_step_file(&head, &record([0b10, 0], &[1])),
+                "bitset (a padding bit is set)",
+                one_step_file(&head, &record([0, 0], &[1])),
+            ),
+            (
+                one_step_file(&head, &record([0, 0x80], &[1])),
+                "bitset (a padding bit is set)",
+                one_step_file(&head, &record([0, 0], &[1])),
+            ),
+            (
+                one_step_file(&head, &record([0, 0], &[4, 0b1, 0])),
+                "reads bitmap (a trailing zero byte)",
+                one_step_file(&head, &encoded(&[0])),
+            ),
+            (
+                one_step_file(&head, &record([0, 0], &wide_bitmap)),
+                "reads bitmap (the list form is shorter)",
+                one_step_file(&head, &encoded(&[1, 900])),
+            ),
+            (
+                one_step_file(
+                    &head,
+                    &record([0, 0], &[23, 0, 2, 2, 2, 2, 2, 2, 2, 4, 2, 2]),
+                ),
+                "reads list (the bitmap form is no longer)",
+                one_step_file(&head, &encoded(&dense)),
+            ),
+        ];
+        assert_eq!(encoded(&[]), record([0, 0], &[1]));
+        assert_eq!(encoded(&[0]), record([0, 0], &[2, 0b1]));
+        assert_eq!(encoded(&[1, 900]), record([0, 0], &[5, 2, 0x86, 0x0e]));
+        assert_eq!(encoded(&dense), record([0, 0], &[4, 0xff, 0b1110]));
+        for (i, (bad, violation, good)) in cases.iter().enumerate() {
+            match read_bytes(&format!("noncanonical_{i}"), bad) {
+                Err(TraceReadError::Wire(WireError::Malformed { what, .. })) => {
+                    assert_eq!(what, *violation, "case {i}");
+                }
+                other => panic!("case {i}: expected {violation:?}, got {other:?}"),
+            }
+            assert!(
+                read_bytes(&format!("canonical_{i}"), good).is_ok(),
+                "case {i}: the encoder's file reads"
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Compact binary wire format for step records, and the [`Trace`] that
-//! encodes them.
+//! Compact binary wire format for step records, the [`Trace`] that
+//! encodes them, and the one parser that reads them back.
 //!
-//! One [`StepRecord`] is encoded as:
+//! One step record is encoded as:
 //!
 //! ```text
 //! step      : zigzag varint delta from the previous record's step
@@ -37,10 +37,17 @@
 //! list form. Encoding a record produced by the executor therefore costs
 //! a handful of bytes per activation instead of the tens of bytes of its
 //! JSON rendering.
+//!
+//! Each record has exactly one encoding, given the step before it: every
+//! varint is minimal, the padding bits of both bitsets are zero, and each
+//! read set takes the form the encoder picks for it. `parse_step`, the
+//! one parser, checks all of this as it walks a record and allocates
+//! nothing, so equal records have equal bytes and two records compare by
+//! their bytes.
 
 use selfstab_graph::{NodeId, Port};
 
-use crate::trace::{ActivationRecord, StepRecord};
+use crate::trace::StepRecord;
 
 /// Decoding error: the input is truncated or structurally malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +57,8 @@ pub enum WireError {
         /// Byte offset at which more input was expected.
         offset: usize,
     },
-    /// A varint ran past 10 bytes or a field held an impossible value.
+    /// A varint ran past 10 bytes, a field held an impossible value, or
+    /// the bytes are not what the encoder writes for the value they hold.
     Malformed {
         /// Byte offset of the offending field.
         offset: usize,
@@ -89,6 +97,9 @@ pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Reads an LEB128 varint from `input` at `*pos`, advancing the cursor.
+///
+/// Only the minimal form [`put_varint`] writes is accepted: a last byte
+/// of zero after the first, such as `0x80 0x00` for 0, is malformed.
 pub fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, WireError> {
     let start = *pos;
     let mut value: u64 = 0;
@@ -106,6 +117,12 @@ pub fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, WireError> {
         }
         value |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(WireError::Malformed {
+                    offset: start,
+                    what: "varint (overlong)",
+                });
+            }
             return Ok(value);
         }
         shift += 7;
@@ -175,6 +192,17 @@ fn list_len(reads: &[Port]) -> usize {
     total
 }
 
+/// Whether a strictly ascending read set of `ports` ports takes the
+/// bitmap form, of `bitmap` bytes, rather than the list form, whose
+/// deltas take `list` bytes: when the bitmap costs no more, tags
+/// included, so ties go to the bitmap, which decodes without per-port
+/// varint work. Both tags are costed as [`delta_len`] of their value. The
+/// encoder and the parser share this rule, so it decides which form is
+/// canonical.
+fn bitmap_is_chosen(bitmap: usize, ports: usize, list: usize) -> bool {
+    delta_len(0, 2 * bitmap as u64) + bitmap <= delta_len(0, (2 * ports + 1) as u64) + list
+}
+
 /// Tag byte preceding each step record of a [`Trace`], and so of a trace
 /// file's step stream.
 pub(super) const TAG_STEP: u8 = 0x01;
@@ -184,10 +212,11 @@ pub(super) const TAG_STEP: u8 = 0x01;
 /// between the file's header and its end tag.
 ///
 /// A recording simulation encodes into its trace without building a
-/// [`StepRecord`], and [`push`](Trace::push) encodes a decoded record
-/// through the same calls. [`records`](Trace::records) decodes the stream
-/// and [`write_file`](Trace::write_file) writes it as a trace file (both
-/// in [`sstb`](super::sstb), with the decode loop and the container).
+/// [`StepRecord`], and [`push`](Trace::push)
+/// encodes a decoded record through the same calls.
+/// [`read_trace_file`](super::read_trace_file) reads a checked stream
+/// into a trace, and [`write_file`](Trace::write_file) writes one as a
+/// trace file; [`records`](Trace::records) decodes one.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     bytes: Vec<u8>,
@@ -208,6 +237,18 @@ impl Trace {
         Trace::default()
     }
 
+    /// The trace of a tagged step stream that [`parse_step`] accepted
+    /// record by record: `steps` records, the last of which has step index
+    /// `last_step`.
+    pub(super) fn from_checked(bytes: Vec<u8>, steps: u64, last_step: Option<u64>) -> Trace {
+        Trace {
+            bytes,
+            steps,
+            prev_step: last_step,
+            ..Trace::default()
+        }
+    }
+
     /// The encoded step stream: per step, the step tag and the step's
     /// wire encoding.
     pub fn bytes(&self) -> &[u8] {
@@ -226,6 +267,35 @@ impl Trace {
         for a in &record.activations {
             self.push_activation(a.executed, a.comm_changed, &a.reads);
         }
+    }
+
+    /// Drops the encoded records but keeps the encoder's state, so the
+    /// next record is encoded as it would follow them. Replay keeps only
+    /// its newest record this way.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+    }
+
+    /// Parses the tagged record at `*pos`, which follows a record of step
+    /// `prev_step` (`None` for the first), advancing the cursor past it;
+    /// `visitor` receives its fields. Returns its step index.
+    ///
+    /// Panics if no record starts at `*pos`: a trace holds only what its
+    /// encoder wrote, or a stream [`parse_step`] accepted.
+    pub(crate) fn parse_record(
+        &self,
+        pos: &mut usize,
+        prev_step: Option<u64>,
+        visitor: &mut impl StepVisitor,
+    ) -> u64 {
+        assert_eq!(
+            self.bytes.get(*pos),
+            Some(&TAG_STEP),
+            "a trace holds only tagged step records"
+        );
+        *pos += 1;
+        parse_step(&self.bytes, pos, prev_step, visitor)
+            .expect("a trace holds only what its encoder wrote")
     }
 
     /// Opens the record of step `step`, whose activations are those of
@@ -268,20 +338,15 @@ impl Trace {
     }
 }
 
-/// Encodes one activation's read set: bitmap when ascending *and*
-/// smaller, varint delta list otherwise.
+/// Encodes one activation's read set: bitmap when ascending *and* no
+/// larger ([`bitmap_is_chosen`]), varint delta list otherwise.
 fn encode_reads(buf: &mut Vec<u8>, reads: &[Port]) {
     if reads.is_empty() {
         put_varint(buf, 1);
         return;
     }
-    let list = list_len(reads);
     if let Some(bitmap) = bitmap_len(reads) {
-        // Compare full costs (tag included) and prefer the bitmap on
-        // ties: it decodes without per-port varint work.
-        let bitmap_cost = delta_len(0, 2 * bitmap as u64) + bitmap;
-        let list_cost = delta_len(0, (2 * reads.len() + 1) as u64) + list;
-        if bitmap_cost <= list_cost {
+        if bitmap_is_chosen(bitmap, reads.len(), list_len(reads)) {
             put_varint(buf, 2 * bitmap as u64);
             let start = buf.len();
             buf.resize(start + bitmap, 0);
@@ -299,15 +364,41 @@ fn encode_reads(buf: &mut Vec<u8>, reads: &[Port]) {
     }
 }
 
-/// Decodes one step record from `input` at `*pos`, advancing the cursor.
+/// Receives the fields of a record as [`parse_step`] checks them, in the
+/// order they are stored: the selected processes, then each activation's
+/// two flags, then each activation's read ports in recorded order. Every
+/// method does nothing unless overridden.
+pub(crate) trait StepVisitor {
+    /// The next selected process.
+    fn process(&mut self, _process: NodeId) {}
+
+    /// The executed and comm-changed flags of activation `activation`.
+    fn flags(&mut self, _activation: usize, _executed: bool, _comm_changed: bool) {}
+
+    /// The next port activation `activation` read.
+    fn read(&mut self, _activation: usize, _port: Port) {}
+}
+
+/// Checks a record and keeps nothing of it.
+impl StepVisitor for () {}
+
+/// Parses the step record at `*pos` (the bytes after its tag), advancing
+/// the cursor past it, and returns its step index; `visitor` receives its
+/// fields. Allocates nothing.
 ///
-/// `prev_step` must be the step index of the previously decoded record
-/// (`None` for the first), mirroring `Trace::open_step`.
-pub fn decode_step(
+/// `prev_step` must be the step index of the record before it (`None`
+/// for the first), mirroring `Trace::open_step`. The bytes are untrusted:
+/// every count is checked against the bytes left, every process id and
+/// port against its range, and the record must be exactly what the
+/// encoder writes for it (see the [module docs](self)). The parse fails
+/// at the first violation; `visitor` may have received the fields before
+/// it.
+pub(crate) fn parse_step(
     input: &[u8],
     pos: &mut usize,
     prev_step: Option<u64>,
-) -> Result<StepRecord, WireError> {
+    visitor: &mut impl StepVisitor,
+) -> Result<u64, WireError> {
     let step = match prev_step {
         None => read_varint(input, pos)?,
         Some(prev) => read_delta(input, pos, prev)?,
@@ -315,16 +406,13 @@ pub fn decode_step(
     let count_offset = *pos;
     let count = read_varint(input, pos)? as usize;
     // Each activation costs at least 2 bytes (process delta + reads tag)
-    // plus its bitset bits; reject counts the input cannot possibly hold
-    // before allocating.
+    // plus its bitset bits; reject counts the input cannot possibly hold.
     if count > input.len().saturating_sub(*pos) {
         return Err(WireError::Malformed {
             offset: count_offset,
             what: "activation count (exceeds remaining input)",
         });
     }
-
-    let mut activations = Vec::with_capacity(count);
     let mut prev_process = 0u64;
     for _ in 0..count {
         let offset = *pos;
@@ -336,48 +424,41 @@ pub fn decode_step(
                 what: "process id (exceeds NodeId::MAX_INDEX)",
             });
         }
-        activations.push(ActivationRecord {
-            process: NodeId::new(id as usize),
-            executed: false,
-            reads: Vec::new(), // lint: allow(hot-alloc) — decode path builds record-owned vecs
-            comm_changed: false,
-        });
+        visitor.process(NodeId::new(id as usize));
     }
-
-    read_bitset(input, pos, count, |i, flag| activations[i].executed = flag)?;
-    read_bitset(input, pos, count, |i, flag| {
-        activations[i].comm_changed = flag;
-    })?;
-
-    for activation in &mut activations {
-        activation.reads = decode_reads(input, pos)?;
+    let executed = read_bitset(input, pos, count)?;
+    let comm = read_bitset(input, pos, count)?;
+    let flag = |bitset: &[u8], i: usize| bitset[i / 8] >> (i % 8) & 1 == 1;
+    for i in 0..count {
+        visitor.flags(i, flag(executed, i), flag(comm, i));
     }
-
-    Ok(StepRecord { step, activations })
+    for i in 0..count {
+        parse_reads(input, pos, |port| visitor.read(i, port))?;
+    }
+    Ok(step)
 }
 
-/// Reads a `count`-bit bitset, 8 flags per byte, LSB first.
-fn read_bitset(
-    input: &[u8],
-    pos: &mut usize,
-    count: usize,
-    mut apply: impl FnMut(usize, bool),
-) -> Result<(), WireError> {
-    let bytes = count.div_ceil(8);
-    let slice = input
-        .get(*pos..*pos + bytes)
+/// Reads a `count`-bit bitset, 8 flags per byte, LSB first, and returns
+/// its bytes. The bits past the last flag must be zero.
+fn read_bitset<'a>(input: &'a [u8], pos: &mut usize, count: usize) -> Result<&'a [u8], WireError> {
+    let bytes = input
+        .get(*pos..*pos + count.div_ceil(8))
         .ok_or(WireError::UnexpectedEof {
             offset: input.len(),
         })?;
-    for i in 0..count {
-        apply(i, slice[i / 8] >> (i % 8) & 1 == 1);
+    *pos += bytes.len();
+    if !count.is_multiple_of(8) && bytes[bytes.len() - 1] >> (count % 8) != 0 {
+        return Err(WireError::Malformed {
+            offset: *pos - 1,
+            what: "bitset (a padding bit is set)",
+        });
     }
-    *pos += bytes;
-    Ok(())
+    Ok(bytes)
 }
 
-/// Decodes one activation's read set written by `encode_reads`.
-fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
+/// Parses one activation's read set written by `encode_reads`, passing
+/// each port to `read` in recorded order.
+fn parse_reads(input: &[u8], pos: &mut usize, mut read: impl FnMut(Port)) -> Result<(), WireError> {
     let tag_offset = *pos;
     let tag = read_varint(input, pos)?;
     if tag == 0 {
@@ -385,9 +466,6 @@ fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
             offset: tag_offset,
             what: "reads tag (reserved value 0)",
         });
-    }
-    if tag == 1 {
-        return Ok(Vec::new()); // lint: allow(hot-alloc) — decode path; empty read set
     }
     if tag % 2 == 0 {
         // Bitmap form: `tag / 2` bytes, set bits are the port indices. A
@@ -399,54 +477,81 @@ fn decode_reads(input: &[u8], pos: &mut usize) -> Result<Vec<Port>, WireError> {
                 what: "reads bitmap (wider than the u32 port space)",
             });
         }
-        let bytes = (tag / 2) as usize;
-        let slice = input
-            .get(*pos..*pos + bytes)
-            .ok_or(WireError::UnexpectedEof {
-                offset: input.len(),
-            })?;
-        let mut reads = Vec::new(); // lint: allow(hot-alloc) — decode path builds the record-owned read set
-        for (i, &byte) in slice.iter().enumerate() {
+        let bitmap =
+            input
+                .get(*pos..*pos + (tag / 2) as usize)
+                .ok_or(WireError::UnexpectedEof {
+                    offset: input.len(),
+                })?;
+        *pos += bitmap.len();
+        // The encoder sizes a bitmap to its largest port.
+        if bitmap.last() == Some(&0) {
+            return Err(WireError::Malformed {
+                offset: *pos - 1,
+                what: "reads bitmap (a trailing zero byte)",
+            });
+        }
+        let (mut ports, mut list, mut prev) = (0, 0, 0u64);
+        for (i, &byte) in bitmap.iter().enumerate() {
             let mut bits = byte;
             while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                reads.push(Port::new(i * 8 + bit));
+                let port = (i * 8 + bits.trailing_zeros() as usize) as u64;
+                list += delta_len(prev, port);
+                prev = port;
+                ports += 1;
+                read(Port::new(port as usize));
                 bits &= bits - 1;
             }
         }
-        *pos += bytes;
-        Ok(reads)
+        if !bitmap_is_chosen(bitmap.len(), ports, list) {
+            return Err(WireError::Malformed {
+                offset: tag_offset,
+                what: "reads bitmap (the list form is shorter)",
+            });
+        }
     } else {
         // List form: `(tag - 1) / 2` zigzag varint deltas.
-        let count_offset = tag_offset;
         let count = ((tag - 1) / 2) as usize;
         if count > input.len().saturating_sub(*pos) {
             return Err(WireError::Malformed {
-                offset: count_offset,
+                offset: tag_offset,
                 what: "reads count (exceeds remaining input)",
             });
         }
-        let mut reads = Vec::with_capacity(count);
-        let mut prev = 0u64;
-        for _ in 0..count {
+        let list_offset = *pos;
+        let (mut ascending, mut prev) = (true, 0u64);
+        for i in 0..count {
             let offset = *pos;
             let port = read_delta(input, pos, prev)?;
-            prev = port;
             if port > Port::MAX_INDEX as u64 {
                 return Err(WireError::Malformed {
                     offset,
                     what: "port index (exceeds Port::MAX_INDEX)",
                 });
             }
-            reads.push(Port::new(port as usize));
+            ascending &= i == 0 || port > prev;
+            prev = port;
+            read(Port::new(port as usize));
         }
-        Ok(reads)
+        // Every varint is minimal, so the deltas took what `list_len`
+        // counts, and `prev` is the largest port of an ascending list.
+        if count > 0
+            && ascending
+            && bitmap_is_chosen(prev as usize / 8 + 1, count, *pos - list_offset)
+        {
+            return Err(WireError::Malformed {
+                offset: tag_offset,
+                what: "reads list (the bitmap form is no longer)",
+            });
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::ActivationRecord;
 
     #[test]
     fn varint_round_trip_boundaries() {
@@ -470,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn varint_rejects_truncation_and_overflow() {
+    fn varint_rejects_truncation_overflow_and_overlong_forms() {
         let mut pos = 0;
         assert!(matches!(
             read_varint(&[0x80], &mut pos),
@@ -483,6 +588,23 @@ mod tests {
             read_varint(&overlong, &mut pos),
             Err(WireError::Malformed { .. })
         ));
+        // 0 and 1 with a zero byte of padding, and `u64::MAX >> 1` with a
+        // zero tenth byte.
+        for padded in [
+            &[0x80, 0x00][..],
+            &[0x81, 0x80, 0x00],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00],
+        ] {
+            let mut pos = 0;
+            assert_eq!(
+                read_varint(padded, &mut pos),
+                Err(WireError::Malformed {
+                    offset: 0,
+                    what: "varint (overlong)"
+                }),
+                "{padded:02x?}"
+            );
+        }
     }
 
     #[test]
@@ -507,8 +629,9 @@ mod tests {
         }
     }
 
-    /// Encodes `records` into a trace through the executor's calls and
-    /// decodes them back.
+    /// Encodes `records` into a trace through the executor's calls,
+    /// decodes them back, and checks that the parser accepts the trace's
+    /// bytes as a stream.
     fn round_trip(records: &[StepRecord]) {
         let mut trace = Trace::new();
         for r in records {
@@ -548,14 +671,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "decoder consumed the whole stream")]
-    fn records_reject_a_byte_the_decoder_leaves() {
-        // An end tag past the last record: the decode loop stops at it, so
-        // only the whole-stream check can notice it.
+    #[should_panic(expected = "a trace holds only tagged step records")]
+    fn records_reject_a_byte_past_the_last_record() {
+        // A byte after the last record: the decode loop must not stop
+        // before it, or a parser that under-read a record would leave
+        // bytes behind unnoticed.
         let mut trace = Trace::new();
         trace.push(&record(0, &[(0, true, &[], false)]));
         trace.bytes.push(0x00);
         trace.records();
+    }
+
+    #[test]
+    fn a_cleared_trace_encodes_its_next_record_as_it_would_follow_the_old_ones() {
+        let (first, second) = (
+            record(7, &[(1, true, &[0], true)]),
+            record(8, &[(2, false, &[1, 0], false)]),
+        );
+        let mut whole = Trace::new();
+        whole.push(&first);
+        let second_at = whole.bytes().len();
+        whole.push(&second);
+        let mut cleared = Trace::new();
+        cleared.push(&first);
+        cleared.clear();
+        cleared.push(&second);
+        assert_eq!(cleared.bytes(), &whole.bytes()[second_at..]);
     }
 
     #[test]
@@ -574,15 +715,35 @@ mod tests {
         );
     }
 
+    /// Parses `buf` as one record without a tag, keeping its read ports.
+    fn parse_reads_of(buf: &[u8]) -> Result<Vec<Port>, WireError> {
+        struct Reads(Vec<Port>);
+        impl StepVisitor for Reads {
+            fn read(&mut self, _activation: usize, port: Port) {
+                self.0.push(port);
+            }
+        }
+        let mut reads = Reads(Vec::new());
+        let mut pos = 0;
+        parse_step(buf, &mut pos, None, &mut reads)?;
+        assert_eq!(pos, buf.len(), "the record ends the input");
+        Ok(reads.0)
+    }
+
     #[test]
-    fn decode_rejects_implausible_activation_count() {
+    fn parse_rejects_implausible_activation_and_read_counts() {
         let mut buf = Vec::new();
         put_varint(&mut buf, 0); // step
         put_varint(&mut buf, u32::MAX as u64); // absurd count, no payload
-        let mut pos = 0;
         assert!(matches!(
-            decode_step(&buf, &mut pos, None),
-            Err(WireError::Malformed { .. })
+            parse_step(&buf, &mut 0, None, &mut ()),
+            Err(WireError::Malformed { what, .. }) if what.contains("activation count")
+        ));
+        let mut reads = Vec::new();
+        put_varint(&mut reads, 2 * u64::from(u32::MAX) + 1); // list form, no ports
+        assert!(matches!(
+            parse_reads_of(&step_with_raw_reads(&reads)),
+            Err(WireError::Malformed { what, .. }) if what.contains("reads count")
         ));
     }
 
@@ -600,56 +761,47 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_list_ports_beyond_the_port_range() {
+    fn parse_rejects_list_ports_beyond_the_port_range() {
         let mut reads = Vec::new();
         put_varint(&mut reads, 3); // list form (tag 2r + 1), one port
         put_varint(&mut reads, zigzag(Port::MAX_INDEX as i64 + 1));
-        let buf = step_with_raw_reads(&reads);
-        let mut pos = 0;
         assert!(matches!(
-            decode_step(&buf, &mut pos, None),
+            parse_reads_of(&step_with_raw_reads(&reads)),
             Err(WireError::Malformed { what, .. }) if what.contains("port index")
         ));
-        // The largest valid port still decodes.
+        // The largest valid port still parses.
         let mut reads = Vec::new();
         put_varint(&mut reads, 3);
         put_varint(&mut reads, zigzag(Port::MAX_INDEX as i64));
-        let buf = step_with_raw_reads(&reads);
-        let mut pos = 0;
-        let decoded = decode_step(&buf, &mut pos, None).expect("decodes");
         assert_eq!(
-            decoded.activations[0].reads,
-            vec![Port::new(Port::MAX_INDEX)]
+            parse_reads_of(&step_with_raw_reads(&reads)),
+            Ok(vec![Port::new(Port::MAX_INDEX)])
         );
     }
 
     #[test]
-    fn decode_rejects_bitmaps_wider_than_the_port_space() {
+    fn parse_rejects_bitmaps_wider_than_the_port_space() {
         // One byte past the widest bitmap; the payload is absent, so only
         // the width check can reject it as malformed (rather than as
         // truncated).
         let mut reads = Vec::new();
         put_varint(&mut reads, 2 * (MAX_BITMAP_BYTES + 1));
-        let buf = step_with_raw_reads(&reads);
-        let mut pos = 0;
         assert!(matches!(
-            decode_step(&buf, &mut pos, None),
+            parse_reads_of(&step_with_raw_reads(&reads)),
             Err(WireError::Malformed { what, .. }) if what.contains("bitmap")
         ));
         // The widest tag that varint decoding accepts is rejected the same
         // way, without overflowing the cursor arithmetic.
         let mut reads = Vec::new();
         put_varint(&mut reads, u64::MAX - 1);
-        let buf = step_with_raw_reads(&reads);
-        let mut pos = 0;
         assert!(matches!(
-            decode_step(&buf, &mut pos, None),
+            parse_reads_of(&step_with_raw_reads(&reads)),
             Err(WireError::Malformed { .. })
         ));
     }
 
     #[test]
-    fn decode_rejects_out_of_range_process_id() {
+    fn parse_rejects_out_of_range_process_id() {
         // A one-activation step whose process delta encodes u32::MAX + 1.
         let mut patched = Vec::new();
         put_varint(&mut patched, 0); // step
@@ -658,10 +810,55 @@ mod tests {
         patched.push(0); // executed bitset
         patched.push(0); // comm bitset
         put_varint(&mut patched, 1); // empty reads
-        let mut pos = 0;
         assert!(matches!(
-            decode_step(&patched, &mut pos, None),
+            parse_step(&patched, &mut 0, None, &mut ()),
             Err(WireError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn parse_accepts_each_read_set_only_in_the_form_the_encoder_picks() {
+        // Every read set has one canonical form, and parses back.
+        for reads in [
+            &[][..],
+            &[0],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11],
+            &[5, 2, 9, 0],
+            &[1, 900],
+            &[3, 3],
+        ] {
+            let ports: Vec<Port> = reads.iter().map(|&r| Port::new(r)).collect();
+            let mut encoded = Vec::new();
+            encode_reads(&mut encoded, &ports);
+            assert_eq!(
+                parse_reads_of(&step_with_raw_reads(&encoded)),
+                Ok(ports),
+                "{reads:?}"
+            );
+        }
+        // The other form of an ascending set, and a bitmap padded with a
+        // zero byte, are not what the encoder writes.
+        let mut bitmap_of_1_and_900 = vec![226, 1, 0b10];
+        bitmap_of_1_and_900.resize(2 + 113, 0);
+        bitmap_of_1_and_900[2 + 112] = 1 << (900 % 8);
+        for (bytes, what) in [
+            (
+                bitmap_of_1_and_900,
+                "reads bitmap (the list form is shorter)",
+            ),
+            (
+                vec![23, 0, 2, 2, 2, 2, 2, 2, 2, 4, 2, 2],
+                "reads list (the bitmap form is no longer)",
+            ),
+            (vec![4, 0b1, 0], "reads bitmap (a trailing zero byte)"),
+        ] {
+            assert!(
+                matches!(
+                    parse_reads_of(&step_with_raw_reads(&bytes)),
+                    Err(WireError::Malformed { what: w, .. }) if w == what
+                ),
+                "{what}"
+            );
+        }
     }
 }

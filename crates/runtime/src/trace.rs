@@ -3,15 +3,21 @@
 //! A [`StepRecord`] says, for one step, which processes the scheduler
 //! selected, which of them executed an action, which neighbors each of
 //! them read, and whose communication state changed. It is the decoded
-//! form of one step of a [`Trace`](crate::telemetry::Trace): the executor
-//! never builds one, but encodes each step straight into the trace it
-//! records, and [`Trace::records`](crate::telemetry::Trace::records) and
-//! [`read_trace_file`](crate::telemetry::read_trace_file) decode them;
-//! replay compares every replayed record with the recorded one. The
-//! paper's measures do not need records: the executor always maintains
-//! them in the aggregated [`RunStats`](crate::stats::RunStats).
+//! form of one step of a [`Trace`], built from the fields the wire
+//! format's one parser reports. Nothing on the recording or the replay
+//! path builds one: the executor encodes each step straight into the
+//! trace it records, [`read_trace_file`](crate::telemetry::read_trace_file)
+//! keeps the checked bytes, and [`replay`](crate::telemetry::replay())
+//! compares records by their bytes. [`Trace::records`] decodes a whole
+//! trace for tests, and a diverging replay decodes the one step it
+//! describes. The paper's measures do not need records: the executor
+//! always maintains them in the aggregated
+//! [`RunStats`](crate::stats::RunStats).
 
 use selfstab_graph::{NodeId, Port};
+
+use crate::telemetry::wire::StepVisitor;
+use crate::telemetry::Trace;
 
 /// What one process did during one step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,28 +43,49 @@ pub struct StepRecord {
 }
 
 impl StepRecord {
-    /// Identifiers of the processes selected at this step.
-    pub fn selected(&self) -> Vec<NodeId> {
-        self.activations.iter().map(|a| a.process).collect()
+    /// Decodes the record at `*pos` of `trace`, which follows a record of
+    /// step `prev_step` (`None` for the first), advancing the cursor past
+    /// it.
+    pub(crate) fn parse(trace: &Trace, pos: &mut usize, prev_step: Option<u64>) -> StepRecord {
+        let mut record = StepRecord {
+            step: 0,
+            activations: Vec::new(),
+        };
+        record.step = trace.parse_record(pos, prev_step, &mut record);
+        record
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+impl StepVisitor for StepRecord {
+    fn process(&mut self, process: NodeId) {
+        self.activations.push(ActivationRecord {
+            process,
+            executed: false,
+            reads: Vec::new(),
+            comm_changed: false,
+        });
+    }
 
-    #[test]
-    fn step_record_helpers() {
-        let activation = |p: usize, reads: &[usize], comm_changed| ActivationRecord {
-            process: NodeId::new(p),
-            executed: true,
-            reads: reads.iter().map(|&r| Port::new(r)).collect(),
-            comm_changed,
-        };
-        let r = StepRecord {
-            step: 3,
-            activations: vec![activation(0, &[0, 1], true), activation(2, &[1], false)],
-        };
-        assert_eq!(r.selected(), vec![NodeId::new(0), NodeId::new(2)]);
+    fn flags(&mut self, activation: usize, executed: bool, comm_changed: bool) {
+        let activation = &mut self.activations[activation];
+        activation.executed = executed;
+        activation.comm_changed = comm_changed;
+    }
+
+    fn read(&mut self, activation: usize, port: Port) {
+        self.activations[activation].reads.push(port);
+    }
+}
+
+impl Trace {
+    /// Decodes every recorded step.
+    pub fn records(&self) -> Vec<StepRecord> {
+        let mut records: Vec<StepRecord> = Vec::new();
+        let mut pos = 0;
+        while pos < self.bytes().len() {
+            let prev_step = records.last().map(|record| record.step);
+            records.push(StepRecord::parse(self, &mut pos, prev_step));
+        }
+        records
     }
 }

@@ -21,9 +21,12 @@ use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, Fair, LocallyCentral, Scheduler,
     StarvingAdversary, Synchronous,
 };
-use selfstab_runtime::telemetry::{self, read_trace_file, Fnv64, TraceFooter, TraceHeader};
+use selfstab_runtime::telemetry::{
+    self, read_trace_file, DivergenceKind, Fnv64, TraceFooter, TraceHeader,
+};
+use selfstab_runtime::trace::{ActivationRecord, StepRecord};
 use selfstab_runtime::view::NeighborView;
-use selfstab_runtime::{RunStats, SimOptions, Simulation};
+use selfstab_runtime::{RunStats, SimOptions, Simulation, Trace};
 
 /// Greedy coloring whose repair move consults the activation RNG: a
 /// process in conflict with a neighbor jumps to a *random* free color.
@@ -165,8 +168,13 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
         .expect("writes trace file");
 
     // Replay: every replayed step record is compared with the recorded
-    // one, activation by activation (executed flag, comm flag, reads).
-    let (_, records, footer) = read_trace_file(&path).expect("reads trace file");
+    // one (executed flags, comm flags, reads).
+    let (_, recorded, footer) = read_trace_file(&path).expect("reads trace file");
+    assert_eq!(
+        recorded.bytes(),
+        trace.bytes(),
+        "{daemon}: the file holds the trace"
+    );
     assert_eq!(footer.steps, steps, "{daemon}");
 
     let mut replay_rng = StdRng::seed_from_u64(seed ^ FAULT_RNG_SALT);
@@ -174,8 +182,7 @@ fn record_and_replay<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, daemo
         graph,
         RandomRecolor { palette },
         seed,
-        SimOptions::default(),
-        records,
+        &recorded,
         &plan(),
         &mut replay_rng,
     )
@@ -275,14 +282,13 @@ fn corrupt_traces_are_rejected() {
 
     // Replaying under the wrong seed must diverge (the executed sets
     // cannot match the recording's RNG stream).
-    let (_, records, _) = read_trace_file(&path).expect("reads");
+    let (_, recorded, _) = read_trace_file(&path).expect("reads");
     let mut wrong_rng = StdRng::seed_from_u64((seed + 1) ^ FAULT_RNG_SALT);
     let result = telemetry::replay(
         &ring,
         RandomRecolor { palette: 4 },
         seed + 1,
-        SimOptions::default(),
-        records,
+        &recorded,
         &plan(),
         &mut wrong_rng,
     );
@@ -292,4 +298,62 @@ fn corrupt_traces_are_rejected() {
     );
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&trunc_path).ok();
+}
+
+/// A trace that does not start at step 0, or whose selection breaks the
+/// scheduler contract, is a reported divergence before any step runs, not
+/// a panic.
+#[test]
+fn bad_step_indices_and_selections_are_divergences() {
+    let ring = generators::ring(8);
+    let replay_of = |step: u64, selection: &[usize]| {
+        let mut trace = Trace::new();
+        trace.push(&StepRecord {
+            step,
+            activations: selection
+                .iter()
+                .map(|&p| ActivationRecord {
+                    process: NodeId::new(p),
+                    executed: false,
+                    reads: Vec::new(),
+                    comm_changed: false,
+                })
+                .collect(),
+        });
+        telemetry::replay(
+            &ring,
+            RandomRecolor { palette: 4 },
+            1,
+            &trace,
+            &FaultPlan::new(Vec::new()),
+            &mut StdRng::seed_from_u64(0),
+        )
+        .map(|outcome| outcome.steps)
+    };
+    let divergence = |step: u64, selection: &[usize]| {
+        replay_of(step, selection).expect_err("a bad record diverges")
+    };
+
+    let late = divergence(1, &[0]);
+    assert_eq!(late.kind, DivergenceKind::StepIndex, "{late}");
+    assert!(late.detail.contains("record carries step 1"), "{late}");
+    for (selection, reason) in [
+        (&[][..], "is empty"),
+        (&[3, 1], "not strictly increasing at process p1"),
+        (&[2, 2], "not strictly increasing at process p2"),
+        (&[1, 8], "names process p8"),
+        (&[NodeId::MAX_INDEX], "the graph has 8 processes"),
+    ] {
+        let err = divergence(0, selection);
+        assert_eq!(err.kind, DivergenceKind::Selection, "{selection:?}: {err}");
+        assert!(err.detail.contains(reason), "{selection:?}: {err}");
+    }
+    // A valid step index and selection pass both checks and the step
+    // runs: process 0 reads both its ports, which the made-up record
+    // denies.
+    let ran = divergence(0, &[0]);
+    assert!(
+        matches!(ran.kind, DivergenceKind::Executed | DivergenceKind::Reads),
+        "{ran}"
+    );
 }

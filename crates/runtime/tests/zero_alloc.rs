@@ -15,6 +15,11 @@
 //! many steps it holds. A step that built a record for each step would
 //! exceed that within a few steps. Metrics stay disabled, as they are by
 //! default, so the registry costs one relaxed load per step.
+//!
+//! Replay allocates nothing per step either: it stages each recorded
+//! selection into a reused buffer and keeps only its own newest record,
+//! so replaying a silent run allocates as often over 2,000 steps as over
+//! 1,000. A replay that decoded a record per step would not.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,11 +27,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use selfstab_graph::{generators, Graph, NodeId, Port};
-use selfstab_runtime::faults::{BallCenter, FaultInjector, FaultLoad, FaultModel};
+use selfstab_runtime::faults::{BallCenter, FaultInjector, FaultLoad, FaultModel, FaultPlan};
 use selfstab_runtime::protocol::Protocol;
 use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, LocallyCentral, Scheduler, Synchronous,
 };
+use selfstab_runtime::telemetry;
 use selfstab_runtime::view::NeighborView;
 use selfstab_runtime::{SimOptions, Simulation};
 
@@ -253,6 +259,28 @@ fn assert_traced_steps_only_grow_the_trace<S: Scheduler>(
     );
 }
 
+/// Records the first `steps` steps of a synchronous run, which end
+/// silent, and returns how many times replaying them allocates. Every
+/// synchronous step selects every process, so a longer run's records
+/// outgrow no buffer a shorter run's replay grew.
+fn replay_allocations(graph: &Graph, steps: u64) -> u64 {
+    let mut sim = Simulation::new(graph, MinValue, Synchronous, 42, SimOptions::default());
+    sim.record_trace();
+    sim.run_steps(steps);
+    assert!(
+        sim.is_silent(),
+        "MinValue must stabilize within {steps} steps"
+    );
+    let trace = sim.take_trace().expect("recording");
+    let (plan, mut fault_rng) = (FaultPlan::new(Vec::new()), StdRng::seed_from_u64(7));
+
+    let before = allocation_count();
+    let outcome = telemetry::replay(graph, MinValue, 42, &trace, &plan, &mut fault_rng);
+    let events = allocation_count() - before;
+    assert_eq!(outcome.expect("replays").steps, steps);
+    events
+}
+
 #[test]
 fn steady_state_step_performs_zero_heap_allocations() {
     // One test function only: the counter is process-global, and a second
@@ -282,6 +310,15 @@ fn steady_state_step_performs_zero_heap_allocations() {
         DistributedRandom::new(0.3),
         "traced/distributed-random/grid",
     );
+
+    for (graph, shape) in [(&ring, "ring"), (&grid, "grid")] {
+        let short = replay_allocations(graph, 1_000);
+        let long = replay_allocations(graph, 2_000);
+        assert_eq!(
+            short, long,
+            "replay/synchronous/{shape}: 1,000 replayed steps allocated {short} times, 2,000 allocated {long}"
+        );
+    }
 
     // Sanity check that the counter actually works: an explicit allocation
     // must register.
