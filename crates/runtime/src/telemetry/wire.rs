@@ -192,13 +192,14 @@ fn list_len(reads: &[Port]) -> usize {
     total
 }
 
-/// Whether a strictly ascending read set of `ports` ports takes the
-/// bitmap form, of `bitmap` bytes, rather than the list form, whose
-/// deltas take `list` bytes: when the bitmap costs no more, tags
-/// included, so ties go to the bitmap, which decodes without per-port
-/// varint work. Both tags are costed as [`delta_len`] of their value. The
-/// encoder and the parser share this rule, so it decides which form is
-/// canonical.
+/// Whether `encode_reads` writes a strictly ascending read set of `ports`
+/// ports as a bitmap of `bitmap` bytes rather than as a list whose deltas
+/// take `list` bytes: when the bitmap costs no more, tags included, so a
+/// tie goes to the bitmap, which decodes without per-port varint work.
+/// Each tag is costed as `delta_len(0, tag)`, which can exceed its varint
+/// length by a byte; costing it otherwise would move some read sets to
+/// the other form, and so change recorded traces. The parser applies the
+/// same rule, so it decides which form is canonical.
 fn bitmap_is_chosen(bitmap: usize, ports: usize, list: usize) -> bool {
     delta_len(0, 2 * bitmap as u64) + bitmap <= delta_len(0, (2 * ports + 1) as u64) + list
 }
@@ -212,11 +213,11 @@ pub(super) const TAG_STEP: u8 = 0x01;
 /// between the file's header and its end tag.
 ///
 /// A recording simulation encodes into its trace without building a
-/// [`StepRecord`], and [`push`](Trace::push)
-/// encodes a decoded record through the same calls.
-/// [`read_trace_file`](super::read_trace_file) reads a checked stream
-/// into a trace, and [`write_file`](Trace::write_file) writes one as a
-/// trace file; [`records`](Trace::records) decodes one.
+/// [`StepRecord`], and [`push`](Trace::push) encodes a decoded record
+/// through the same calls. [`read_trace_file`](super::read_trace_file)
+/// reads a checked stream into a trace, [`write_file`](Trace::write_file)
+/// writes one as a trace file, and [`records`](Trace::records) decodes
+/// one.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     bytes: Vec<u8>,
