@@ -18,6 +18,12 @@
 //! value); `--format json` emits one machine-readable JSON
 //! document instead of the aligned text tables; `--list` prints the
 //! experiment identifiers and exits.
+//!
+//! `--trace-out` and `--replay` run one trace cell instead of the
+//! campaign, so they reject the campaign's options, and
+//! `--trace-workload` and `--trace-seed` are accepted only with
+//! `--trace-out` (a replay reads its cell from the file). A flag the
+//! chosen mode would ignore is an error, not a silent no-op.
 
 use std::env;
 use std::fs;
@@ -45,7 +51,7 @@ struct Args {
     only: Option<Vec<String>>,
     seed: Option<u64>,
     threads: Option<usize>,
-    format: Format,
+    format: Option<Format>,
     trace_out: Option<PathBuf>,
     replay: Option<PathBuf>,
     trace_workload: Option<Workload>,
@@ -72,11 +78,15 @@ observability:
   --trace-out PATH     instead of the experiments, record the canonical
                        coloring fault-recovery cell into a binary trace
                        at PATH and print its summary JSON to stdout
-  --trace-workload W   workload of the recorded cell (default ring(64))
-  --trace-seed N       seed of the recorded cell (default 118213)
+  --trace-workload W   workload of the recorded cell (default ring(64));
+                       only with --trace-out
+  --trace-seed N       seed of the recorded cell (default 118213); only
+                       with --trace-out
   --replay PATH        instead of the experiments, replay a recorded
                        trace, checking every activation against it, and
                        print the (byte-identical) summary JSON to stdout
+                       (--trace-out and --replay reject --quick, --csv,
+                       --only, --seed, --threads, --format and --progress)
   --metrics table|json enable runtime metrics and print the phase/fault/
                        campaign report to stderr at exit (json is one
                        line starting with {\"metrics\")
@@ -98,7 +108,7 @@ fn parse_args() -> Result<Parsed, String> {
         only: None,
         seed: None,
         threads: None,
-        format: Format::Table,
+        format: None,
         trace_out: None,
         replay: None,
         trace_workload: None,
@@ -147,11 +157,11 @@ fn parse_args() -> Result<Parsed, String> {
                 let value = iter
                     .next()
                     .ok_or("--format requires an argument (table or json)")?;
-                args.format = match value.as_str() {
+                args.format = Some(match value.as_str() {
                     "table" => Format::Table,
                     "json" => Format::Json,
                     other => return Err(format!("unknown format {other}; expected table or json")),
-                };
+                });
             }
             "--trace-out" => {
                 let path = iter.next().ok_or("--trace-out requires a file path")?;
@@ -194,9 +204,7 @@ fn parse_args() -> Result<Parsed, String> {
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
-    if args.trace_out.is_some() && args.replay.is_some() {
-        return Err("--trace-out and --replay are mutually exclusive".to_string());
-    }
+    check_mode(&args)?;
     if let Some(only) = &args.only {
         let known: Vec<String> = experiments::registry()
             .into_iter()
@@ -212,6 +220,52 @@ fn parse_args() -> Result<Parsed, String> {
         }
     }
     Ok(Parsed::Run(args))
+}
+
+/// Rejects a flag that the chosen mode would ignore: the campaign's
+/// options in a trace cell, and the recorded cell's options anywhere but
+/// in a recording.
+fn check_mode(args: &Args) -> Result<(), String> {
+    let mode = match (&args.trace_out, &args.replay) {
+        (Some(_), Some(_)) => {
+            return Err("--trace-out and --replay are mutually exclusive".to_string())
+        }
+        (Some(_), None) => Some("--trace-out"),
+        (None, Some(_)) => Some("--replay"),
+        (None, None) => None,
+    };
+    let first_given = |flags: &[(&'static str, bool)]| {
+        flags
+            .iter()
+            .find(|&&(_, given)| given)
+            .map(|&(flag, _)| flag)
+    };
+    let campaign = first_given(&[
+        ("--quick", args.quick),
+        ("--csv", args.csv_dir.is_some()),
+        ("--only", args.only.is_some()),
+        ("--seed", args.seed.is_some()),
+        ("--threads", args.threads.is_some()),
+        ("--format", args.format.is_some()),
+        ("--progress", args.progress),
+    ]);
+    let cell = first_given(&[
+        ("--trace-workload", args.trace_workload.is_some()),
+        ("--trace-seed", args.trace_seed.is_some()),
+    ]);
+    match (mode, campaign, cell) {
+        (Some(mode), Some(flag), _) => Err(format!(
+            "{flag} is not accepted with {mode}: a trace cell runs no experiment campaign"
+        )),
+        (Some("--replay"), None, Some(flag)) => Err(format!(
+            "{flag} is not accepted with --replay: a replay reads its cell from the trace file"
+        )),
+        (None, _, Some(flag)) => Err(format!(
+            "{flag} is not accepted without --trace-out: it sets the recorded cell, and an \
+             experiment campaign records none"
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Renders the whole run as one JSON document (configuration + tables).
@@ -340,7 +394,8 @@ fn main() -> ExitCode {
     if let Some(threads) = args.threads {
         config.threads = threads;
     }
-    if args.format == Format::Table {
+    let format = args.format.unwrap_or(Format::Table);
+    if format == Format::Table {
         println!(
             "reproduction of: Devismes, Masuzawa, Tixeuil — Communication Efficiency in \
              Self-stabilizing Silent Protocols (ICDCS 2009)"
@@ -358,7 +413,7 @@ fn main() -> ExitCode {
     let elapsed = started.elapsed();
 
     let mut failures = 0;
-    match args.format {
+    match format {
         Format::Table => {
             for table in &tables {
                 println!("{}", table.to_text());
@@ -377,7 +432,7 @@ fn main() -> ExitCode {
             if let Err(err) = fs::write(&path, table.to_csv()) {
                 eprintln!("cannot write {}: {err}", path.display());
                 failures += 1;
-            } else if args.format == Format::Table {
+            } else if format == Format::Table {
                 println!("wrote {}", path.display());
             }
         }

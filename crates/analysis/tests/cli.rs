@@ -2,7 +2,8 @@
 //! reject, whether given on the command line or read from a trace file's
 //! metadata, is an error on stderr with exit code 1 — never a panic (exit
 //! code 101) — the record/replay summary stays valid JSON for any output
-//! path, and `--only` selects experiments by a case-insensitive list.
+//! path, `--only` selects experiments by a case-insensitive list, and a
+//! flag that the chosen mode would ignore is an error.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -138,5 +139,69 @@ fn trace_summaries_escape_control_characters_in_paths() {
     let stdout = String::from_utf8(output.stdout).expect("UTF-8 summary");
     assert!(stdout.contains("a\\tb.bin"), "{stdout}");
     assert!(!stdout.contains('\t'), "raw tab in the summary: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The campaign's options in a trace cell, and the recorded cell's
+/// options outside a recording, change nothing, so each exits 1 naming
+/// the flag and the mode before anything runs or is written.
+#[test]
+fn flags_the_chosen_mode_ignores_exit_with_the_reason() {
+    let dir = scratch_dir("mode");
+    let out = dir.join("t.bin");
+    let out = out.to_str().expect("UTF-8 temp path");
+    let campaign: [&[&str]; 7] = [
+        &["--quick"],
+        &["--csv", "tables"],
+        &["--only", "E3"],
+        &["--seed", "4"],
+        &["--threads", "2"],
+        &["--format", "json"],
+        &["--progress"],
+    ];
+    let mut cases: Vec<(Vec<&str>, &str, &str)> = Vec::new();
+    for mode in ["--trace-out", "--replay"] {
+        for flag in campaign {
+            let mut args = vec![mode, out];
+            args.extend_from_slice(flag);
+            cases.push((args, flag[0], mode));
+        }
+    }
+    cases.extend([
+        // Without the check these two run and exit 0: E3, dropping the
+        // seed, and the default cell in the default format.
+        (
+            vec!["--quick", "--only", "E3", "--trace-seed", "5"],
+            "--trace-seed",
+            "without --trace-out",
+        ),
+        (
+            vec!["--trace-out", out, "--seed", "4", "--format", "json"],
+            "--seed",
+            "--trace-out",
+        ),
+        (
+            vec!["--trace-workload", "ring(8)"],
+            "--trace-workload",
+            "without --trace-out",
+        ),
+        (
+            vec!["--replay", out, "--trace-workload", "ring(8)"],
+            "--trace-workload",
+            "--replay",
+        ),
+        (
+            vec!["--replay", out, "--trace-seed", "5"],
+            "--trace-seed",
+            "--replay",
+        ),
+    ]);
+    for (args, flag, mode) in cases {
+        let output = experiments(&args);
+        let label = args.join(" ");
+        assert_rejected(&output, flag, mode);
+        assert!(output.stdout.is_empty(), "{label}: ran anyway");
+        assert!(!dir.join("t.bin").exists(), "{label}: wrote a trace");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,8 @@
 //! simulation hold must stay within the sum of their rows, derived below
 //! from the row sizes. A second copy of any per-process row, such as a
 //! staged communication value, private offsets in the statistics or a
-//! protocol clone that copies its colours, exceeds it.
+//! protocol clone that copies its colours, exceeds it, and so does a
+//! statistics row wider than its one selection count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
@@ -94,7 +95,7 @@ fn a_synchronous_mis_step_holds_each_row_once() {
     // budget follows the types):
     //   config      MisState                          8
     //   comm cache  MisComm                           8
-    //   statistics  ProcessStats                     24
+    //   statistics  ProcessStats                      8
     //   flag byte   enabled, dirty, selected          1
     //   dirty queue NodeId                            4
     //   selection   NodeId                            4
@@ -107,10 +108,10 @@ fn a_synchronous_mis_step_holds_each_row_once() {
     // its colours with `protocol`, so it adds no per-process row.
     assert_eq!(size_of::<MisState>(), 8);
     assert_eq!(size_of::<MisComm>(), 8);
-    assert_eq!(size_of::<ProcessStats>(), 24);
+    assert_eq!(size_of::<ProcessStats>(), 8);
     assert_eq!(size_of::<NodeId>(), 4);
     assert_eq!(size_of::<(NodeId, MisState, bool)>(), 16);
-    let per_process = 8 + 8 + 24 + 1 + 4 + 4 + 16;
+    let per_process = 8 + 8 + 8 + 1 + 4 + 4 + 16;
     // The rows above account for every live byte the step holds at its
     // peak, so this is the whole slack the test allows: room for small
     // incidental buffers that no row names. It is under one byte per

@@ -8,9 +8,10 @@
 //! * the round bounds of Lemma 4 and Lemma 9,
 //! * the ♦-(x, 1)-stability bounds of Theorems 6 and 8,
 //! * closure of the legitimacy predicates,
-//! * the measures `RunStats` reports (k-efficiency, its suffix form, and
-//!   the k-stable and ♦-k-stable process counts) equal the same measures
-//!   recomputed from the run's step records.
+//! * the measures `RunStats` reports (each process's selections,
+//!   k-efficiency, its suffix form, and the k-stable and ♦-k-stable
+//!   process counts) equal the same measures recomputed from the run's
+//!   step records.
 //!
 //! They also check the `Protocol` contract on the protocols that keep a
 //! hand-written guard (COLORING, its baseline, the transformer and the
@@ -41,36 +42,51 @@ fn random_connected_graph(n: usize, seed: u64) -> Graph {
     generators::gnp_connected(n, p.min(1.0), &mut rng).expect("valid parameters")
 }
 
-/// What each of the `n` processes read over `records`: the most distinct
-/// ports one of its activations read (Definition 4's `k` for it), and the
-/// size of its read set, rebuilt by its own scan with a linear `contains`
-/// probe.
-fn reads_per_process(records: &[StepRecord], n: usize) -> Vec<(usize, usize)> {
+/// What one process did over some step records.
+struct Reads {
+    /// Its activations.
+    activations: u64,
+    /// The most distinct ports one of its activations read (Definition
+    /// 4's `k` for it).
+    most: usize,
+    /// The size of its read set.
+    read_set: usize,
+}
+
+/// What each of the `n` processes did over `records`, rebuilt by its own
+/// scan with a linear `contains` probe.
+fn reads_per_process(records: &[StepRecord], n: usize) -> Vec<Reads> {
     (0..n)
         .map(|p| {
-            let mut most = 0;
+            let mut reads = Reads {
+                activations: 0,
+                most: 0,
+                read_set: 0,
+            };
             let mut ports: Vec<Port> = Vec::new();
             for activation in records.iter().flat_map(|r| &r.activations) {
                 if activation.process.index() != p {
                     continue;
                 }
-                most = most.max(activation.reads.len());
+                reads.activations += 1;
+                reads.most = reads.most.max(activation.reads.len());
                 for &port in &activation.reads {
                     if !ports.contains(&port) {
                         ports.push(port);
                     }
                 }
             }
-            (most, ports.len())
+            reads.read_set = ports.len();
+            reads
         })
         .collect()
 }
 
 /// Runs `protocol` under `DistributedRandom(0.5)`, recording its trace: to
 /// silence, then the suffix marker, then 300
-/// more steps. Every measure `RunStats` reports, per process and in
-/// aggregate, must equal the same measure recomputed from the decoded
-/// step records.
+/// more steps. Every measure `RunStats` reports, per process (selections
+/// and read sets) and in aggregate, must equal the same measure
+/// recomputed from the decoded step records.
 fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, seed: u64) {
     let name = protocol.name();
     let mut sim = Simulation::new(
@@ -94,21 +110,19 @@ fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, s
     let since_marker = reads_per_process(suffix, graph.node_count());
     let stats = sim.stats();
     for p in graph.nodes() {
-        let row = stats.process(p);
-        let reported = [
-            (
-                row.max_reads_per_activation as usize,
-                stats.distinct_neighbors_ever(graph, p),
-            ),
-            (
-                row.max_reads_per_activation_since_marker as usize,
-                stats.distinct_neighbors_since_marker(graph, p),
-            ),
-        ];
-        let from_records = [ever[p.index()], since_marker[p.index()]];
+        let reported = (
+            stats.process(p).selections,
+            stats.distinct_neighbors_ever(graph, p),
+            stats.distinct_neighbors_since_marker(graph, p),
+        );
+        let from_records = (
+            ever[p.index()].activations,
+            ever[p.index()].read_set,
+            since_marker[p.index()].read_set,
+        );
         assert_eq!(reported, from_records, "{name}, {p}");
     }
-    let most = |reads: &[(usize, usize)]| reads.iter().map(|&(most, _)| most).max().unwrap_or(0);
+    let most = |reads: &[Reads]| reads.iter().map(|r| r.most).max().unwrap_or(0);
     assert_eq!(stats.measured_efficiency(), most(&ever), "{name}");
     assert_eq!(
         stats.suffix_measured_efficiency(),
@@ -116,7 +130,7 @@ fn assert_run_stats_match_the_records<P: Protocol>(graph: &Graph, protocol: P, s
         "{name}"
     );
     for k in 0..=graph.max_degree() + 1 {
-        let at_most_k = |reads: &[(usize, usize)]| reads.iter().filter(|r| r.1 <= k).count();
+        let at_most_k = |reads: &[Reads]| reads.iter().filter(|r| r.read_set <= k).count();
         let counts = (
             stats.k_stable_process_count(graph, k),
             stats.stable_process_count(graph, k),

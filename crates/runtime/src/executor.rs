@@ -42,12 +42,13 @@
 //!   order: each selected process reads the pre-step configuration
 //!   through a tracked view, built from its CSR row, which records each
 //!   distinct port it reads in one reused buffer; those ports go straight
-//!   into [`RunStats`], on the same row (the store-wide totals take one
-//!   add per step), and the new state is staged with one flag: whether
-//!   its communication value differs from the cached one. By the
-//!   [`Protocol`] contract the activation returns a new state exactly
-//!   when the process's guard holds, so one write to the process's flag
-//!   byte settles its guard and marks it selected this round;
+//!   into [`RunStats`], on the same row (the store-wide totals and the
+//!   widest read set are folded once per step), and the new state is
+//!   staged with one flag: whether its communication value differs from
+//!   the cached one. By the [`Protocol`] contract the activation returns
+//!   a new state exactly when the process's guard holds, so one write to
+//!   the process's flag byte settles its guard and marks it selected this
+//!   round;
 //! * **A′. guard refresh** of the dirty guards no activation settled,
 //!   still against the pre-step configuration (nothing is left after A);
 //! * **D. merge** — the staged updates are applied simultaneously, keeping
@@ -597,6 +598,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         let clock = PhaseClock::start(metrics);
         let mut comm_changed_any = false;
         let mut read_operations_step = 0u64;
+        let mut widest_step = 0usize;
         for &p in &self.selected_scratch {
             // p's CSR row: the view reads its neighbours, the record its
             // flag bytes, which are laid out like the graph.
@@ -616,8 +618,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             // evaluated its guards, so it is recorded as an activation
             // (with whatever it read, possibly nothing) like every other
             // selected process.
-            self.stats.record_activation(p, row, reads, read_operations);
+            self.stats.record_activation(p, row, reads);
             read_operations_step += read_operations as u64;
+            widest_step = widest_step.max(distinct);
             let executed = new_state.is_some();
             // By the `Protocol` contract the activation just evaluated p's
             // guard on the pre-step snapshot: one write settles it and
@@ -637,8 +640,11 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 trace.push_activation(executed, comm_changed, reads);
             }
         }
-        self.stats
-            .record_step_totals(self.selected_scratch.len(), read_operations_step);
+        self.stats.record_step_totals(
+            self.selected_scratch.len(),
+            read_operations_step,
+            widest_step,
+        );
         clock.stop(StepPhase::Activation, self.selected_scratch.len());
 
         // Phase A for the dirty guards no activation settled, still on the
@@ -1006,19 +1012,22 @@ mod tests {
         );
         let outcome = sim.step();
         assert_eq!((outcome.selected, outcome.executed), (3, 0));
+        let stats = sim.stats();
         for p in graph.nodes() {
-            let stats = sim.stats().process(p);
-            assert_eq!(stats.selections, 1);
+            assert_eq!(stats.process(p).selections, 1);
             // The disabled process still evaluated its guard, reading
             // every neighbor: its activation is recorded like any other.
             assert_eq!(
-                stats.max_reads_per_activation as usize,
+                stats.distinct_neighbors_ever(&graph, p),
                 graph.degree(p),
                 "a selected disabled process is an activation"
             );
         }
-        assert_eq!(sim.stats().suffix_selections(), 3);
-        assert_eq!(sim.stats().suffix_read_operations(), 4);
+        // The middle process read both of its neighbors.
+        assert_eq!(stats.measured_efficiency(), 2);
+        assert_eq!(stats.total_read_operations(), 4);
+        assert_eq!(stats.suffix_selections(), 3);
+        assert_eq!(stats.suffix_read_operations(), 4);
     }
 
     #[test]
@@ -1036,12 +1045,13 @@ mod tests {
         );
         sim.record_trace();
         sim.step();
+        let stats = sim.stats();
+        // Three read operations per process, repeats included.
+        assert_eq!(stats.total_read_operations(), 9);
         for p in graph.nodes() {
-            let stats = sim.stats().process(p);
-            assert_eq!(stats.total_read_operations, 3);
-            assert_eq!(stats.max_reads_per_activation as usize, graph.degree(p));
+            assert_eq!(stats.distinct_neighbors_ever(&graph, p), graph.degree(p));
         }
-        assert_eq!(sim.stats().measured_efficiency(), 2);
+        assert_eq!(stats.measured_efficiency(), 2);
         let record = sim.trace().unwrap().records().pop().unwrap();
         let reads: Vec<&[Port]> = record.activations.iter().map(|a| &a.reads[..]).collect();
         assert_eq!(

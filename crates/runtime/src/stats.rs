@@ -1,10 +1,11 @@
-//! Online per-process statistics collected during a simulation.
+//! Online statistics collected during a simulation.
 //!
 //! These counters are what turn the paper's definitions into measurable
 //! quantities:
 //!
-//! * **k-efficiency** (Definition 4): `max_reads_per_activation` over every
-//!   process must stay ≤ k in *every* step,
+//! * **k-efficiency** (Definition 4): the largest distinct read set of
+//!   any activation ([`RunStats::measured_efficiency`]) must stay ≤ k in
+//!   *every* step,
 //! * **communication complexity** (Definition 5): the maximum amount of
 //!   memory read from neighbors in a step — derived by multiplying the read
 //!   counts with the protocol's `comm_bits`,
@@ -23,13 +24,13 @@
 //!
 //! # Layout
 //!
-//! The statistics are stored struct-of-arrays: per-process *scalar*
-//! counters live in one dense `Vec<ProcessStats>` of 24-byte rows, while
-//! the per-port read flags of all processes share one flat `Vec<u8>` in
-//! the graph's CSR layout (process `p`'s flags are the range
+//! The statistics are stored struct-of-arrays: each process has one
+//! 8-byte [`ProcessStats`] row (its selection count) in one dense `Vec`,
+//! while the per-port read flags of all processes share one flat
+//! `Vec<u8>` in the graph's CSR layout (process `p`'s flags are the range
 //! [`Graph::port_range`] gives for `p`; bit 0 of a flag byte means "read
 //! at least once", bit 1 "read since the suffix marker"). Every
-//! activation writes exactly one scalar row and the flag bytes of the
+//! activation writes exactly one 8-byte row and the flag bytes of the
 //! ports it read, on the graph row the executor loaded for the
 //! activation's view, and sets the whole row in one pass when it read
 //! every port. The store keeps no offsets of its own: the queries that
@@ -39,14 +40,16 @@
 //! They assert only its process and port counts (`n` rows, `2m` flag
 //! bytes), not its rows: another graph with the same counts reads the
 //! flags of the wrong rows without a panic. The footprint
-//! is `24·n + 2m` bytes (rows, one flag byte per port) with no
+//! is `8·n + 2m` bytes (rows, one flag byte per port) with no
 //! per-process heap indirection.
 //!
-//! Store-wide quantities are running aggregates instead of per-process
-//! counters, added once per step rather than once per activation: the
-//! suffix totals ([`RunStats::suffix_selections`],
+//! Everything else is a running aggregate, folded once per step rather
+//! than once per activation: the selection and read-operation totals and
+//! the widest read set of any activation, over the whole run and since
+//! the suffix marker. The suffix totals ([`RunStats::suffix_selections`],
 //! [`RunStats::suffix_read_operations`]) are the running totals minus a
-//! snapshot taken by [`RunStats::mark_suffix`].
+//! snapshot taken by [`RunStats::mark_suffix`], so every store-wide query
+//! is `O(1)` and `mark_suffix` is `O(m)`.
 //!
 //! [`Graph::port_range`]: selfstab_graph::Graph::port_range
 
@@ -60,28 +63,21 @@ const READ_EVER: u8 = 1;
 /// marker.
 const READ_SINCE_MARKER: u8 = 2;
 
-/// Scalar statistics of a single process across a (partial) execution.
+/// The statistics row of a single process across a (partial) execution.
 ///
 /// The per-port read flags are *not* stored here — they live in a flat
 /// CSR-layout array owned by [`RunStats`] (see the
 /// [module documentation](self)); query them through
 /// [`RunStats::distinct_neighbors_ever`] and
-/// [`RunStats::distinct_neighbors_since_marker`].
+/// [`RunStats::distinct_neighbors_since_marker`]. Read totals and the
+/// widest read set are store-wide ([`RunStats::total_read_operations`],
+/// [`RunStats::measured_efficiency`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessStats {
     /// Number of times the scheduler selected this process. Every
     /// selection is an activation: a disabled process still evaluates its
     /// guards, reading through its view.
     pub selections: u64,
-    /// Total number of read operations (repeats included).
-    pub total_read_operations: u64,
-    /// Largest number of *distinct* neighbors read during a single
-    /// activation.
-    pub max_reads_per_activation: u32,
-    /// Largest number of distinct neighbors read during a single activation
-    /// since the last suffix marker — the per-process ♦-k-efficiency
-    /// (eventually reading at most `k` neighbors *per step*).
-    pub max_reads_per_activation_since_marker: u32,
 }
 
 /// Statistics of a whole execution.
@@ -102,7 +98,7 @@ pub struct RunStats {
     pub suffix_marker_step: Option<u64>,
     /// Running aggregate of [`ProcessStats::selections`].
     total_selections: u64,
-    /// Running aggregate of [`ProcessStats::total_read_operations`], kept so
+    /// Total number of read operations (repeats included), kept so
     /// [`RunStats::total_read_operations`] is `O(1)` — per-round recovery
     /// telemetry reads it at every round boundary.
     total_reads: u64,
@@ -110,6 +106,11 @@ pub struct RunStats {
     selections_at_marker: u64,
     /// `total_reads` when the last suffix marker was placed.
     reads_at_marker: u64,
+    /// Largest number of distinct neighbors any activation read.
+    widest_read: usize,
+    /// Largest number of distinct neighbors any activation read since the
+    /// last suffix marker.
+    widest_read_since_marker: usize,
     /// Running number of communication-state changes.
     total_comm_change_count: u64,
     /// Latest step at which any communication variable changed.
@@ -131,6 +132,8 @@ impl RunStats {
             total_reads: 0,
             selections_at_marker: 0,
             reads_at_marker: 0,
+            widest_read: 0,
+            widest_read_since_marker: 0,
             total_comm_change_count: 0,
             latest_comm_change_step: None,
         }
@@ -200,37 +203,23 @@ impl RunStats {
     }
 
     /// Records one activation of `p`: a selection that read the given
-    /// distinct ports with `read_operations` reads in total (repeats
-    /// included). Every selection is an activation — a disabled process
-    /// still evaluates its guards — so this is the one per-activation
-    /// write: one scalar row, plus the flag bytes of the ports read.
+    /// distinct ports. Every selection is an activation — a disabled
+    /// process still evaluates its guards — so this is the one
+    /// per-activation write: one 8-byte row, plus the flag bytes of the
+    /// ports read.
     ///
     /// `row` is `p`'s [`Graph::port_range`] in the graph these statistics
     /// were built for: the executor has just loaded it to build the
     /// activation's view, and the flag array is laid out like the graph's
     /// CSR arrays, so the record reads no offset. An activation that read
     /// every port sets the whole row in one pass.
-    /// The store-wide totals are not touched here: the executor adds a
-    /// whole step's activations with [`RunStats::record_step_totals`].
+    /// The store-wide aggregates are not touched here: the executor folds
+    /// a whole step's activations with [`RunStats::record_step_totals`].
     ///
     /// [`Graph::port_range`]: selfstab_graph::Graph::port_range
     #[inline(always)]
-    pub(crate) fn record_activation(
-        &mut self,
-        p: NodeId,
-        row: Range<usize>,
-        reads: &[Port],
-        read_operations: usize,
-    ) {
-        // A distinct read set never exceeds the degree, which the graph
-        // builder keeps within `u32`.
-        let distinct = u32::try_from(reads.len()).unwrap_or(u32::MAX);
-        let stats = &mut self.per_process[p.index()];
-        stats.selections += 1;
-        stats.total_read_operations += read_operations as u64;
-        stats.max_reads_per_activation = stats.max_reads_per_activation.max(distinct);
-        stats.max_reads_per_activation_since_marker =
-            stats.max_reads_per_activation_since_marker.max(distinct);
+    pub(crate) fn record_activation(&mut self, p: NodeId, row: Range<usize>, reads: &[Port]) {
+        self.per_process[p.index()].selections += 1;
         let flags = &mut self.port_flags[row];
         // A flag byte holds no bit besides these two, so a read port's
         // byte is stored, not or-ed into.
@@ -246,13 +235,22 @@ impl RunStats {
         }
     }
 
-    /// Adds one step's activations to the store-wide totals: `selections`
-    /// activations with `read_operations` reads among them, the sums of
-    /// what the step's [`RunStats::record_activation`] calls recorded.
+    /// Folds one step's activations into the store-wide aggregates:
+    /// `selections` activations with `read_operations` reads among them
+    /// (repeats included), the widest of which read `widest` distinct
+    /// neighbors. These are the sums and the maximum over what the step's
+    /// [`RunStats::record_activation`] calls recorded.
     #[inline]
-    pub(crate) fn record_step_totals(&mut self, selections: usize, read_operations: u64) {
+    pub(crate) fn record_step_totals(
+        &mut self,
+        selections: usize,
+        read_operations: u64,
+        widest: usize,
+    ) {
         self.total_selections += selections as u64;
         self.total_reads += read_operations;
+        self.widest_read = self.widest_read.max(widest);
+        self.widest_read_since_marker = self.widest_read_since_marker.max(widest);
     }
 
     /// Records that a process changed its communication state at `step`.
@@ -263,38 +261,32 @@ impl RunStats {
     }
 
     /// Places the suffix marker at `step`: the per-process suffix read sets
-    /// are cleared and the suffix totals restart from zero, so subsequent
-    /// reads measure `R_p` over the suffix only. Typically called right
-    /// after stabilization is detected so the ♦-(x, k)-stability of
-    /// Definition 9 can be evaluated.
+    /// are cleared and the suffix totals and maximum restart from zero, so
+    /// subsequent reads measure `R_p` over the suffix only. Typically called
+    /// right after stabilization is detected so the ♦-(x, k)-stability of
+    /// Definition 9 can be evaluated. `O(m)`: one pass over the flag bytes.
     pub fn mark_suffix(&mut self, step: u64) {
         self.suffix_marker_step = Some(step);
         self.selections_at_marker = self.total_selections;
         self.reads_at_marker = self.total_reads;
+        self.widest_read_since_marker = 0;
         for flags in &mut self.port_flags {
             *flags &= !READ_SINCE_MARKER;
-        }
-        for stats in &mut self.per_process {
-            stats.max_reads_per_activation_since_marker = 0;
         }
     }
 
     /// The measured ♦-efficiency of the suffix: the smallest `k` such that
     /// every process read at most `k` distinct neighbors in every activation
     /// since the last suffix marker (Definition 4 restricted to the suffix —
-    /// "eventually `k`-efficient").
+    /// "eventually `k`-efficient"). `O(1)`.
     pub fn suffix_measured_efficiency(&self) -> usize {
-        self.per_process
-            .iter()
-            .map(|s| s.max_reads_per_activation_since_marker)
-            .max()
-            .unwrap_or(0) as usize
+        self.widest_read_since_marker
     }
 
     /// Total read operations across all processes since the last suffix
     /// marker (the whole execution if no marker was placed). `O(1)`.
     pub fn suffix_read_operations(&self) -> u64 {
-        self.total_read_operations() - self.reads_at_marker
+        self.total_reads - self.reads_at_marker
     }
 
     /// Total selections across all processes since the last suffix marker
@@ -310,13 +302,9 @@ impl RunStats {
 
     /// The measured efficiency of the execution: the smallest `k` such that
     /// every process read at most `k` distinct neighbors in every activation
-    /// (Definition 4 evaluated on this execution).
+    /// (Definition 4 evaluated on this execution). `O(1)`.
     pub fn measured_efficiency(&self) -> usize {
-        self.per_process
-            .iter()
-            .map(|s| s.max_reads_per_activation)
-            .max()
-            .unwrap_or(0) as usize
+        self.widest_read
     }
 
     /// Number of processes whose suffix read set has size at most `k` —
@@ -349,20 +337,10 @@ impl RunStats {
             .count()
     }
 
-    /// Total number of read operations across all processes.
-    ///
-    /// `O(1)`: served from a running aggregate (the seed summed the
-    /// per-process counters on every call — per-round recovery telemetry
-    /// queries this at every round boundary, so the scan added up).
+    /// Total number of read operations across all processes (repeats
+    /// included). `O(1)`, running aggregate: per-round recovery telemetry
+    /// queries this at every round boundary.
     pub fn total_read_operations(&self) -> u64 {
-        debug_assert_eq!(
-            self.total_reads,
-            self.per_process
-                .iter()
-                .map(|s| s.total_read_operations)
-                .sum::<u64>(),
-            "aggregate read counter diverged from the per-process counters"
-        );
         self.total_reads
     }
 
@@ -384,10 +362,10 @@ impl RunStats {
     /// comparisons just use `==`).
     ///
     /// Two stats stores of one graph compare equal iff they digest equal
-    /// (modulo FNV collisions): the digest folds every scalar, every CSR
-    /// offset of `graph` (the layout of the flag bytes) and every
-    /// port-flag byte in a canonical order, with `Option`s encoded as a
-    /// presence bit before the value.
+    /// (modulo FNV collisions): the digest folds every scalar, every
+    /// process's selection count, every CSR offset of `graph` (the layout
+    /// of the flag bytes) and every port-flag byte in a canonical order,
+    /// with `Option`s encoded as a presence bit before the value.
     ///
     /// # Panics
     ///
@@ -407,14 +385,13 @@ impl RunStats {
         fnv.write_u64(self.total_reads);
         fnv.write_u64(self.selections_at_marker);
         fnv.write_u64(self.reads_at_marker);
+        fnv.write_usize(self.widest_read);
+        fnv.write_usize(self.widest_read_since_marker);
         fnv.write_u64(self.total_comm_change_count);
         write_opt(&mut fnv, self.latest_comm_change_step);
         fnv.write_usize(self.per_process.len());
         for stats in &self.per_process {
             fnv.write_u64(stats.selections);
-            fnv.write_u64(stats.total_read_operations);
-            fnv.write_u64(u64::from(stats.max_reads_per_activation));
-            fnv.write_u64(u64::from(stats.max_reads_per_activation_since_marker));
         }
         // The `n + 1` row offsets, in order: 0, then where each row ends.
         fnv.write_u64(0);
@@ -436,7 +413,7 @@ mod tests {
     use selfstab_graph::generators;
 
     /// Records one activation of `p` as the executor does: on `p`'s row of
-    /// `graph`, with the store-wide totals added after it.
+    /// `graph`, with the store-wide aggregates folded after it.
     fn record(
         stats: &mut RunStats,
         graph: &Graph,
@@ -445,8 +422,8 @@ mod tests {
         read_operations: usize,
     ) {
         let reads: Vec<Port> = reads.iter().map(|&r| Port::new(r)).collect();
-        stats.record_activation(p, graph.port_range(p), &reads, read_operations);
-        stats.record_step_totals(1, read_operations as u64);
+        stats.record_activation(p, graph.port_range(p), &reads);
+        stats.record_step_totals(1, read_operations as u64, reads.len());
     }
 
     #[test]
@@ -531,10 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn process_rows_are_24_bytes() {
+    fn process_rows_are_8_bytes() {
         // Every activation writes one of these rows; a wider row costs
         // memory bandwidth on every step.
-        assert_eq!(std::mem::size_of::<ProcessStats>(), 24);
+        assert_eq!(std::mem::size_of::<ProcessStats>(), 8);
     }
 
     #[test]
@@ -545,15 +522,16 @@ mod tests {
         let p0 = NodeId::new(0);
         let p1 = NodeId::new(1);
         record(&mut stats, &graph, p0, &[0, 2], 5);
+        assert_eq!(stats.process(p0).selections, 1);
+        assert_eq!(stats.distinct_neighbors_ever(&graph, p0), 2);
+        assert_eq!(stats.measured_efficiency(), 2);
+        assert_eq!(stats.total_read_operations(), 5);
         record(&mut stats, &graph, p1, &[1], 1);
         stats.record_comm_change(0);
 
-        assert_eq!(stats.process(p0).selections, 1);
-        assert_eq!(stats.process(p0).max_reads_per_activation, 2);
-        assert_eq!(stats.process(p0).total_read_operations, 5);
-        assert_eq!(stats.distinct_neighbors_ever(&graph, p0), 2);
         assert_eq!(stats.process(p1).selections, 1);
-        assert_eq!(stats.process(p1).total_read_operations, 1);
+        assert_eq!(stats.distinct_neighbors_ever(&graph, p1), 1);
+        // p1's narrower activation leaves the maximum at p0's two reads.
         assert_eq!(stats.measured_efficiency(), 2);
         assert_eq!(stats.total_read_operations(), 6);
         // No marker yet: the suffix is the whole execution.
@@ -596,14 +574,13 @@ mod tests {
         stats.mark_suffix(5);
         assert_eq!(stats.suffix_read_operations(), 0);
         assert_eq!(stats.suffix_selections(), 0);
-        assert_eq!(stats.process(p0).total_read_operations, 3);
+        assert_eq!(stats.total_read_operations(), 3);
         record(&mut stats, &graph, p0, &[1], 2);
         assert_eq!(stats.suffix_read_operations(), 2);
         assert_eq!(stats.suffix_selections(), 1);
-        // The per-process rows keep whole-execution totals.
-        assert_eq!(stats.process(p0).total_read_operations, 5);
-        assert_eq!(stats.process(p0).selections, 2);
+        // The whole-execution totals and the rows ignore the marker.
         assert_eq!(stats.total_read_operations(), 5);
+        assert_eq!(stats.process(p0).selections, 2);
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //!
 //! A tracked view records an activation's distinct ports in one pass, and
 //! `RunStats` records the activation on the process's CSR row, setting the
-//! whole row at once when every port was read and adding the store-wide
-//! totals once per step. Here a test protocol replays a seeded script of
-//! single reads, whole-neighbourhood reads (`read_all`) and repeats on
-//! random graphs, under the synchronous and the distributed random daemon,
-//! and a reference that knows nothing of those shortcuts recomputes every
-//! activation port by port: the distinct ports in first-read order, the
-//! operation count, each process's row, both per-port read sets around a
-//! suffix marker, and the totals. After every step each of them must equal
-//! what the executor recorded, and every trace record's read list must
-//! equal the reference's.
+//! whole row at once when every port was read and folding the store-wide
+//! totals and the widest read set once per step. Here a test protocol
+//! replays a seeded script of single reads, whole-neighbourhood reads
+//! (`read_all`) and repeats on random graphs, under the synchronous and
+//! the distributed random daemon, and a reference that knows nothing of
+//! those shortcuts recomputes every activation port by port: the distinct
+//! ports in first-read order, the operation count, each process's row,
+//! both per-port read sets around a suffix marker, the totals and the
+//! widest read set of the run and of the suffix, updated per activation.
+//! After every step each of them must equal what the executor recorded,
+//! and every trace record's read list must equal the reference's.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -155,7 +156,7 @@ impl Coverage {
 }
 
 /// The naive per-port reference: every read sets its port's flags one by
-/// one, and every activation adds to the totals at once.
+/// one, and every activation adds to the totals and the maxima at once.
 struct Reference {
     /// Activations of each process so far (the protocol's state).
     counts: Vec<u32>,
@@ -166,6 +167,10 @@ struct Reference {
     read_operations: u64,
     selections_at_marker: u64,
     read_operations_at_marker: u64,
+    /// The widest read set of any activation, over the run and since the
+    /// marker.
+    widest: usize,
+    widest_since_marker: usize,
 }
 
 impl Reference {
@@ -180,6 +185,8 @@ impl Reference {
             read_operations: 0,
             selections_at_marker: 0,
             read_operations_at_marker: 0,
+            widest: 0,
+            widest_since_marker: 0,
         }
     }
 
@@ -222,13 +229,9 @@ impl Reference {
             self.read_ever[i][port.index()] = true;
             self.read_since_marker[i][port.index()] = true;
         }
-        let row = &mut self.rows[i];
-        let width = distinct.len() as u32;
-        row.selections += 1;
-        row.total_read_operations += operations as u64;
-        row.max_reads_per_activation = row.max_reads_per_activation.max(width);
-        row.max_reads_per_activation_since_marker =
-            row.max_reads_per_activation_since_marker.max(width);
+        self.rows[i].selections += 1;
+        self.widest = self.widest.max(distinct.len());
+        self.widest_since_marker = self.widest_since_marker.max(distinct.len());
         self.selections += 1;
         self.read_operations += operations as u64;
         distinct
@@ -238,9 +241,7 @@ impl Reference {
         for flags in &mut self.read_since_marker {
             flags.fill(false);
         }
-        for row in &mut self.rows {
-            row.max_reads_per_activation_since_marker = 0;
-        }
+        self.widest_since_marker = 0;
         self.selections_at_marker = self.selections;
         self.read_operations_at_marker = self.read_operations;
     }
@@ -319,6 +320,14 @@ fn check<S: Scheduler>(graph: &Graph, scheduler: S, seed: u64, coverage: &mut Co
                 reference.read_operations - reference.read_operations_at_marker,
             ),
             "{label}: totals after step {step}"
+        );
+        assert_eq!(
+            (
+                stats.measured_efficiency(),
+                stats.suffix_measured_efficiency()
+            ),
+            (reference.widest, reference.widest_since_marker),
+            "{label}: widest read sets after step {step}"
         );
     }
 }
