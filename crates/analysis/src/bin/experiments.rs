@@ -22,8 +22,10 @@
 //! `--trace-out` and `--replay` run one trace cell instead of the
 //! campaign, so they reject the campaign's options, and
 //! `--trace-workload` and `--trace-seed` are accepted only with
-//! `--trace-out` (a replay reads its cell from the file). A flag the
-//! chosen mode would ignore is an error, not a silent no-op.
+//! `--trace-out` (a replay reads its cell from the file). `--list` runs
+//! nothing, so it takes no other option. A flag the chosen mode would
+//! ignore is an error, not a silent no-op, and the whole command line is
+//! read before any mode answers.
 
 use std::env;
 use std::fs;
@@ -58,6 +60,7 @@ struct Args {
     trace_seed: Option<u64>,
     metrics: Option<Format>,
     progress: bool,
+    list: bool,
 }
 
 const USAGE: &str = "usage: experiments [OPTIONS]
@@ -71,7 +74,8 @@ options:
                        (default: the machine's available parallelism;
                        tables are byte-identical for every thread count)
   --format table|json  output format (default: table)
-  --list               list the experiment identifiers and exit
+  --list               list the experiment identifiers and exit (takes no
+                       other option)
   -h, --help           print this help
 
 observability:
@@ -115,6 +119,7 @@ fn parse_args() -> Result<Parsed, String> {
         trace_seed: None,
         metrics: None,
         progress: false,
+        list: false,
     };
     let mut iter = env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -199,12 +204,15 @@ fn parse_args() -> Result<Parsed, String> {
                 });
             }
             "--progress" => args.progress = true,
-            "--list" => return Ok(Parsed::List),
+            "--list" => args.list = true,
             "--help" | "-h" => return Ok(Parsed::Help),
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
     check_mode(&args)?;
+    if args.list {
+        return Ok(Parsed::List);
+    }
     if let Some(only) = &args.only {
         let known: Vec<String> = experiments::registry()
             .into_iter()
@@ -223,8 +231,8 @@ fn parse_args() -> Result<Parsed, String> {
 }
 
 /// Rejects a flag that the chosen mode would ignore: the campaign's
-/// options in a trace cell, and the recorded cell's options anywhere but
-/// in a recording.
+/// options in a trace cell, the recorded cell's options anywhere but in a
+/// recording, and any option next to `--list`.
 fn check_mode(args: &Args) -> Result<(), String> {
     let mode = match (&args.trace_out, &args.replay) {
         (Some(_), Some(_)) => {
@@ -253,6 +261,15 @@ fn check_mode(args: &Args) -> Result<(), String> {
         ("--trace-workload", args.trace_workload.is_some()),
         ("--trace-seed", args.trace_seed.is_some()),
     ]);
+    // `--list` prints the identifiers and runs nothing, so it takes no
+    // other option.
+    let beside_list = first_given(&[
+        ("--trace-out", args.trace_out.is_some()),
+        ("--replay", args.replay.is_some()),
+        ("--metrics", args.metrics.is_some()),
+    ])
+    .or(campaign)
+    .filter(|_| args.list);
     match (mode, campaign, cell) {
         (Some(mode), Some(flag), _) => Err(format!(
             "{flag} is not accepted with {mode}: a trace cell runs no experiment campaign"
@@ -264,7 +281,13 @@ fn check_mode(args: &Args) -> Result<(), String> {
             "{flag} is not accepted without --trace-out: it sets the recorded cell, and an \
              experiment campaign records none"
         )),
-        _ => Ok(()),
+        _ => match beside_list {
+            Some(flag) => Err(format!(
+                "{flag} is not accepted with --list: it prints the experiment identifiers and \
+                 runs nothing"
+            )),
+            None => Ok(()),
+        },
     }
 }
 

@@ -3,7 +3,8 @@
 //! metadata, is an error on stderr with exit code 1 — never a panic (exit
 //! code 101) — the record/replay summary stays valid JSON for any output
 //! path, `--only` selects experiments by a case-insensitive list, and a
-//! flag that the chosen mode would ignore is an error.
+//! flag that the chosen mode would ignore is an error, `--list` included:
+//! it answers only after reading the whole command line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -195,6 +196,25 @@ fn flags_the_chosen_mode_ignores_exit_with_the_reason() {
             "--trace-seed",
             "--replay",
         ),
+        // `--list` answers only after the whole command line is read.
+        (vec!["--list", "--bogus"], "--bogus", "unknown argument"),
+        (vec!["--bogus", "--list"], "--bogus", "unknown argument"),
+        (
+            vec!["--list", "--trace-seed", "5", "--quick"],
+            "--trace-seed",
+            "without --trace-out",
+        ),
+        (vec!["--list", "--quick"], "--quick", "with --list"),
+        (
+            vec!["--list", "--trace-out", out],
+            "--trace-out",
+            "with --list",
+        ),
+        (
+            vec!["--metrics", "json", "--list"],
+            "--metrics",
+            "with --list",
+        ),
     ]);
     for (args, flag, mode) in cases {
         let output = experiments(&args);
@@ -204,4 +224,17 @@ fn flags_the_chosen_mode_ignores_exit_with_the_reason() {
         assert!(!dir.join("t.bin").exists(), "{label}: wrote a trace");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn list_alone_prints_every_experiment() {
+    let output = experiments(&["--list"]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 list");
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(ids.first(), Some(&"E1"), "{stdout}");
+    assert!(ids.contains(&"E7/E8") && ids.contains(&"E14"), "{stdout}");
 }

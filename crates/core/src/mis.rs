@@ -146,9 +146,39 @@ impl Protocol for Mis {
         }
     }
 
+    /// Hand-written because a Dominator needs no read: action 1 or action
+    /// 3 fires at every Dominator with a neighbor, so only a dominated
+    /// process reads its checked neighbor, for action 2's test. The derived
+    /// guard would read that neighbor at a Dominator too, only to tell
+    /// action 1 from action 3. Once stabilized, every Dominator moves on
+    /// every activation, and its next guard evaluation reads nothing.
+    #[inline(always)]
+    fn is_enabled(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &MisState,
+        view: &NeighborView<'_, MisComm>,
+    ) -> bool {
+        let degree = graph.degree(p);
+        match state.status {
+            // An isolated Dominator is disabled forever.
+            Membership::Dominator => degree > 0,
+            // An isolated dominated process promotes itself.
+            Membership::Dominated if degree == 0 => true,
+            Membership::Dominated => {
+                let neighbor = view.read(state.cur.clamp_to_degree(degree));
+                neighbor.status == Membership::Dominated || self.color(p) < neighbor.color
+            }
+        }
+    }
+
     /// Evaluates the guarded actions of `p` in priority order and returns
     /// the successor state, or `None` when every action is disabled.
-    #[inline]
+    ///
+    /// Always inlined: with `#[inline]` alone the release step called it
+    /// out of line, through two copies.
+    #[inline(always)]
     fn activate(
         &self,
         graph: &Graph,

@@ -1,5 +1,5 @@
-//! The Δ-efficient baselines, and the protocols whose guard is derived
-//! from `activate`, evaluate their guards and activations without
+//! The Δ-efficient baselines, MIS, and the protocols whose guard is
+//! derived from `activate` evaluate their guards and activations without
 //! touching the allocator.
 //!
 //! The baselines read every neighbour on every guard evaluation and every
@@ -13,12 +13,13 @@
 //! repairs (guard re-evaluations and moves, colour redraws included)
 //! allocate.
 //!
-//! MIS, MATCHING and the BFS tree write no guard: `Protocol::is_enabled`
-//! runs their `activate` on a lazily seeded generator. The synchronous
-//! daemon settles every selected guard through the activation itself, so
-//! they run under `CentralRandom::enabled_only()`, which reads the enabled
-//! set: every dirty guard then goes through the derived `is_enabled`
-//! before selection, and that must not allocate either.
+//! The synchronous daemon settles every selected guard through the
+//! activation itself, so MIS, MATCHING and the BFS tree also run under
+//! `CentralRandom::enabled_only()`, which reads the enabled set: every
+//! dirty guard then goes through `is_enabled` before selection, and that
+//! must not allocate either. MIS's lane runs its hand-written guard;
+//! MATCHING and the BFS tree write none, so their lanes cover the derived
+//! one, which runs `activate` on a lazily seeded generator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,20 +87,20 @@ fn baseline_protocols_step_without_allocating() {
         status: Membership::Dominator,
         cur: Port::new(0),
     };
-    derived_guards_evaluate_without_allocating(&graph, mis, dominator);
+    guards_evaluate_without_allocating(&graph, mis, dominator);
     let matching = Matching::with_greedy_coloring(&graph);
     let married_to_no_one = MatchingState {
         married: true,
         pr: None,
         cur: Port::new(0),
     };
-    derived_guards_evaluate_without_allocating(&graph, matching, married_to_no_one);
+    guards_evaluate_without_allocating(&graph, matching, married_to_no_one);
     let fake_root = BfsState {
         dist: 0,
         parent: Port::new(0),
     };
     let bfs = BfsTree::new(&graph, NodeId::new(0));
-    derived_guards_evaluate_without_allocating(&graph, bfs, fake_root);
+    guards_evaluate_without_allocating(&graph, bfs, fake_root);
 
     // The counter works: an explicit allocation registers.
     let before = allocation_count();
@@ -201,13 +202,9 @@ fn baseline_coloring_redraws_without_allocating(graph: &Graph) {
 /// Drives `protocol` to silence under `CentralRandom::enabled_only()`, then
 /// checks that silent stepping and repairs allocate nothing once warm. Each
 /// repair writes `corrupt` into a process other than 0 (the BFS root),
-/// dirtying its neighbourhood, whose guards the derived `is_enabled`
-/// settles before the next selection.
-fn derived_guards_evaluate_without_allocating<P: Protocol>(
-    graph: &Graph,
-    protocol: P,
-    corrupt: P::State,
-) {
+/// dirtying its neighbourhood, whose guards `is_enabled` settles before
+/// the next selection.
+fn guards_evaluate_without_allocating<P: Protocol>(graph: &Graph, protocol: P, corrupt: P::State) {
     let name = protocol.name();
     let mut sim = Simulation::new(
         graph,

@@ -6,8 +6,8 @@
 //! that stages the most updates. The peak of the bytes that clone and
 //! simulation hold must stay within the sum of their rows, derived below
 //! from the row sizes. A second copy of any per-process row, such as a
-//! staged communication value, private offsets in the statistics or a
-//! protocol clone that copies its colours, exceeds it, and so does a
+//! staged state or communication value, private offsets in the statistics
+//! or a protocol clone that copies its colours, exceeds it, and so does a
 //! statistics row wider than its one selection count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,7 +99,7 @@ fn a_synchronous_mis_step_holds_each_row_once() {
     //   flag byte   enabled, dirty, selected          1
     //   dirty queue NodeId                            4
     //   selection   NodeId                            4
-    //   staged      (NodeId, MisState, bool)         16
+    //   staged      (NodeId, bool)                    8
     // plus one read-flag byte per port (2m), and a few Δ- or #C-sized
     // buffers (read-port slots, the clone's palette). Debug builds also
     // fill the sampled invariant check's scratch, one `bool` per process
@@ -110,8 +110,8 @@ fn a_synchronous_mis_step_holds_each_row_once() {
     assert_eq!(size_of::<MisComm>(), 8);
     assert_eq!(size_of::<ProcessStats>(), 8);
     assert_eq!(size_of::<NodeId>(), 4);
-    assert_eq!(size_of::<(NodeId, MisState, bool)>(), 16);
-    let per_process = 8 + 8 + 8 + 1 + 4 + 4 + 16;
+    assert_eq!(size_of::<(NodeId, bool)>(), 8);
+    let per_process = 8 + 8 + 8 + 1 + 4 + 4 + 8;
     // The rows above account for every live byte the step holds at its
     // peak, so this is the whole slack the test allows: room for small
     // incidental buffers that no row names. It is under one byte per

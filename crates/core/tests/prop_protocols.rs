@@ -14,7 +14,7 @@
 //!   step records.
 //!
 //! They also check the `Protocol` contract on the protocols that keep a
-//! hand-written guard (COLORING, its baseline, the transformer and the
+//! hand-written guard (COLORING, its baseline, MIS, the transformer and the
 //! leader election): each guard agrees with whether `activate` moves, and
 //! a mutant guard fails the same check. Every shipped protocol's silence
 //! predicate holds where no guard does, and a configuration it calls silent
@@ -422,6 +422,13 @@ fn hand_written_guards_agree_with_activate() {
         assert_eq!(guard_disagreement(&graph, &Coloring::new(&graph)), None);
         assert_eq!(
             guard_disagreement(&graph, &BaselineColoring::new(&graph)),
+            None
+        );
+        // MIS's guard reads nothing at a Dominator: the graphs' isolated
+        // process is the one place a Dominator is disabled, and a leaf's
+        // checked neighbour is its only one.
+        assert_eq!(
+            guard_disagreement(&graph, &Mis::with_greedy_coloring(&graph)),
             None
         );
         let transformed = RoundRobinChecker::new(ColoringSpec::new(&graph));

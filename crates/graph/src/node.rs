@@ -135,12 +135,14 @@ impl Port {
     #[inline]
     pub fn next_round_robin(self, degree: usize) -> Port {
         assert!(degree > 0, "a process with no neighbor has no port");
-        // Protocols call this on every activation, and a port in range
-        // needs no division: only the last port and out-of-range ones
-        // take the `%`.
+        // Protocols call this on every activation, and neither a port in
+        // range nor the last one needs a division: only an out-of-range
+        // port, which a fault left behind, takes the `%`.
         let next = self.index() + 1;
         if next < degree {
             Port(next as u32)
+        } else if next == degree {
+            Port(0)
         } else {
             Port::new(next % degree)
         }
@@ -264,8 +266,10 @@ mod tests {
 
     #[test]
     fn port_fast_paths_agree_with_the_modulo_formula() {
+        // In range (the last port included), out of range as a fault may
+        // leave a port, and the largest representable index.
         for degree in 1..=64usize {
-            for index in 0..2 * degree {
+            for index in (0..2 * degree).chain([Port::MAX_INDEX]) {
                 let port = Port::new(index);
                 assert_eq!(
                     port.clamp_to_degree(degree).index(),

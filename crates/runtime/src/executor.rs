@@ -39,24 +39,29 @@
 //! * **B. selection** — the scheduler picks a non-empty subset, drawing
 //!   from the simulation's RNG;
 //! * **C. activation** — one loop over the selection in increasing id
-//!   order: each selected process reads the pre-step configuration
-//!   through a tracked view, built from its CSR row, which records each
-//!   distinct port it reads in one reused buffer; those ports go straight
-//!   into [`RunStats`], on the same row (the store-wide totals and the
-//!   widest read set are folded once per step), and the new state is
-//!   staged with one flag: whether its communication value differs from
-//!   the cached one. By the [`Protocol`] contract the activation returns
-//!   a new state exactly when the process's guard holds, so one write to
-//!   the process's flag byte settles its guard and marks it selected this
-//!   round;
+//!   order: each selected process reads its own state and, through a
+//!   tracked view built from its CSR row, its neighbours' pre-step
+//!   communication values in the cache; the view records each distinct
+//!   port it reads in one reused buffer, and those ports go straight into
+//!   [`RunStats`], on the same row (the store-wide totals and the widest
+//!   read set are folded once per step). The new state is written into
+//!   the process's row at once, and the process is staged with one flag:
+//!   whether its communication value differs from the cached one. The
+//!   write is safe because no other activation of the step reads that
+//!   row (views read the cache, which stays pre-step until the merge),
+//!   and phase A′ settles only processes the step did not select. By the
+//!   [`Protocol`] contract the activation returns a new state exactly when
+//!   the process's guard holds, so one write to the process's flag byte
+//!   settles its guard and marks it selected this round;
 //! * **A′. guard refresh** of the dirty guards no activation settled,
 //!   still against the pre-step configuration (nothing is left after A);
-//! * **D. merge** — the staged updates are applied simultaneously, keeping
-//!   the communication cache current and dirtying the guards they may
-//!   flip. The new communication value is not staged: [`Protocol::comm`]
-//!   is a projection of the state, so the merge derives it from the new
-//!   state for the updates whose flag is set; a step that changes no
-//!   communication value derives none.
+//! * **D. merge** — the staged entries, process ids and comm flags only,
+//!   are published simultaneously: the merge keeps the communication cache
+//!   current and dirties the guards they may flip. The new communication
+//!   value is not staged: [`Protocol::comm`] is a projection of the state,
+//!   so the merge derives it from the new state in the configuration for
+//!   the entries whose flag is set; a step that changes no communication
+//!   value derives none.
 //!
 //! Either way every queued guard is settled once per step, against the
 //! same configuration, so the enabled set is exact at selection for a
@@ -82,7 +87,7 @@
 //! * the scheduler writes its selection into a reused `Vec<NodeId>`
 //!   (sorted and duplicate-free by the [`Scheduler`] contract — the
 //!   executor `debug_assert`s instead of re-sorting),
-//! * the dirty queue and staged updates are reused buffers drained in
+//! * the dirty queue and the staged entries are reused buffers drained in
 //!   place, and the read-port buffer has one slot per port of the
 //!   largest degree, which every tracked view borrows in turn,
 //! * round detection decrements an `unselected_remaining` counter instead
@@ -203,11 +208,11 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// The processes whose dirty bit is set, each listed once; sized to
     /// `n` at construction, so it never grows.
     dirty_queue: Vec<NodeId>,
-    /// Staged updates `(process, state, comm_changed)` of the current
-    /// step, applied simultaneously in the merge phase. The new comm is not
-    /// staged: it is a projection of the staged state, so the merge derives
-    /// it again for the entries whose flag is set.
-    staged: Vec<(NodeId, P::State, bool)>,
+    /// The executed activations `(process, comm_changed)` of the current
+    /// step, whose new states are already in `config`; the merge marks
+    /// their guards dirty and, for the entries whose flag is set, derives
+    /// the new comm from `config` into the cache.
+    staged: Vec<(NodeId, bool)>,
     /// Port slots lent to each activation's tracked view (`Δ` of them): the
     /// view writes the activation's distinct read ports into them, in
     /// first-read order, so recording reads never allocates.
@@ -520,23 +525,32 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         }
     }
 
+    /// Compares the enabled set with the reference on the rows the step
+    /// has not written yet. The executed processes' rows already hold their
+    /// new states; each was checked against its guard on the pre-step
+    /// state before the write.
     #[cfg(debug_assertions)]
     fn debug_check_enabled_invariant(&mut self) {
-        // Sampled: every step on small systems, periodically on large ones,
-        // so debug test runs stay fast while still covering long executions.
-        let sampled = self.graph.node_count() <= 64 || self.step.is_multiple_of(101);
-        if sampled {
-            // Recompute into a persistent scratch: even the debug invariant
-            // machinery must not allocate in steady state.
-            let mut reference = std::mem::take(&mut self.debug_enabled_scratch);
-            self.recompute_enabled_into(&mut reference);
-            debug_assert!(
-                self.enabled.flags().eq(reference.iter().copied()),
-                "incremental enabled set diverged from full recomputation at step {}",
-                self.step
-            );
-            self.debug_enabled_scratch = reference;
-        }
+        // Recompute into a persistent scratch: even the debug invariant
+        // machinery must not allocate in steady state.
+        let mut reference = std::mem::take(&mut self.debug_enabled_scratch);
+        self.recompute_enabled_into(&mut reference);
+        // The staged entries follow the selection, in increasing id order.
+        let written = |i: usize| {
+            self.staged
+                .binary_search_by_key(&i, |&(p, _)| p.index())
+                .is_ok()
+        };
+        debug_assert!(
+            self.enabled
+                .flags()
+                .zip(&reference)
+                .enumerate()
+                .all(|(i, (flag, &expected))| flag == expected || written(i)),
+            "incremental enabled set diverged from full recomputation at step {}",
+            self.step
+        );
+        self.debug_enabled_scratch = reference;
     }
 
     /// Executes one step: asks the scheduler for a selection, activates every
@@ -585,16 +599,23 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         );
         clock.stop(StepPhase::Selection, self.selected_scratch.len());
 
-        // Phase C: activation. Every selected process evaluates against the
-        // pre-step snapshot and stages its update; nothing it reads is
-        // mutated until the merge below. A recording trace opens the step's
-        // record here, and each activation appends itself as it finishes.
+        // Phase C: activation. Every selected process evaluates its own
+        // state and its neighbours' pre-step comm values, and writes its new
+        // state into its row at once: no other activation of the step reads
+        // that row (views read the comm cache, which stays pre-step until
+        // the merge below), and phase A′ settles only processes the step
+        // did not select. A recording trace opens the step's record here,
+        // and each activation appends itself as it finishes.
         let mut trace = self.trace.as_mut();
         if let Some(trace) = &mut trace {
             trace.open_step(self.step, self.selected_scratch.iter().copied());
         }
         let graph = self.graph;
         let step = self.step;
+        // Sampled: every step on small systems, periodically on large ones,
+        // so debug test runs stay fast while still covering long executions.
+        #[cfg(debug_assertions)]
+        let debug_sampled = graph.node_count() <= 64 || step.is_multiple_of(101);
         let clock = PhaseClock::start(metrics);
         let mut comm_changed_any = false;
         let mut read_operations_step = 0u64;
@@ -629,12 +650,26 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             self.unselected_remaining -= usize::from(first_this_round);
             let mut comm_changed = false;
             if let Some(new_state) = new_state {
+                // The write below replaces the row the reference would
+                // read, so the guard of a moving process is checked here.
+                #[cfg(debug_assertions)]
+                if debug_sampled {
+                    let view =
+                        NeighborView::untracked_row(graph.neighbor_slice(p), &self.comm_cache);
+                    debug_assert!(
+                        self.protocol
+                            .is_enabled(graph, p, &self.config[p.index()], &view),
+                        "incremental enabled set diverged from full recomputation at step \
+                         {step}: process {p} moved, but its guard on the pre-step state is false"
+                    );
+                }
                 comm_changed = self.protocol.comm(p, &new_state) != self.comm_cache[p.index()];
                 if comm_changed {
                     self.stats.record_comm_change(step);
                     comm_changed_any = true;
                 }
-                self.staged.push((p, new_state, comm_changed));
+                self.config[p.index()] = new_state;
+                self.staged.push((p, comm_changed));
             }
             if let Some(trace) = &mut trace {
                 trace.push_activation(executed, comm_changed, reads);
@@ -652,19 +687,20 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // whatever the daemon.
         self.refresh_enabled();
         #[cfg(debug_assertions)]
-        self.debug_check_enabled_invariant();
+        if debug_sampled {
+            self.debug_check_enabled_invariant();
+        }
 
-        // Phase D: merge. Apply all staged updates simultaneously,
-        // maintaining the communication cache and dirtying exactly the
-        // guards the updates may flip: the updated process itself (guards
-        // read the own full state) and, when its communication state
-        // changed, its neighbors. The cache entry is derived from the new
-        // state, only where the activation found the comm changed.
+        // Phase D: merge. Publish all executed activations simultaneously,
+        // bringing the communication cache up to date and dirtying exactly
+        // the guards they may flip: the moved process itself (guards read
+        // the own full state) and, when its communication state changed,
+        // its neighbors. The cache entry is derived from the new state in
+        // `config`, only where the activation found the comm changed.
         let clock = PhaseClock::start(metrics);
-        // One staged update per executed activation.
+        // One staged entry per executed activation.
         let executed = self.staged.len();
-        for (p, state, comm_changed) in self.staged.drain(..) {
-            self.config[p.index()] = state;
+        for (p, comm_changed) in self.staged.drain(..) {
             mark_dirty(&mut self.enabled, &mut self.dirty_queue, p);
             if comm_changed {
                 self.comm_cache[p.index()] = self.protocol.comm(p, &self.config[p.index()]);
