@@ -156,13 +156,21 @@ impl Protocol for Coloring {
         verify::is_proper_coloring(graph, &colors)
     }
 
-    /// Silent exactly when legitimate. A process with a neighbour is always
-    /// enabled, advancing its pointer, so the default ("no process is
-    /// enabled") never holds; but once the coloring predicate holds it is
-    /// closed and action 1 never fires again (Lemma 1), so the
+    /// Silent where no neighbour shares `p`'s colour, so a configuration
+    /// is silent exactly when it is legitimate. A process with a neighbour
+    /// is always enabled, advancing its pointer, so the default
+    /// (`!is_enabled`) never holds; but once the coloring predicate holds
+    /// it is closed and action 1 never fires again (Lemma 1), so the
     /// communication variables are fixed.
-    fn is_silent_config(&self, graph: &Graph, config: &[ColoringState]) -> bool {
-        self.is_legitimate(graph, config)
+    #[inline]
+    fn is_silent_at(
+        &self,
+        _graph: &Graph,
+        _p: NodeId,
+        state: &ColoringState,
+        view: &NeighborView<'_, usize>,
+    ) -> bool {
+        view.read_all().iter().all(|&color| color != state.color)
     }
 }
 

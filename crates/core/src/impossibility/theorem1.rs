@@ -46,8 +46,7 @@ impl Theorem1Counterexample {
     /// Returns `true` when the configuration is silent for the frozen-read
     /// protocol (it must): no process can ever observe the conflict.
     pub fn is_silent(&self) -> bool {
-        use selfstab_runtime::protocol::Protocol;
-        self.protocol.is_silent_config(&self.graph, &self.config)
+        selfstab_runtime::protocol::is_silent_config(&self.protocol, &self.graph, &self.config)
     }
 }
 

@@ -52,8 +52,7 @@ impl Theorem2Counterexample {
     /// Returns `true` when the configuration is silent for the frozen-read
     /// protocol.
     pub fn is_silent(&self) -> bool {
-        use selfstab_runtime::protocol::Protocol;
-        self.protocol.is_silent_config(self.graph(), &self.config)
+        selfstab_runtime::protocol::is_silent_config(&self.protocol, self.graph(), &self.config)
     }
 }
 

@@ -296,71 +296,48 @@ impl Protocol for Matching {
     ///  (b) M.p = PRmarried(p)                        (else action 2),
     ///  (c) if p points at q = cur.p and q does not point back:
     ///      ¬M.q ∧ C.p ≺ C.q                          (else action 4); a
-    ///      configuration passing (c) locally is still flagged through
-    ///      q's own conditions (see the module tests),
+    ///      configuration passing (c) at p is still flagged through q's
+    ///      own conditions (see the module tests),
     ///  (d) if p is free: no neighbor q points at p (action 3 would fire
     ///      once cur.p reaches q) and no free unmarried neighbor q has
     ///      C.p ≺ C.q (action 5 would fire).
-    fn is_silent_config(&self, graph: &Graph, config: &[MatchingState]) -> bool {
-        for p in graph.nodes() {
-            let state = &config[p.index()];
-            let degree = graph.degree(p);
-            if degree == 0 {
-                if state.married || state.pr.is_some() {
-                    return false;
-                }
-                continue;
+    #[inline]
+    fn is_silent_at(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &MatchingState,
+        view: &NeighborView<'_, MatchingComm>,
+    ) -> bool {
+        let degree = graph.degree(p);
+        if degree == 0 {
+            return !state.married && state.pr.is_none();
+        }
+        let cur = state.cur.clamp_to_degree(degree);
+        let pr = state.pr.map(|port| port.clamp_to_degree(degree));
+        // An out-of-domain pointer will be rewritten; (a).
+        if pr != state.pr || pr.is_some_and(|target| target != cur) {
+            return false;
+        }
+        let points_back =
+            |port: Port, q: &MatchingComm| q.pr == graph.port_to(graph.neighbor(p, port), p);
+        let my_color = self.color(p);
+        match pr {
+            Some(port) => {
+                let q = view.read(port);
+                let pr_married = points_back(port, q);
+                // (b), and (c) where p is waiting on q.
+                state.married == pr_married && (pr_married || (!q.married && q.color >= my_color))
             }
-            let cur = state.cur.clamp_to_degree(degree);
-            let pr = state.pr.map(|port| port.clamp_to_degree(degree));
-            if pr != state.pr {
-                return false; // out-of-domain pointer will be rewritten
-            }
-            // (a)
-            if let Some(target) = pr {
-                if target != cur {
-                    return false;
-                }
-            }
-            // (b)
-            let pr_married = match pr {
-                Some(port) => {
-                    let q = graph.neighbor(p, port);
-                    config[q.index()].pr == graph.port_to(q, p)
-                }
-                None => false,
-            };
-            if state.married != pr_married {
-                return false;
-            }
-            match pr {
-                Some(port) => {
-                    let q = graph.neighbor(p, port);
-                    let q_state = &config[q.index()];
-                    let q_points_back = q_state.pr == graph.port_to(q, p);
-                    if !q_points_back {
-                        // (c) p is waiting on q.
-                        if q_state.married || self.color(q) < self.color(p) {
-                            return false;
-                        }
-                    }
-                }
-                None => {
-                    // (d) p is free.
-                    for q in graph.neighbors(p) {
-                        let q_state = &config[q.index()];
-                        if q_state.pr == graph.port_to(q, p) {
-                            return false;
-                        }
-                        if q_state.pr.is_none() && !q_state.married && self.color(p) < self.color(q)
-                        {
-                            return false;
-                        }
-                    }
-                }
+            // (b), and (d): p is free.
+            None => {
+                !state.married
+                    && view.read_all().iter().enumerate().all(|(i, q)| {
+                        !points_back(Port::new(i), q)
+                            && (q.pr.is_some() || q.married || q.color <= my_color)
+                    })
             }
         }
-        true
     }
 }
 
@@ -370,6 +347,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use selfstab_graph::generators;
+    use selfstab_runtime::protocol::is_silent_config;
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
@@ -608,7 +586,7 @@ mod tests {
                 cur: Port::new(0),
             },
         ];
-        assert!(protocol.is_silent_config(&graph, &married));
+        assert!(is_silent_config(&protocol, &graph, &married));
         assert!(protocol.is_legitimate(&graph, &married));
         assert_eq!(
             protocol.output(&graph, &married),
@@ -628,7 +606,7 @@ mod tests {
                 cur: Port::new(0),
             },
         ];
-        assert!(!protocol.is_silent_config(&graph, &free));
+        assert!(!is_silent_config(&protocol, &graph, &free));
         assert!(!protocol.is_legitimate(&graph, &free));
     }
 

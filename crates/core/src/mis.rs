@@ -248,28 +248,32 @@ impl Protocol for Mis {
     }
 
     /// A configuration is silent iff no continuation can ever change an
-    /// S variable:
-    /// * a Dominator must have no Dominator neighbor (its round-robin scan
-    ///   would otherwise eventually trigger action 1 on one of the two),
-    /// * a dominated process must currently point at a Dominator of smaller
-    ///   color (otherwise action 2 is enabled right now).
-    fn is_silent_config(&self, graph: &Graph, config: &[MisState]) -> bool {
-        let is_dominator = |q: NodeId| config[q.index()].status == Membership::Dominator;
-        graph.nodes().all(|p| {
-            let state = &config[p.index()];
-            match state.status {
-                Membership::Dominator => !graph.neighbors(p).any(is_dominator),
-                Membership::Dominated => {
-                    let degree = graph.degree(p);
-                    // An isolated dominated process promotes itself.
-                    if degree == 0 {
-                        return false;
-                    }
-                    let q = graph.neighbor(p, state.cur.clamp_to_degree(degree));
-                    is_dominator(q) && self.color(q) < self.color(p)
-                }
+    /// S variable, that is iff at every process:
+    /// * a Dominator has no Dominator neighbor (its round-robin scan would
+    ///   otherwise eventually trigger action 1 on one of the two),
+    /// * a dominated process points at a Dominator of smaller color
+    ///   (otherwise action 2 is enabled right now).
+    #[inline]
+    fn is_silent_at(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &MisState,
+        view: &NeighborView<'_, MisComm>,
+    ) -> bool {
+        let degree = graph.degree(p);
+        match state.status {
+            Membership::Dominator => view
+                .read_all()
+                .iter()
+                .all(|q| q.status != Membership::Dominator),
+            // An isolated dominated process promotes itself.
+            Membership::Dominated if degree == 0 => false,
+            Membership::Dominated => {
+                let q = view.read(state.cur.clamp_to_degree(degree));
+                q.status == Membership::Dominator && q.color < self.color(p)
             }
-        })
+        }
     }
 }
 
@@ -277,6 +281,7 @@ impl Protocol for Mis {
 mod tests {
     use super::*;
     use selfstab_graph::generators;
+    use selfstab_runtime::protocol::is_silent_config;
     use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
     use selfstab_runtime::{SimOptions, Simulation};
 
@@ -435,7 +440,7 @@ mod tests {
             },
         ];
         assert!(protocol.is_legitimate(&graph, &silent_config));
-        assert!(protocol.is_silent_config(&graph, &silent_config));
+        assert!(is_silent_config(&protocol, &graph, &silent_config));
 
         // Same statuses, but p1 points at p2 which has a *larger* color
         // (color 0 < color 1 is false: p2 has color 0 < p1's color 1, fine)…
@@ -455,7 +460,7 @@ mod tests {
                 cur: Port::new(0),
             },
         ];
-        assert!(!protocol.is_silent_config(&graph, &not_silent));
+        assert!(!is_silent_config(&protocol, &graph, &not_silent));
         // And it is not even legitimate: p2 is dominated with no Dominator
         // neighbor.
         assert!(!protocol.is_legitimate(&graph, &not_silent));
@@ -476,7 +481,7 @@ mod tests {
                 cur: Port::new(0),
             },
         ];
-        assert!(!protocol.is_silent_config(&graph, &config));
+        assert!(!is_silent_config(&protocol, &graph, &config));
         assert!(!protocol.is_legitimate(&graph, &config));
         // And the protocol resolves the conflict deterministically: the
         // larger color yields.

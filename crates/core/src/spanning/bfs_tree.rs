@@ -201,8 +201,8 @@ impl Protocol for BfsTree {
         crate::spanning::is_bfs_spanning_tree(graph, self.root, &dist, &parents)
     }
 
-    // Silence is the default `is_silent_config`, "no guard holds": the
-    // protocol is terminal once silent. On connected graphs (the model's
+    // Silence is the default `is_silent_at`, "p's guard does not hold":
+    // the protocol is terminal once silent. On connected graphs (the model's
     // standing assumption) it coincides with legitimacy: the guard of every
     // process is the local BFS consistency check, and local consistency
     // everywhere forces `dist` to equal the oracle BFS layering (follow the

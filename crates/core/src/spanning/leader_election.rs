@@ -344,25 +344,32 @@ impl Protocol for LeaderElection {
         crate::spanning::is_bfs_spanning_tree(graph, expected, &dist, &parents)
     }
 
-    /// Silent when no process sees an inconsistency: no self-check fails
-    /// and no probe would fire at any of its ports, against its
-    /// neighbours' current communication variables. A process with a
-    /// neighbour is always enabled, probing one neighbour per activation,
-    /// so the default ("no process is enabled") never holds; but here every
-    /// activation only advances the internal `cur` pointer, so the
-    /// communication variables stay fixed, as in COLORING. The predicate
-    /// holds on every legitimate configuration, and with the cap at `n` it
-    /// equals legitimacy on a connected graph: consistent parent links
-    /// strictly decrease `dist`, so no claim is fake or capped out, and
-    /// neighbours agree on the leader and on BFS distances.
-    fn is_silent_config(&self, graph: &Graph, config: &[LeaderElectionState]) -> bool {
-        graph.nodes().all(|p| {
-            let state = &config[p.index()];
-            !self.self_violation(graph, p, state)
-                && graph.ports(p).all(|(port, q)| {
-                    !self.probe_fires(p, state, port, &self.comm(q, &config[q.index()]))
-                })
-        })
+    /// Silent where `p` sees no inconsistency: no self-check fails and no
+    /// probe would fire at any of its ports, against its neighbours'
+    /// current communication variables. A process with a neighbour is
+    /// always enabled, probing one neighbour per activation, so the
+    /// default (`!is_enabled`) never holds; but where this holds at every
+    /// process, every activation only advances the internal `cur` pointer,
+    /// so the communication variables stay fixed, as in COLORING. Such a
+    /// configuration is silent; every legitimate configuration is one, and
+    /// with the cap at `n` they are exactly the legitimate ones on a
+    /// connected graph: consistent parent links strictly decrease `dist`,
+    /// so no claim is fake or capped out, and neighbours agree on the
+    /// leader and on BFS distances.
+    #[inline]
+    fn is_silent_at(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &LeaderElectionState,
+        view: &NeighborView<'_, LeaderComm>,
+    ) -> bool {
+        !self.self_violation(graph, p, state)
+            && view
+                .read_all()
+                .iter()
+                .enumerate()
+                .all(|(i, q)| !self.probe_fires(p, state, Port::new(i), q))
     }
 }
 

@@ -176,13 +176,24 @@ impl<E: EdgeCheckable + Send + Sync> Protocol for RoundRobinChecker<E> {
         })
     }
 
-    /// Silent exactly when legitimate. As in COLORING, a process with a
-    /// neighbour is always enabled, so the default ("no process is
-    /// enabled") never holds; but once no edge conflicts, no correction
-    /// fires again and only the `cur` pointers move. This takes a
-    /// symmetric pairwise predicate, as both shipped specifications are.
-    fn is_silent_config(&self, graph: &Graph, config: &[Self::State]) -> bool {
-        self.is_legitimate(graph, config)
+    /// Silent where `p`'s output conflicts with no neighbour's. As in
+    /// COLORING, a process with a neighbour is always enabled, so the
+    /// default (`!is_enabled`) never holds; but once no process sees a
+    /// conflict, no correction fires again and only the `cur` pointers
+    /// move. For a symmetric pairwise predicate, as both shipped
+    /// specifications are, a configuration is then silent exactly when it
+    /// is legitimate.
+    #[inline]
+    fn is_silent_at(
+        &self,
+        _graph: &Graph,
+        _p: NodeId,
+        state: &Self::State,
+        view: &NeighborView<'_, Self::Comm>,
+    ) -> bool {
+        view.read_all()
+            .iter()
+            .all(|neighbor| !self.spec.conflict(&state.output, neighbor))
     }
 }
 

@@ -20,16 +20,23 @@
 //! must not allocate either. MIS's lane runs its hand-written guard;
 //! MATCHING and the BFS tree write none, so their lanes cover the derived
 //! one, which runs `activate` on a lazily seeded generator.
+//!
+//! A silence check (`Simulation::is_silent`) evaluates every process's
+//! `is_silent_at` on the simulation's own communication cache, so on a
+//! silent simulation 100 checks allocate nothing either: for the three
+//! baselines and the BFS tree, which use the default (`!is_enabled`), and
+//! for COLORING, MIS and MATCHING, which state their own predicate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use selfstab_core::baselines::{BaselineColoring, BaselineMatching, BaselineMis};
+use selfstab_core::coloring::Coloring;
 use selfstab_core::matching::{Matching, MatchingState};
 use selfstab_core::mis::{Membership, Mis, MisState};
 use selfstab_core::spanning::{BfsState, BfsTree};
 use selfstab_graph::{generators, Graph, NodeId, Port};
-use selfstab_runtime::scheduler::{CentralRandom, Scheduler, Synchronous};
+use selfstab_runtime::scheduler::{CentralRandom, DistributedRandom, Scheduler, Synchronous};
 use selfstab_runtime::{Protocol, SimOptions, Simulation};
 
 /// Global allocation-event counter (alloc + realloc; frees are irrelevant
@@ -101,6 +108,7 @@ fn baseline_protocols_step_without_allocating() {
     };
     let bfs = BfsTree::new(&graph, NodeId::new(0));
     guards_evaluate_without_allocating(&graph, bfs, fake_root);
+    coloring_checks_silence_without_allocating(&graph);
 
     // The counter works: an explicit allocation registers.
     let before = allocation_count();
@@ -127,6 +135,23 @@ fn assert_silent_stepping_is_allocation_free<P: Protocol, S: Scheduler>(
     );
 }
 
+/// Asserts that `sim` is silent and that 100 more silence checks do not
+/// allocate.
+fn assert_silence_checks_are_allocation_free<P: Protocol, S: Scheduler>(
+    sim: &Simulation<'_, P, S>,
+) {
+    let name = sim.protocol().name();
+    assert!(sim.is_silent(), "{name}: not silent");
+    let before = allocation_count();
+    let silent_checks = (0..100).filter(|_| sim.is_silent()).count();
+    let allocations = allocation_count() - before;
+    assert_eq!(silent_checks, 100, "{name}: silence must stay");
+    assert_eq!(
+        allocations, 0,
+        "{name}: 100 silence checks allocated {allocations} times"
+    );
+}
+
 fn baseline_mis_steps_without_allocating(graph: &Graph) {
     let mut sim = Simulation::new(
         graph,
@@ -146,6 +171,7 @@ fn baseline_mis_steps_without_allocating(graph: &Graph) {
     // Silent stepping: the synchronous daemon activates every process,
     // and each one reads all its neighbours.
     assert_silent_stepping_is_allocation_free(&mut sim, 200);
+    assert_silence_checks_are_allocation_free(&sim);
 
     // Repair: corrupted memberships re-evaluate guards and move.
     let before = allocation_count();
@@ -171,6 +197,7 @@ fn baseline_matching_checks_without_allocating(graph: &Graph) {
     );
     assert!(sim.run_until_silent(100_000).silent);
     assert_silent_stepping_is_allocation_free(&mut sim, 200);
+    assert_silence_checks_are_allocation_free(&sim);
 }
 
 fn baseline_coloring_redraws_without_allocating(graph: &Graph) {
@@ -186,6 +213,7 @@ fn baseline_coloring_redraws_without_allocating(graph: &Graph) {
     // Warm the executor's scratch, then put every process back in
     // conflict: the all-zero configuration again.
     assert!(sim.run_until_silent(100_000).silent);
+    assert_silence_checks_are_allocation_free(&sim);
     for p in graph.nodes() {
         sim.set_state(p, 0);
     }
@@ -223,6 +251,7 @@ fn guards_evaluate_without_allocating<P: Protocol>(graph: &Graph, protocol: P, c
     assert!(sim.run_until_silent(1_000_000).silent, "{name}: no silence");
 
     assert_silent_stepping_is_allocation_free(&mut sim, 2_000);
+    assert_silence_checks_are_allocation_free(&sim);
 
     let guards_before = sim.guard_evaluations();
     let before = allocation_count();
@@ -236,4 +265,19 @@ fn guards_evaluate_without_allocating<P: Protocol>(graph: &Graph, protocol: P, c
         allocations, 0,
         "{name}: repair stepping allocated {allocations} times"
     );
+}
+
+/// COLORING stays enabled wherever a process has a neighbour, so its
+/// silence is its own predicate: no neighbour shares a colour.
+fn coloring_checks_silence_without_allocating(graph: &Graph) {
+    let mut sim = Simulation::new(
+        graph,
+        Coloring::new(graph),
+        DistributedRandom::new(0.5),
+        5,
+        SimOptions::default(),
+    );
+    assert!(sim.run_until_silent(100_000).silent);
+    assert_silent_stepping_is_allocation_free(&mut sim, 200);
+    assert_silence_checks_are_allocation_free(&sim);
 }

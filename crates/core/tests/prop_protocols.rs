@@ -16,9 +16,11 @@
 //! They also check the `Protocol` contract on the protocols that keep a
 //! hand-written guard (COLORING, its baseline, MIS, the transformer and the
 //! leader election): each guard agrees with whether `activate` moves, and
-//! a mutant guard fails the same check. Every shipped protocol's silence
-//! predicate holds where no guard does, and a configuration it calls silent
-//! keeps its communication variables fixed.
+//! a mutant guard fails the same check. Every shipped protocol's
+//! `is_silent_at` holds at every process where no guard does, a
+//! configuration the reference calls silent keeps its communication
+//! variables fixed, and a simulation started there agrees with the
+//! reference.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,6 +34,7 @@ use selfstab_core::spanning::{BfsTree, LeaderElection};
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker, SeparationSpec};
 use selfstab_graph::coloring::greedy;
 use selfstab_graph::{generators, longest_path, verify, Graph, Identifiers, NodeId, Port};
+use selfstab_runtime::protocol::is_silent_config;
 use selfstab_runtime::scheduler::{DistributedRandom, Synchronous};
 use selfstab_runtime::view::NeighborView;
 use selfstab_runtime::{Protocol, SimOptions, Simulation, StepRecord};
@@ -444,11 +447,14 @@ fn hand_written_guards_agree_with_activate() {
 }
 
 /// The first breach of the silence contract by `protocol` on `graph`, or
-/// `None` when there is none: (a) a configuration where no process is
-/// enabled must be reported silent, and (b) from a configuration reported
-/// silent, `100·n` steps of the distributed daemon must change no
-/// communication variable. Checked on `extra`, on 50 random configurations
-/// and on the configurations `run_until_silent` reaches from them.
+/// `None` when there is none: (a) `is_silent_at` must hold at every
+/// process whose guard does not, so a configuration where no process is
+/// enabled is silent, (b) from a configuration the reference
+/// `is_silent_config` reports silent, `100·n` steps of the distributed
+/// daemon must change no communication variable, and (c) a simulation
+/// started there must say what the reference says. Checked on `extra`, on
+/// 50 random configurations and on the configurations `run_until_silent`
+/// reaches from them.
 fn silence_breach<P: Protocol + Clone>(
     graph: &Graph,
     protocol: &P,
@@ -481,11 +487,28 @@ fn silence_breach<P: Protocol + Clone>(
         if configs[..i].contains(config) {
             continue;
         }
-        let silent = protocol.is_silent_config(graph, config);
+        let snapshot: Vec<P::Comm> = graph
+            .nodes()
+            .map(|p| protocol.comm(p, &config[p.index()]))
+            .collect();
+        for p in graph.nodes() {
+            let state = &config[p.index()];
+            let view = NeighborView::from_snapshot(graph, p, &snapshot);
+            if !protocol.is_enabled(graph, p, state, &view)
+                && !protocol.is_silent_at(graph, p, state, &view)
+            {
+                return Some(format!(
+                    "{name} on {graph}: process {p} is disabled in {config:?}, yet not silent"
+                ));
+            }
+        }
+        let silent = is_silent_config(protocol, graph, config);
         let mut sim = simulation(config, 1);
-        if sim.enabled_set().count() == 0 && !silent {
+        if sim.is_silent() != silent {
             return Some(format!(
-                "{name} on {graph}: no process is enabled in {config:?}, yet it is not silent"
+                "{name} on {graph}: the simulation says silent: {}, the reference {silent}, \
+                 in {config:?}",
+                sim.is_silent()
             ));
         }
         if silent {

@@ -1,12 +1,18 @@
 //! The reference matrix: the executor's maintained enabled set equals the
 //! from-scratch reference after every step and every fault injection, for
-//! every shipped protocol under every daemon and every fault model.
+//! every shipped protocol under every daemon and every fault model, and so
+//! does its silence check.
 //!
 //! `Simulation::recompute_enabled_into` re-evaluates every guard against
 //! the current configuration. Selection reads only the enabled set and the
 //! daemon RNG, so a run whose maintained set equals the reference after
 //! every operation is the run an executor that re-evaluated every guard on
-//! every step would produce. The matrix crosses:
+//! every step would produce. `Simulation::is_silent` reads the same
+//! communication cache, so each check also compares it with the
+//! from-scratch `is_silent_config` on the configuration, which catches a
+//! cache an injection left stale even where the guards agree with it, and
+//! asserts that a silent configuration is legitimate (every topology here
+//! is connected). The matrix crosses:
 //!
 //! * the shipped protocols — COLORING, MIS, MATCHING, the leader election,
 //!   the round-robin checker transformer over the coloring spec and the
@@ -55,10 +61,11 @@ use selfstab_core::matching::Matching;
 use selfstab_core::mis::{Membership, Mis, MisState};
 use selfstab_core::spanning::{BfsTree, LeaderElection};
 use selfstab_core::transformer::{ColoringSpec, RoundRobinChecker};
-use selfstab_graph::{generators, Graph, Identifiers, NodeId};
+use selfstab_graph::{generators, properties, Graph, Identifiers, NodeId};
 use selfstab_runtime::faults::{
     run_fault_plan, BallCenter, FaultEvent, FaultInjector, FaultLoad, FaultModel, FaultPlan,
 };
+use selfstab_runtime::protocol::is_silent_config;
 use selfstab_runtime::scheduler::{
     CentralRandom, CentralRoundRobin, DistributedRandom, Fair, LocallyCentral, Scheduler,
     StarvingAdversary, Synchronous,
@@ -125,8 +132,9 @@ trait OnProtocol {
 }
 
 /// Runs `on` over shipped protocol `index` (see [`PROTOCOLS`]) on
-/// `graph`; the BFS tree is rooted at `root`.
+/// `graph`, which must be connected; the BFS tree is rooted at `root`.
 fn with_protocol(index: usize, graph: &Graph, root: NodeId, on: &mut impl OnProtocol) {
+    assert!(properties::is_connected(graph), "{graph} is not connected");
     match index {
         0 => on.run(graph, Coloring::new(graph)),
         1 => on.run(graph, Mis::with_greedy_coloring(graph)),
@@ -211,7 +219,10 @@ fn ops_from_seed(seed: u64) -> Vec<Op> {
 const SETTLE_STEPS: u64 = 200_000;
 
 /// Asserts that `sim`'s maintained enabled set equals the from-scratch
-/// reference (`at` says where in the drive the check ran).
+/// reference, that its silence check, which reads the communication cache,
+/// equals `is_silent_config` on its configuration, and that a silent
+/// configuration is legitimate, as it must be on the matrix's connected
+/// topologies (`at` says where in the drive the check ran).
 fn assert_matches_reference<P: Protocol, S: Scheduler>(
     sim: &mut Simulation<'_, P, S>,
     reference: &mut Vec<bool>,
@@ -222,6 +233,16 @@ fn assert_matches_reference<P: Protocol, S: Scheduler>(
     assert!(
         sim.enabled_set().flags().eq(reference.iter().copied()),
         "{lane}: maintained enabled set diverged from the reference {at}"
+    );
+    let silent = sim.is_silent();
+    assert_eq!(
+        silent,
+        is_silent_config(sim.protocol(), sim.graph(), sim.config()),
+        "{lane}: silence diverged from the reference {at}"
+    );
+    assert!(
+        !silent || sim.is_legitimate(),
+        "{lane}: silent but not legitimate {at}"
     );
 }
 

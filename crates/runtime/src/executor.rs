@@ -110,11 +110,18 @@ use crate::telemetry::Trace;
 use crate::view::NeighborView;
 
 /// Options controlling a [`Simulation`].
+///
+/// The one option is private, so every interval goes through the clamp of
+/// [`SimOptions::with_check_interval`]; a literal does not compile:
+///
+/// ```compile_fail
+/// let options = selfstab_runtime::SimOptions { check_interval: 0 };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOptions {
-    /// How many steps apart the silence/legitimacy predicates are evaluated
-    /// while running to completion (1 = every step).
-    pub check_interval: u64,
+    /// How many steps apart [`Simulation::run_until_silent`] evaluates the
+    /// silence predicate (1 = every step, never 0).
+    check_interval: u64,
 }
 
 impl Default for SimOptions {
@@ -191,8 +198,6 @@ pub struct Simulation<'g, P: Protocol, S: Scheduler> {
     /// as it runs.
     trace: Option<Trace>,
     options: SimOptions,
-    step: u64,
-    rounds: u64,
     /// Number of processes not yet selected this round: the round is
     /// complete exactly when this reaches 0 (replaces an `O(n)` per-step
     /// scan of the selected-this-round flags; the equivalence is
@@ -296,8 +301,6 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             stats: RunStats::new(graph),
             trace: None,
             options,
-            step: 0,
-            rounds: 0,
             unselected_remaining: n,
             comm_cache,
             enabled: EnabledSet::all_dirty(n),
@@ -425,14 +428,14 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         &mut self.scheduler
     }
 
-    /// Total steps executed so far.
+    /// Total steps executed so far ([`RunStats::steps`]).
     pub fn steps(&self) -> u64 {
-        self.step
+        self.stats.steps
     }
 
-    /// Total rounds completed so far.
+    /// Total rounds completed so far ([`RunStats::rounds`]).
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.stats.rounds
     }
 
     /// Evaluates the protocol's legitimacy predicate on the current
@@ -441,16 +444,21 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         self.protocol.is_legitimate(self.graph, &self.config)
     }
 
-    /// Evaluates the protocol's silence predicate on the current
-    /// configuration.
+    /// Whether the current configuration is silent: the protocol's
+    /// [`Protocol::is_silent_at`] holds at every process, on untracked views
+    /// of the communication cache, which [`Simulation::step`] and
+    /// [`Simulation::set_state`] keep current. So it equals the reference
+    /// [`is_silent_config`](crate::protocol::is_silent_config) on
+    /// [`Simulation::config`] without building a snapshot: it allocates
+    /// nothing, and it counts no guard evaluation.
     pub fn is_silent(&self) -> bool {
-        self.protocol.is_silent_config(self.graph, &self.config)
+        crate::protocol::all_silent(&self.protocol, self.graph, &self.config, &self.comm_cache)
     }
 
     /// Places the suffix marker for ♦-stability measurements at the current
     /// step (see [`RunStats::mark_suffix`]).
     pub fn mark_suffix(&mut self) {
-        self.stats.mark_suffix(self.step);
+        self.stats.mark_suffix(self.stats.steps);
     }
 
     /// Replaces the state of process `p` (used by fault injection).
@@ -548,7 +556,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 .enumerate()
                 .all(|(i, (flag, &expected))| flag == expected || written(i)),
             "incremental enabled set diverged from full recomputation at step {}",
-            self.step
+            self.stats.steps
         );
         self.debug_enabled_scratch = reference;
     }
@@ -581,11 +589,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // Phase B: selection.
         let clock = PhaseClock::start(metrics);
         self.selected_scratch.clear();
-        let ctx = SchedulerContext::from_parts(
-            self.step,
-            self.graph,
-            reads_enabled.then_some(&self.enabled),
-        );
+        let step = self.stats.steps;
+        let ctx =
+            SchedulerContext::from_parts(step, self.graph, reads_enabled.then_some(&self.enabled));
         self.scheduler
             .select(&ctx, &mut self.rng, &mut self.selected_scratch);
         assert!(
@@ -608,10 +614,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         // and each activation appends itself as it finishes.
         let mut trace = self.trace.as_mut();
         if let Some(trace) = &mut trace {
-            trace.open_step(self.step, self.selected_scratch.iter().copied());
+            trace.open_step(step, self.selected_scratch.iter().copied());
         }
         let graph = self.graph;
-        let step = self.step;
         // Sampled: every step on small systems, periodically on large ones,
         // so debug test runs stay fast while still covering long executions.
         #[cfg(debug_assertions)]
@@ -711,18 +716,16 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         }
         clock.stop(StepPhase::Merge, executed);
 
-        self.step += 1;
-        self.stats.steps = self.step;
+        self.stats.steps += 1;
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             self.unselected_remaining == 0,
             self.enabled.all_selected(),
             "round counter diverged from the selected-this-round flags at step {}",
-            self.step
+            self.stats.steps
         );
         if self.unselected_remaining == 0 {
-            self.rounds += 1;
-            self.stats.rounds = self.rounds;
+            self.stats.rounds += 1;
             self.enabled.start_round();
             self.unselected_remaining = graph.node_count();
         }
@@ -741,12 +744,12 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         }
     }
 
-    /// Runs until the protocol's silence predicate holds (checked every
-    /// `check_interval` steps) or `max_steps` further steps have been
-    /// executed.
+    /// Runs until [`Simulation::is_silent`] holds or `max_steps` further
+    /// steps have been executed. Silence is checked before the first step
+    /// and after every step, or every `k` steps under
+    /// [`SimOptions::with_check_interval`]`(k)`, and once more at the end.
     pub fn run_until_silent(&mut self, max_steps: u64) -> RunReport {
-        let start_steps = self.step;
-        let start_rounds = self.rounds;
+        let (start_steps, start_rounds) = (self.steps(), self.rounds());
         let mut silent = self.is_silent();
         let mut executed: u64 = 0;
         while !silent && executed < max_steps {
@@ -762,10 +765,10 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
         RunReport {
             silent,
             legitimate: self.is_legitimate(),
-            steps: self.step - start_steps,
-            rounds: self.rounds - start_rounds,
-            total_steps: self.step,
-            total_rounds: self.rounds,
+            steps: self.steps() - start_steps,
+            rounds: self.rounds() - start_rounds,
+            total_steps: self.steps(),
+            total_rounds: self.rounds(),
         }
     }
 
@@ -1017,6 +1020,26 @@ mod tests {
         assert!(report.steps <= 6);
         // Under the synchronous daemon every step is a round.
         assert_eq!(report.steps, report.rounds);
+    }
+
+    #[test]
+    fn a_check_interval_of_zero_stops_at_the_first_silent_step() {
+        let graph = generators::path(6);
+        let mut reference =
+            Simulation::new(&graph, MinValue, Synchronous, 1, SimOptions::default());
+        let mut first_silent = 0;
+        while !reference.is_silent() {
+            reference.step();
+            first_silent += 1;
+        }
+        // The minimum crosses the path one hop per step.
+        assert_eq!(first_silent, 5);
+        // The interval is clamped to 1: a check after every step.
+        let options = SimOptions::default().with_check_interval(0);
+        let mut sim = Simulation::new(&graph, MinValue, Synchronous, 1, options);
+        let report = sim.run_until_silent(1_000);
+        assert!(report.silent);
+        assert_eq!(report.steps, first_silent);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   a running [`Simulation`], keeps stepping until the system is silent
 //!   at a round boundary or a budget runs out, and accumulates one
 //!   [`RecoveryTelemetry`] round by round (victims, recovery rounds,
-//!   availability and the peak reads of one round). Silence is the
-//!   protocol's [`Protocol::is_silent_config`], checked once per round, so
-//!   every scenario that steps ends on a whole round.
+//!   availability and the peak reads of one round). Silence is
+//!   [`Simulation::is_silent`], the protocol's [`Protocol::is_silent_at`] at
+//!   every process on the executor's communication cache, checked once per
+//!   round, so every scenario that steps ends on a whole round.
 //!
 //! Plan events fire under one rule, applied by [`run_fault_plan`] and by
 //! [`replay`](crate::telemetry::replay()): before a step, every event whose

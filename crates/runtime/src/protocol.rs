@@ -27,9 +27,10 @@ use crate::view::NeighborView;
 /// action with the highest priority, or `None` when the process is disabled.
 /// That one definition is the protocol: a process is enabled exactly when
 /// its activation returns `Some`, which is what [`Protocol::is_enabled`]
-/// computes unless a protocol overrides it, and a configuration is silent
-/// when no process is enabled, which is what [`Protocol::is_silent_config`]
-/// computes unless a protocol whose guards never fall quiet overrides it.
+/// computes unless a protocol overrides it, and a process is silent when
+/// it is disabled, which is what [`Protocol::is_silent_at`] computes unless
+/// a protocol whose guards never fall quiet overrides it. A configuration
+/// is silent when every process is ([`is_silent_config`]).
 ///
 /// # Contract
 ///
@@ -42,8 +43,10 @@ use crate::view::NeighborView;
 ///   `is_enabled`. Debug builds check an override wherever the flag is
 ///   already known, and the sampled check against the from-scratch
 ///   reference catches the rest.
-/// * `activate` and `is_enabled` may only learn about other processes through
-///   `view` — this is what makes the measured read sets meaningful.
+/// * `activate`, `is_enabled` and `is_silent_at` may only learn about other
+///   processes through `view` — this is what makes the measured read sets
+///   meaningful, and what lets the executor check silence on its own
+///   communication cache.
 /// * `comm` must be a pure projection of the state.
 ///
 /// # Threading
@@ -127,28 +130,66 @@ pub trait Protocol: Sync {
     /// The problem's legitimacy predicate over a full configuration.
     fn is_legitimate(&self, graph: &Graph, config: &[Self::State]) -> bool;
 
-    /// Returns `true` when `config` is a *silent* configuration: every
-    /// continuation keeps all communication variables fixed.
+    /// Returns `true` when process `p` is *silent*: its local share of the
+    /// paper's silence (§2) holds, where a configuration is silent, every
+    /// continuation keeping all communication variables fixed, when every
+    /// process is ([`is_silent_config`]). It reads what a guard reads:
+    /// `p`'s own state and, through `view`, its neighbours' communication
+    /// states. Reads here are not charged to the communication measures.
     ///
-    /// The default returns whether no process is enabled, evaluated through
-    /// [`Protocol::is_enabled`] on an untracked snapshot. A terminal
-    /// configuration is silent by definition, so the default is exact for
+    /// The default is `!is_enabled`. A terminal configuration, where no
+    /// guard holds, is silent by definition, so the default is exact for
     /// every protocol whose guards fall quiet. Override it only for a
     /// protocol that keeps a guard enabled forever, probing a neighbour
     /// while its communication variables stay fixed (COLORING, MIS,
     /// MATCHING, the leader election and the transformer do); the override
-    /// must hold on every terminal configuration and imply that no
-    /// continuation changes a communication variable.
-    fn is_silent_config(&self, graph: &Graph, config: &[Self::State]) -> bool {
-        let snapshot: Vec<Self::Comm> = graph
-            .nodes()
-            .map(|p| self.comm(p, &config[p.index()]))
-            .collect();
-        graph.nodes().all(|p| {
-            let view = NeighborView::from_snapshot(graph, p, &snapshot);
-            !self.is_enabled(graph, p, &config[p.index()], &view)
-        })
+    /// must hold at every disabled process, and where it holds at every
+    /// process, no continuation may change a communication variable.
+    #[inline]
+    fn is_silent_at(
+        &self,
+        graph: &Graph,
+        p: NodeId,
+        state: &Self::State,
+        view: &NeighborView<'_, Self::Comm>,
+    ) -> bool {
+        !self.is_enabled(graph, p, state, view)
     }
+}
+
+/// The from-scratch silence reference: whether [`Protocol::is_silent_at`]
+/// holds at every process of `config`, on untracked views of a
+/// communication snapshot built from `config` itself.
+///
+/// [`Simulation::is_silent`](crate::Simulation::is_silent) evaluates the
+/// same conjunction on the simulation's communication cache and allocates
+/// nothing; this function collects an `n`-entry snapshot, so it serves
+/// configurations no simulation holds (the impossibility
+/// counterexamples) and the tests that compare the two.
+pub fn is_silent_config<P: Protocol>(protocol: &P, graph: &Graph, config: &[P::State]) -> bool {
+    let snapshot: Vec<P::Comm> = graph
+        .nodes()
+        .map(|p| protocol.comm(p, &config[p.index()]))
+        .collect();
+    all_silent(protocol, graph, config, &snapshot)
+}
+
+/// Whether [`Protocol::is_silent_at`] holds at every process of `config`,
+/// each reading its neighbours in `comm`, which covers the graph. The
+/// reference and [`Simulation::is_silent`](crate::Simulation::is_silent)
+/// differ only in `comm`. A function of its own, not a loop inside
+/// `is_silent`: written there, release codegen called `BfsTree`'s derived
+/// guard out of line per process, and its check read about 40% slower.
+pub(crate) fn all_silent<P: Protocol>(
+    protocol: &P,
+    graph: &Graph,
+    config: &[P::State],
+    comm: &[P::Comm],
+) -> bool {
+    graph.nodes().all(|p| {
+        let view = NeighborView::untracked_row(graph.neighbor_slice(p), comm);
+        protocol.is_silent_at(graph, p, &config[p.index()], &view)
+    })
 }
 
 /// The private RNG of one activation, seeded from a 64-bit key. The
